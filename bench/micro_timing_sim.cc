@@ -1,25 +1,23 @@
 /**
  * @file
- * Timing-simulator throughput microbenchmark, scalar vs batched.
+ * Timing-simulator throughput microbenchmark, width 1 vs width W.
  *
  * For each (workload, config) it simulates the same W machines (one
- * trace, W fresh spawn sources) twice: one at a time through the
- * scalar TimingSim::run reference path, and as one batch through the
- * stage-major MachineBatch engine. The metric is machine-cycles per
- * second of wall-clock — both paths simulate identical cycles (the
- * bench asserts it), so the ratio isolates what the batch backend
- * amortizes: the per-cycle scheduler sort, mid-vector erases and
- * per-cycle allocation. Run it before and after touching TimingSim
- * hot paths; the comparison table is rewritten to
- * results/micro_timing_sim.txt so regressions are visible in review.
+ * trace, W fresh spawn sources) twice through the one batch engine:
+ * as W batches of one (TimingSim::run), and as one stage-major batch
+ * of W (TimingSim::runBatch). The metric is machine-cycles per
+ * second of wall-clock. Both simulate identical cycles (the bench
+ * asserts it), so the ratio isolates what a wider batch buys: each
+ * stage's code and the shared trace's tables staying hot across
+ * machines. Run it before and after touching TimingSim hot paths;
+ * the comparison table is rewritten to results/micro_timing_sim.txt
+ * so changes are visible in review.
  *
- * Knobs: --batch N (batch width, default PF_BENCH_BATCH or 8),
- * --require-batch-speedup X (exit 1 unless batched/scalar >= X; the
- * release-mode CI smoke job uses it), PF_BENCH_SCALE.
+ * Knobs: --batch N (batch width W, default PF_BENCH_BATCH or 8),
+ * PF_BENCH_SCALE.
  */
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -41,34 +39,6 @@ now()
         .count();
 }
 
-/** `--require-batch-speedup X` from the command line, else 0 (no
- *  enforcement). */
-double
-requiredSpeedup(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *val = nullptr;
-        if (std::strcmp(arg, "--require-batch-speedup") == 0 &&
-            i + 1 < argc) {
-            val = argv[i + 1];
-        } else if (std::strncmp(arg, "--require-batch-speedup=",
-                                24) == 0) {
-            val = arg + 24;
-        }
-        if (val) {
-            if (auto v = driver::parsePositiveDouble(val))
-                return *v;
-            std::fprintf(stderr,
-                         "--require-batch-speedup: expected a "
-                         "positive number, got \"%s\"\n",
-                         val);
-            std::exit(2);
-        }
-    }
-    return 0.0;
-}
-
 struct PathTiming
 {
     double bestSeconds = 0.0;
@@ -80,14 +50,13 @@ struct PathTiming
 int
 main(int argc, char **argv)
 {
-    banner("Micro: timing-simulator throughput, scalar vs batched "
+    banner("Micro: timing-simulator throughput, width 1 vs batched "
            "(machine-cycles/sec)");
 
     const std::vector<std::string> workloads = {"twolf", "mcf",
                                                 "gcc"};
     const double scale = benchScale();
     const int width = driver::batchWidthFromArgs(argc, argv);
-    const double require = requiredSpeedup(argc, argv);
     const int reps = 3;  //!< best-of to damp scheduler noise
 
     std::cout << "batch width: " << width << ", best of " << reps
@@ -106,19 +75,19 @@ main(int argc, char **argv)
          driver::SourceSpec::statics(SpawnPolicy::postdoms())},
     };
 
-    Table t({"workload", "config", "machines", "scalar s",
-             "batched s", "scalar Mc/s", "batched Mc/s", "speedup"});
-    StageProfile scalarProf, batchProf;
-    std::uint64_t scalarCycles = 0, batchCycles = 0;
-    double scalarSeconds = 0.0, batchSeconds = 0.0;
+    Table t({"workload", "config", "machines", "width 1 s",
+             "batched s", "width 1 Mc/s", "batched Mc/s", "speedup"});
+    StageProfile singleProf, batchProf;
+    std::uint64_t singleCycles = 0, batchCycles = 0;
+    double singleSeconds = 0.0, batchSeconds = 0.0;
     std::ostringstream fileTable;
 
     for (const std::string &wl : workloads) {
         Session s = Session::open(wl, scale);
         for (const Setup &setup : setups) {
-            // Scalar reference: the W machines one at a time.
-            // Sources train, so every rep prepares fresh ones.
-            PathTiming scalar;
+            // Width 1: the W machines as W batches of one. Sources
+            // train, so every rep prepares fresh ones.
+            PathTiming single;
             for (int r = 0; r < reps; ++r) {
                 std::vector<PreparedRun> runs;
                 for (int m = 0; m < width; ++m)
@@ -131,13 +100,13 @@ main(int argc, char **argv)
                                   run.source.get(),
                                   run.index.get());
                     if (r == 0)
-                        sim.profileStages(&scalarProf);
+                        sim.profileStages(&singleProf);
                     cycles += sim.run(run.label).cycles;
                 }
                 double wall = now() - t0;
-                if (r == 0 || wall < scalar.bestSeconds)
-                    scalar.bestSeconds = wall;
-                scalar.machineCycles = cycles;
+                if (r == 0 || wall < single.bestSeconds)
+                    single.bestSeconds = wall;
+                single.machineCycles = cycles;
             }
 
             // Batched: the same W machines, one stage-major batch.
@@ -163,39 +132,39 @@ main(int argc, char **argv)
                 batched.machineCycles = cycles;
             }
 
-            if (scalar.machineCycles != batched.machineCycles) {
+            if (single.machineCycles != batched.machineCycles) {
                 std::cerr << "FAIL: batched cycles diverge from "
-                          << "scalar for " << wl << "/"
+                          << "width 1 for " << wl << "/"
                           << setup.label << ": "
                           << batched.machineCycles << " vs "
-                          << scalar.machineCycles << "\n";
+                          << single.machineCycles << "\n";
                 return 1;
             }
 
-            double sRate = scalar.bestSeconds > 0
-                ? double(scalar.machineCycles) / scalar.bestSeconds
+            double sRate = single.bestSeconds > 0
+                ? double(single.machineCycles) / single.bestSeconds
                 : 0.0;
             double bRate = batched.bestSeconds > 0
                 ? double(batched.machineCycles) /
                     batched.bestSeconds
                 : 0.0;
             double speedup = sRate > 0 ? bRate / sRate : 0.0;
-            scalarCycles += scalar.machineCycles;
+            singleCycles += single.machineCycles;
             batchCycles += batched.machineCycles;
-            scalarSeconds += scalar.bestSeconds;
+            singleSeconds += single.bestSeconds;
             batchSeconds += batched.bestSeconds;
 
             t.startRow();
             t.cell(wl);
             t.cell(std::string(setup.label));
             t.cell((long long)width);
-            t.cell(scalar.bestSeconds, 4);
+            t.cell(single.bestSeconds, 4);
             t.cell(batched.bestSeconds, 4);
             t.cell(sRate / 1e6, 2);
             t.cell(bRate / 1e6, 2);
             t.cell(speedup, 2);
             fileTable << wl << " " << setup.label << " width "
-                      << width << " scalar_mcps "
+                      << width << " width1_mcps "
                       << sRate / 1e6 << " batched_mcps "
                       << bRate / 1e6 << " speedup " << speedup
                       << "\n";
@@ -203,23 +172,23 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    double aggScalar =
-        scalarSeconds > 0 ? double(scalarCycles) / scalarSeconds
+    double aggSingle =
+        singleSeconds > 0 ? double(singleCycles) / singleSeconds
                           : 0.0;
     double aggBatch =
         batchSeconds > 0 ? double(batchCycles) / batchSeconds : 0.0;
-    double aggSpeedup = aggScalar > 0 ? aggBatch / aggScalar : 0.0;
-    std::cout << "\naggregate: scalar " << aggScalar / 1e6
+    double aggSpeedup = aggSingle > 0 ? aggBatch / aggSingle : 0.0;
+    std::cout << "\naggregate: width 1 " << aggSingle / 1e6
               << " Mcycles/s, batched " << aggBatch / 1e6
               << " Mcycles/s, speedup " << aggSpeedup << "x\n";
 
-    // Per-stage breakdown of both paths, from the first rep of each
-    // cell above. A batched profile spans every machine of the
-    // batch; ns/kcycle divides by profiled machine-cycles, so the
-    // per-machine cost is comparable across paths and widths.
-    auto breakdown = [](const char *path,
+    // Per-stage breakdown at both widths, from the first rep of each
+    // cell above. A profile spans every machine of its batches;
+    // ns/kcycle divides by profiled machine-cycles, so the
+    // per-machine cost is comparable across widths.
+    auto breakdown = [](const char *what,
                         const StageProfile &prof) {
-        std::cout << "\n" << path << " per-stage breakdown ("
+        std::cout << "\n" << what << " per-stage breakdown ("
                   << prof.machines << " machine(s), "
                   << prof.cycles << " machine-cycles):\n";
         Table bt({"stage", "share %", "ns/kcycle"});
@@ -249,23 +218,17 @@ main(int argc, char **argv)
         }
         bt.print(std::cout);
     };
-    breakdown("scalar", scalarProf);
+    breakdown("width 1", singleProf);
     breakdown("batched", batchProf);
 
     std::filesystem::create_directories("results");
     std::ofstream out("results/micro_timing_sim.txt");
     out << "batch_width " << width << "\n"
         << fileTable.str()
-        << "aggregate_scalar_mcycles_per_sec " << aggScalar / 1e6
+        << "aggregate_width1_mcycles_per_sec " << aggSingle / 1e6
         << "\n"
         << "aggregate_batched_mcycles_per_sec " << aggBatch / 1e6
         << "\n"
-        << "batched_over_scalar_speedup " << aggSpeedup << "\n";
-
-    if (require > 0 && aggSpeedup < require) {
-        std::cerr << "FAIL: batched/scalar speedup " << aggSpeedup
-                  << " below required " << require << "\n";
-        return 1;
-    }
+        << "batched_over_width1_speedup " << aggSpeedup << "\n";
     return 0;
 }

@@ -1,5 +1,6 @@
 #include "driver/sweep.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -145,25 +146,6 @@ SweepRunner::SweepRunner(int jobs, int batchWidth)
     _cache->attachStore(store::ArtifactStore::openFromEnv());
 }
 
-CellResult
-SweepRunner::runCell(const SweepCell &cell)
-{
-    Session session =
-        Session::open(cell.workload, cell.scale, _cache);
-    CellResult out;
-    Session::RunOptions opts;
-    opts.sourceOut = &out.source;
-
-    auto t0 = std::chrono::steady_clock::now();
-    out.sim =
-        session.simulate(cell.config, cell.source, cell.label, opts);
-    out.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    return out;
-}
-
 void
 SweepRunner::runGroup(const std::vector<SweepCell> &cells,
                       const std::vector<size_t> &indices,
@@ -250,59 +232,42 @@ SweepRunner::run(const std::vector<SweepCell> &cells, bool report)
 {
     std::vector<CellResult> results(cells.size());
     auto t0 = std::chrono::steady_clock::now();
-    if (_batchWidth <= 1) {
-        // Scalar reference path: one TimingSim::run per cell.
-        parallelFor(cells.size(), [&](size_t i) {
-            results[i] = runCell(cells[i]);
-        });
-    } else {
-        // Group cells sharing a (workload, scale, MachineConfig) —
-        // in cell order — chunk each group into batches of at most
-        // _batchWidth machines, and run the batches on the pool.
-        // A batch legally needs only a common config, but machines
-        // over one shared trace also share its read-only working
-        // set (trace, indexes, hint tables), which is where the
-        // stage-major loop's cache locality comes from; batching
-        // machines over *different* multi-MB traces thrashes the
-        // LLC instead (docs/PERFORMANCE.md). Results land at their
-        // original indices, so downstream printing is unchanged.
-        struct GroupKey
-        {
-            const SweepCell *cell;
-            bool
-            matches(const SweepCell &c) const
-            {
-                return cell->workload == c.workload &&
-                    cell->scale == c.scale &&
-                    cell->config == c.config;
-            }
-        };
-        std::vector<GroupKey> keys;
-        std::vector<std::vector<size_t>> groups;
-        for (size_t i = 0; i < cells.size(); ++i) {
-            size_t g = 0;
-            while (g < keys.size() && !keys[g].matches(cells[i]))
-                ++g;
-            if (g == keys.size()) {
-                keys.push_back({&cells[i]});
-                groups.emplace_back();
-            }
-            groups[g].push_back(i);
-        }
-        std::vector<std::vector<size_t>> batches;
-        for (const std::vector<size_t> &g : groups) {
-            for (size_t off = 0; off < g.size();
-                 off += size_t(_batchWidth)) {
-                size_t end = std::min(g.size(),
-                                      off + size_t(_batchWidth));
-                batches.emplace_back(g.begin() + long(off),
-                                     g.begin() + long(end));
-            }
-        }
-        parallelFor(batches.size(), [&](size_t b) {
-            runGroup(cells, batches[b], results);
-        });
+    // Group cells sharing a (workload, scale, MachineConfig) — in
+    // cell order — chunk each group into batches of at most
+    // _batchWidth machines, and run the batches on the pool. A batch
+    // legally needs only a common config, but machines over one
+    // shared trace also share its read-only working set (trace,
+    // indexes, hint tables), which is where the stage-major loop's
+    // cache locality comes from; batching machines over *different*
+    // multi-MB traces thrashes the LLC instead (docs/PERFORMANCE.md).
+    // Results land at their original indices, so downstream printing
+    // is unchanged.
+    std::vector<std::vector<size_t>> groups;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const SweepCell &c = cells[i];
+        auto g = std::find_if(
+            groups.begin(), groups.end(), [&](const auto &group) {
+                const SweepCell &k = cells[group.front()];
+                return k.workload == c.workload &&
+                    k.scale == c.scale && k.config == c.config;
+            });
+        if (g == groups.end())
+            g = groups.emplace(groups.end());
+        g->push_back(i);
     }
+    std::vector<std::vector<size_t>> batches;
+    for (const std::vector<size_t> &g : groups) {
+        for (size_t off = 0; off < g.size();
+             off += size_t(_batchWidth)) {
+            size_t end =
+                std::min(g.size(), off + size_t(_batchWidth));
+            batches.emplace_back(g.begin() + long(off),
+                                 g.begin() + long(end));
+        }
+    }
+    parallelFor(batches.size(), [&](size_t b) {
+        runGroup(cells, batches[b], results);
+    });
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -370,109 +335,83 @@ sourceSpecByName(const std::string &policy)
     return std::nullopt;
 }
 
+namespace {
+
+/** Strict positive int (at most 4096) from @p text, or exit 2 with
+ *  an error naming the knob @p what. */
+int
+parseCount(const char *what, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    long v = std::strtol(text, &end, 10);
+    if (errno != 0 || end == text || *end != '\0' || v < 1 ||
+        v > 4096) {
+        std::fprintf(stderr,
+                     "%s: expected a positive integer, got \"%s\"\n",
+                     what, text);
+        std::exit(2);
+    }
+    return static_cast<int>(v);
+}
+
+/** A count knob: `flag N` or `flag=N` in argv, else the environment
+ *  variable @p env, else @p fallback. */
+int
+countKnob(int argc, char **argv, const char *flag, const char *env,
+          int fallback)
+{
+    const size_t len = std::strlen(flag);
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        if (std::strcmp(arg, flag) == 0) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: missing value\n", flag);
+                std::exit(2);
+            }
+            return parseCount(flag, argv[i + 1]);
+        }
+        if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=')
+            return parseCount(flag, arg + len + 1);
+    }
+    if (const char *text = std::getenv(env))
+        return parseCount(env, text);
+    return fallback;
+}
+
+int
+hardwareJobs()
+{
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+} // namespace
+
 int
 defaultJobs()
 {
-    if (const char *env = std::getenv("PF_BENCH_JOBS")) {
-        char *end = nullptr;
-        errno = 0;
-        long v = std::strtol(env, &end, 10);
-        if (errno != 0 || end == env || *end != '\0' || v < 1 ||
-            v > 4096) {
-            std::fprintf(stderr,
-                         "PF_BENCH_JOBS: expected a positive "
-                         "integer, got \"%s\"\n",
-                         env);
-            std::exit(2);
-        }
-        return static_cast<int>(v);
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return countKnob(0, nullptr, "--jobs", "PF_BENCH_JOBS",
+                     hardwareJobs());
 }
 
 int
 jobsFromArgs(int argc, char **argv)
 {
-    auto parse = [](const char *text) {
-        char *end = nullptr;
-        errno = 0;
-        long v = std::strtol(text, &end, 10);
-        if (errno != 0 || end == text || *end != '\0' || v < 1 ||
-            v > 4096) {
-            std::fprintf(stderr,
-                         "--jobs: expected a positive integer, got "
-                         "\"%s\"\n",
-                         text);
-            std::exit(2);
-        }
-        return static_cast<int>(v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--jobs: missing value\n");
-                std::exit(2);
-            }
-            return parse(argv[i + 1]);
-        }
-        if (std::strncmp(arg, "--jobs=", 7) == 0)
-            return parse(arg + 7);
-    }
-    return defaultJobs();
+    return countKnob(argc, argv, "--jobs", "PF_BENCH_JOBS",
+                     hardwareJobs());
 }
 
 int
 defaultBatchWidth()
 {
-    if (const char *env = std::getenv("PF_BENCH_BATCH")) {
-        char *end = nullptr;
-        errno = 0;
-        long v = std::strtol(env, &end, 10);
-        if (errno != 0 || end == env || *end != '\0' || v < 1 ||
-            v > 4096) {
-            std::fprintf(stderr,
-                         "PF_BENCH_BATCH: expected a positive "
-                         "integer, got \"%s\"\n",
-                         env);
-            std::exit(2);
-        }
-        return static_cast<int>(v);
-    }
-    return 8;
+    return countKnob(0, nullptr, "--batch", "PF_BENCH_BATCH", 8);
 }
 
 int
 batchWidthFromArgs(int argc, char **argv)
 {
-    auto parse = [](const char *text) {
-        char *end = nullptr;
-        errno = 0;
-        long v = std::strtol(text, &end, 10);
-        if (errno != 0 || end == text || *end != '\0' || v < 1 ||
-            v > 4096) {
-            std::fprintf(stderr,
-                         "--batch: expected a positive integer, got "
-                         "\"%s\"\n",
-                         text);
-            std::exit(2);
-        }
-        return static_cast<int>(v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--batch") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--batch: missing value\n");
-                std::exit(2);
-            }
-            return parse(argv[i + 1]);
-        }
-        if (std::strncmp(arg, "--batch=", 8) == 0)
-            return parse(arg + 8);
-    }
-    return defaultBatchWidth();
+    return countKnob(argc, argv, "--batch", "PF_BENCH_BATCH", 8);
 }
 
 std::optional<double>

@@ -234,8 +234,8 @@ class SweepRunner
     /**
      * @param jobs worker count; <= 0 selects defaultJobs().
      * @param batchWidth max machines per batched simulation; <= 0
-     *        selects defaultBatchWidth(). Width 1 runs every cell
-     *        through the scalar TimingSim::run reference path.
+     *        selects defaultBatchWidth(). Width 1 runs every cell as
+     *        a batch of one.
      *
      * Cells that share a (workload, scale, MachineConfig) triple are
      * grouped into batches of up to @p batchWidth machines and run
@@ -244,10 +244,9 @@ class SweepRunner
      * Grouping requires the same workload, not just the same config,
      * so a batch's machines replay one shared read-only trace
      * instead of multiplying the resident trace bytes by the width.
-     * Batched results
-     * are cycle-identical to scalar runs, so stdout stays
-     * byte-identical across widths (and the CI sha256 check holds
-     * the two paths to that).
+     * A machine's result does not depend on its batch, so stdout
+     * stays byte-identical across widths (and the CI sha256 check
+     * holds width 1 and width 8 to that).
      *
      * The runner's cache gets the environment-selected persistent
      * store attached (PF_CACHE_DIR; "off" disables), so warm bench
@@ -282,7 +281,6 @@ class SweepRunner
                      const std::function<void(size_t)> &fn);
 
   private:
-    CellResult runCell(const SweepCell &cell);
     /** Run the cells at @p indices (all sharing one workload, scale
      *  and MachineConfig) as one batch, writing each result at its
      *  original index. */
@@ -306,7 +304,8 @@ sourceSpecByName(const std::string &policy);
 
 /**
  * Worker count from the environment: PF_BENCH_JOBS if set (must be a
- * positive integer), else std::thread::hardware_concurrency().
+ * positive integer), else std::thread::hardware_concurrency(). Exits
+ * with status 2 on malformed values.
  */
 int defaultJobs();
 
@@ -319,9 +318,10 @@ int jobsFromArgs(int argc, char **argv);
 
 /**
  * Batch width from the environment: PF_BENCH_BATCH if set (must be
- * a positive integer; 1 forces the scalar reference path), else 8 —
- * wide enough to amortize the stage-major loop, small enough that a
- * sweep grid still splits across jobs.
+ * a positive integer; 1 runs batches of one), else 8 — wide enough
+ * to amortize the stage-major loop, small enough that a sweep grid
+ * still splits across jobs. Exits with status 2 on malformed
+ * values.
  */
 int defaultBatchWidth();
 

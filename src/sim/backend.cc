@@ -1,7 +1,5 @@
 #include "sim/backend.hh"
 
-#include <algorithm>
-
 namespace polyflow::sim {
 
 namespace {
@@ -98,66 +96,8 @@ tryIssue(MachineState &m, TraceIdx i, Task *t)
 void
 Backend::releaseDiverted(MachineState &m)
 {
-    int budget = m.cfg.pipelineWidth;
-    for (auto it = m.divert.begin();
-         it != m.divert.end() && budget > 0;) {
-        TraceIdx i = it->idx;
-        if (m.istate[i].stage != InstrStage::Diverted) {
-            it = m.divert.erase(it);  // squashed while diverted
-            continue;
-        }
-        size_t pos = m.taskPosOf(i);
-        Task &t = m.tasks[pos];
-        const DynInstr &d = m.trace->instrs[i];
-
-        if (m.divertHolds(i, d, t)) {
-            it->readyAt = 0;  // wake-up condition not met (yet)
-            ++it;
-            continue;
-        }
-        // Condition holds: model the FIFO re-dispatch latency. The
-        // ROB entry was already allocated when the instruction
-        // entered the divert queue (holding it there is what makes
-        // in-order commit deadlock-free; see DESIGN.md).
-        if (it->readyAt == 0)
-            it->readyAt = m.now + m.cfg.divertReleaseDelay;
-        if (m.now >= it->readyAt &&
-            static_cast<int>(m.sched.size()) <
-                m.cfg.schedEntries) {
-            m.istate[i].stage = InstrStage::InSched;
-            m.sched.push_back(i);
-            --budget;
-            it = m.divert.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
-Backend::issue(MachineState &m)
-{
-    std::sort(m.sched.begin(), m.sched.end());
-    int fu = m.cfg.numFUs;
-    for (auto it = m.sched.begin();
-         it != m.sched.end() && fu > 0;) {
-        TraceIdx i = *it;
-        if (m.istate[i].stage != InstrStage::InSched) {
-            it = m.sched.erase(it);  // squashed while scheduled
-            continue;
-        }
-        if (tryIssue(m, i, m.taskOf(i))) {
-            it = m.sched.erase(it);
-            --fu;
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
-Backend::releaseDivertedCompact(MachineState &m)
-{
+    if (m.divert.empty())
+        return;
     int budget = m.cfg.pipelineWidth;
     std::vector<DivertEntry> &q = m.divert;
     _divertKeep.clear();
@@ -187,15 +127,17 @@ Backend::releaseDivertedCompact(MachineState &m)
             _divertKeep.push_back(e);
         }
     }
-    // Budget exhausted: the unexamined tail stays verbatim, exactly
-    // like the reference loop leaving it untouched.
+    // Budget exhausted: the unexamined tail stays verbatim, in FIFO
+    // order.
     _divertKeep.insert(_divertKeep.end(), q.begin() + j, q.end());
     q.swap(_divertKeep);
 }
 
 void
-Backend::issueCompact(MachineState &m)
+Backend::issue(MachineState &m)
 {
+    if (m.sched.empty())
+        return;
     // Repair oldest-first order: survivors of the previous scan are
     // already sorted, and rename/divert-release appended short
     // ascending runs behind them, so an adaptive insertion pass
@@ -234,24 +176,6 @@ Backend::issueCompact(MachineState &m)
     }
     _schedKeep.insert(_schedKeep.end(), q.begin() + j, q.end());
     q.swap(_schedKeep);
-}
-
-void
-Backend::releaseDiverted(std::span<MachineState *const> machines)
-{
-    for (MachineState *m : machines) {
-        if (!m->divert.empty())
-            releaseDivertedCompact(*m);
-    }
-}
-
-void
-Backend::issue(std::span<MachineState *const> machines)
-{
-    for (MachineState *m : machines) {
-        if (!m->sched.empty())
-            issueCompact(*m);
-    }
 }
 
 } // namespace polyflow::sim

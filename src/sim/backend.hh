@@ -5,25 +5,21 @@
  * cross-task dependence violations at issue and queues them for the
  * recovery stage.
  *
- * Two entry points per sub-stage:
- *  - the per-machine reference form, which re-sorts the scheduler
- *    oldest-first every cycle and erases entries in place, and
- *  - a span form used by the batch engine (batch.hh), which runs
- *    the same selection over every machine in one pass per stage.
- *    Its scheduler scan keeps the age-key array in structure-of-
- *    arrays form (machine_state.hh), repairs order with an adaptive
- *    insertion pass instead of sorting, drops issued/squashed
- *    entries by single-pass compaction instead of mid-vector
- *    erases, and resolves the owning task by walking the task table
- *    in lockstep with the ascending keys instead of binary-searching
- *    per entry. Results are cycle-identical to the reference form;
- *    tests/test_stages.cc proves it bit-for-bit.
+ * The scheduler is MachineState::sched, a plain vector of age keys
+ * (trace indexes). Issue repairs its oldest-first order with an
+ * adaptive insertion pass instead of sorting, drops issued and
+ * squashed entries by single-pass compaction instead of mid-vector
+ * erases, and resolves each entry's owning task by walking the task
+ * table in lockstep with the ascending keys instead of
+ * binary-searching per entry. Divert release compacts its FIFO the
+ * same way. One Backend serves every machine of a batch
+ * (batch.hh), reusing its survivor buffers across machines and
+ * cycles.
  */
 
 #ifndef POLYFLOW_SIM_BACKEND_HH
 #define POLYFLOW_SIM_BACKEND_HH
 
-#include <span>
 #include <vector>
 
 #include "sim/machine_state.hh"
@@ -49,20 +45,7 @@ class Backend
      */
     void issue(MachineState &m);
 
-    /** @name Batched (span) forms
-     * Amortized over a span of independent machines: one pass of
-     * hot stage code per cycle instead of one per machine, reusing
-     * the scratch buffers below across machines and cycles (no
-     * per-cycle allocation, sort, or mid-vector erase).
-     * @{ */
-    void releaseDiverted(std::span<MachineState *const> machines);
-    void issue(std::span<MachineState *const> machines);
-    /** @} */
-
   private:
-    void releaseDivertedCompact(MachineState &m);
-    void issueCompact(MachineState &m);
-
     /** Survivor buffers for the compaction passes, reused across
      *  machines and cycles. */
     std::vector<TraceIdx> _schedKeep;

@@ -1,6 +1,5 @@
 #include "sim/batch.hh"
 
-#include <span>
 #include <stdexcept>
 
 #include "sim/accounting.hh"
@@ -10,15 +9,15 @@ namespace polyflow::sim {
 
 namespace {
 
-/** Same deadlock diagnostic as the scalar run loop, plus which
- *  batch member hung. */
+/** The deadlock diagnostic: which machine hung, and the state of
+ *  its pipeline and task table. */
 [[noreturn]] void
-throwCycleLimit(const MachineState &m, const std::string &label)
+throwCycleLimit(const MachineState &m)
 {
     std::string msg =
         "MachineBatch: cycle limit exceeded (deadlock?) in \"" +
-        label + "\" at commitIdx " + std::to_string(m.commitIdx) +
-        " stage=" +
+        m.res.policyName + "\" at commitIdx " +
+        std::to_string(m.commitIdx) + " stage=" +
         std::to_string(int(m.istate[m.commitIdx].stage)) +
         " sched=" + std::to_string(m.sched.size()) +
         " divert=" + std::to_string(m.divert.size()) +
@@ -56,22 +55,24 @@ MachineBatch::add(const Trace &trace, SpawnSource *source,
     auto m = std::make_unique<MachineState>(_cfg, trace, source,
                                             index);
     m->events = events;
+    m->res.policyName = std::move(label);
+    m->res.instrs = trace.size();
+    m->res.issueWidth = std::uint64_t(_cfg.pipelineWidth);
     _machines.push_back(std::move(m));
-    _labels.push_back(std::move(label));
     return _machines.size() - 1;
 }
 
 /*
- * The stage-major loop. Per machine this is the exact stage
- * sequence of TimingSim::run —
+ * The stage-major loop, the only cycle loop of the timing model.
+ * Per machine and cycle the stage sequence is
  *
  *   unblock -> commit -> [finish?] -> accounting -> divert-release
  *   -> issue -> rename -> fetch(+spawn) -> violations/squash
  *
- * — only the iteration order changes: each stage runs over every
- * live machine before the next stage starts, so the stage's code
- * and lookup tables stay resident across the batch. Machines are
- * independent, so the per-machine result is identical either way.
+ * and each stage runs over every live machine before the next stage
+ * starts, so the stage's code and lookup tables stay resident
+ * across the batch. Machines are independent, so a machine's result
+ * does not depend on the batch it rides in.
  */
 std::vector<TimingResult>
 MachineBatch::run()
@@ -80,29 +81,13 @@ MachineBatch::run()
         throw std::runtime_error("MachineBatch::run called twice");
     _ran = true;
 
-    const size_t n = _machines.size();
-    std::vector<TimingResult> out(n);
-    // The live set, in add order, with each machine's output slot
-    // and cycle limit; all three compact in lockstep as machines
-    // finish.
+    // The live set, in add order; machines leave it as they finish.
     std::vector<MachineState *> live;
-    std::vector<size_t> liveOut;
-    std::vector<std::uint64_t> liveLimit;
-    live.reserve(n);
-    liveOut.reserve(n);
-    liveLimit.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        MachineState &m = *_machines[i];
-        m.res.policyName = _labels[i];
-        m.res.instrs = m.trace->size();
-        m.res.issueWidth = std::uint64_t(m.cfg.pipelineWidth);
-        live.push_back(&m);
-        liveOut.push_back(i);
-        liveLimit.push_back(std::uint64_t(200) * m.trace->size() +
-                            1'000'000);
-    }
+    live.reserve(_machines.size());
+    for (const auto &m : _machines)
+        live.push_back(m.get());
     if (_profile)
-        _profile->machines += n;
+        _profile->machines += live.size();
 
     auto slot = [this](std::uint64_t StageProfile::*field) {
         return _profile ? &(_profile->*field) : nullptr;
@@ -117,31 +102,21 @@ MachineBatch::run()
             }
         }
         // Machines whose last instruction just committed finish on
-        // this partial cycle (which, as in the scalar loop, does
-        // not advance their clock and is not accounted) and drop
-        // out of the live set without disturbing the others.
-        size_t w = 0;
-        for (size_t r = 0; r < live.size(); ++r) {
-            MachineState &m = *live[r];
-            if (m.commitIdx >= m.trace->size()) {
-                m.res.cycles = m.now;
-                m.res.icacheMisses = m.hier.l1i().misses();
-                m.res.dcacheMisses = m.hier.l1d().misses();
-                out[liveOut[r]] = m.res;
-                continue;
-            }
-            live[w] = live[r];
-            liveOut[w] = liveOut[r];
-            liveLimit[w] = liveLimit[r];
-            ++w;
-        }
-        live.resize(w);
-        liveOut.resize(w);
-        liveLimit.resize(w);
+        // this partial cycle, which does not advance their clock and
+        // is not accounted (keeping sum(slots) == cycles *
+        // issueWidth exact), and drop out of the live set without
+        // disturbing the others.
+        std::erase_if(live, [](MachineState *m) {
+            if (m->commitIdx < m->trace->size())
+                return false;
+            m->res.cycles = m->now;
+            m->res.icacheMisses = m->hier.l1i().misses();
+            m->res.dcacheMisses = m->hier.l1d().misses();
+            return true;
+        });
         if (live.empty())
             break;
 
-        std::span<MachineState *const> ms(live);
         {
             ScopedNs t(slot(&StageProfile::accountingNs));
             for (MachineState *m : live)
@@ -149,54 +124,45 @@ MachineBatch::run()
         }
         {
             ScopedNs t(slot(&StageProfile::divertNs));
-            _backend.releaseDiverted(ms);
+            for (MachineState *m : live)
+                _backend.releaseDiverted(*m);
         }
         {
             ScopedNs t(slot(&StageProfile::issueNs));
-            _backend.issue(ms);
+            for (MachineState *m : live)
+                _backend.issue(*m);
         }
         {
             ScopedNs t(slot(&StageProfile::renameNs));
-            _rename.step(ms);
+            for (MachineState *m : live)
+                _rename.step(*m);
         }
         {
             ScopedNs t(slot(&StageProfile::fetchNs));
-            _frontend.fetch(ms);  // includes applySpawn per machine
+            for (MachineState *m : live) {
+                _frontend.fetch(*m);
+                _frontend.applySpawn(*m);
+            }
         }
         {
             ScopedNs t(slot(&StageProfile::recoveryNs));
             for (MachineState *m : live)
                 _recovery.step(*m);
         }
-        for (size_t r = 0; r < live.size(); ++r) {
-            MachineState &m = *live[r];
-            ++m.now;
-            if (m.now > liveLimit[r])
-                throwCycleLimit(m, m.res.policyName);
+        for (MachineState *m : live) {
+            if (++m->now > std::uint64_t(200) * m->trace->size() +
+                    1'000'000)
+                throwCycleLimit(*m);
         }
         if (_profile)
             _profile->cycles += live.size();
     }
+
+    std::vector<TimingResult> out;
+    out.reserve(_machines.size());
+    for (const auto &m : _machines)
+        out.push_back(std::move(m->res));
     return out;
 }
 
 } // namespace polyflow::sim
-
-namespace polyflow {
-
-std::vector<TimingResult>
-TimingSim::runBatch(const MachineConfig &config,
-                    std::span<const BatchItem> items,
-                    StageProfile *profile)
-{
-    sim::MachineBatch batch(config);
-    for (const BatchItem &item : items) {
-        batch.add(*item.trace, item.source, item.index, item.label,
-                  item.events);
-    }
-    if (profile)
-        batch.profileStages(profile);
-    return batch.run();
-}
-
-} // namespace polyflow

@@ -1,27 +1,26 @@
 /**
  * @file
- * MachineBatch: the batched multi-machine simulation engine.
+ * MachineBatch: the simulation engine, and the only cycle loop of
+ * the timing model.
  *
  * A batch owns N MachineStates built from one MachineConfig and N
  * independent traces and steps them in a *stage-major* loop: per
  * cycle, the commit stage runs over every live machine, then
  * accounting over every machine, then the backend, rename, frontend
  * and recovery — instead of one machine running all its stages
- * before the next machine gets a turn (the per-run loop in
- * TimingSim::run). One pass of each stage's code per cycle keeps
- * that stage's instructions and lookup tables hot across machines,
- * and lets the backend use its amortized span forms (backend.hh):
- * incremental oldest-first order repair instead of a per-cycle
- * sort, single-pass compaction instead of mid-vector erases, and
- * reusable scratch buffers instead of per-cycle allocation.
+ * before the next machine gets a turn. One pass of each stage's code
+ * per cycle keeps that stage's instructions, lookup tables and
+ * scratch buffers (backend.hh, frontend.hh) hot across machines.
+ * TimingSim::run is a batch of one.
  *
  * Machines are fully independent — no state is shared between them
- * except the borrowed read-only trace/index inputs — so every
- * machine's result is cycle-identical to a scalar TimingSim::run
- * over the same inputs (tests/test_stages.cc pins this bit-for-bit,
- * and the fig09 sha256 golden runs through both paths). A machine
- * that commits its last instruction drops out of the live set at
- * the top of the cycle without disturbing the others.
+ * except the borrowed read-only trace/index inputs — so a machine's
+ * result does not depend on the batch width (tests/test_stages.cc
+ * pins sha256 goldens at widths 1, 3 and 8). A machine that commits
+ * its last instruction drops out of the live set at the top of the
+ * cycle without disturbing the others; one that passes its cycle
+ * limit (200 x trace length + 1M) throws std::runtime_error naming
+ * the machine and dumping its pipeline and task table.
  *
  * Most callers want the higher-level entry points instead:
  * TimingSim::runBatch (core.hh) over prepared inputs, or
@@ -76,16 +75,16 @@ class MachineBatch
 
     /**
      * Step every machine to completion and return the statistics in
-     * add order, cycle-identical per machine to TimingSim::run.
+     * add order. Each machine's result is what a batch of one over
+     * the same inputs would give.
      */
     std::vector<TimingResult> run();
 
   private:
     MachineConfig _cfg;
     /** unique_ptr for address stability across add() calls (the
-     *  live set and the stage spans point at the states). */
+     *  live set points at the states). */
     std::vector<std::unique_ptr<MachineState>> _machines;
-    std::vector<std::string> _labels;
 
     Frontend _frontend;
     Rename _rename;

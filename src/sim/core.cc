@@ -2,18 +2,18 @@
 
 #include <stdexcept>
 
-#include "sim/accounting.hh"
-#include "sim/stage_timer.hh"
+#include "sim/batch.hh"
 
 namespace polyflow {
-
-using sim::ScopedNs;
 
 TimingSim::TimingSim(const MachineConfig &config, const Trace &trace,
                      SpawnSource *source,
                      const TraceIndex *sharedIndex)
-    : _m(config, trace, source, sharedIndex)
+    : _cfg(config), _trace(&trace), _source(source),
+      _index(sharedIndex)
 {
+    if (trace.size() == 0)
+        throw std::runtime_error("TimingSim: empty trace");
 }
 
 TimingResult
@@ -22,89 +22,25 @@ TimingSim::run(const std::string &policyName)
     if (_ran)
         throw std::runtime_error("TimingSim::run called twice");
     _ran = true;
-    sim::MachineState &m = _m;
-    m.res.policyName = policyName;
-    m.res.instrs = m.trace->size();
-    m.res.issueWidth = std::uint64_t(m.cfg.pipelineWidth);
+    const BatchItem item{_trace, _source, _index, policyName,
+                         _events};
+    return runBatch(_cfg, std::span<const BatchItem>(&item, 1),
+                    _profile)[0];
+}
 
-    const std::uint64_t cycleLimit =
-        std::uint64_t(200) * m.trace->size() + 1'000'000;
-
-    if (_profile)
-        ++_profile->machines;
-
-    auto slot = [this](std::uint64_t StageProfile::*field) {
-        return _profile ? &(_profile->*field) : nullptr;
-    };
-
-    while (m.commitIdx < m.trace->size()) {
-        {
-            ScopedNs t(slot(&StageProfile::commitNs));
-            _commit.unblock(m);
-            _commit.step(m);
-        }
-        if (m.commitIdx >= m.trace->size())
-            break;
-        // Attribute this cycle's issue slots while the post-commit
-        // state is fresh; the final partial cycle (break above)
-        // does not advance the clock and is not accounted, keeping
-        // the identity sum(slots) == cycles * issueWidth exact.
-        {
-            ScopedNs t(slot(&StageProfile::accountingNs));
-            sim::accountCycle(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::divertNs));
-            _backend.releaseDiverted(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::issueNs));
-            _backend.issue(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::renameNs));
-            _rename.step(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::fetchNs));
-            _frontend.fetch(m);
-            _frontend.applySpawn(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::recoveryNs));
-            _recovery.step(m);
-        }
-        ++m.now;
-        if (_profile)
-            ++_profile->cycles;
-        if (m.now > cycleLimit) {
-            std::string msg =
-                "TimingSim: cycle limit exceeded (deadlock?) at "
-                "commitIdx " + std::to_string(m.commitIdx) +
-                " stage=" +
-                std::to_string(int(m.istate[m.commitIdx].stage)) +
-                " sched=" + std::to_string(m.sched.size()) +
-                " divert=" + std::to_string(m.divert.size()) +
-                " rob=" + std::to_string(m.robUsed) + " tasks=[";
-            for (const sim::Task &t : m.tasks) {
-                msg += "(" + std::to_string(t.begin) + "," +
-                    std::to_string(t.end) + ",f" +
-                    std::to_string(t.fetchIdx) + ",d" +
-                    std::to_string(t.dispIdx) + ",blk" +
-                    std::to_string(
-                        t.blockedOnBranch == invalidTrace
-                            ? -1 : int(t.blockedOnBranch)) +
-                    ",rdy" + std::to_string(t.fetchReady) + ")";
-            }
-            msg += "]";
-            throw std::runtime_error(msg);
-        }
+std::vector<TimingResult>
+TimingSim::runBatch(const MachineConfig &config,
+                    std::span<const BatchItem> items,
+                    StageProfile *profile)
+{
+    sim::MachineBatch batch(config);
+    for (const BatchItem &item : items) {
+        batch.add(*item.trace, item.source, item.index, item.label,
+                  item.events);
     }
-
-    m.res.cycles = m.now;
-    m.res.icacheMisses = m.hier.l1i().misses();
-    m.res.dcacheMisses = m.hier.l1d().misses();
-    return m.res;
+    if (profile)
+        batch.profileStages(profile);
+    return batch.run();
 }
 
 TimingResult

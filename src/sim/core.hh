@@ -12,10 +12,12 @@
  * mispredicted fetch until branch resolution (see DESIGN.md for why
  * this preserves the paper's first-order effects).
  *
- * TimingSim itself is a thin orchestrator: all microarchitectural
- * state lives in sim::MachineState (machine_state.hh) and each
- * pipeline stage is its own module (frontend.hh, rename.hh,
- * backend.hh, commit.hh, recovery.hh, accounting.hh). Per cycle:
+ * TimingSim is the one-machine entry point over the batch engine
+ * (batch.hh): run() is a sim::MachineBatch of one, and runBatch()
+ * steps several machines together. All microarchitectural state
+ * lives in sim::MachineState (machine_state.hh) and each pipeline
+ * stage is its own module (frontend.hh, rename.hh, backend.hh,
+ * commit.hh, recovery.hh, accounting.hh). Per cycle:
  *
  *   unblock -> commit -> [accounting] -> divert-release -> issue ->
  *   rename -> fetch(+spawn) -> violations/squash
@@ -30,13 +32,7 @@
 #include <vector>
 
 #include "isa/trace.hh"
-#include "sim/backend.hh"
-#include "sim/commit.hh"
 #include "sim/config.hh"
-#include "sim/frontend.hh"
-#include "sim/machine_state.hh"
-#include "sim/recovery.hh"
-#include "sim/rename.hh"
 #include "sim/result.hh"
 #include "sim/spawn_source.hh"
 #include "sim/trace_index.hh"
@@ -49,9 +45,9 @@ namespace polyflow {
  * profileStages, MachineBatch::profileStages);
  * bench/micro_timing_sim reports the breakdown.
  *
- * A batched run accumulates each stage's time across the whole
- * batch and counts one profiled cycle per live machine per step, so
- * stageNs / cycles is the per-machine average either way.
+ * A run accumulates each stage's time across the whole batch and
+ * counts one profiled cycle per live machine per step, so stageNs /
+ * cycles is the per-machine average at any batch width.
  */
 struct StageProfile
 {
@@ -94,7 +90,7 @@ struct BatchItem
 
 /**
  * One timing simulation over a committed trace. Construct, then call
- * run() exactly once.
+ * run() exactly once; run() steps the machine as a batch of one.
  */
 class TimingSim
 {
@@ -108,6 +104,7 @@ class TimingSim
      *               read-only across simulations (the sweep engine
      *               passes these); nullptr builds private ones when
      *               spawning is enabled
+     * @throws std::runtime_error on an empty trace
      */
     TimingSim(const MachineConfig &config, const Trace &trace,
               SpawnSource *source,
@@ -118,10 +115,7 @@ class TimingSim
 
     /** Record task lifecycle events into @p sink (optional; call
      *  before run()). */
-    void traceTasks(std::vector<TaskEvent> *sink)
-    {
-        _m.events = sink;
-    }
+    void traceTasks(std::vector<TaskEvent> *sink) { _events = sink; }
 
     /** Accumulate per-stage wall time into @p sink (optional; call
      *  before run()). */
@@ -131,9 +125,9 @@ class TimingSim
      * Batched entry point: run every machine of @p items (same
      * machine config, independent traces) to completion through the
      * stage-major batch engine (sim/batch.hh) and return their
-     * statistics in item order. Results are cycle-identical to
-     * running each item through TimingSim::run. @p profile, when
-     * non-null, accumulates per-stage wall time across the batch.
+     * statistics in item order. Each result is cycle-identical to
+     * running that item alone. @p profile, when non-null,
+     * accumulates per-stage wall time across the batch.
      */
     static std::vector<TimingResult>
     runBatch(const MachineConfig &config,
@@ -141,14 +135,11 @@ class TimingSim
              StageProfile *profile = nullptr);
 
   private:
-    sim::MachineState _m;
-
-    sim::Frontend _frontend;
-    sim::Rename _rename;
-    sim::Backend _backend;
-    sim::Commit _commit;
-    sim::Recovery _recovery;
-
+    MachineConfig _cfg;
+    const Trace *_trace;
+    SpawnSource *_source;
+    const TraceIndex *_index;
+    std::vector<TaskEvent> *_events = nullptr;
     StageProfile *_profile = nullptr;
     bool _ran = false;
 };

@@ -99,24 +99,9 @@ Frontend::applySpawn(MachineState &m)
 void
 Frontend::fetch(MachineState &m)
 {
-    std::vector<size_t> eligible;
-    fetchImpl(m, eligible);
-}
-
-void
-Frontend::fetch(std::span<MachineState *const> machines)
-{
-    for (MachineState *m : machines) {
-        fetchImpl(*m, _eligible);
-        applySpawn(*m);
-    }
-}
-
-void
-Frontend::fetchImpl(MachineState &m, std::vector<size_t> &eligible)
-{
     // Eligible tasks, scheduled by biased ICount: fewest in-flight
     // instructions first, biased toward older tasks.
+    std::vector<size_t> &eligible = _eligible;
     eligible.clear();
     for (size_t pos = 0; pos < m.tasks.size(); ++pos) {
         Task &t = m.tasks[pos];

@@ -8,7 +8,6 @@
 #ifndef POLYFLOW_SIM_FRONTEND_HH
 #define POLYFLOW_SIM_FRONTEND_HH
 
-#include <span>
 #include <vector>
 
 #include "sim/machine_state.hh"
@@ -35,22 +34,12 @@ class Frontend
      */
     void applySpawn(MachineState &m);
 
-    /**
-     * Batched form: fetch() followed by applySpawn() for each
-     * machine in the span, reusing one eligible-task scratch buffer
-     * instead of allocating one per machine per cycle. Identical
-     * per-machine behavior to the scalar pair (shared
-     * implementation).
-     */
-    void fetch(std::span<MachineState *const> machines);
-
   private:
-    void fetchImpl(MachineState &m, std::vector<size_t> &eligible);
     void maybeSpawn(MachineState &m, Task &t, TraceIdx i,
                     const LinkedInstr &li);
 
-    /** Eligible-task scratch of the batched form, reused across
-     *  machines and cycles. */
+    /** Eligible-task scratch of fetch(), reused across machines and
+     *  cycles instead of allocated per call. */
     std::vector<size_t> _eligible;
 };
 

@@ -176,14 +176,13 @@ struct MachineState
     /** @name Pipeline state @{ */
     std::vector<InstrState> istate;  //!< indexed by trace position
     std::vector<Task> tasks;         //!< active tasks, oldest first
-    /** Scheduler occupancy: age keys (trace indexes) in dispatch
-     *  order. The scalar backend sorts oldest-first each cycle; the
-     *  batched backend repairs order incrementally instead
-     *  (backend.hh), so both select with the same oldest-first
-     *  scan. */
+    /** Scheduler occupancy: age keys (trace indexes), oldest first
+     *  up to the entries rename and divert release appended this
+     *  cycle; issue repairs the order before it selects
+     *  (backend.hh). */
     std::vector<TraceIdx> sched;
     /** Divert-queue occupancy, FIFO. A flat vector: entries only
-     *  append at the tail and leave by compaction/erase, never by
+     *  append at the tail and leave by compaction, never by
      *  front-pop. */
     std::vector<DivertEntry> divert;
     std::vector<Violation> pendingViolations;
@@ -222,8 +221,6 @@ struct MachineState
      * several stage modules, and must inline into each of them.
      * @{ */
 
-    /** The task owning trace index @p i, or nullptr. */
-    Task *taskOf(TraceIdx i);
     /** Position in tasks of the task owning @p i; throws if none. */
     size_t taskPosOf(TraceIdx i) const;
 
@@ -269,21 +266,6 @@ struct MachineState
 
     /** @} */
 };
-
-inline Task *
-MachineState::taskOf(TraceIdx i)
-{
-    // Tasks carve disjoint ranges out of the trace and stay sorted
-    // by begin (spawns only split a task's own tail), so the owner
-    // is the last task starting at or before i.
-    auto it = std::upper_bound(
-        tasks.begin(), tasks.end(), i,
-        [](TraceIdx v, const Task &t) { return v < t.begin; });
-    if (it == tasks.begin())
-        return nullptr;
-    --it;
-    return i < it->end ? &*it : nullptr;
-}
 
 inline size_t
 MachineState::taskPosOf(TraceIdx i) const

@@ -8,8 +8,6 @@
 #ifndef POLYFLOW_SIM_RENAME_HH
 #define POLYFLOW_SIM_RENAME_HH
 
-#include <span>
-
 #include "sim/machine_state.hh"
 
 namespace polyflow::sim {
@@ -26,14 +24,6 @@ class Rename
      * divert/scheduler queues.
      */
     void step(MachineState &m);
-
-    /** Batched form: step() over every machine in the span, one
-     *  pass of stage code per cycle. */
-    void step(std::span<MachineState *const> machines)
-    {
-        for (MachineState *m : machines)
-            step(*m);
-    }
 };
 
 } // namespace polyflow::sim

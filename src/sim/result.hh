@@ -155,7 +155,7 @@ struct TimingResult
     /** @} */
 
     /** Memberwise equality — every counter, bucket and label. The
-     *  batched-equals-scalar tests compare entire results with
+     *  batch-width invariance tests compare entire results with
      *  this. */
     bool operator==(const TimingResult &) const = default;
 

@@ -1,8 +1,7 @@
 /**
  * @file
- * ScopedNs: wall-clock accumulation for opt-in stage profiling,
- * shared by the scalar run loop (core.cc) and the batch engine
- * (batch.cc). Internal to src/sim.
+ * ScopedNs: wall-clock accumulation for the batch engine's opt-in
+ * stage profiling (batch.cc). Internal to src/sim.
  */
 
 #ifndef POLYFLOW_SIM_STAGE_TIMER_HH

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep engine: a multi-threaded sweep must
- * reproduce the serial reference results cell for cell, the shared
+ * reproduce the serial reference results cell for cell at any batch
+ * width, the shared
  * cache must trace/analyze each workload exactly once, shared trace
  * indexes must not change simulation outcomes, and the environment
  * knob parsers must reject garbage.
@@ -10,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "polyflow.hh"
 #include "stats/export.hh"
+#include "store/sha256.hh"
 
 namespace polyflow {
 namespace {
@@ -259,33 +263,46 @@ TEST(SweepEngine, DefaultJobsHonorsEnvironment)
     EXPECT_GE(driver::defaultJobs(), 1);
 }
 
-TEST(SweepEngine, BatchedSweepMatchesScalarSweep)
+TEST(SweepEngine, SweepIsWidthInvariant)
 {
     // The grid mixes two machine configs (superscalar + default), so
     // batching must group by config, chunk each group, and still put
-    // every result back at its cell index. Width 1 is the scalar
-    // TimingSim::run reference path; width 3 leaves a remainder
-    // chunk smaller than the width.
+    // every result back at its cell index. Width 1 runs batches of
+    // one; width 3 leaves a remainder chunk smaller than the width.
     const auto cells = grid();
-    driver::SweepRunner scalar(4, 1);
-    driver::SweepRunner batched(4, 3);
-    EXPECT_EQ(scalar.batchWidth(), 1);
-    EXPECT_EQ(batched.batchWidth(), 3);
-    const auto ref = scalar.run(cells, /*report=*/false);
-    const auto out = batched.run(cells, /*report=*/false);
-
-    ASSERT_EQ(out.size(), ref.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i) + " (" +
-                     cells[i].workload + "/" + cells[i].label + ")");
-        EXPECT_EQ(out[i].sim, ref[i].sim);
+    auto hashAt = [&](int width,
+                      std::vector<driver::CellResult> &results) {
+        driver::SweepRunner runner(4, width);
+        EXPECT_EQ(runner.batchWidth(), width);
+        results = runner.run(cells, /*report=*/false);
+        std::vector<stats::RunRecord> recs;
+        for (size_t i = 0; i < cells.size(); ++i) {
+            recs.push_back({cells[i].workload, cells[i].scale,
+                            cells[i].label, results[i].sim});
+        }
+        return store::sha256Hex(stats::toJson(recs));
+    };
+    std::vector<driver::CellResult> ref;
+    const std::string refHash = hashAt(1, ref);
+    ASSERT_EQ(ref.size(), cells.size());
+    for (int width : {3, 8}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        std::vector<driver::CellResult> out;
+        EXPECT_EQ(hashAt(width, out), refHash);
+        ASSERT_EQ(out.size(), ref.size());
+        for (size_t i = 0; i < cells.size(); ++i) {
+            SCOPED_TRACE("cell " + std::to_string(i) + " (" +
+                         cells[i].workload + "/" + cells[i].label +
+                         ")");
+            EXPECT_EQ(out[i].sim, ref[i].sim);
+        }
     }
     // Baseline cells have no spawn source; policy cells keep theirs
-    // inspectable, batched or not.
+    // inspectable.
     for (size_t i = 0; i < cells.size(); ++i) {
         bool baseline = cells[i].source.kind ==
             driver::SourceSpec::Kind::Baseline;
-        EXPECT_EQ(out[i].source == nullptr, baseline);
+        EXPECT_EQ(ref[i].source == nullptr, baseline);
     }
 }
 
@@ -295,6 +312,59 @@ TEST(SweepEngine, DefaultBatchWidthHonorsEnvironment)
     EXPECT_EQ(driver::defaultBatchWidth(), 5);
     ASSERT_EQ(unsetenv("PF_BENCH_BATCH"), 0);
     EXPECT_EQ(driver::defaultBatchWidth(), 8);
+}
+
+/** argv for the *FromArgs knob parsers. */
+struct Argv
+{
+    std::vector<std::string> args;
+    std::vector<char *> ptrs;
+
+    explicit Argv(std::vector<std::string> a) : args(std::move(a))
+    {
+        for (std::string &s : args)
+            ptrs.push_back(s.data());
+    }
+    int argc() const { return int(ptrs.size()); }
+    char **argv() { return ptrs.data(); }
+};
+
+TEST(SweepEngine, KnobsParseFlagsInBothSpellings)
+{
+    Argv a({"bench", "--jobs", "3", "--batch=5"});
+    EXPECT_EQ(driver::jobsFromArgs(a.argc(), a.argv()), 3);
+    EXPECT_EQ(driver::batchWidthFromArgs(a.argc(), a.argv()), 5);
+}
+
+TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
+{
+    EXPECT_EXIT(
+        {
+            Argv a({"bench", "--jobs", "abc"});
+            driver::jobsFromArgs(a.argc(), a.argv());
+        },
+        ::testing::ExitedWithCode(2),
+        "--jobs: expected a positive integer, got \"abc\"");
+    EXPECT_EXIT(
+        {
+            Argv a({"bench", "--batch=0"});
+            driver::batchWidthFromArgs(a.argc(), a.argv());
+        },
+        ::testing::ExitedWithCode(2),
+        "--batch: expected a positive integer, got \"0\"");
+    EXPECT_EXIT(
+        {
+            Argv a({"bench", "--batch"});
+            driver::batchWidthFromArgs(a.argc(), a.argv());
+        },
+        ::testing::ExitedWithCode(2), "--batch: missing value");
+    EXPECT_EXIT(
+        {
+            ::setenv("PF_BENCH_BATCH", "x", 1);
+            driver::defaultBatchWidth();
+        },
+        ::testing::ExitedWithCode(2),
+        "PF_BENCH_BATCH: expected a positive integer, got \"x\"");
 }
 
 } // namespace

@@ -316,6 +316,34 @@ TEST(TimingSim, RunTwiceRejected)
     EXPECT_THROW(sim.run("twice"), std::runtime_error);
 }
 
+TEST(TimingSim, CycleLimitNamesTheRun)
+{
+    // With no functional units nothing ever issues, so commit never
+    // advances: the run must stop at the cycle limit and say which
+    // run hung.
+    Module m("t");
+    Function &f = m.createFunction("main");
+    {
+        FunctionBuilder b(f);
+        for (int i = 0; i < 8; ++i)
+            b.addi(reg::t0, reg::t0, 1);
+        b.halt();
+    }
+    LinkedProgram p = m.link();
+    auto r = traceOf(p);
+    MachineConfig cfg = MachineConfig::superscalar();
+    cfg.numFUs = 0;
+    TimingSim sim(cfg, r.trace, nullptr);
+    try {
+        sim.run("no-fus");
+        FAIL() << "expected a cycle-limit error";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("cycle limit"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("\"no-fus\""), std::string::npos) << msg;
+    }
+}
+
 TEST(TimingSim, AllWorkloadsFinishUnderAllBasePolicies)
 {
     for (const std::string &name : allWorkloadNames()) {

@@ -2,12 +2,16 @@
  * @file
  * Stage-isolation tests: drive individual pipeline-stage modules on
  * hand-built MachineState instances (the point of the MachineState
- * refactor — no full-run harness required), plus the golden
- * determinism test pinning the fig09 stats export to the byte-exact
- * output of the pre-refactor simulator.
+ * refactor — no full-run harness required), the sha256 goldens
+ * pinning whole sweep grids' stats exports at batch widths 1, 3 and
+ * 8, and the batch engine's width-invariance tests.
  */
 
 #include <gtest/gtest.h>
+
+#include <span>
+#include <tuple>
+#include <utility>
 
 #include "ir/builder.hh"
 #include "polyflow.hh"
@@ -254,29 +258,11 @@ TEST(Stages, Sha256MatchesKnownVector)
               "b00361a396177a9cb410ff61f20015ad");
 }
 
-/** The full fig09 grid (every workload, superscalar + all six
- *  policies) at reduced scale, exported through the stats layer and
- *  hashed. */
+/** Stats export of @p cells at batch width @p batchWidth, hashed.
+ *  Any cycle, slot-bucket or task-event drift changes it. */
 std::string
-fig09GridHash(int batchWidth)
+gridHash(const std::vector<driver::SweepCell> &cells, int batchWidth)
 {
-    const std::vector<SpawnPolicy> policies = {
-        SpawnPolicy::loop(),   SpawnPolicy::loopFT(),
-        SpawnPolicy::procFT(), SpawnPolicy::hammock(),
-        SpawnPolicy::other(),  SpawnPolicy::postdoms(),
-    };
-    const double scale = 0.04;
-    std::vector<driver::SweepCell> cells;
-    for (const std::string &name : allWorkloadNames()) {
-        cells.push_back({name, scale, driver::SourceSpec::baseline(),
-                         MachineConfig::superscalar(),
-                         "superscalar"});
-        for (const auto &p : policies) {
-            cells.push_back({name, scale,
-                             driver::SourceSpec::statics(p),
-                             MachineConfig{}, p.name});
-        }
-    }
     driver::SweepRunner runner(4, batchWidth);
     const auto results = runner.run(cells, false);
     std::vector<stats::RunRecord> recs;
@@ -287,44 +273,154 @@ fig09GridHash(int batchWidth)
     return store::sha256Hex(stats::toJson(recs));
 }
 
-/** The constant below was produced by the simulator BEFORE the
- *  stage decomposition: any cycle, slot-bucket or task-event drift
- *  anywhere in the pipeline changes it. */
+constexpr double kGoldenScale = 0.04;
+
+/** The full fig09 grid: every workload, superscalar + all six
+ *  static policies. */
+std::vector<driver::SweepCell>
+fig09Grid()
+{
+    const std::vector<SpawnPolicy> policies = {
+        SpawnPolicy::loop(),   SpawnPolicy::loopFT(),
+        SpawnPolicy::procFT(), SpawnPolicy::hammock(),
+        SpawnPolicy::other(),  SpawnPolicy::postdoms(),
+    };
+    std::vector<driver::SweepCell> cells;
+    for (const std::string &name : allWorkloadNames()) {
+        cells.push_back({name, kGoldenScale,
+                         driver::SourceSpec::baseline(),
+                         MachineConfig::superscalar(),
+                         "superscalar"});
+        for (const auto &p : policies) {
+            cells.push_back({name, kGoldenScale,
+                             driver::SourceSpec::statics(p),
+                             MachineConfig{}, p.name});
+        }
+    }
+    return cells;
+}
+
+/** Every workload under each (label, source, config) column. */
+std::vector<driver::SweepCell>
+columnsGrid(
+    const std::vector<std::tuple<std::string, driver::SourceSpec,
+                                 MachineConfig>> &columns)
+{
+    std::vector<driver::SweepCell> cells;
+    for (const std::string &name : allWorkloadNames()) {
+        for (const auto &[label, spec, cfg] : columns)
+            cells.push_back({name, kGoldenScale, spec, cfg, label});
+    }
+    return cells;
+}
+
+/** The dynamic spawn sources (fig12's reconvergence predictor and
+ *  the DMT heuristics), which train while they run. */
+std::vector<driver::SweepCell>
+dynamicSourcesGrid()
+{
+    return columnsGrid({{"rec_pred", driver::SourceSpec::recon(),
+                         MachineConfig{}},
+                        {"dmt", driver::SourceSpec::dmt(),
+                         MachineConfig{}}});
+}
+
+/** Postdoms under the ablation's spawn-unit mechanism knobs
+ *  (bench/ablation_resources.cc). */
+std::vector<driver::SweepCell>
+spawnUnitAblationGrid()
+{
+    const auto postdoms =
+        driver::SourceSpec::statics(SpawnPolicy::postdoms());
+    MachineConfig noFb;
+    noFb.spawnFeedback = false;
+    MachineConfig noGhost;
+    noGhost.wrongPathGhosts = false;
+    MachineConfig neither;
+    neither.spawnFeedback = false;
+    neither.wrongPathGhosts = false;
+    return columnsGrid({{"no feedback", postdoms, noFb},
+                        {"no wrong-path ghosts", postdoms, noGhost},
+                        {"neither", postdoms, neither}});
+}
+
+/** Postdoms with spawning allowed from any task, not only the
+ *  tail (the paper's Section 6 extension). */
+std::vector<driver::SweepCell>
+spawnFromAnyTaskGrid()
+{
+    MachineConfig any;
+    any.spawnFromAnyTask = true;
+    return columnsGrid(
+        {{"spawn-from-any-task",
+          driver::SourceSpec::statics(SpawnPolicy::postdoms()),
+          any}});
+}
+
+/** Produced by the simulator BEFORE the stage decomposition: any
+ *  cycle, slot-bucket or task-event drift anywhere in the pipeline
+ *  changes it. */
 const char *const kFig09GoldenSha =
     "6e0f8abd7a59adc605ac66c775f2c4b9c159e4842c9f3018d2ab931e"
     "1d781e77";
 
+/** The three pins below were produced by the simulator that still
+ *  carried a scalar twin of every hot stage, at batch widths 1 and
+ *  8 alike; they hold the single batch path to those cycles in the
+ *  source kinds and config families fig09 does not reach. */
+const char *const kDynamicSourcesGoldenSha =
+    "554dc7701d6dc84a1a57caf4c77f24af67ab5ceaef20751f5c9d0be9"
+    "095c231c";
+const char *const kSpawnUnitAblationGoldenSha =
+    "801d93fa8557dd2c468438b64cc4643285efd379e891d7ee32c7402f"
+    "7d1baab4";
+const char *const kSpawnFromAnyTaskGoldenSha =
+    "1f3f30a7fa6202ef7b38f629a99c523b338c424b7878ab11881dbd41"
+    "490970d7";
+
 TEST(Stages, GoldenFig09StatsAreCycleIdenticalToSeed)
 {
-    // Width 1 = the scalar TimingSim::run reference path.
-    EXPECT_EQ(fig09GridHash(1), kFig09GoldenSha);
+    EXPECT_EQ(gridHash(fig09Grid(), 1), kFig09GoldenSha);
 }
 
 TEST(Stages, GoldenFig09StatsAreCycleIdenticalWhenBatched)
 {
-    // Same grid through the stage-major batch engine: batching must
-    // not move a single cycle, slot or task event.
-    EXPECT_EQ(fig09GridHash(8), kFig09GoldenSha);
+    // Wider batches interleave machines stage by stage, and width 3
+    // leaves a remainder batch: neither may move a single cycle,
+    // slot or task event.
+    const auto cells = fig09Grid();
+    EXPECT_EQ(gridHash(cells, 3), kFig09GoldenSha);
+    EXPECT_EQ(gridHash(cells, 8), kFig09GoldenSha);
 }
 
-// ---------------------------------------------------------------
-// Batch engine (sim/batch.hh): cycle-identity against the scalar
-// reference path and the live-set edge cases.
-// ---------------------------------------------------------------
-
-/** Scalar reference run over freshly prepared inputs. */
-TimingResult
-scalarRun(Session &s, const driver::SourceSpec &spec,
-          const MachineConfig &cfg, const std::string &label,
-          std::vector<TaskEvent> *events = nullptr)
+TEST(Stages, GoldenDynamicSourcesAreWidthInvariant)
 {
-    PreparedRun run = s.prepare(spec, label);
-    TimingSim sim(cfg, run.trace(), run.source.get(),
-                  run.index.get());
-    if (events)
-        sim.traceTasks(events);
-    return sim.run(label);
+    const auto cells = dynamicSourcesGrid();
+    for (int width : {1, 3, 8})
+        EXPECT_EQ(gridHash(cells, width), kDynamicSourcesGoldenSha)
+            << "width " << width;
 }
+
+TEST(Stages, GoldenSpawnUnitAblationIsWidthInvariant)
+{
+    const auto cells = spawnUnitAblationGrid();
+    for (int width : {1, 3, 8})
+        EXPECT_EQ(gridHash(cells, width), kSpawnUnitAblationGoldenSha)
+            << "width " << width;
+}
+
+TEST(Stages, GoldenSpawnFromAnyTaskIsWidthInvariant)
+{
+    const auto cells = spawnFromAnyTaskGrid();
+    for (int width : {1, 3, 8})
+        EXPECT_EQ(gridHash(cells, width), kSpawnFromAnyTaskGoldenSha)
+            << "width " << width;
+}
+
+// ---------------------------------------------------------------
+// Batch engine (sim/batch.hh): width invariance and the live-set
+// edge cases.
+// ---------------------------------------------------------------
 
 TEST(Batch, EmptyBatchReturnsNoResults)
 {
@@ -332,25 +428,73 @@ TEST(Batch, EmptyBatchReturnsNoResults)
     EXPECT_TRUE(TimingSim::runBatch(MachineConfig{}, none).empty());
 }
 
-TEST(Batch, OfOneIsCycleIdenticalToScalar)
+/** One machine of a width-invariance comparison. */
+struct BatchCase
 {
+    Session *session;
+    driver::SourceSpec spec;
+    std::string label;
+};
+
+/** Run @p cases as one batch when @p together, else as one batch of
+ *  one per case, over freshly prepared inputs (dynamic sources
+ *  train, so no two runs may share one). Returns the results and
+ *  each machine's task events. */
+std::pair<std::vector<TimingResult>,
+          std::vector<std::vector<TaskEvent>>>
+runCases(const std::vector<BatchCase> &cases,
+         const MachineConfig &cfg, bool together)
+{
+    std::vector<std::vector<TaskEvent>> events(cases.size());
+    std::vector<PreparedRun> runs;
+    for (const BatchCase &c : cases)
+        runs.push_back(c.session->prepare(c.spec, c.label));
+    std::vector<BatchItem> items;
+    for (size_t i = 0; i < runs.size(); ++i)
+        items.push_back(runs[i].item(&events[i]));
+    std::vector<TimingResult> out;
+    if (together) {
+        out = TimingSim::runBatch(cfg, items);
+    } else {
+        for (const BatchItem &item : items) {
+            out.push_back(TimingSim::runBatch(
+                cfg, std::span<const BatchItem>(&item, 1))[0]);
+        }
+    }
+    return {std::move(out), std::move(events)};
+}
+
+TEST(Batch, OfFourEqualsFourBatchesOfOne)
+{
+    // A batch interleaves its machines stage by stage; each machine
+    // must still see exactly the cycles, counters and task events
+    // of a batch of one — and TimingSim::run is that batch of one.
     Session s = Session::open("twolf", 0.04);
     const MachineConfig cfg;
-    const auto spec =
-        driver::SourceSpec::statics(SpawnPolicy::postdoms());
+    const std::vector<BatchCase> cases = {
+        {&s, driver::SourceSpec::statics(SpawnPolicy::postdoms()),
+         "postdoms"},
+        {&s, driver::SourceSpec::recon(), "rec_pred"},
+        {&s, driver::SourceSpec::dmt(), "dmt"},
+        {&s, driver::SourceSpec::statics(SpawnPolicy::loop()),
+         "loop"},
+    };
+    const auto [alone, aloneEvents] = runCases(cases, cfg, false);
+    const auto [batched, batchedEvents] = runCases(cases, cfg, true);
+    ASSERT_EQ(batched.size(), cases.size());
+    for (size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(batched[i], alone[i]) << cases[i].label;
+        EXPECT_EQ(batchedEvents[i], aloneEvents[i]) << cases[i].label;
+        EXPECT_FALSE(batchedEvents[i].empty()) << cases[i].label;
+    }
 
-    std::vector<TaskEvent> refEvents;
-    TimingResult ref =
-        scalarRun(s, spec, cfg, "postdoms", &refEvents);
-
-    std::vector<TaskEvent> batchEvents;
-    PreparedRun run = s.prepare(spec, "postdoms");
-    std::vector<BatchItem> items = {run.item(&batchEvents)};
-    const auto out = TimingSim::runBatch(cfg, items);
-
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], ref);
-    EXPECT_EQ(batchEvents, refEvents);
+    std::vector<TaskEvent> simEvents;
+    PreparedRun run = s.prepare(cases[0].spec, cases[0].label);
+    TimingSim sim(cfg, run.trace(), run.source.get(),
+                  run.index.get());
+    sim.traceTasks(&simEvents);
+    EXPECT_EQ(sim.run(cases[0].label), alone[0]);
+    EXPECT_EQ(simEvents, aloneEvents[0]);
 }
 
 TEST(Batch, HeterogeneousTracesFinishIndependently)
@@ -358,7 +502,7 @@ TEST(Batch, HeterogeneousTracesFinishIndependently)
     // Machines over different workloads and scales — different trace
     // lengths, so they leave the live set at different cycles — plus
     // a baseline machine (no spawn source) riding in the same batch.
-    // Every per-machine result must match its own scalar run, in
+    // Every per-machine result must match its own batch of one, in
     // add order.
     const MachineConfig cfg;
     const auto postdoms =
@@ -369,38 +513,23 @@ TEST(Batch, HeterogeneousTracesFinishIndependently)
     Session twolfBig = Session::open("twolf", 0.06);
     Session mcf = Session::open("mcf", 0.04);
 
-    struct Case
-    {
-        Session *session;
-        driver::SourceSpec spec;
-        std::string label;
-    };
-    std::vector<Case> cases = {
+    const std::vector<BatchCase> cases = {
         {&twolfBig, postdoms, "pd-big"},
         {&twolfSmall, postdoms, "pd-small"},
         {&mcf, baseline, "base-mcf"},
         {&twolfSmall, baseline, "base-small"},
     };
+    const auto [alone, aloneEvents] = runCases(cases, cfg, false);
+    const auto [batched, batchedEvents] = runCases(cases, cfg, true);
 
-    std::vector<TimingResult> refs;
-    for (Case &c : cases)
-        refs.push_back(scalarRun(*c.session, c.spec, cfg, c.label));
-
-    std::vector<PreparedRun> runs;
-    for (Case &c : cases)
-        runs.push_back(c.session->prepare(c.spec, c.label));
-    std::vector<BatchItem> items;
-    for (const PreparedRun &r : runs)
-        items.push_back(r.item());
-    const auto out = TimingSim::runBatch(cfg, items);
-
-    ASSERT_EQ(out.size(), cases.size());
+    ASSERT_EQ(batched.size(), cases.size());
     // Distinct finish cycles, so the live-set compaction actually
     // triggers mid-run (not only at the very end).
-    EXPECT_NE(out[0].cycles, out[1].cycles);
-    EXPECT_NE(out[1].cycles, out[2].cycles);
+    EXPECT_NE(batched[0].cycles, batched[1].cycles);
+    EXPECT_NE(batched[1].cycles, batched[2].cycles);
     for (size_t i = 0; i < cases.size(); ++i) {
-        EXPECT_EQ(out[i], refs[i]) << cases[i].label;
+        EXPECT_EQ(batched[i], alone[i]) << cases[i].label;
+        EXPECT_EQ(batchedEvents[i], aloneEvents[i]) << cases[i].label;
     }
 }
 
