@@ -119,8 +119,7 @@ main(int argc, char **argv)
             }
         }
     }
-    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv),
-                               driver::batchWidthFromArgs(argc, argv));
+    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
     const auto results = runner.run(cells);
 
     size_t idx = 0;

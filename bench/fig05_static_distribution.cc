@@ -23,8 +23,7 @@ main(int argc, char **argv)
     const std::vector<std::string> &names = allWorkloadNames();
     const double scale = 0.05;
 
-    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv),
-                               driver::batchWidthFromArgs(argc, argv));
+    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
     runner.parallelFor(names.size(), [&](size_t i) {
         runner.cache().analysis(names[i], scale);
     });

@@ -37,8 +37,7 @@ main(int argc, char **argv)
                              MachineConfig{}, p.name});
         }
     }
-    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv),
-                               driver::batchWidthFromArgs(argc, argv));
+    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
     const auto results = runner.run(cells);
 
     std::vector<std::string> header = {"benchmark"};

@@ -64,8 +64,7 @@ main(int argc, char **argv)
                          MachineConfig{},
                          SpawnPolicy::postdoms().name});
     }
-    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv),
-                               driver::batchWidthFromArgs(argc, argv));
+    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
     const auto results = runner.run(cells);
 
     Table table({"benchmark", "rec_pred", "postdoms", "predMatch%",

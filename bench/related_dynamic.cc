@@ -37,8 +37,7 @@ main(int argc, char **argv)
                          MachineConfig{},
                          SpawnPolicy::postdoms().name});
     }
-    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv),
-                               driver::batchWidthFromArgs(argc, argv));
+    driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
     const auto results = runner.run(cells);
 
     Table t({"benchmark", "DMT", "rec_pred", "postdoms"});

@@ -51,9 +51,7 @@ struct RunOptions
 /**
  * The resolved inputs of one timing run — trace, spawn source and
  * shared indexes — without the simulation itself. Session::prepare
- * builds one; Session::simulate is prepare + TimingSim::run, and the
- * sweep engine feeds several PreparedRuns that share a MachineConfig
- * to the batched engine (TimingSim::runBatch) in one go.
+ * builds one; Session::simulate is prepare + TimingSim::run.
  */
 struct PreparedRun
 {
@@ -70,7 +68,7 @@ struct PreparedRun
 
     const Trace &trace() const { return traced->trace; }
 
-    /** View as one machine of a batch (TimingSim::runBatch). */
+    /** View as one item of TimingSim::runBatch. */
     BatchItem
     item(std::vector<TaskEvent> *events = nullptr) const
     {
@@ -145,8 +143,8 @@ class Session
     /**
      * Resolve the inputs of a run without simulating: the cached
      * trace, a fresh spawn source for @p source and the shared
-     * trace indexes. Feed several of these (same MachineConfig) to
-     * TimingSim::runBatch, or one to TimingSim directly.
+     * trace indexes. Feed one to TimingSim, or several (same
+     * MachineConfig) to TimingSim::runBatch.
      */
     PreparedRun prepare(const driver::SourceSpec &source,
                         const std::string &label) const;

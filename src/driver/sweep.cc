@@ -147,43 +147,6 @@ SweepRunner::SweepRunner(int jobs, int batchWidth)
 }
 
 void
-SweepRunner::runGroup(const std::vector<SweepCell> &cells,
-                      const std::vector<size_t> &indices,
-                      std::vector<CellResult> &out)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    // Resolving inputs goes through the shared cache (thread-safe,
-    // build-once), so concurrent groups over one workload still
-    // trace it exactly once.
-    std::vector<PreparedRun> runs;
-    runs.reserve(indices.size());
-    for (size_t i : indices) {
-        Session session =
-            Session::open(cells[i].workload, cells[i].scale, _cache);
-        runs.push_back(
-            session.prepare(cells[i].source, cells[i].label));
-    }
-    std::vector<BatchItem> items;
-    items.reserve(runs.size());
-    for (const PreparedRun &r : runs)
-        items.push_back(r.item());
-    std::vector<TimingResult> results = TimingSim::runBatch(
-        cells[indices.front()].config, items);
-    // Machines of one batch interleave, so per-cell wall time is
-    // only meaningful as the group average.
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count() /
-        double(indices.size());
-    for (size_t k = 0; k < indices.size(); ++k) {
-        CellResult &cr = out[indices[k]];
-        cr.sim = std::move(results[k]);
-        cr.wallSeconds = wall;
-        cr.source = std::move(runs[k].source);
-    }
-}
-
-void
 SweepRunner::parallelFor(size_t n,
                          const std::function<void(size_t)> &fn)
 {
@@ -227,50 +190,119 @@ SweepRunner::parallelFor(size_t n,
         std::rethrow_exception(error);
 }
 
+namespace {
+
+/**
+ * Host time per trace instruction of a cell, by spawn-source kind,
+ * relative to the superscalar baseline. Measured on perfbench's
+ * lineup grid (12 workloads x 9 sources, scale 0.1) through this
+ * runner at one job: the sum of CellResult::wallSeconds over the sum
+ * of instructions, per kind (-O2, 4-core x86-64 host; superscalar
+ * about 120 ns per instruction). perfbench's traced
+ * sim.source.*_ns_per_cycle figures rank the kinds the same way but
+ * compress the gaps, because its stage probe adds a fixed cost per
+ * cycle. Only the ranking matters, so one decimal is enough.
+ */
+double
+costWeight(SourceSpec::Kind kind)
+{
+    switch (kind) {
+      case SourceSpec::Kind::Baseline: return 1.0;
+      case SourceSpec::Kind::Static: return 1.6;
+      case SourceSpec::Kind::Recon: return 2.0;
+      case SourceSpec::Kind::Dmt: return 1.8;
+    }
+    return 1.0;
+}
+
+} // namespace
+
+std::vector<size_t>
+costOrder(const std::vector<SweepCell> &cells,
+          const std::vector<size_t> &traceLengths)
+{
+    auto cost = [&](size_t i) {
+        return double(traceLengths[i]) *
+            costWeight(cells[i].source.kind);
+    };
+    std::vector<size_t> order(cells.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) {
+                         return cost(a) > cost(b);
+                     });
+    return order;
+}
+
 std::vector<CellResult>
 SweepRunner::run(const std::vector<SweepCell> &cells, bool report)
 {
+    using Clock = std::chrono::steady_clock;
     std::vector<CellResult> results(cells.size());
-    auto t0 = std::chrono::steady_clock::now();
-    // Group cells sharing a (workload, scale, MachineConfig) — in
-    // cell order — chunk each group into batches of at most
-    // _batchWidth machines, and run the batches on the pool. A batch
-    // legally needs only a common config, but machines over one
-    // shared trace also share its read-only working set (trace,
-    // indexes, hint tables), which is where the stage-major loop's
-    // cache locality comes from; batching machines over *different*
-    // multi-MB traces thrashes the LLC instead (docs/PERFORMANCE.md).
-    // Results land at their original indices, so downstream printing
-    // is unchanged.
-    std::vector<std::vector<size_t>> groups;
+    auto t0 = Clock::now();
+
+    // Resolve each distinct (workload, scale) trace once, in
+    // parallel; its length prices the cells that replay it. A trace
+    // that fails to build prices its cells at zero, and each of
+    // them then fails as its own cell below.
+    auto sameTrace = [&](size_t a, size_t b) {
+        return cells[a].workload == cells[b].workload &&
+            cells[a].scale == cells[b].scale;
+    };
+    std::vector<size_t> firstCell;  // one cell per distinct trace
     for (size_t i = 0; i < cells.size(); ++i) {
-        const SweepCell &c = cells[i];
-        auto g = std::find_if(
-            groups.begin(), groups.end(), [&](const auto &group) {
-                const SweepCell &k = cells[group.front()];
-                return k.workload == c.workload &&
-                    k.scale == c.scale && k.config == c.config;
-            });
-        if (g == groups.end())
-            g = groups.emplace(groups.end());
-        g->push_back(i);
+        if (std::none_of(firstCell.begin(), firstCell.end(),
+                         [&](size_t j) { return sameTrace(i, j); }))
+            firstCell.push_back(i);
     }
-    std::vector<std::vector<size_t>> batches;
-    for (const std::vector<size_t> &g : groups) {
-        for (size_t off = 0; off < g.size();
-             off += size_t(_batchWidth)) {
-            size_t end =
-                std::min(g.size(), off + size_t(_batchWidth));
-            batches.emplace_back(g.begin() + long(off),
-                                 g.begin() + long(end));
+    std::vector<size_t> length(cells.size(), 0);
+    parallelFor(firstCell.size(), [&](size_t t) {
+        const size_t f = firstCell[t];
+        size_t n = 0;
+        try {
+            n = _cache->traced(cells[f].workload, cells[f].scale)
+                    ->trace.size();
+        } catch (...) {
         }
-    }
-    parallelFor(batches.size(), [&](size_t b) {
-        runGroup(cells, batches[b], results);
+        for (size_t i = f; i < cells.size(); ++i) {
+            if (sameTrace(i, f))
+                length[i] = n;
+        }
     });
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+
+    // Workers claim _batchWidth consecutive cells of the cost order
+    // at a time. Every cell runs, and failures are kept per cell.
+    const std::vector<size_t> order = costOrder(cells, length);
+    const size_t width = size_t(_batchWidth);
+    std::vector<std::exception_ptr> errors(cells.size());
+    parallelFor((order.size() + width - 1) / width, [&](size_t k) {
+        const size_t end = std::min(order.size(), (k + 1) * width);
+        for (size_t pos = k * width; pos < end; ++pos) {
+            const size_t i = order[pos];
+            const SweepCell &c = cells[i];
+            CellResult &r = results[i];
+            auto start = Clock::now();
+            try {
+                RunOptions opt;
+                opt.sourceOut = &r.source;
+                r.sim = Session::open(c.workload, c.scale, _cache)
+                            .simulate(c.config, c.source, c.label,
+                                      opt);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+            r.wallSeconds =
+                std::chrono::duration<double>(Clock::now() - start)
+                    .count();
+        }
+    });
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
+    double wall =
+        std::chrono::duration<double>(Clock::now() - t0).count();
 
     if (report) {
         std::uint64_t instrs = 0;
@@ -289,11 +321,9 @@ SweepRunner::run(const std::vector<SweepCell> &cells, bool report)
                              results[i].sim.instrs));
         }
         std::fprintf(stderr,
-                     "[sweep] %zu cells on %d job(s) x batch width "
-                     "%d: %.3fs wall (%.3fs in cells), %.0f "
-                     "simulated instrs/sec\n",
-                     cells.size(), _jobs, _batchWidth, wall,
-                     cellSeconds,
+                     "[sweep] %zu cells on %d job(s): %.3fs wall "
+                     "(%.3fs in cells), %.0f simulated instrs/sec\n",
+                     cells.size(), _jobs, wall, cellSeconds,
                      wall > 0 ? double(instrs) / wall : 0.0);
         // Cache-tier accounting: the warm-cache CI job greps for
         // "cache: 0 traces built" on a second run, so keep the
@@ -405,13 +435,7 @@ jobsFromArgs(int argc, char **argv)
 int
 defaultBatchWidth()
 {
-    return countKnob(0, nullptr, "--batch", "PF_BENCH_BATCH", 8);
-}
-
-int
-batchWidthFromArgs(int argc, char **argv)
-{
-    return countKnob(argc, argv, "--batch", "PF_BENCH_BATCH", 8);
+    return 1;
 }
 
 std::optional<double>

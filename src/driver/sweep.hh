@@ -6,7 +6,8 @@
  * machine-config) timing simulations over shared read-only inputs:
  * the committed trace, the compiler spawn analysis and the per-policy
  * hint table. SweepRunner executes the grid on a thread pool
- * (PF_BENCH_JOBS / --jobs, default hardware_concurrency) while
+ * (PF_BENCH_JOBS / --jobs, default hardware_concurrency), one cell
+ * per worker at a time and the most expensive cells first, while
  * SweepCache builds each shared input exactly once per key and hands
  * out immutable shared_ptrs. Results come back in declaration order,
  * so tables and CSVs are bit-identical to a serial run regardless of
@@ -216,6 +217,8 @@ struct SweepCell
 struct CellResult
 {
     TimingResult sim;
+    /** Wall time of this cell alone: input resolution plus its
+     *  timing run. */
     double wallSeconds = 0.0;
     /** The cell's spawn source; dynamic sources stay inspectable
      *  after training (e.g. the reconvergence predictor). Null for
@@ -224,29 +227,21 @@ struct CellResult
 };
 
 /**
- * Thread-pool executor for sweep grids. Cells run concurrently but
- * results are returned in cell order, so downstream printing is
- * deterministic.
+ * Thread-pool executor for sweep grids. Each worker runs one cell —
+ * one machine — at a time, claiming cells from a queue ordered
+ * most expensive first, so the long cells do not trail the sweep.
+ * Results are returned in cell order whatever the schedule, so
+ * downstream printing is deterministic.
  */
 class SweepRunner
 {
   public:
     /**
      * @param jobs worker count; <= 0 selects defaultJobs().
-     * @param batchWidth max machines per batched simulation; <= 0
-     *        selects defaultBatchWidth(). Width 1 runs every cell as
-     *        a batch of one.
-     *
-     * Cells that share a (workload, scale, MachineConfig) triple are
-     * grouped into batches of up to @p batchWidth machines and run
-     * through the stage-major batch engine (sim/batch.hh), one batch
-     * per worker — total concurrency is jobs x batch width machines.
-     * Grouping requires the same workload, not just the same config,
-     * so a batch's machines replay one shared read-only trace
-     * instead of multiplying the resident trace bytes by the width.
-     * A machine's result does not depend on its batch, so stdout
-     * stays byte-identical across widths (and the CI sha256 check
-     * holds width 1 and width 8 to that).
+     * @param batchWidth how many consecutive cells of the queue a
+     *        worker claims at a time; <= 0 selects
+     *        defaultBatchWidth(). A cell's result does not depend on
+     *        it, nor on the job count.
      *
      * The runner's cache gets the environment-selected persistent
      * store attached (PF_CACHE_DIR; "off" disables), so warm bench
@@ -264,10 +259,15 @@ class SweepRunner
     }
 
     /**
-     * Execute every cell and return results in cell order. When
-     * @p report is true, prints per-cell wall-clock and aggregate
-     * simulated-instruction throughput to stderr (never stdout, so
-     * table output stays byte-identical across job counts).
+     * Execute every cell and return results in cell order. Each
+     * distinct (workload, scale) trace is resolved first, in
+     * parallel; then the cells run in costOrder(). If cells throw,
+     * every cell still runs and the error of the first *declared*
+     * failing cell is rethrown, so the message does not depend on
+     * the job count. When @p report is true, prints per-cell
+     * wall-clock and aggregate simulated-instruction throughput to
+     * stderr (never stdout, so table output stays byte-identical
+     * across job counts).
      */
     std::vector<CellResult> run(const std::vector<SweepCell> &cells,
                                 bool report = true);
@@ -281,17 +281,21 @@ class SweepRunner
                      const std::function<void(size_t)> &fn);
 
   private:
-    /** Run the cells at @p indices (all sharing one workload, scale
-     *  and MachineConfig) as one batch, writing each result at its
-     *  original index. */
-    void runGroup(const std::vector<SweepCell> &cells,
-                  const std::vector<size_t> &indices,
-                  std::vector<CellResult> &out);
-
     int _jobs;
     int _batchWidth;
     std::shared_ptr<SweepCache> _cache;
 };
+
+/**
+ * The order in which SweepRunner::run starts @p cells: by estimated
+ * host cost, most expensive first, ties in declaration order. The
+ * estimate is the cell's trace length (@p traceLengths, one per
+ * cell) times a fixed weight per spawn-source kind. Returns cell
+ * indices.
+ */
+std::vector<size_t>
+costOrder(const std::vector<SweepCell> &cells,
+          const std::vector<size_t> &traceLengths);
 
 /**
  * SourceSpec for a policy name as spelled on tool command lines:
@@ -316,21 +320,8 @@ int defaultJobs();
  */
 int jobsFromArgs(int argc, char **argv);
 
-/**
- * Batch width from the environment: PF_BENCH_BATCH if set (must be
- * a positive integer; 1 runs batches of one), else 8 — wide enough
- * to amortize the stage-major loop, small enough that a sweep grid
- * still splits across jobs. Exits with status 2 on malformed
- * values.
- */
+/** Cells a SweepRunner worker claims at a time by default: 1. */
 int defaultBatchWidth();
-
-/**
- * Batch width from the command line: `--batch N` or `--batch=N`
- * overrides defaultBatchWidth(). Exits with a clear error on
- * malformed values.
- */
-int batchWidthFromArgs(int argc, char **argv);
 
 /**
  * Strict positive-double parser for environment knobs: the full

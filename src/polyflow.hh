@@ -27,7 +27,6 @@
 #include "ir/module.hh"          // Module, LinkedProgram
 #include "isa/functional_sim.hh" // runFunctional, FunctionalResult
 #include "isa/trace.hh"          // Trace, DynInstr
-#include "sim/batch.hh"          // MachineBatch (batched engine)
 #include "sim/config.hh"         // MachineConfig
 #include "sim/core.hh"           // runTiming, TimingSim
 #include "sim/result.hh"         // TimingResult, TaskEvent

@@ -12,9 +12,7 @@
  * erases, and resolves each entry's owning task by walking the task
  * table in lockstep with the ascending keys instead of
  * binary-searching per entry. Divert release compacts its FIFO the
- * same way. One Backend serves every machine of a batch
- * (batch.hh), reusing its survivor buffers across machines and
- * cycles.
+ * same way, reusing its survivor buffers across cycles.
  */
 
 #ifndef POLYFLOW_SIM_BACKEND_HH
@@ -47,7 +45,7 @@ class Backend
 
   private:
     /** Survivor buffers for the compaction passes, reused across
-     *  machines and cycles. */
+     *  cycles. */
     std::vector<TraceIdx> _schedKeep;
     std::vector<DivertEntry> _divertKeep;
 };

@@ -127,8 +127,8 @@ struct MachineConfig
         return c;
     }
 
-    /** Memberwise equality; the sweep engine batches cells that
-     *  share a configuration (driver/sweep.hh). */
+    /** Memberwise equality, for comparing the configs of sweep
+     *  cells. */
     bool operator==(const MachineConfig &) const = default;
 
     std::string describe() const;

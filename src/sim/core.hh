@@ -12,12 +12,12 @@
  * mispredicted fetch until branch resolution (see DESIGN.md for why
  * this preserves the paper's first-order effects).
  *
- * TimingSim is the one-machine entry point over the batch engine
- * (batch.hh): run() is a sim::MachineBatch of one, and runBatch()
- * steps several machines together. All microarchitectural state
- * lives in sim::MachineState (machine_state.hh) and each pipeline
- * stage is its own module (frontend.hh, rename.hh, backend.hh,
- * commit.hh, recovery.hh, accounting.hh). Per cycle:
+ * TimingSim runs one machine from start to finish; runBatch() runs
+ * several, one after another. Both go through the one cycle loop in
+ * core.cc. All microarchitectural state lives in sim::MachineState
+ * (machine_state.hh), built just before a run and freed after it,
+ * and each pipeline stage is its own module (frontend.hh, rename.hh,
+ * backend.hh, commit.hh, recovery.hh, accounting.hh). Per cycle:
  *
  *   unblock -> commit -> [accounting] -> divert-release -> issue ->
  *   rename -> fetch(+spawn) -> violations/squash
@@ -40,14 +40,13 @@
 namespace polyflow {
 
 /**
- * Wall-clock time spent inside each stage module over a run,
- * accumulated only when profiling is enabled (TimingSim::
- * profileStages, MachineBatch::profileStages);
- * bench/micro_timing_sim reports the breakdown.
+ * Wall-clock time spent inside each stage module, accumulated only
+ * when profiling is enabled (TimingSim::profileStages, or the
+ * @p profile argument of TimingSim::runBatch).
  *
- * A run accumulates each stage's time across the whole batch and
- * counts one profiled cycle per live machine per step, so stageNs /
- * cycles is the per-machine average at any batch width.
+ * Every machine run adds its stage times and its cycles, so
+ * stageNs / cycles is the per-cycle average over all machines
+ * profiled into one sink.
  */
 struct StageProfile
 {
@@ -58,7 +57,7 @@ struct StageProfile
     std::uint64_t renameNs = 0;      //!< rename/dispatch
     std::uint64_t fetchNs = 0;       //!< fetch + spawn unit
     std::uint64_t recoveryNs = 0;    //!< violations + squash
-    /** Machine-cycles profiled (over all machines of a batch). */
+    /** Machine-cycles profiled (summed over machines). */
     std::uint64_t cycles = 0;
     std::uint64_t machines = 0;      //!< machines profiled
 
@@ -71,7 +70,7 @@ struct StageProfile
     }
 };
 
-/** One machine's inputs for a batched run (TimingSim::runBatch). */
+/** One machine's inputs for TimingSim::runBatch. */
 struct BatchItem
 {
     /** Committed dynamic trace from the functional sim. */
@@ -90,7 +89,7 @@ struct BatchItem
 
 /**
  * One timing simulation over a committed trace. Construct, then call
- * run() exactly once; run() steps the machine as a batch of one.
+ * run() exactly once.
  */
 class TimingSim
 {
@@ -122,12 +121,12 @@ class TimingSim
     void profileStages(StageProfile *sink) { _profile = sink; }
 
     /**
-     * Batched entry point: run every machine of @p items (same
-     * machine config, independent traces) to completion through the
-     * stage-major batch engine (sim/batch.hh) and return their
-     * statistics in item order. Each result is cycle-identical to
-     * running that item alone. @p profile, when non-null,
-     * accumulates per-stage wall time across the batch.
+     * Run every machine of @p items (same machine config,
+     * independent traces) to completion, one after another, and
+     * return their statistics in item order. Each machine's state
+     * exists only during its own run, and each result equals a
+     * TimingSim::run over that item. @p profile, when non-null,
+     * accumulates per-stage wall time over all the items.
      */
     static std::vector<TimingResult>
     runBatch(const MachineConfig &config,

@@ -38,8 +38,8 @@ class Frontend
     void maybeSpawn(MachineState &m, Task &t, TraceIdx i,
                     const LinkedInstr &li);
 
-    /** Eligible-task scratch of fetch(), reused across machines and
-     *  cycles instead of allocated per call. */
+    /** Eligible-task scratch of fetch(), reused across cycles
+     *  instead of allocated per call. */
     std::vector<size_t> _eligible;
 };
 

@@ -155,8 +155,7 @@ struct TimingResult
     /** @} */
 
     /** Memberwise equality — every counter, bucket and label. The
-     *  batch-width invariance tests compare entire results with
-     *  this. */
+     *  run-invariance tests compare entire results with this. */
     bool operator==(const TimingResult &) const = default;
 
     double

@@ -1,7 +1,7 @@
 /**
  * @file
- * ScopedNs: wall-clock accumulation for the batch engine's opt-in
- * stage profiling (batch.cc). Internal to src/sim.
+ * ScopedNs: wall-clock accumulation for the cycle loop's opt-in
+ * stage profiling (core.cc). Internal to src/sim.
  */
 
 #ifndef POLYFLOW_SIM_STAGE_TIMER_HH

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the parallel sweep engine: a multi-threaded sweep must
- * reproduce the serial reference results cell for cell at any batch
- * width, the shared
- * cache must trace/analyze each workload exactly once, shared trace
- * indexes must not change simulation outcomes, and the environment
- * knob parsers must reject garbage.
+ * reproduce the serial reference results cell for cell whatever the
+ * schedule, the cost order must put the expensive cells first, a
+ * failing grid must report the same cell at any job count, the
+ * shared cache must trace/analyze each workload exactly once, shared
+ * trace indexes must not change simulation outcomes, and the
+ * environment knob parsers must reject garbage.
  */
 
 #include <gtest/gtest.h>
@@ -265,10 +266,9 @@ TEST(SweepEngine, DefaultJobsHonorsEnvironment)
 
 TEST(SweepEngine, SweepIsWidthInvariant)
 {
-    // The grid mixes two machine configs (superscalar + default), so
-    // batching must group by config, chunk each group, and still put
-    // every result back at its cell index. Width 1 runs batches of
-    // one; width 3 leaves a remainder chunk smaller than the width.
+    // Workers claim `width` consecutive cells of the cost order at a
+    // time; width 3 leaves a remainder claim smaller than the width.
+    // Every result must still land at its cell index, unchanged.
     const auto cells = grid();
     auto hashAt = [&](int width,
                       std::vector<driver::CellResult> &results) {
@@ -306,12 +306,79 @@ TEST(SweepEngine, SweepIsWidthInvariant)
     }
 }
 
-TEST(SweepEngine, DefaultBatchWidthHonorsEnvironment)
+TEST(SweepEngine, EveryCellReportsItsOwnWallTime)
 {
-    ASSERT_EQ(setenv("PF_BENCH_BATCH", "5", 1), 0);
-    EXPECT_EQ(driver::defaultBatchWidth(), 5);
-    ASSERT_EQ(unsetenv("PF_BENCH_BATCH"), 0);
-    EXPECT_EQ(driver::defaultBatchWidth(), 8);
+    const auto cells = grid();
+    driver::SweepRunner runner(2);
+    const auto results = runner.run(cells, /*report=*/false);
+    ASSERT_EQ(results.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_GT(results[i].wallSeconds, 0.0)
+            << cells[i].workload << "/" << cells[i].label;
+    }
+}
+
+TEST(SweepEngine, CostOrderRunsExpensiveCellsFirst)
+{
+    using driver::SourceSpec;
+    const MachineConfig cfg;
+    const auto statics = SourceSpec::statics(SpawnPolicy::postdoms());
+    const std::vector<driver::SweepCell> cells = {
+        {"a", 1.0, statics, cfg, "short static"},        // 0
+        {"b", 1.0, SourceSpec::baseline(), cfg, "base"}, // 1
+        {"b", 1.0, statics, cfg, "static"},              // 2
+        {"b", 1.0, SourceSpec::recon(), cfg, "recon"},   // 3
+        {"b", 1.0, SourceSpec::dmt(), cfg, "dmt"},       // 4
+        {"b", 1.0, statics, cfg, "static again"},        // 5
+        {"c", 1.0, statics, cfg, "long static"},         // 6
+        {"a", 1.0, statics, cfg, "short again"},         // 7
+    };
+    const std::vector<size_t> lengths = {100, 1000, 1000, 1000,
+                                         1000, 1000, 5000, 100};
+    // The longest trace first; on one trace the dynamic sources
+    // rank above static policies, which rank above the baseline;
+    // equal costs keep declaration order (2 before 5, 0 before 7).
+    EXPECT_EQ(driver::costOrder(cells, lengths),
+              (std::vector<size_t>{6, 3, 4, 2, 5, 1, 0, 7}));
+    EXPECT_TRUE(driver::costOrder({}, {}).empty());
+}
+
+TEST(SweepEngine, FirstDeclaredFailureIsReportedAtAnyJobCount)
+{
+    // With no functional units nothing issues, so both hang cells
+    // run until the cycle limit. The second runs first (a static
+    // policy outranks the baseline on the same trace), but the error
+    // must name the first declared cell whatever the job count. The
+    // last cell's workload does not exist: its trace fails to build,
+    // which must fail that cell only, not the trace pass before it.
+    MachineConfig hang = MachineConfig::superscalar();
+    hang.numFUs = 0;
+    const std::vector<driver::SweepCell> cells = {
+        {"mcf", 0.01, driver::SourceSpec::baseline(),
+         MachineConfig::superscalar(), "fine"},
+        {"mcf", 0.01, driver::SourceSpec::baseline(), hang,
+         "hang-first"},
+        {"mcf", 0.01, driver::SourceSpec::statics(SpawnPolicy::loop()),
+         hang, "hang-second"},
+        {"no-such-workload", 0.01, driver::SourceSpec::baseline(),
+         MachineConfig::superscalar(), "missing"},
+    };
+    ASSERT_EQ(driver::costOrder(cells, {1, 1, 1, 0}),
+              (std::vector<size_t>{2, 0, 1, 3}));
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        driver::SweepRunner runner(jobs);
+        try {
+            runner.run(cells, /*report=*/false);
+            FAIL() << "expected a cycle-limit error";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("cycle limit"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("\"hang-first\""), std::string::npos)
+                << msg;
+        }
+    }
 }
 
 /** argv for the *FromArgs knob parsers. */
@@ -331,9 +398,10 @@ struct Argv
 
 TEST(SweepEngine, KnobsParseFlagsInBothSpellings)
 {
-    Argv a({"bench", "--jobs", "3", "--batch=5"});
+    Argv a({"bench", "--jobs", "3"});
     EXPECT_EQ(driver::jobsFromArgs(a.argc(), a.argv()), 3);
-    EXPECT_EQ(driver::batchWidthFromArgs(a.argc(), a.argv()), 5);
+    Argv b({"bench", "--jobs=5"});
+    EXPECT_EQ(driver::jobsFromArgs(b.argc(), b.argv()), 5);
 }
 
 TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
@@ -347,24 +415,24 @@ TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
         "--jobs: expected a positive integer, got \"abc\"");
     EXPECT_EXIT(
         {
-            Argv a({"bench", "--batch=0"});
-            driver::batchWidthFromArgs(a.argc(), a.argv());
+            Argv a({"bench", "--jobs=0"});
+            driver::jobsFromArgs(a.argc(), a.argv());
         },
         ::testing::ExitedWithCode(2),
-        "--batch: expected a positive integer, got \"0\"");
+        "--jobs: expected a positive integer, got \"0\"");
     EXPECT_EXIT(
         {
-            Argv a({"bench", "--batch"});
-            driver::batchWidthFromArgs(a.argc(), a.argv());
+            Argv a({"bench", "--jobs"});
+            driver::jobsFromArgs(a.argc(), a.argv());
         },
-        ::testing::ExitedWithCode(2), "--batch: missing value");
+        ::testing::ExitedWithCode(2), "--jobs: missing value");
     EXPECT_EXIT(
         {
-            ::setenv("PF_BENCH_BATCH", "x", 1);
-            driver::defaultBatchWidth();
+            ::setenv("PF_BENCH_JOBS", "x", 1);
+            driver::defaultJobs();
         },
         ::testing::ExitedWithCode(2),
-        "PF_BENCH_BATCH: expected a positive integer, got \"x\"");
+        "PF_BENCH_JOBS: expected a positive integer, got \"x\"");
 }
 
 } // namespace

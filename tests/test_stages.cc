@@ -3,13 +3,15 @@
  * Stage-isolation tests: drive individual pipeline-stage modules on
  * hand-built MachineState instances (the point of the MachineState
  * refactor — no full-run harness required), the sha256 goldens
- * pinning whole sweep grids' stats exports at batch widths 1, 3 and
- * 8, and the batch engine's width-invariance tests.
+ * pinning whole sweep grids' stats exports whatever the job count,
+ * claim width and declaration order, and the tests that
+ * TimingSim::runBatch equals fresh single runs.
  */
 
 #include <gtest/gtest.h>
 
-#include <span>
+#include <algorithm>
+#include <iterator>
 #include <tuple>
 #include <utility>
 
@@ -258,13 +260,29 @@ TEST(Stages, Sha256MatchesKnownVector)
               "b00361a396177a9cb410ff61f20015ad");
 }
 
-/** Stats export of @p cells at batch width @p batchWidth, hashed.
+/** How a golden grid is run: sweep workers, cells a worker claims
+ *  at a time, and whether the grid is declared back to front. */
+struct Schedule
+{
+    int jobs = 4;
+    int width = 1;
+    bool reversed = false;
+};
+
+/** Stats export of @p cells run under @p schedule, hashed in
+ *  declaration order (a reversed grid's results are mapped back).
  *  Any cycle, slot-bucket or task-event drift changes it. */
 std::string
-gridHash(const std::vector<driver::SweepCell> &cells, int batchWidth)
+gridHash(std::vector<driver::SweepCell> cells, Schedule schedule = {})
 {
-    driver::SweepRunner runner(4, batchWidth);
-    const auto results = runner.run(cells, false);
+    if (schedule.reversed)
+        std::reverse(cells.begin(), cells.end());
+    driver::SweepRunner runner(schedule.jobs, schedule.width);
+    auto results = runner.run(cells, false);
+    if (schedule.reversed) {
+        std::reverse(cells.begin(), cells.end());
+        std::reverse(results.begin(), results.end());
+    }
     std::vector<stats::RunRecord> recs;
     for (size_t i = 0; i < cells.size(); ++i) {
         recs.push_back({cells[i].workload, cells[i].scale,
@@ -365,9 +383,10 @@ const char *const kFig09GoldenSha =
     "1d781e77";
 
 /** The three pins below were produced by the simulator that still
- *  carried a scalar twin of every hot stage, at batch widths 1 and
- *  8 alike; they hold the single batch path to those cycles in the
- *  source kinds and config families fig09 does not reach. */
+ *  carried a scalar twin of every hot stage, and by its stage-major
+ *  batches of 8 alike; they hold the one-machine loop to those
+ *  cycles in the source kinds and config families fig09 does not
+ *  reach. */
 const char *const kDynamicSourcesGoldenSha =
     "554dc7701d6dc84a1a57caf4c77f24af67ab5ceaef20751f5c9d0be9"
     "095c231c";
@@ -378,48 +397,72 @@ const char *const kSpawnFromAnyTaskGoldenSha =
     "1f3f30a7fa6202ef7b38f629a99c523b338c424b7878ab11881dbd41"
     "490970d7";
 
+/** The schedules every golden must hold under: one worker and
+ *  four, declared in order and back to front. The cost order makes
+ *  each of them run the cells in a different sequence. */
+const Schedule kSchedules[] = {
+    {1, 1, false},
+    {4, 1, false},
+    {1, 1, true},
+    {4, 1, true},
+};
+
+std::string
+describe(const Schedule &s)
+{
+    return "jobs " + std::to_string(s.jobs) + ", width " +
+        std::to_string(s.width) +
+        (s.reversed ? ", reversed" : ", declared");
+}
+
+/** Every schedule of kSchedules plus @p extra hashes to @p sha. */
+void
+expectScheduleInvariant(const std::vector<driver::SweepCell> &cells,
+                        const char *sha,
+                        std::vector<Schedule> extra = {})
+{
+    extra.insert(extra.begin(), std::begin(kSchedules),
+                 std::end(kSchedules));
+    for (const Schedule &s : extra)
+        EXPECT_EQ(gridHash(cells, s), sha) << describe(s);
+}
+
 TEST(Stages, GoldenFig09StatsAreCycleIdenticalToSeed)
 {
-    EXPECT_EQ(gridHash(fig09Grid(), 1), kFig09GoldenSha);
+    EXPECT_EQ(gridHash(fig09Grid()), kFig09GoldenSha);
 }
 
 TEST(Stages, GoldenFig09StatsAreCycleIdenticalWhenBatched)
 {
-    // Wider batches interleave machines stage by stage, and width 3
-    // leaves a remainder batch: neither may move a single cycle,
-    // slot or task event.
-    const auto cells = fig09Grid();
-    EXPECT_EQ(gridHash(cells, 3), kFig09GoldenSha);
-    EXPECT_EQ(gridHash(cells, 8), kFig09GoldenSha);
+    // Workers claim the cost order in batches of cells, at any job
+    // count and declaration order; width 3 leaves a remainder
+    // claim. None may move a single cycle, slot or task event.
+    expectScheduleInvariant(fig09Grid(), kFig09GoldenSha,
+                            {{4, 3, false}, {4, 3, true}});
 }
 
 TEST(Stages, GoldenDynamicSourcesAreWidthInvariant)
 {
-    const auto cells = dynamicSourcesGrid();
-    for (int width : {1, 3, 8})
-        EXPECT_EQ(gridHash(cells, width), kDynamicSourcesGoldenSha)
-            << "width " << width;
+    expectScheduleInvariant(dynamicSourcesGrid(),
+                            kDynamicSourcesGoldenSha, {{4, 3, true}});
 }
 
 TEST(Stages, GoldenSpawnUnitAblationIsWidthInvariant)
 {
-    const auto cells = spawnUnitAblationGrid();
-    for (int width : {1, 3, 8})
-        EXPECT_EQ(gridHash(cells, width), kSpawnUnitAblationGoldenSha)
-            << "width " << width;
+    expectScheduleInvariant(spawnUnitAblationGrid(),
+                            kSpawnUnitAblationGoldenSha,
+                            {{4, 3, true}});
 }
 
 TEST(Stages, GoldenSpawnFromAnyTaskIsWidthInvariant)
 {
-    const auto cells = spawnFromAnyTaskGrid();
-    for (int width : {1, 3, 8})
-        EXPECT_EQ(gridHash(cells, width), kSpawnFromAnyTaskGoldenSha)
-            << "width " << width;
+    expectScheduleInvariant(spawnFromAnyTaskGrid(),
+                            kSpawnFromAnyTaskGoldenSha,
+                            {{4, 3, true}});
 }
 
 // ---------------------------------------------------------------
-// Batch engine (sim/batch.hh): width invariance and the live-set
-// edge cases.
+// TimingSim::runBatch: N items equal N fresh TimingSim::runs.
 // ---------------------------------------------------------------
 
 TEST(Batch, EmptyBatchReturnsNoResults)
@@ -428,7 +471,7 @@ TEST(Batch, EmptyBatchReturnsNoResults)
     EXPECT_TRUE(TimingSim::runBatch(MachineConfig{}, none).empty());
 }
 
-/** One machine of a width-invariance comparison. */
+/** One machine of a runBatch-versus-fresh-runs comparison. */
 struct BatchCase
 {
     Session *session;
@@ -436,10 +479,10 @@ struct BatchCase
     std::string label;
 };
 
-/** Run @p cases as one batch when @p together, else as one batch of
- *  one per case, over freshly prepared inputs (dynamic sources
- *  train, so no two runs may share one). Returns the results and
- *  each machine's task events. */
+/** Run @p cases through one TimingSim::runBatch when @p together,
+ *  else through one fresh TimingSim::run each, over freshly prepared
+ *  inputs (dynamic sources train, so no two runs may share one).
+ *  Returns the results and each machine's task events. */
 std::pair<std::vector<TimingResult>,
           std::vector<std::vector<TaskEvent>>>
 runCases(const std::vector<BatchCase> &cases,
@@ -449,26 +492,28 @@ runCases(const std::vector<BatchCase> &cases,
     std::vector<PreparedRun> runs;
     for (const BatchCase &c : cases)
         runs.push_back(c.session->prepare(c.spec, c.label));
-    std::vector<BatchItem> items;
-    for (size_t i = 0; i < runs.size(); ++i)
-        items.push_back(runs[i].item(&events[i]));
     std::vector<TimingResult> out;
     if (together) {
+        std::vector<BatchItem> items;
+        for (size_t i = 0; i < runs.size(); ++i)
+            items.push_back(runs[i].item(&events[i]));
         out = TimingSim::runBatch(cfg, items);
     } else {
-        for (const BatchItem &item : items) {
-            out.push_back(TimingSim::runBatch(
-                cfg, std::span<const BatchItem>(&item, 1))[0]);
+        for (size_t i = 0; i < runs.size(); ++i) {
+            TimingSim sim(cfg, runs[i].trace(), runs[i].source.get(),
+                          runs[i].index.get());
+            sim.traceTasks(&events[i]);
+            out.push_back(sim.run(runs[i].label));
         }
     }
     return {std::move(out), std::move(events)};
 }
 
-TEST(Batch, OfFourEqualsFourBatchesOfOne)
+TEST(Batch, OfFourEqualsFourFreshRuns)
 {
-    // A batch interleaves its machines stage by stage; each machine
-    // must still see exactly the cycles, counters and task events
-    // of a batch of one — and TimingSim::run is that batch of one.
+    // runBatch runs its items one after another, each on a state of
+    // its own: every machine must see exactly the cycles, counters
+    // and task events of a fresh TimingSim::run.
     Session s = Session::open("twolf", 0.04);
     const MachineConfig cfg;
     const std::vector<BatchCase> cases = {
@@ -487,23 +532,14 @@ TEST(Batch, OfFourEqualsFourBatchesOfOne)
         EXPECT_EQ(batchedEvents[i], aloneEvents[i]) << cases[i].label;
         EXPECT_FALSE(batchedEvents[i].empty()) << cases[i].label;
     }
-
-    std::vector<TaskEvent> simEvents;
-    PreparedRun run = s.prepare(cases[0].spec, cases[0].label);
-    TimingSim sim(cfg, run.trace(), run.source.get(),
-                  run.index.get());
-    sim.traceTasks(&simEvents);
-    EXPECT_EQ(sim.run(cases[0].label), alone[0]);
-    EXPECT_EQ(simEvents, aloneEvents[0]);
 }
 
 TEST(Batch, HeterogeneousTracesFinishIndependently)
 {
     // Machines over different workloads and scales — different trace
-    // lengths, so they leave the live set at different cycles — plus
-    // a baseline machine (no spawn source) riding in the same batch.
-    // Every per-machine result must match its own batch of one, in
-    // add order.
+    // lengths and finish cycles — plus baseline machines (no spawn
+    // source) in one runBatch. Every result must match its own fresh
+    // run, in item order.
     const MachineConfig cfg;
     const auto postdoms =
         driver::SourceSpec::statics(SpawnPolicy::postdoms());
@@ -523,8 +559,6 @@ TEST(Batch, HeterogeneousTracesFinishIndependently)
     const auto [batched, batchedEvents] = runCases(cases, cfg, true);
 
     ASSERT_EQ(batched.size(), cases.size());
-    // Distinct finish cycles, so the live-set compaction actually
-    // triggers mid-run (not only at the very end).
     EXPECT_NE(batched[0].cycles, batched[1].cycles);
     EXPECT_NE(batched[1].cycles, batched[2].cycles);
     for (size_t i = 0; i < cases.size(); ++i) {
@@ -535,16 +569,22 @@ TEST(Batch, HeterogeneousTracesFinishIndependently)
 
 TEST(Batch, RunTwiceThrows)
 {
+    // A TimingSim runs exactly once: a second run() must throw.
+    // runBatch builds a fresh machine per call, so the same baseline
+    // item batched afterwards must match that single run.
     Session s = Session::open("twolf", 0.02);
     PreparedRun run =
         s.prepare(driver::SourceSpec::baseline(), "base");
-    sim::MachineBatch batch{MachineConfig::superscalar()};
-    batch.add(run.trace(), nullptr, nullptr, "base");
-    EXPECT_EQ(batch.size(), 1u);
-    batch.run();
-    EXPECT_THROW(batch.run(), std::runtime_error);
-    EXPECT_THROW(batch.add(run.trace(), nullptr, nullptr, "late"),
-                 std::runtime_error);
+    const MachineConfig cfg = MachineConfig::superscalar();
+    TimingSim sim(cfg, run.trace(), nullptr);
+    const TimingResult once = sim.run(run.label);
+    EXPECT_THROW(sim.run(run.label), std::runtime_error);
+
+    const std::vector<BatchItem> items = {run.item()};
+    const std::vector<TimingResult> batched =
+        TimingSim::runBatch(cfg, items);
+    ASSERT_EQ(batched.size(), 1u);
+    EXPECT_EQ(batched[0], once);
 }
 
 } // namespace
