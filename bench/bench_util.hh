@@ -24,25 +24,12 @@
 
 namespace polyflow::bench {
 
-/**
- * Workload scale for benches; override with PF_BENCH_SCALE. A value
- * that does not parse as a finite positive number is a hard error
- * (atof's silent 0 used to turn every workload into a few
- * instructions).
- */
+/** Workload scale for benches: 1.0, or PF_BENCH_SCALE (malformed
+ *  values exit with status 2). */
 inline double
 benchScale()
 {
-    const char *s = std::getenv("PF_BENCH_SCALE");
-    if (!s)
-        return 1.0;
-    if (auto v = driver::parsePositiveDouble(s))
-        return *v;
-    std::fprintf(stderr,
-                 "PF_BENCH_SCALE: expected a finite positive "
-                 "number, got \"%s\"\n",
-                 s);
-    std::exit(2);
+    return driver::scaleFromEnv(1.0);
 }
 
 /** Standard bench banner with the machine configuration. */

@@ -6,7 +6,6 @@
  * Usage: policy_explorer [workload] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "polyflow.hh"
@@ -18,7 +17,8 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "twolf";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    double scale =
+        argc > 2 ? driver::parseScale("scale", argv[2]) : 0.25;
 
     std::cout << "workload: " << name << " (scale " << scale
               << ")\n";

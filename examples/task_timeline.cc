@@ -20,7 +20,8 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "twolf";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
+    double scale =
+        argc > 2 ? driver::parseScale("scale", argv[2]) : 0.05;
     size_t maxTasks = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 40;
 
     Session s = Session::open(name, scale);

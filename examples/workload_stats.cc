@@ -7,7 +7,6 @@
  * it stands in for.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "polyflow.hh"
@@ -18,7 +17,8 @@ using namespace polyflow;
 int
 main(int argc, char **argv)
 {
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+    double scale =
+        argc > 1 ? driver::parseScale("scale", argv[1]) : 0.25;
 
     Table t({"benchmark", "dynInstrs", "loads%", "stores%",
              "branches%", "calls%", "brMisp%", "ssIPC",

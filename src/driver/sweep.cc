@@ -365,10 +365,6 @@ sourceSpecByName(const std::string &policy)
     return std::nullopt;
 }
 
-namespace {
-
-/** Strict positive int (at most 4096) from @p text, or exit 2 with
- *  an error naming the knob @p what. */
 int
 parseCount(const char *what, const char *text)
 {
@@ -384,6 +380,8 @@ parseCount(const char *what, const char *text)
     }
     return static_cast<int>(v);
 }
+
+namespace {
 
 /** A count knob: `flag N` or `flag=N` in argv, else the environment
  *  variable @p env, else @p fallback. */
@@ -451,6 +449,24 @@ parsePositiveDouble(const char *text)
         return std::nullopt;
     }
     return v;
+}
+
+double
+parseScale(const char *what, const char *text)
+{
+    if (auto v = parsePositiveDouble(text))
+        return *v;
+    std::fprintf(stderr,
+                 "%s: expected a finite positive number, got \"%s\"\n",
+                 what, text);
+    std::exit(2);
+}
+
+double
+scaleFromEnv(double fallback)
+{
+    const char *text = std::getenv("PF_BENCH_SCALE");
+    return text ? parseScale("PF_BENCH_SCALE", text) : fallback;
 }
 
 } // namespace polyflow::driver

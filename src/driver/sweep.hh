@@ -330,6 +330,23 @@ int defaultBatchWidth();
  */
 std::optional<double> parsePositiveDouble(const char *text);
 
+/**
+ * Count knob @p text: a positive integer (at most 4096), else exit
+ * with status 2 and an error naming the knob @p what.
+ */
+int parseCount(const char *what, const char *text);
+
+/**
+ * Scale knob @p text: parsePositiveDouble, else exit with status 2
+ * and an error naming the knob @p what (a silent 0 would turn every
+ * workload into a few instructions).
+ */
+double parseScale(const char *what, const char *text);
+
+/** Workload scale: PF_BENCH_SCALE if set (parseScale), else
+ *  @p fallback. */
+double scaleFromEnv(double fallback);
+
 } // namespace polyflow::driver
 
 #endif // POLYFLOW_DRIVER_SWEEP_HH

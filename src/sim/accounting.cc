@@ -1,18 +1,10 @@
-#include "sim/accounting.hh"
+#include "sim/stages.hh"
 
 namespace polyflow::sim {
 
-void
-accountCycle(MachineState &m)
-{
-    m.res.slots[static_cast<int>(SlotBucket::Committed)] +=
-        std::uint64_t(m.cycleCommits);
-    int empty = m.cfg.pipelineWidth - m.cycleCommits;
-    if (empty > 0)
-        m.res.slots[static_cast<int>(blameBucket(m))] +=
-            std::uint64_t(empty);
-}
+namespace {
 
+/** Map a task's recorded fetch stall to its bucket. */
 SlotBucket
 stallBucket(const Task &t)
 {
@@ -30,6 +22,7 @@ stallBucket(const Task &t)
     return SlotBucket::NoTask;
 }
 
+/** Why the oldest uncommitted instruction did not commit. */
 SlotBucket
 blameBucket(const MachineState &m)
 {
@@ -80,6 +73,19 @@ blameBucket(const MachineState &m)
         break;  // unreachable: i is the oldest *uncommitted* instr
     }
     return SlotBucket::NoTask;
+}
+
+} // namespace
+
+void
+accountCycle(MachineState &m)
+{
+    m.res.slots[static_cast<int>(SlotBucket::Committed)] +=
+        std::uint64_t(m.cycleCommits);
+    int empty = m.cfg.pipelineWidth - m.cycleCommits;
+    if (empty > 0)
+        m.res.slots[static_cast<int>(blameBucket(m))] +=
+            std::uint64_t(empty);
 }
 
 } // namespace polyflow::sim

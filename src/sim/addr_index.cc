@@ -21,11 +21,4 @@ AddrIndex::nextOccurrence(Addr pc, TraceIdx after) const
     return pos == v.end() ? invalidTrace : *pos;
 }
 
-size_t
-AddrIndex::count(Addr pc) const
-{
-    auto it = _occ.find(pc);
-    return it == _occ.end() ? 0 : it->second.size();
-}
-
 } // namespace polyflow

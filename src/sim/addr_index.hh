@@ -28,9 +28,6 @@ class AddrIndex
      */
     TraceIdx nextOccurrence(Addr pc, TraceIdx after) const;
 
-    /** Total dynamic occurrences of @p pc. */
-    size_t count(Addr pc) const;
-
   private:
     std::unordered_map<Addr, std::vector<TraceIdx>> _occ;
 };

@@ -1,4 +1,4 @@
-#include "sim/backend.hh"
+#include "sim/stages.hh"
 
 namespace polyflow::sim {
 
@@ -8,11 +8,11 @@ namespace {
  * Wakeup/select/execute for one scheduler entry: check operand and
  * memory-ordering readiness, then execute on a FU, recording any
  * dependence violations for the recovery stage. @p t is the task
- * owning @p i (nullptr if none). Returns true if the entry issued —
- * the caller frees its scheduler slot and spends one FU.
+ * owning @p i. Returns true if the entry issued — the caller frees
+ * its scheduler slot and spends one FU.
  */
 bool
-tryIssue(MachineState &m, TraceIdx i, Task *t)
+tryIssue(MachineState &m, TraceIdx i, const Task &t)
 {
     InstrState &s = m.istate[i];
     const DynInstr &d = m.trace->instrs[i];
@@ -30,11 +30,7 @@ tryIssue(MachineState &m, TraceIdx i, Task *t)
         TraceIdx p = d.prod[k];
         if (p == invalidTrace || m.doneAt(p, m.now))
             continue;
-        bool same_task = t && p >= t->begin;
-        bool hinted = t && m.cfg.compilerDepHints &&
-            ((t->depMask >> srcs[k]) & 1);
-        if (same_task || hinted ||
-            m.depPred.predictsRegDep(d.img)) {
+        if (m.regSyncNeeded(p, srcs[k], d, t)) {
             ready = false;
         } else {
             staleRegRead = true;
@@ -46,7 +42,7 @@ tryIssue(MachineState &m, TraceIdx i, Task *t)
     if (ready && li.instr.isLoad() &&
         d.memProd != invalidTrace &&
         m.istate[d.memProd].stage != InstrStage::Committed) {
-        if (t && m.loadSyncNeeded(i, d, *t)) {
+        if (m.loadSyncNeeded(i, d, t)) {
             if (!m.doneAt(d.memProd, m.now))
                 ready = false;
         } else if (!m.doneAt(d.memProd, m.now)) {
@@ -74,7 +70,7 @@ tryIssue(MachineState &m, TraceIdx i, Task *t)
         if (m.index) {
             for (TraceIdx l : m.index->consumersOf(i)) {
                 if (m.istate[l].stage == InstrStage::Issued &&
-                    (!t || l >= t->end)) {
+                    l >= t.end) {
                     m.pendingViolations.push_back({l, i});
                 }
             }
@@ -94,13 +90,14 @@ tryIssue(MachineState &m, TraceIdx i, Task *t)
 } // namespace
 
 void
-Backend::releaseDiverted(MachineState &m)
+releaseDiverted(MachineState &m)
 {
     if (m.divert.empty())
         return;
     int budget = m.cfg.pipelineWidth;
     std::vector<DivertEntry> &q = m.divert;
-    _divertKeep.clear();
+    std::vector<DivertEntry> &keep = m.divertKeep;
+    keep.clear();
     size_t j = 0;
     for (; j < q.size() && budget > 0; ++j) {
         DivertEntry e = q[j];
@@ -112,7 +109,7 @@ Backend::releaseDiverted(MachineState &m)
 
         if (m.divertHolds(i, d, t)) {
             e.readyAt = 0;  // wake-up condition not met (yet)
-            _divertKeep.push_back(e);
+            keep.push_back(e);
             continue;
         }
         if (e.readyAt == 0)
@@ -124,17 +121,17 @@ Backend::releaseDiverted(MachineState &m)
             m.sched.push_back(i);
             --budget;
         } else {
-            _divertKeep.push_back(e);
+            keep.push_back(e);
         }
     }
     // Budget exhausted: the unexamined tail stays verbatim, in FIFO
     // order.
-    _divertKeep.insert(_divertKeep.end(), q.begin() + j, q.end());
-    q.swap(_divertKeep);
+    keep.insert(keep.end(), q.begin() + j, q.end());
+    q.swap(keep);
 }
 
 void
-Backend::issue(MachineState &m)
+issue(MachineState &m)
 {
     if (m.sched.empty())
         return;
@@ -152,30 +149,27 @@ Backend::issue(MachineState &m)
     }
 
     int fu = m.cfg.numFUs;
-    _schedKeep.clear();
+    std::vector<TraceIdx> &keep = m.schedKeep;
+    keep.clear();
     // Ascending age keys let the owning task be resolved by walking
     // the (begin-sorted) task table in lockstep instead of a binary
-    // search per entry.
+    // search per entry. The tasks tile [commitIdx, N), so the walk
+    // always stops at the owner.
     size_t cursor = 0;
     size_t j = 0;
     for (; j < q.size() && fu > 0; ++j) {
         TraceIdx i = q[j];
         if (m.istate[i].stage != InstrStage::InSched)
             continue;  // squashed while scheduled: drop
-        while (cursor < m.tasks.size() &&
-               m.tasks[cursor].end <= i)
+        while (m.tasks[cursor].end <= i)
             ++cursor;
-        Task *t = cursor < m.tasks.size() &&
-                m.tasks[cursor].begin <= i
-            ? &m.tasks[cursor]
-            : nullptr;
-        if (tryIssue(m, i, t))
+        if (tryIssue(m, i, m.tasks[cursor]))
             --fu;
         else
-            _schedKeep.push_back(i);
+            keep.push_back(i);
     }
-    _schedKeep.insert(_schedKeep.end(), q.begin() + j, q.end());
-    q.swap(_schedKeep);
+    keep.insert(keep.end(), q.begin() + j, q.end());
+    q.swap(keep);
 }
 
 } // namespace polyflow::sim

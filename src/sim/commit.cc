@@ -1,62 +1,13 @@
-#include "sim/commit.hh"
+#include "sim/stages.hh"
 
 #include <algorithm>
 
 namespace polyflow::sim {
 
-void
-Commit::unblock(MachineState &m)
-{
-    for (Task &t : m.tasks) {
-        if (t.blockedOnBranch == invalidTrace)
-            continue;
-        TraceIdx b = t.blockedOnBranch;
-        const InstrState &s = m.istate[b];
-        bool resolved = s.stage == InstrStage::Committed ||
-            (s.stage == InstrStage::Issued &&
-             s.completeCycle <= m.now);
-        if (resolved) {
-            std::uint64_t resume = std::max(
-                s.fetchCycle + m.cfg.minMispredictPenalty,
-                std::max(s.completeCycle, m.now) + 1);
-            t.fetchReady = std::max(t.fetchReady, resume);
-            t.blockedOnBranch = invalidTrace;
-            t.lastFetchStall = FetchStall::Mispredict;
-            t.curFetchLine = invalidAddr;  // redirected fetch
-        }
-    }
-}
+namespace {
 
 void
-Commit::step(MachineState &m)
-{
-    int n = 0;
-    while (n < m.cfg.pipelineWidth &&
-           m.commitIdx < m.trace->size()) {
-        InstrState &s = m.istate[m.commitIdx];
-        if (s.stage != InstrStage::Issued ||
-            s.completeCycle > m.now) {
-            break;
-        }
-        s.stage = InstrStage::Committed;
-        if (m.source) {
-            m.source->onCommit(m.staticOf(m.commitIdx),
-                               m.trace->instrs[m.commitIdx].taken);
-        }
-        Task &head = m.tasks.front();
-        --head.robHeld;
-        --head.inflight;
-        --m.robUsed;
-        ++m.commitIdx;
-        ++n;
-        if (m.commitIdx == head.end)
-            retireHead(m);
-    }
-    m.cycleCommits = n;
-}
-
-void
-Commit::retireHead(MachineState &m)
+retireHead(MachineState &m)
 {
     ++m.res.tasksRetired;
     const Task &t = m.tasks.front();
@@ -85,6 +36,53 @@ Commit::retireHead(MachineState &m)
         }
     }
     m.tasks.erase(m.tasks.begin());
+}
+
+} // namespace
+
+void
+unblock(MachineState &m)
+{
+    for (Task &t : m.tasks) {
+        TraceIdx b = t.blockedOnBranch;
+        if (b == invalidTrace || !m.doneAt(b, m.now))
+            continue;
+        const InstrState &s = m.istate[b];
+        std::uint64_t resume = std::max(
+            s.fetchCycle + m.cfg.minMispredictPenalty,
+            std::max(s.completeCycle, m.now) + 1);
+        t.fetchReady = std::max(t.fetchReady, resume);
+        t.blockedOnBranch = invalidTrace;
+        t.lastFetchStall = FetchStall::Mispredict;
+        t.curFetchLine = invalidAddr;  // redirected fetch
+    }
+}
+
+void
+commit(MachineState &m)
+{
+    int n = 0;
+    while (n < m.cfg.pipelineWidth &&
+           m.commitIdx < m.trace->size()) {
+        InstrState &s = m.istate[m.commitIdx];
+        if (s.stage != InstrStage::Issued ||
+            s.completeCycle > m.now) {
+            break;
+        }
+        s.stage = InstrStage::Committed;
+        if (m.source) {
+            m.source->onCommit(m.staticOf(m.commitIdx),
+                               m.trace->instrs[m.commitIdx].taken);
+        }
+        Task &head = m.tasks.front();
+        --head.robHeld;
+        --m.robUsed;
+        ++m.commitIdx;
+        ++n;
+        if (m.commitIdx == head.end)
+            retireHead(m);
+    }
+    m.cycleCommits = n;
 }
 
 } // namespace polyflow::sim

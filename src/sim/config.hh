@@ -57,7 +57,6 @@ struct MachineConfig
     int mulLatency = 3;
     int divLatency = 12;
     int loadLatency = 2;         //!< L1-hit load-to-use latency
-    int branchLatency = 1;
     /** @} */
 
     /** @name Task spawn unit @{ */

@@ -1,21 +1,42 @@
 #include "sim/core.hh"
 
+#include <chrono>
 #include <stdexcept>
 
-#include "sim/accounting.hh"
-#include "sim/backend.hh"
-#include "sim/commit.hh"
-#include "sim/frontend.hh"
-#include "sim/machine_state.hh"
-#include "sim/recovery.hh"
-#include "sim/rename.hh"
-#include "sim/stage_timer.hh"
+#include "sim/stages.hh"
 
 namespace polyflow {
 
 namespace {
 
 using sim::MachineState;
+
+/** Accumulates the scope's wall time into *slot when non-null (the
+ *  opt-in stage profile). */
+class ScopedNs
+{
+  public:
+    explicit ScopedNs(std::uint64_t *slot) : _slot(slot)
+    {
+        if (_slot)
+            _t0 = std::chrono::steady_clock::now();
+    }
+    ~ScopedNs()
+    {
+        if (_slot) {
+            *_slot += std::uint64_t(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - _t0)
+                    .count());
+        }
+    }
+    ScopedNs(const ScopedNs &) = delete;
+    ScopedNs &operator=(const ScopedNs &) = delete;
+
+  private:
+    std::uint64_t *_slot;
+    std::chrono::steady_clock::time_point _t0;
+};
 
 /** The deadlock diagnostic: which run hung, and the state of its
  *  pipeline and task table. */
@@ -48,8 +69,8 @@ throwCycleLimit(const MachineState &m)
  * The cycle loop of the timing model: one machine, from its first
  * fetch to its last commit. Per cycle the stage sequence is
  *
- *   unblock -> commit -> [finish?] -> accounting -> divert-release
- *   -> issue -> rename -> fetch(+spawn) -> violations/squash
+ *   unblock -> commit -> [finish?] -> accountCycle -> releaseDiverted
+ *   -> issue -> dispatch -> fetch -> applySpawn -> recover
  *
  * The MachineState lives only for this call, so a caller running
  * many machines holds one state at a time.
@@ -66,12 +87,6 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
     const std::uint64_t cycleLimit =
         std::uint64_t(200) * item.trace->size() + 1'000'000;
 
-    sim::Frontend frontend;
-    sim::Rename rename;
-    sim::Backend backend;
-    sim::Commit commit;
-    sim::Recovery recovery;
-
     auto slot = [profile](std::uint64_t StageProfile::*field) {
         return profile ? &(profile->*field) : nullptr;
     };
@@ -80,9 +95,9 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
 
     for (;;) {
         {
-            sim::ScopedNs t(slot(&StageProfile::commitNs));
-            commit.unblock(m);
-            commit.step(m);
+            ScopedNs t(slot(&StageProfile::commitNs));
+            sim::unblock(m);
+            sim::commit(m);
         }
         // The cycle that commits the last instruction is partial: it
         // does not advance the clock and is not accounted, keeping
@@ -90,29 +105,29 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
         if (m.commitIdx >= m.trace->size())
             break;
         {
-            sim::ScopedNs t(slot(&StageProfile::accountingNs));
+            ScopedNs t(slot(&StageProfile::accountingNs));
             sim::accountCycle(m);
         }
         {
-            sim::ScopedNs t(slot(&StageProfile::divertNs));
-            backend.releaseDiverted(m);
+            ScopedNs t(slot(&StageProfile::divertNs));
+            sim::releaseDiverted(m);
         }
         {
-            sim::ScopedNs t(slot(&StageProfile::issueNs));
-            backend.issue(m);
+            ScopedNs t(slot(&StageProfile::issueNs));
+            sim::issue(m);
         }
         {
-            sim::ScopedNs t(slot(&StageProfile::renameNs));
-            rename.step(m);
+            ScopedNs t(slot(&StageProfile::renameNs));
+            sim::dispatch(m);
         }
         {
-            sim::ScopedNs t(slot(&StageProfile::fetchNs));
-            frontend.fetch(m);
-            frontend.applySpawn(m);
+            ScopedNs t(slot(&StageProfile::fetchNs));
+            sim::fetch(m);
+            sim::applySpawn(m);
         }
         {
-            sim::ScopedNs t(slot(&StageProfile::recoveryNs));
-            recovery.step(m);
+            ScopedNs t(slot(&StageProfile::recoveryNs));
+            sim::recover(m);
         }
         if (++m.now > cycleLimit)
             throwCycleLimit(m);
@@ -146,7 +161,7 @@ TimingSim::run(const std::string &policyName)
     _ran = true;
     return runMachine(_cfg,
                       {_trace, _source, _index, policyName, _events},
-                      _profile);
+                      nullptr);
 }
 
 std::vector<TimingResult>

@@ -16,11 +16,11 @@
  * several, one after another. Both go through the one cycle loop in
  * core.cc. All microarchitectural state lives in sim::MachineState
  * (machine_state.hh), built just before a run and freed after it,
- * and each pipeline stage is its own module (frontend.hh, rename.hh,
- * backend.hh, commit.hh, recovery.hh, accounting.hh). Per cycle:
+ * and each pipeline stage is a plain function over it (stages.hh).
+ * Per cycle:
  *
- *   unblock -> commit -> [accounting] -> divert-release -> issue ->
- *   rename -> fetch(+spawn) -> violations/squash
+ *   unblock -> commit -> [accountCycle] -> releaseDiverted -> issue
+ *   -> dispatch -> fetch -> applySpawn -> recover
  */
 
 #ifndef POLYFLOW_SIM_CORE_HH
@@ -40,9 +40,8 @@
 namespace polyflow {
 
 /**
- * Wall-clock time spent inside each stage module, accumulated only
- * when profiling is enabled (TimingSim::profileStages, or the
- * @p profile argument of TimingSim::runBatch).
+ * Wall-clock time spent inside each pipeline stage, accumulated only
+ * when the @p profile argument of TimingSim::runBatch is non-null.
  *
  * Every machine run adds its stage times and its cycles, so
  * stageNs / cycles is the per-cycle average over all machines
@@ -116,10 +115,6 @@ class TimingSim
      *  before run()). */
     void traceTasks(std::vector<TaskEvent> *sink) { _events = sink; }
 
-    /** Accumulate per-stage wall time into @p sink (optional; call
-     *  before run()). */
-    void profileStages(StageProfile *sink) { _profile = sink; }
-
     /**
      * Run every machine of @p items (same machine config,
      * independent traces) to completion, one after another, and
@@ -139,7 +134,6 @@ class TimingSim
     SpawnSource *_source;
     const TraceIndex *_index;
     std::vector<TaskEvent> *_events = nullptr;
-    StageProfile *_profile = nullptr;
     bool _ran = false;
 };
 

@@ -1,13 +1,18 @@
-#include "sim/frontend.hh"
+#include "sim/stages.hh"
 
 #include <algorithm>
 
 namespace polyflow::sim {
 
+namespace {
+
+/** The Task Spawn Unit's look at fetched instruction @p i of the
+ *  task at position @p pos. */
 void
-Frontend::maybeSpawn(MachineState &m, Task &t, TraceIdx i,
-                     const LinkedInstr &li)
+maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
+           const LinkedInstr &li)
 {
+    Task &t = m.tasks[pos];
     if (!m.source)
         return;
     bool isTail = &t == &m.tasks.back();
@@ -46,7 +51,7 @@ Frontend::maybeSpawn(MachineState &m, Task &t, TraceIdx i,
     // after fetch finishes so task positions stay stable during
     // the fetch loop.
     m.pending.valid = true;
-    m.pending.parentBegin = t.begin;
+    m.pending.parentPos = pos;
     m.pending.start = j;
     m.pending.end = t.end;
     m.pending.hint = *hint;
@@ -57,51 +62,44 @@ Frontend::maybeSpawn(MachineState &m, Task &t, TraceIdx i,
     t.end = j;
 }
 
+} // namespace
+
 void
-Frontend::applySpawn(MachineState &m)
+applySpawn(MachineState &m)
 {
     if (!m.pending.valid)
         return;
     m.pending.valid = false;
-    // Re-find the parent (it cannot have retired mid-cycle: its
-    // fetch was active this cycle, so it still has uncommitted
-    // instructions).
-    for (size_t pos = 0; pos < m.tasks.size(); ++pos) {
-        Task &t = m.tasks[pos];
-        if (t.begin != m.pending.parentBegin ||
-            t.end != m.pending.start) {
-            continue;
-        }
-        Task nt;
-        nt.begin = m.pending.start;
-        nt.end = m.pending.end;
-        nt.fetchIdx = nt.dispIdx = nt.begin;
-        nt.fetchReady = m.now + m.cfg.spawnStartupDelay;
-        nt.lastFetchStall = FetchStall::SpawnStartup;
-        nt.ghr = m.pending.ghr;
-        nt.ras = m.pending.ras;
-        nt.triggerPc = m.pending.triggerPc;
-        nt.triggerImg = m.pending.triggerImg;
-        nt.depMask = m.pending.hint.depMask;
-        if (m.events) {
-            m.events->push_back({TaskEvent::Kind::Spawn, m.now,
-                                 nt.begin, nt.end, nt.triggerPc,
-                                 m.commitIdx, 0});
-        }
-        m.tasks.insert(m.tasks.begin() + pos + 1, std::move(nt));
-        ++m.res.spawns;
-        ++m.res.spawnsByKind[static_cast<int>(m.pending.hint.kind)];
-        ++m.feedback[m.pending.triggerImg].spawns;
-        return;
+    // The parent is still at parentPos: nothing inserts or retires
+    // a task between fetch's spawn decision and this call.
+    Task nt;
+    nt.begin = m.pending.start;
+    nt.end = m.pending.end;
+    nt.fetchIdx = nt.dispIdx = nt.begin;
+    nt.fetchReady = m.now + m.cfg.spawnStartupDelay;
+    nt.lastFetchStall = FetchStall::SpawnStartup;
+    nt.ghr = m.pending.ghr;
+    nt.ras = m.pending.ras;
+    nt.triggerPc = m.pending.triggerPc;
+    nt.triggerImg = m.pending.triggerImg;
+    nt.depMask = m.pending.hint.depMask;
+    if (m.events) {
+        m.events->push_back({TaskEvent::Kind::Spawn, m.now, nt.begin,
+                             nt.end, nt.triggerPc, m.commitIdx, 0});
     }
+    m.tasks.insert(m.tasks.begin() + m.pending.parentPos + 1,
+                   std::move(nt));
+    ++m.res.spawns;
+    ++m.res.spawnsByKind[static_cast<int>(m.pending.hint.kind)];
+    ++m.feedback[m.pending.triggerImg].spawns;
 }
 
 void
-Frontend::fetch(MachineState &m)
+fetch(MachineState &m)
 {
     // Eligible tasks, scheduled by biased ICount: fewest in-flight
     // instructions first, biased toward older tasks.
-    std::vector<size_t> &eligible = _eligible;
+    std::vector<size_t> &eligible = m.eligible;
     eligible.clear();
     for (size_t pos = 0; pos < m.tasks.size(); ++pos) {
         Task &t = m.tasks[pos];
@@ -162,7 +160,6 @@ Frontend::fetch(MachineState &m)
             m.istate[i].stage = InstrStage::Fetched;
             m.istate[i].fetchCycle = m.now;
             ++t.fetchIdx;
-            ++t.inflight;
             --totalBudget;
 
             const Instruction &in = li.instr;
@@ -201,7 +198,7 @@ Frontend::fetch(MachineState &m)
                 }
             }
 
-            maybeSpawn(m, t, i, li);
+            maybeSpawn(m, pos, i, li);
 
             if (mispredict) {
                 t.blockedOnBranch = i;

@@ -1,27 +1,25 @@
 /**
  * @file
  * MachineState: the explicit, documented microarchitectural state of
- * the PolyFlow machine (Figure 7), shared by every pipeline-stage
- * module.
+ * the PolyFlow machine (Figure 7), shared by every pipeline stage.
  *
- * The timing simulator used to be one class whose stages communicated
- * through private fields; the stage modules (frontend.hh, rename.hh,
- * backend.hh, commit.hh, recovery.hh, accounting.hh) now all operate
- * on this one struct instead, so each stage can be driven — and
- * tested — in isolation on a hand-built state (tests/test_stages.cc).
+ * The stages are plain functions over this one struct (stages.hh),
+ * so each stage can be driven — and tested — in isolation on a
+ * hand-built state (tests/test_stages.cc).
  *
  * Ownership rules:
  *  - MachineState owns every piece of per-run mutable state: the
  *    per-instruction pipeline positions, the task table, scheduler
- *    and divert-queue occupancy, predictors, caches, spawn feedback
- *    and the accumulating TimingResult.
+ *    and divert-queue occupancy and the stages' reusable scratch,
+ *    predictors, caches, spawn feedback and the accumulating
+ *    TimingResult.
  *  - The committed trace, the spawn source and the shared TraceIndex
  *    are borrowed read-only (the sweep engine shares them across
  *    concurrent simulations).
  *
  * Methods on MachineState are *queries* used by more than one stage
  * (task lookup, synchronization predicates, resource admission);
- * anything that advances the pipeline lives in a stage module.
+ * anything that advances the pipeline is a stage function.
  */
 
 #ifndef POLYFLOW_SIM_MACHINE_STATE_HH
@@ -88,7 +86,6 @@ struct Task
     std::uint32_t ghr = 0;
     ReturnAddressStack ras;
     Addr curFetchLine = invalidAddr;
-    std::uint64_t inflight = 0;  //!< fetched, not committed
     int robHeld = 0;
     Addr triggerPc = invalidAddr;  //!< spawn PC that created us
     /** Static (image) index of the trigger; valid iff triggerPc is.
@@ -122,7 +119,8 @@ struct DivertEntry
 struct PendingSpawn
 {
     bool valid = false;
-    TraceIdx parentBegin = 0;
+    /** Position of the spawning task in MachineState::tasks. */
+    size_t parentPos = 0;
     TraceIdx start = 0;
     TraceIdx end = 0;
     SpawnHint hint{};
@@ -176,15 +174,21 @@ struct MachineState
     /** @name Pipeline state @{ */
     std::vector<InstrState> istate;  //!< indexed by trace position
     std::vector<Task> tasks;         //!< active tasks, oldest first
+    /** Fetch's eligible task positions, reused across cycles. */
+    std::vector<size_t> eligible;
     /** Scheduler occupancy: age keys (trace indexes), oldest first
      *  up to the entries rename and divert release appended this
      *  cycle; issue repairs the order before it selects
-     *  (backend.hh). */
+     *  (stages.hh). */
     std::vector<TraceIdx> sched;
+    /** Issue's survivor buffer, swapped with sched each cycle. */
+    std::vector<TraceIdx> schedKeep;
     /** Divert-queue occupancy, FIFO. A flat vector: entries only
      *  append at the tail and leave by compaction, never by
      *  front-pop. */
     std::vector<DivertEntry> divert;
+    /** Divert release's survivor buffer, swapped with divert. */
+    std::vector<DivertEntry> divertKeep;
     std::vector<Violation> pendingViolations;
     int robUsed = 0;
     TraceIdx commitIdx = 0;
@@ -217,8 +221,9 @@ struct MachineState
     /** @} */
 
     /** @name Queries shared by several stages
-     * Defined inline below: they run per instruction per cycle in
-     * several stage modules, and must inline into each of them.
+     * All inline (in the class or below it): they run per
+     * instruction per cycle in several stage files, and must inline
+     * into each of them.
      * @{ */
 
     /** Position in tasks of the task owning @p i; throws if none. */
@@ -233,8 +238,23 @@ struct MachineState
     /** Execution latency class of a static instruction. */
     int execLatency(const LinkedInstr &li) const;
 
+    /** True if the consumer @p d, owned by @p t, synchronizes on
+     *  its register producer @p p of source register @p src instead
+     *  of speculating past it: a same-task producer, a compiler
+     *  dep-mask hint, or a predicted dependence. */
+    bool
+    regSyncNeeded(TraceIdx p, RegId src, const DynInstr &d,
+                  const Task &t) const
+    {
+        return p >= t.begin ||
+            (cfg.compilerDepHints && ((t.depMask >> src) & 1)) ||
+            depPred.predictsRegDep(d.img);
+    }
+
     /** True if instruction @p i must (still) wait in the divert
-     *  queue: a synchronized producer has not been renamed yet. */
+     *  queue: a register producer it synchronizes on has not been
+     *  renamed (same task) or issued (older task) yet, or a load's
+     *  synchronized store has not produced its data. */
     bool divertHolds(TraceIdx i, const DynInstr &d,
                      const Task &t) const;
     /** True if load @p i must synchronize on its producing store. */
@@ -333,27 +353,19 @@ MachineState::divertHolds(TraceIdx i, const DynInstr &d,
     int nsrc = li.instr.srcRegs(srcs);
     for (int k = 0; k < nsrc; ++k) {
         TraceIdx p = d.prod[k];
-        if (p == invalidTrace)
+        if (p == invalidTrace || !regSyncNeeded(p, srcs[k], d, t))
             continue;
-        bool same_task = p >= t.begin;
-        if (same_task) {
-            // Same-task values flow through the scheduler normally;
-            // divert only while the producer is not yet renamed
-            // (it may itself sit in the divert queue).
-            if (istate[p].stage < InstrStage::InSched)
-                return true;
-            continue;
-        }
-        bool hinted = cfg.compilerDepHints &&
-            ((t.depMask >> srcs[k]) & 1);
-        if ((hinted || depPred.predictsRegDep(d.img)) &&
-            istate[p].stage < InstrStage::Issued) {
-            // Synchronized consumers re-enter rename once the
-            // producer has issued ("some time after its producer
-            // has been dispatched", paper Section 3.1); the
-            // scheduler's normal wakeup covers the rest.
+        // Same-task values flow through the scheduler normally:
+        // divert only while the producer is not yet renamed (it may
+        // itself sit in the divert queue). Synchronized cross-task
+        // consumers re-enter rename once the producer has issued
+        // ("some time after its producer has been dispatched",
+        // paper Section 3.1); the scheduler's wakeup covers the
+        // rest.
+        InstrStage released =
+            p >= t.begin ? InstrStage::InSched : InstrStage::Issued;
+        if (istate[p].stage < released)
             return true;
-        }
     }
     if (loadSyncNeeded(i, d, t) && !doneAt(d.memProd, now))
         return true;

@@ -1,11 +1,11 @@
-#include "sim/recovery.hh"
+#include "sim/stages.hh"
 
 #include <algorithm>
 
 namespace polyflow::sim {
 
 void
-Recovery::step(MachineState &m)
+recover(MachineState &m)
 {
     if (m.pendingViolations.empty())
         return;
@@ -34,7 +34,7 @@ Recovery::step(MachineState &m)
 }
 
 void
-Recovery::squashFromTask(MachineState &m, size_t taskPos)
+squashFromTask(MachineState &m, size_t taskPos)
 {
     for (size_t pos = taskPos; pos < m.tasks.size(); ++pos) {
         Task &t = m.tasks[pos];
@@ -44,7 +44,6 @@ Recovery::squashFromTask(MachineState &m, size_t taskPos)
         }
         m.robUsed -= t.robHeld;
         t.robHeld = 0;
-        t.inflight = 0;
         t.fetchIdx = t.dispIdx = t.begin;
         if (m.events) {
             m.events->push_back({TaskEvent::Kind::Squash, m.now,

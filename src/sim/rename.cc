@@ -1,9 +1,9 @@
-#include "sim/rename.hh"
+#include "sim/stages.hh"
 
 namespace polyflow::sim {
 
 void
-Rename::step(MachineState &m)
+dispatch(MachineState &m)
 {
     int budget = m.cfg.pipelineWidth;
     for (size_t pos = 0; pos < m.tasks.size() && budget > 0;

@@ -1,0 +1,115 @@
+/**
+ * @file
+ * The pipeline stages of the PolyFlow machine (Figure 7) as plain
+ * functions over sim::MachineState, declared in the order the cycle
+ * loop in core.cc calls them:
+ *
+ *   unblock -> commit -> [accountCycle] -> releaseDiverted -> issue
+ *   -> dispatch -> fetch -> applySpawn -> recover
+ *
+ * A stage reads and writes only the MachineState it is given, so a
+ * test can drive one stage on a hand-built state
+ * (tests/test_stages.cc). Each stage's body lives in its own .cc
+ * file: commit.cc, accounting.cc, backend.cc, rename.cc,
+ * frontend.cc and recovery.cc. Internal to src/sim.
+ */
+
+#ifndef POLYFLOW_SIM_STAGES_HH
+#define POLYFLOW_SIM_STAGES_HH
+
+#include <cstddef>
+
+#include "sim/machine_state.hh"
+
+namespace polyflow::sim {
+
+/**
+ * Release tasks whose blocking branch resolved: fetch resumes after
+ * the mispredict penalty, charged to the Mispredict stall cause.
+ * Runs first each cycle so commit sees fresh state.
+ */
+void unblock(MachineState &m);
+
+/**
+ * Commit up to pipelineWidth instructions of the head task in trace
+ * order; a fully committed task retires its context, feeding spawn
+ * profitability back to its trigger. Leaves the cycle's commit count
+ * in MachineState::cycleCommits for accountCycle().
+ */
+void commit(MachineState &m);
+
+/**
+ * Per-cycle issue-slot accounting: commits fill Committed, and every
+ * empty slot goes to whatever keeps the oldest uncommitted
+ * instruction from committing (head-of-ROB blame). Call once per
+ * counted cycle, right after commit(). The taxonomy and the blame
+ * tree are in docs/OBSERVABILITY.md; the enforced identity is
+ * sum(res.slots) == cycles * issueWidth.
+ */
+void accountCycle(MachineState &m);
+
+/**
+ * Re-dispatch diverted instructions whose wake-up condition holds
+ * (producer renamed/issued) into the scheduler, after the FIFO
+ * re-dispatch latency. Survivors keep their FIFO order.
+ */
+void releaseDiverted(MachineState &m);
+
+/**
+ * Issue ready scheduler entries to the FUs, oldest first.
+ * Unsynchronized cross-task consumers may issue with a stale value;
+ * those, and stores that execute after dependent cross-task loads
+ * already issued, queue dependence violations for recover().
+ *
+ * The scheduler is a plain vector of age keys (trace indexes). Issue
+ * repairs its oldest-first order with an adaptive insertion pass
+ * instead of sorting, drops issued and squashed entries by
+ * single-pass compaction, and resolves each entry's owning task by
+ * walking the task table in lockstep with the ascending keys.
+ */
+void issue(MachineState &m);
+
+/**
+ * Rename up to pipelineWidth instructions, oldest task first. A
+ * consumer the dependence predictors (or the compiler dep mask) mark
+ * as synchronized enters the divert queue holding its ROB entry;
+ * everything else dispatches to the scheduler. Stalls on frontend
+ * depth, ROB admission (robAllowed) and full divert/scheduler
+ * queues.
+ */
+void dispatch(MachineState &m);
+
+/**
+ * One SMT fetch cycle: pick eligible tasks by biased ICount, fetch up
+ * to pipelineWidth instructions across at most fetchTasksPerCycle of
+ * them, and consult the branch predictors (a mispredict blocks that
+ * task's fetch until resolution). The Task Spawn Unit observes every
+ * fetched instruction; a spawn decision truncates the parent at once
+ * and records the new context in MachineState::pending.
+ */
+void fetch(MachineState &m);
+
+/**
+ * Apply the cycle's pending spawn, if any: allocate the new task
+ * context right after its parent. Deferred so task positions stay
+ * stable while fetch() iterates.
+ */
+void applySpawn(MachineState &m);
+
+/**
+ * Handle the cycle's pending violations: train the dependence
+ * predictor of the oldest violating consumer and squash from its
+ * task (everything younger would be squashed anyway).
+ */
+void recover(MachineState &m);
+
+/**
+ * Squash the task at @p taskPos and every younger task: reset their
+ * instructions to un-fetched, free their ROB share, and restart
+ * fetch at the range start after the squash penalty.
+ */
+void squashFromTask(MachineState &m, size_t taskPos);
+
+} // namespace polyflow::sim
+
+#endif // POLYFLOW_SIM_STAGES_HH

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "spawn/spawn_point.hh"
 
@@ -118,6 +119,28 @@ countsObject(const Array &counts, int n, NameFn name)
     return out;
 }
 
+/** The plain TimingResult counters between the spawn-kind counts and
+ *  the slot buckets, in export order: the JSON fields and the CSV
+ *  columns both come from this one list. */
+constexpr std::pair<const char *, std::uint64_t TimingResult::*>
+    kCounters[] = {
+        {"spawnsSkippedNoContext", &TimingResult::spawnsSkippedNoContext},
+        {"spawnsSkippedDistance", &TimingResult::spawnsSkippedDistance},
+        {"spawnsSkippedFeedback", &TimingResult::spawnsSkippedFeedback},
+        {"triggersDisabled", &TimingResult::triggersDisabled},
+        {"tasksRetired", &TimingResult::tasksRetired},
+        {"tasksSquashed", &TimingResult::tasksSquashed},
+        {"violations", &TimingResult::violations},
+        {"instrsDiverted", &TimingResult::instrsDiverted},
+        {"divertQueueFullStalls", &TimingResult::divertQueueFullStalls},
+        {"condBranches", &TimingResult::condBranches},
+        {"branchMispredicts", &TimingResult::branchMispredicts},
+        {"indirectMispredicts", &TimingResult::indirectMispredicts},
+        {"returnMispredicts", &TimingResult::returnMispredicts},
+        {"icacheMisses", &TimingResult::icacheMisses},
+        {"dcacheMisses", &TimingResult::dcacheMisses},
+};
+
 } // namespace
 
 std::string
@@ -139,21 +162,8 @@ runToJson(const RunRecord &r, int indent)
             countsObject(s.spawnsByKind, numSpawnKinds, [](int k) {
                 return spawnKindName(static_cast<SpawnKind>(k));
             }));
-    w.field("spawnsSkippedNoContext", s.spawnsSkippedNoContext);
-    w.field("spawnsSkippedDistance", s.spawnsSkippedDistance);
-    w.field("spawnsSkippedFeedback", s.spawnsSkippedFeedback);
-    w.field("triggersDisabled", s.triggersDisabled);
-    w.field("tasksRetired", s.tasksRetired);
-    w.field("tasksSquashed", s.tasksSquashed);
-    w.field("violations", s.violations);
-    w.field("instrsDiverted", s.instrsDiverted);
-    w.field("divertQueueFullStalls", s.divertQueueFullStalls);
-    w.field("condBranches", s.condBranches);
-    w.field("branchMispredicts", s.branchMispredicts);
-    w.field("indirectMispredicts", s.indirectMispredicts);
-    w.field("returnMispredicts", s.returnMispredicts);
-    w.field("icacheMisses", s.icacheMisses);
-    w.field("dcacheMisses", s.dcacheMisses);
+    for (const auto &[name, member] : kCounters)
+        w.field(name, s.*member);
     w.field("slots",
             countsObject(s.slots, numSlotBuckets, [](int k) {
                 return slotBucketName(static_cast<SlotBucket>(k));
@@ -184,12 +194,10 @@ toCsv(const std::vector<RunRecord> &records)
         out += ",spawns:";
         out += spawnKindName(static_cast<SpawnKind>(k));
     }
-    out += ",spawnsSkippedNoContext,spawnsSkippedDistance,"
-           "spawnsSkippedFeedback,triggersDisabled,tasksRetired,"
-           "tasksSquashed,violations,instrsDiverted,"
-           "divertQueueFullStalls,condBranches,branchMispredicts,"
-           "indirectMispredicts,returnMispredicts,icacheMisses,"
-           "dcacheMisses";
+    for (const auto &[name, member] : kCounters) {
+        out += ',';
+        out += name;
+    }
     for (int k = 0; k < numSlotBuckets; ++k) {
         out += ",slot:";
         out += slotBucketName(static_cast<SlotBucket>(k));
@@ -215,21 +223,8 @@ toCsv(const std::vector<RunRecord> &records)
         add(s.spawns);
         for (int k = 0; k < numSpawnKinds; ++k)
             add(s.spawnsByKind[static_cast<size_t>(k)]);
-        add(s.spawnsSkippedNoContext);
-        add(s.spawnsSkippedDistance);
-        add(s.spawnsSkippedFeedback);
-        add(s.triggersDisabled);
-        add(s.tasksRetired);
-        add(s.tasksSquashed);
-        add(s.violations);
-        add(s.instrsDiverted);
-        add(s.divertQueueFullStalls);
-        add(s.condBranches);
-        add(s.branchMispredicts);
-        add(s.indirectMispredicts);
-        add(s.returnMispredicts);
-        add(s.icacheMisses);
-        add(s.dcacheMisses);
+        for (const auto &[name, member] : kCounters)
+            add(s.*member);
         for (int k = 0; k < numSlotBuckets; ++k)
             add(s.slots[static_cast<size_t>(k)]);
         out += '\n';

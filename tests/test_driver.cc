@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -239,6 +240,29 @@ TEST(SweepEngine, JsonStatsExportIsByteIdenticalAcrossJobCounts)
     }
 }
 
+TEST(SweepEngine, CsvRowsHaveOneValuePerHeaderColumn)
+{
+    // The header and the rows are written by separate loops over
+    // the same fields; a field missing from either side shifts every
+    // column after it.
+    const auto cells = grid();
+    driver::SweepRunner runner(2);
+    const std::string csv = stats::toCsv(
+        toRecords(cells, runner.run(cells, /*report=*/false)));
+    auto columns = [](const std::string &line) {
+        return std::count(line.begin(), line.end(), ',') + 1;
+    };
+    std::vector<std::string> lines;
+    for (size_t at = 0, nl; (nl = csv.find('\n', at)) != csv.npos;
+         at = nl + 1) {
+        lines.push_back(csv.substr(at, nl - at));
+    }
+    ASSERT_EQ(lines.size(), cells.size() + 1);
+    EXPECT_NE(lines[0].find(",dcacheMisses,"), std::string::npos);
+    for (size_t i = 1; i < lines.size(); ++i)
+        EXPECT_EQ(columns(lines[i]), columns(lines[0])) << lines[i];
+}
+
 TEST(SweepEngine, ParsePositiveDoubleRejectsGarbage)
 {
     using driver::parsePositiveDouble;
@@ -254,6 +278,12 @@ TEST(SweepEngine, ParsePositiveDoubleRejectsGarbage)
     EXPECT_FALSE(parsePositiveDouble("1.5x").has_value());
     EXPECT_FALSE(parsePositiveDouble("nan").has_value());
     EXPECT_FALSE(parsePositiveDouble("inf").has_value());
+
+    ASSERT_EQ(unsetenv("PF_BENCH_SCALE"), 0);
+    EXPECT_DOUBLE_EQ(driver::scaleFromEnv(0.25), 0.25);
+    ASSERT_EQ(setenv("PF_BENCH_SCALE", "0.5", 1), 0);
+    EXPECT_DOUBLE_EQ(driver::scaleFromEnv(0.25), 0.5);
+    ASSERT_EQ(unsetenv("PF_BENCH_SCALE"), 0);
 }
 
 TEST(SweepEngine, DefaultJobsHonorsEnvironment)
@@ -433,6 +463,17 @@ TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
         },
         ::testing::ExitedWithCode(2),
         "PF_BENCH_JOBS: expected a positive integer, got \"x\"");
+    EXPECT_EXIT(
+        {
+            ::setenv("PF_BENCH_SCALE", "abc", 1);
+            driver::scaleFromEnv(1.0);
+        },
+        ::testing::ExitedWithCode(2),
+        "PF_BENCH_SCALE: expected a finite positive number, "
+        "got \"abc\"");
+    EXPECT_EXIT(driver::parseCount("--width", "8x"),
+                ::testing::ExitedWithCode(2),
+                "--width: expected a positive integer, got \"8x\"");
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Stage-isolation tests: drive individual pipeline-stage modules on
- * hand-built MachineState instances (the point of the MachineState
- * refactor — no full-run harness required), the sha256 goldens
+ * Stage-isolation tests: drive individual pipeline-stage functions
+ * (sim/stages.hh) on hand-built MachineState instances — no full-run
+ * harness required — the sha256 goldens
  * pinning whole sweep grids' stats exports whatever the job count,
  * claim width and declaration order, and the tests that
  * TimingSim::runBatch equals fresh single runs.
@@ -17,11 +17,7 @@
 
 #include "ir/builder.hh"
 #include "polyflow.hh"
-#include "sim/backend.hh"
-#include "sim/commit.hh"
-#include "sim/frontend.hh"
-#include "sim/recovery.hh"
-#include "sim/rename.hh"
+#include "sim/stages.hh"
 #include "stats/export.hh"
 #include "store/sha256.hh"
 
@@ -120,16 +116,15 @@ TEST(Stages, FrontendSpawnTruncatesParentThenAllocates)
     ASSERT_EQ(m.tasks.size(), 1u);
     const TraceIdx rootEnd = m.tasks[0].end;
 
-    sim::Frontend frontend;
     // Fetch until the first bne is reached (cold I-cache misses and
     // the taken-branch limit spread the first instructions over many
     // cycles): the spawn decision lands the moment the trigger is
     // fetched.
     for (int c = 0; c < 200 && !m.pending.valid; ++c) {
-        frontend.fetch(m);
+        sim::fetch(m);
         if (m.pending.valid)
             break;
-        frontend.applySpawn(m);
+        sim::applySpawn(m);
         ++m.now;
     }
     ASSERT_TRUE(m.pending.valid);
@@ -143,7 +138,7 @@ TEST(Stages, FrontendSpawnTruncatesParentThenAllocates)
 
     // End of cycle: the new context appears right after its parent,
     // owning exactly the truncated-off tail.
-    frontend.applySpawn(m);
+    sim::applySpawn(m);
     EXPECT_FALSE(m.pending.valid);
     ASSERT_EQ(m.tasks.size(), 2u);
     EXPECT_EQ(m.tasks[1].begin, m.tasks[0].end);
@@ -176,8 +171,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
     m.tasks[1].fetchIdx = 5;
     m.now = std::uint64_t(cfg.frontendDepth);
 
-    sim::Rename rename;
-    rename.step(m);
+    sim::dispatch(m);
     // Backpressure: still in the fetch queue, nothing allocated,
     // and the stall is counted.
     EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Fetched);
@@ -188,7 +182,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
 
     // With divert capacity the same instruction diverts instead.
     m.cfg.divertEntries = 8;
-    rename.step(m);
+    sim::dispatch(m);
     EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
     ASSERT_EQ(m.divert.size(), 1u);
     EXPECT_EQ(m.divert.front().idx, TraceIdx(4));
@@ -217,19 +211,16 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     m.commitIdx = 2;
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 3;
     m.tasks[0].robHeld = 1;
-    m.tasks[0].inflight = 1;
     m.istate[3].stage = sim::InstrStage::Issued;
     m.istate[4].stage = sim::InstrStage::InSched;
     m.sched = {4};
     m.tasks[1].fetchIdx = m.tasks[1].dispIdx = 5;
     m.tasks[1].robHeld = 2;
-    m.tasks[1].inflight = 2;
     m.robUsed = 3;
     m.now = 17;
 
     m.pendingViolations.push_back({3, invalidTrace});
-    sim::Recovery recovery;
-    recovery.step(m);
+    sim::recover(m);
 
     // Only the violating task (and younger) squash; the head task's
     // in-flight state is untouched and commit can continue.
@@ -241,7 +232,6 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     EXPECT_EQ(m.istate[4].stage, sim::InstrStage::None);
     EXPECT_EQ(m.tasks[1].fetchIdx, m.tasks[1].begin);
     EXPECT_EQ(m.tasks[1].robHeld, 0);
-    EXPECT_EQ(m.tasks[1].inflight, 0u);
     EXPECT_EQ(m.robUsed, 1);  // task 0's entry survives
     EXPECT_TRUE(m.sched.empty());
     EXPECT_EQ(m.tasks[1].fetchReady,
@@ -249,6 +239,68 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     EXPECT_EQ(m.tasks[1].lastFetchStall, sim::FetchStall::Squash);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, TaskEvent::Kind::Squash);
+}
+
+TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
+{
+    Built b = countdownLoop(3);
+    const Trace &tr = b.fr->trace;
+    // The addi at index 4 reads t0 from the addi at index 2, which
+    // the split leaves in the older task.
+    ASSERT_EQ(tr.instrs[4].prod[0], TraceIdx(2));
+
+    MachineConfig cfg;
+    sim::MachineState m(cfg, tr, nullptr);
+    splitTasksAt(m, 4);
+
+    // Task 0: [0,2) committed, its producer (2) and the branch (3)
+    // wait in the scheduler. Task 1: the consumer (4) is fetched.
+    m.istate[0].stage = sim::InstrStage::Committed;
+    m.istate[1].stage = sim::InstrStage::Committed;
+    m.istate[2].stage = sim::InstrStage::InSched;
+    m.istate[3].stage = sim::InstrStage::InSched;
+    m.commitIdx = 2;
+    m.sched = {2, 3};
+    m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 4;
+    m.tasks[0].robHeld = 2;
+    m.robUsed = 2;
+    m.istate[4].stage = sim::InstrStage::Fetched;
+    m.tasks[1].fetchIdx = 5;
+    m.now = std::uint64_t(cfg.frontendDepth);
+
+    // The predictor marks the consumer, so the shared rule
+    // synchronizes it on its cross-task producer.
+    m.depPred.recordRegViolation(tr.instrs[4].img);
+    RegId srcs[2];
+    ASSERT_EQ(tr.staticOf(4).instr.srcRegs(srcs), 1);
+    EXPECT_TRUE(m.regSyncNeeded(2, srcs[0], tr.instrs[4], m.tasks[1]));
+
+    sim::dispatch(m);
+    EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
+    ASSERT_EQ(m.divert.size(), 1u);
+
+    // While the producer has not issued, release keeps it diverted.
+    for (int c = 0; c < 5; ++c, ++m.now) {
+        sim::releaseDiverted(m);
+        EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
+    }
+
+    // The producer issues; from then on the consumer may re-enter
+    // the scheduler, and it issues only on a completed producer.
+    sim::issue(m);
+    ASSERT_EQ(m.istate[2].stage, sim::InstrStage::Issued);
+    EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
+    ++m.now;
+    for (int c = 0;
+         c < 20 && m.istate[4].stage != sim::InstrStage::Issued;
+         ++c, ++m.now) {
+        sim::releaseDiverted(m);
+        sim::issue(m);
+    }
+    EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Issued);
+    EXPECT_TRUE(m.divert.empty());
+    EXPECT_TRUE(m.pendingViolations.empty());
+    EXPECT_EQ(m.res.instrsDiverted, 1u);
 }
 
 TEST(Stages, Sha256MatchesKnownVector)

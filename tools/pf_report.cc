@@ -64,10 +64,7 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    if (const char *s = std::getenv("PF_BENCH_SCALE")) {
-        if (auto v = driver::parsePositiveDouble(s))
-            opt.scale = *v;
-    }
+    opt.scale = driver::scaleFromEnv(opt.scale);
     auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage("missing value");
@@ -80,18 +77,11 @@ parseArgs(int argc, char **argv)
         } else if (!std::strcmp(a, "--policy")) {
             opt.policies.push_back(value(i));
         } else if (!std::strcmp(a, "--scale")) {
-            auto v = driver::parsePositiveDouble(value(i));
-            if (!v)
-                usage("--scale: expected a positive number");
-            opt.scale = *v;
+            opt.scale = driver::parseScale("--scale", value(i));
         } else if (!std::strcmp(a, "--jobs")) {
-            opt.jobs = std::atoi(value(i));
-            if (opt.jobs < 1)
-                usage("--jobs: expected a positive integer");
+            opt.jobs = driver::parseCount("--jobs", value(i));
         } else if (!std::strcmp(a, "--width")) {
-            opt.width = std::atoi(value(i));
-            if (opt.width < 1)
-                usage("--width: expected a positive integer");
+            opt.width = driver::parseCount("--width", value(i));
         } else if (!std::strcmp(a, "--json")) {
             opt.jsonPath = value(i);
         } else if (!std::strcmp(a, "--csv")) {
