@@ -8,12 +8,15 @@ namespace {
  * Wakeup/select/execute for one scheduler entry: check operand and
  * memory-ordering readiness, then execute on a FU, recording any
  * dependence violations for the recovery stage. @p t is the task
- * owning @p i. Returns true if the entry issued — the caller frees
- * its scheduler slot and spends one FU.
+ * owning the entry. Returns true if the entry issued — the caller
+ * frees its scheduler slot and spends one FU. Otherwise the entry's
+ * waitOn names the first synchronized producer whose result it
+ * lacks.
  */
 bool
-tryIssue(MachineState &m, TraceIdx i, const Task &t)
+tryIssue(MachineState &m, SchedEntry &e, const Task &t)
 {
+    const TraceIdx i = e.idx;
     InstrState &s = m.istate[i];
     const DynInstr &d = m.trace->instrs[i];
     const LinkedInstr &li = m.staticOf(i);
@@ -22,7 +25,7 @@ tryIssue(MachineState &m, TraceIdx i, const Task &t)
     // complete; an unsynchronized (unpredicted) cross-task
     // producer lets the consumer issue with a stale value,
     // which is a dependence violation.
-    bool ready = true;
+    e.waitOn = invalidTrace;
     bool staleRegRead = false;
     RegId srcs[2];
     int nsrc = li.instr.srcRegs(srcs);
@@ -31,7 +34,8 @@ tryIssue(MachineState &m, TraceIdx i, const Task &t)
         if (p == invalidTrace || m.doneAt(p, m.now))
             continue;
         if (m.regSyncNeeded(p, srcs[k], d, t)) {
-            ready = false;
+            if (e.waitOn == invalidTrace)
+                e.waitOn = p;
         } else {
             staleRegRead = true;
         }
@@ -39,12 +43,12 @@ tryIssue(MachineState &m, TraceIdx i, const Task &t)
 
     // Memory ordering for loads.
     bool speculativeLoad = false;
-    if (ready && li.instr.isLoad() &&
+    if (e.waitOn == invalidTrace && li.instr.isLoad() &&
         d.memProd != invalidTrace &&
         m.istate[d.memProd].stage != InstrStage::Committed) {
         if (m.loadSyncNeeded(i, d, t)) {
             if (!m.doneAt(d.memProd, m.now))
-                ready = false;
+                e.waitOn = d.memProd;
         } else if (!m.doneAt(d.memProd, m.now)) {
             // Unsynchronized cross-task load issuing before the
             // conflicting store has produced its data.
@@ -52,7 +56,7 @@ tryIssue(MachineState &m, TraceIdx i, const Task &t)
         }
     }
 
-    if (!ready)
+    if (e.waitOn != invalidTrace)
         return false;
     if (staleRegRead)
         m.pendingViolations.push_back({i, invalidTrace});
@@ -61,10 +65,11 @@ tryIssue(MachineState &m, TraceIdx i, const Task &t)
     s.stage = InstrStage::Issued;
     if (li.instr.isLoad()) {
         int lat = m.hier.accessData(d.effAddr);
-        s.completeCycle = m.now + m.cfg.loadLatency + (lat - 1);
+        s.completeCycle = static_cast<std::uint32_t>(
+            m.now + m.cfg.loadLatency + (lat - 1));
     } else if (li.instr.isStore()) {
         m.hier.accessData(d.effAddr);
-        s.completeCycle = m.now + 1;
+        s.completeCycle = static_cast<std::uint32_t>(m.now + 1);
         // A store executing after dependent cross-task loads
         // have already issued is a dependence violation.
         if (m.index) {
@@ -76,7 +81,8 @@ tryIssue(MachineState &m, TraceIdx i, const Task &t)
             }
         }
     } else {
-        s.completeCycle = m.now + m.execLatency(li);
+        s.completeCycle =
+            static_cast<std::uint32_t>(m.now + m.execLatency(li));
     }
     if (speculativeLoad &&
         m.istate[d.memProd].stage == InstrStage::Issued &&
@@ -104,21 +110,34 @@ releaseDiverted(MachineState &m)
         TraceIdx i = e.idx;
         if (m.istate[i].stage != InstrStage::Diverted)
             continue;  // squashed while diverted: drop
-        Task &t = m.tasks[m.taskPosOf(i)];
-        const DynInstr &d = m.trace->instrs[i];
-
-        if (m.divertHolds(i, d, t)) {
-            e.readyAt = 0;  // wake-up condition not met (yet)
+        // Wakeup: while the producer that last held the entry has
+        // not advanced, the full rule would hold it too, so skip
+        // the rule. This is exact because a sync decision never
+        // reverts: DepPredictors only ever sets bits, Task::begin
+        // and Task::depMask are fixed for a task's life, and a
+        // producer's stage only moves forward. The one exception, a
+        // squash, also squashes this consumer, and recover() purges
+        // the entry.
+        if (m.holds(e.heldBy)) {
             keep.push_back(e);
             continue;
         }
-        if (e.readyAt == 0)
+        const Task &t = m.tasks[m.taskPosOf(i)];
+        if (Blocker b = m.divertBlocker(i, m.trace->instrs[i], t)) {
+            e.heldBy = b;  // a newer producer holds it
+            keep.push_back(e);
+            continue;
+        }
+        if (e.heldBy) {
+            // Let go this cycle: the re-dispatch latency starts.
+            e.heldBy = {};
             e.readyAt = m.now + m.cfg.divertReleaseDelay;
+        }
         if (m.now >= e.readyAt &&
             static_cast<int>(m.sched.size()) <
                 m.cfg.schedEntries) {
             m.istate[i].stage = InstrStage::InSched;
-            m.sched.push_back(i);
+            m.sched.push_back({i});
             --budget;
         } else {
             keep.push_back(e);
@@ -139,17 +158,17 @@ issue(MachineState &m)
     // already sorted, and rename/divert-release appended short
     // ascending runs behind them, so an adaptive insertion pass
     // restores full order in ~n comparisons — no per-cycle sort.
-    std::vector<TraceIdx> &q = m.sched;
+    std::vector<SchedEntry> &q = m.sched;
     for (size_t j = 1; j < q.size(); ++j) {
-        TraceIdx v = q[j];
+        SchedEntry v = q[j];
         size_t k = j;
-        for (; k > 0 && q[k - 1] > v; --k)
+        for (; k > 0 && q[k - 1].idx > v.idx; --k)
             q[k] = q[k - 1];
         q[k] = v;
     }
 
     int fu = m.cfg.numFUs;
-    std::vector<TraceIdx> &keep = m.schedKeep;
+    std::vector<SchedEntry> &keep = m.schedKeep;
     keep.clear();
     // Ascending age keys let the owning task be resolved by walking
     // the (begin-sorted) task table in lockstep instead of a binary
@@ -158,15 +177,22 @@ issue(MachineState &m)
     size_t cursor = 0;
     size_t j = 0;
     for (; j < q.size() && fu > 0; ++j) {
-        TraceIdx i = q[j];
-        if (m.istate[i].stage != InstrStage::InSched)
+        SchedEntry e = q[j];
+        if (m.istate[e.idx].stage != InstrStage::InSched)
             continue;  // squashed while scheduled: drop
-        while (m.tasks[cursor].end <= i)
+        // Wakeup: the entry cannot issue before the producer it last
+        // waited on has its result, for the reasons given at the
+        // skip in releaseDiverted(); skip the rule until then.
+        if (e.waitOn != invalidTrace && !m.doneAt(e.waitOn, m.now)) {
+            keep.push_back(e);
+            continue;
+        }
+        while (m.tasks[cursor].end <= e.idx)
             ++cursor;
-        if (tryIssue(m, i, m.tasks[cursor]))
+        if (tryIssue(m, e, m.tasks[cursor]))
             --fu;
         else
-            keep.push_back(i);
+            keep.push_back(e);
     }
     keep.insert(keep.end(), q.begin() + j, q.end());
     q.swap(keep);

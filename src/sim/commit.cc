@@ -49,8 +49,8 @@ unblock(MachineState &m)
             continue;
         const InstrState &s = m.istate[b];
         std::uint64_t resume = std::max(
-            s.fetchCycle + m.cfg.minMispredictPenalty,
-            std::max(s.completeCycle, m.now) + 1);
+            std::uint64_t(s.fetchCycle) + m.cfg.minMispredictPenalty,
+            std::max(std::uint64_t(s.completeCycle), m.now) + 1);
         t.fetchReady = std::max(t.fetchReady, resume);
         t.blockedOnBranch = invalidTrace;
         t.lastFetchStall = FetchStall::Mispredict;

@@ -1,6 +1,8 @@
 #include "sim/config.hh"
 
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 namespace polyflow {
 
@@ -20,6 +22,46 @@ MachineConfig::describe() const
        << ", L2 " << l2.sizeBytes / 1024 << "KB/" << l2.assoc
        << "way/" << l2.lineBytes << "B";
     return os.str();
+}
+
+void
+MachineConfig::validate() const
+{
+    auto reject = [](const std::string &why) {
+        throw std::invalid_argument("MachineConfig: " + why);
+    };
+    const std::pair<const char *, int> counts[] = {
+        {"pipelineWidth", pipelineWidth},
+        {"numTasks", numTasks},
+        {"schedEntries", schedEntries},
+        {"divertEntries", divertEntries},
+        {"numFUs", numFUs},
+        {"fetchQueueEntries", fetchQueueEntries},
+    };
+    for (const auto &[name, value] : counts) {
+        if (value <= 0) {
+            reject(std::string(name) + " must be positive, got " +
+                   std::to_string(value));
+        }
+    }
+    const std::pair<const char *, const CacheConfig *> caches[] = {
+        {"l1i", &l1i}, {"l1d", &l1d}, {"l2", &l2}};
+    for (const auto &[name, c] : caches) {
+        if (c->sizeBytes <= 0 || c->assoc <= 0 || c->lineBytes <= 0) {
+            reject(std::string(name) +
+                   ": sizeBytes, assoc and lineBytes must be "
+                   "positive");
+        }
+        const long long sets =
+            c->sizeBytes / (static_cast<long long>(c->lineBytes) *
+                            c->assoc);
+        if (sets <= 0 || (sets & (sets - 1)) != 0) {
+            reject(std::string(name) + " has " +
+                   std::to_string(sets) +
+                   " sets (sizeBytes / (lineBytes * assoc)); the set "
+                   "count must be a power of two");
+        }
+    }
 }
 
 } // namespace polyflow

@@ -131,6 +131,15 @@ struct MachineConfig
     bool operator==(const MachineConfig &) const = default;
 
     std::string describe() const;
+
+    /**
+     * Reject a config no machine can run: a non-positive
+     * pipelineWidth, numTasks, schedEntries, divertEntries, numFUs
+     * or fetchQueueEntries, or a cache (l1i, l1d, l2) whose geometry
+     * is not positive or whose set count is not a power of two.
+     * @throws std::invalid_argument naming the bad field
+     */
+    void validate() const;
 };
 
 } // namespace polyflow

@@ -84,8 +84,6 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
     m.res.policyName = item.label;
     m.res.instrs = item.trace->size();
     m.res.issueWidth = std::uint64_t(cfg.pipelineWidth);
-    const std::uint64_t cycleLimit =
-        std::uint64_t(200) * item.trace->size() + 1'000'000;
 
     auto slot = [profile](std::uint64_t StageProfile::*field) {
         return profile ? &(profile->*field) : nullptr;
@@ -129,7 +127,7 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
             ScopedNs t(slot(&StageProfile::recoveryNs));
             sim::recover(m);
         }
-        if (++m.now > cycleLimit)
+        if (++m.now > m.cycleLimit)
             throwCycleLimit(m);
         if (profile)
             ++profile->cycles;

@@ -108,7 +108,13 @@ class TimingSim
               SpawnSource *source,
               const TraceIndex *sharedIndex = nullptr);
 
-    /** Simulate to completion and return the statistics. */
+    /**
+     * Simulate to completion and return the statistics.
+     * @throws std::invalid_argument if MachineConfig::validate()
+     *         rejects the config
+     * @throws std::runtime_error on a second call, on a trace too
+     *         long for 32-bit cycles, or at the cycle limit
+     */
     TimingResult run(const std::string &policyName);
 
     /** Record task lifecycle events into @p sink (optional; call

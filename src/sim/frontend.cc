@@ -158,7 +158,8 @@ fetch(MachineState &m)
             }
 
             m.istate[i].stage = InstrStage::Fetched;
-            m.istate[i].fetchCycle = m.now;
+            m.istate[i].fetchCycle =
+                static_cast<std::uint32_t>(m.now);
             ++t.fetchIdx;
             --totalBudget;
 

@@ -52,13 +52,16 @@ enum class InstrStage : std::uint8_t {
     Committed = 5,
 };
 
-/** Per-instruction pipeline bookkeeping, indexed by trace position. */
+/** Per-instruction pipeline bookkeeping, indexed by trace position.
+ *  Cycles are 32-bit: the MachineState constructor rejects a trace
+ *  whose cycle limit (plus the longest latency) does not fit. */
 struct InstrState
 {
     InstrStage stage = InstrStage::None;
-    std::uint64_t fetchCycle = 0;
-    std::uint64_t completeCycle = 0;
+    std::uint32_t fetchCycle = 0;
+    std::uint32_t completeCycle = 0;
 };
+static_assert(sizeof(InstrState) == 12);
 
 /** Why a task's fetch last stalled; refines the cycle-accounting
  *  blame while the stall (and the frontend refill behind it)
@@ -105,13 +108,46 @@ struct Violation
     TraceIdx store;
 };
 
+/** What a held queue entry waits for its blocking producer to do. */
+enum class Await : std::uint8_t {
+    Nothing,  //!< not held
+    Rename,   //!< leave the fetch and divert queues (reach InSched)
+    Issue,    //!< issue
+    Result,   //!< have its result ready (doneAt)
+};
+
+/** The producer that held a queue entry, and what the entry waits
+ *  for it to do. False when nothing holds the entry. */
+struct Blocker
+{
+    TraceIdx producer = invalidTrace;
+    Await until = Await::Nothing;
+
+    explicit operator bool() const { return until != Await::Nothing; }
+    bool operator==(const Blocker &) const = default;
+};
+
 /** One divert-queue entry. */
 struct DivertEntry
 {
     TraceIdx idx;
-    /** Cycle the entry may re-enter rename once its wake-up
-     *  condition holds (0 = condition not yet observed). */
+    /** The producer that held the entry when the divert rule
+     *  (MachineState::divertBlocker) last ran on it; cleared once
+     *  the rule lets it go. */
+    Blocker heldBy{};
+    /** Cycle the entry may re-enter rename; set when the rule first
+     *  lets it go, meaningful only while heldBy is clear. */
     std::uint64_t readyAt = 0;
+};
+
+/** One scheduler entry. */
+struct SchedEntry
+{
+    TraceIdx idx;  //!< age key
+    /** The synchronized register producer or store whose result
+     *  kept the entry from issuing when issue last ran the full
+     *  readiness rule; invalidTrace if none. */
+    TraceIdx waitOn = invalidTrace;
 };
 
 /** A spawn decided mid-fetch, applied at end of cycle so task
@@ -155,16 +191,31 @@ struct MachineState
      * @param sharedIndex precomputed indexes over @p trace, shared
      *               read-only across simulations; nullptr builds
      *               private ones when spawning is enabled
-     * @throws std::runtime_error on an empty trace
+     * @throws std::invalid_argument on a bad @p config
+     *         (MachineConfig::validate)
+     * @throws std::runtime_error on an empty trace, or one too long
+     *         for 32-bit cycles (cycleLimitFor)
      */
     MachineState(const MachineConfig &config, const Trace &trace,
                  SpawnSource *source,
                  const TraceIndex *sharedIndex = nullptr);
 
+    /**
+     * The cycle at which a run over @p instrs instructions counts as
+     * hung: 200 per instruction plus one million.
+     * @throws std::runtime_error naming the trace size if that
+     *         cycle, plus the longest latency @p cfg can add to it,
+     *         does not fit InstrState's 32-bit cycles
+     */
+    static std::uint64_t cycleLimitFor(const MachineConfig &cfg,
+                                       std::size_t instrs);
+
     /** @name Configuration and borrowed inputs @{ */
     MachineConfig cfg;
     const Trace *trace;
     SpawnSource *source;
+    /** cycleLimitFor(cfg, trace size): past it the run has hung. */
+    std::uint64_t cycleLimit;
     /** Per-trace indexes (spawn targets, store->consumer loads);
      *  either shared by the caller or privately owned. */
     const TraceIndex *index = nullptr;
@@ -176,16 +227,16 @@ struct MachineState
     std::vector<Task> tasks;         //!< active tasks, oldest first
     /** Fetch's eligible task positions, reused across cycles. */
     std::vector<size_t> eligible;
-    /** Scheduler occupancy: age keys (trace indexes), oldest first
-     *  up to the entries rename and divert release appended this
-     *  cycle; issue repairs the order before it selects
-     *  (stages.hh). */
-    std::vector<TraceIdx> sched;
+    /** Scheduler occupancy, oldest age key first up to the entries
+     *  rename and divert release appended this cycle; issue repairs
+     *  the order before it selects (stages.hh). Each entry carries
+     *  the producer it last waited on. */
+    std::vector<SchedEntry> sched;
     /** Issue's survivor buffer, swapped with sched each cycle. */
-    std::vector<TraceIdx> schedKeep;
+    std::vector<SchedEntry> schedKeep;
     /** Divert-queue occupancy, FIFO. A flat vector: entries only
      *  append at the tail and leave by compaction, never by
-     *  front-pop. */
+     *  front-pop. Each entry carries the producer holding it. */
     std::vector<DivertEntry> divert;
     /** Divert release's survivor buffer, swapped with divert. */
     std::vector<DivertEntry> divertKeep;
@@ -251,12 +302,25 @@ struct MachineState
             depPred.predictsRegDep(d.img);
     }
 
+    /** The first producer that keeps instruction @p i in the
+     *  divert queue: a register producer it synchronizes on that
+     *  has not been renamed (same task) or issued (older task) yet,
+     *  or a load's synchronized store that has not produced its
+     *  data. False if nothing holds @p i. */
+    Blocker divertBlocker(TraceIdx i, const DynInstr &d,
+                          const Task &t) const;
     /** True if instruction @p i must (still) wait in the divert
-     *  queue: a register producer it synchronizes on has not been
-     *  renamed (same task) or issued (older task) yet, or a load's
-     *  synchronized store has not produced its data. */
-    bool divertHolds(TraceIdx i, const DynInstr &d,
-                     const Task &t) const;
+     *  queue (divertBlocker holds it). */
+    bool
+    divertHolds(TraceIdx i, const DynInstr &d, const Task &t) const
+    {
+        return bool(divertBlocker(i, d, t));
+    }
+    /** True while @p b's producer has not yet done what the entry
+     *  waits for. A producer's stage only moves forward, so once
+     *  this is false it stays false. The one exception is a squash,
+     *  which squashes every younger instruction with the producer. */
+    bool holds(const Blocker &b) const;
     /** True if load @p i must synchronize on its producing store. */
     bool loadSyncNeeded(TraceIdx i, const DynInstr &d,
                         const Task &t) const;
@@ -336,8 +400,24 @@ MachineState::loadSyncNeeded(TraceIdx i, const DynInstr &d,
 }
 
 inline bool
-MachineState::divertHolds(TraceIdx i, const DynInstr &d,
-                          const Task &t) const
+MachineState::holds(const Blocker &b) const
+{
+    switch (b.until) {
+      case Await::Nothing:
+        return false;
+      case Await::Rename:
+        return istate[b.producer].stage < InstrStage::InSched;
+      case Await::Issue:
+        return istate[b.producer].stage < InstrStage::Issued;
+      case Await::Result:
+        return !doneAt(b.producer, now);
+    }
+    return false;
+}
+
+inline Blocker
+MachineState::divertBlocker(TraceIdx i, const DynInstr &d,
+                            const Task &t) const
 {
     // An instruction synchronizes (stays diverted) while a producer
     // it is predicted to depend on has not been renamed yet.
@@ -362,14 +442,16 @@ MachineState::divertHolds(TraceIdx i, const DynInstr &d,
         // ("some time after its producer has been dispatched",
         // paper Section 3.1); the scheduler's wakeup covers the
         // rest.
-        InstrStage released =
-            p >= t.begin ? InstrStage::InSched : InstrStage::Issued;
-        if (istate[p].stage < released)
-            return true;
+        Blocker b{p, p >= t.begin ? Await::Rename : Await::Issue};
+        if (holds(b))
+            return b;
     }
-    if (loadSyncNeeded(i, d, t) && !doneAt(d.memProd, now))
-        return true;
-    return false;
+    if (loadSyncNeeded(i, d, t)) {
+        Blocker b{d.memProd, Await::Result};
+        if (holds(b))
+            return b;
+    }
+    return {};
 }
 
 } // namespace polyflow::sim

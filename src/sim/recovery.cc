@@ -69,8 +69,8 @@ squashFromTask(MachineState &m, size_t taskPos)
     // Purge squashed entries from the structures lazily; the stage
     // check in each phase discards them. Clean the scheduler now so
     // capacity frees immediately.
-    std::erase_if(m.sched, [&](TraceIdx i) {
-        return m.istate[i].stage != InstrStage::InSched;
+    std::erase_if(m.sched, [&](const SchedEntry &e) {
+        return m.istate[e.idx].stage != InstrStage::InSched;
     });
     std::erase_if(m.divert, [&](const DivertEntry &e) {
         return m.istate[e.idx].stage != InstrStage::Diverted;

@@ -12,11 +12,12 @@ dispatch(MachineState &m)
         while (budget > 0 && t.dispIdx < t.fetchIdx) {
             TraceIdx i = t.dispIdx;
             InstrState &s = m.istate[i];
-            if (s.fetchCycle + m.cfg.frontendDepth > m.now)
+            if (std::uint64_t(s.fetchCycle) + m.cfg.frontendDepth >
+                m.now)
                 break;
             const DynInstr &d = m.trace->instrs[i];
 
-            if (m.divertHolds(i, d, t)) {
+            if (Blocker b = m.divertBlocker(i, d, t)) {
                 if (static_cast<int>(m.divert.size()) >=
                         m.cfg.divertEntries ||
                     !m.robAllowed(pos)) {
@@ -27,7 +28,7 @@ dispatch(MachineState &m)
                     break;
                 }
                 s.stage = InstrStage::Diverted;
-                m.divert.push_back({i, 0});
+                m.divert.push_back({i, b});
                 ++m.robUsed;
                 ++t.robHeld;
                 ++t.dispIdx;
@@ -41,7 +42,7 @@ dispatch(MachineState &m)
                     break;
                 }
                 s.stage = InstrStage::InSched;
-                m.sched.push_back(i);
+                m.sched.push_back({i});
                 ++m.robUsed;
                 ++t.robHeld;
                 ++t.dispIdx;

@@ -52,6 +52,13 @@ void accountCycle(MachineState &m);
  * Re-dispatch diverted instructions whose wake-up condition holds
  * (producer renamed/issued) into the scheduler, after the FIFO
  * re-dispatch latency. Survivors keep their FIFO order.
+ *
+ * Wakeup is event-driven, like the hardware's producer broadcast:
+ * each entry remembers the producer that last held it
+ * (DivertEntry::heldBy), and while that producer has not advanced,
+ * one check of it stands in for the full rule
+ * (MachineState::divertBlocker). The rule runs again once the
+ * producer has moved, and may record a newer blocker.
  */
 void releaseDiverted(MachineState &m);
 
@@ -61,11 +68,14 @@ void releaseDiverted(MachineState &m);
  * those, and stores that execute after dependent cross-task loads
  * already issued, queue dependence violations for recover().
  *
- * The scheduler is a plain vector of age keys (trace indexes). Issue
- * repairs its oldest-first order with an adaptive insertion pass
- * instead of sorting, drops issued and squashed entries by
- * single-pass compaction, and resolves each entry's owning task by
- * walking the task table in lockstep with the ascending keys.
+ * The scheduler is a plain vector of entries keyed by age (trace
+ * index). Issue repairs its oldest-first order with an adaptive
+ * insertion pass instead of sorting, drops issued and squashed
+ * entries by single-pass compaction, and resolves each entry's
+ * owning task by walking the task table in lockstep with the
+ * ascending keys. An entry that was not ready remembers the first
+ * synchronized producer it lacked (SchedEntry::waitOn) and skips
+ * the readiness rule until that producer's result is ready.
  */
 void issue(MachineState &m);
 

@@ -375,14 +375,14 @@ TEST(SweepEngine, CostOrderRunsExpensiveCellsFirst)
 
 TEST(SweepEngine, FirstDeclaredFailureIsReportedAtAnyJobCount)
 {
-    // With no functional units nothing issues, so both hang cells
+    // With no ROB entries nothing passes rename, so both hang cells
     // run until the cycle limit. The second runs first (a static
     // policy outranks the baseline on the same trace), but the error
     // must name the first declared cell whatever the job count. The
     // last cell's workload does not exist: its trace fails to build,
     // which must fail that cell only, not the trace pass before it.
     MachineConfig hang = MachineConfig::superscalar();
-    hang.numFUs = 0;
+    hang.robEntries = 0;
     const std::vector<driver::SweepCell> cells = {
         {"mcf", 0.01, driver::SourceSpec::baseline(),
          MachineConfig::superscalar(), "fine"},

@@ -318,9 +318,9 @@ TEST(TimingSim, RunTwiceRejected)
 
 TEST(TimingSim, CycleLimitNamesTheRun)
 {
-    // With no functional units nothing ever issues, so commit never
-    // advances: the run must stop at the cycle limit and say which
-    // run hung.
+    // A ROB with no entries admits nothing past rename, so commit
+    // never advances: the run must stop at the cycle limit and say
+    // which run hung.
     Module m("t");
     Function &f = m.createFunction("main");
     {
@@ -332,17 +332,76 @@ TEST(TimingSim, CycleLimitNamesTheRun)
     LinkedProgram p = m.link();
     auto r = traceOf(p);
     MachineConfig cfg = MachineConfig::superscalar();
-    cfg.numFUs = 0;
+    cfg.robEntries = 0;
     TimingSim sim(cfg, r.trace, nullptr);
     try {
-        sim.run("no-fus");
+        sim.run("no-rob");
         FAIL() << "expected a cycle-limit error";
     } catch (const std::runtime_error &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("cycle limit"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("\"no-fus\""), std::string::npos) << msg;
+        EXPECT_NE(msg.find("\"no-rob\""), std::string::npos) << msg;
     }
 }
+
+/** One MachineConfig field and a way to make it invalid. */
+struct BadField
+{
+    const char *field;
+    std::function<void(MachineConfig &)> spoil;
+};
+
+class BadConfig : public ::testing::TestWithParam<BadField>
+{};
+
+TEST_P(BadConfig, IsRejectedNamingTheField)
+{
+    // A config no machine can run fails before the first cycle, with
+    // the field's name, instead of spinning to the cycle limit.
+    Module m("t");
+    Function &f = m.createFunction("main");
+    {
+        FunctionBuilder b(f);
+        b.addi(reg::t0, reg::t0, 1);
+        b.halt();
+    }
+    LinkedProgram p = m.link();
+    auto r = traceOf(p);
+    MachineConfig cfg;
+    GetParam().spoil(cfg);
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    TimingSim sim(cfg, r.trace, nullptr);
+    try {
+        sim.run("bad");
+        FAIL() << "expected a config error";
+    } catch (const std::invalid_argument &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(GetParam().field), std::string::npos)
+            << msg;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MachineConfig, BadConfig,
+    ::testing::Values(
+        BadField{"pipelineWidth",
+                 [](MachineConfig &c) { c.pipelineWidth = 0; }},
+        BadField{"numTasks", [](MachineConfig &c) { c.numTasks = 0; }},
+        BadField{"schedEntries",
+                 [](MachineConfig &c) { c.schedEntries = 0; }},
+        BadField{"divertEntries",
+                 [](MachineConfig &c) { c.divertEntries = -1; }},
+        BadField{"numFUs", [](MachineConfig &c) { c.numFUs = 0; }},
+        BadField{"fetchQueueEntries",
+                 [](MachineConfig &c) { c.fetchQueueEntries = 0; }},
+        // 768 B / (128 B x 2 ways) = 3 sets.
+        BadField{"l1i", [](MachineConfig &c) { c.l1i.sizeBytes = 768; }},
+        // 16 KB / (64 B x 3 ways) = 85 sets.
+        BadField{"l1d", [](MachineConfig &c) { c.l1d.assoc = 3; }},
+        BadField{"l2", [](MachineConfig &c) { c.l2.lineBytes = 0; }}),
+    [](const ::testing::TestParamInfo<BadField> &info) {
+        return std::string(info.param.field);
+    });
 
 TEST(TimingSim, AllWorkloadsFinishUnderAllBasePolicies)
 {
