@@ -4,31 +4,6 @@ namespace polyflow {
 
 namespace {
 
-/** Spawn source over a cache-shared hint table (StaticSpawnSource
- *  owns its table; this one only borrows). Query is read-only, so
- *  one table serves any number of concurrent simulations. */
-class SharedHintSource final : public SpawnSource
-{
-  public:
-    explicit SharedHintSource(std::shared_ptr<const HintTable> table)
-        : _table(std::move(table))
-    {}
-
-    std::optional<SpawnHint>
-    query(const LinkedInstr &li) override
-    {
-        const SpawnPoint *p = _table->lookup(li.addr);
-        if (!p)
-            return std::nullopt;
-        return SpawnHint{p->targetPc, p->kind, p->depMask};
-    }
-
-    void onCommit(const LinkedInstr &, bool) override {}
-
-  private:
-    std::shared_ptr<const HintTable> _table;
-};
-
 std::shared_ptr<driver::SweepCache>
 privateCache()
 {
@@ -113,47 +88,36 @@ Session::simulate(const MachineConfig &config,
     return simulate(config, spec, policy.name, options);
 }
 
-PreparedRun
-Session::prepare(const driver::SourceSpec &source,
-                 const std::string &label) const
-{
-    PreparedRun run;
-    run.traced = _cache->traced(_name, _scale);
-    run.label = label;
-    switch (source.kind) {
-      case driver::SourceSpec::Kind::Baseline:
-        break;
-      case driver::SourceSpec::Kind::Static:
-        run.source = std::make_shared<SharedHintSource>(
-            _cache->hints(_name, _scale, source.policy));
-        run.index = _cache->traceIndex(_name, _scale);
-        break;
-      case driver::SourceSpec::Kind::Recon:
-        run.source = std::make_shared<ReconSpawnSource>();
-        run.index = _cache->traceIndex(_name, _scale);
-        break;
-      case driver::SourceSpec::Kind::Dmt:
-        run.source = std::make_shared<DmtSpawnSource>();
-        run.index = _cache->traceIndex(_name, _scale);
-        break;
-    }
-    return run;
-}
-
 TimingResult
 Session::simulate(const MachineConfig &config,
                   const driver::SourceSpec &source,
                   const std::string &label,
                   const RunOptions &options)
 {
-    PreparedRun run = prepare(source, label);
-    TimingSim sim(config, run.trace(), run.source.get(),
-                  run.index.get());
-    if (options.events)
-        sim.traceTasks(options.events);
-    TimingResult res = sim.run(label);
+    // Holds the trace (and the program it points into) for the run.
+    const auto traced = _cache->traced(_name, _scale);
+    // A fresh source per run: the dynamic sources train.
+    std::shared_ptr<SpawnSource> src;
+    switch (source.kind) {
+      case driver::SourceSpec::Kind::Baseline:
+        break;
+      case driver::SourceSpec::Kind::Static:
+        src = std::make_shared<StaticSpawnSource>(
+            _cache->hints(_name, _scale, source.policy));
+        break;
+      case driver::SourceSpec::Kind::Recon:
+        src = std::make_shared<ReconSpawnSource>();
+        break;
+      case driver::SourceSpec::Kind::Dmt:
+        src = std::make_shared<DmtSpawnSource>();
+        break;
+    }
+    const std::shared_ptr<const TraceIndex> index =
+        src ? _cache->traceIndex(_name, _scale) : nullptr;
+    TimingResult res = runTiming(config, traced->trace, src.get(), label,
+                                 index.get(), options.events);
     if (options.sourceOut)
-        *options.sourceOut = std::move(run.source);
+        *options.sourceOut = std::move(src);
     return res;
 }
 

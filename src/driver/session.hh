@@ -48,35 +48,6 @@ struct RunOptions
     std::shared_ptr<SpawnSource> *sourceOut = nullptr;
 };
 
-/**
- * The resolved inputs of one timing run — trace, spawn source and
- * shared indexes — without the simulation itself. Session::prepare
- * builds one; Session::simulate is prepare + TimingSim::run.
- */
-struct PreparedRun
-{
-    /** Keeps the trace (and the program it points into) alive. */
-    std::shared_ptr<const driver::TracedWorkload> traced;
-    /** Spawn source, private to this run (dynamic sources train);
-     *  null for the superscalar baseline. */
-    std::shared_ptr<SpawnSource> source;
-    /** Shared read-only indexes over the trace; null for the
-     *  baseline. */
-    std::shared_ptr<const TraceIndex> index;
-    /** Reported as TimingResult::policyName. */
-    std::string label;
-
-    const Trace &trace() const { return traced->trace; }
-
-    /** View as one item of TimingSim::runBatch. */
-    BatchItem
-    item(std::vector<TaskEvent> *events = nullptr) const
-    {
-        return {&traced->trace, source.get(), index.get(), label,
-                events};
-    }
-};
-
 class Session
 {
   public:
@@ -139,15 +110,6 @@ class Session
                           const driver::SourceSpec &source,
                           const std::string &label,
                           const RunOptions &options = {});
-
-    /**
-     * Resolve the inputs of a run without simulating: the cached
-     * trace, a fresh spawn source for @p source and the shared
-     * trace indexes. Feed one to TimingSim, or several (same
-     * MachineConfig) to TimingSim::runBatch.
-     */
-    PreparedRun prepare(const driver::SourceSpec &source,
-                        const std::string &label) const;
 
     /** The cache backing this session (shareable across sessions). */
     const std::shared_ptr<driver::SweepCache> &cache() const

@@ -28,7 +28,7 @@
 #include "isa/functional_sim.hh" // runFunctional, FunctionalResult
 #include "isa/trace.hh"          // Trace, DynInstr
 #include "sim/config.hh"         // MachineConfig
-#include "sim/core.hh"           // runTiming, TimingSim
+#include "sim/core.hh"           // runTiming, TimingSim::runBatch
 #include "sim/result.hh"         // TimingResult, TaskEvent
 #include "spawn/policy.hh"       // SpawnPolicy, HintTable
 #include "spawn/spawn_analysis.hh" // SpawnAnalysis

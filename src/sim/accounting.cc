@@ -50,7 +50,7 @@ blameBucket(const MachineState &m)
         }
         if (!m.robAllowed(0))
             return SlotBucket::RobFull;
-        if (m.divertHolds(i, m.trace->instrs[i], t)) {
+        if (m.divertBlocker(i, m.trace->instrs[i], t)) {
             if (static_cast<int>(m.divert.size()) >=
                 m.cfg.divertEntries) {
                 return SlotBucket::DivertWait;

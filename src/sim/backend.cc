@@ -101,9 +101,10 @@ releaseDiverted(MachineState &m)
     if (m.divert.empty())
         return;
     int budget = m.cfg.pipelineWidth;
+    // Compact in place: held entries move down to the write index
+    // w, in FIFO order.
     std::vector<DivertEntry> &q = m.divert;
-    std::vector<DivertEntry> &keep = m.divertKeep;
-    keep.clear();
+    size_t w = 0;
     size_t j = 0;
     for (; j < q.size() && budget > 0; ++j) {
         DivertEntry e = q[j];
@@ -119,13 +120,13 @@ releaseDiverted(MachineState &m)
         // squash, also squashes this consumer, and recover() purges
         // the entry.
         if (m.holds(e.heldBy)) {
-            keep.push_back(e);
+            q[w++] = e;
             continue;
         }
         const Task &t = m.tasks[m.taskPosOf(i)];
         if (Blocker b = m.divertBlocker(i, m.trace->instrs[i], t)) {
             e.heldBy = b;  // a newer producer holds it
-            keep.push_back(e);
+            q[w++] = e;
             continue;
         }
         if (e.heldBy) {
@@ -140,13 +141,12 @@ releaseDiverted(MachineState &m)
             m.sched.push_back({i});
             --budget;
         } else {
-            keep.push_back(e);
+            q[w++] = e;
         }
     }
     // Budget exhausted: the unexamined tail stays verbatim, in FIFO
-    // order.
-    keep.insert(keep.end(), q.begin() + j, q.end());
-    q.swap(keep);
+    // order, behind the held entries.
+    q.erase(q.begin() + w, q.begin() + j);
 }
 
 void
@@ -168,8 +168,8 @@ issue(MachineState &m)
     }
 
     int fu = m.cfg.numFUs;
-    std::vector<SchedEntry> &keep = m.schedKeep;
-    keep.clear();
+    // Compact in place, as releaseDiverted() does.
+    size_t w = 0;
     // Ascending age keys let the owning task be resolved by walking
     // the (begin-sorted) task table in lockstep instead of a binary
     // search per entry. The tasks tile [commitIdx, N), so the walk
@@ -184,7 +184,7 @@ issue(MachineState &m)
         // waited on has its result, for the reasons given at the
         // skip in releaseDiverted(); skip the rule until then.
         if (e.waitOn != invalidTrace && !m.doneAt(e.waitOn, m.now)) {
-            keep.push_back(e);
+            q[w++] = e;
             continue;
         }
         while (m.tasks[cursor].end <= e.idx)
@@ -192,10 +192,9 @@ issue(MachineState &m)
         if (tryIssue(m, e, m.tasks[cursor]))
             --fu;
         else
-            keep.push_back(e);
+            q[w++] = e;
     }
-    keep.insert(keep.end(), q.begin() + j, q.end());
-    q.swap(keep);
+    q.erase(q.begin() + w, q.begin() + j);
 }
 
 } // namespace polyflow::sim

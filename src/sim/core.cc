@@ -141,27 +141,6 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
 
 } // namespace
 
-TimingSim::TimingSim(const MachineConfig &config, const Trace &trace,
-                     SpawnSource *source,
-                     const TraceIndex *sharedIndex)
-    : _cfg(config), _trace(&trace), _source(source),
-      _index(sharedIndex)
-{
-    if (trace.size() == 0)
-        throw std::runtime_error("TimingSim: empty trace");
-}
-
-TimingResult
-TimingSim::run(const std::string &policyName)
-{
-    if (_ran)
-        throw std::runtime_error("TimingSim::run called twice");
-    _ran = true;
-    return runMachine(_cfg,
-                      {_trace, _source, _index, policyName, _events},
-                      nullptr);
-}
-
 std::vector<TimingResult>
 TimingSim::runBatch(const MachineConfig &config,
                     std::span<const BatchItem> items,
@@ -177,10 +156,10 @@ TimingSim::runBatch(const MachineConfig &config,
 TimingResult
 runTiming(const MachineConfig &config, const Trace &trace,
           SpawnSource *source, const std::string &name,
-          const TraceIndex *sharedIndex)
+          const TraceIndex *sharedIndex, std::vector<TaskEvent> *events)
 {
-    TimingSim sim(config, trace, source, sharedIndex);
-    return sim.run(name);
+    return runMachine(config, {&trace, source, sharedIndex, name, events},
+                      nullptr);
 }
 
 } // namespace polyflow

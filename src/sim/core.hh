@@ -12,12 +12,12 @@
  * mispredicted fetch until branch resolution (see DESIGN.md for why
  * this preserves the paper's first-order effects).
  *
- * TimingSim runs one machine from start to finish; runBatch() runs
- * several, one after another. Both go through the one cycle loop in
- * core.cc. All microarchitectural state lives in sim::MachineState
- * (machine_state.hh), built just before a run and freed after it,
- * and each pipeline stage is a plain function over it (stages.hh).
- * Per cycle:
+ * runTiming() runs one machine from start to finish;
+ * TimingSim::runBatch() runs several, one after another. Both go
+ * through the one cycle loop in core.cc. All microarchitectural
+ * state lives in sim::MachineState (machine_state.hh), built just
+ * before a run and freed after it, and each pipeline stage is a
+ * plain function over it (stages.hh). Per cycle:
  *
  *   unblock -> commit -> [accountCycle] -> releaseDiverted -> issue
  *   -> dispatch -> fetch -> applySpawn -> recover
@@ -86,73 +86,49 @@ struct BatchItem
     std::vector<TaskEvent> *events = nullptr;
 };
 
-/**
- * One timing simulation over a committed trace. Construct, then call
- * run() exactly once.
- */
-class TimingSim
+/** Runs several machines through the one cycle loop. */
+struct TimingSim
 {
-  public:
-    /**
-     * @param config machine parameters
-     * @param trace committed dynamic trace from the functional sim
-     * @param source spawn source, or nullptr for the superscalar
-     *               baseline (no spawning)
-     * @param sharedIndex precomputed indexes over @p trace, shared
-     *               read-only across simulations (the sweep engine
-     *               passes these); nullptr builds private ones when
-     *               spawning is enabled
-     * @throws std::runtime_error on an empty trace
-     */
-    TimingSim(const MachineConfig &config, const Trace &trace,
-              SpawnSource *source,
-              const TraceIndex *sharedIndex = nullptr);
-
-    /**
-     * Simulate to completion and return the statistics.
-     * @throws std::invalid_argument if MachineConfig::validate()
-     *         rejects the config
-     * @throws std::runtime_error on a second call, on a trace too
-     *         long for 32-bit cycles, or at the cycle limit
-     */
-    TimingResult run(const std::string &policyName);
-
-    /** Record task lifecycle events into @p sink (optional; call
-     *  before run()). */
-    void traceTasks(std::vector<TaskEvent> *sink) { _events = sink; }
-
     /**
      * Run every machine of @p items (same machine config,
      * independent traces) to completion, one after another, and
      * return their statistics in item order. Each machine's state
      * exists only during its own run, and each result equals a
-     * TimingSim::run over that item. @p profile, when non-null,
+     * runTiming over that item. @p profile, when non-null,
      * accumulates per-stage wall time over all the items.
      */
     static std::vector<TimingResult>
     runBatch(const MachineConfig &config,
              std::span<const BatchItem> items,
              StageProfile *profile = nullptr);
-
-  private:
-    MachineConfig _cfg;
-    const Trace *_trace;
-    SpawnSource *_source;
-    const TraceIndex *_index;
-    std::vector<TaskEvent> *_events = nullptr;
-    bool _ran = false;
 };
 
 /**
- * Convenience wrapper: run @p trace on @p config with an optional
- * spawn source. @p sharedIndex, when given, must index @p trace.
- * Most callers should not need it: polyflow::Session wires the whole
- * trace → analyze → simulate pipeline (polyflow.hh).
+ * Run @p trace on @p config to completion and return the
+ * statistics.
+ *
+ * @param source spawn source, or nullptr for the superscalar
+ *               baseline (no spawning)
+ * @param name reported as TimingResult::policyName
+ * @param sharedIndex precomputed indexes over @p trace, shared
+ *               read-only across simulations (Session::simulate
+ *               passes its cache's); nullptr builds private ones
+ *               when spawning is enabled
+ * @param events optional task-lifecycle event sink
+ * @throws std::invalid_argument if MachineConfig::validate()
+ *         rejects the config
+ * @throws std::runtime_error on an empty trace, on a trace too long
+ *         for 32-bit cycles, or at the cycle limit
+ *
+ * Most callers should not need this directly: polyflow::Session
+ * wires the whole trace → analyze → simulate pipeline
+ * (polyflow.hh).
  */
 TimingResult runTiming(const MachineConfig &config,
                        const Trace &trace, SpawnSource *source,
                        const std::string &name,
-                       const TraceIndex *sharedIndex = nullptr);
+                       const TraceIndex *sharedIndex = nullptr,
+                       std::vector<TaskEvent> *events = nullptr);
 
 } // namespace polyflow
 

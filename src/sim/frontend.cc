@@ -35,8 +35,7 @@ maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
         ++m.res.spawnsSkippedFeedback;
         return;
     }
-    TraceIdx j =
-        m.index->addrIndex().nextOccurrence(hint->targetPc, i);
+    TraceIdx j = m.index->nextOccurrence(hint->targetPc, i);
     if (j == invalidTrace || j >= t.end)
         return;
     std::uint32_t dist = j - i;

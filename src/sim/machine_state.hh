@@ -10,8 +10,8 @@
  * Ownership rules:
  *  - MachineState owns every piece of per-run mutable state: the
  *    per-instruction pipeline positions, the task table, scheduler
- *    and divert-queue occupancy and the stages' reusable scratch,
- *    predictors, caches, spawn feedback and the accumulating
+ *    and divert-queue occupancy, fetch's reusable eligible-task
+ *    buffer, predictors, caches, spawn feedback and the accumulating
  *    TimingResult.
  *  - The committed trace, the spawn source and the shared TraceIndex
  *    are borrowed read-only (the sweep engine shares them across
@@ -232,14 +232,10 @@ struct MachineState
      *  the order before it selects (stages.hh). Each entry carries
      *  the producer it last waited on. */
     std::vector<SchedEntry> sched;
-    /** Issue's survivor buffer, swapped with sched each cycle. */
-    std::vector<SchedEntry> schedKeep;
     /** Divert-queue occupancy, FIFO. A flat vector: entries only
      *  append at the tail and leave by compaction, never by
      *  front-pop. Each entry carries the producer holding it. */
     std::vector<DivertEntry> divert;
-    /** Divert release's survivor buffer, swapped with divert. */
-    std::vector<DivertEntry> divertKeep;
     std::vector<Violation> pendingViolations;
     int robUsed = 0;
     TraceIdx commitIdx = 0;
@@ -309,13 +305,6 @@ struct MachineState
      *  data. False if nothing holds @p i. */
     Blocker divertBlocker(TraceIdx i, const DynInstr &d,
                           const Task &t) const;
-    /** True if instruction @p i must (still) wait in the divert
-     *  queue (divertBlocker holds it). */
-    bool
-    divertHolds(TraceIdx i, const DynInstr &d, const Task &t) const
-    {
-        return bool(divertBlocker(i, d, t));
-    }
     /** True while @p b's producer has not yet done what the entry
      *  waits for. A producer's stage only moves forward, so once
      *  this is false it stays false. The one exception is a squash,

@@ -5,7 +5,7 @@ namespace polyflow {
 std::optional<SpawnHint>
 StaticSpawnSource::query(const LinkedInstr &li)
 {
-    const SpawnPoint *p = _table.lookup(li.addr);
+    const SpawnPoint *p = _table->lookup(li.addr);
     if (!p)
         return std::nullopt;
     return SpawnHint{p->targetPc, p->kind, p->depMask};

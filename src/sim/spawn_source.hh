@@ -43,21 +43,29 @@ class SpawnSource
     virtual void onCommit(const LinkedInstr &li, bool taken) = 0;
 };
 
-/** Static source: compiler-generated hint table, no training. */
+/**
+ * Static source: compiler-generated hint table, no training. Query
+ * is read-only, so one shared table serves any number of concurrent
+ * simulations.
+ */
 class StaticSpawnSource : public SpawnSource
 {
   public:
+    /** Owns @p table. */
     explicit StaticSpawnSource(HintTable table)
+        : _table(std::make_shared<const HintTable>(std::move(table)))
+    {}
+
+    /** Shares @p table (e.g. a SweepCache's). */
+    explicit StaticSpawnSource(std::shared_ptr<const HintTable> table)
         : _table(std::move(table))
     {}
 
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
     void onCommit(const LinkedInstr &, bool) override {}
 
-    const HintTable &table() const { return _table; }
-
   private:
-    HintTable _table;
+    std::shared_ptr<const HintTable> _table;
 };
 
 /**

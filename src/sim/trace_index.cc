@@ -1,34 +1,64 @@
 #include "sim/trace_index.hh"
 
+#include <algorithm>
+
 namespace polyflow {
 
-TraceIndex::TraceIndex(const Trace &trace) : _addr(trace)
+namespace {
+
+/**
+ * Counting sort of the positions of @p trace into @p keys keys:
+ * count, prefix-sum, fill. @p keyOf maps a position to its key, or
+ * to invalidTrace to leave it out. Filling in ascending position
+ * order keeps each key's list sorted by trace index.
+ */
+template <class KeyOf>
+TraceIndex::Csr
+groupByKey(const Trace &trace, std::size_t keys, KeyOf keyOf)
 {
     const TraceIdx n = static_cast<TraceIdx>(trace.size());
-    _consumerOffsets.assign(size_t(n) + 1, 0);
+    TraceIndex::Csr csr;
+    csr.offsets.assign(keys + 1, 0);
+    for (TraceIdx i = 0; i < n; ++i) {
+        if (TraceIdx k = keyOf(i); k != invalidTrace)
+            ++csr.offsets[k + 1];
+    }
+    for (std::size_t k = 0; k < keys; ++k)
+        csr.offsets[k + 1] += csr.offsets[k];
+    csr.items.resize(csr.offsets[keys]);
+    std::vector<std::uint32_t> fill(csr.offsets.begin(),
+                                    csr.offsets.end() - 1);
+    for (TraceIdx i = 0; i < n; ++i) {
+        if (TraceIdx k = keyOf(i); k != invalidTrace)
+            csr.items[fill[k]++] = i;
+    }
+    return csr;
+}
 
-    // Counting sort by producing store: count, prefix-sum, fill.
-    // Filling in ascending load order keeps each store's consumer
-    // list sorted by trace index.
-    for (TraceIdx i = 0; i < n; ++i) {
-        const DynInstr &d = trace.instrs[i];
-        if (d.memProd != invalidTrace &&
-            trace.staticOf(i).instr.isLoad()) {
-            ++_consumerOffsets[d.memProd + 1];
-        }
-    }
-    for (TraceIdx i = 0; i < n; ++i)
-        _consumerOffsets[i + 1] += _consumerOffsets[i];
-    _consumers.resize(_consumerOffsets[n]);
-    std::vector<std::uint32_t> fill(_consumerOffsets.begin(),
-                                    _consumerOffsets.end() - 1);
-    for (TraceIdx i = 0; i < n; ++i) {
-        const DynInstr &d = trace.instrs[i];
-        if (d.memProd != invalidTrace &&
-            trace.staticOf(i).instr.isLoad()) {
-            _consumers[fill[d.memProd]++] = i;
-        }
-    }
+} // namespace
+
+TraceIndex::TraceIndex(const Trace &trace)
+    : _prog(trace.prog),
+      _occurrences(groupByKey(
+          trace, _prog ? _prog->size() : 0,
+          [&](TraceIdx i) { return TraceIdx(trace.instrs[i].img); })),
+      _consumers(groupByKey(trace, trace.size(), [&](TraceIdx i) {
+          const DynInstr &d = trace.instrs[i];
+          return d.memProd != invalidTrace &&
+                  trace.staticOf(i).instr.isLoad()
+              ? d.memProd
+              : invalidTrace;
+      }))
+{}
+
+TraceIdx
+TraceIndex::nextOccurrence(Addr pc, TraceIdx after) const
+{
+    if (!_prog->hasAddr(pc))
+        return invalidTrace;
+    const Span occ = _occurrences.of(_prog->idxOf(pc));
+    const TraceIdx *pos = std::upper_bound(occ.begin(), occ.end(), after);
+    return pos == occ.end() ? invalidTrace : *pos;
 }
 
 } // namespace polyflow

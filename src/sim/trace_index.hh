@@ -4,7 +4,7 @@
  * simulator needs when spawning is enabled. Building them costs one
  * pass over the trace, so the sweep engine computes them once per
  * (workload, scale) and shares them read-only across every
- * concurrent TimingSim on that trace.
+ * concurrent run on that trace.
  */
 
 #ifndef POLYFLOW_SIM_TRACE_INDEX_HH
@@ -14,22 +14,22 @@
 #include <vector>
 
 #include "isa/trace.hh"
-#include "sim/addr_index.hh"
 
 namespace polyflow {
 
 /**
- * Read-only indexes over one committed trace:
+ * Read-only indexes over one committed trace, each a flat CSR of
+ * trace positions grouped by a key:
  *
- *  - the per-PC occurrence lists the Task Spawn Unit queries
- *    (AddrIndex), and
- *  - a flat CSR mapping each store to the loads that name it as
- *    memory producer, replacing the old per-sim
- *    unordered_map<TraceIdx, vector<TraceIdx>> with two contiguous
- *    arrays indexed directly by trace position.
+ *  - the occurrences of each static instruction (keyed by image
+ *    index), which the Task Spawn Unit queries to locate the next
+ *    dynamic occurrence of a spawn target (the paper's spawn unit
+ *    "uses a trace to ensure that tasks are not spawned too far
+ *    into the future"), and
+ *  - the loads that name each store as memory producer (keyed by
+ *    the store's trace position).
  *
- * Consumers of a store i live in
- * consumers[consumerOffsets[i] .. consumerOffsets[i + 1]), in
+ * Key k's positions live in items[offsets[k] .. offsets[k + 1]), in
  * ascending trace order.
  */
 class TraceIndex
@@ -37,10 +37,14 @@ class TraceIndex
   public:
     explicit TraceIndex(const Trace &trace);
 
-    const AddrIndex &addrIndex() const { return _addr; }
+    /**
+     * First trace index strictly after @p after whose PC is @p pc,
+     * or invalidTrace (also for a PC outside the program).
+     */
+    TraceIdx nextOccurrence(Addr pc, TraceIdx after) const;
 
-    /** Loads depending on store @p i (empty span for non-stores). */
-    struct ConsumerSpan
+    /** Trace positions of one key, ascending. */
+    struct Span
     {
         const TraceIdx *first;
         const TraceIdx *last;
@@ -49,18 +53,27 @@ class TraceIndex
         bool empty() const { return first == last; }
     };
 
-    ConsumerSpan
-    consumersOf(TraceIdx store) const
+    /** Loads depending on store @p i (empty span for non-stores). */
+    Span consumersOf(TraceIdx store) const { return _consumers.of(store); }
+
+    /** Trace positions grouped by key (see the class comment). */
+    struct Csr
     {
-        const TraceIdx *base = _consumers.data();
-        return {base + _consumerOffsets[store],
-                base + _consumerOffsets[store + 1]};
-    }
+        std::vector<std::uint32_t> offsets;  //!< keys + 1
+        std::vector<TraceIdx> items;
+
+        Span
+        of(std::uint32_t key) const
+        {
+            const TraceIdx *base = items.data();
+            return {base + offsets[key], base + offsets[key + 1]};
+        }
+    };
 
   private:
-    AddrIndex _addr;
-    std::vector<std::uint32_t> _consumerOffsets;  //!< size()+1
-    std::vector<TraceIdx> _consumers;
+    const LinkedProgram *_prog;
+    Csr _occurrences;  //!< image index -> its trace positions
+    Csr _consumers;    //!< store -> its consumer loads
 };
 
 } // namespace polyflow

@@ -114,9 +114,8 @@ TEST(Accounting, SquashedRangesNeverAppearInCommitStream)
             HintTable(sa, SpawnPolicy::postdoms())};
 
         std::vector<TaskEvent> events;
-        TimingSim sim(MachineConfig{}, fr.trace, &src);
-        sim.traceTasks(&events);
-        TimingResult res = sim.run("postdoms");
+        TimingResult res = runTiming(MachineConfig{}, fr.trace, &src,
+                                     "postdoms", nullptr, &events);
         checkSlotInvariants(res, 8);
 
         std::uint64_t squashes = 0;

@@ -2,19 +2,19 @@
  * @file
  * Unit tests for the analysis module: CFG views, dominators,
  * postdominators (against the paper's Figure 1/2 example), control
- * dependence (Figure 3), loops and the call graph. The CHK solver
+ * dependence (Figure 3) and loops. The CHK solver
  * is cross-checked against the independent iterative solver.
  */
 
 #include <gtest/gtest.h>
 
-#include "analysis/callgraph.hh"
 #include "analysis/cfg_view.hh"
 #include "analysis/control_dep.hh"
 #include "analysis/dominators.hh"
 #include "analysis/iterative_dom.hh"
 #include "analysis/loops.hh"
 #include "ir/builder.hh"
+#include "ir/module.hh"
 
 namespace polyflow {
 namespace {
@@ -262,51 +262,6 @@ TEST(PostDominators, ThrowsOnInfiniteLoop)
     CfgView cfg(f);
     EXPECT_FALSE(cfg.exitReachesAll());
     EXPECT_THROW(PostDominatorTree pdt(cfg), std::runtime_error);
-}
-
-TEST(CallGraph, SitesAndReachability)
-{
-    Module m("cg");
-    Function &leaf = m.createFunction("leaf");
-    {
-        FunctionBuilder b(leaf);
-        b.ret();
-    }
-    Function &mid = m.createFunction("mid");
-    {
-        FunctionBuilder b(mid);
-        b.call(leaf.id());
-        b.ret();
-    }
-    Function &top = m.createFunction("top");
-    {
-        FunctionBuilder b(top);
-        b.call(mid.id());
-        b.call(mid.id());
-        b.halt();
-    }
-    m.entryFunction(top.id());
-    m.link();
-    CallGraph cg(m);
-    EXPECT_EQ(cg.sites().size(), 3u);
-    EXPECT_EQ(cg.calleesOf(top.id()).size(), 1u);  // deduplicated
-    EXPECT_TRUE(cg.reaches(top.id(), leaf.id()));
-    EXPECT_FALSE(cg.reaches(leaf.id(), top.id()));
-    EXPECT_FALSE(cg.isRecursive(top.id()));
-}
-
-TEST(CallGraph, DetectsRecursion)
-{
-    Module m("rec");
-    Function &f = m.createFunction("f");
-    {
-        FunctionBuilder b(f);
-        b.call(0);  // self call
-        b.ret();
-    }
-    m.link();
-    CallGraph cg(m);
-    EXPECT_TRUE(cg.isRecursive(f.id()));
 }
 
 } // namespace

@@ -167,14 +167,30 @@ TEST(SweepEngine, SharedTraceIndexMatchesPrivateIndex)
     HintTable table(sa, SpawnPolicy::postdoms());
     TraceIndex shared(fr.trace);
 
+    // Three runs of one cell: a private index, a shared index, and
+    // Session::simulate, which shares both the cache's hint table
+    // and its index.
+    std::vector<TaskEvent> privEvents, shrdEvents, sessionEvents;
     StaticSpawnSource srcPrivate(table);
-    TimingResult priv =
-        runTiming(MachineConfig{}, fr.trace, &srcPrivate, "postdoms");
+    TimingResult priv = runTiming(MachineConfig{}, fr.trace, &srcPrivate,
+                                  "postdoms", nullptr, &privEvents);
     StaticSpawnSource srcShared(table);
     TimingResult shrd = runTiming(MachineConfig{}, fr.trace, &srcShared,
-                              "postdoms", &shared);
+                                  "postdoms", &shared, &shrdEvents);
+    Session s = Session::open("twolf", kScale);
+    Session::RunOptions runOpt;
+    runOpt.events = &sessionEvents;
+    TimingResult viaSession =
+        s.simulate(MachineConfig{}, SpawnPolicy::postdoms(), runOpt);
+
     expectSameResult(priv, shrd);
+    expectSameResult(priv, viaSession);
+    EXPECT_EQ(priv, shrd);
+    EXPECT_EQ(priv, viaSession);
+    EXPECT_EQ(privEvents, shrdEvents);
+    EXPECT_EQ(privEvents, sessionEvents);
     EXPECT_GT(priv.spawns, 0u);
+    EXPECT_FALSE(privEvents.empty());
 }
 
 TEST(SweepEngine, ParallelForCoversAllIndicesAndRethrows)

@@ -3,17 +3,17 @@
  * Unit tests for the machine-side predictors and memories: gshare,
  * indirect target prediction, the return address stack, the cache
  * hierarchy, the store-set and register dependence predictors, and
- * the trace address index.
+ * the trace index's next-occurrence lookup.
  */
 
 #include <gtest/gtest.h>
 
 #include "ir/builder.hh"
 #include "isa/functional_sim.hh"
-#include "sim/addr_index.hh"
 #include "sim/branch_pred.hh"
 #include "sim/cache.hh"
 #include "sim/dep_predictors.hh"
+#include "sim/trace_index.hh"
 
 namespace polyflow {
 namespace {
@@ -163,7 +163,7 @@ TEST(DepPredictors, RegLearnsConsumers)
     EXPECT_EQ(p.numDependent(), 1u);
 }
 
-TEST(AddrIndex, NextOccurrence)
+TEST(TraceIndex, NextOccurrence)
 {
     // Build a 3-iteration loop and index its trace.
     Module m("t");
@@ -185,7 +185,7 @@ TEST(AddrIndex, NextOccurrence)
     FunctionalOptions opt;
     opt.recordTrace = true;
     auto r = runFunctional(p, opt);
-    AddrIndex idx(r.trace);
+    TraceIndex idx(r.trace);
 
     Addr loopPc = f.block(loop).startAddr();
     TraceIdx first = idx.nextOccurrence(loopPc, 0);
@@ -198,6 +198,18 @@ TEST(AddrIndex, NextOccurrence)
     ASSERT_NE(third, invalidTrace);
     EXPECT_EQ(idx.nextOccurrence(loopPc, third), invalidTrace);
     EXPECT_EQ(idx.nextOccurrence(0xdead, 0), invalidTrace);
+
+    // PCs outside the program: past its code, and inside its code
+    // range but not at an instruction.
+    EXPECT_EQ(idx.nextOccurrence(p.codeEnd(), 0), invalidTrace);
+    EXPECT_EQ(idx.nextOccurrence(loopPc + 1, 0), invalidTrace);
+
+    // The halt occurs once, as the trace's last instruction: found
+    // from just before it, not from it.
+    const TraceIdx last = TraceIdx(r.trace.size() - 1);
+    const Addr haltPc = r.trace.staticOf(last).addr;
+    EXPECT_EQ(idx.nextOccurrence(haltPc, last - 1), last);
+    EXPECT_EQ(idx.nextOccurrence(haltPc, last), invalidTrace);
 }
 
 } // namespace

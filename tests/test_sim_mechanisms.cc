@@ -296,9 +296,8 @@ TEST(Mechanisms, TaskEventsAreConsistent)
     StaticSpawnSource src{
         HintTable(*p.sa, SpawnPolicy::postdoms())};
     std::vector<TaskEvent> events;
-    TimingSim sim(MachineConfig{}, p.fr->trace, &src);
-    sim.traceTasks(&events);
-    TimingResult r = sim.run("postdoms");
+    TimingResult r = runTiming(MachineConfig{}, p.fr->trace, &src,
+                               "postdoms", nullptr, &events);
 
     std::uint64_t spawns = 0, retires = 0, squashes = 0;
     std::uint64_t last = 0;

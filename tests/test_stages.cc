@@ -5,13 +5,14 @@
  * harness required — the sha256 goldens
  * pinning whole sweep grids' stats exports whatever the job count,
  * claim width and declaration order, and the tests that
- * TimingSim::runBatch equals fresh single runs.
+ * TimingSim::runBatch equals single runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -797,7 +798,7 @@ TEST(Stages, GoldenResourcesAndLatenciesAreScheduleInvariant)
 }
 
 // ---------------------------------------------------------------
-// TimingSim::runBatch: N items equal N fresh TimingSim::runs.
+// TimingSim::runBatch: N items equal N single runs.
 // ---------------------------------------------------------------
 
 TEST(Batch, EmptyBatchReturnsNoResults)
@@ -814,31 +815,55 @@ struct BatchCase
     std::string label;
 };
 
-/** Run @p cases through one TimingSim::runBatch when @p together,
- *  else through one fresh TimingSim::run each, over freshly prepared
- *  inputs (dynamic sources train, so no two runs may share one).
- *  Returns the results and each machine's task events. */
+/** A fresh spawn source for @p spec over @p s's cached hint tables
+ *  (dynamic sources train, so no two runs may share one); null for
+ *  the baseline. */
+std::unique_ptr<SpawnSource>
+freshSource(const Session &s, const driver::SourceSpec &spec)
+{
+    switch (spec.kind) {
+      case driver::SourceSpec::Kind::Baseline:
+        return nullptr;
+      case driver::SourceSpec::Kind::Static:
+        return std::make_unique<StaticSpawnSource>(s.hints(spec.policy));
+      case driver::SourceSpec::Kind::Recon:
+        return std::make_unique<ReconSpawnSource>();
+      case driver::SourceSpec::Kind::Dmt:
+        return std::make_unique<DmtSpawnSource>();
+    }
+    return nullptr;
+}
+
+/** Run @p cases through one TimingSim::runBatch over items built
+ *  from each session's cache when @p together, else through one
+ *  Session::simulate each. Returns the results and each machine's
+ *  task events. */
 std::pair<std::vector<TimingResult>,
           std::vector<std::vector<TaskEvent>>>
 runCases(const std::vector<BatchCase> &cases,
          const MachineConfig &cfg, bool together)
 {
     std::vector<std::vector<TaskEvent>> events(cases.size());
-    std::vector<PreparedRun> runs;
-    for (const BatchCase &c : cases)
-        runs.push_back(c.session->prepare(c.spec, c.label));
     std::vector<TimingResult> out;
     if (together) {
+        std::vector<std::unique_ptr<SpawnSource>> sources;
         std::vector<BatchItem> items;
-        for (size_t i = 0; i < runs.size(); ++i)
-            items.push_back(runs[i].item(&events[i]));
+        for (size_t i = 0; i < cases.size(); ++i) {
+            const Session &s = *cases[i].session;
+            sources.push_back(freshSource(s, cases[i].spec));
+            const TraceIndex *index = sources.back()
+                ? s.cache()->traceIndex(s.name(), s.scale()).get()
+                : nullptr;
+            items.push_back({&s.trace(), sources.back().get(), index,
+                             cases[i].label, &events[i]});
+        }
         out = TimingSim::runBatch(cfg, items);
     } else {
-        for (size_t i = 0; i < runs.size(); ++i) {
-            TimingSim sim(cfg, runs[i].trace(), runs[i].source.get(),
-                          runs[i].index.get());
-            sim.traceTasks(&events[i]);
-            out.push_back(sim.run(runs[i].label));
+        for (size_t i = 0; i < cases.size(); ++i) {
+            RunOptions opt;
+            opt.events = &events[i];
+            out.push_back(cases[i].session->simulate(
+                cfg, cases[i].spec, cases[i].label, opt));
         }
     }
     return {std::move(out), std::move(events)};
@@ -848,7 +873,7 @@ TEST(Batch, OfFourEqualsFourFreshRuns)
 {
     // runBatch runs its items one after another, each on a state of
     // its own: every machine must see exactly the cycles, counters
-    // and task events of a fresh TimingSim::run.
+    // and task events of a single run.
     Session s = Session::open("twolf", 0.04);
     const MachineConfig cfg;
     const std::vector<BatchCase> cases = {
@@ -900,26 +925,6 @@ TEST(Batch, HeterogeneousTracesFinishIndependently)
         EXPECT_EQ(batched[i], alone[i]) << cases[i].label;
         EXPECT_EQ(batchedEvents[i], aloneEvents[i]) << cases[i].label;
     }
-}
-
-TEST(Batch, RunTwiceThrows)
-{
-    // A TimingSim runs exactly once: a second run() must throw.
-    // runBatch builds a fresh machine per call, so the same baseline
-    // item batched afterwards must match that single run.
-    Session s = Session::open("twolf", 0.02);
-    PreparedRun run =
-        s.prepare(driver::SourceSpec::baseline(), "base");
-    const MachineConfig cfg = MachineConfig::superscalar();
-    TimingSim sim(cfg, run.trace(), nullptr);
-    const TimingResult once = sim.run(run.label);
-    EXPECT_THROW(sim.run(run.label), std::runtime_error);
-
-    const std::vector<BatchItem> items = {run.item()};
-    const std::vector<TimingResult> batched =
-        TimingSim::runBatch(cfg, items);
-    ASSERT_EQ(batched.size(), 1u);
-    EXPECT_EQ(batched[0], once);
 }
 
 } // namespace

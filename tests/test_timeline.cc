@@ -43,16 +43,14 @@ runWithTimeline(const std::string &name, bool dynamicSource)
     out.traceSize = fr.trace.size();
     if (dynamicSource) {
         ReconSpawnSource src;
-        TimingSim sim(MachineConfig{}, fr.trace, &src);
-        sim.traceTasks(&out.events);
-        out.res = sim.run("rec_pred");
+        out.res = runTiming(MachineConfig{}, fr.trace, &src, "rec_pred",
+                            nullptr, &out.events);
     } else {
         SpawnAnalysis sa(*w.module, w.prog);
         StaticSpawnSource src{
             HintTable(sa, SpawnPolicy::postdoms())};
-        TimingSim sim(MachineConfig{}, fr.trace, &src);
-        sim.traceTasks(&out.events);
-        out.res = sim.run("postdoms");
+        out.res = runTiming(MachineConfig{}, fr.trace, &src, "postdoms",
+                            nullptr, &out.events);
     }
     return out;
 }
@@ -173,9 +171,9 @@ TEST(Timeline, SuperscalarHasBareTimeline)
     ASSERT_TRUE(fr.halted);
 
     std::vector<TaskEvent> events;
-    TimingSim sim(MachineConfig::superscalar(), fr.trace, nullptr);
-    sim.traceTasks(&events);
-    TimingResult res = sim.run("superscalar");
+    TimingResult res = runTiming(MachineConfig::superscalar(), fr.trace,
+                                 nullptr, "superscalar", nullptr,
+                                 &events);
 
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, TaskEvent::Kind::Retire);
