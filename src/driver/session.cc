@@ -2,18 +2,6 @@
 
 namespace polyflow {
 
-namespace {
-
-std::shared_ptr<driver::SweepCache>
-privateCache()
-{
-    auto cache = std::make_shared<driver::SweepCache>();
-    cache->attachStore(store::ArtifactStore::openFromEnv());
-    return cache;
-}
-
-} // namespace
-
 Session::Session(std::string name, double scale,
                  std::shared_ptr<driver::SweepCache> cache)
     : _name(std::move(name)), _scale(scale), _cache(std::move(cache))
@@ -22,7 +10,7 @@ Session::Session(std::string name, double scale,
 Session
 Session::open(const std::string &name, double scale)
 {
-    return open(name, scale, privateCache());
+    return open(name, scale, std::make_shared<driver::SweepCache>());
 }
 
 Session
@@ -35,7 +23,7 @@ Session::open(const std::string &name, double scale,
 Session
 Session::adopt(Workload workload, double scale)
 {
-    auto cache = privateCache();
+    auto cache = std::make_shared<driver::SweepCache>();
     std::string name = workload.name;
     cache->adopt(std::move(workload), scale);
     return Session(std::move(name), scale, std::move(cache));

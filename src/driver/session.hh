@@ -15,13 +15,11 @@
  *         MachineConfig{}, SpawnPolicy::postdoms());
  *
  * Every artifact a Session hands out comes from a SweepCache — built
- * at most once per process, shared read-only, and (when the
- * persistent artifact store is enabled, see store/artifact_store.hh)
- * read through to $PF_CACHE_DIR so a warm process rebuilds nothing.
- * Sessions are cheap value objects: opening several against one
- * shared cache (e.g. SweepRunner::cacheHandle()) shares every
- * artifact; opening with no explicit cache creates a private one
- * with the environment-selected store attached.
+ * at most once per cache and shared read-only. Sessions are cheap
+ * value objects: opening several against one shared cache (e.g.
+ * SweepRunner::cacheHandle()) shares every artifact, and the
+ * runner's persistent store if PF_CACHE_DIR named one; opening with
+ * no explicit cache creates a private, in-memory one.
  */
 
 #ifndef POLYFLOW_DRIVER_SESSION_HH
@@ -57,20 +55,19 @@ class Session
 
     /**
      * Open a session on a registered workload (see
-     * workloads/workloads.hh), with a private cache backed by the
-     * environment-selected artifact store.
+     * workloads/workloads.hh), with a private in-memory cache.
      */
     static Session open(const std::string &name, double scale = 1.0);
 
-    /** Open against an existing shared cache (and its store). */
+    /** Open against an existing shared cache (and its store, if
+     *  one is attached). */
     static Session open(const std::string &name, double scale,
                         std::shared_ptr<driver::SweepCache> cache);
 
     /**
      * Wrap an ad-hoc program (e.g. one just assembled from text) in
-     * a session. The workload's name and @p scale key its cache and
-     * store entries; the store stays safe against name collisions
-     * because keys also hash the linked program's content.
+     * a session with a private in-memory cache, keyed by the
+     * workload's name and @p scale.
      */
     static Session adopt(Workload workload, double scale = 1.0);
 

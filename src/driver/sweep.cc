@@ -326,8 +326,8 @@ SweepRunner::run(const std::vector<SweepCell> &cells, bool report)
                      cells.size(), _jobs, wall, cellSeconds,
                      wall > 0 ? double(instrs) / wall : 0.0);
         // Cache-tier accounting: the warm-cache CI job greps for
-        // "cache: 0 traces built" on a second run, so keep the
-        // phrase stable.
+        // "cache: 0 traces built, 0 analyses built, 0 hint tables
+        // built" on a second run, so keep the phrase stable.
         const auto &st = _cache->store();
         std::fprintf(stderr,
                      "[sweep] cache: %d traces built, %d analyses "

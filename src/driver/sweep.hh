@@ -50,19 +50,19 @@ struct TracedWorkload
  * block until the single build finishes; requests for different keys
  * build in parallel.
  *
- * When a persistent artifact store is attached (attachStore), the
- * trace / analysis / hint tiers become read-through/write-back:
- * a getter first consults the store (content-addressed, validated —
- * see store/artifact_store.hh) and only falls back to building, so
- * a warm process performs zero functional simulations. The build
- * counters count real builds only; store hits leave them untouched,
- * which is exactly what the warm-cache CI job asserts on.
+ * A cache has no persistent store unless one is attached
+ * (attachStore; only SweepRunner does, from PF_CACHE_DIR). With a
+ * store, the trace / analysis / hint tiers become
+ * read-through/write-back: a getter first consults the store
+ * (content-addressed, validated — see store/artifact_store.hh) and
+ * only falls back to building and saving. The build counters count
+ * real builds only; store hits leave them untouched, which is what
+ * the warm-cache CI job asserts on.
  */
 class SweepCache
 {
   public:
-    /** Attach a persistent store as the second cache tier (usually
-     *  store::ArtifactStore::openFromEnv()). */
+    /** Attach a persistent store as the second cache tier. */
     void attachStore(std::shared_ptr<store::ArtifactStore> s)
     {
         _store = std::move(s);
@@ -243,9 +243,10 @@ class SweepRunner
      *        defaultBatchWidth(). A cell's result does not depend on
      *        it, nor on the job count.
      *
-     * The runner's cache gets the environment-selected persistent
-     * store attached (PF_CACHE_DIR; "off" disables), so warm bench
-     * reruns skip every functional simulation.
+     * If PF_CACHE_DIR names a directory, the runner's cache gets
+     * the persistent store there attached (see
+     * store/artifact_store.hh); otherwise it stays in memory. This
+     * is the one place that reads PF_CACHE_DIR.
      */
     explicit SweepRunner(int jobs = 0, int batchWidth = 0);
 

@@ -109,8 +109,6 @@ releaseDiverted(MachineState &m)
     for (; j < q.size() && budget > 0; ++j) {
         DivertEntry e = q[j];
         TraceIdx i = e.idx;
-        if (m.istate[i].stage != InstrStage::Diverted)
-            continue;  // squashed while diverted: drop
         // Wakeup: while the producer that last held the entry has
         // not advanced, the full rule would hold it too, so skip
         // the rule. This is exact because a sync decision never
@@ -178,8 +176,6 @@ issue(MachineState &m)
     size_t j = 0;
     for (; j < q.size() && fu > 0; ++j) {
         SchedEntry e = q[j];
-        if (m.istate[e.idx].stage != InstrStage::InSched)
-            continue;  // squashed while scheduled: drop
         // Wakeup: the entry cannot issue before the producer it last
         // waited on has its result, for the reasons given at the
         // skip in releaseDiverted(); skip the rule until then.

@@ -6,6 +6,14 @@ namespace polyflow::sim {
 
 namespace {
 
+/** A retired task counts as unprofitable when at least this fraction
+ *  (in percent) of its instructions had to be synchronized through
+ *  the divert queue. */
+constexpr int unprofitableDivertPercent = 60;
+/** Triggers are disabled once unprofitable retirements both reach
+ *  this count and outnumber profitable ones 2:1. */
+constexpr int minUnprofitableToDisable = 12;
+
 void
 retireHead(MachineState &m)
 {
@@ -24,12 +32,12 @@ retireHead(MachineState &m)
         TriggerFeedback &fb = m.feedbackOf(t);
         std::uint64_t size = t.end - t.begin;
         if (t.divertedCount * 100 >=
-            size * std::uint64_t(m.cfg.feedbackDivertPercent)) {
+            size * std::uint64_t(unprofitableDivertPercent)) {
             ++fb.unprofitable;
         } else {
             ++fb.profitable;
         }
-        if (fb.unprofitable >= m.cfg.feedbackMinUnprofitable &&
+        if (fb.unprofitable >= minUnprofitableToDisable &&
             fb.unprofitable >= 2 * fb.profitable && !fb.disabled) {
             fb.disabled = true;
             ++m.res.triggersDisabled;

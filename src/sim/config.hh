@@ -46,9 +46,6 @@ struct MachineConfig
     int fetchTasksPerCycle = 2;  //!< superscalar baseline uses 1
     int maxTakenPerTaskCycle = 1;
     int fetchQueueEntries = 32;  //!< per task, fetched-not-renamed
-    /** Biased-ICount: tie-bias toward older tasks. Kept small so
-     *  the tail task still fetches often enough to keep spawning. */
-    int icountAgeBias = 1;
     /** @} */
 
     /** @name Backend latencies @{ */
@@ -73,17 +70,6 @@ struct MachineConfig
      *  branch (the paper's twolf example); keep the floor low. */
     std::uint32_t minSpawnDistance = 2;
     bool spawnFeedback = true;   //!< disable repeatedly-squashing PCs
-    /** Feedback disables a trigger only after this many squashes
-     *  with a sustained squash/spawn ratio; one-time dependence
-     *  violations are handled by the predictors instead. */
-    int feedbackMinSquashes = 16;
-    /** A retired task counts as unprofitable when at least this
-     *  fraction (in percent) of its instructions had to be
-     *  synchronized through the divert queue. */
-    int feedbackDivertPercent = 60;
-    /** Triggers are disabled once unprofitable retirements both
-     *  reach this count and outnumber profitable ones 2:1. */
-    int feedbackMinUnprofitable = 12;
     int squashRestartPenalty = 8;
     /** Cycles between a spawn decision and the new task's first
      *  fetch (context allocation, rename-map copy). */

@@ -6,6 +6,10 @@ namespace polyflow::sim {
 
 namespace {
 
+/** Biased-ICount: tie-bias toward older tasks. Kept small so the
+ *  tail task still fetches often enough to keep spawning. */
+constexpr long long ageBias = 1;
+
 /** The Task Spawn Unit's look at fetched instruction @p i of the
  *  task at position @p pos. */
 void
@@ -118,9 +122,7 @@ fetch(MachineState &m)
                       const Task &tk = m.tasks[p];
                       return static_cast<long long>(tk.fetchIdx -
                                                     tk.dispIdx) +
-                          static_cast<long long>(
-                              m.cfg.icountAgeBias) *
-                          static_cast<long long>(p);
+                          ageBias * static_cast<long long>(p);
                   };
                   long long ka = key(a), kb = key(b);
                   return ka != kb ? ka < kb : a < b;

@@ -230,11 +230,13 @@ struct MachineState
     /** Scheduler occupancy, oldest age key first up to the entries
      *  rename and divert release appended this cycle; issue repairs
      *  the order before it selects (stages.hh). Each entry carries
-     *  the producer it last waited on. */
+     *  the producer it last waited on. Invariant: every entry's
+     *  instruction is InSched (squashFromTask purges eagerly). */
     std::vector<SchedEntry> sched;
     /** Divert-queue occupancy, FIFO. A flat vector: entries only
      *  append at the tail and leave by compaction, never by
-     *  front-pop. Each entry carries the producer holding it. */
+     *  front-pop. Each entry carries the producer holding it.
+     *  Invariant: every entry's instruction is Diverted. */
     std::vector<DivertEntry> divert;
     std::vector<Violation> pendingViolations;
     int robUsed = 0;

@@ -4,23 +4,30 @@
 
 namespace polyflow::sim {
 
+namespace {
+
+/** Feedback disables a trigger only after this many squashes with a
+ *  sustained squash/spawn ratio; one-time dependence violations are
+ *  handled by the predictors instead. */
+constexpr int minSquashesToDisable = 16;
+
+} // namespace
+
 void
 recover(MachineState &m)
 {
     if (m.pendingViolations.empty())
         return;
     // Handle the oldest violating load; everything younger gets
-    // squashed anyway.
+    // squashed anyway. Its consumer is still live: violations are
+    // raised by this cycle's issue(), and nothing squashes between
+    // issue() and here.
     auto v = *std::min_element(
         m.pendingViolations.begin(), m.pendingViolations.end(),
         [](const Violation &a, const Violation &b) {
             return a.consumer < b.consumer;
         });
     m.pendingViolations.clear();
-
-    // The consumer may already have been squashed meanwhile.
-    if (m.istate[v.consumer].stage == InstrStage::None)
-        return;
 
     ++m.res.violations;
     if (v.store == invalidTrace) {
@@ -59,16 +66,15 @@ squashFromTask(MachineState &m, size_t taskPos)
         if (m.cfg.spawnFeedback && t.triggerPc != invalidAddr) {
             TriggerFeedback &fb = m.feedbackOf(t);
             ++fb.squashes;
-            if (fb.squashes >= m.cfg.feedbackMinSquashes &&
+            if (fb.squashes >= minSquashesToDisable &&
                 fb.squashes * 4 >= fb.spawns && !fb.disabled) {
                 fb.disabled = true;
                 ++m.res.triggersDisabled;
             }
         }
     }
-    // Purge squashed entries from the structures lazily; the stage
-    // check in each phase discards them. Clean the scheduler now so
-    // capacity frees immediately.
+    // Purge the squashed entries from both queues now, so capacity
+    // frees immediately and no stage ever meets a squashed entry.
     std::erase_if(m.sched, [&](const SchedEntry &e) {
         return m.istate[e.idx].stage != InstrStage::InSched;
     });

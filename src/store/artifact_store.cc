@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -52,10 +51,10 @@ readFile(const fs::path &path)
     return data;
 }
 
-/** Parse + fully validate one container file. On success @p key,
- *  @p kind and @p payload are set. Returns an error string, empty
- *  on success. */
-std::string
+/** Parse + fully validate one container file: magic, version,
+ *  kind, key hash, payload length and checksum. On success @p key,
+ *  @p kind and @p payload are set. */
+bool
 parseContainer(const std::string &data, ArtifactKind &kind,
                std::string &key, std::string &payload)
 {
@@ -63,34 +62,26 @@ parseContainer(const std::string &data, ArtifactKind &kind,
     std::string m;
     if (!r.bytes(m, sizeof(magic)) ||
         std::memcmp(m.data(), magic, sizeof(magic)) != 0)
-        return "bad magic";
+        return false;
     std::uint32_t version = 0, rawKind = 0;
     std::uint64_t keyHash = 0, payloadBytes = 0, payloadHash = 0;
     std::uint16_t keyLen = 0;
     if (!r.u32(version) || !r.u32(rawKind) || !r.u64(keyHash) ||
         !r.u64(payloadBytes) || !r.u64(payloadHash) || !r.u16(keyLen))
-        return "truncated header";
-    if (version != formatVersion)
-        return "format version " + std::to_string(version) +
-            " (want " + std::to_string(formatVersion) + ")";
-    if (rawKind < std::uint32_t(ArtifactKind::Trace) ||
+        return false;
+    if (version != formatVersion ||
+        rawKind < std::uint32_t(ArtifactKind::Trace) ||
         rawKind > std::uint32_t(ArtifactKind::Hints))
-        return "unknown artifact kind";
-    if (!r.bytes(key, keyLen))
-        return "truncated key";
-    if (fnv1a(key) != keyHash)
-        return "key hash mismatch";
-    if (r.remaining() != payloadBytes)
-        return "payload length mismatch";
-    if (!r.bytes(payload, static_cast<size_t>(payloadBytes)))
-        return "truncated payload";
-    if (fnv1a(payload) != payloadHash)
-        return "payload checksum mismatch";
+        return false;
+    if (!r.bytes(key, keyLen) || fnv1a(key) != keyHash)
+        return false;
+    if (r.remaining() != payloadBytes ||
+        !r.bytes(payload, static_cast<size_t>(payloadBytes)) ||
+        fnv1a(payload) != payloadHash)
+        return false;
     kind = static_cast<ArtifactKind>(rawKind);
-    return "";
+    return true;
 }
-
-} // namespace
 
 const char *
 artifactKindName(ArtifactKind k)
@@ -102,6 +93,8 @@ artifactKindName(ArtifactKind k)
     }
     return "?";
 }
+
+} // namespace
 
 std::uint64_t
 programContentHash(const LinkedProgram &prog)
@@ -147,14 +140,9 @@ std::shared_ptr<ArtifactStore>
 ArtifactStore::openFromEnv()
 {
     const char *dir = std::getenv("PF_CACHE_DIR");
-    if (dir) {
-        std::string d(dir);
-        if (d == "off" || d == "none" || d == "0")
-            return nullptr;
-        if (!d.empty())
-            return std::make_shared<ArtifactStore>(fs::path(d));
-    }
-    return std::make_shared<ArtifactStore>(fs::path(defaultDir()));
+    if (!dir || !*dir || std::string_view(dir) == "off")
+        return nullptr;
+    return std::make_shared<ArtifactStore>(fs::path(dir));
 }
 
 std::string
@@ -197,8 +185,8 @@ ArtifactStore::loadPayload(ArtifactKind kind,
     }
     ArtifactKind gotKind;
     std::string gotKey, payload;
-    std::string err = parseContainer(*data, gotKind, gotKey, payload);
-    if (!err.empty() || gotKind != kind || gotKey != key) {
+    if (!parseContainer(*data, gotKind, gotKey, payload) ||
+        gotKind != kind || gotKey != key) {
         ++_misses;
         return std::nullopt;
     }
@@ -345,88 +333,10 @@ ArtifactStore::entries() const
     if (ec)
         return out;
     for (const auto &de : it) {
-        if (!de.is_regular_file(ec) ||
-            de.path().extension() != ".pfa")
-            continue;
-        EntryInfo info;
-        info.path = de.path();
-        info.fileBytes = de.file_size(ec);
-        auto data = readFile(de.path());
-        if (!data) {
-            info.error = "unreadable";
-        } else {
-            std::string payload;
-            info.error = parseContainer(*data, info.kind, info.key,
-                                        payload);
-            info.valid = info.error.empty();
-        }
-        out.push_back(std::move(info));
+        if (de.is_regular_file(ec) && de.path().extension() == ".pfa")
+            out.push_back({de.path(), de.file_size(ec)});
     }
-    std::sort(out.begin(), out.end(),
-              [](const EntryInfo &a, const EntryInfo &b) {
-                  return a.path.filename() < b.path.filename();
-              });
     return out;
-}
-
-int
-ArtifactStore::removeInvalid()
-{
-    int removed = 0;
-    std::error_code ec;
-    for (const EntryInfo &e : entries()) {
-        if (e.valid)
-            continue;
-        if (fs::remove(e.path, ec) && !ec)
-            ++removed;
-    }
-    return removed;
-}
-
-int
-ArtifactStore::trimToBytes(std::uintmax_t maxBytes)
-{
-    struct Aged
-    {
-        fs::path path;
-        std::uintmax_t bytes;
-        fs::file_time_type mtime;
-    };
-    std::vector<Aged> aged;
-    std::uintmax_t total = 0;
-    std::error_code ec;
-    for (const EntryInfo &e : entries()) {
-        Aged a{e.path, e.fileBytes, fs::last_write_time(e.path, ec)};
-        total += a.bytes;
-        aged.push_back(std::move(a));
-    }
-    std::sort(aged.begin(), aged.end(),
-              [](const Aged &a, const Aged &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.path < b.path;
-              });
-    int removed = 0;
-    for (const Aged &a : aged) {
-        if (total <= maxBytes)
-            break;
-        if (fs::remove(a.path, ec) && !ec) {
-            total -= a.bytes;
-            ++removed;
-        }
-    }
-    return removed;
-}
-
-int
-ArtifactStore::clear()
-{
-    int removed = 0;
-    std::error_code ec;
-    for (const EntryInfo &e : entries()) {
-        if (fs::remove(e.path, ec) && !ec)
-            ++removed;
-    }
-    return removed;
 }
 
 } // namespace polyflow::store

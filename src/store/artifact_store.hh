@@ -1,20 +1,22 @@
 /**
  * @file
- * The persistent, content-addressed artifact store.
+ * The opt-in, content-addressed artifact store.
  *
- * Every bench and sweep regenerates the same committed traces, spawn
- * analyses and hint tables from immutable inputs. This store makes
- * those artifacts persistent across processes: each is serialized
- * into a versioned binary container under a cache directory
- * ($PF_CACHE_DIR, default ".pf-cache"), keyed by a content hash of
- * everything that determines the artifact —
+ * When $PF_CACHE_DIR names a directory, SweepRunner's cache persists
+ * the committed traces, spawn analyses and hint tables it builds
+ * there, each serialized into a versioned binary container and keyed
+ * by
  *
  *     (artifact kind, workload name, scale,
  *      linked-program content hash, format version
  *      [, policy kind mask for hint tables])
  *
- * — so a workload edit, a scale change or a format bump simply
- * misses and rebuilds; stale entries are never served.
+ * so a workload edit, a scale change or a format bump misses and
+ * rebuilds. The key does NOT cover the code that builds an artifact:
+ * after an edit to the functional simulator, the spawn analysis or
+ * the hint-table builder, a warm store serves artifacts of the old
+ * code. Use a fresh directory per build (perfbench does, per run).
+ * With PF_CACHE_DIR unset, empty or "off" nothing touches disk.
  *
  * Container layout (little-endian):
  *
@@ -28,10 +30,8 @@
  * rebuild, never a crash or a wrong result. Saves are atomic
  * (unique temp file + rename), so concurrent writers of the same key
  * race benignly: readers see either nothing or one complete entry.
- *
- * The store is a cache, not a database: every save is best-effort
- * (I/O failures are swallowed and counted), and deleting the cache
- * directory is always safe.
+ * Every save is best-effort (I/O failures are swallowed and
+ * counted), and deleting the directory is always safe.
  */
 
 #ifndef POLYFLOW_STORE_ARTIFACT_STORE_HH
@@ -61,29 +61,20 @@ enum class ArtifactKind : std::uint32_t {
     Hints = 3,     //!< HintTable points for one policy kind mask
 };
 
-const char *artifactKindName(ArtifactKind k);
-
-/** One store entry as seen by the pf_cache CLI. */
+/** One store file, as listed by ArtifactStore::entries(). */
 struct EntryInfo
 {
     std::filesystem::path path;
     std::uintmax_t fileBytes = 0;
-    /** Parsed from the container header; meaningful iff valid. */
-    ArtifactKind kind = ArtifactKind::Trace;
-    std::string key;
-    /** Full validation (header + checksum) passed. */
-    bool valid = false;
-    /** Human-readable reason when !valid. */
-    std::string error;
 };
 
 /**
  * Content hash of a linked program: instruction image (operations,
  * registers, immediates, resolved targets, layout), entry point and
  * initialized data. Two programs with equal hashes execute
- * identically under the functional simulator, so trace/analysis
- * artifacts keyed on it can never be served to a workload whose
- * definition changed.
+ * identically under one build of the functional simulator, so
+ * artifacts keyed on it are never served to a workload whose
+ * definition changed (but see the file comment on code edits).
  */
 std::uint64_t programContentHash(const LinkedProgram &prog);
 
@@ -94,14 +85,10 @@ class ArtifactStore
     explicit ArtifactStore(std::filesystem::path root);
 
     /**
-     * Open the store named by the environment: $PF_CACHE_DIR, or
-     * ".pf-cache" (relative to the working directory) when unset.
-     * Returns nullptr — caching disabled — when PF_CACHE_DIR is
-     * "off", "none" or "0".
+     * Open the store $PF_CACHE_DIR names. Returns nullptr — no
+     * store — when PF_CACHE_DIR is unset, empty or "off".
      */
     static std::shared_ptr<ArtifactStore> openFromEnv();
-
-    static const char *defaultDir() { return ".pf-cache"; }
 
     const std::filesystem::path &root() const { return _root; }
 
@@ -135,22 +122,9 @@ class ArtifactStore
                         const std::vector<SpawnPoint> &points);
     /** @} */
 
-    /** @name Maintenance (tools/pf_cache) @{ */
-    /** Every *.pfa entry under the root, sorted by filename. */
+    /** Every *.pfa file under the root, in directory order. The
+     *  files are listed, not read or validated. */
     std::vector<EntryInfo> entries() const;
-
-    /** Delete entries that fail validation; returns count. */
-    int removeInvalid();
-
-    /**
-     * Delete oldest entries (by last write time) until the store
-     * totals at most @p maxBytes; returns count removed.
-     */
-    int trimToBytes(std::uintmax_t maxBytes);
-
-    /** Delete every entry; returns count. */
-    int clear();
-    /** @} */
 
     /** @name Hit/miss accounting for reporting and tests @{ */
     int hits() const { return _hits.load(); }

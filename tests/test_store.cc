@@ -4,8 +4,8 @@
  * every artifact kind, rejection (as a miss, never a crash) of
  * corrupt / truncated / version-skewed containers, rebuild fallback
  * through SweepCache, concurrent same-key writers, cold-vs-warm
- * equality of whole pipeline outputs, and the maintenance surface
- * the pf_cache CLI drives.
+ * equality of whole pipeline outputs, and which callers the
+ * environment opts into a store.
  */
 
 #include <gtest/gtest.h>
@@ -239,7 +239,6 @@ TEST_F(StoreTest, CorruptTruncatedAndVersionSkewAreMisses)
 
     auto entries = store.entries();
     ASSERT_EQ(entries.size(), 1u);
-    ASSERT_TRUE(entries[0].valid);
     const fs::path file = entries[0].path;
     std::string pristine;
     {
@@ -259,19 +258,16 @@ TEST_F(StoreTest, CorruptTruncatedAndVersionSkewAreMisses)
     corrupt[corrupt.size() - 5] ^= 0x40;
     rewrite(corrupt);
     EXPECT_FALSE(store.loadTrace("twolf", 0.02, w.prog));
-    EXPECT_FALSE(store.entries()[0].valid);
 
     // Truncation: header says more payload than the file holds.
     rewrite(pristine.substr(0, pristine.size() / 2));
     EXPECT_FALSE(store.loadTrace("twolf", 0.02, w.prog));
-    EXPECT_FALSE(store.entries()[0].valid);
 
     // Version skew: bump the u32 after the 8-byte magic.
     std::string skew = pristine;
     skew[8] = char(store::formatVersion + 1);
     rewrite(skew);
     EXPECT_FALSE(store.loadTrace("twolf", 0.02, w.prog));
-    EXPECT_FALSE(store.entries()[0].valid);
 
     // Garbage and empty files.
     rewrite("not a container at all");
@@ -282,7 +278,6 @@ TEST_F(StoreTest, CorruptTruncatedAndVersionSkewAreMisses)
     // Restored pristine bytes hit again.
     rewrite(pristine);
     EXPECT_TRUE(store.loadTrace("twolf", 0.02, w.prog));
-    EXPECT_TRUE(store.entries()[0].valid);
 }
 
 TEST_F(StoreTest, SweepCacheRebuildsOverACorruptStore)
@@ -330,7 +325,6 @@ TEST_F(StoreTest, ConcurrentSameKeyWritersLeaveOneValidEntry)
     ArtifactStore store(_root);
     auto entries = store.entries();
     ASSERT_EQ(entries.size(), 1u);
-    EXPECT_TRUE(entries[0].valid) << entries[0].error;
     auto back = store.loadTrace("twolf", 0.02, w.prog);
     ASSERT_TRUE(back);
     expectSameTrace(t, *back);
@@ -381,45 +375,15 @@ TEST_F(StoreTest, WarmPipelineBuildsNothingAndMatchesCold)
     }
 }
 
-// --- Maintenance surface (what tools/pf_cache drives).
-
-TEST_F(StoreTest, MaintenanceRemovesInvalidTrimsAndClears)
-{
-    Workload w = smallWorkload();
-    Trace t = traceOf(w);
-    SpawnAnalysis sa(*w.module, w.prog);
-
-    ArtifactStore store(_root);
-    ASSERT_TRUE(store.saveTrace("twolf", 0.02, w.prog, t));
-    ASSERT_TRUE(
-        store.saveAnalysisPoints("twolf", 0.02, w.prog, sa.points()));
-    ASSERT_EQ(store.entries().size(), 2u);
-
-    EXPECT_EQ(store.removeInvalid(), 0);
-
-    // Break one entry; removeInvalid drops exactly it.
-    {
-        std::ofstream out(store.entries()[0].path,
-                          std::ios::binary | std::ios::trunc);
-        out << "junk";
-    }
-    EXPECT_EQ(store.removeInvalid(), 1);
-    ASSERT_EQ(store.entries().size(), 1u);
-    EXPECT_TRUE(store.entries()[0].valid);
-
-    // trimToBytes(0) empties; clear() on empty is a no-op.
-    EXPECT_EQ(store.trimToBytes(0), 1);
-    EXPECT_EQ(store.entries().size(), 0u);
-    EXPECT_EQ(store.clear(), 0);
-}
+// --- Environment: only PF_CACHE_DIR naming a directory opts in.
 
 TEST(StoreEnv, OffDisablesTheStore)
 {
+    ::unsetenv("PF_CACHE_DIR");
+    EXPECT_EQ(ArtifactStore::openFromEnv(), nullptr);
+    ::setenv("PF_CACHE_DIR", "", 1);
+    EXPECT_EQ(ArtifactStore::openFromEnv(), nullptr);
     ::setenv("PF_CACHE_DIR", "off", 1);
-    EXPECT_EQ(ArtifactStore::openFromEnv(), nullptr);
-    ::setenv("PF_CACHE_DIR", "none", 1);
-    EXPECT_EQ(ArtifactStore::openFromEnv(), nullptr);
-    ::setenv("PF_CACHE_DIR", "0", 1);
     EXPECT_EQ(ArtifactStore::openFromEnv(), nullptr);
 
     auto dir = fs::temp_directory_path() / "pf-store-test-env";
@@ -428,6 +392,28 @@ TEST(StoreEnv, OffDisablesTheStore)
     auto store = ArtifactStore::openFromEnv();
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->root(), dir);
+    ::setenv("PF_CACHE_DIR", "off", 1);
+    fs::remove_all(dir);
+}
+
+TEST(StoreEnv, OnlySweepRunnerOpensTheStore)
+{
+    ::unsetenv("PF_CACHE_DIR");
+    EXPECT_EQ(driver::SweepRunner(1).cache().store(), nullptr);
+
+    auto dir = fs::temp_directory_path() / "pf-store-test-session";
+    fs::remove_all(dir);
+    ::setenv("PF_CACHE_DIR", dir.string().c_str(), 1);
+    Session s = Session::open("twolf", 0.02);
+    s.trace();
+    s.analysis();
+    s.hints(SpawnPolicy::postdoms());
+    EXPECT_EQ(s.cache()->store(), nullptr);
+    EXPECT_FALSE(fs::exists(dir));
+
+    driver::SweepRunner runner(1);
+    ASSERT_NE(runner.cache().store(), nullptr);
+    EXPECT_EQ(runner.cache().store()->root(), dir);
     ::setenv("PF_CACHE_DIR", "off", 1);
     fs::remove_all(dir);
 }
