@@ -50,16 +50,14 @@ blameBucket(const MachineState &m)
         }
         if (!m.robAllowed(0))
             return SlotBucket::RobFull;
-        if (m.divertBlocker(i, m.trace->instrs[i], t)) {
-            if (static_cast<int>(m.divert.size()) >=
-                m.cfg.divertEntries) {
+        if (m.divertBlocker(m.trace->instrs[i], t)) {
+            if (m.divert.size() >= m.cfg.divertEntries)
                 return SlotBucket::DivertWait;
-            }
             // Rename ran before the wake-up condition flipped;
             // transient, uncommon.
             return SlotBucket::NoTask;
         }
-        if (static_cast<int>(m.sched.size()) >= m.cfg.schedEntries)
+        if (m.sched.size() >= m.cfg.schedEntries)
             return SlotBucket::SchedulerFull;
         return SlotBucket::NoTask;
       case InstrStage::None:

@@ -19,55 +19,32 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     const TraceIdx i = e.idx;
     InstrState &s = m.istate[i];
     const DynInstr &d = m.trace->instrs[i];
-    const LinkedInstr &li = m.staticOf(i);
+    const DecodedOp &op = m.ops[d.img];
 
-    // Register operands: synchronized producers must be
-    // complete; an unsynchronized (unpredicted) cross-task
-    // producer lets the consumer issue with a stale value,
-    // which is a dependence violation.
-    e.waitOn = invalidTrace;
-    bool staleRegRead = false;
-    RegId srcs[2];
-    int nsrc = li.instr.srcRegs(srcs);
-    for (int k = 0; k < nsrc; ++k) {
-        TraceIdx p = d.prod[k];
-        if (p == invalidTrace || m.doneAt(p, m.now))
-            continue;
-        if (m.regSyncNeeded(p, srcs[k], d, t)) {
-            if (e.waitOn == invalidTrace)
-                e.waitOn = p;
-        } else {
-            staleRegRead = true;
-        }
-    }
-
-    // Memory ordering for loads.
-    bool speculativeLoad = false;
-    if (e.waitOn == invalidTrace && li.instr.isLoad() &&
-        d.memProd != invalidTrace &&
-        m.istate[d.memProd].stage != InstrStage::Committed) {
-        if (m.loadSyncNeeded(i, d, t)) {
-            if (!m.doneAt(d.memProd, m.now))
-                e.waitOn = d.memProd;
-        } else if (!m.doneAt(d.memProd, m.now)) {
-            // Unsynchronized cross-task load issuing before the
-            // conflicting store has produced its data.
-            speculativeLoad = true;
-        }
-    }
-
+    // Synchronized producers must be complete.
+    e.waitOn = m.syncWait(d, t, m.now);
     if (e.waitOn != invalidTrace)
         return false;
-    if (staleRegRead)
-        m.pendingViolations.push_back({i, invalidTrace});
+    // Any producer still incomplete is unsynchronized (unpredicted):
+    // a register consumer issues with a stale value, and a cross-task
+    // load issues before the conflicting store has produced its data.
+    for (int k = 0; k < op.nsrc; ++k) {
+        if (d.prod[k] != invalidTrace && !m.doneAt(d.prod[k], m.now)) {
+            m.pendingViolations.push_back({i, invalidTrace});
+            break;
+        }
+    }
+    const bool load = op.mem == DecodedOp::Mem::Load;
+    const bool speculativeLoad = load && d.memProd != invalidTrace &&
+        !m.doneAt(d.memProd, m.now);
 
     // Issue.
     s.stage = InstrStage::Issued;
-    if (li.instr.isLoad()) {
+    if (load) {
         int lat = m.hier.accessData(d.effAddr);
         s.completeCycle = static_cast<std::uint32_t>(
             m.now + m.cfg.loadLatency + (lat - 1));
-    } else if (li.instr.isStore()) {
+    } else if (op.mem == DecodedOp::Mem::Store) {
         m.hier.accessData(d.effAddr);
         s.completeCycle = static_cast<std::uint32_t>(m.now + 1);
         // A store executing after dependent cross-task loads
@@ -82,8 +59,9 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
         }
     } else {
         s.completeCycle =
-            static_cast<std::uint32_t>(m.now + m.execLatency(li));
+            static_cast<std::uint32_t>(m.now + op.latency);
     }
+    m.onIssued(i);
     if (speculativeLoad &&
         m.istate[d.memProd].stage == InstrStage::Issued &&
         m.istate[d.memProd].completeCycle > m.now) {
@@ -93,38 +71,56 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     return true;
 }
 
+/**
+ * Insertion-sort q[from, end) by key into q[lo, from), which is
+ * sorted. Adaptive: entries that arrive in order cost one compare.
+ */
+template <class Ready>
+void
+insertSorted(std::vector<Ready> &q, size_t lo, size_t from)
+{
+    for (size_t j = from; j < q.size(); ++j) {
+        const Ready v = q[j];
+        size_t k = j;
+        for (; k > lo && q[k - 1].key > v.key; --k)
+            q[k] = q[k - 1];
+        q[k] = v;
+    }
+}
+
 } // namespace
 
 void
 releaseDiverted(MachineState &m)
 {
-    if (m.divert.empty())
+    m.wakeDue();
+    auto &q = m.divert.ready;
+    if (q.empty())
         return;
+    // FIFO order: the survivors of the last scan are sorted, and the
+    // entries woken since were appended behind them.
+    insertSorted(q, 0, 1);
+
     int budget = m.cfg.pipelineWidth;
-    // Compact in place: held entries move down to the write index
-    // w, in FIFO order.
-    std::vector<DivertEntry> &q = m.divert;
+    // Compact in place: entries that stay ready move down to the
+    // write index w, in FIFO order.
     size_t w = 0;
     size_t j = 0;
     for (; j < q.size() && budget > 0; ++j) {
-        DivertEntry e = q[j];
-        TraceIdx i = e.idx;
-        // Wakeup: while the producer that last held the entry has
-        // not advanced, the full rule would hold it too, so skip
-        // the rule. This is exact because a sync decision never
-        // reverts: DepPredictors only ever sets bits, Task::begin
-        // and Task::depMask are fixed for a task's life, and a
-        // producer's stage only moves forward. The one exception, a
-        // squash, also squashes this consumer, and recover() purges
-        // the entry.
-        if (m.holds(e.heldBy)) {
-            q[w++] = e;
-            continue;
-        }
+        const Slot slot = q[j].slot;
+        DivertEntry &e = m.divert.slots[slot];
+        const TraceIdx i = e.idx;
+        // Every ready entry's last blocker has let go (or it had
+        // none), so the full rule runs; it may find a newer one.
+        // The rule is exact to skip while parked: a sync decision
+        // never reverts (DepPredictors only ever sets bits,
+        // Task::begin and Task::depMask are fixed for a task's
+        // life), and a producer's stage only moves forward except
+        // under a squash, which also squashes and purges this entry.
         const Task &t = m.tasks[m.taskPosOf(i)];
-        if (Blocker b = m.divertBlocker(i, m.trace->instrs[i], t)) {
-            e.heldBy = b;  // a newer producer holds it
-            q[w++] = e;
+        if (Blocker b = m.divertBlocker(m.trace->instrs[i], t)) {
+            e.heldBy = b;
+            m.park(m.divertNode(slot));
             continue;
         }
         if (e.heldBy) {
@@ -132,42 +128,38 @@ releaseDiverted(MachineState &m)
             e.heldBy = {};
             e.readyAt = m.now + m.cfg.divertReleaseDelay;
         }
-        if (m.now >= e.readyAt &&
-            static_cast<int>(m.sched.size()) <
-                m.cfg.schedEntries) {
-            m.istate[i].stage = InstrStage::InSched;
-            m.sched.push_back({i});
+        if (m.now >= e.readyAt && m.sched.size() < m.cfg.schedEntries) {
+            m.divert.release(slot);
+            // Its first issue check is later this cycle. Entering the
+            // scheduler wakes the same-task consumers waiting for i
+            // to be renamed. They were diverted after i, so they sort
+            // behind it and this scan reaches them.
+            const size_t woken = q.size();
+            m.enterSched(i, m.syncWait(m.trace->instrs[i], t, m.now));
+            insertSorted(q, j + 1, woken);
             --budget;
         } else {
-            q[w++] = e;
+            q[w++] = q[j];
         }
     }
-    // Budget exhausted: the unexamined tail stays verbatim, in FIFO
-    // order, behind the held entries.
+    // Budget exhausted: the unexamined tail stays, in FIFO order,
+    // behind the entries that stayed ready.
     q.erase(q.begin() + w, q.begin() + j);
 }
 
 void
 issue(MachineState &m)
 {
-    if (m.sched.empty())
+    m.wakeDue();
+    auto &q = m.sched.ready;
+    if (q.empty())
         return;
-    // Repair oldest-first order: survivors of the previous scan are
-    // already sorted, and rename/divert-release appended short
-    // ascending runs behind them, so an adaptive insertion pass
-    // restores full order in ~n comparisons — no per-cycle sort.
-    std::vector<SchedEntry> &q = m.sched;
-    for (size_t j = 1; j < q.size(); ++j) {
-        SchedEntry v = q[j];
-        size_t k = j;
-        for (; k > 0 && q[k - 1].idx > v.idx; --k)
-            q[k] = q[k - 1];
-        q[k] = v;
-    }
+    // Oldest first: the survivors of the last scan are sorted, and
+    // rename, divert release and wakeups appended short runs behind
+    // them.
+    insertSorted(q, 0, 1);
 
     int fu = m.cfg.numFUs;
-    // Compact in place, as releaseDiverted() does.
-    size_t w = 0;
     // Ascending age keys let the owning task be resolved by walking
     // the (begin-sorted) task table in lockstep instead of a binary
     // search per entry. The tasks tile [commitIdx, N), so the walk
@@ -175,22 +167,23 @@ issue(MachineState &m)
     size_t cursor = 0;
     size_t j = 0;
     for (; j < q.size() && fu > 0; ++j) {
-        SchedEntry e = q[j];
-        // Wakeup: the entry cannot issue before the producer it last
-        // waited on has its result, for the reasons given at the
-        // skip in releaseDiverted(); skip the rule until then.
-        if (e.waitOn != invalidTrace && !m.doneAt(e.waitOn, m.now)) {
-            q[w++] = e;
-            continue;
-        }
+        const Slot slot = q[j].slot;
+        SchedEntry &e = m.sched.slots[slot];
         while (m.tasks[cursor].end <= e.idx)
             ++cursor;
-        if (tryIssue(m, e, m.tasks[cursor]))
+        const size_t woken = q.size();
+        if (tryIssue(m, e, m.tasks[cursor])) {
             --fu;
-        else
-            q[w++] = e;
+            m.sched.release(slot);
+            // A result ready in the cycle it issues wakes its
+            // consumers into this scan; they are younger.
+            insertSorted(q, j + 1, woken);
+        } else {
+            m.park(slot);  // on e.waitOn
+        }
     }
-    q.erase(q.begin() + w, q.begin() + j);
+    // Every examined entry issued or parked.
+    q.erase(q.begin(), q.begin() + j);
 }
 
 } // namespace polyflow::sim

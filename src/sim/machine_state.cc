@@ -1,8 +1,10 @@
 #include "sim/machine_state.hh"
 
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace polyflow::sim {
 
@@ -18,20 +20,50 @@ validated(const MachineConfig &config)
     return config;
 }
 
+/** The longest time from a cycle to a result it schedules: a load
+ *  that misses both cache levels, the slowest ALU class, or a
+ *  store's one cycle. */
+std::int64_t
+longestLatency(const MachineConfig &cfg)
+{
+    return std::max(
+        {std::int64_t(1), std::int64_t(cfg.intLatency),
+         std::int64_t(cfg.mulLatency), std::int64_t(cfg.divLatency),
+         std::int64_t(cfg.loadLatency) + cfg.l1d.missLatency +
+             cfg.l2.missLatency});
+}
+
+DecodedOp
+decode(const Instruction &in, const MachineConfig &cfg)
+{
+    DecodedOp op;
+    op.nsrc = static_cast<std::uint8_t>(in.srcRegs(op.src));
+    if (in.isLoad())
+        op.mem = DecodedOp::Mem::Load;
+    else if (in.isStore())
+        op.mem = DecodedOp::Mem::Store;
+    switch (in.op) {
+      case Opcode::MUL:
+        op.latency = cfg.mulLatency;
+        break;
+      case Opcode::DIVU:
+      case Opcode::REMU:
+        op.latency = cfg.divLatency;
+        break;
+      default:
+        op.latency = cfg.intLatency;
+        break;
+    }
+    return op;
+}
+
 } // namespace
 
 std::uint64_t
 MachineState::cycleLimitFor(const MachineConfig &cfg,
                             std::size_t instrs)
 {
-    // The longest time from a cycle to a result it schedules: a load
-    // that misses both cache levels, the slowest ALU class, or a
-    // store's one cycle.
-    const std::int64_t longest = std::max(
-        {std::int64_t(1), std::int64_t(cfg.intLatency),
-         std::int64_t(cfg.mulLatency), std::int64_t(cfg.divLatency),
-         std::int64_t(cfg.loadLatency) + cfg.l1d.missLatency +
-             cfg.l2.missLatency});
+    const std::int64_t longest = longestLatency(cfg);
     constexpr std::uint64_t base = 1'000'000, perInstr = 200;
     constexpr std::uint64_t cycleMax =
         std::numeric_limits<std::uint32_t>::max();
@@ -49,12 +81,30 @@ MachineState::MachineState(const MachineConfig &config,
                            const Trace &trace_, SpawnSource *source_,
                            const TraceIndex *sharedIndex)
     : cfg(validated(config)), trace(&trace_), source(source_),
-      cycleLimit(cycleLimitFor(config, trace_.size())), hier(config),
-      gshare(config), depPred(trace_.prog ? trace_.prog->size() : 0)
+      cycleLimit(cycleLimitFor(config, trace_.size())),
+      sched(config.schedEntries), divert(config.divertEntries),
+      hier(config), gshare(config),
+      depPred(trace_.prog ? trace_.prog->size() : 0)
 {
     if (trace_.size() == 0)
         throw std::runtime_error("TimingSim: empty trace");
     istate.resize(trace_.size());
+    waiterHead.assign(trace_.size(), noSlot);
+    waiterNext.assign(sched.slots.size() + divert.slots.size(), noSlot);
+    // Every result is scheduled at most longestLatency cycles ahead,
+    // so no two pending completion cycles share a bucket. The cap
+    // only binds for latencies no figure uses; drainWheel wakes
+    // only the due entries of a shared bucket.
+    constexpr std::uint64_t maxBuckets = 1 << 16;
+    wheel.assign(std::min(std::bit_ceil(std::uint64_t(
+                              longestLatency(cfg)) + 1),
+                          maxBuckets),
+                 noSlot);
+    if (trace_.prog) {
+        ops.reserve(trace_.prog->size());
+        for (ImageIdx k = 0; k < trace_.prog->size(); ++k)
+            ops.push_back(decode(trace_.prog->at(k).instr, cfg));
+    }
 
     if (source) {
         if (sharedIndex) {
@@ -74,6 +124,111 @@ MachineState::MachineState(const MachineConfig &config,
     // reallocates while a Task reference is live.
     tasks.reserve(size_t(config.numTasks) + 1);
     tasks.push_back(std::move(t0));
+}
+
+void
+MachineState::wakeRenamed(TraceIdx p)
+{
+    // Only divert entries wait for a rename; the rest stay.
+    Slot keep = noSlot;
+    for (Slot n = waiterHead[p]; n != noSlot;) {
+        const Slot next = waiterNext[n];
+        if (blockerOf(n).until == Await::Rename) {
+            wake(n);
+        } else {
+            waiterNext[n] = keep;
+            keep = n;
+        }
+        n = next;
+    }
+    waiterHead[p] = keep;
+}
+
+void
+MachineState::wakeIssued(TraceIdx p)
+{
+    const bool resultReady = istate[p].completeCycle <= now;
+    for (Slot n = std::exchange(waiterHead[p], noSlot); n != noSlot;) {
+        const Slot next = waiterNext[n];
+        if (blockerOf(n).until != Await::Result || resultReady)
+            wake(n);
+        else
+            park(n);  // to the wheel: p has issued
+        n = next;
+    }
+}
+
+void
+MachineState::drainWheel()
+{
+    // Normally one bucket, the one due now. A caller that moved the
+    // clock by more than the wheel's size gets every bucket once.
+    const std::uint64_t mask = wheel.size() - 1;
+    const std::uint64_t steps =
+        std::min<std::uint64_t>(now - wheelDrained, wheel.size());
+    for (std::uint64_t c = now + 1 - steps; c <= now; ++c) {
+        Slot &head = wheel[c & mask];
+        for (Slot n = std::exchange(head, noSlot); n != noSlot;) {
+            const Slot next = waiterNext[n];
+            if (istate[blockerOf(n).producer].completeCycle <= now) {
+                wake(n);
+            } else {
+                waiterNext[n] = head;
+                head = n;
+            }
+            n = next;
+        }
+    }
+    wheelDrained = now;
+}
+
+void
+MachineState::purgeSquashed()
+{
+    const Slot schedSlots = Slot(sched.slots.size());
+    auto live = [&](Slot n) {
+        if (n < schedSlots)
+            return istate[sched.slots[n].idx].stage == InstrStage::InSched;
+        return istate[divert.slots[n - schedSlots].idx].stage ==
+            InstrStage::Diverted;
+    };
+    auto filter = [&](Slot &head) {
+        Slot keep = noSlot;
+        for (Slot n = head; n != noSlot;) {
+            const Slot next = waiterNext[n];
+            if (live(n)) {
+                waiterNext[n] = keep;
+                keep = n;
+            }
+            n = next;
+        }
+        head = keep;
+    };
+    // A parked node is on its blocker's waiter list or in the wheel,
+    // so filtering the lists every entry's blocker names, and every
+    // bucket, reaches each squashed node.
+    const Slot nodes = Slot(waiterNext.size());
+    for (Slot n = 0; n < nodes; ++n) {
+        const bool used = n < schedSlots
+            ? sched.slots[n].idx != invalidTrace
+            : divert.slots[n - schedSlots].idx != invalidTrace;
+        const Blocker b = blockerOf(n);
+        if (used && b.producer != invalidTrace)
+            filter(waiterHead[b.producer]);
+    }
+    for (Slot &head : wheel)
+        filter(head);
+    std::erase_if(sched.ready, [&](const auto &r) { return !live(r.slot); });
+    std::erase_if(divert.ready,
+                  [&](const auto &r) { return !live(divertNode(r.slot)); });
+    for (Slot s = 0; s < schedSlots; ++s) {
+        if (sched.slots[s].idx != invalidTrace && !live(s))
+            sched.release(s);
+    }
+    for (Slot d = 0; d < divert.slots.size(); ++d) {
+        if (divert.slots[d].idx != invalidTrace && !live(divertNode(d)))
+            divert.release(d);
+    }
 }
 
 } // namespace polyflow::sim

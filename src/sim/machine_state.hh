@@ -9,8 +9,9 @@
  *
  * Ownership rules:
  *  - MachineState owns every piece of per-run mutable state: the
- *    per-instruction pipeline positions, the task table, scheduler
- *    and divert-queue occupancy, fetch's reusable eligible-task
+ *    per-instruction pipeline positions, the task table, the
+ *    scheduler and divert-queue entries with the waiter lists that
+ *    park them, fetch's reusable eligible-task
  *    buffer, predictors, caches, spawn feedback and the accumulating
  *    TimingResult.
  *  - The committed trace, the spawn source and the shared TraceIndex
@@ -18,7 +19,8 @@
  *    concurrent simulations).
  *
  * Methods on MachineState are *queries* used by more than one stage
- * (task lookup, synchronization predicates, resource admission);
+ * (task lookup, synchronization predicates, resource admission) and
+ * the queue entry and wakeup bookkeeping several stages share;
  * anything that advances the pipeline is a stage function.
  */
 
@@ -130,25 +132,112 @@ struct Blocker
 /** One divert-queue entry. */
 struct DivertEntry
 {
-    TraceIdx idx;
+    TraceIdx idx = invalidTrace;  //!< invalidTrace in a free slot
     /** The producer that held the entry when the divert rule
-     *  (MachineState::divertBlocker) last ran on it; cleared once
-     *  the rule lets it go. */
+     *  (MachineState::divertBlocker) last ran on it. While it holds
+     *  (MachineState::holds), the entry is parked on its waiter list
+     *  or wheel bucket and no stage looks at it. Cleared once the
+     *  rule lets the entry go. */
     Blocker heldBy{};
     /** Cycle the entry may re-enter rename; set when the rule first
      *  lets it go, meaningful only while heldBy is clear. */
     std::uint64_t readyAt = 0;
+    /** FIFO position: entries diverted before this one. */
+    std::uint64_t seq = 0;
+
+    /** Scan order of the divert queue: FIFO. */
+    std::uint64_t order() const { return seq; }
 };
 
 /** One scheduler entry. */
 struct SchedEntry
 {
-    TraceIdx idx;  //!< age key
+    TraceIdx idx = invalidTrace;  //!< age key; invalidTrace if free
     /** The synchronized register producer or store whose result
      *  kept the entry from issuing when issue last ran the full
-     *  readiness rule; invalidTrace if none. */
+     *  readiness rule; invalidTrace if none. Until that result is
+     *  ready the entry is parked on the producer's waiter list or
+     *  wheel bucket. */
     TraceIdx waitOn = invalidTrace;
+
+    /** Scan order of the scheduler: oldest first. */
+    std::uint64_t order() const { return idx; }
 };
+
+/** A queue slot number. Scheduler slot s is waiter node s and
+ *  divert slot d is node (scheduler slots) + d, so the waiter lists
+ *  need no storage beyond one link per slot. */
+using Slot = std::uint32_t;
+constexpr Slot noSlot = ~Slot(0);
+
+/**
+ * Fixed-slot storage of the scheduler or the divert queue, one slot
+ * per entry the config allows. An entry keeps its slot from entering
+ * the queue until it leaves it or a squash purges it. Every entry is
+ * either ready (listed in `ready`, which its stage scans) or parked
+ * on exactly one waiter list or wheel bucket of MachineState.
+ */
+template <class Entry>
+struct EntryQueue
+{
+    explicit EntryQueue(int capacity)
+        : slots(size_t(capacity)), freeSlots(size_t(capacity))
+    {
+        for (size_t k = 0; k < freeSlots.size(); ++k)
+            freeSlots[k] = Slot(freeSlots.size() - 1 - k);
+    }
+
+    /** Occupancy: ready and parked entries alike. */
+    int size() const { return int(slots.size() - freeSlots.size()); }
+    bool empty() const { return size() == 0; }
+
+    Slot
+    take(const Entry &e)
+    {
+        const Slot s = freeSlots.back();
+        freeSlots.pop_back();
+        slots[s] = e;
+        return s;
+    }
+
+    void
+    release(Slot s)
+    {
+        slots[s] = Entry{};
+        freeSlots.push_back(s);
+    }
+
+    /** A ready entry's slot, with its scan-order key
+     *  (Entry::order) beside it so ordering reads no slot. */
+    struct Ready
+    {
+        std::uint64_t key;
+        Slot slot;
+    };
+
+    void makeReady(Slot s) { ready.push_back({slots[s].order(), s}); }
+
+    std::vector<Entry> slots;
+    std::vector<Slot> freeSlots;  //!< taken from the back
+    /** The entries the stage's next scan examines: new and woken
+     *  entries, and divert entries the rule has let go that wait
+     *  for readyAt or for scheduler room. */
+    std::vector<Ready> ready;
+};
+
+/** Operands of one static instruction, decoded once per machine so
+ *  rename, divert release and issue read a table entry instead of
+ *  running Instruction's opcode switches per dynamic instruction. */
+struct DecodedOp
+{
+    /** Execution latency of a non-memory op: the config's int, mul
+     *  or div latency. */
+    std::int32_t latency = 0;
+    RegId src[2] = {};
+    std::uint8_t nsrc = 0;
+    enum class Mem : std::uint8_t { None, Load, Store } mem = Mem::None;
+};
+static_assert(sizeof(DecodedOp) == 8);
 
 /** A spawn decided mid-fetch, applied at end of cycle so task
  *  positions stay stable while the frontend iterates. */
@@ -227,17 +316,19 @@ struct MachineState
     std::vector<Task> tasks;         //!< active tasks, oldest first
     /** Fetch's eligible task positions, reused across cycles. */
     std::vector<size_t> eligible;
-    /** Scheduler occupancy, oldest age key first up to the entries
-     *  rename and divert release appended this cycle; issue repairs
-     *  the order before it selects (stages.hh). Each entry carries
-     *  the producer it last waited on. Invariant: every entry's
+    /** Scheduler entries, ready or parked. issue() scans the ready
+     *  ones oldest first; a parked one waits for the result it
+     *  lacked (SchedEntry::waitOn). Invariant: every entry's
      *  instruction is InSched (squashFromTask purges eagerly). */
-    std::vector<SchedEntry> sched;
-    /** Divert-queue occupancy, FIFO. A flat vector: entries only
-     *  append at the tail and leave by compaction, never by
-     *  front-pop. Each entry carries the producer holding it.
-     *  Invariant: every entry's instruction is Diverted. */
-    std::vector<DivertEntry> divert;
+    EntryQueue<SchedEntry> sched;
+    /** Divert-queue entries, ready or parked. releaseDiverted()
+     *  scans the ready ones in FIFO order (DivertEntry::seq); a
+     *  parked one waits while its blocker holds
+     *  (DivertEntry::heldBy). Invariant: every entry's instruction
+     *  is Diverted. */
+    EntryQueue<DivertEntry> divert;
+    /** DivertEntry::seq of the next diverted instruction. */
+    std::uint64_t divertSeq = 0;
     std::vector<Violation> pendingViolations;
     int robUsed = 0;
     TraceIdx commitIdx = 0;
@@ -250,6 +341,27 @@ struct MachineState
     std::vector<std::uint64_t> ghosts;
     PendingSpawn pending;
     /** @} */
+
+    /** @name Waiter lists and the completion wheel
+     * A parked queue entry waits on its producer's waiter list until
+     * the producer is renamed or issues, like a consumer waiting for
+     * a CAM broadcast. One that waits for a result its producer has
+     * already scheduled waits in the wheel bucket of that completion
+     * cycle instead. The lists link queue nodes (Slot) through
+     * waiterNext, so they cost one head per trace instruction and
+     * one link per queue slot.
+     * @{ */
+    std::vector<Slot> waiterHead;  //!< first waiter, by trace position
+    std::vector<Slot> waiterNext;  //!< next node on the same list
+    /** First waiter by completion cycle modulo the size, a power of
+     *  two above the longest latency. */
+    std::vector<Slot> wheel;
+    /** The wheel's buckets are woken through this cycle. */
+    std::uint64_t wheelDrained = 0;
+    /** @} */
+
+    /** Decoded operands, indexed by image index. */
+    std::vector<DecodedOp> ops;
 
     /** @name Predictors and memories @{ */
     MemHierarchy hier;
@@ -284,9 +396,6 @@ struct MachineState
      *  DESIGN.md). */
     bool robAllowed(size_t taskPos) const;
 
-    /** Execution latency class of a static instruction. */
-    int execLatency(const LinkedInstr &li) const;
-
     /** True if the consumer @p d, owned by @p t, synchronizes on
      *  its register producer @p p of source register @p src instead
      *  of speculating past it: a same-task producer, a compiler
@@ -300,21 +409,26 @@ struct MachineState
             depPred.predictsRegDep(d.img);
     }
 
-    /** The first producer that keeps instruction @p i in the
-     *  divert queue: a register producer it synchronizes on that
-     *  has not been renamed (same task) or issued (older task) yet,
-     *  or a load's synchronized store that has not produced its
-     *  data. False if nothing holds @p i. */
-    Blocker divertBlocker(TraceIdx i, const DynInstr &d,
-                          const Task &t) const;
+    /** The first producer that keeps instruction @p d, owned by
+     *  @p t, in the divert queue: a register producer it
+     *  synchronizes on that has not been renamed (same task) or
+     *  issued (older task) yet, or a load's synchronized store that
+     *  has not produced its data. False if nothing holds @p d. */
+    Blocker divertBlocker(const DynInstr &d, const Task &t) const;
     /** True while @p b's producer has not yet done what the entry
      *  waits for. A producer's stage only moves forward, so once
      *  this is false it stays false. The one exception is a squash,
      *  which squashes every younger instruction with the producer. */
     bool holds(const Blocker &b) const;
-    /** True if load @p i must synchronize on its producing store. */
-    bool loadSyncNeeded(TraceIdx i, const DynInstr &d,
-                        const Task &t) const;
+    /** True if @p d, owned by @p t, is a load that must
+     *  synchronize on its producing store. */
+    bool loadSyncNeeded(const DynInstr &d, const Task &t) const;
+    /** The first synchronized producer whose result @p d, owned by
+     *  @p t, lacks at @p cycle: a register producer it synchronizes
+     *  on, or else, for a load, its synchronized store.
+     *  invalidTrace if none; then @p d may issue at @p cycle. */
+    TraceIdx syncWait(const DynInstr &d, const Task &t,
+                      std::uint64_t cycle) const;
 
     /** Producer @p p has its result available at @p cycle. */
     bool
@@ -340,6 +454,76 @@ struct MachineState
     }
 
     /** @} */
+
+    /** @name Queue entry and wakeup
+     * The bookkeeping that rename, divert release, issue and
+     * recovery share. A wakeup appends the entry to its queue's
+     * ready list; the scanning stage restores the list's order.
+     * @{ */
+
+    /** Put @p i in the scheduler, and wake the divert entries that
+     *  wait for @p i to be renamed. The entry parks on @p waitOn if
+     *  that is a producer, else it is ready. Rename and divert
+     *  release pass syncWait at the entry's first issue cycle: issue
+     *  would park it there anyway, since a sync decision never
+     *  reverts, and the producer's issue or completion wakes it in
+     *  time (in the same issue scan, for a result ready at once). */
+    void enterSched(TraceIdx i, TraceIdx waitOn);
+    /** Divert @p i, held by @p b (which holds), and park it. */
+    void enterDivert(TraceIdx i, Blocker b);
+    /** Park queue node @p node on its blocker (blockerOf), which
+     *  must hold. */
+    void park(Slot node);
+    /** Producer @p p has issued: wake the entries waiting for that,
+     *  and move those waiting for its result to the wheel (or wake
+     *  them, if the result is ready now). */
+    void
+    onIssued(TraceIdx p)
+    {
+        if (waiterHead[p] != noSlot)
+            wakeIssued(p);
+    }
+    /** Wake the wheel's entries whose results are ready by now. */
+    void
+    wakeDue()
+    {
+        if (now > wheelDrained)
+            drainWheel();
+    }
+    /** After a squash: drop every entry whose instruction left its
+     *  queue's stage from the queues, the waiter lists and the
+     *  wheel, and free its slot. */
+    void purgeSquashed();
+
+    /** Waiter node of divert slot @p d. */
+    Slot
+    divertNode(Slot d) const
+    {
+        return Slot(sched.slots.size()) + d;
+    }
+    /** The slow paths of enterSched, onIssued and wakeDue. */
+    void wakeRenamed(TraceIdx p);
+    void wakeIssued(TraceIdx p);
+    void drainWheel();
+    /** Move queue node @p node to its queue's ready list. */
+    void
+    wake(Slot node)
+    {
+        if (node < sched.slots.size())
+            sched.makeReady(node);
+        else
+            divert.makeReady(node - Slot(sched.slots.size()));
+    }
+
+    /** What queue node @p node waits for (or last waited for). */
+    Blocker
+    blockerOf(Slot node) const
+    {
+        if (node < sched.slots.size())
+            return {sched.slots[node].waitOn, Await::Result};
+        return divert.slots[node - sched.slots.size()].heldBy;
+    }
+    /** @} */
 };
 
 inline size_t
@@ -364,30 +548,64 @@ MachineState::robAllowed(size_t taskPos) const
     return robUsed < cfg.robEntries - reserve;
 }
 
-inline int
-MachineState::execLatency(const LinkedInstr &li) const
+inline void
+MachineState::park(Slot node)
 {
-    switch (li.instr.op) {
-      case Opcode::MUL:
-        return cfg.mulLatency;
-      case Opcode::DIVU:
-      case Opcode::REMU:
-        return cfg.divLatency;
-      default:
-        return cfg.intLatency;
-    }
+    const Blocker b = blockerOf(node);
+    const InstrState &s = istate[b.producer];
+    Slot &head = b.until == Await::Result && s.stage == InstrStage::Issued
+        ? wheel[s.completeCycle & (wheel.size() - 1)]
+        : waiterHead[b.producer];
+    waiterNext[node] = head;
+    head = node;
+}
+
+inline void
+MachineState::enterSched(TraceIdx i, TraceIdx waitOn)
+{
+    istate[i].stage = InstrStage::InSched;
+    const Slot s = sched.take({i, waitOn});
+    if (waitOn == invalidTrace)
+        sched.makeReady(s);
+    else
+        park(s);
+    if (waiterHead[i] != noSlot)
+        wakeRenamed(i);
+}
+
+inline void
+MachineState::enterDivert(TraceIdx i, Blocker b)
+{
+    istate[i].stage = InstrStage::Diverted;
+    park(divertNode(divert.take({i, b, 0, divertSeq++})));
 }
 
 inline bool
-MachineState::loadSyncNeeded(TraceIdx i, const DynInstr &d,
-                             const Task &t) const
+MachineState::loadSyncNeeded(const DynInstr &d, const Task &t) const
 {
-    if (!staticOf(i).instr.isLoad() || d.memProd == invalidTrace)
+    if (ops[d.img].mem != DecodedOp::Mem::Load ||
+        d.memProd == invalidTrace)
         return false;
     if (istate[d.memProd].stage == InstrStage::Committed)
         return false;
     bool same_task = d.memProd >= t.begin;
     return same_task || depPred.predictsMemDep(d.img);
+}
+
+inline TraceIdx
+MachineState::syncWait(const DynInstr &d, const Task &t,
+                       std::uint64_t cycle) const
+{
+    const DecodedOp &op = ops[d.img];
+    for (int k = 0; k < op.nsrc; ++k) {
+        const TraceIdx p = d.prod[k];
+        if (p != invalidTrace && !doneAt(p, cycle) &&
+            regSyncNeeded(p, op.src[k], d, t))
+            return p;
+    }
+    if (loadSyncNeeded(d, t) && !doneAt(d.memProd, cycle))
+        return d.memProd;
+    return invalidTrace;
 }
 
 inline bool
@@ -407,8 +625,7 @@ MachineState::holds(const Blocker &b) const
 }
 
 inline Blocker
-MachineState::divertBlocker(TraceIdx i, const DynInstr &d,
-                            const Task &t) const
+MachineState::divertBlocker(const DynInstr &d, const Task &t) const
 {
     // An instruction synchronizes (stays diverted) while a producer
     // it is predicted to depend on has not been renamed yet.
@@ -419,12 +636,10 @@ MachineState::divertBlocker(TraceIdx i, const DynInstr &d,
     // producers are synchronized only when the rename-stage
     // dependence predictor says so; otherwise the consumer
     // speculates and may trigger a violation at issue.
-    const LinkedInstr &li = staticOf(i);
-    RegId srcs[2];
-    int nsrc = li.instr.srcRegs(srcs);
-    for (int k = 0; k < nsrc; ++k) {
+    const DecodedOp &op = ops[d.img];
+    for (int k = 0; k < op.nsrc; ++k) {
         TraceIdx p = d.prod[k];
-        if (p == invalidTrace || !regSyncNeeded(p, srcs[k], d, t))
+        if (p == invalidTrace || !regSyncNeeded(p, op.src[k], d, t))
             continue;
         // Same-task values flow through the scheduler normally:
         // divert only while the producer is not yet renamed (it may
@@ -437,7 +652,7 @@ MachineState::divertBlocker(TraceIdx i, const DynInstr &d,
         if (holds(b))
             return b;
     }
-    if (loadSyncNeeded(i, d, t)) {
+    if (loadSyncNeeded(d, t)) {
         Blocker b{d.memProd, Await::Result};
         if (holds(b))
             return b;

@@ -73,14 +73,10 @@ squashFromTask(MachineState &m, size_t taskPos)
             }
         }
     }
-    // Purge the squashed entries from both queues now, so capacity
-    // frees immediately and no stage ever meets a squashed entry.
-    std::erase_if(m.sched, [&](const SchedEntry &e) {
-        return m.istate[e.idx].stage != InstrStage::InSched;
-    });
-    std::erase_if(m.divert, [&](const DivertEntry &e) {
-        return m.istate[e.idx].stage != InstrStage::Diverted;
-    });
+    // Purge the squashed entries from both queues, their waiter
+    // lists and the wheel now, so capacity frees immediately and no
+    // stage or wakeup ever meets a squashed entry.
+    m.purgeSquashed();
 }
 
 } // namespace polyflow::sim

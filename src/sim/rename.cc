@@ -11,24 +11,20 @@ dispatch(MachineState &m)
         Task &t = m.tasks[pos];
         while (budget > 0 && t.dispIdx < t.fetchIdx) {
             TraceIdx i = t.dispIdx;
-            InstrState &s = m.istate[i];
+            const InstrState &s = m.istate[i];
             if (std::uint64_t(s.fetchCycle) + m.cfg.frontendDepth >
                 m.now)
                 break;
             const DynInstr &d = m.trace->instrs[i];
 
-            if (Blocker b = m.divertBlocker(i, d, t)) {
-                if (static_cast<int>(m.divert.size()) >=
-                        m.cfg.divertEntries ||
+            if (Blocker b = m.divertBlocker(d, t)) {
+                if (m.divert.size() >= m.cfg.divertEntries ||
                     !m.robAllowed(pos)) {
-                    if (static_cast<int>(m.divert.size()) >=
-                        m.cfg.divertEntries) {
+                    if (m.divert.size() >= m.cfg.divertEntries)
                         ++m.res.divertQueueFullStalls;
-                    }
                     break;
                 }
-                s.stage = InstrStage::Diverted;
-                m.divert.push_back({i, b});
+                m.enterDivert(i, b);
                 ++m.robUsed;
                 ++t.robHeld;
                 ++t.dispIdx;
@@ -36,13 +32,12 @@ dispatch(MachineState &m)
                 --budget;
                 ++m.res.instrsDiverted;
             } else {
-                if (static_cast<int>(m.sched.size()) >=
-                        m.cfg.schedEntries ||
+                if (m.sched.size() >= m.cfg.schedEntries ||
                     !m.robAllowed(pos)) {
                     break;
                 }
-                s.stage = InstrStage::InSched;
-                m.sched.push_back({i});
+                // Its first issue check is next cycle.
+                m.enterSched(i, m.syncWait(d, t, m.now + 1));
                 ++m.robUsed;
                 ++t.robHeld;
                 ++t.dispIdx;

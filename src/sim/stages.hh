@@ -51,14 +51,20 @@ void accountCycle(MachineState &m);
 /**
  * Re-dispatch diverted instructions whose wake-up condition holds
  * (producer renamed/issued) into the scheduler, after the FIFO
- * re-dispatch latency. Survivors keep their FIFO order.
+ * re-dispatch latency, at most pipelineWidth a cycle.
  *
- * Wakeup is event-driven, like the hardware's producer broadcast:
- * each entry remembers the producer that last held it
- * (DivertEntry::heldBy), and while that producer has not advanced,
- * one check of it stands in for the full rule
- * (MachineState::divertBlocker). The rule runs again once the
- * producer has moved, and may record a newer blocker.
+ * Wakeup is event-driven, like the hardware's producer broadcast.
+ * A held entry is parked on the producer that holds it
+ * (DivertEntry::heldBy): on that producer's waiter list, or in the
+ * completion wheel's bucket when it waits for a result already
+ * scheduled. The producer reaching the scheduler (dispatch or this
+ * stage), issuing (issue) or completing (the wheel) wakes it. The
+ * scan visits only ready entries, in FIFO order: the woken ones,
+ * and those the rule (MachineState::divertBlocker) has let go that
+ * wait out the latency or scheduler room. The rule runs again on
+ * each woken entry and may park it on a newer blocker. An entry
+ * woken by a release earlier in the same scan is reached later in
+ * it.
  */
 void releaseDiverted(MachineState &m);
 
@@ -68,14 +74,18 @@ void releaseDiverted(MachineState &m);
  * those, and stores that execute after dependent cross-task loads
  * already issued, queue dependence violations for recover().
  *
- * The scheduler is a plain vector of entries keyed by age (trace
- * index). Issue repairs its oldest-first order with an adaptive
- * insertion pass instead of sorting, drops issued and squashed
- * entries by single-pass compaction, and resolves each entry's
+ * Only ready entries are visited: new ones and those woken since
+ * the last scan. An entry that is not ready records the first
+ * synchronized producer whose result it lacks (SchedEntry::waitOn)
+ * and parks on it, on the producer's waiter list until it issues,
+ * then in the completion wheel until its result is ready. Rename
+ * and divert release park an entry that way as it enters, when
+ * that producer will not be done by its first issue check
+ * (MachineState::syncWait), so it is not visited just to park. Issue
+ * repairs the ready list's oldest-first order with an adaptive
+ * insertion pass instead of sorting, and resolves each entry's
  * owning task by walking the task table in lockstep with the
- * ascending keys. An entry that was not ready remembers the first
- * synchronized producer it lacked (SchedEntry::waitOn) and skips
- * the readiness rule until that producer's result is ready.
+ * ascending keys.
  */
 void issue(MachineState &m);
 
@@ -83,9 +93,10 @@ void issue(MachineState &m);
  * Rename up to pipelineWidth instructions, oldest task first. A
  * consumer the dependence predictors (or the compiler dep mask) mark
  * as synchronized enters the divert queue holding its ROB entry;
- * everything else dispatches to the scheduler. Stalls on frontend
- * depth, ROB admission (robAllowed) and full divert/scheduler
- * queues.
+ * everything else dispatches to the scheduler, parked on the first
+ * synchronized result it will lack next cycle, if any. Stalls on
+ * frontend depth, ROB admission (robAllowed) and full
+ * divert/scheduler queues.
  */
 void dispatch(MachineState &m);
 

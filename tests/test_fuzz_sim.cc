@@ -12,6 +12,7 @@
 
 #include "ir/builder.hh"
 #include "polyflow.hh"
+#include "queue_check.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -163,6 +164,20 @@ expectSlotIdentity(const TimingResult &r, std::uint64_t width)
     EXPECT_GE(committed + r.issueWidth, r.instrs) << r.policyName;
 }
 
+/** Resources squeezed until every queue and context fills. */
+MachineConfig
+tightConfig()
+{
+    MachineConfig tight;
+    tight.robEntries = 48;
+    tight.schedEntries = 8;
+    tight.divertEntries = 6;
+    tight.numTasks = 4;
+    tight.robReservePerOlderTask = 8;
+    tight.fetchQueueEntries = 4;
+    return tight;
+}
+
 class SimFuzz : public ::testing::TestWithParam<int>
 {};
 
@@ -232,19 +247,44 @@ TEST_P(SimFuzz, SqueezeResourcesStillCompletes)
     SpawnAnalysis sa(*mod, prog);
 
     // Tiny resources stress the deadlock-freedom argument.
-    MachineConfig tight;
-    tight.robEntries = 48;
-    tight.schedEntries = 8;
-    tight.divertEntries = 6;
-    tight.numTasks = 4;
-    tight.robReservePerOlderTask = 8;
-    tight.fetchQueueEntries = 4;
+    const MachineConfig tight = tightConfig();
     StaticSpawnSource src{HintTable(sa, SpawnPolicy::postdoms())};
     TimingResult pf = runTiming(tight, r.trace, &src, "tight");
     EXPECT_EQ(pf.instrs, r.trace.size());
     // Slot accounting must stay exact even when every resource
     // (ROB, scheduler, divert queue, contexts) is squeezed.
     expectSlotIdentity(pf, std::uint64_t(tight.pipelineWidth));
+}
+
+TEST_P(SimFuzz, QueueWaitersMatchPipelineStateEveryCycle)
+{
+    // The programs of both tests above, under postdoms on the
+    // default and the tight config: after every cycle each
+    // scheduler and divert entry is ready or parked exactly once,
+    // and the occupancy counts match istate (queue_check.hh).
+    for (std::uint64_t seed :
+         {std::uint64_t(GetParam()) * 1000003 + 7,
+          std::uint64_t(GetParam()) * 7777 + 23}) {
+        ProgramGen gen(seed);
+        auto mod = gen.generate();
+        LinkedProgram prog = mod->link();
+        FunctionalOptions opt;
+        opt.recordTrace = true;
+        auto r = runFunctional(prog, opt);
+        ASSERT_TRUE(r.halted);
+        SpawnAnalysis sa(*mod, prog);
+        const HintTable hints(sa, SpawnPolicy::postdoms());
+        for (const MachineConfig &cfg : {MachineConfig{}, tightConfig()}) {
+            StaticSpawnSource src{hints};
+            sim::MachineState m(cfg, r.trace, &src);
+            EXPECT_EQ(qtest::runCheckingQueues(m, m.cycleLimit), "")
+                << "seed " << seed;
+            // The loop above is the one runTiming runs.
+            StaticSpawnSource again{hints};
+            EXPECT_EQ(m.now, runTiming(cfg, r.trace, &again, "").cycles)
+                << "seed " << seed;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimFuzz, ::testing::Range(0, 15));

@@ -18,12 +18,18 @@
 
 #include "ir/builder.hh"
 #include "polyflow.hh"
+#include "queue_check.hh"
 #include "sim/stages.hh"
 #include "stats/export.hh"
 #include "store/sha256.hh"
 
 namespace polyflow {
 namespace {
+
+using qtest::divertEntries;
+using qtest::queueInvariantViolation;
+using qtest::schedEntries;
+using qtest::seedSched;
 
 /** Functional trace of a built module (keeps the program alive). */
 struct Built
@@ -204,7 +210,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
     sim::dispatch(m);
     EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
     ASSERT_EQ(m.divert.size(), 1u);
-    EXPECT_EQ(m.divert.front().idx, TraceIdx(4));
+    EXPECT_EQ(divertEntries(m).front().idx, TraceIdx(4));
     EXPECT_EQ(m.robUsed, 1);
     EXPECT_EQ(m.tasks[1].robHeld, 1);
     EXPECT_EQ(m.res.instrsDiverted, 1u);
@@ -232,7 +238,7 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     m.tasks[0].robHeld = 1;
     m.istate[3].stage = sim::InstrStage::Issued;
     m.istate[4].stage = sim::InstrStage::InSched;
-    m.sched = {{4}};
+    seedSched(m, {4});
     m.tasks[1].fetchIdx = m.tasks[1].dispIdx = 5;
     m.tasks[1].robHeld = 2;
     m.robUsed = 3;
@@ -279,7 +285,7 @@ TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
     m.istate[2].stage = sim::InstrStage::InSched;
     m.istate[3].stage = sim::InstrStage::InSched;
     m.commitIdx = 2;
-    m.sched = {{2}, {3}};
+    seedSched(m, {2, 3});
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 4;
     m.tasks[0].robHeld = 2;
     m.robUsed = 2;
@@ -337,7 +343,7 @@ TEST(Stages, DivertedConsumerWakesDelayCyclesAfterItsProducerIssues)
     m.istate[2].stage = sim::InstrStage::InSched;
     m.istate[3].stage = sim::InstrStage::InSched;
     m.commitIdx = 2;
-    m.sched = {{2}, {3}};
+    seedSched(m, {2, 3});
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 4;
     m.istate[4].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = 5;
@@ -349,13 +355,13 @@ TEST(Stages, DivertedConsumerWakesDelayCyclesAfterItsProducerIssues)
     sim::dispatch(m);
     ASSERT_EQ(m.divert.size(), 1u);
     const sim::Blocker onProducer{2, sim::Await::Issue};
-    EXPECT_EQ(m.divert[0].heldBy, onProducer);
+    EXPECT_EQ(divertEntries(m)[0].heldBy, onProducer);
 
     // The producer sits in the scheduler: the entry stays held.
     for (int c = 0; c < 10; ++c, ++m.now) {
         sim::releaseDiverted(m);
         ASSERT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
-        EXPECT_EQ(m.divert[0].heldBy, onProducer);
+        EXPECT_EQ(divertEntries(m)[0].heldBy, onProducer);
     }
 
     // The producer issues. Release runs before issue within a cycle,
@@ -395,7 +401,7 @@ TEST(Stages, SchedulerEntryIssuesTheCycleItsDivideProducerCompletes)
     m.commitIdx = 2;
     m.istate[2].stage = sim::InstrStage::InSched;
     m.istate[3].stage = sim::InstrStage::InSched;
-    m.sched = {{2}, {3}};
+    seedSched(m, {2, 3});
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 4;
     m.now = 10;
 
@@ -403,7 +409,7 @@ TEST(Stages, SchedulerEntryIssuesTheCycleItsDivideProducerCompletes)
     sim::issue(m);
     ASSERT_EQ(m.istate[2].stage, sim::InstrStage::Issued);
     ASSERT_EQ(m.sched.size(), 1u);
-    EXPECT_EQ(m.sched[0].waitOn, TraceIdx(2));
+    EXPECT_EQ(schedEntries(m)[0].waitOn, TraceIdx(2));
 
     std::uint64_t consumerAt = 0;
     for (++m.now; m.now <= issuedAt + 40 && consumerAt == 0; ++m.now) {
@@ -437,7 +443,7 @@ TEST(Stages, ConsumerWaitsOnItsSecondSourceOnceTheFirstCompletes)
     m.commitIdx = 2;
     for (TraceIdx i = 2; i <= 4; ++i)
         m.istate[i].stage = sim::InstrStage::InSched;
-    m.sched = {{2}, {3}, {4}};
+    seedSched(m, {2, 3, 4});
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 5;
     m.now = 10;
 
@@ -449,7 +455,7 @@ TEST(Stages, ConsumerWaitsOnItsSecondSourceOnceTheFirstCompletes)
     for (++m.now; m.now < divDone; ++m.now) {
         sim::issue(m);
         ASSERT_EQ(m.sched.size(), 1u) << "cycle " << m.now;
-        EXPECT_EQ(m.sched[0].waitOn,
+        EXPECT_EQ(schedEntries(m)[0].waitOn,
                   m.now < mulDone ? TraceIdx(2) : TraceIdx(3))
             << "cycle " << m.now;
     }
@@ -477,7 +483,7 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
     splitTasksAt(m, 2);
     m.istate[0].stage = sim::InstrStage::InSched;
     m.istate[1].stage = sim::InstrStage::InSched;
-    m.sched = {{0}, {1}};
+    seedSched(m, {0, 1});
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 2;
     m.depPred.recordRegViolation(tr.instrs[2].img);
     auto fetchConsumer = [&] {
@@ -490,7 +496,7 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
     fetchConsumer();
     sim::dispatch(m);
     ASSERT_EQ(m.divert.size(), 1u);
-    EXPECT_EQ(m.divert[0].heldBy, (sim::Blocker{0, sim::Await::Issue}));
+    EXPECT_EQ(divertEntries(m)[0].heldBy, (sim::Blocker{0, sim::Await::Issue}));
 
     // The first producer issues, then the consumer's task squashes:
     // its entry leaves the divert queue with it.
@@ -506,11 +512,270 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
     fetchConsumer();
     sim::dispatch(m);
     ASSERT_EQ(m.divert.size(), 1u);
-    EXPECT_EQ(m.divert[0].heldBy, (sim::Blocker{1, sim::Await::Issue}));
+    EXPECT_EQ(divertEntries(m)[0].heldBy, (sim::Blocker{1, sim::Await::Issue}));
     for (int c = 0; c < 5; ++c, ++m.now) {
         sim::releaseDiverted(m);
         EXPECT_EQ(m.istate[2].stage, sim::InstrStage::Diverted);
     }
+}
+
+/** Slot of instruction @p i in the divert queue; noSlot if none. */
+sim::Slot
+divertSlotOf(const sim::MachineState &m, TraceIdx i)
+{
+    for (sim::Slot d = 0; d < m.divert.slots.size(); ++d) {
+        if (m.divert.slots[d].idx == i)
+            return d;
+    }
+    return sim::noSlot;
+}
+
+TEST(Stages, ConsumerWokenByAnEarlierReleaseIsExaminedInTheSameScan)
+{
+    // li(0) in the older task feeds addi(1) in the younger one,
+    // which feeds addi(2) in the same task.
+    Built b = straightLine([](FunctionBuilder &fb) {
+        fb.li(reg::t0, 5);
+        fb.addi(reg::t1, reg::t0, 1);
+        fb.addi(reg::t2, reg::t1, 1);
+    });
+    const Trace &tr = b.fr->trace;
+    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+    ASSERT_EQ(tr.instrs[2].prod[0], TraceIdx(1));
+
+    MachineConfig cfg;
+    sim::MachineState m(cfg, tr, nullptr);
+    splitTasksAt(m, 1);
+    seedSched(m, {0});
+    m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 1;
+    // The predictor synchronizes 1 on its cross-task producer; 2
+    // follows its same-task producer into the divert queue.
+    m.depPred.recordRegViolation(tr.instrs[1].img);
+    m.istate[1].stage = sim::InstrStage::Fetched;
+    m.istate[2].stage = sim::InstrStage::Fetched;
+    m.tasks[1].fetchIdx = 3;
+    m.now = std::uint64_t(cfg.frontendDepth);
+    sim::dispatch(m);
+    const auto queued = divertEntries(m);
+    ASSERT_EQ(queued.size(), 2u);
+    EXPECT_EQ(queued[0].heldBy, (sim::Blocker{0, sim::Await::Issue}));
+    EXPECT_EQ(queued[1].heldBy, (sim::Blocker{1, sim::Await::Rename}));
+
+    // The producer issues this cycle; release sees it the next.
+    sim::issue(m);
+    ASSERT_EQ(m.istate[0].stage, sim::InstrStage::Issued);
+    const std::uint64_t seen = m.now + 1;
+    std::uint64_t released[3] = {};
+    for (++m.now; m.now <= seen + 20 && released[2] == 0; ++m.now) {
+        sim::releaseDiverted(m);
+        for (TraceIdx i : {TraceIdx(1), TraceIdx(2)}) {
+            if (released[i] == 0 &&
+                m.istate[i].stage != sim::InstrStage::Diverted)
+                released[i] = m.now;
+        }
+        sim::issue(m);
+        ASSERT_EQ(queueInvariantViolation(m), "") << "cycle " << m.now;
+    }
+    // 1 is let go the cycle it sees its producer issued and leaves
+    // divertReleaseDelay cycles later. Its release wakes 2 within
+    // the same scan, so 2 is let go in that cycle, not the next.
+    const auto delay = std::uint64_t(cfg.divertReleaseDelay);
+    EXPECT_EQ(released[1], seen + delay);
+    EXPECT_EQ(released[2], released[1] + delay);
+}
+
+TEST(Stages, LoadHeldOnItsStoreWakesAtTheStoresCompleteCycle)
+{
+    // sd(2) writes the word ld(3) reads back.
+    Built b;
+    const Addr cell = b.mod.allocData("cell", 8);
+    Function &f = b.mod.createFunction("main");
+    {
+        FunctionBuilder fb(f);
+        fb.li(reg::gp, std::int64_t(cell));
+        fb.li(reg::t0, 7);
+        fb.sd(reg::t0, reg::gp, 0);
+        fb.ld(reg::t1, reg::gp, 0);
+        fb.halt();
+    }
+    b.finish();
+    const Trace &tr = b.fr->trace;
+    ASSERT_EQ(tr.instrs[3].memProd, TraceIdx(2));
+
+    MachineConfig cfg;
+    sim::MachineState m(cfg, tr, nullptr);
+    m.istate[0].stage = sim::InstrStage::Committed;
+    m.istate[1].stage = sim::InstrStage::Committed;
+    m.commitIdx = 2;
+    seedSched(m, {2});
+    m.istate[3].stage = sim::InstrStage::Fetched;
+    m.tasks[0].fetchIdx = 4;
+    m.tasks[0].dispIdx = 3;
+    m.now = 10;
+
+    // A same-task load synchronizes on its store's data.
+    sim::dispatch(m);
+    const sim::Slot load = divertSlotOf(m, 3);
+    ASSERT_NE(load, sim::noSlot);
+    const sim::Blocker onStore{2, sim::Await::Result};
+    EXPECT_EQ(m.divert.slots[load].heldBy, onStore);
+
+    // The store issues; the load moves to the wheel bucket of the
+    // store's completion cycle.
+    sim::issue(m);
+    ASSERT_EQ(m.istate[2].stage, sim::InstrStage::Issued);
+    const std::uint64_t done = m.istate[2].completeCycle;
+    ASSERT_GT(done, m.now);
+    EXPECT_EQ(m.wheel[done & (m.wheel.size() - 1)], m.divertNode(load));
+    EXPECT_EQ(queueInvariantViolation(m), "");
+
+    std::uint64_t letGo = 0, released = 0;
+    for (++m.now; m.now <= done + 20 && released == 0; ++m.now) {
+        sim::releaseDiverted(m);
+        if (m.istate[3].stage == sim::InstrStage::InSched) {
+            released = m.now;
+        } else if (letGo == 0 && !m.divert.slots[load].heldBy) {
+            letGo = m.now;
+        } else if (letGo == 0) {
+            EXPECT_EQ(m.divert.slots[load].heldBy, onStore);
+        }
+        ASSERT_EQ(queueInvariantViolation(m), "") << "cycle " << m.now;
+    }
+    EXPECT_EQ(letGo, done);
+    EXPECT_EQ(released, done + std::uint64_t(cfg.divertReleaseDelay));
+}
+
+TEST(Stages, ConsumerParkedAtRenameIssuesWhenItsProducerCompletes)
+{
+    // addi(1) reads the t0 of mul(0).
+    Built b = straightLine([](FunctionBuilder &fb) {
+        fb.mul(reg::t0, reg::t1, reg::t2);
+        fb.addi(reg::t3, reg::t0, 1);
+    });
+    const Trace &tr = b.fr->trace;
+    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+
+    // Rename parks the consumer on its producer, which has not
+    // issued. The producer issues the next cycle, and the consumer
+    // issues the cycle its result is ready: through the wheel for a
+    // 3-cycle mul, and within the same issue scan for a 0-cycle one.
+    for (int latency : {3, 0}) {
+        MachineConfig cfg;
+        cfg.mulLatency = latency;
+        sim::MachineState m(cfg, tr, nullptr);
+        seedSched(m, {0});
+        m.tasks[0].dispIdx = 1;
+        m.tasks[0].fetchIdx = 2;
+        m.istate[1].stage = sim::InstrStage::Fetched;
+        m.now = std::uint64_t(cfg.frontendDepth);
+        sim::dispatch(m);
+        ASSERT_EQ(m.istate[1].stage, sim::InstrStage::InSched);
+        EXPECT_EQ(schedEntries(m)[1].waitOn, TraceIdx(0));
+        EXPECT_EQ(m.sched.ready.size(), 1u) << "only the producer";
+        EXPECT_EQ(queueInvariantViolation(m), "");
+
+        const std::uint64_t producerAt = m.now + 1;
+        std::uint64_t consumerAt = 0;
+        for (++m.now; m.now <= producerAt + 10 && consumerAt == 0;
+             ++m.now) {
+            sim::releaseDiverted(m);
+            sim::issue(m);
+            ASSERT_EQ(m.istate[0].stage, sim::InstrStage::Issued);
+            if (m.istate[1].stage == sim::InstrStage::Issued)
+                consumerAt = m.now;
+            ASSERT_EQ(queueInvariantViolation(m), "")
+                << "latency " << latency << ", cycle " << m.now;
+        }
+        EXPECT_EQ(consumerAt, producerAt + std::uint64_t(latency))
+            << "latency " << latency;
+        EXPECT_TRUE(m.sched.empty());
+    }
+}
+
+TEST(Stages, ResultDueBeyondTheWheelsSpanWakesItsConsumerOnTime)
+{
+    // A latency past the wheel's largest size makes completion
+    // cycles share a bucket; the consumer still issues the cycle its
+    // producer's result is ready.
+    Built b = straightLine([](FunctionBuilder &fb) {
+        fb.mul(reg::t0, reg::t1, reg::t2);
+        fb.addi(reg::t3, reg::t0, 1);
+    });
+    MachineConfig cfg;
+    cfg.mulLatency = 70'000;
+    sim::MachineState m(cfg, b.fr->trace, nullptr);
+    ASSERT_LT(m.wheel.size(), std::size_t(cfg.mulLatency));
+    seedSched(m, {0, 1});
+    m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 2;
+    m.now = 10;
+
+    const std::uint64_t issuedAt = m.now;
+    sim::issue(m);
+    ASSERT_EQ(m.istate[0].stage, sim::InstrStage::Issued);
+    EXPECT_EQ(queueInvariantViolation(m), "");
+    std::uint64_t consumerAt = 0;
+    const std::uint64_t due = issuedAt + std::uint64_t(cfg.mulLatency);
+    for (++m.now; m.now <= due + 10 && consumerAt == 0; ++m.now) {
+        sim::issue(m);
+        if (m.istate[1].stage == sim::InstrStage::Issued)
+            consumerAt = m.now;
+    }
+    EXPECT_EQ(consumerAt, due);
+}
+
+TEST(Stages, SquashedEntryParkedOnASurvivingProducerIsReParkedOnce)
+{
+    // li(0) in the older task feeds add(1) in the younger one.
+    Built b = straightLine([](FunctionBuilder &fb) {
+        fb.li(reg::t1, 6);
+        fb.add(reg::t3, reg::t1, reg::t1);
+    });
+    const Trace &tr = b.fr->trace;
+    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+
+    MachineConfig cfg;
+    sim::MachineState m(cfg, tr, nullptr);
+    splitTasksAt(m, 1);
+    seedSched(m, {0});
+    m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 1;
+    m.tasks[0].robHeld = 1;
+    m.robUsed = 1;
+    m.depPred.recordRegViolation(tr.instrs[1].img);
+    auto fetchConsumer = [&] {
+        m.istate[1].stage = sim::InstrStage::Fetched;
+        m.istate[1].fetchCycle = std::uint32_t(m.now);
+        m.tasks[1].fetchIdx = 2;
+        m.now += std::uint64_t(cfg.frontendDepth);
+    };
+    const sim::Blocker onProducer{0, sim::Await::Issue};
+
+    fetchConsumer();
+    sim::dispatch(m);
+    ASSERT_EQ(divertEntries(m).size(), 1u);
+    EXPECT_EQ(divertEntries(m)[0].heldBy, onProducer);
+    EXPECT_NE(m.waiterHead[0], sim::noSlot);
+
+    // The consumer's task squashes while the producer, in the older
+    // task, survives unissued: the entry leaves its waiter list.
+    sim::squashFromTask(m, 1);
+    EXPECT_TRUE(m.divert.empty());
+    EXPECT_EQ(m.waiterHead[0], sim::noSlot);
+    EXPECT_EQ(queueInvariantViolation(m), "");
+
+    // Re-dispatched, it parks on the same producer again, once.
+    ++m.now;
+    fetchConsumer();
+    sim::dispatch(m);
+    ASSERT_EQ(divertEntries(m).size(), 1u);
+    EXPECT_EQ(divertEntries(m)[0].heldBy, onProducer);
+    EXPECT_EQ(queueInvariantViolation(m), "");
+    const sim::Slot head = m.waiterHead[0];
+    ASSERT_NE(head, sim::noSlot);
+    EXPECT_EQ(m.waiterNext[head], sim::noSlot);
+
+    // The run then finishes, with every cycle's queues consistent.
+    EXPECT_EQ(qtest::runCheckingQueues(m, m.now + 1000), "");
+    EXPECT_EQ(m.commitIdx, TraceIdx(tr.size()));
 }
 
 TEST(Stages, TraceTooLongForThirtyTwoBitCyclesIsRejected)
