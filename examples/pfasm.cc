@@ -97,7 +97,7 @@ main(int argc, char **argv)
         for (TraceIdx i = 0; i < r.trace.size(); ++i) {
             const Instruction &insn = r.trace.staticOf(i).instr;
             br += insn.isCondBranch();
-            taken += insn.isCondBranch() && r.trace.instrs[i].taken;
+            taken += insn.isCondBranch() && r.trace.instrs[i].taken();
             mem += insn.isMem();
         }
         std::cout << "  branches: " << br << " (" << taken

@@ -109,6 +109,19 @@ Module::jumpTableTargets() const
     return out;
 }
 
+ProgramTooLarge::ProgramTooLarge(std::size_t instrs)
+    : std::length_error("program of " + std::to_string(instrs) +
+                        " instructions: an image holds fewer than " +
+                        std::to_string(maxImageSize))
+{}
+
+void
+checkImageSize(std::size_t instrs)
+{
+    if (instrs >= maxImageSize)
+        throw ProgramTooLarge(instrs);
+}
+
 LinkedProgram
 Module::link()
 {
@@ -119,6 +132,7 @@ Module::link()
 
     // Pass 1: assign addresses.
     Addr pc = _codeBase;
+    std::size_t instrs = 0;
     for (auto &fp : _funcs) {
         Function &fn = *fp;
         fn.resolveFallThroughs();
@@ -130,9 +144,11 @@ Module::link()
             prog._blockAddrs[blockKey(fn.id(),
                                       static_cast<BlockId>(b))] = pc;
             pc += bb.size() * instrBytes;
+            instrs += bb.size();
         }
         pc += fn.padding();
     }
+    checkImageSize(instrs);
     prog._codeBegin = _codeBase;
     prog._codeEnd = pc;
 

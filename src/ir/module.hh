@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +39,18 @@ struct DataInit
     Addr addr;
     std::vector<std::uint8_t> bytes;
 };
+
+/** A program of maxImageSize instructions or more: no trace record
+ *  could name its instructions. */
+class ProgramTooLarge : public std::length_error
+{
+  public:
+    explicit ProgramTooLarge(std::size_t instrs);
+};
+
+/** @throws ProgramTooLarge unless an image of @p instrs instructions
+ *  fits below maxImageSize. */
+void checkImageSize(std::size_t instrs);
 
 /**
  * A fully linked program: a flat instruction image plus initialized
@@ -129,6 +142,8 @@ class Module
     /**
      * Lay out code, resolve symbolic targets and jump tables, and
      * produce the executable image. Validates every function.
+     * @throws ProgramTooLarge if the image would not fit below
+     *         maxImageSize
      */
     LinkedProgram link();
 

@@ -26,6 +26,10 @@ using FuncId = std::int32_t;
 /** Index of an instruction in a linked (flat) program image. */
 using ImageIdx = std::uint32_t;
 
+/** Images hold fewer instructions than this: a trace record packs
+ *  the image index into 31 bits (DynInstr). */
+constexpr ImageIdx maxImageSize = ImageIdx(1) << 31;
+
 /** Index of a record in a dynamic (committed) instruction trace. */
 using TraceIdx = std::uint32_t;
 

@@ -30,6 +30,7 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
     std::unordered_map<Addr, TraceIdx> lastStore;
 
     if (options.recordTrace) {
+        checkImageSize(prog.size());
         res.trace.prog = &prog;
         res.trace.instrs.reserve(
             std::min<std::uint64_t>(options.maxInstrs, 1u << 22));
@@ -37,25 +38,22 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
 
     Addr pc = prog.entryAddr();
     while (res.instrCount < options.maxInstrs) {
-        const LinkedInstr &li = prog.at(prog.idxOf(pc));
+        const ImageIdx img = prog.idxOf(pc);
+        const LinkedInstr &li = prog.at(img);
         const Instruction &in = li.instr;
 
         ExecOut out = step(li, st);
         ++res.instrCount;
 
         if (options.recordTrace) {
-            DynInstr d;
-            d.img = prog.idxOf(pc);
-            d.taken = out.taken;
-            d.effAddr = in.isMem() ? out.effAddr : out.indirectTarget;
-
+            TraceIdx prod[2] = {invalidTrace, invalidTrace};
             RegId srcs[2];
             int nsrc = in.srcRegs(srcs);
             for (int s = 0; s < nsrc; ++s)
-                d.prod[s] = lastWriter[srcs[s]];
+                prod[s] = lastWriter[srcs[s]];
 
-            TraceIdx self =
-                static_cast<TraceIdx>(res.trace.instrs.size());
+            TraceIdx self = static_cast<TraceIdx>(res.trace.size());
+            TraceIdx memProd = invalidTrace;
             if (in.isMem()) {
                 Addr lo = out.effAddr & ~Addr(7);
                 Addr hi = (out.effAddr + in.memBytes() - 1) & ~Addr(7);
@@ -63,9 +61,9 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
                     for (Addr c = lo; c <= hi; c += 8) {
                         auto it = lastStore.find(c);
                         if (it != lastStore.end() &&
-                            (d.memProd == invalidTrace ||
-                             it->second > d.memProd)) {
-                            d.memProd = it->second;
+                            (memProd == invalidTrace ||
+                             it->second > memProd)) {
+                            memProd = it->second;
                         }
                     }
                 } else {
@@ -77,7 +75,9 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
             if (dst >= 0)
                 lastWriter[dst] = self;
 
-            res.trace.instrs.push_back(d);
+            res.trace.append(
+                img, out.taken, prod[0], prod[1],
+                in.isMem() ? out.effAddr : out.indirectTarget, memProd);
         }
 
         if (out.halted) {
@@ -91,6 +91,7 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
                 std::to_string(pc));
         }
     }
+    res.trace.shrinkToFit();
     return res;
 }
 

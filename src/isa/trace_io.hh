@@ -10,6 +10,13 @@
  * i lives at byte 8 + 28*i of the payload. Container-level headers,
  * versioning and checksums are the artifact store's job
  * (store/artifact_store.hh); this codec is payload-only.
+ *
+ * In memory the record is split: img, taken and prod[] are the
+ * 16-byte DynInstr, and effAddr and memProd are its entry in the
+ * Trace's side table. A record without one writes invalidAddr and
+ * invalidTrace (all ones) there, and decoding gives a side-table
+ * entry to exactly the records whose effAddr or memProd is not all
+ * ones, so the file bytes do not depend on the in-memory split.
  */
 
 #ifndef POLYFLOW_ISA_TRACE_IO_HH
@@ -31,8 +38,8 @@ void encodeTrace(const Trace &trace, std::string &out);
  * recorded from — the artifact store guarantees this by keying
  * entries on the program content hash). Returns false, leaving
  * @p out untouched, on any structural problem: short or oversized
- * payload, or a record whose static-instruction index is out of
- * range for @p prog.
+ * payload, a record whose static-instruction index is out of range
+ * for @p prog, or one naming a producer that is not older than it.
  */
 bool decodeTrace(std::string_view payload, const LinkedProgram &prog,
                  Trace &out);

@@ -19,7 +19,7 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     const TraceIdx i = e.idx;
     InstrState &s = m.istate[i];
     const DynInstr &d = m.trace->instrs[i];
-    const DecodedOp &op = m.ops[d.img];
+    const DecodedOp &op = m.ops[d.img()];
 
     // Synchronized producers must be complete.
     e.waitOn = m.syncWait(d, t, m.now);
@@ -35,22 +35,23 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
         }
     }
     const bool load = op.mem == DecodedOp::Mem::Load;
-    const bool speculativeLoad = load && d.memProd != invalidTrace &&
-        !m.doneAt(d.memProd, m.now);
+    const TraceIdx store = load ? m.trace->memProd(d) : invalidTrace;
+    const bool speculativeLoad =
+        store != invalidTrace && !m.doneAt(store, m.now);
 
     // Issue.
     s.stage = InstrStage::Issued;
     if (load) {
-        int lat = m.hier.accessData(d.effAddr);
+        int lat = m.hier.accessData(m.trace->effAddr(d));
         s.completeCycle = static_cast<std::uint32_t>(
             m.now + m.cfg.loadLatency + (lat - 1));
     } else if (op.mem == DecodedOp::Mem::Store) {
-        m.hier.accessData(d.effAddr);
+        m.hier.accessData(m.trace->effAddr(d));
         s.completeCycle = static_cast<std::uint32_t>(m.now + 1);
         // A store executing after dependent cross-task loads
         // have already issued is a dependence violation.
         if (m.index) {
-            for (TraceIdx l : m.index->consumersOf(i)) {
+            for (TraceIdx l : m.index->consumersOf(d.side)) {
                 if (m.istate[l].stage == InstrStage::Issued &&
                     l >= t.end) {
                     m.pendingViolations.push_back({l, i});
@@ -62,11 +63,10 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
             static_cast<std::uint32_t>(m.now + op.latency);
     }
     m.onIssued(i);
-    if (speculativeLoad &&
-        m.istate[d.memProd].stage == InstrStage::Issued &&
-        m.istate[d.memProd].completeCycle > m.now) {
+    if (speculativeLoad && m.istate[store].stage == InstrStage::Issued &&
+        m.istate[store].completeCycle > m.now) {
         // Load read stale data while the store is in flight.
-        m.pendingViolations.push_back({i, d.memProd});
+        m.pendingViolations.push_back({i, store});
     }
     return true;
 }

@@ -80,7 +80,7 @@ commit(MachineState &m)
         s.stage = InstrStage::Committed;
         if (m.source) {
             m.source->onCommit(m.staticOf(m.commitIdx),
-                               m.trace->instrs[m.commitIdx].taken);
+                               m.trace->instrs[m.commitIdx].taken());
         }
         Task &head = m.tasks.front();
         --head.robHeld;

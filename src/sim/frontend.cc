@@ -35,7 +35,7 @@ maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
     if (!hint)
         return;
     const DynInstr &d = m.trace->instrs[i];
-    if (m.cfg.spawnFeedback && m.feedback[d.img].disabled) {
+    if (m.cfg.spawnFeedback && m.feedback[d.img()].disabled) {
         ++m.res.spawnsSkippedFeedback;
         return;
     }
@@ -59,7 +59,7 @@ maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
     m.pending.end = t.end;
     m.pending.hint = *hint;
     m.pending.triggerPc = li.addr;
-    m.pending.triggerImg = d.img;
+    m.pending.triggerImg = d.img();
     m.pending.ghr = t.ghr;
     m.pending.ras = t.ras;
     t.end = j;
@@ -147,7 +147,7 @@ fetch(MachineState &m)
             const DynInstr &d = m.trace->instrs[i];
 
             // Instruction cache.
-            Addr line = li.addr / Addr(m.cfg.l1i.lineBytes);
+            const Addr line = m.fetchLine[d.img()];
             if (line != t.curFetchLine) {
                 int lat = m.hier.accessInstr(li.addr);
                 t.curFetchLine = line;
@@ -169,9 +169,9 @@ fetch(MachineState &m)
             if (in.isCondBranch()) {
                 ++m.res.condBranches;
                 bool pred = m.gshare.predict(li.addr, t.ghr);
-                m.gshare.update(li.addr, t.ghr, d.taken);
-                t.ghr = m.gshare.shiftHistory(t.ghr, d.taken);
-                if (pred != d.taken) {
+                m.gshare.update(li.addr, t.ghr, d.taken());
+                t.ghr = m.gshare.shiftHistory(t.ghr, d.taken());
+                if (pred != d.taken()) {
                     ++m.res.branchMispredicts;
                     mispredict = true;
                 }
@@ -179,22 +179,24 @@ fetch(MachineState &m)
                 t.ras.push(li.addr + instrBytes);
                 if (in.op == Opcode::JALR) {
                     Addr p = m.indirect.predict(li.addr);
-                    m.indirect.update(li.addr, d.effAddr);
-                    if (p != d.effAddr) {
+                    Addr target = m.trace->effAddr(d);
+                    m.indirect.update(li.addr, target);
+                    if (p != target) {
                         ++m.res.indirectMispredicts;
                         mispredict = true;
                     }
                 }
             } else if (in.isReturn()) {
                 Addr p = t.ras.pop();
-                if (p != d.effAddr) {
+                if (p != m.trace->effAddr(d)) {
                     ++m.res.returnMispredicts;
                     mispredict = true;
                 }
             } else if (in.isIndirectJump()) {
                 Addr p = m.indirect.predict(li.addr);
-                m.indirect.update(li.addr, d.effAddr);
-                if (p != d.effAddr) {
+                Addr target = m.trace->effAddr(d);
+                m.indirect.update(li.addr, target);
+                if (p != target) {
                     ++m.res.indirectMispredicts;
                     mispredict = true;
                 }
@@ -216,7 +218,7 @@ fetch(MachineState &m)
                 }
                 break;
             }
-            if (d.taken) {
+            if (d.taken()) {
                 t.curFetchLine = invalidAddr;  // fetch redirect
                 if (++taken >= m.cfg.maxTakenPerTaskCycle)
                     break;

@@ -102,8 +102,11 @@ MachineState::MachineState(const MachineConfig &config,
                  noSlot);
     if (trace_.prog) {
         ops.reserve(trace_.prog->size());
-        for (ImageIdx k = 0; k < trace_.prog->size(); ++k)
-            ops.push_back(decode(trace_.prog->at(k).instr, cfg));
+        fetchLine.reserve(trace_.prog->size());
+        for (const LinkedInstr &li : trace_.prog->image()) {
+            ops.push_back(decode(li.instr, cfg));
+            fetchLine.push_back(li.addr / Addr(cfg.l1i.lineBytes));
+        }
     }
 
     if (source) {

@@ -362,6 +362,9 @@ struct MachineState
 
     /** Decoded operands, indexed by image index. */
     std::vector<DecodedOp> ops;
+    /** L1 instruction-cache line number of each static instruction
+     *  (address / l1i.lineBytes), indexed by image index. */
+    std::vector<Addr> fetchLine;
 
     /** @name Predictors and memories @{ */
     MemHierarchy hier;
@@ -406,7 +409,7 @@ struct MachineState
     {
         return p >= t.begin ||
             (cfg.compilerDepHints && ((t.depMask >> src) & 1)) ||
-            depPred.predictsRegDep(d.img);
+            depPred.predictsRegDep(d.img());
     }
 
     /** The first producer that keeps instruction @p d, owned by
@@ -583,28 +586,29 @@ MachineState::enterDivert(TraceIdx i, Blocker b)
 inline bool
 MachineState::loadSyncNeeded(const DynInstr &d, const Task &t) const
 {
-    if (ops[d.img].mem != DecodedOp::Mem::Load ||
-        d.memProd == invalidTrace)
+    if (ops[d.img()].mem != DecodedOp::Mem::Load)
         return false;
-    if (istate[d.memProd].stage == InstrStage::Committed)
+    const TraceIdx store = trace->memProd(d);
+    if (store == invalidTrace ||
+        istate[store].stage == InstrStage::Committed)
         return false;
-    bool same_task = d.memProd >= t.begin;
-    return same_task || depPred.predictsMemDep(d.img);
+    bool same_task = store >= t.begin;
+    return same_task || depPred.predictsMemDep(d.img());
 }
 
 inline TraceIdx
 MachineState::syncWait(const DynInstr &d, const Task &t,
                        std::uint64_t cycle) const
 {
-    const DecodedOp &op = ops[d.img];
+    const DecodedOp &op = ops[d.img()];
     for (int k = 0; k < op.nsrc; ++k) {
         const TraceIdx p = d.prod[k];
         if (p != invalidTrace && !doneAt(p, cycle) &&
             regSyncNeeded(p, op.src[k], d, t))
             return p;
     }
-    if (loadSyncNeeded(d, t) && !doneAt(d.memProd, cycle))
-        return d.memProd;
+    if (loadSyncNeeded(d, t) && !doneAt(trace->memProd(d), cycle))
+        return trace->memProd(d);
     return invalidTrace;
 }
 
@@ -636,7 +640,7 @@ MachineState::divertBlocker(const DynInstr &d, const Task &t) const
     // producers are synchronized only when the rename-stage
     // dependence predictor says so; otherwise the consumer
     // speculates and may trigger a violation at issue.
-    const DecodedOp &op = ops[d.img];
+    const DecodedOp &op = ops[d.img()];
     for (int k = 0; k < op.nsrc; ++k) {
         TraceIdx p = d.prod[k];
         if (p == invalidTrace || !regSyncNeeded(p, op.src[k], d, t))
@@ -653,7 +657,7 @@ MachineState::divertBlocker(const DynInstr &d, const Task &t) const
             return b;
     }
     if (loadSyncNeeded(d, t)) {
-        Blocker b{d.memProd, Await::Result};
+        Blocker b{trace->memProd(d), Await::Result};
         if (holds(b))
             return b;
     }

@@ -32,10 +32,10 @@ recover(MachineState &m)
     ++m.res.violations;
     if (v.store == invalidTrace) {
         m.depPred.recordRegViolation(
-            m.trace->instrs[v.consumer].img);
+            m.trace->instrs[v.consumer].img());
     } else {
         m.depPred.recordMemViolation(
-            m.trace->instrs[v.consumer].img);
+            m.trace->instrs[v.consumer].img());
     }
     squashFromTask(m, m.taskPosOf(v.consumer));
 }
@@ -45,10 +45,11 @@ squashFromTask(MachineState &m, size_t taskPos)
 {
     for (size_t pos = taskPos; pos < m.tasks.size(); ++pos) {
         Task &t = m.tasks[pos];
-        for (TraceIdx i = t.begin; i < t.end; ++i) {
-            if (m.istate[i].stage != InstrStage::None)
-                m.istate[i] = InstrState{};
-        }
+        // Only fetch moves a position off None, and it never runs
+        // past fetchIdx; a spawn splits a task's tail off at or
+        // beyond fetchIdx. So [fetchIdx, end) is still untouched.
+        std::fill(m.istate.begin() + t.begin,
+                  m.istate.begin() + t.fetchIdx, InstrState{});
         m.robUsed -= t.robHeld;
         t.robHeld = 0;
         t.fetchIdx = t.dispIdx = t.begin;

@@ -41,12 +41,12 @@ TraceIndex::TraceIndex(const Trace &trace)
     : _prog(trace.prog),
       _occurrences(groupByKey(
           trace, _prog ? _prog->size() : 0,
-          [&](TraceIdx i) { return TraceIdx(trace.instrs[i].img); })),
-      _consumers(groupByKey(trace, trace.size(), [&](TraceIdx i) {
-          const DynInstr &d = trace.instrs[i];
-          return d.memProd != invalidTrace &&
-                  trace.staticOf(i).instr.isLoad()
-              ? d.memProd
+          [&](TraceIdx i) { return TraceIdx(trace.instrs[i].img()); })),
+      _consumers(groupByKey(trace, trace.sideSize(), [&](TraceIdx i) {
+          // A store always has a side slot: its effective address.
+          const TraceIdx store = trace.memProd(trace.instrs[i]);
+          return store != invalidTrace && trace.staticOf(i).instr.isLoad()
+              ? trace.instrs[store].side
               : invalidTrace;
       }))
 {}

@@ -27,7 +27,8 @@ namespace polyflow {
  *    "uses a trace to ensure that tasks are not spawned too far
  *    into the future"), and
  *  - the loads that name each store as memory producer (keyed by
- *    the store's trace position).
+ *    the store's side-table slot, DynInstr::side, so the offsets
+ *    scale with the side table rather than the trace).
  *
  * Key k's positions live in items[offsets[k] .. offsets[k + 1]), in
  * ascending trace order.
@@ -53,8 +54,13 @@ class TraceIndex
         bool empty() const { return first == last; }
     };
 
-    /** Loads depending on store @p i (empty span for non-stores). */
-    Span consumersOf(TraceIdx store) const { return _consumers.of(store); }
+    /** Loads naming as memory producer the store whose side-table
+     *  slot is @p storeSide. */
+    Span
+    consumersOf(std::uint32_t storeSide) const
+    {
+        return _consumers.of(storeSide);
+    }
 
     /** Trace positions grouped by key (see the class comment). */
     struct Csr
@@ -73,7 +79,7 @@ class TraceIndex
   private:
     const LinkedProgram *_prog;
     Csr _occurrences;  //!< image index -> its trace positions
-    Csr _consumers;    //!< store -> its consumer loads
+    Csr _consumers;    //!< store's side slot -> its consumer loads
 };
 
 } // namespace polyflow

@@ -215,11 +215,33 @@ queueInvariantViolation(const sim::MachineState &m)
 }
 
 /**
+ * Check that every position in [fetchIdx, end) of every task is as
+ * the MachineState constructor left it. squashFromTask resets only
+ * [begin, fetchIdx) of each squashed task, which is exact only while
+ * this holds. Returns an empty string if it holds.
+ */
+inline std::string
+fetchWindowViolation(const sim::MachineState &m)
+{
+    for (const sim::Task &t : m.tasks) {
+        for (TraceIdx i = t.fetchIdx; i < t.end; ++i) {
+            const sim::InstrState &s = m.istate[i];
+            if (s.stage != sim::InstrStage::None || s.fetchCycle != 0 ||
+                s.completeCycle != 0)
+                return "position " + std::to_string(i) +
+                    " past its task's fetch index was touched";
+        }
+    }
+    return {};
+}
+
+/**
  * Drive @p m's stages in the order of the cycle loop in core.cc until
- * its last commit, checking queueInvariantViolation after every
- * cycle. Returns the first violation, or a note that the run passed
- * @p maxCycles; empty if it finished clean, with the cycle count in
- * m.now, as runTiming reports it.
+ * its last commit, checking queueInvariantViolation and
+ * fetchWindowViolation after every cycle. Returns the first
+ * violation, or a note that the run passed @p maxCycles; empty if it
+ * finished clean, with the cycle count in m.now, as runTiming reports
+ * it.
  */
 inline std::string
 runCheckingQueues(sim::MachineState &m, std::uint64_t maxCycles)
@@ -237,8 +259,11 @@ runCheckingQueues(sim::MachineState &m, std::uint64_t maxCycles)
         sim::applySpawn(m);
         sim::recover(m);
         ++m.now;
-        if (std::string bad = queueInvariantViolation(m); !bad.empty())
-            return "cycle " + std::to_string(m.now) + ": " + bad;
+        for (const std::string &bad :
+             {queueInvariantViolation(m), fetchWindowViolation(m)}) {
+            if (!bad.empty())
+                return "cycle " + std::to_string(m.now) + ": " + bad;
+        }
         if (m.now > maxCycles)
             return "no last commit by cycle " + std::to_string(maxCycles);
     }

@@ -12,6 +12,8 @@
 #include "ir/builder.hh"
 #include "isa/exec.hh"
 #include "isa/functional_sim.hh"
+#include "isa/trace_io.hh"
+#include "workloads/workloads.hh"
 
 namespace polyflow {
 namespace {
@@ -251,13 +253,13 @@ TEST(FunctionalSim, TraceRecordsOutcomesAndProducers)
     EXPECT_EQ(t.instrs[2].prod[0], 0u);
     EXPECT_EQ(t.instrs[2].prod[1], 1u);
     // Load's memory producer is the store.
-    EXPECT_EQ(t.instrs[3].memProd, 2u);
-    EXPECT_EQ(t.instrs[3].effAddr, t.instrs[2].effAddr);
+    EXPECT_EQ(t.memProd(t.instrs[3]), 2u);
+    EXPECT_EQ(t.effAddr(t.instrs[3]), t.effAddr(t.instrs[2]));
     // Add depends on the load and the li.
     EXPECT_EQ(t.instrs[4].prod[0], 3u);
     EXPECT_EQ(t.instrs[4].prod[1], 1u);
     // Nothing marked taken in straight-line code.
-    EXPECT_FALSE(t.instrs[0].taken);
+    EXPECT_FALSE(t.instrs[0].taken());
 }
 
 TEST(FunctionalSim, TraceTakenFlagsOnBranches)
@@ -276,8 +278,8 @@ TEST(FunctionalSim, TraceTakenFlagsOnBranches)
         true);
     const Trace &t = r.trace;
     ASSERT_EQ(t.size(), 4u);
-    EXPECT_TRUE(t.instrs[1].taken);
-    EXPECT_FALSE(t.instrs[2].taken);
+    EXPECT_TRUE(t.instrs[1].taken());
+    EXPECT_FALSE(t.instrs[2].taken());
 }
 
 TEST(FunctionalSim, DeterministicAcrossRuns)
@@ -303,6 +305,78 @@ TEST(FunctionalSim, DeterministicAcrossRuns)
     EXPECT_EQ(r1.instrCount, r2.instrCount);
     EXPECT_EQ(r1.finalState->memChecksum(),
               r2.finalState->memChecksum());
+}
+
+TEST(FunctionalSim, ImageIndexLimitIsNamed)
+{
+    EXPECT_NO_THROW(checkImageSize(maxImageSize - 1));
+    EXPECT_THROW(checkImageSize(maxImageSize), ProgramTooLarge);
+}
+
+/** An indirect transfer: its record carries the resolved target. */
+bool
+isIndirect(const Instruction &in)
+{
+    return in.op == Opcode::JR || in.op == Opcode::JALR ||
+        in.op == Opcode::RET;
+}
+
+TEST(TraceRecords, SideTableAndRoundTripHoldOnEveryWorkload)
+{
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        Workload w = buildWorkload(name, 0.02);
+        FunctionalOptions opt;
+        opt.recordTrace = true;
+        const FunctionalResult r = runFunctional(w.prog, opt);
+        const Trace &t = r.trace;
+        ASSERT_TRUE(r.halted);
+        EXPECT_EQ(t.instrs.capacity(), t.size());
+
+        size_t sides = 0;
+        for (TraceIdx i = 0; i < t.size(); ++i) {
+            const DynInstr &d = t.instrs[i];
+            const Instruction &in = t.staticOf(i).instr;
+            // An entry exactly for memory ops and indirect transfers.
+            const bool carries = in.isMem() || isIndirect(in);
+            ASSERT_EQ(d.side != DynInstr::noSide, carries) << "at " << i;
+            ASSERT_EQ(t.effAddr(d) != invalidAddr, carries) << "at " << i;
+            if (carries) {
+                ASSERT_EQ(d.side, sides) << "at " << i;
+                ++sides;
+            }
+            // The target is where the trace goes next.
+            if (isIndirect(in) && i + 1 < t.size()) {
+                ASSERT_EQ(t.effAddr(d), t.staticOf(i + 1).addr) << i;
+            }
+            // A memory producer only on loads, and an older store.
+            const TraceIdx p = t.memProd(d);
+            if (p != invalidTrace) {
+                ASSERT_TRUE(in.isLoad()) << "at " << i;
+                ASSERT_LT(p, i);
+                ASSERT_TRUE(t.staticOf(p).instr.isStore()) << "at " << i;
+            }
+        }
+        EXPECT_EQ(t.sideSize(), sides);
+
+        std::string payload;
+        encodeTrace(t, payload);
+        Trace back;
+        ASSERT_TRUE(decodeTrace(payload, w.prog, back));
+        ASSERT_EQ(back.size(), t.size());
+        EXPECT_EQ(back.instrs.capacity(), back.size());
+        EXPECT_EQ(back.sideSize(), t.sideSize());
+        for (TraceIdx i = 0; i < t.size(); ++i) {
+            const DynInstr &x = t.instrs[i];
+            const DynInstr &y = back.instrs[i];
+            ASSERT_EQ(x.imgTaken, y.imgTaken) << "at " << i;
+            ASSERT_EQ(x.prod[0], y.prod[0]) << "at " << i;
+            ASSERT_EQ(x.prod[1], y.prod[1]) << "at " << i;
+            ASSERT_EQ(x.side, y.side) << "at " << i;
+            ASSERT_EQ(t.effAddr(x), back.effAddr(y)) << "at " << i;
+            ASSERT_EQ(t.memProd(x), back.memProd(y)) << "at " << i;
+        }
+    }
 }
 
 } // namespace

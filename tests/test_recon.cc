@@ -25,7 +25,7 @@ train(ReconPredictor &pred, const Trace &t)
     for (TraceIdx i = 0; i < t.size(); ++i) {
         const LinkedInstr &li = t.staticOf(i);
         pred.observeCommit(li.addr, li.instr.isCondBranch(),
-                           t.instrs[i].taken, li.blockStart);
+                           t.instrs[i].taken(), li.blockStart);
     }
 }
 

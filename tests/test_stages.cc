@@ -190,7 +190,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
 
     // The consumer has violated before, so the rename-stage
     // predictor synchronizes it; its producer has not issued.
-    m.depPred.recordRegViolation(tr.instrs[4].img);
+    m.depPred.recordRegViolation(tr.instrs[4].img());
     m.istate[4].stage = sim::InstrStage::Fetched;
     m.istate[4].fetchCycle = 0;
     m.tasks[1].fetchIdx = 5;
@@ -251,7 +251,7 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     // in-flight state is untouched and commit can continue.
     EXPECT_EQ(m.res.violations, 1u);
     EXPECT_EQ(m.res.tasksSquashed, 1u);
-    EXPECT_TRUE(m.depPred.predictsRegDep(tr.instrs[3].img));
+    EXPECT_TRUE(m.depPred.predictsRegDep(tr.instrs[3].img()));
     EXPECT_EQ(m.istate[2].stage, sim::InstrStage::Issued);
     EXPECT_EQ(m.istate[3].stage, sim::InstrStage::None);
     EXPECT_EQ(m.istate[4].stage, sim::InstrStage::None);
@@ -264,6 +264,59 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     EXPECT_EQ(m.tasks[1].lastFetchStall, sim::FetchStall::Squash);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, TaskEvent::Kind::Squash);
+}
+
+TEST(Stages, SquashResetsEveryPositionOfTheSquashedTasks)
+{
+    Built b = countdownLoop(6);
+    const Trace &tr = b.fr->trace;
+    MachineConfig cfg;
+    sim::MachineState m(cfg, tr, nullptr);
+    // Tasks [0,4), [4,9) and [9,end): the middle task fetched up to
+    // 8 and the tail task up to 11.
+    splitTasksAt(m, 4);
+    sim::Task tail = m.tasks[1];
+    tail.begin = tail.fetchIdx = tail.dispIdx = 9;
+    m.tasks[1].end = 9;
+    m.tasks.push_back(tail);
+    auto fetchUpTo = [&](sim::Task &t, TraceIdx upTo) {
+        for (TraceIdx i = t.fetchIdx; i < upTo; ++i) {
+            m.istate[i].stage = sim::InstrStage::Issued;
+            m.istate[i].fetchCycle = 3;
+            m.istate[i].completeCycle = 5;
+        }
+        t.fetchIdx = upTo;
+    };
+    fetchUpTo(m.tasks[0], 4);
+    fetchUpTo(m.tasks[1], 8);
+    fetchUpTo(m.tasks[2], 11);
+    m.now = 6;
+
+    sim::squashFromTask(m, 1);
+
+    for (TraceIdx i = 0; i < 4; ++i)
+        EXPECT_EQ(m.istate[i].stage, sim::InstrStage::Issued) << i;
+    // Both squashed tasks restart at their begin, and everything
+    // from there on is as if never fetched.
+    EXPECT_EQ(m.tasks[1].fetchIdx, 4u);
+    EXPECT_EQ(m.tasks[2].fetchIdx, 9u);
+    EXPECT_EQ(qtest::fetchWindowViolation(m), "");
+}
+
+TEST(Stages, PositionsPastATasksFetchIndexStayUntouched)
+{
+    // The cycle loop on a workload that squashes, checking
+    // fetchWindowViolation (and the queues) after every cycle.
+    Workload w = buildWorkload("parser", 0.05);
+    FunctionalOptions opt;
+    opt.recordTrace = true;
+    FunctionalResult r = runFunctional(w.prog, opt);
+    SpawnAnalysis sa(*w.module, w.prog);
+    const HintTable hints(sa, SpawnPolicy::postdoms());
+    StaticSpawnSource src{hints};
+    sim::MachineState m(MachineConfig{}, r.trace, &src);
+    EXPECT_EQ(qtest::runCheckingQueues(m, m.cycleLimit), "");
+    EXPECT_GT(m.res.tasksSquashed, 0u);
 }
 
 TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
@@ -295,7 +348,7 @@ TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
 
     // The predictor marks the consumer, so the shared rule
     // synchronizes it on its cross-task producer.
-    m.depPred.recordRegViolation(tr.instrs[4].img);
+    m.depPred.recordRegViolation(tr.instrs[4].img());
     RegId srcs[2];
     ASSERT_EQ(tr.staticOf(4).instr.srcRegs(srcs), 1);
     EXPECT_TRUE(m.regSyncNeeded(2, srcs[0], tr.instrs[4], m.tasks[1]));
@@ -348,7 +401,7 @@ TEST(Stages, DivertedConsumerWakesDelayCyclesAfterItsProducerIssues)
     m.istate[4].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = 5;
     m.now = std::uint64_t(cfg.frontendDepth);
-    m.depPred.recordRegViolation(tr.instrs[4].img);
+    m.depPred.recordRegViolation(tr.instrs[4].img());
 
     // Rename diverts the consumer and records the cross-task
     // producer it waits to see issued.
@@ -485,7 +538,7 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
     m.istate[1].stage = sim::InstrStage::InSched;
     seedSched(m, {0, 1});
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 2;
-    m.depPred.recordRegViolation(tr.instrs[2].img);
+    m.depPred.recordRegViolation(tr.instrs[2].img());
     auto fetchConsumer = [&] {
         m.istate[2].stage = sim::InstrStage::Fetched;
         m.istate[2].fetchCycle = std::uint32_t(m.now);
@@ -550,7 +603,7 @@ TEST(Stages, ConsumerWokenByAnEarlierReleaseIsExaminedInTheSameScan)
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 1;
     // The predictor synchronizes 1 on its cross-task producer; 2
     // follows its same-task producer into the divert queue.
-    m.depPred.recordRegViolation(tr.instrs[1].img);
+    m.depPred.recordRegViolation(tr.instrs[1].img());
     m.istate[1].stage = sim::InstrStage::Fetched;
     m.istate[2].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = 3;
@@ -600,7 +653,7 @@ TEST(Stages, LoadHeldOnItsStoreWakesAtTheStoresCompleteCycle)
     }
     b.finish();
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[3].memProd, TraceIdx(2));
+    ASSERT_EQ(tr.memProd(tr.instrs[3]), TraceIdx(2));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -740,7 +793,7 @@ TEST(Stages, SquashedEntryParkedOnASurvivingProducerIsReParkedOnce)
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 1;
     m.tasks[0].robHeld = 1;
     m.robUsed = 1;
-    m.depPred.recordRegViolation(tr.instrs[1].img);
+    m.depPred.recordRegViolation(tr.instrs[1].img());
     auto fetchConsumer = [&] {
         m.istate[1].stage = sim::InstrStage::Fetched;
         m.istate[1].fetchCycle = std::uint32_t(m.now);

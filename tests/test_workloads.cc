@@ -78,7 +78,7 @@ TEST_P(WorkloadTest, TraceRecordingWorks)
     EXPECT_EQ(r.trace.size(), r.instrCount);
     // Every recorded instruction must reference a valid image slot.
     for (TraceIdx i = 0; i < r.trace.size(); i += 97)
-        EXPECT_LT(r.trace.instrs[i].img, w.prog.size());
+        EXPECT_LT(r.trace.instrs[i].img(), w.prog.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
