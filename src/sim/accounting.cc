@@ -50,7 +50,7 @@ blameBucket(const MachineState &m)
         }
         if (!m.robAllowed(0))
             return SlotBucket::RobFull;
-        if (m.divertBlocker(m.trace->instrs[i], t)) {
+        if (m.syncCheck(m.trace->instrs[i], t, m.now).blocker) {
             if (m.divert.size() >= m.cfg.divertEntries)
                 return SlotBucket::DivertWait;
             // Rename ran before the wake-up condition flipped;

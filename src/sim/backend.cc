@@ -21,23 +21,33 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     const DynInstr &d = m.trace->instrs[i];
     const DecodedOp &op = m.ops[d.img()];
 
-    // Synchronized producers must be complete.
-    e.waitOn = m.syncWait(d, t, m.now);
-    if (e.waitOn != invalidTrace)
-        return false;
-    // Any producer still incomplete is unsynchronized (unpredicted):
-    // a register consumer issues with a stale value, and a cross-task
-    // load issues before the conflicting store has produced its data.
+    // One pass over the incomplete producers. A synchronized one
+    // keeps the entry waiting; an unsynchronized (unpredicted) one
+    // lets a register consumer issue with a stale value, and a
+    // cross-task load issue before the conflicting store has
+    // produced its data.
+    bool staleRead = false;
     for (int k = 0; k < op.nsrc; ++k) {
-        if (d.prod[k] != invalidTrace && !m.doneAt(d.prod[k], m.now)) {
-            m.pendingViolations.push_back({i, invalidTrace});
-            break;
+        const TraceIdx p = d.prod[k];
+        if (p == invalidTrace || m.doneAt(p, m.now))
+            continue;
+        if (m.regSyncNeeded(p, op.src[k], d, t)) {
+            e.waitOn = p;
+            return false;
         }
+        staleRead = true;
     }
     const bool load = op.mem == DecodedOp::Mem::Load;
     const TraceIdx store = load ? m.trace->memProd(d) : invalidTrace;
     const bool speculativeLoad =
         store != invalidTrace && !m.doneAt(store, m.now);
+    if (speculativeLoad && m.memSyncNeeded(store, d, t)) {
+        e.waitOn = store;
+        return false;
+    }
+    e.waitOn = invalidTrace;
+    if (staleRead)
+        m.pendingViolations.push_back({i, invalidTrace});
 
     // Issue.
     s.stage = InstrStage::Issued;
@@ -71,23 +81,6 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     return true;
 }
 
-/**
- * Insertion-sort q[from, end) by key into q[lo, from), which is
- * sorted. Adaptive: entries that arrive in order cost one compare.
- */
-template <class Ready>
-void
-insertSorted(std::vector<Ready> &q, size_t lo, size_t from)
-{
-    for (size_t j = from; j < q.size(); ++j) {
-        const Ready v = q[j];
-        size_t k = j;
-        for (; k > lo && q[k - 1].key > v.key; --k)
-            q[k] = q[k - 1];
-        q[k] = v;
-    }
-}
-
 } // namespace
 
 void
@@ -99,7 +92,7 @@ releaseDiverted(MachineState &m)
         return;
     // FIFO order: the survivors of the last scan are sorted, and the
     // entries woken since were appended behind them.
-    insertSorted(q, 0, 1);
+    m.divert.beginScan();
 
     int budget = m.cfg.pipelineWidth;
     // Compact in place: entries that stay ready move down to the
@@ -110,33 +103,46 @@ releaseDiverted(MachineState &m)
         const Slot slot = q[j].slot;
         DivertEntry &e = m.divert.slots[slot];
         const TraceIdx i = e.idx;
-        // Every ready entry's last blocker has let go (or it had
-        // none), so the full rule runs; it may find a newer one.
-        // The rule is exact to skip while parked: a sync decision
-        // never reverts (DepPredictors only ever sets bits,
-        // Task::begin and Task::depMask are fixed for a task's
-        // life), and a producer's stage only moves forward except
-        // under a squash, which also squashes and purges this entry.
-        const Task &t = m.tasks[m.taskPosOf(i)];
-        if (Blocker b = m.divertBlocker(m.trace->instrs[i], t)) {
-            e.heldBy = b;
-            m.park(m.divertNode(slot));
-            continue;
-        }
-        if (e.heldBy) {
-            // Let go this cycle: the re-dispatch latency starts.
-            e.heldBy = {};
-            e.readyAt = m.now + m.cfg.divertReleaseDelay;
+        const DynInstr &d = m.trace->instrs[i];
+        // The rule runs on a woken entry, whose last blocker has let
+        // go; it may find a newer one. On an entry it has let go, it
+        // runs again only if recover() has trained the predictors
+        // since: a sync decision reverts only then. Task::begin and
+        // Task::depMask are fixed for a task's life, and a
+        // producer's stage only moves forward except under a
+        // squash, which also squashes and purges this entry. The
+        // same argument lets a parked entry wait on one producer.
+        const Task *t = nullptr;
+        SyncCheck sync;
+        auto check = [&] {
+            t = &m.tasks[m.taskPosOf(i)];
+            sync = m.syncCheck(d, *t, m.now);
+        };
+        if (e.heldBy || e.trainings != m.depTrainings) {
+            check();
+            if (sync.blocker) {
+                e.heldBy = sync.blocker;
+                m.park(m.divertNode(slot));
+                continue;
+            }
+            if (e.heldBy) {
+                // Let go this cycle: the re-dispatch latency starts.
+                e.heldBy = {};
+                e.readyAt = m.now + m.cfg.divertReleaseDelay;
+            }
+            e.trainings = m.depTrainings;
         }
         if (m.now >= e.readyAt && m.sched.size() < m.cfg.schedEntries) {
+            // Its first issue check is later this cycle.
+            if (!t)
+                check();
             m.divert.release(slot);
-            // Its first issue check is later this cycle. Entering the
-            // scheduler wakes the same-task consumers waiting for i
-            // to be renamed. They were diverted after i, so they sort
-            // behind it and this scan reaches them.
+            // Entering the scheduler wakes the same-task consumers
+            // waiting for i to be renamed. They were diverted after
+            // i, so they sort behind it and this scan reaches them.
             const size_t woken = q.size();
-            m.enterSched(i, m.syncWait(m.trace->instrs[i], t, m.now));
-            insertSorted(q, j + 1, woken);
+            m.enterSched(i, sync.wait);
+            m.divert.mergeWoken(j + 1, woken);
             --budget;
         } else {
             q[w++] = q[j];
@@ -145,19 +151,17 @@ releaseDiverted(MachineState &m)
     // Budget exhausted: the unexamined tail stays, in FIFO order,
     // behind the entries that stayed ready.
     q.erase(q.begin() + w, q.begin() + j);
+    m.divert.endScan();
 }
 
 void
 issue(MachineState &m)
 {
     m.wakeDue();
+    m.sched.beginScan();
     auto &q = m.sched.ready;
     if (q.empty())
         return;
-    // Oldest first: the survivors of the last scan are sorted, and
-    // rename, divert release and wakeups appended short runs behind
-    // them.
-    insertSorted(q, 0, 1);
 
     int fu = m.cfg.numFUs;
     // Ascending age keys let the owning task be resolved by walking
@@ -177,13 +181,14 @@ issue(MachineState &m)
             m.sched.release(slot);
             // A result ready in the cycle it issues wakes its
             // consumers into this scan; they are younger.
-            insertSorted(q, j + 1, woken);
+            m.sched.mergeWoken(j + 1, woken);
         } else {
             m.park(slot);  // on e.waitOn
         }
     }
     // Every examined entry issued or parked.
     q.erase(q.begin(), q.begin() + j);
+    m.sched.endScan();
 }
 
 } // namespace polyflow::sim

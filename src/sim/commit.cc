@@ -78,7 +78,7 @@ commit(MachineState &m)
             break;
         }
         s.stage = InstrStage::Committed;
-        if (m.source) {
+        if (m.sourceTrains) {
             m.source->onCommit(m.staticOf(m.commitIdx),
                                m.trace->instrs[m.commitIdx].taken());
         }

@@ -11,8 +11,8 @@
  *    Synchronizing Store Sets used by PolyFlow) marks a load that
  *    once violated against an older task's store.
  *
- * Both are queried for every instruction at rename and for every
- * divert-queue entry every cycle, so the backing is a flat per-static
+ * Both are queried for every instruction at rename, and again at
+ * issue and divert release, so the backing is a flat per-static
  * -instruction table indexed by image index (each image slot is one
  * PC, so image-indexing is exactly PC-indexing without the hash).
  */

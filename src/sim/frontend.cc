@@ -10,18 +10,11 @@ namespace {
  *  tail task still fetches often enough to keep spawning. */
 constexpr long long ageBias = 1;
 
-/** The Task Spawn Unit's look at fetched instruction @p i of the
- *  task at position @p pos. */
+/** The Task Spawn Unit's look at fetched instruction @p i, decoded
+ *  as @p f, of the task at position @p pos, which may spawn. */
 void
-maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
-           const LinkedInstr &li)
+maybeSpawn(MachineState &m, size_t pos, TraceIdx i, const FetchOp &f)
 {
-    Task &t = m.tasks[pos];
-    if (!m.source)
-        return;
-    bool isTail = &t == &m.tasks.back();
-    if (!m.cfg.spawnFromAnyTask && !isTail)
-        return;  // only the tail task may spawn (paper baseline)
     if (m.pending.valid)
         return;  // one spawn-unit port per cycle
     std::erase_if(m.ghosts,
@@ -31,15 +24,26 @@ maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
         ++m.res.spawnsSkippedNoContext;
         return;
     }
-    auto hint = m.source->query(li);
-    if (!hint)
+    std::optional<SpawnHint> asked;
+    switch (f.spawn) {
+      case SpawnAt::None:
         return;
-    const DynInstr &d = m.trace->instrs[i];
-    if (m.cfg.spawnFeedback && m.feedback[d.img()].disabled) {
+      case SpawnAt::Fixed:
+        break;
+      case SpawnAt::Ask:
+        asked = m.source->query(m.staticOf(i));
+        if (!asked)
+            return;
+        break;
+    }
+    const SpawnHint &hint = asked ? *asked : f.hint;
+    const ImageIdx img = m.trace->instrs[i].img();
+    if (m.cfg.spawnFeedback && m.feedback[img].disabled) {
         ++m.res.spawnsSkippedFeedback;
         return;
     }
-    TraceIdx j = m.index->nextOccurrence(hint->targetPc, i);
+    Task &t = m.tasks[pos];
+    TraceIdx j = m.index->nextOccurrence(hint.targetPc, i);
     if (j == invalidTrace || j >= t.end)
         return;
     std::uint32_t dist = j - i;
@@ -57,9 +61,9 @@ maybeSpawn(MachineState &m, size_t pos, TraceIdx i,
     m.pending.parentPos = pos;
     m.pending.start = j;
     m.pending.end = t.end;
-    m.pending.hint = *hint;
-    m.pending.triggerPc = li.addr;
-    m.pending.triggerImg = d.img();
+    m.pending.hint = hint;
+    m.pending.triggerPc = f.pc;
+    m.pending.triggerImg = img;
     m.pending.ghr = t.ghr;
     m.pending.ras = t.ras;
     t.end = j;
@@ -101,8 +105,10 @@ void
 fetch(MachineState &m)
 {
     // Eligible tasks, scheduled by biased ICount: fewest in-flight
-    // instructions first, biased toward older tasks.
-    std::vector<size_t> &eligible = m.eligible;
+    // instructions first, biased toward older tasks. Each task's key
+    // is computed once and inserted in order; equal keys keep the
+    // older task first.
+    std::vector<FetchCandidate> &eligible = m.eligible;
     eligible.clear();
     for (size_t pos = 0; pos < m.tasks.size(); ++pos) {
         Task &t = m.tasks[pos];
@@ -112,30 +118,33 @@ fetch(MachineState &m)
         if (static_cast<int>(t.fetchIdx - t.dispIdx) >=
             m.cfg.fetchQueueEntries)
             continue;
-        eligible.push_back(pos);
+        // ICount over front-end occupancy (fetched but not yet
+        // renamed), biased toward older tasks.
+        const long long key =
+            static_cast<long long>(t.fetchIdx - t.dispIdx) +
+            ageBias * static_cast<long long>(pos);
+        eligible.insert(
+            std::upper_bound(eligible.begin(), eligible.end(), key,
+                             [](long long k, const FetchCandidate &c) {
+                                 return k < c.key;
+                             }),
+            {key, pos});
     }
-    std::sort(eligible.begin(), eligible.end(),
-              [&](size_t a, size_t b) {
-                  // ICount over front-end occupancy (fetched but
-                  // not yet renamed), biased toward older tasks.
-                  auto key = [&](size_t p) {
-                      const Task &tk = m.tasks[p];
-                      return static_cast<long long>(tk.fetchIdx -
-                                                    tk.dispIdx) +
-                          ageBias * static_cast<long long>(p);
-                  };
-                  long long ka = key(a), kb = key(b);
-                  return ka != kb ? ka < kb : a < b;
-              });
 
     int totalBudget = m.cfg.pipelineWidth;
     int tasksFetched = 0;
-    for (size_t pos : eligible) {
+    for (const FetchCandidate &c : eligible) {
         if (tasksFetched >= m.cfg.fetchTasksPerCycle ||
             totalBudget <= 0)
             break;
+        const size_t pos = c.pos;
         ++tasksFetched;
         Task &t = m.tasks[pos];
+        // Only the tail task may spawn (paper baseline), unless the
+        // config lets any task. Fetch inserts no task, so the tail
+        // stays the tail for the whole loop.
+        const bool maySpawn = m.source &&
+            (m.cfg.spawnFromAnyTask || pos + 1 == m.tasks.size());
         int taken = 0;
         while (totalBudget > 0 && t.fetchIdx < t.end &&
                t.fetchReady <= m.now &&
@@ -143,14 +152,13 @@ fetch(MachineState &m)
                static_cast<int>(t.fetchIdx - t.dispIdx) <
                    m.cfg.fetchQueueEntries) {
             TraceIdx i = t.fetchIdx;
-            const LinkedInstr &li = m.staticOf(i);
             const DynInstr &d = m.trace->instrs[i];
+            const FetchOp &f = m.fetchOps[d.img()];
 
             // Instruction cache.
-            const Addr line = m.fetchLine[d.img()];
-            if (line != t.curFetchLine) {
-                int lat = m.hier.accessInstr(li.addr);
-                t.curFetchLine = line;
+            if (f.line != t.curFetchLine) {
+                int lat = m.hier.accessInstr(f.pc);
+                t.curFetchLine = f.line;
                 if (lat > 1) {
                     t.fetchReady = m.now + lat;
                     t.lastFetchStall = FetchStall::ICache;
@@ -164,45 +172,50 @@ fetch(MachineState &m)
             ++t.fetchIdx;
             --totalBudget;
 
-            const Instruction &in = li.instr;
             bool mispredict = false;
-            if (in.isCondBranch()) {
+            auto predictIndirect = [&] {
+                Addr p = m.indirect.predict(f.pc);
+                Addr target = m.trace->effAddr(d);
+                m.indirect.update(f.pc, target);
+                if (p != target) {
+                    ++m.res.indirectMispredicts;
+                    mispredict = true;
+                }
+            };
+            switch (f.control) {
+              case Control::None:
+                break;
+              case Control::CondBranch: {
                 ++m.res.condBranches;
-                bool pred = m.gshare.predict(li.addr, t.ghr);
-                m.gshare.update(li.addr, t.ghr, d.taken());
+                bool pred = m.gshare.predict(f.pc, t.ghr);
+                m.gshare.update(f.pc, t.ghr, d.taken());
                 t.ghr = m.gshare.shiftHistory(t.ghr, d.taken());
                 if (pred != d.taken()) {
                     ++m.res.branchMispredicts;
                     mispredict = true;
                 }
-            } else if (in.isCall()) {
-                t.ras.push(li.addr + instrBytes);
-                if (in.op == Opcode::JALR) {
-                    Addr p = m.indirect.predict(li.addr);
-                    Addr target = m.trace->effAddr(d);
-                    m.indirect.update(li.addr, target);
-                    if (p != target) {
-                        ++m.res.indirectMispredicts;
-                        mispredict = true;
-                    }
-                }
-            } else if (in.isReturn()) {
-                Addr p = t.ras.pop();
-                if (p != m.trace->effAddr(d)) {
+                break;
+              }
+              case Control::Call:
+                t.ras.push(f.pc + instrBytes);
+                break;
+              case Control::IndirectCall:
+                t.ras.push(f.pc + instrBytes);
+                predictIndirect();
+                break;
+              case Control::Return:
+                if (t.ras.pop() != m.trace->effAddr(d)) {
                     ++m.res.returnMispredicts;
                     mispredict = true;
                 }
-            } else if (in.isIndirectJump()) {
-                Addr p = m.indirect.predict(li.addr);
-                Addr target = m.trace->effAddr(d);
-                m.indirect.update(li.addr, target);
-                if (p != target) {
-                    ++m.res.indirectMispredicts;
-                    mispredict = true;
-                }
+                break;
+              case Control::IndirectJump:
+                predictIndirect();
+                break;
             }
 
-            maybeSpawn(m, pos, i, li);
+            if (maySpawn)
+                maybeSpawn(m, pos, i, f);
 
             if (mispredict) {
                 t.blockedOnBranch = i;

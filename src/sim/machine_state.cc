@@ -57,6 +57,39 @@ decode(const Instruction &in, const MachineConfig &cfg)
     return op;
 }
 
+Control
+controlOf(const Instruction &in)
+{
+    if (in.isCondBranch())
+        return Control::CondBranch;
+    if (in.isCall())
+        return in.op == Opcode::JALR ? Control::IndirectCall : Control::Call;
+    if (in.isReturn())
+        return Control::Return;
+    if (in.isIndirectJump())
+        return Control::IndirectJump;
+    return Control::None;
+}
+
+FetchOp
+decodeFetch(const LinkedInstr &li, const MachineConfig &cfg,
+            SpawnSource *source)
+{
+    FetchOp f;
+    f.pc = li.addr;
+    f.line = li.addr / Addr(cfg.l1i.lineBytes);
+    f.control = controlOf(li.instr);
+    if (!source)
+        return f;
+    if (!source->fixedAt(li)) {
+        f.spawn = SpawnAt::Ask;
+    } else if (auto hint = source->query(li)) {
+        f.spawn = SpawnAt::Fixed;
+        f.hint = *hint;
+    }
+    return f;
+}
+
 } // namespace
 
 std::uint64_t
@@ -102,12 +135,13 @@ MachineState::MachineState(const MachineConfig &config,
                  noSlot);
     if (trace_.prog) {
         ops.reserve(trace_.prog->size());
-        fetchLine.reserve(trace_.prog->size());
+        fetchOps.reserve(trace_.prog->size());
         for (const LinkedInstr &li : trace_.prog->image()) {
             ops.push_back(decode(li.instr, cfg));
-            fetchLine.push_back(li.addr / Addr(cfg.l1i.lineBytes));
+            fetchOps.push_back(decodeFetch(li, cfg, source));
         }
     }
+    sourceTrains = source && source->trains();
 
     if (source) {
         if (sharedIndex) {
@@ -171,7 +205,17 @@ MachineState::drainWheel()
         std::min<std::uint64_t>(now - wheelDrained, wheel.size());
     for (std::uint64_t c = now + 1 - steps; c <= now; ++c) {
         Slot &head = wheel[c & mask];
+        // A bucket lists its entries newest first. Reverse it so they
+        // wake in the order they were parked, which is mostly the
+        // scan order the ready list wants.
+        Slot parked = noSlot;
         for (Slot n = std::exchange(head, noSlot); n != noSlot;) {
+            const Slot next = waiterNext[n];
+            waiterNext[n] = parked;
+            parked = n;
+            n = next;
+        }
+        for (Slot n = parked; n != noSlot;) {
             const Slot next = waiterNext[n];
             if (istate[blockerOf(n).producer].completeCycle <= now) {
                 wake(n);
@@ -221,9 +265,8 @@ MachineState::purgeSquashed()
     }
     for (Slot &head : wheel)
         filter(head);
-    std::erase_if(sched.ready, [&](const auto &r) { return !live(r.slot); });
-    std::erase_if(divert.ready,
-                  [&](const auto &r) { return !live(divertNode(r.slot)); });
+    sched.dropFromLists(live);
+    divert.dropFromLists([&](Slot d) { return live(divertNode(d)); });
     for (Slot s = 0; s < schedSlots; ++s) {
         if (sched.slots[s].idx != invalidTrace && !live(s))
             sched.release(s);

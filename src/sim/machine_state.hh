@@ -19,9 +19,11 @@
  *    concurrent simulations).
  *
  * Methods on MachineState are *queries* used by more than one stage
- * (task lookup, synchronization predicates, resource admission) and
- * the queue entry and wakeup bookkeeping several stages share;
- * anything that advances the pipeline is a stage function.
+ * (task lookup, the one-pass synchronization rule, resource
+ * admission) and the queue entry and wakeup bookkeeping several
+ * stages share; anything that advances the pipeline is a stage
+ * function. What a stage needs of a static instruction is decoded
+ * once per machine into image-indexed tables (DecodedOp, FetchOp).
  */
 
 #ifndef POLYFLOW_SIM_MACHINE_STATE_HH
@@ -134,11 +136,15 @@ struct DivertEntry
 {
     TraceIdx idx = invalidTrace;  //!< invalidTrace in a free slot
     /** The producer that held the entry when the divert rule
-     *  (MachineState::divertBlocker) last ran on it. While it holds
+     *  (MachineState::syncCheck) last ran on it. While it holds
      *  (MachineState::holds), the entry is parked on its waiter list
      *  or wheel bucket and no stage looks at it. Cleared once the
      *  rule lets the entry go. */
     Blocker heldBy{};
+    /** MachineState::depTrainings when the rule last let the entry
+     *  go; meaningful only while heldBy is clear. The rule runs
+     *  again on a let-go entry only once this falls behind. */
+    std::uint32_t trainings = 0;
     /** Cycle the entry may re-enter rename; set when the rule first
      *  lets it go, meaningful only while heldBy is clear. */
     std::uint64_t readyAt = 0;
@@ -174,8 +180,9 @@ constexpr Slot noSlot = ~Slot(0);
  * Fixed-slot storage of the scheduler or the divert queue, one slot
  * per entry the config allows. An entry keeps its slot from entering
  * the queue until it leaves it or a squash purges it. Every entry is
- * either ready (listed in `ready`, which its stage scans) or parked
- * on exactly one waiter list or wheel bucket of MachineState.
+ * either ready (listed in `ready`, which its stage scans, or in
+ * `arrived` until that scan starts) or parked on exactly one waiter
+ * list or wheel bucket of MachineState.
  */
 template <class Entry>
 struct EntryQueue
@@ -215,14 +222,84 @@ struct EntryQueue
         Slot slot;
     };
 
+    /** A woken entry joins the next scan. */
     void makeReady(Slot s) { ready.push_back({slots[s].order(), s}); }
+    /** An entry that is ready as it enters the queue joins the next
+     *  scan behind the entries woken before that scan. */
+    void arrive(Slot s) { arrived.push_back({slots[s].order(), s}); }
+
+    /** Start a scan: move the arrivals behind the woken entries and
+     *  put whatever joined since the last scan in scan order. Call
+     *  endScan() when the scan is done. */
+    void
+    beginScan()
+    {
+        if (!arrived.empty()) {
+            ready.insert(ready.end(), arrived.begin(), arrived.end());
+            arrived.clear();
+        }
+        if (ready.size() > sorted)
+            insertSorted(ready, 0, std::max<size_t>(sorted, 1));
+    }
+    /** A scan step at ready[lo - 1] appended the entries from
+     *  @p woken on: merge them into the unexamined ready[lo, woken),
+     *  which is in scan order. */
+    void
+    mergeWoken(size_t lo, size_t woken)
+    {
+        if (ready.size() > woken)
+            insertSorted(ready, lo, woken);
+    }
+    /** The scan left `ready` in scan order. */
+    void endScan() { sorted = ready.size(); }
+
+    /** Drop the entries whose slot fails @p live from `ready` and
+     *  `arrived`, keeping both lists' order. */
+    template <class Live>
+    void
+    dropFromLists(Live live)
+    {
+        size_t w = 0, kept = 0;
+        for (size_t j = 0; j < ready.size(); ++j) {
+            if (live(ready[j].slot)) {
+                kept += j < sorted;
+                ready[w++] = ready[j];
+            }
+        }
+        ready.resize(w);
+        sorted = kept;
+        std::erase_if(arrived, [&](const Ready &r) { return !live(r.slot); });
+    }
 
     std::vector<Entry> slots;
     std::vector<Slot> freeSlots;  //!< taken from the back
-    /** The entries the stage's next scan examines: new and woken
-     *  entries, and divert entries the rule has let go that wait
-     *  for readyAt or for scheduler room. */
+    /** The entries the stage's next scan examines: woken entries,
+     *  the arrivals of earlier scans' budgets left unexamined, and
+     *  divert entries the rule has let go that wait for readyAt or
+     *  for scheduler room. */
     std::vector<Ready> ready;
+    /** ready[0, sorted) is in scan order: what the last scan left.
+     *  Later entries were appended since. */
+    size_t sorted = 0;
+    /** Entries ready on entry since the last scan began (only the
+     *  scheduler has them: a diverted entry is always held). */
+    std::vector<Ready> arrived;
+
+  private:
+    /** Insertion-sort q[from, end) by key into q[lo, from), which is
+     *  sorted. Adaptive: entries that arrive in order cost one
+     *  compare. */
+    static void
+    insertSorted(std::vector<Ready> &q, size_t lo, size_t from)
+    {
+        for (size_t j = from; j < q.size(); ++j) {
+            const Ready v = q[j];
+            size_t k = j;
+            for (; k > lo && q[k - 1].key > v.key; --k)
+                q[k] = q[k - 1];
+            q[k] = v;
+        }
+    }
 };
 
 /** Operands of one static instruction, decoded once per machine so
@@ -238,6 +315,57 @@ struct DecodedOp
     enum class Mem : std::uint8_t { None, Load, Store } mem = Mem::None;
 };
 static_assert(sizeof(DecodedOp) == 8);
+
+/** The control transfer fetch predicts for a static instruction. */
+enum class Control : std::uint8_t {
+    None,          //!< falls through (or a direct jump: no prediction)
+    CondBranch,    //!< gshare
+    Call,          //!< direct call: pushes the return address
+    IndirectCall,  //!< JALR: pushes, and the indirect predictor
+    Return,        //!< pops the return address stack
+    IndirectJump,  //!< the indirect predictor
+};
+
+/** How the Task Spawn Unit gets the hint of a static instruction. */
+enum class SpawnAt : std::uint8_t {
+    None,   //!< the source never spawns here
+    Fixed,  //!< always FetchOp::hint (SpawnSource::fixedAt)
+    Ask,    //!< SpawnSource::query at each fetch
+};
+
+/** What fetch needs of one static instruction, decoded once per
+ *  machine so fetch reads one table entry instead of the LinkedInstr,
+ *  Instruction's predicates and a spawn-source query. */
+struct FetchOp
+{
+    Addr pc = invalidAddr;
+    /** L1 instruction-cache line number: pc / l1i.lineBytes. */
+    Addr line = invalidAddr;
+    /** The spawn hint when spawn is Fixed. */
+    SpawnHint hint{invalidAddr, SpawnKind::Other, 0};
+    Control control = Control::None;
+    SpawnAt spawn = SpawnAt::None;
+};
+
+/** What the synchronization rule decides for one instruction
+ *  (MachineState::syncCheck). */
+struct SyncCheck
+{
+    /** What keeps it in (or sends it to) the divert queue now, if
+     *  anything. */
+    Blocker blocker{};
+    /** Only when blocker is clear: the first synchronized producer
+     *  whose result it lacks at the issue cycle asked about, or
+     *  invalidTrace if it may issue then. */
+    TraceIdx wait = invalidTrace;
+};
+
+/** A task fetch may serve this cycle, with its biased-ICount key. */
+struct FetchCandidate
+{
+    long long key;
+    size_t pos;  //!< position in MachineState::tasks
+};
 
 /** A spawn decided mid-fetch, applied at end of cycle so task
  *  positions stay stable while the frontend iterates. */
@@ -314,8 +442,9 @@ struct MachineState
     /** @name Pipeline state @{ */
     std::vector<InstrState> istate;  //!< indexed by trace position
     std::vector<Task> tasks;         //!< active tasks, oldest first
-    /** Fetch's eligible task positions, reused across cycles. */
-    std::vector<size_t> eligible;
+    /** Fetch's eligible tasks in the order it serves them, reused
+     *  across cycles. */
+    std::vector<FetchCandidate> eligible;
     /** Scheduler entries, ready or parked. issue() scans the ready
      *  ones oldest first; a parked one waits for the result it
      *  lacked (SchedEntry::waitOn). Invariant: every entry's
@@ -362,9 +491,12 @@ struct MachineState
 
     /** Decoded operands, indexed by image index. */
     std::vector<DecodedOp> ops;
-    /** L1 instruction-cache line number of each static instruction
-     *  (address / l1i.lineBytes), indexed by image index. */
-    std::vector<Addr> fetchLine;
+    /** What fetch reads of each static instruction, indexed by image
+     *  index. */
+    std::vector<FetchOp> fetchOps;
+    /** The source trains on committed instructions
+     *  (SpawnSource::trains), so commit feeds it. */
+    bool sourceTrains = false;
 
     /** @name Predictors and memories @{ */
     MemHierarchy hier;
@@ -373,6 +505,11 @@ struct MachineState
     /** Rename-stage register/memory dependence predictors (flat,
      *  image-indexed; see dep_predictors.hh). */
     DepPredictors depPred;
+    /** How many times recover() has trained depPred. Training is the
+     *  only thing that can make the divert rule hold an entry it has
+     *  let go (DivertEntry::trainings), so whatever trains depPred
+     *  must bump this. */
+    std::uint32_t depTrainings = 0;
     /** @} */
 
     /** Spawn-profitability feedback, image-indexed (empty for the
@@ -412,26 +549,31 @@ struct MachineState
             depPred.predictsRegDep(d.img());
     }
 
-    /** The first producer that keeps instruction @p d, owned by
-     *  @p t, in the divert queue: a register producer it
-     *  synchronizes on that has not been renamed (same task) or
-     *  issued (older task) yet, or a load's synchronized store that
-     *  has not produced its data. False if nothing holds @p d. */
-    Blocker divertBlocker(const DynInstr &d, const Task &t) const;
+    /** True if the load @p d, owned by @p t, synchronizes on its
+     *  producing store @p store instead of speculating past it: a
+     *  same-task store, or a predicted dependence. */
+    bool
+    memSyncNeeded(TraceIdx store, const DynInstr &d, const Task &t) const
+    {
+        return store >= t.begin || depPred.predictsMemDep(d.img());
+    }
+
+    /** The synchronization rule for instruction @p d, owned by @p t,
+     *  in one pass over its sources. The blocker is the first
+     *  producer that keeps @p d in the divert queue: a register
+     *  producer it synchronizes on that has not been renamed (same
+     *  task) or issued (older task) yet, or a load's synchronized
+     *  store that has not produced its data. Without one, wait is
+     *  the first synchronized producer whose result @p d lacks at
+     *  @p issueCycle, which must not be before now. */
+    [[gnu::always_inline]] SyncCheck
+    syncCheck(const DynInstr &d, const Task &t,
+              std::uint64_t issueCycle) const;
     /** True while @p b's producer has not yet done what the entry
      *  waits for. A producer's stage only moves forward, so once
      *  this is false it stays false. The one exception is a squash,
      *  which squashes every younger instruction with the producer. */
     bool holds(const Blocker &b) const;
-    /** True if @p d, owned by @p t, is a load that must
-     *  synchronize on its producing store. */
-    bool loadSyncNeeded(const DynInstr &d, const Task &t) const;
-    /** The first synchronized producer whose result @p d, owned by
-     *  @p t, lacks at @p cycle: a register producer it synchronizes
-     *  on, or else, for a load, its synchronized store.
-     *  invalidTrace if none; then @p d may issue at @p cycle. */
-    TraceIdx syncWait(const DynInstr &d, const Task &t,
-                      std::uint64_t cycle) const;
 
     /** Producer @p p has its result available at @p cycle. */
     bool
@@ -461,16 +603,18 @@ struct MachineState
     /** @name Queue entry and wakeup
      * The bookkeeping that rename, divert release, issue and
      * recovery share. A wakeup appends the entry to its queue's
-     * ready list; the scanning stage restores the list's order.
+     * ready list; the scanning stage restores the list's order
+     * (EntryQueue::beginScan).
      * @{ */
 
     /** Put @p i in the scheduler, and wake the divert entries that
      *  wait for @p i to be renamed. The entry parks on @p waitOn if
-     *  that is a producer, else it is ready. Rename and divert
-     *  release pass syncWait at the entry's first issue cycle: issue
-     *  would park it there anyway, since a sync decision never
-     *  reverts, and the producer's issue or completion wakes it in
-     *  time (in the same issue scan, for a result ready at once). */
+     *  that is a producer, else it arrives ready. Rename and divert
+     *  release pass syncCheck's wait at the entry's first issue
+     *  cycle: issue would park it there anyway, since a sync
+     *  decision never reverts, and the producer's issue or
+     *  completion wakes it in time (in the same issue scan, for a
+     *  result ready at once). */
     void enterSched(TraceIdx i, TraceIdx waitOn);
     /** Divert @p i, held by @p b (which holds), and park it. */
     void enterDivert(TraceIdx i, Blocker b);
@@ -490,7 +634,10 @@ struct MachineState
     void
     wakeDue()
     {
-        if (now > wheelDrained)
+        if (now == wheelDrained + 1 &&
+            wheel[now & (wheel.size() - 1)] == noSlot)
+            wheelDrained = now;  // the one bucket due is empty
+        else if (now > wheelDrained)
             drainWheel();
     }
     /** After a squash: drop every entry whose instruction left its
@@ -569,7 +716,7 @@ MachineState::enterSched(TraceIdx i, TraceIdx waitOn)
     istate[i].stage = InstrStage::InSched;
     const Slot s = sched.take({i, waitOn});
     if (waitOn == invalidTrace)
-        sched.makeReady(s);
+        sched.arrive(s);
     else
         park(s);
     if (waiterHead[i] != noSlot)
@@ -580,36 +727,7 @@ inline void
 MachineState::enterDivert(TraceIdx i, Blocker b)
 {
     istate[i].stage = InstrStage::Diverted;
-    park(divertNode(divert.take({i, b, 0, divertSeq++})));
-}
-
-inline bool
-MachineState::loadSyncNeeded(const DynInstr &d, const Task &t) const
-{
-    if (ops[d.img()].mem != DecodedOp::Mem::Load)
-        return false;
-    const TraceIdx store = trace->memProd(d);
-    if (store == invalidTrace ||
-        istate[store].stage == InstrStage::Committed)
-        return false;
-    bool same_task = store >= t.begin;
-    return same_task || depPred.predictsMemDep(d.img());
-}
-
-inline TraceIdx
-MachineState::syncWait(const DynInstr &d, const Task &t,
-                       std::uint64_t cycle) const
-{
-    const DecodedOp &op = ops[d.img()];
-    for (int k = 0; k < op.nsrc; ++k) {
-        const TraceIdx p = d.prod[k];
-        if (p != invalidTrace && !doneAt(p, cycle) &&
-            regSyncNeeded(p, op.src[k], d, t))
-            return p;
-    }
-    if (loadSyncNeeded(d, t) && !doneAt(trace->memProd(d), cycle))
-        return trace->memProd(d);
-    return invalidTrace;
+    park(divertNode(divert.take({i, b, 0, 0, divertSeq++})));
 }
 
 inline bool
@@ -628,8 +746,9 @@ MachineState::holds(const Blocker &b) const
     return false;
 }
 
-inline Blocker
-MachineState::divertBlocker(const DynInstr &d, const Task &t) const
+inline SyncCheck
+MachineState::syncCheck(const DynInstr &d, const Task &t,
+                        std::uint64_t issueCycle) const
 {
     // An instruction synchronizes (stays diverted) while a producer
     // it is predicted to depend on has not been renamed yet.
@@ -640,10 +759,15 @@ MachineState::divertBlocker(const DynInstr &d, const Task &t) const
     // producers are synchronized only when the rename-stage
     // dependence predictor says so; otherwise the consumer
     // speculates and may trigger a violation at issue.
+    //
+    // A producer done by now is done at issueCycle too and holds
+    // nothing, so the rule looks only at the incomplete ones.
+    SyncCheck out;
     const DecodedOp &op = ops[d.img()];
     for (int k = 0; k < op.nsrc; ++k) {
-        TraceIdx p = d.prod[k];
-        if (p == invalidTrace || !regSyncNeeded(p, op.src[k], d, t))
+        const TraceIdx p = d.prod[k];
+        if (p == invalidTrace || doneAt(p, now) ||
+            !regSyncNeeded(p, op.src[k], d, t))
             continue;
         // Same-task values flow through the scheduler normally:
         // divert only while the producer is not yet renamed (it may
@@ -652,16 +776,21 @@ MachineState::divertBlocker(const DynInstr &d, const Task &t) const
         // ("some time after its producer has been dispatched",
         // paper Section 3.1); the scheduler's wakeup covers the
         // rest.
-        Blocker b{p, p >= t.begin ? Await::Rename : Await::Issue};
+        const Blocker b{p, p >= t.begin ? Await::Rename : Await::Issue};
         if (holds(b))
-            return b;
+            return {b, invalidTrace};
+        if (out.wait == invalidTrace && !doneAt(p, issueCycle))
+            out.wait = p;
     }
-    if (loadSyncNeeded(d, t)) {
-        Blocker b{trace->memProd(d), Await::Result};
-        if (holds(b))
-            return b;
+    // A load's store holds it until the data is there, so a store
+    // that does not hold it is done by now and never sets wait.
+    if (op.mem == DecodedOp::Mem::Load) {
+        const TraceIdx store = trace->memProd(d);
+        if (store != invalidTrace && !doneAt(store, now) &&
+            memSyncNeeded(store, d, t))
+            return {{store, Await::Result}, invalidTrace};
     }
-    return {};
+    return out;
 }
 
 } // namespace polyflow::sim

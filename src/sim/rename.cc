@@ -15,9 +15,11 @@ dispatch(MachineState &m)
             if (std::uint64_t(s.fetchCycle) + m.cfg.frontendDepth >
                 m.now)
                 break;
-            const DynInstr &d = m.trace->instrs[i];
+            // Its first issue check is next cycle.
+            const SyncCheck sync =
+                m.syncCheck(m.trace->instrs[i], t, m.now + 1);
 
-            if (Blocker b = m.divertBlocker(d, t)) {
+            if (const Blocker b = sync.blocker) {
                 if (m.divert.size() >= m.cfg.divertEntries ||
                     !m.robAllowed(pos)) {
                     if (m.divert.size() >= m.cfg.divertEntries)
@@ -36,8 +38,7 @@ dispatch(MachineState &m)
                     !m.robAllowed(pos)) {
                     break;
                 }
-                // Its first issue check is next cycle.
-                m.enterSched(i, m.syncWait(d, t, m.now + 1));
+                m.enterSched(i, sync.wait);
                 ++m.robUsed;
                 ++t.robHeld;
                 ++t.dispIdx;

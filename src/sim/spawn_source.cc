@@ -25,6 +25,12 @@ ReconSpawnSource::query(const LinkedInstr &li)
     return std::nullopt;
 }
 
+bool
+ReconSpawnSource::fixedAt(const LinkedInstr &li) const
+{
+    return !li.instr.isCondBranch();
+}
+
 void
 ReconSpawnSource::onCommit(const LinkedInstr &li, bool taken)
 {

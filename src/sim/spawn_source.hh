@@ -30,6 +30,11 @@ struct SpawnHint
 /**
  * Interface the Task Spawn Unit queries at fetch and trains at
  * commit.
+ *
+ * A machine decodes its source once per static instruction when it
+ * starts: where fixedAt() holds it calls query() then and keeps the
+ * answer, and at fetch it calls query() only for the rest. It calls
+ * onCommit() only on a source whose trains() holds.
  */
 class SpawnSource
 {
@@ -38,6 +43,14 @@ class SpawnSource
 
     /** Spawn hint for fetching @p li, if any. */
     virtual std::optional<SpawnHint> query(const LinkedInstr &li) = 0;
+
+    /** True if query(@p li) gives the same answer at every fetch of
+     *  @p li, whatever the source has observed. */
+    virtual bool fixedAt(const LinkedInstr &) const { return false; }
+
+    /** False if onCommit() never changes what query() answers, so a
+     *  machine need not call it. */
+    virtual bool trains() const { return true; }
 
     /** Observe one committed instruction (dynamic sources train). */
     virtual void onCommit(const LinkedInstr &li, bool taken) = 0;
@@ -62,6 +75,8 @@ class StaticSpawnSource : public SpawnSource
     {}
 
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
+    bool fixedAt(const LinkedInstr &) const override { return true; }
+    bool trains() const override { return false; }
     void onCommit(const LinkedInstr &, bool) override {}
 
   private:
@@ -82,6 +97,9 @@ class ReconSpawnSource : public SpawnSource
     {}
 
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
+    /** Calls always spawn their fall-through; only a conditional
+     *  branch's hint depends on what the predictor has learnt. */
+    bool fixedAt(const LinkedInstr &li) const override;
     void onCommit(const LinkedInstr &li, bool taken) override;
 
     const ReconPredictor &predictor() const { return _predictor; }
@@ -102,6 +120,8 @@ class DmtSpawnSource : public SpawnSource
 {
   public:
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
+    bool fixedAt(const LinkedInstr &) const override { return true; }
+    bool trains() const override { return false; }
     void onCommit(const LinkedInstr &, bool) override {}
 };
 

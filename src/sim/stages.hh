@@ -32,8 +32,9 @@ void unblock(MachineState &m);
 
 /**
  * Commit up to pipelineWidth instructions of the head task in trace
- * order; a fully committed task retires its context, feeding spawn
- * profitability back to its trigger. Leaves the cycle's commit count
+ * order, feeding each to a spawn source that trains; a fully
+ * committed task retires its context, feeding spawn profitability
+ * back to its trigger. Leaves the cycle's commit count
  * in MachineState::cycleCommits for accountCycle().
  */
 void commit(MachineState &m);
@@ -60,11 +61,14 @@ void accountCycle(MachineState &m);
  * scheduled. The producer reaching the scheduler (dispatch or this
  * stage), issuing (issue) or completing (the wheel) wakes it. The
  * scan visits only ready entries, in FIFO order: the woken ones,
- * and those the rule (MachineState::divertBlocker) has let go that
- * wait out the latency or scheduler room. The rule runs again on
- * each woken entry and may park it on a newer blocker. An entry
- * woken by a release earlier in the same scan is reached later in
- * it.
+ * and those the rule (MachineState::syncCheck) has let go that wait
+ * out the latency or scheduler room. The rule runs again on each
+ * woken entry and may park it on a newer blocker. On a let-go entry
+ * it runs again only after recover() has trained the dependence
+ * predictors (MachineState::depTrainings), and otherwise once, for
+ * the entry's first issue wait, when the entry leaves; the task
+ * lookup goes with it. An entry woken by a release earlier in the
+ * same scan is reached later in it.
  */
 void releaseDiverted(MachineState &m);
 
@@ -75,17 +79,19 @@ void releaseDiverted(MachineState &m);
  * already issued, queue dependence violations for recover().
  *
  * Only ready entries are visited: new ones and those woken since
- * the last scan. An entry that is not ready records the first
- * synchronized producer whose result it lacks (SchedEntry::waitOn)
- * and parks on it, on the producer's waiter list until it issues,
- * then in the completion wheel until its result is ready. Rename
- * and divert release park an entry that way as it enters, when
- * that producer will not be done by its first issue check
- * (MachineState::syncWait), so it is not visited just to park. Issue
- * repairs the ready list's oldest-first order with an adaptive
- * insertion pass instead of sorting, and resolves each entry's
- * owning task by walking the task table in lockstep with the
- * ascending keys.
+ * the last scan. One pass over an entry's incomplete producers
+ * decides it: a synchronized one it lacks makes it record that
+ * producer (SchedEntry::waitOn) and park on it, on the producer's
+ * waiter list until it issues, then in the completion wheel until
+ * its result is ready; an unsynchronized one is a stale read.
+ * Rename and divert release park an entry that way as it enters,
+ * when that producer will not be done by its first issue check
+ * (SyncCheck::wait), so it is not visited just to park. Issue puts
+ * the entries that entered since its last scan behind the ones
+ * woken since, repairs the ready list's oldest-first order with an
+ * adaptive insertion pass over only what joined (instead of
+ * sorting), and resolves each entry's owning task by walking the
+ * task table in lockstep with the ascending keys.
  */
 void issue(MachineState &m);
 
@@ -105,8 +111,12 @@ void dispatch(MachineState &m);
  * to pipelineWidth instructions across at most fetchTasksPerCycle of
  * them, and consult the branch predictors (a mispredict blocks that
  * task's fetch until resolution). The Task Spawn Unit observes every
- * fetched instruction; a spawn decision truncates the parent at once
- * and records the new context in MachineState::pending.
+ * instruction fetched by a task that may spawn; a spawn decision
+ * truncates the parent at once and records the new context in
+ * MachineState::pending. Each fetched instruction reads its static
+ * facts (I-cache line, control class, spawn hint) from one
+ * per-image record (MachineState::fetchOps); only a source's
+ * non-fixed hints (SpawnSource::fixedAt) are queried per fetch.
  */
 void fetch(MachineState &m);
 
@@ -119,8 +129,10 @@ void applySpawn(MachineState &m);
 
 /**
  * Handle the cycle's pending violations: train the dependence
- * predictor of the oldest violating consumer and squash from its
- * task (everything younger would be squashed anyway).
+ * predictor of the oldest violating consumer, bump
+ * MachineState::depTrainings so divert release re-checks the entries
+ * its rule has let go, and squash from the consumer's task
+ * (everything younger would be squashed anyway).
  */
 void recover(MachineState &m);
 

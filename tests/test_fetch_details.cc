@@ -2,14 +2,19 @@
  * @file
  * Tests pinning down front-end details of the timing model: the
  * taken-branch-per-cycle limit, the fetch-queue cap, frontend
- * depth, I-cache line behaviour during fetch, and the biased-ICount
- * fetch arbitration.
+ * depth, I-cache line behaviour during fetch, the biased-ICount
+ * fetch arbitration, and the per-image record fetch reads instead
+ * of decoding each fetched instruction.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+
 #include "ir/builder.hh"
 #include "polyflow.hh"
+#include "sim/machine_state.hh"
 
 namespace polyflow {
 namespace {
@@ -219,6 +224,177 @@ TEST(FetchDetails, PolyFlowFetchesFromTwoTasks)
     // Dual-task fetch must help when fetch bandwidth is the
     // bottleneck (small predictor interactions aside).
     EXPECT_LE(rTwo.cycles, rOne.cycles * 101 / 100);
+}
+
+/** The control class fetch must give @p in, from Instruction's own
+ *  predicates in the order fetch once tested them. */
+sim::Control
+expectedControl(const Instruction &in)
+{
+    if (in.isCondBranch())
+        return sim::Control::CondBranch;
+    if (in.isCall()) {
+        return in.op == Opcode::JALR ? sim::Control::IndirectCall
+                                     : sim::Control::Call;
+    }
+    if (in.isReturn())
+        return sim::Control::Return;
+    if (in.isIndirectJump())
+        return sim::Control::IndirectJump;
+    return sim::Control::None;
+}
+
+bool
+sameHint(const SpawnHint &a, const SpawnHint &b)
+{
+    return a.targetPc == b.targetPc && a.kind == b.kind &&
+        a.depMask == b.depMask;
+}
+
+TEST(FetchDetails, PerImageRecordAgreesWithTheDecodersOnEveryWorkload)
+{
+    // A line size other than the default, so the line number is not
+    // an accident of one divisor.
+    MachineConfig cfg;
+    cfg.l1i.lineBytes = 32;
+    const SpawnPolicy policies[] = {
+        SpawnPolicy::loop(),    SpawnPolicy::loopFT(),
+        SpawnPolicy::procFT(),  SpawnPolicy::hammock(),
+        SpawnPolicy::other(),   SpawnPolicy::postdoms(),
+    };
+    std::set<sim::Control> seen;
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        Workload w = buildWorkload(name, 0.02);
+        FunctionalOptions opt;
+        opt.recordTrace = true;
+        const FunctionalResult r = runFunctional(w.prog, opt);
+        const auto &image = w.prog.image();
+        SpawnAnalysis sa(*w.module, w.prog);
+
+        // Fields every source shares: address, line and control.
+        auto checkCommon = [&](const sim::MachineState &m) {
+            ASSERT_EQ(m.fetchOps.size(), image.size());
+            for (size_t k = 0; k < image.size(); ++k) {
+                const LinkedInstr &li = image[k];
+                const sim::FetchOp &f = m.fetchOps[k];
+                ASSERT_EQ(f.pc, li.addr) << "at " << k;
+                ASSERT_EQ(f.line, li.addr / Addr(cfg.l1i.lineBytes))
+                    << "at " << k;
+                ASSERT_EQ(f.control, expectedControl(li.instr))
+                    << "at " << k;
+                seen.insert(f.control);
+            }
+        };
+
+        {
+            sim::MachineState m(cfg, r.trace, nullptr);
+            checkCommon(m);
+            EXPECT_FALSE(m.sourceTrains);
+            for (const sim::FetchOp &f : m.fetchOps)
+                ASSERT_EQ(f.spawn, sim::SpawnAt::None);
+        }
+        for (const SpawnPolicy &pol : policies) {
+            SCOPED_TRACE(pol.name);
+            auto table = std::make_shared<const HintTable>(sa, pol);
+            StaticSpawnSource src{table};
+            sim::MachineState m(cfg, r.trace, &src);
+            checkCommon(m);
+            EXPECT_FALSE(m.sourceTrains);
+            for (size_t k = 0; k < image.size(); ++k) {
+                const sim::FetchOp &f = m.fetchOps[k];
+                const SpawnPoint *pt = table->lookup(image[k].addr);
+                if (!pt) {
+                    ASSERT_EQ(f.spawn, sim::SpawnAt::None) << "at " << k;
+                    continue;
+                }
+                ASSERT_EQ(f.spawn, sim::SpawnAt::Fixed) << "at " << k;
+                ASSERT_TRUE(sameHint(
+                    f.hint, {pt->targetPc, pt->kind, pt->depMask}))
+                    << "at " << k;
+            }
+        }
+        // A source that declares nothing is asked at every fetch and
+        // fed every commit, as before the record existed.
+        {
+            struct Undeclared : SpawnSource
+            {
+                std::optional<SpawnHint>
+                query(const LinkedInstr &) override
+                {
+                    return std::nullopt;
+                }
+                void onCommit(const LinkedInstr &, bool) override {}
+            } plain;
+            sim::MachineState m(cfg, r.trace, &plain);
+            checkCommon(m);
+            EXPECT_TRUE(m.sourceTrains);
+            for (const sim::FetchOp &f : m.fetchOps)
+                ASSERT_EQ(f.spawn, sim::SpawnAt::Ask);
+        }
+        // The dynamic sources: DMT's hints are fixed; the
+        // reconvergence source asks at each conditional branch, and
+        // trains.
+        DmtSpawnSource dmt;
+        ReconSpawnSource rec;
+        for (SpawnSource *src : {static_cast<SpawnSource *>(&dmt),
+                                 static_cast<SpawnSource *>(&rec)}) {
+            sim::MachineState m(cfg, r.trace, src);
+            checkCommon(m);
+            EXPECT_EQ(m.sourceTrains, src == &rec);
+            for (size_t k = 0; k < image.size(); ++k) {
+                const LinkedInstr &li = image[k];
+                const sim::FetchOp &f = m.fetchOps[k];
+                if (src == &rec && li.instr.isCondBranch()) {
+                    ASSERT_EQ(f.spawn, sim::SpawnAt::Ask) << "at " << k;
+                    continue;
+                }
+                const auto hint = src->query(li);
+                ASSERT_EQ(f.spawn, hint ? sim::SpawnAt::Fixed
+                                        : sim::SpawnAt::None)
+                    << "at " << k;
+                if (hint) {
+                    ASSERT_TRUE(sameHint(f.hint, *hint)) << "at " << k;
+                }
+            }
+        }
+    }
+
+    // No workload makes an indirect call, so a program that is never
+    // run past its halt supplies one, with a return and an indirect
+    // jump beside it; the record covers the whole image either way.
+    Built b;
+    Function &callee = b.mod.createFunction("callee");
+    {
+        FunctionBuilder fb(callee);
+        BlockId there = fb.newBlock();
+        fb.callIndirect(reg::t0);
+        fb.jr(reg::t1, {there});
+        fb.setBlock(there);
+        fb.ret();
+    }
+    Function &main = b.mod.createFunction("main");
+    {
+        FunctionBuilder fb(main);
+        fb.call(callee.id());
+        fb.halt();
+    }
+    b.mod.entryFunction(main.id());
+    b.prog = b.mod.link();
+    FunctionalOptions opt;
+    opt.recordTrace = true;
+    opt.maxInstrs = 1;
+    const FunctionalResult r = runFunctional(b.prog, opt);
+    ASSERT_GT(r.trace.size(), 0u);
+    sim::MachineState m(cfg, r.trace, nullptr);
+    const auto &image = b.prog.image();
+    ASSERT_EQ(m.fetchOps.size(), image.size());
+    for (size_t k = 0; k < image.size(); ++k) {
+        ASSERT_EQ(m.fetchOps[k].control, expectedControl(image[k].instr))
+            << "at " << k;
+        seen.insert(m.fetchOps[k].control);
+    }
+    EXPECT_EQ(seen.size(), 6u) << "every control class is exercised";
 }
 
 } // namespace

@@ -724,7 +724,8 @@ TEST(Stages, ConsumerParkedAtRenameIssuesWhenItsProducerCompletes)
         sim::dispatch(m);
         ASSERT_EQ(m.istate[1].stage, sim::InstrStage::InSched);
         EXPECT_EQ(schedEntries(m)[1].waitOn, TraceIdx(0));
-        EXPECT_EQ(m.sched.ready.size(), 1u) << "only the producer";
+        EXPECT_EQ(m.sched.ready.size() + m.sched.arrived.size(), 1u)
+            << "only the producer";
         EXPECT_EQ(queueInvariantViolation(m), "");
 
         const std::uint64_t producerAt = m.now + 1;
@@ -829,6 +830,103 @@ TEST(Stages, SquashedEntryParkedOnASurvivingProducerIsReParkedOnce)
     // The run then finishes, with every cycle's queues consistent.
     EXPECT_EQ(qtest::runCheckingQueues(m, m.now + 1000), "");
     EXPECT_EQ(m.commitIdx, TraceIdx(tr.size()));
+}
+
+TEST(Stages, LetGoDivertEntryReParksWhenRecoveryTrainsItsPredictor)
+{
+    // Two iterations of: q = addi t3, t0, 0; e = add t4, t3, t1,
+    // where t1 comes from the li before the loop.
+    Built b;
+    Function &f = b.mod.createFunction("main");
+    {
+        FunctionBuilder fb(f);
+        BlockId loop = fb.newBlock();
+        BlockId done = fb.newBlock();
+        fb.li(reg::t0, 2);
+        fb.li(reg::t1, 5);
+        fb.jump(loop);
+        fb.setBlock(loop);
+        fb.addi(reg::t3, reg::t0, 0);
+        fb.add(reg::t4, reg::t3, reg::t1);
+        fb.addi(reg::t0, reg::t0, -1);
+        fb.bne(reg::t0, reg::zero, loop);
+        fb.setBlock(done);
+        fb.halt();
+    }
+    b.finish();
+    const Trace &tr = b.fr->trace;
+    // The trace is li, li, j, then the loop body twice. e of the
+    // first iteration (4) reads q (3) and the second li (1); the
+    // second iteration's e (8) is the same static instruction.
+    const TraceIdx q = 3, e = 4, p = 1, later = 8;
+    ASSERT_EQ(tr.instrs[e].prod[0], q);
+    ASSERT_EQ(tr.instrs[e].prod[1], p);
+    ASSERT_EQ(tr.instrs[q].prod[0], TraceIdx(0));
+    ASSERT_EQ(tr.instrs[later].img(), tr.instrs[e].img());
+
+    // Tasks [0, 3), [3, 7) and [7, end). One FU, so the older task's
+    // first li issues alone and p waits in the scheduler.
+    MachineConfig cfg;
+    cfg.numFUs = 1;
+    cfg.divertReleaseDelay = 5;
+    sim::MachineState m(cfg, tr, nullptr);
+    splitTasksAt(m, q);
+    sim::Task youngest;
+    youngest.begin = youngest.fetchIdx = youngest.dispIdx = later;
+    youngest.end = m.tasks[1].end;
+    m.tasks[1].end = later;
+    m.tasks.push_back(youngest);
+    seedSched(m, {0, 1, 2});
+    m.tasks[0].fetchIdx = m.tasks[0].dispIdx = q;
+    m.istate[q].stage = sim::InstrStage::Fetched;
+    m.istate[e].stage = sim::InstrStage::Fetched;
+    m.tasks[1].fetchIdx = e + 1;
+    m.now = std::uint64_t(cfg.frontendDepth);
+
+    // q synchronizes on the older li that writes t0, and e follows
+    // q, its same-task producer, into the divert queue.
+    m.depPred.recordRegViolation(tr.instrs[q].img());
+    sim::dispatch(m);
+    const sim::Slot slot = divertSlotOf(m, e);
+    ASSERT_NE(slot, sim::noSlot);
+    EXPECT_EQ(m.divert.slots[slot].heldBy,
+              (sim::Blocker{q, sim::Await::Rename}));
+
+    // The li writing t0 issues; q re-enters the scheduler after the
+    // release delay, which wakes e and lets it go. Only release runs
+    // from here on, so p never issues.
+    sim::issue(m);
+    ASSERT_EQ(m.istate[0].stage, sim::InstrStage::Issued);
+    ASSERT_EQ(m.istate[p].stage, sim::InstrStage::InSched);
+    for (++m.now; m.istate[q].stage != sim::InstrStage::InSched;
+         ++m.now) {
+        ASSERT_LT(m.now, 100u);
+        sim::releaseDiverted(m);
+    }
+    const sim::DivertEntry &entry = m.divert.slots[slot];
+    ASSERT_EQ(entry.idx, e);
+    ASSERT_FALSE(entry.heldBy);
+    const std::uint64_t readyAt = entry.readyAt;
+    ASSERT_GT(readyAt, m.now) << "e waits out the release delay";
+    EXPECT_EQ(queueInvariantViolation(m), "");
+
+    // While e waits, the later instance of its instruction reads t1
+    // stale: recovery trains e's instruction and squashes the
+    // youngest task. From now on e synchronizes on p, which has not
+    // issued, so the next release scan parks e on p.
+    m.pendingViolations.push_back({later, invalidTrace});
+    sim::recover(m);
+    ASSERT_TRUE(m.depPred.predictsRegDep(tr.instrs[e].img()));
+    for (; m.now <= readyAt + 10; ++m.now) {
+        sim::releaseDiverted(m);
+        ASSERT_EQ(m.istate[e].stage, sim::InstrStage::Diverted)
+            << "cycle " << m.now;
+        EXPECT_EQ(m.divert.slots[slot].heldBy,
+                  (sim::Blocker{p, sim::Await::Issue}))
+            << "cycle " << m.now;
+        ASSERT_EQ(queueInvariantViolation(m), "") << "cycle " << m.now;
+    }
+    EXPECT_EQ(m.waiterHead[p], m.divertNode(slot));
 }
 
 TEST(Stages, TraceTooLongForThirtyTwoBitCyclesIsRejected)
