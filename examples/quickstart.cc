@@ -2,7 +2,7 @@
  * @file
  * quickstart: the smallest end-to-end tour of the library.
  *
- * 1. Assemble a program (the paper's Figure 1 loop) from text.
+ * 1. Build a program (the paper's Figure 1 loop) with FunctionBuilder.
  * 2. Compute its postdominator tree and control dependence graph.
  * 3. Identify and classify spawn points.
  * 4. Run it functionally with the low-level golden model, then hand
@@ -15,37 +15,53 @@
 #include "analysis/cfg_view.hh"
 #include "analysis/control_dep.hh"
 #include "analysis/dominators.hh"
-#include "asm/assembler.hh"
+#include "ir/builder.hh"
 #include "polyflow.hh"
 
 using namespace polyflow;
 
 // The paper's Figure 1: a loop A,B,{C|D},E,F with an if-then-else
-// inside. The data word stream drives the inner branch.
-static const char *program = R"(
-.data words 4096
-.func main
-.entry
-    li   t0, 512         ; loop trips
-    li   t1, words       ; data cursor
-    li   t3, 0           ; accumulator
-A:  ld   t2, 0(t1)       ; block A
-B:  beq  t2, zero, D     ; block B: the if-then-else branch
-C:  addi t3, t3, 1       ; block C (then)
-    j    E
-D:  addi t3, t3, 2       ; block D (else)
-E:  add  t3, t3, t2      ; block E: the join
-F:  addi t1, t1, 8
-    addi t0, t0, -1
-    bne  t0, zero, A     ; block F: the loop branch
-X:  halt
-.endfunc
-)";
+// inside. The data word stream drives the inner branch. Blocks are
+// laid out in creation order, so a block without a terminator falls
+// through to the next one.
+static std::unique_ptr<Module>
+buildFigure1()
+{
+    auto mod = std::make_unique<Module>("figure1");
+    Addr words = mod->allocData("words", 4096);
+    FunctionBuilder b(mod->createFunction("main"));
+    BlockId A = b.newBlock("A"), B = b.newBlock("B"),
+            C = b.newBlock("C"), D = b.newBlock("D"),
+            E = b.newBlock("E"), F = b.newBlock("F"),
+            X = b.newBlock("X");
+
+    b.li(reg::t0, 512);                  // loop trips
+    b.li(reg::t1, std::int64_t(words));  // data cursor
+    b.li(reg::t3, 0);                    // accumulator
+    b.setBlock(A);
+    b.ld(reg::t2, reg::t1, 0);
+    b.setBlock(B);         // the if-then-else branch
+    b.beq(reg::t2, reg::zero, D);
+    b.setBlock(C);         // then
+    b.addi(reg::t3, reg::t3, 1);
+    b.jump(E);
+    b.setBlock(D);         // else
+    b.addi(reg::t3, reg::t3, 2);
+    b.setBlock(E);         // the join
+    b.add(reg::t3, reg::t3, reg::t2);
+    b.setBlock(F);         // the loop branch
+    b.addi(reg::t1, reg::t1, 8);
+    b.addi(reg::t0, reg::t0, -1);
+    b.bne(reg::t0, reg::zero, A);
+    b.setBlock(X);
+    b.halt();
+    return mod;
+}
 
 int
 main()
 {
-    auto mod = assemble(program, "figure1");
+    auto mod = buildFigure1();
     // Pseudo-random branch data so B is hard to predict.
     std::uint64_t x = 0x1234;
     for (int i = 0; i < 512; ++i) {
@@ -82,7 +98,7 @@ main()
               << fr.finalState->readReg(reg::t3) << "\n";
 
     // --- The same pipeline through the front door: adopt the
-    // ad-hoc program into a Session and let it wire trace ->
+    // hand-built program into a Session and let it wire trace ->
     // analysis -> hint table -> timing simulation.
     Workload w{"figure1", std::move(mod), std::move(prog)};
     Session s = Session::adopt(std::move(w));

@@ -8,7 +8,6 @@ ControlDepGraph::ControlDepGraph(const CfgView &cfg,
                                  const PostDominatorTree &pdt)
 {
     int n = cfg.numNodes();
-    _deps.assign(n, {});
     _controllers.assign(n, {});
 
     // FOW: for each edge (a, b) where b does not postdominate a,
@@ -24,7 +23,6 @@ ControlDepGraph::ControlDepGraph(const CfgView &cfg,
                 continue;
             int stop = pdt.idom(a);
             for (int w = b; w != stop && w >= 0; w = pdt.idom(w)) {
-                _deps[a].push_back(w);
                 _controllers[w].push_back(a);
                 if (w == pdt.idom(w))
                     break;  // defensive: reached the tree root
@@ -32,14 +30,10 @@ ControlDepGraph::ControlDepGraph(const CfgView &cfg,
         }
     }
 
-    auto dedup = [](std::vector<int> &v) {
+    for (auto &v : _controllers) {
         std::sort(v.begin(), v.end());
         v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    for (auto &v : _deps)
-        dedup(v);
-    for (auto &v : _controllers)
-        dedup(v);
+    }
 }
 
 bool

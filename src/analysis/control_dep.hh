@@ -25,12 +25,6 @@ class ControlDepGraph
   public:
     ControlDepGraph(const CfgView &cfg, const PostDominatorTree &pdt);
 
-    /** Nodes control dependent on @p branch (deduplicated). */
-    const std::vector<int> &dependentsOf(int branch) const
-    {
-        return _deps[branch];
-    }
-
     /** Branch nodes that @p node is control dependent on. */
     const std::vector<int> &controllersOf(int node) const
     {
@@ -39,10 +33,9 @@ class ControlDepGraph
 
     bool dependsOn(int node, int branch) const;
 
-    int numNodes() const { return static_cast<int>(_deps.size()); }
+    int numNodes() const { return static_cast<int>(_controllers.size()); }
 
   private:
-    std::vector<std::vector<int>> _deps;
     std::vector<std::vector<int>> _controllers;
 };
 

@@ -65,7 +65,8 @@ class Session
                         std::shared_ptr<driver::SweepCache> cache);
 
     /**
-     * Wrap an ad-hoc program (e.g. one just assembled from text) in
+     * Wrap a program that is not a registered workload (e.g. one
+     * built with FunctionBuilder, as examples/quickstart.cc does) in
      * a session with a private in-memory cache, keyed by the
      * workload's name and @p scale.
      */

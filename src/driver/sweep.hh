@@ -80,7 +80,7 @@ class SweepCache
     /**
      * Seed the workload tier with an ad-hoc program under
      * (workload.name, @p scale) — Session::adopt uses this so
-     * assembled-from-text programs ride the same pipeline tiers as
+     * hand-built programs ride the same pipeline tiers as
      * registered workloads. If the key is already present the
      * existing entry wins and @p w is dropped.
      */

@@ -37,8 +37,6 @@ class BasicBlock
     {}
 
     BlockId id() const { return _id; }
-    /** Reassign the id (CFG transforms only). */
-    void id(BlockId v) { _id = v; }
     const std::string &name() const { return _name; }
 
     const std::vector<Instruction> &instrs() const { return _instrs; }

@@ -40,7 +40,6 @@ class FunctionBuilder
 
     /** Switch the emission point to @p b. */
     void setBlock(BlockId b) { _cur = b; }
-    BlockId curBlock() const { return _cur; }
 
     /** @name ALU emitters @{ */
     void add(RegId rd, RegId rs1, RegId rs2)

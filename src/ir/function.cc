@@ -24,16 +24,6 @@ Function::numInstrs() const
 }
 
 void
-Function::replaceBlocks(std::vector<std::unique_ptr<BasicBlock>> blocks)
-{
-    if (blocks.empty())
-        throw std::runtime_error("replaceBlocks: empty function");
-    _blocks = std::move(blocks);
-    for (size_t i = 0; i < _blocks.size(); ++i)
-        _blocks[i]->id(static_cast<BlockId>(i));
-}
-
-void
 Function::resolveFallThroughs()
 {
     for (auto &bp : _blocks) {

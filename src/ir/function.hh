@@ -53,14 +53,6 @@ class Function
     /** Sanity-check structural invariants; throws on violation. */
     void validate() const;
 
-    /**
-     * Replace the whole block list (CFG transforms only). Ids are
-     * reassigned to match positions; the caller must already have
-     * remapped every target.
-     */
-    void replaceBlocks(
-        std::vector<std::unique_ptr<BasicBlock>> blocks);
-
     Addr startAddr() const { return _startAddr; }
     void startAddr(Addr a) { _startAddr = a; }
 

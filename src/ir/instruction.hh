@@ -99,7 +99,8 @@ struct Instruction
     /** Source registers read; count returned, regs in out[0..1]. */
     int srcRegs(RegId out[2]) const;
 
-    /** Disassembly string (symbolic targets). */
+    /** Mnemonic text, e.g. "add r1, r2, r3"; targets print as
+     *  block / function ids ("bb7", "fn2"). */
     std::string toString() const;
 };
 

@@ -98,17 +98,6 @@ Module::allocJumpTable(const std::string &name,
     return addr;
 }
 
-std::vector<std::pair<FuncId, BlockId>>
-Module::jumpTableTargets() const
-{
-    std::vector<std::pair<FuncId, BlockId>> out;
-    for (const JumpTable &jt : _jumpTables) {
-        for (auto e : jt.entries)
-            out.push_back(e);
-    }
-    return out;
-}
-
 ProgramTooLarge::ProgramTooLarge(std::size_t instrs)
     : std::length_error("program of " + std::to_string(instrs) +
                         " instructions: an image holds fewer than " +

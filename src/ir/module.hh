@@ -131,8 +131,6 @@ class Module
      */
     Addr allocJumpTable(const std::string &name,
                         std::vector<std::pair<FuncId, BlockId>> entries);
-    /** All (function, block) pairs referenced by jump tables. */
-    std::vector<std::pair<FuncId, BlockId>> jumpTableTargets() const;
     /** @} */
 
     Addr codeBase() const { return _codeBase; }

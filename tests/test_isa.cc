@@ -132,6 +132,14 @@ TEST(Exec, LoadStoreWidthsAndSignExtension)
         b.sb(reg::t4, reg::t0, 8);
         b.lb(reg::t5, reg::t0, 8);     // -128
         b.lbu(reg::t6, reg::t0, 8);    // 128
+        // Words initialised in the data segment load as written.
+        m.setData64(d + 16, 1234);
+        m.setData64(d + 24, 4321);
+        b.ld(reg::s0, reg::t0, 16);
+        b.ld(reg::s1, reg::t0, 24);
+        b.add(reg::s2, reg::s0, reg::s1);
+        b.sd(reg::s2, reg::t0, 16);
+        b.ld(reg::s3, reg::t0, 16);    // 5555
         b.halt();
     });
     const ArchState &st = *r.finalState;
@@ -139,6 +147,7 @@ TEST(Exec, LoadStoreWidthsAndSignExtension)
     EXPECT_EQ(st.readReg(reg::t3), 0xfffe);
     EXPECT_EQ(st.readReg(reg::t5), -128);
     EXPECT_EQ(st.readReg(reg::t6), 128);
+    EXPECT_EQ(st.readReg(reg::s3), 5555);
 }
 
 TEST(Exec, BranchesAndLoop)
@@ -180,6 +189,25 @@ TEST(Exec, CallAndReturn)
     auto r = runFunctional(m.link());
     EXPECT_TRUE(r.halted);
     EXPECT_EQ(r.finalState->readReg(reg::a0), 49);
+
+    // A forward call: the callee is laid out after its caller.
+    Module fwd("fwd");
+    Function &caller = fwd.createFunction("main");
+    Function &helper = fwd.createFunction("helper");
+    {
+        FunctionBuilder b(caller);
+        b.li(reg::a0, 1);
+        b.call(helper.id());
+        b.halt();
+    }
+    {
+        FunctionBuilder b(helper);
+        b.addi(reg::a0, reg::a0, 99);
+        b.ret();
+    }
+    auto rf = runFunctional(fwd.link());
+    EXPECT_TRUE(rf.halted);
+    EXPECT_EQ(rf.finalState->readReg(reg::a0), 100);
 }
 
 TEST(Exec, IndirectJumpThroughTable)
@@ -207,6 +235,8 @@ TEST(Exec, IndirectJumpThroughTable)
         b.setBlock(out);
         b.halt();
     }
+    // jr declares its possible targets as the block's successors.
+    EXPECT_EQ(f.block(1).indirectSuccs(), (std::vector<BlockId>{c0, c1}));
     Addr jt = m.allocJumpTable("jt", {{f.id(), c0}, {f.id(), c1}});
     // Patch the li with the real table address.
     f.block(1).instrs()[0].imm = std::int64_t(jt);

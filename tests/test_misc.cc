@@ -1,18 +1,15 @@
 /**
  * @file
  * Tests for the auxiliary library surface: liveness and write
- * summaries, dot export, the program printer / disassembler, and
- * the stats table helper.
+ * summaries, and the stats table helper.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "analysis/dot.hh"
 #include "analysis/liveness.hh"
 #include "ir/builder.hh"
-#include "ir/printer.hh"
 #include "stats/table.hh"
 
 namespace polyflow {
@@ -94,69 +91,6 @@ TEST(Liveness, RecursionConverges)
     m.link();
     auto ws = moduleWriteSummaries(m);
     EXPECT_TRUE(ws[0] & (1u << reg::t4));
-}
-
-Module
-smallModule()
-{
-    Module m("t");
-    Function &f = m.createFunction("f");
-    FunctionBuilder b(f);
-    BlockId loop = b.newBlock("loop");
-    BlockId done = b.newBlock("done");
-    b.li(reg::t0, 3);
-    b.jump(loop);
-    b.setBlock(loop);
-    b.addi(reg::t0, reg::t0, -1);
-    b.bne(reg::t0, reg::zero, loop);
-    b.setBlock(done);
-    b.halt();
-    return m;
-}
-
-TEST(Dot, CfgContainsNodesAndEdges)
-{
-    Module m = smallModule();
-    m.link();
-    std::string dot = dotCfg(m.function(0));
-    EXPECT_NE(dot.find("digraph"), std::string::npos);
-    EXPECT_NE(dot.find("loop"), std::string::npos);
-    EXPECT_NE(dot.find("EXIT"), std::string::npos);
-    EXPECT_NE(dot.find("->"), std::string::npos);
-}
-
-TEST(Dot, TreesAndCdgRender)
-{
-    Module m = smallModule();
-    m.link();
-    EXPECT_NE(dotDomTree(m.function(0)).find("digraph"),
-              std::string::npos);
-    EXPECT_NE(dotPostDomTree(m.function(0)).find("digraph"),
-              std::string::npos);
-    std::string cdg = dotControlDeps(m.function(0));
-    EXPECT_NE(cdg.find("dashed"), std::string::npos);
-}
-
-TEST(Printer, FunctionAndModule)
-{
-    Module m = smallModule();
-    m.link();
-    std::ostringstream os;
-    printModule(os, m);
-    std::string out = os.str();
-    EXPECT_NE(out.find(".func f"), std::string::npos);
-    EXPECT_NE(out.find("addi"), std::string::npos);
-    EXPECT_NE(out.find("halt"), std::string::npos);
-}
-
-TEST(Printer, DisassemblyHasAddressesAndTargets)
-{
-    Module m = smallModule();
-    LinkedProgram p = m.link();
-    std::string out = disassemble(p);
-    EXPECT_NE(out.find("1000"), std::string::npos);  // code base
-    EXPECT_NE(out.find("<entry>"), std::string::npos);
-    EXPECT_NE(out.find("; ->"), std::string::npos);  // branch target
 }
 
 TEST(Table, AlignmentAndCsv)

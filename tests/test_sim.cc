@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 
 #include "ir/builder.hh"
@@ -198,13 +199,41 @@ TEST(TimingSim, LoopPolicySpawnsOnlyLoopIters)
 
 TEST(TimingSim, SingleTaskConfigNeverSpawns)
 {
-    Workload w = buildWorkload("twolf", 0.05);
-    auto r = traceOf(w.prog);
-    MachineConfig cfg;
-    cfg.numTasks = 1;
-    TimingResult pf =
-        polyflow(w, r.trace, SpawnPolicy::postdoms(), cfg);
-    EXPECT_EQ(pf.spawns, 0u);
+    // Every machine that cannot spawn is the superscalar: the same
+    // result, counter for counter, apart from its label and the
+    // skipped-spawn counts that say why it did not spawn.
+    auto unlabelled = [](TimingResult r) {
+        r.policyName.clear();
+        r.spawnsSkippedNoContext = 0;
+        r.spawnsSkippedDistance = 0;
+        return r;
+    };
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        Workload w = buildWorkload(name, 0.1);
+        auto r = traceOf(w.prog);
+        TimingResult ss = unlabelled(
+            polyflow(w, r.trace, SpawnPolicy::none(),
+                     MachineConfig::superscalar()));
+
+        MachineConfig oneTask;
+        oneTask.numTasks = 1;
+        TimingResult pf =
+            polyflow(w, r.trace, SpawnPolicy::postdoms(), oneTask);
+        EXPECT_EQ(pf.spawns, 0u);
+        EXPECT_EQ(unlabelled(pf), ss) << "postdoms, one task";
+
+        MachineConfig noDistance;
+        noDistance.minSpawnDistance = UINT32_MAX;
+        EXPECT_EQ(unlabelled(polyflow(w, r.trace, SpawnPolicy::postdoms(),
+                                      noDistance)),
+                  ss)
+            << "postdoms, minSpawnDistance past the trace";
+
+        EXPECT_EQ(unlabelled(polyflow(w, r.trace, SpawnPolicy::none())),
+                  ss)
+            << "no spawn policy, 8 contexts";
+    }
 }
 
 TEST(TimingSim, TaskCountBoundsSpawning)
