@@ -6,6 +6,10 @@
  * workloads (twolf: loop-structured; mcf: hard hammocks). The whole
  * grid is declared up front and runs on the sweep engine; tables
  * print afterwards in declaration order.
+ *
+ * The grid runs at half of benchScale() and the banner prints the
+ * knob itself: results/ablation_resources.txt, recorded at
+ * PF_BENCH_SCALE=0.4, runs its workloads at scale 0.2.
  */
 
 #include "bench_util.hh"

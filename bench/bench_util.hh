@@ -1,16 +1,16 @@
 /**
  * @file
- * Shared plumbing for the figure-regeneration benches: scale and
- * job-count knobs plus the standard banner. The simulation grids
- * themselves run through the sweep engine (driver/sweep.hh) — no
- * bench loops over runTiming() serially anymore.
+ * What the two sweep benches, figures and ablation_resources, share:
+ * the workload scale knob, the standard banner, and the per-run
+ * cycle attribution and stats JSON under each report. Both run their
+ * grids through the sweep engine (driver/sweep.hh).
  */
 
 #ifndef POLYFLOW_BENCH_BENCH_UTIL_HH
 #define POLYFLOW_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -20,7 +20,6 @@
 #include "sim/config.hh"
 #include "stats/export.hh"
 #include "stats/table.hh"
-#include "workloads/workloads.hh"
 
 namespace polyflow::bench {
 
@@ -70,17 +69,11 @@ printCycleAttribution(const std::vector<driver::SweepCell> &cells,
                       << "\n";
             std::exit(1);
         }
-        Agg *a = nullptr;
-        for (Agg &c : aggs) {
-            if (c.label == cells[i].label) {
-                a = &c;
-                break;
-            }
-        }
-        if (!a) {
-            aggs.push_back({cells[i].label, {}, 0});
-            a = &aggs.back();
-        }
+        auto a = std::find_if(aggs.begin(), aggs.end(), [&](auto &c) {
+            return c.label == cells[i].label;
+        });
+        if (a == aggs.end())
+            a = aggs.insert(a, {cells[i].label, {}, 0});
         for (int b = 0; b < numSlotBuckets; ++b)
             a->pct[b] += s.slotPercent(static_cast<SlotBucket>(b));
         ++a->n;

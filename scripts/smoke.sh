@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Smoke check: the tier-1 verify flow plus one sweep-engine bench at
-# a tenth of the default workload scale. Catches build breaks, test
+# Smoke check: the tier-1 verify flow plus the figures bench at a
+# tenth of the default workload scale. Catches build breaks, test
 # regressions and bench-harness crashes in a couple of minutes.
 #
 # Nothing here persists artifacts: every run rebuilds its traces,
@@ -14,9 +14,10 @@ cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
-# One bench through the sweep engine; table goes to stdout, timing
-# and cache accounting to stderr, CSV into the build tree.
-(cd build/bench && PF_BENCH_SCALE=0.1 ./fig09_individual_heuristics)
+# Every paper figure through one sweep; the reports go to stdout,
+# timing and cache accounting to stderr, CSVs and stats JSON into
+# the build tree.
+(cd build/bench && PF_BENCH_SCALE=0.1 ./figures)
 
 # Cycle-accounting report: re-verifies the slot-accounting identity
 # (buckets sum to cycles x issueWidth) on a live grid and exercises

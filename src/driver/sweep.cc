@@ -383,13 +383,15 @@ parseCount(const char *what, const char *text)
 
 namespace {
 
-/** A count knob: `flag N` or `flag=N` in argv, else the environment
- *  variable @p env, else @p fallback. */
+/** A count knob: `flag N` or `flag=N` in argv (the last one wins),
+ *  else the environment variable @p env, else @p fallback. Any other
+ *  argument exits with status 2, naming it. */
 int
 countKnob(int argc, char **argv, const char *flag, const char *env,
           int fallback)
 {
     const size_t len = std::strlen(flag);
+    int value = 0;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, flag) == 0) {
@@ -397,11 +399,20 @@ countKnob(int argc, char **argv, const char *flag, const char *env,
                 std::fprintf(stderr, "%s: missing value\n", flag);
                 std::exit(2);
             }
-            return parseCount(flag, argv[i + 1]);
+            value = parseCount(flag, argv[++i]);
+        } else if (std::strncmp(arg, flag, len) == 0 &&
+                   arg[len] == '=') {
+            value = parseCount(flag, arg + len + 1);
+        } else {
+            std::fprintf(stderr,
+                         "unknown argument \"%s\" (expected %s N or "
+                         "%s=N)\n",
+                         arg, flag, flag);
+            std::exit(2);
         }
-        if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=')
-            return parseCount(flag, arg + len + 1);
     }
+    if (value > 0)
+        return value;
     if (const char *text = std::getenv(env))
         return parseCount(env, text);
     return fallback;

@@ -316,8 +316,8 @@ int defaultJobs();
 
 /**
  * Worker count from the command line: `--jobs N` or `--jobs=N`
- * overrides defaultJobs(). Exits with a clear error on malformed
- * values.
+ * overrides defaultJobs(). Exits with status 2 and a clear error on
+ * a malformed value or on any other argument.
  */
 int jobsFromArgs(int argc, char **argv);
 

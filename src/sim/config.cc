@@ -33,16 +33,28 @@ MachineConfig::validate() const
     const std::pair<const char *, int> counts[] = {
         {"pipelineWidth", pipelineWidth},
         {"numTasks", numTasks},
+        {"robEntries", robEntries},
         {"schedEntries", schedEntries},
         {"divertEntries", divertEntries},
         {"numFUs", numFUs},
+        {"gshareCounters", gshareCounters},
+        {"fetchTasksPerCycle", fetchTasksPerCycle},
         {"fetchQueueEntries", fetchQueueEntries},
+        {"returnStackEntries", returnStackEntries},
     };
     for (const auto &[name, value] : counts) {
         if (value <= 0) {
             reject(std::string(name) + " must be positive, got " +
                    std::to_string(value));
         }
+    }
+    if ((gshareCounters & (gshareCounters - 1)) != 0) {
+        reject("gshareCounters must be a power of two, got " +
+               std::to_string(gshareCounters));
+    }
+    if (historyBits < 0 || historyBits > 31) {
+        reject("historyBits must be in [0, 31], got " +
+               std::to_string(historyBits));
     }
     const std::pair<const char *, const CacheConfig *> caches[] = {
         {"l1i", &l1i}, {"l1d", &l1d}, {"l2", &l2}};

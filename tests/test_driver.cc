@@ -391,14 +391,15 @@ TEST(SweepEngine, CostOrderRunsExpensiveCellsFirst)
 
 TEST(SweepEngine, FirstDeclaredFailureIsReportedAtAnyJobCount)
 {
-    // With no ROB entries nothing passes rename, so both hang cells
-    // run until the cycle limit. The second runs first (a static
-    // policy outranks the baseline on the same trace), but the error
-    // must name the first declared cell whatever the job count. The
-    // last cell's workload does not exist: its trace fails to build,
-    // which must fail that cell only, not the trace pass before it.
+    // With an integer latency longer than the cycle limit no result
+    // ever arrives, so both hang cells run until the cycle limit. The
+    // second runs first (a static policy outranks the baseline on
+    // the same trace), but the error must name the first declared
+    // cell whatever the job count. The last cell's workload does not
+    // exist: its trace fails to build, which must fail that cell
+    // only, not the trace pass before it.
     MachineConfig hang = MachineConfig::superscalar();
-    hang.robEntries = 0;
+    hang.intLatency = 1'000'000'000;
     const std::vector<driver::SweepCell> cells = {
         {"mcf", 0.01, driver::SourceSpec::baseline(),
          MachineConfig::superscalar(), "fine"},
@@ -472,6 +473,12 @@ TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
             driver::jobsFromArgs(a.argc(), a.argv());
         },
         ::testing::ExitedWithCode(2), "--jobs: missing value");
+    EXPECT_EXIT(
+        {
+            Argv a({"bench", "--jbos", "4"});
+            driver::jobsFromArgs(a.argc(), a.argv());
+        },
+        ::testing::ExitedWithCode(2), "unknown argument \"--jbos\"");
     EXPECT_EXIT(
         {
             ::setenv("PF_BENCH_JOBS", "x", 1);

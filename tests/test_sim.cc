@@ -338,9 +338,9 @@ TEST(TimingSim, EmptyTraceRejected)
 
 TEST(TimingSim, CycleLimitNamesTheRun)
 {
-    // A ROB with no entries admits nothing past rename, so commit
-    // never advances: the run must stop at the cycle limit and say
-    // which run hung.
+    // An integer latency longer than the cycle limit keeps the first
+    // result from ever arriving, so commit never advances: the run
+    // must stop at the cycle limit and say which run hung.
     Module m("t");
     Function &f = m.createFunction("main");
     {
@@ -352,14 +352,14 @@ TEST(TimingSim, CycleLimitNamesTheRun)
     LinkedProgram p = m.link();
     auto r = traceOf(p);
     MachineConfig cfg = MachineConfig::superscalar();
-    cfg.robEntries = 0;
+    cfg.intLatency = 1'000'000'000;
     try {
-        runTiming(cfg, r.trace, nullptr, "no-rob");
+        runTiming(cfg, r.trace, nullptr, "stuck");
         FAIL() << "expected a cycle-limit error";
     } catch (const std::runtime_error &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("cycle limit"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("\"no-rob\""), std::string::npos) << msg;
+        EXPECT_NE(msg.find("\"stuck\""), std::string::npos) << msg;
     }
 }
 
@@ -414,6 +414,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadField{"pipelineWidth",
                  [](MachineConfig &c) { c.pipelineWidth = 0; }},
         BadField{"numTasks", [](MachineConfig &c) { c.numTasks = 0; }},
+        BadField{"robEntries",
+                 [](MachineConfig &c) { c.robEntries = 0; }},
         BadField{"schedEntries",
                  [](MachineConfig &c) { c.schedEntries = 0; }},
         BadField{"divertEntries",
@@ -421,6 +423,15 @@ INSTANTIATE_TEST_SUITE_P(
         BadField{"numFUs", [](MachineConfig &c) { c.numFUs = 0; }},
         BadField{"fetchQueueEntries",
                  [](MachineConfig &c) { c.fetchQueueEntries = 0; }},
+        BadField{"fetchTasksPerCycle",
+                 [](MachineConfig &c) { c.fetchTasksPerCycle = 0; }},
+        BadField{"returnStackEntries",
+                 [](MachineConfig &c) { c.returnStackEntries = 0; }},
+        BadField{"gshareCounters",
+                 [](MachineConfig &c) { c.gshareCounters = 0; }},
+        // 1u << 32 is undefined.
+        BadField{"historyBits",
+                 [](MachineConfig &c) { c.historyBits = 32; }},
         // 768 B / (128 B x 2 ways) = 3 sets.
         BadField{"l1i", [](MachineConfig &c) { c.l1i.sizeBytes = 768; }},
         // 16 KB / (64 B x 3 ways) = 85 sets.
