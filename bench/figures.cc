@@ -1,28 +1,105 @@
 /**
  * @file
- * The paper's evaluation in one sweep: Figures 5 and 8-12 and the
- * Section 5 comparison with DMT. One grid holds every distinct run
- * the figures read, one cell per (workload, run label), and each
- * figure is a table function over its results. The seven reports go
- * to stdout in that order; each figure's CSV and stats JSON go to the
- * current directory.
+ * Every published table in one sweep: the paper's evaluation
+ * (Figures 5 and 8-12 and the Section 5 comparison with DMT) and the
+ * resource and policy ablation of DESIGN.md Section 6. One grid
+ * holds every distinct run the reports read, and each report is a
+ * table function over its results. The eight reports go to stdout
+ * in that order; the CSVs and stats JSON go to the current
+ * directory.
+ *
+ * Figures run at the bench scale (PF_BENCH_SCALE, default 1); the
+ * ablation runs twolf and mcf at one fifth of it.
  */
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <functional>
+#include <iostream>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "analysis/cfg_view.hh"
 #include "analysis/dominators.hh"
-#include "bench_util.hh"
+#include "driver/sweep.hh"
+#include "sim/config.hh"
+#include "stats/export.hh"
+#include "stats/table.hh"
 #include "workloads/workloads.hh"
 
 using namespace polyflow;
-using namespace polyflow::bench;
 
 namespace {
+
+/** Report banner: the title, the machine configuration and the
+ *  workload scale the report's runs ran at. */
+void
+banner(const std::string &title, double scale)
+{
+    MachineConfig cfg;
+    std::cout << "=== " << title << " ===\n"
+              << "machine (Figure 8): " << cfg.describe() << "\n"
+              << "workload scale: " << scale << "\n\n";
+}
+
+/**
+ * What goes under a report's table, one record per table row: the
+ * full structured stats as <stem>.stats.json (every counter and every
+ * cycle-accounting bucket; byte-identical at any job count), then the
+ * mechanism attribution — the cycle-accounting buckets averaged over
+ * every record sharing a run label, one row per label in
+ * first-appearance order — so a speedup (or its absence) comes with
+ * *where the slots went*; see docs/OBSERVABILITY.md for the taxonomy.
+ * Also re-checks the accounting identity on every run: a bench run
+ * doubles as an invariant sweep.
+ */
+void
+reportRuns(const std::string &stem,
+           const std::vector<stats::RunRecord> &records)
+{
+    stats::writeFile(stem + ".stats.json", stats::toJson(records));
+    struct Agg
+    {
+        std::string label;
+        std::array<double, numSlotBuckets> pct{};
+        int n = 0;
+    };
+    std::vector<Agg> aggs;
+    for (const stats::RunRecord &r : records) {
+        const TimingResult &s = r.sim;
+        if (s.slotTotal() != s.cycles * s.issueWidth) {
+            std::cerr << "cycle-accounting identity violated for "
+                      << r.workload << "/" << r.label << "\n";
+            std::exit(1);
+        }
+        auto a = std::find_if(aggs.begin(), aggs.end(), [&](auto &c) {
+            return c.label == r.label;
+        });
+        if (a == aggs.end())
+            a = aggs.insert(a, {r.label, {}, 0});
+        for (int b = 0; b < numSlotBuckets; ++b)
+            a->pct[b] += s.slotPercent(static_cast<SlotBucket>(b));
+        ++a->n;
+    }
+
+    std::cout << "\ncycle accounting (mean % of issue slots per "
+              << "run):\n";
+    std::vector<std::string> header = {"run"};
+    for (int b = 0; b < numSlotBuckets; ++b)
+        header.push_back(slotBucketName(static_cast<SlotBucket>(b)));
+    Table t(header);
+    for (const Agg &a : aggs) {
+        t.startRow();
+        t.cell(a.label);
+        for (int b = 0; b < numSlotBuckets; ++b)
+            t.cell(a.pct[b] / a.n, 1);
+    }
+    t.print(std::cout);
+}
 
 /** Run label of the baseline every speedup is measured over. */
 const std::string superscalar = "superscalar";
@@ -51,16 +128,19 @@ labelsOf(const std::vector<SpawnPolicy> &policies)
     return out;
 }
 
-/** Every run of every figure, once: per workload the baseline, the
- *  single policies, the combinations, postdoms minus each category,
- *  rec_pred and dmt. */
+/** Every distinct run the reports read, declared once and run in
+ *  one sweep. */
 struct Grid
 {
     std::vector<driver::SweepCell> cells;
     std::vector<driver::CellResult> results;
+    /** The figures' runs by (workload, run label). */
     std::map<std::pair<std::string, std::string>, size_t> index;
 
-    Grid(driver::SweepRunner &runner, double scale)
+    /** Declare the figures' runs at @p scale: per workload the
+     *  baseline, the single policies, the combinations, postdoms
+     *  minus each category, rec_pred and dmt. */
+    explicit Grid(double scale)
     {
         std::vector<std::pair<std::string, driver::SourceSpec>> runs;
         std::vector<SpawnPolicy> statics = singles;
@@ -74,16 +154,48 @@ struct Grid
         runs.emplace_back("dmt", driver::SourceSpec::dmt());
 
         for (const std::string &name : allWorkloadNames()) {
-            index[{name, superscalar}] = cells.size();
-            cells.push_back({name, scale, driver::SourceSpec::baseline(),
-                             MachineConfig::superscalar(), superscalar});
+            index[{name, superscalar}] =
+                add({name, scale, driver::SourceSpec::baseline(),
+                     MachineConfig::superscalar(), superscalar});
             for (const auto &[label, source] : runs) {
-                index[{name, label}] = cells.size();
-                cells.push_back(
-                    {name, scale, source, MachineConfig{}, label});
+                index[{name, label}] =
+                    add({name, scale, source, MachineConfig{}, label});
             }
         }
-        results = runner.run(cells);
+    }
+
+    /** Index of the cell that runs @p cell: the one declared earlier
+     *  with the same workload, scale, source and config, else
+     *  @p cell itself, newly declared. */
+    size_t
+    add(driver::SweepCell cell)
+    {
+        auto same = [&](const driver::SweepCell &c) {
+            return c.workload == cell.workload &&
+                c.scale == cell.scale &&
+                c.source.kind == cell.source.kind &&
+                c.source.policy.name == cell.source.policy.name &&
+                c.config == cell.config;
+        };
+        auto it = std::find_if(cells.begin(), cells.end(), same);
+        if (it != cells.end())
+            return it - cells.begin();
+        cells.push_back(std::move(cell));
+        return cells.size() - 1;
+    }
+
+    void run(driver::SweepRunner &runner) { results = runner.run(cells); }
+
+    /** Cell @p i's run as the table row @p label: the row's own label
+     *  in both the record and its result, even where rows share a
+     *  run. */
+    stats::RunRecord
+    record(size_t i, const std::string &label) const
+    {
+        stats::RunRecord r{cells[i].workload, cells[i].scale, label,
+                           results[i].sim};
+        r.sim.policyName = label;
+        return r;
     }
 
     const driver::CellResult &
@@ -112,17 +224,12 @@ struct Grid
     {
         std::vector<std::string> runs = {superscalar};
         runs.insert(runs.end(), labels.begin(), labels.end());
-        std::vector<driver::SweepCell> figCells;
-        std::vector<driver::CellResult> figResults;
+        std::vector<stats::RunRecord> records;
         for (const std::string &name : allWorkloadNames()) {
-            for (const std::string &label : runs) {
-                const size_t i = index.at({name, label});
-                figCells.push_back(cells[i]);
-                figResults.push_back(results[i]);
-            }
+            for (const std::string &label : runs)
+                records.push_back(record(index.at({name, label}), label));
         }
-        writeRunStats(stem + ".stats.json", figCells, figResults);
-        printCycleAttribution(figCells, figResults);
+        reportRuns(stem, records);
     }
 };
 
@@ -223,7 +330,8 @@ void
 fig05(driver::SweepCache &cache, double scale)
 {
     banner("Figure 5: static distribution of control-equivalent "
-           "task types");
+           "task types",
+           scale);
     Table table({"benchmark", "loopFT%", "procFT%", "hammock%",
                  "other%", "totalStatic"});
     for (const std::string &name : allWorkloadNames()) {
@@ -315,10 +423,11 @@ fig08()
  *  IPC, as in the paper) when postdoms excludes one category:
  *  loss = speedup(postdoms) - speedup(postdoms - category). */
 void
-fig11(const Grid &g)
+fig11(const Grid &g, double scale)
 {
     banner("Figure 11: loss in % speedup when one postdominator "
-           "category is excluded");
+           "category is excluded",
+           scale);
     std::vector<Column> columns;
     std::vector<std::string> runs = {SpawnPolicy::postdoms().name};
     for (SpawnKind k : categories) {
@@ -371,7 +480,8 @@ void
 fig12(const Grid &g, driver::SweepCache &cache, double scale)
 {
     banner("Figure 12: reconvergence-predictor spawning vs "
-           "compiler postdominators (speedup %)");
+           "compiler postdominators (speedup %)",
+           scale);
     const std::vector<std::string> runs = {
         "rec_pred", SpawnPolicy::postdoms().name};
     const std::vector<Column> columns = {
@@ -404,14 +514,148 @@ fig12(const Grid &g, driver::SweepCache &cache, double scale)
                  "matter (paper Section 4.4).\n";
 }
 
+/** One ablation section: a knob's settings, each a labelled
+ *  config. */
+struct Section
+{
+    std::string title;
+    std::vector<std::pair<std::string, MachineConfig>> cfgs;
+};
+
+/** The default config changed by @p set. */
+MachineConfig
+configWith(const std::function<void(MachineConfig &)> &set)
+{
+    MachineConfig c;
+    set(c);
+    return c;
+}
+
+/** A section that sets @p knob of the default config to each of
+ *  @p values, labelled <prefix><value>. */
+template <typename T>
+Section
+knobSection(std::string title, const std::string &prefix,
+            T MachineConfig::*knob, const std::vector<T> &values)
+{
+    Section s{std::move(title), {}};
+    for (T v : values) {
+        s.cfgs.emplace_back(prefix + std::to_string(v),
+                            configWith([&](auto &c) { c.*knob = v; }));
+    }
+    return s;
+}
+
+/**
+ * The resource and policy ablation of DESIGN.md Section 6: postdoms
+ * on twolf (loop-structured) and mcf (hard hammocks) with one design
+ * choice changed at a time — task count, divert-queue size, ROB size,
+ * spawn-distance cap, the profitability/ghost-context mechanisms and
+ * the paper's Section 6 spawn-from-any-task extension. Rows whose
+ * config is the default share one run.
+ */
+class Ablation
+{
+  public:
+    /** Declare the ablation's runs, at @p scale, in @p g. */
+    Ablation(Grid &g, double scale) : _scale(scale)
+    {
+        const auto postdoms =
+            driver::SourceSpec::statics(SpawnPolicy::postdoms());
+        for (const std::string &wl : _workloads) {
+            _cells.push_back(g.add({wl, scale,
+                                    driver::SourceSpec::baseline(),
+                                    MachineConfig::superscalar(),
+                                    superscalar}));
+            for (const Section &s : _sections) {
+                for (const auto &[label, cfg] : s.cfgs)
+                    _cells.push_back(
+                        g.add({wl, scale, postdoms, cfg, label}));
+            }
+        }
+    }
+
+    /** Print the report; write ablation_resources.stats.json, one
+     *  record per table row. */
+    void
+    print(const Grid &g) const
+    {
+        banner("Ablations: resource and policy knobs (postdoms "
+               "policy)",
+               _scale);
+        std::vector<stats::RunRecord> records;
+        auto cell = _cells.begin();
+        for (const std::string &wl : _workloads) {
+            const TimingResult &base = g.results[*cell].sim;
+            records.push_back(g.record(*cell++, superscalar));
+            std::cout << "== workload " << wl << " (superscalar IPC "
+                      << base.ipc() << ") ==\n\n";
+            for (const Section &s : _sections) {
+                Table t({"config", "cycles", "IPC", "speedup%",
+                         "spawns", "violations"});
+                for (const auto &[label, cfg] : s.cfgs) {
+                    const TimingResult &r = g.results[*cell].sim;
+                    records.push_back(g.record(*cell++, label));
+                    t.startRow();
+                    t.cell(label);
+                    t.cell((long long)r.cycles);
+                    t.cell(r.ipc());
+                    t.cell(r.speedupOver(base), 1);
+                    t.cell((long long)r.spawns);
+                    t.cell((long long)r.violations);
+                }
+                std::cout << "--- " << s.title << " ---\n";
+                t.print(std::cout);
+                std::cout << "\n";
+            }
+        }
+        reportRuns("ablation_resources", records);
+    }
+
+  private:
+    const std::vector<std::string> _workloads = {"twolf", "mcf"};
+    const std::vector<Section> _sections = {
+        knobSection("task contexts", "tasks=", &MachineConfig::numTasks,
+                    {1, 2, 4, 8, 16}),
+        knobSection("divert queue entries", "divert=",
+                    &MachineConfig::divertEntries,
+                    {16, 32, 64, 128, 256, 512}),
+        knobSection("reorder buffer entries", "rob=",
+                    &MachineConfig::robEntries, {128, 256, 512, 1024}),
+        knobSection("max spawn distance", "maxDist=",
+                    &MachineConfig::maxSpawnDistance,
+                    {64, 128, 256, 512, 2048, 8192}),
+        {"spawn-unit mechanisms",
+         {{"feedback+ghosts", {}},
+          {"no feedback",
+           configWith([](auto &c) { c.spawnFeedback = false; })},
+          {"no wrong-path ghosts",
+           configWith([](auto &c) { c.wrongPathGhosts = false; })},
+          {"neither", configWith([](auto &c) {
+               c.spawnFeedback = c.wrongPathGhosts = false;
+           })}}},
+        // Paper Section 6 future work: spawn from any task, not just
+        // the tail (nested hammocks can then spawn past their inner
+        // branch).
+        {"spawn source task (Section 6 extension)",
+         {{"tail-only (paper)", {}},
+          {"spawn-from-any-task",
+           configWith([](auto &c) { c.spawnFromAnyTask = true; })}}}};
+    double _scale;
+    /** Per workload: the baseline's cell, then each section row's. */
+    std::vector<size_t> _cells;
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const double scale = benchScale();
+    const double scale = driver::scaleFromEnv(1.0);
+    Grid g(scale);
+    const Ablation ablation(g, scale / 5);
     driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
-    const Grid g(runner, scale);
+    g.run(runner);
     const std::string postdoms = SpawnPolicy::postdoms().name;
 
     fig05(runner.cache(), scale);
@@ -421,31 +665,36 @@ main(int argc, char **argv)
     // superscalar IPCs, as in the paper. Its headline: postdoms more
     // than doubles the best single heuristic's average speedup.
     banner("Figure 9: individual heuristic spawn policies "
-           "(speedup % over superscalar)");
+           "(speedup % over superscalar)",
+           scale);
     const std::vector<std::string> single = labelsOf(singles);
     printPostdomsVsBest(speedupTable(g, "fig09", single, single, true),
                         "individual heuristic");
 
     // Figure 10: the heuristic combinations against postdoms.
     banner("Figure 10: heuristic combinations vs postdominators "
-           "(speedup % over superscalar)");
+           "(speedup % over superscalar)",
+           scale);
     std::vector<std::string> combined = labelsOf(combinations);
     combined.push_back(postdoms);
     printPostdomsVsBest(
         speedupTable(g, "fig10", combined, combined, false),
         "combination");
 
-    fig11(g);
+    fig11(g, scale);
     fig12(g, runner.cache(), scale);
 
     // Related work (paper Section 5): DMT-style dynamic heuristics
     // (loop fall-through after backward branches, procedure
     // fall-throughs) vs rec_pred vs postdoms.
     banner("Related work: DMT heuristics vs rec_pred vs postdoms "
-           "(speedup % over superscalar)");
+           "(speedup % over superscalar)",
+           scale);
     speedupTable(g, "related_dynamic", {"dmt", "rec_pred", postdoms},
                  {"DMT", "rec_pred", postdoms}, false);
     std::cout << "\nExpected ordering (paper Section 5): "
                  "DMT <= rec_pred <= postdoms on average.\n";
+
+    ablation.print(g);
     return 0;
 }

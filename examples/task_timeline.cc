@@ -8,7 +8,7 @@
  * Usage: task_timeline [workload] [scale] [maxTasks]
  */
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
 #include <map>
 
@@ -22,7 +22,8 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "twolf";
     double scale =
         argc > 2 ? driver::parseScale("scale", argv[2]) : 0.05;
-    size_t maxTasks = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 40;
+    size_t maxTasks =
+        argc > 3 ? driver::parseCount("maxTasks", argv[3]) : 40;
 
     Session s = Session::open(name, scale);
 

@@ -14,22 +14,15 @@
 
 using namespace polyflow;
 
-
-
 int
 main()
 {
     std::cout << "twolf new_dbox_a case study (paper Section 2.3)\n\n";
 
-    Workload w = buildWorkload("twolf", 0.25);
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto fr = runFunctional(w.prog, opt);
-
-    SpawnAnalysis sa(*w.module, w.prog);
+    Session s = Session::open("twolf", 0.25);
     std::cout << "static spawn points in new_dbox_a:\n";
-    FuncId dbox = w.module->findFunction("new_dbox_a");
-    for (const SpawnPoint &p : sa.points()) {
+    FuncId dbox = s.module().findFunction("new_dbox_a");
+    for (const SpawnPoint &p : s.analysis().points()) {
         if (p.func == dbox)
             std::cout << "  " << p.toString() << "\n";
     }
@@ -38,16 +31,14 @@ main()
                  "spawns, and the outer-loop iteration spawn by the "
                  "inner loop's\nfall-through spawn.\n\n";
 
-    TimingResult base = runTiming(MachineConfig::superscalar(), fr.trace,
-                              nullptr, "superscalar");
+    TimingResult base =
+        s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
     std::cout << "superscalar: IPC " << base.ipc() << "\n\n";
 
     for (const SpawnPolicy &pol :
          {SpawnPolicy::loop(), SpawnPolicy::loopFT(),
           SpawnPolicy::hammock(), SpawnPolicy::postdoms()}) {
-        StaticSpawnSource src{HintTable(sa, pol)};
-        TimingResult r = runTiming(MachineConfig{}, fr.trace, &src,
-                               pol.name);
+        TimingResult r = s.simulate(MachineConfig{}, pol);
         std::cout << pol.name << ": speedup "
                   << r.speedupOver(base) << "%, spawns " << r.spawns
                   << " (";

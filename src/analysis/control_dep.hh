@@ -25,12 +25,6 @@ class ControlDepGraph
   public:
     ControlDepGraph(const CfgView &cfg, const PostDominatorTree &pdt);
 
-    /** Branch nodes that @p node is control dependent on. */
-    const std::vector<int> &controllersOf(int node) const
-    {
-        return _controllers[node];
-    }
-
     bool dependsOn(int node, int branch) const;
 
     int numNodes() const { return static_cast<int>(_controllers.size()); }

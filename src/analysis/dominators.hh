@@ -51,11 +51,6 @@ class DomTreeBase
         return _dfsIn[a] <= _dfsIn[b] && _dfsOut[b] <= _dfsOut[a];
     }
 
-    bool strictlyDominates(int a, int b) const
-    {
-        return a != b && dominates(a, b);
-    }
-
     /** Tree depth of @p n (root = 0, -1 if uncovered). */
     int depth(int n) const { return _depth[n]; }
 

@@ -48,8 +48,6 @@ class LoopForest
     /** Innermost loop containing @p node, or -1. */
     int innermostLoopOf(int node) const { return _innermost[node]; }
 
-    bool inLoop(int node) const { return _innermost[node] >= 0; }
-
     /** True if edge (u, v) is a back edge of some natural loop. */
     bool isBackEdge(int u, int v) const;
 

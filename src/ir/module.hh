@@ -135,7 +135,6 @@ class Module
 
     Addr codeBase() const { return _codeBase; }
     void codeBase(Addr a) { _codeBase = a; }
-    Addr dataBase() const { return _dataBase; }
 
     /**
      * Lay out code, resolve symbolic targets and jump tables, and

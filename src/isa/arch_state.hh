@@ -45,9 +45,6 @@ class ArchState
     void writeByte(Addr addr, std::uint8_t value);
     /** @} */
 
-    /** Bytes of memory currently allocated (for tests). */
-    size_t allocatedBytes() const { return _pages.size() * pageBytes; }
-
     /** XOR-fold of all allocated memory; cheap state fingerprint. */
     std::uint64_t memChecksum() const;
 

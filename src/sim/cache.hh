@@ -34,7 +34,6 @@ class Cache
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
-    int numSets() const { return _numSets; }
     const CacheConfig &config() const { return _cfg; }
 
   private:

@@ -39,12 +39,34 @@ MachineConfig::validate() const
         {"numFUs", numFUs},
         {"gshareCounters", gshareCounters},
         {"fetchTasksPerCycle", fetchTasksPerCycle},
+        {"maxTakenPerTaskCycle", maxTakenPerTaskCycle},
         {"fetchQueueEntries", fetchQueueEntries},
         {"returnStackEntries", returnStackEntries},
     };
     for (const auto &[name, value] : counts) {
         if (value <= 0) {
             reject(std::string(name) + " must be positive, got " +
+                   std::to_string(value));
+        }
+    }
+    const std::pair<const char *, int> delays[] = {
+        {"frontendDepth", frontendDepth},
+        {"intLatency", intLatency},
+        {"mulLatency", mulLatency},
+        {"divLatency", divLatency},
+        {"loadLatency", loadLatency},
+        {"minMispredictPenalty", minMispredictPenalty},
+        {"squashRestartPenalty", squashRestartPenalty},
+        {"spawnStartupDelay", spawnStartupDelay},
+        {"divertReleaseDelay", divertReleaseDelay},
+        {"robReservePerOlderTask", robReservePerOlderTask},
+        {"l1i.missLatency", l1i.missLatency},
+        {"l1d.missLatency", l1d.missLatency},
+        {"l2.missLatency", l2.missLatency},
+    };
+    for (const auto &[name, value] : delays) {
+        if (value < 0) {
+            reject(std::string(name) + " must not be negative, got " +
                    std::to_string(value));
         }
     }

@@ -121,11 +121,16 @@ struct MachineConfig
     /**
      * Reject a config no machine can run: a non-positive
      * pipelineWidth, numTasks, robEntries, schedEntries,
-     * divertEntries, numFUs, fetchTasksPerCycle, fetchQueueEntries or
-     * returnStackEntries, a gshareCounters that is not a positive
-     * power of two, a historyBits outside [0, 31], or a cache (l1i,
-     * l1d, l2) whose geometry is not positive or whose set count is
-     * not a power of two.
+     * divertEntries, numFUs, fetchTasksPerCycle, maxTakenPerTaskCycle,
+     * fetchQueueEntries or returnStackEntries; a negative latency,
+     * penalty or delay (frontendDepth, intLatency, mulLatency,
+     * divLatency, loadLatency, minMispredictPenalty,
+     * squashRestartPenalty, spawnStartupDelay, divertReleaseDelay,
+     * robReservePerOlderTask or a cache's missLatency); a
+     * gshareCounters that is not a positive power of two, a
+     * historyBits outside [0, 31], or a cache (l1i, l1d, l2) whose
+     * geometry is not positive or whose set count is not a power of
+     * two.
      * @throws std::invalid_argument naming the bad field
      */
     void validate() const;

@@ -93,10 +93,4 @@ mean(const std::vector<double> &v)
     return s / double(v.size());
 }
 
-double
-meanSpeedupPercent(const std::vector<double> &percents)
-{
-    return mean(percents);
-}
-
 } // namespace polyflow

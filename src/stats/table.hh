@@ -49,9 +49,6 @@ class Table
 /** Arithmetic mean of @p v (0 for empty). */
 double mean(const std::vector<double> &v);
 
-/** Geometric mean of 1+x/100 style speedups, returned in percent. */
-double meanSpeedupPercent(const std::vector<double> &percents);
-
 } // namespace polyflow
 
 #endif // POLYFLOW_STATS_TABLE_HH

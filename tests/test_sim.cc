@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -436,9 +437,42 @@ INSTANTIATE_TEST_SUITE_P(
         BadField{"l1i", [](MachineConfig &c) { c.l1i.sizeBytes = 768; }},
         // 16 KB / (64 B x 3 ways) = 85 sets.
         BadField{"l1d", [](MachineConfig &c) { c.l1d.assoc = 3; }},
-        BadField{"l2", [](MachineConfig &c) { c.l2.lineBytes = 0; }}),
+        BadField{"l2", [](MachineConfig &c) { c.l2.lineBytes = 0; }},
+        // 0 would silently behave as 1.
+        BadField{"maxTakenPerTaskCycle",
+                 [](MachineConfig &c) { c.maxTakenPerTaskCycle = 0; }},
+        // A negative latency or delay gives nonsense cycle counts.
+        BadField{"frontendDepth",
+                 [](MachineConfig &c) { c.frontendDepth = -1; }},
+        BadField{"intLatency",
+                 [](MachineConfig &c) { c.intLatency = -1; }},
+        BadField{"mulLatency",
+                 [](MachineConfig &c) { c.mulLatency = -1; }},
+        BadField{"divLatency",
+                 [](MachineConfig &c) { c.divLatency = -1; }},
+        BadField{"loadLatency",
+                 [](MachineConfig &c) { c.loadLatency = -1; }},
+        BadField{"minMispredictPenalty",
+                 [](MachineConfig &c) { c.minMispredictPenalty = -1; }},
+        BadField{"squashRestartPenalty",
+                 [](MachineConfig &c) { c.squashRestartPenalty = -1; }},
+        BadField{"spawnStartupDelay",
+                 [](MachineConfig &c) { c.spawnStartupDelay = -1; }},
+        BadField{"divertReleaseDelay",
+                 [](MachineConfig &c) { c.divertReleaseDelay = -1; }},
+        BadField{"robReservePerOlderTask",
+                 [](MachineConfig &c) { c.robReservePerOlderTask = -1; }},
+        BadField{"l1i.missLatency",
+                 [](MachineConfig &c) { c.l1i.missLatency = -1; }},
+        BadField{"l1d.missLatency",
+                 [](MachineConfig &c) { c.l1d.missLatency = -1; }},
+        BadField{"l2.missLatency",
+                 [](MachineConfig &c) { c.l2.missLatency = -1; }}),
     [](const ::testing::TestParamInfo<BadField> &info) {
-        return std::string(info.param.field);
+        // Test names allow no '.': "l1i.missLatency" -> l1i_missLatency.
+        std::string name = info.param.field;
+        std::replace(name.begin(), name.end(), '.', '_');
+        return name;
     });
 
 TEST(TimingSim, AllWorkloadsFinishUnderAllBasePolicies)

@@ -1042,8 +1042,8 @@ dynamicSourcesGrid()
                          MachineConfig{}}});
 }
 
-/** Postdoms under the ablation's spawn-unit mechanism knobs
- *  (bench/ablation_resources.cc). */
+/** Postdoms under the ablation's spawn-unit mechanism knobs (the
+ *  ablation report in bench/figures.cc). */
 std::vector<driver::SweepCell>
 spawnUnitAblationGrid()
 {
@@ -1074,12 +1074,12 @@ spawnFromAnyTaskGrid()
           any}});
 }
 
-/** Postdoms under the ablation's narrow resource configs
- *  (bench/ablation_resources.cc: one and two task contexts, 16- and
- *  32-entry divert queues, a 128-entry ROB) plus one latency-skew
- *  column (slow divides, slow loads, slow divert release). They
- *  saturate the divert queue and stretch producer latencies, which
- *  no other grid does. */
+/** Postdoms under the ablation's narrow resource configs (the
+ *  ablation report in bench/figures.cc: one and two task contexts,
+ *  16- and 32-entry divert queues, a 128-entry ROB) plus one
+ *  latency-skew column (slow divides, slow loads, slow divert
+ *  release). They saturate the divert queue and stretch producer
+ *  latencies, which no other grid does. */
 std::vector<driver::SweepCell>
 resourceLatencyGrid()
 {
