@@ -23,8 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/cfg_view.hh"
-#include "analysis/dominators.hh"
 #include "driver/sweep.hh"
 #include "sim/config.hh"
 #include "stats/export.hh"
@@ -448,24 +446,21 @@ fig11(const Grid &g, double scale)
                  "to one spawn type, Section 4.3).\n";
 }
 
-/** Static map: conditional-branch PC -> ipdom block start PC. */
+/**
+ * Conditional-branch PC -> ipdom PC: the postdominator spawn points
+ * (loop fall-through, hammock, other) that a conditional branch
+ * triggers.
+ */
 std::unordered_map<Addr, Addr>
-staticIpdoms(const Workload &w)
+branchIpdoms(const SpawnAnalysis &sa, const LinkedProgram &prog)
 {
     std::unordered_map<Addr, Addr> out;
-    for (size_t f = 0; f < w.module->numFunctions(); ++f) {
-        const Function &fn = w.module->function(FuncId(f));
-        CfgView cfg(fn);
-        PostDominatorTree pdt(cfg);
-        for (size_t bi = 0; bi < fn.numBlocks(); ++bi) {
-            const BasicBlock &bb = fn.block(BlockId(bi));
-            if (!bb.hasTerminator() ||
-                !bb.terminator().isCondBranch())
-                continue;
-            BlockId j = pdt.ipdomBlock(BlockId(bi));
-            if (j != invalidBlock)
-                out[bb.termAddr()] = fn.block(j).startAddr();
-        }
+    for (const SpawnPoint &p : sa.points()) {
+        if (p.kind != SpawnKind::LoopFT && p.kind != SpawnKind::Hammock &&
+            p.kind != SpawnKind::Other)
+            continue;
+        if (prog.at(prog.idxOf(p.triggerPc)).instr.isCondBranch())
+            out[p.triggerPc] = p.targetPc;
     }
     return out;
 }
@@ -491,7 +486,9 @@ fig12(const Grid &g, driver::SweepCache &cache, double scale)
         // Predictor fidelity vs static analysis, over branches it saw.
         auto rec = std::dynamic_pointer_cast<ReconSpawnSource>(
             g.at(name, runs[0]).source);
-        auto ipdoms = staticIpdoms(*cache.workload(name, scale));
+        auto ipdoms =
+            branchIpdoms(*cache.analysis(name, scale),
+                         cache.workload(name, scale)->prog);
         int match = 0, predicted = 0;
         for (auto [pc, target] :
              rec->predictor().confidentPredictions()) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Smoke check: the tier-1 verify flow plus the figures bench at a
-# tenth of the default workload scale. Catches build breaks, test
-# regressions and bench-harness crashes in a couple of minutes.
+# Smoke check: the tier-1 verify flow, every example, and the
+# figures bench at a tenth of the default workload scale. Catches
+# build breaks, test regressions and bench-harness crashes in a
+# couple of minutes.
 #
 # Nothing here persists artifacts: every run rebuilds its traces,
 # analyses and hint tables from the current code. (Set PF_CACHE_DIR
@@ -13,6 +14,14 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
+
+# Every example, each a short end-to-end run (stdout is discarded:
+# only quickstart's is pinned, and CI compares that separately).
+./build/examples/quickstart > /dev/null
+./build/examples/policy_explorer twolf 0.05 > /dev/null
+./build/examples/workload_stats 0.05 > /dev/null
+./build/examples/twolf_kernel > /dev/null
+./build/examples/task_timeline twolf 0.05 > /dev/null
 
 # Every paper figure through one sweep; the reports go to stdout,
 # timing and cache accounting to stderr, CSVs and stats JSON into

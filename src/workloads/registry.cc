@@ -2,46 +2,49 @@
 
 #include <stdexcept>
 
+#include "workloads/wl_common.hh"
+
 namespace polyflow {
+
+namespace {
+
+struct Entry
+{
+    const char *name;
+    Workload (*build)(double scale);
+};
+
+/** The suite, in the paper's x-axis order. */
+constexpr Entry registry[] = {
+    {"bzip2", buildBzip2},       {"crafty", buildCrafty},
+    {"gap", buildGap},           {"gcc", buildGcc},
+    {"gzip", buildGzip},         {"mcf", buildMcf},
+    {"parser", buildParser},     {"perlbmk", buildPerlbmk},
+    {"twolf", buildTwolf},       {"vortex", buildVortex},
+    {"vpr.place", buildVprPlace}, {"vpr.route", buildVprRoute},
+};
+
+} // namespace
 
 const std::vector<std::string> &
 allWorkloadNames()
 {
-    static const std::vector<std::string> names = {
-        "bzip2", "crafty", "gap", "gcc", "gzip", "mcf",
-        "parser", "perlbmk", "twolf", "vortex", "vpr.place",
-        "vpr.route",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> n;
+        for (const Entry &e : registry)
+            n.emplace_back(e.name);
+        return n;
+    }();
     return names;
 }
 
 Workload
 buildWorkload(const std::string &name, double scale)
 {
-    if (name == "bzip2")
-        return buildBzip2(scale);
-    if (name == "crafty")
-        return buildCrafty(scale);
-    if (name == "gap")
-        return buildGap(scale);
-    if (name == "gcc")
-        return buildGcc(scale);
-    if (name == "gzip")
-        return buildGzip(scale);
-    if (name == "mcf")
-        return buildMcf(scale);
-    if (name == "parser")
-        return buildParser(scale);
-    if (name == "perlbmk")
-        return buildPerlbmk(scale);
-    if (name == "twolf")
-        return buildTwolf(scale);
-    if (name == "vortex")
-        return buildVortex(scale);
-    if (name == "vpr.place")
-        return buildVprPlace(scale);
-    if (name == "vpr.route")
-        return buildVprRoute(scale);
+    for (const Entry &e : registry) {
+        if (name == e.name)
+            return e.build(scale);
+    }
     throw std::runtime_error("unknown workload: " + name);
 }
 

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -122,18 +121,11 @@ buildBzip2(double scale)
         mod->setData(block, std::move(bytes));
     }
     // Nearly sorted keys: ascending with occasional inversions.
-    Addr keys = mod->allocData("keys", sortWords * 8);
-    {
-        std::vector<std::uint8_t> bytes(sortWords * 8, 0);
-        std::uint64_t v = 0;
-        for (int i = 0; i < sortWords; ++i) {
-            v += rng.range(64);
-            std::uint64_t k = rng.chance(8) && v > 40 ? v - 40 : v;
-            for (int b2 = 0; b2 < 8; ++b2)
-                bytes[size_t(i) * 8 + b2] = (k >> (8 * b2)) & 0xff;
-        }
-        mod->setData(keys, std::move(bytes));
-    }
+    std::uint64_t v = 0;
+    Addr keys = allocWords(*mod, "keys", sortWords, [&](size_t) {
+        v += rng.range(64);
+        return rng.chance(8) && v > 40 ? v - 40 : v;
+    });
     Addr freqs = mod->allocData("freqs", 64 * 8);
     Addr out = mod->allocData("out", 64);
 
@@ -144,15 +136,8 @@ buildBzip2(double scale)
     Function &mtf = mod->createFunction("mtf_pass");
     emitMtfPass(mtf);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(block));
         b.li(a1, 256);
         b.li(a2, std::int64_t(freqs));
@@ -164,18 +149,8 @@ buildBzip2(double scale)
         b.li(a1, 192);
         b.li(a2, std::int64_t(out));
         b.call(mtf.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "bzip2";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -1,19 +1,24 @@
 /**
  * @file
  * Shared helpers for the synthetic workload builders: a
- * deterministic host-side PRNG for initializing data segments, and
- * generators for common data shapes (random arrays, linked lists).
+ * deterministic host-side PRNG and a little-endian word writer for
+ * initializing data segments, generators for common data shapes
+ * (word arrays, linked lists), the counted `main` loop every driver
+ * runs, and the packager that links a module into a Workload.
  */
 
 #ifndef POLYFLOW_WORKLOADS_WL_COMMON_HH
 #define POLYFLOW_WORKLOADS_WL_COMMON_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ir/builder.hh"
 #include "ir/module.hh"
+#include "workloads/workloads.hh"
 
 namespace polyflow {
 
@@ -45,6 +50,27 @@ class WlRng
   private:
     std::uint64_t _s;
 };
+
+/** Write @p value as a little-endian 64-bit word at @p offset. */
+void putWord(std::vector<std::uint8_t> &bytes, size_t offset,
+             std::uint64_t value);
+
+/**
+ * Allocate an array of @p count 64-bit words; word i is @p word(i),
+ * called in increasing i.
+ */
+template <typename WordFn>
+Addr
+allocWords(Module &mod, const std::string &name, size_t count,
+           WordFn word)
+{
+    Addr base = mod.allocData(name, count * 8);
+    std::vector<std::uint8_t> bytes(count * 8);
+    for (size_t i = 0; i < count; ++i)
+        putWord(bytes, i * 8, word(i));
+    mod.setData(base, std::move(bytes));
+    return base;
+}
 
 /** Allocate and fill an array of 64-bit pseudo-random words. */
 Addr allocRandomWords(Module &mod, const std::string &name,
@@ -85,25 +111,6 @@ listNext(int fieldsPerNode)
 }
 
 /**
- * Emit a counted loop skeleton. Creates header/body/latch/exit
- * blocks; the caller supplies the body via @p bodyFn, which must
- * leave the current block falling through to @p latch. The counter
- * lives in @p counterReg, counting down from @p iterations to zero.
- *
- * Shape (iterations >= 1):
- *   pre:    li counter, iterations
- *   header: body...
- *   latch:  addi counter, counter, -1; bne counter, r0, header
- *   exit:
- */
-struct LoopBlocks
-{
-    BlockId header;
-    BlockId latch;
-    BlockId exit;
-};
-
-/**
  * Pad @p fn so the next function starts @p stride bytes past this
  * function's start. Aligning hot functions to the L1I set-index
  * stride (4 KiB for the Figure 8 L1I) makes their lines contend for
@@ -111,6 +118,35 @@ struct LoopBlocks
  * benchmark whose real code footprint exceeds the cache.
  */
 void padToStride(Function &fn, Addr stride = 4096, Addr stagger = 0);
+
+/**
+ * Emit `main` as the benchmark driver: @p iters passes of @p body,
+ * counted down in s7, then halt. @p body starts in the loop block
+ * and may create and switch to more blocks; the count-down branch
+ * goes in whatever block it ends in. Blocks are created in the
+ * order entry, loop, @p body's blocks, done, and the linker lays
+ * them out in that order. Sets `main` as the entry function.
+ */
+void emitDriver(Module &mod, int iters,
+                const std::function<void(FunctionBuilder &)> &body);
+
+/** Link @p mod into the Workload of the same name. */
+Workload finishWorkload(std::unique_ptr<Module> mod);
+
+/** @name The builders behind buildWorkload() @{ */
+Workload buildBzip2(double scale);
+Workload buildCrafty(double scale);
+Workload buildGap(double scale);
+Workload buildGcc(double scale);
+Workload buildGzip(double scale);
+Workload buildMcf(double scale);
+Workload buildParser(double scale);
+Workload buildPerlbmk(double scale);
+Workload buildTwolf(double scale);
+Workload buildVortex(double scale);
+Workload buildVprPlace(double scale);
+Workload buildVprRoute(double scale);
+/** @} */
 
 } // namespace polyflow
 

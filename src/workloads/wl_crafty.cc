@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -139,32 +138,15 @@ buildCrafty(double scale)
         {{evalId, 12}, {evalId, 7}, {evalId, 8},
          {evalId, 9}, {evalId, 10}, {evalId, 11}});
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(board));
         b.li(a1, numSquares);
         b.li(a2, std::int64_t(jt));
         b.li(a3, std::int64_t(score));
         b.call(eval.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "crafty";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -158,15 +157,8 @@ buildGcc(double scale)
         mids.push_back(fn.id());
     }
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         for (int i = 0; i < numMids; ++i) {
             for (int mode = 0; mode < 3; ++mode) {
                 // Each pass starts from data selected by the
@@ -184,18 +176,8 @@ buildGcc(double scale)
                 b.call(mids[i]);
             }
         }
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "gcc";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -16,9 +15,11 @@ namespace polyflow {
 namespace {
 
 /**
- * Emit longest_match(a0 = window, a1 = positions, a2 = count,
- * a3 = out): for each position pair, scan forward while bytes match
- * (geometric lengths), remembering the best length.
+ * Emit longest_match(a0 = window, a1 = window limit, a3 = out): walk
+ * a cursor up to the limit, at each step scanning forward while the
+ * bytes match a hashed candidate (geometric lengths, capped at 32)
+ * and advancing by the match length; stores a checksum of the
+ * lengths to out.
  */
 void
 emitLongestMatch(Function &fn)
@@ -143,19 +144,8 @@ buildGzip(double scale)
         mod->setData(window, std::move(bytes));
     }
     // Position pairs within the window (leave scan headroom).
-    Addr positions = mod->allocData("positions", numPositions * 16);
-    {
-        std::vector<std::uint8_t> bytes(numPositions * 16, 0);
-        auto put64 = [&](size_t off, std::uint64_t v) {
-            for (int i = 0; i < 8; ++i)
-                bytes[off + i] = (v >> (8 * i)) & 0xff;
-        };
-        for (int p = 0; p < numPositions; ++p) {
-            put64(size_t(p) * 16, rng.range(windowBytes - 64));
-            put64(size_t(p) * 16 + 8, rng.range(windowBytes - 64));
-        }
-        mod->setData(positions, std::move(bytes));
-    }
+    allocWords(*mod, "positions", numPositions * 2,
+               [&](size_t) { return rng.range(windowBytes - 64); });
     Addr lengths = allocRandomWords(*mod, "lengths", 64, rng, 0x1f);
     Addr out = mod->allocData("out", 1024);
 
@@ -164,15 +154,8 @@ buildGzip(double scale)
     Function &pack = mod->createFunction("pack_bits");
     emitPackBits(pack);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(window));
         b.li(a1, 1400);
         b.li(a3, std::int64_t(out));
@@ -181,18 +164,8 @@ buildGzip(double scale)
         b.li(a1, 64);
         b.li(a2, std::int64_t(out) + 8);
         b.call(pack.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "gzip";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -143,10 +142,6 @@ buildMcf(double scale)
     Addr arcHeadAddr;
     {
         std::vector<std::uint8_t> bytes(numArcs * arcBytes, 0);
-        auto put64 = [&](size_t off, std::uint64_t v) {
-            for (int i = 0; i < 8; ++i)
-                bytes[off + i] = (v >> (8 * i)) & 0xff;
-        };
         std::vector<int> order(numArcs);
         for (int a = 0; a < numArcs; ++a)
             order[a] = a;
@@ -154,14 +149,14 @@ buildMcf(double scale)
             std::swap(order[a - 1], order[rng.range(a)]);
         for (int a = 0; a < numArcs; ++a) {
             size_t off = size_t(order[a]) * arcBytes;
-            put64(off + arcIdent,
-                  rng.chance(50) ? 1 : std::uint64_t(-1));
-            put64(off + arcTail, rng.range(numNodes));
-            put64(off + arcHead, rng.range(numNodes));
-            put64(off + arcCost, rng.range(1000));
+            putWord(bytes, off + arcIdent,
+                    rng.chance(50) ? 1 : std::uint64_t(-1));
+            putWord(bytes, off + arcTail, rng.range(numNodes));
+            putWord(bytes, off + arcHead, rng.range(numNodes));
+            putWord(bytes, off + arcCost, rng.range(1000));
             Addr next = (a + 1 < numArcs)
                 ? arcs + Addr(order[a + 1]) * arcBytes : 0;
-            put64(off + arcNext, next);
+            putWord(bytes, off + arcNext, next);
         }
         arcHeadAddr = arcs + Addr(order[0]) * arcBytes;
         mod->setData(arcs, std::move(bytes));
@@ -169,12 +164,9 @@ buildMcf(double scale)
     Addr nodes = mod->allocData("nodes", numNodes * nodeBytes);
     {
         std::vector<std::uint8_t> bytes(numNodes * nodeBytes, 0);
-        for (int n = 0; n < numNodes; ++n) {
-            std::uint64_t pot = rng.range(2000);
-            for (int i = 0; i < 8; ++i)
-                bytes[size_t(n) * nodeBytes + i] = (pot >> (8 * i)) &
-                    0xff;
-        }
+        for (int n = 0; n < numNodes; ++n)
+            putWord(bytes, size_t(n) * nodeBytes + nodePot,
+                    rng.range(2000));
         mod->setData(nodes, std::move(bytes));
     }
     Addr listHead = allocLinkedList(*mod, "tree", listNodes, 2, rng);
@@ -185,33 +177,16 @@ buildMcf(double scale)
     Function &chase = mod->createFunction("chase");
     emitChase(chase);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(arcHeadAddr));
         b.li(a2, std::int64_t(nodes));
         b.call(scan.id());
         b.li(a0, std::int64_t(listHead));
         b.li(a1, std::int64_t(acc));
         b.call(chase.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "mcf";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

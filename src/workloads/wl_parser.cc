@@ -12,7 +12,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -228,12 +227,7 @@ buildParser(double scale)
         b.halt();
     }
     mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "parser";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -184,40 +183,22 @@ buildPerlbmk(double scale)
     Function &interp = mod->createFunction("interp");
     emitInterp(interp, helper.id());
 
-    // Handler blocks are ids 2..9 (entry=0, dispatch=1, dispatch2=?).
-    // Build the jump table from the actual block ids: entry 0,
-    // loop 1, dispatch2 2, handlers 3..10.
+    // Handler blocks are ids 3..10, after entry 0, dispatch 1 and
+    // dispatch2 2 (emitInterp's creation order).
     std::vector<std::pair<FuncId, BlockId>> jt;
     for (int h = 0; h < numOps; ++h)
         jt.emplace_back(interp.id(), 3 + h);
     Addr table = mod->allocJumpTable("op_table", jt);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(code));
         b.li(a1, programLen);
         b.li(a2, std::int64_t(table));
         b.li(a3, std::int64_t(stack) + 64);
         b.call(interp.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "perlbmk";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -9,7 +9,6 @@
  * branches, matching the paper's observation about PC 9f2c.
  */
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -59,11 +58,6 @@ buildTermList(Module &mod, int numTerms, WlRng &rng)
     std::vector<std::uint8_t> netB(totalNets * netBytes, 0);
     std::vector<std::uint8_t> dimB(numTerms * 8, 0);
     std::vector<std::uint8_t> termB(numTerms * termBytes, 0);
-    auto put64 = [](std::vector<std::uint8_t> &v, size_t off,
-                    std::uint64_t x) {
-        for (int b = 0; b < 8; ++b)
-            v[off + b] = (x >> (8 * b)) & 0xff;
-    };
 
     int netIdx = 0;
     for (int t = 0; t < numTerms; ++t) {
@@ -72,22 +66,24 @@ buildTermList(Module &mod, int numTerms, WlRng &rng)
             size_t off = size_t(netIdx) * netBytes;
             // xpos / newx uniform around the means, so the ABS
             // branches are ~50% taken.
-            put64(netB, off + netXpos, oldMean - 500 + rng.range(1000));
-            put64(netB, off + netNewx, newMean - 500 + rng.range(1000));
+            putWord(netB, off + netXpos,
+                    oldMean - 500 + rng.range(1000));
+            putWord(netB, off + netNewx,
+                    newMean - 500 + rng.range(1000));
             // flag == 1 with ~70% probability: the if-then-else
             // branch (taken when flag != 1) is taken ~30%.
-            put64(netB, off + netFlag, rng.chance(70) ? 1 : 0);
+            putWord(netB, off + netFlag, rng.chance(70) ? 1 : 0);
             Addr next = (n + 1 < netsPerTerm[t])
                 ? nets + Addr(netIdx + 1) * netBytes : 0;
-            put64(netB, off + netNterm, next);
+            putWord(netB, off + netNterm, next);
             ++netIdx;
         }
-        put64(dimB, size_t(t) * 8, firstNet);
+        putWord(dimB, size_t(t) * 8, firstNet);
         Addr nextTerm = (t + 1 < numTerms)
             ? terms + Addr(t + 1) * termBytes : 0;
-        put64(termB, size_t(t) * termBytes + termDim,
-              dims + Addr(t) * 8);
-        put64(termB, size_t(t) * termBytes + termNext, nextTerm);
+        putWord(termB, size_t(t) * termBytes + termDim,
+                dims + Addr(t) * 8);
+        putWord(termB, size_t(t) * termBytes + termNext, nextTerm);
     }
     // Saved flag pattern: new_dbox_a clears flags as it runs, so
     // the driver restores them before every call (real twolf
@@ -241,15 +237,8 @@ buildTwolf(double scale)
     Function &reset = mod->createFunction("reset_flags");
     emitResetFlags(reset);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, calls, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("call_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, calls);       // s7 = call counter
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(info.netsBase));
         b.li(a1, std::int64_t(info.flagPattern));
         b.li(a2, info.totalNets);
@@ -257,18 +246,8 @@ buildTwolf(double scale)
         b.li(a0, std::int64_t(info.termsHead));
         b.li(a1, std::int64_t(cost));
         b.call(dbox.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "twolf";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -178,30 +177,18 @@ buildVortex(double scale)
     Addr records = mod->allocData("records", numRecords * recBytes);
     {
         std::vector<std::uint8_t> bytes(numRecords * recBytes, 0);
-        auto put64 = [&](size_t off, std::uint64_t v) {
-            for (int i = 0; i < 8; ++i)
-                bytes[off + i] = (v >> (8 * i)) & 0xff;
-        };
         for (int r = 0; r < numRecords; ++r) {
             size_t off = size_t(r) * recBytes;
-            put64(off, r);
-            put64(off + 8, rng.next());
-            put64(off + 16, rng.next());
-            put64(off + 24, rng.next());
+            putWord(bytes, off, r);
+            putWord(bytes, off + 8, rng.next());
+            putWord(bytes, off + 16, rng.next());
+            putWord(bytes, off + 24, rng.next());
         }
         mod->setData(records, std::move(bytes));
     }
     // Buckets: hash value -> starting record index.
-    Addr buckets = mod->allocData("buckets", 64 * 8);
-    {
-        std::vector<std::uint8_t> bytes(64 * 8, 0);
-        for (int h = 0; h < 64; ++h) {
-            std::uint64_t idx = rng.range(numRecords);
-            for (int i = 0; i < 8; ++i)
-                bytes[size_t(h) * 8 + i] = (idx >> (8 * i)) & 0xff;
-        }
-        mod->setData(buckets, std::move(bytes));
-    }
+    Addr buckets = allocWords(*mod, "buckets", 64,
+                              [&](size_t) { return rng.range(numRecords); });
     Addr keyList = allocRandomWords(*mod, "keys", numKeys, rng, 127);
 
     Function &hash = mod->createFunction("hash");
@@ -220,20 +207,12 @@ buildVortex(double scale)
     Function &update = mod->createFunction("update");
     emitUpdate(update, rng);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId outer = b.newBlock("outer");
         BlockId inner = b.newBlock("inner");
         BlockId haveRec = b.newBlock("have_rec");
         BlockId innerLatch = b.newBlock("inner_latch");
         BlockId outerLatch = b.newBlock("outer_latch");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(outer);
-
-        b.setBlock(outer);
         b.li(s0, std::int64_t(keyList));
         b.li(s1, numKeys);
         b.jump(inner);
@@ -253,20 +232,9 @@ buildVortex(double scale)
         b.addi(s0, s0, 8);
         b.addi(s1, s1, -1);
         b.bne(s1, zero, inner);
-
         b.setBlock(outerLatch);
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, outer);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "vortex";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 
-#include "workloads/workloads.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {
@@ -160,49 +159,21 @@ buildVprPlace(double scale)
 
     Addr cells = allocRandomWords(*mod, "cells", numCells, rng, 0xfff);
     Addr seed = allocRandomWords(*mod, "seed", 1, rng);
-    Addr moves = mod->allocData("moves", numMoves * 16);
-    {
-        std::vector<std::uint8_t> bytes(numMoves * 16, 0);
-        auto put64 = [&](size_t off, std::uint64_t v) {
-            for (int i = 0; i < 8; ++i)
-                bytes[off + i] = (v >> (8 * i)) & 0xff;
-        };
-        for (int m = 0; m < numMoves; ++m) {
-            put64(size_t(m) * 16, rng.range(numCells));
-            put64(size_t(m) * 16 + 8, rng.range(numCells));
-        }
-        mod->setData(moves, std::move(bytes));
-    }
+    Addr moves = allocWords(*mod, "moves", numMoves * 2,
+                            [&](size_t) { return rng.range(numCells); });
 
     Function &tryMoves = mod->createFunction("try_moves");
     emitTryMoves(tryMoves);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId loop = b.newBlock("main_loop");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(loop);
-        b.setBlock(loop);
         b.li(a0, std::int64_t(cells));
         b.li(a1, std::int64_t(moves));
         b.li(a2, numMoves);
         b.li(a3, std::int64_t(seed));
         b.call(tryMoves.id());
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, loop);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "vpr.place";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 Workload
@@ -217,34 +188,18 @@ buildVprRoute(double scale)
     int iters = std::max(1, int(42 * scale));
 
     Addr grid = allocRandomWords(*mod, "grid", gridWords, rng, 0xff);
-    Addr paths = mod->allocData("paths", numNets * pathLen * 8);
-    {
-        std::vector<std::uint8_t> bytes(numNets * pathLen * 8, 0);
-        for (int i = 0; i < numNets * pathLen; ++i) {
-            std::uint64_t v = rng.range(gridWords);
-            for (int b2 = 0; b2 < 8; ++b2)
-                bytes[size_t(i) * 8 + b2] = (v >> (8 * b2)) & 0xff;
-        }
-        mod->setData(paths, std::move(bytes));
-    }
+    Addr paths = allocWords(*mod, "paths", numNets * pathLen,
+                            [&](size_t) { return rng.range(gridWords); });
     Addr outs = mod->allocData("net_costs", numNets * 8);
 
     Function &route = mod->createFunction("route_net");
     emitRouteNet(route);
 
-    Function &main = mod->createFunction("main");
-    {
-        FunctionBuilder b(main);
+    emitDriver(*mod, iters, [&](FunctionBuilder &b) {
         using namespace reg;
-        BlockId outer = b.newBlock("outer");
         BlockId nets = b.newBlock("net_loop");
         BlockId netLatch = b.newBlock("net_latch");
         BlockId outerLatch = b.newBlock("outer_latch");
-        BlockId done = b.newBlock("done");
-        b.li(s7, iters);
-        b.jump(outer);
-
-        b.setBlock(outer);
         b.li(s0, 0);            // net index
         b.jump(nets);
 
@@ -265,20 +220,9 @@ buildVprRoute(double scale)
         b.addi(s0, s0, 1);
         b.slti(t8, s0, numNets);
         b.bne(t8, zero, nets);
-
         b.setBlock(outerLatch);
-        b.addi(s7, s7, -1);
-        b.bne(s7, zero, outer);
-        b.setBlock(done);
-        b.halt();
-    }
-    mod->entryFunction(main.id());
-
-    Workload w;
-    w.name = "vpr.route";
-    w.prog = mod->link();
-    w.module = std::move(mod);
-    return w;
+    });
+    return finishWorkload(std::move(mod));
 }
 
 } // namespace polyflow

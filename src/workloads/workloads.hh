@@ -36,21 +36,6 @@ Workload buildWorkload(const std::string &name, double scale = 1.0);
 /** The 12 benchmark names, in the paper's x-axis order. */
 const std::vector<std::string> &allWorkloadNames();
 
-/** @name Individual builders @{ */
-Workload buildBzip2(double scale);
-Workload buildCrafty(double scale);
-Workload buildGap(double scale);
-Workload buildGcc(double scale);
-Workload buildGzip(double scale);
-Workload buildMcf(double scale);
-Workload buildParser(double scale);
-Workload buildPerlbmk(double scale);
-Workload buildTwolf(double scale);
-Workload buildVortex(double scale);
-Workload buildVprPlace(double scale);
-Workload buildVprRoute(double scale);
-/** @} */
-
 } // namespace polyflow
 
 #endif // POLYFLOW_WORKLOADS_WORKLOADS_HH

@@ -103,7 +103,7 @@ TEST(Accounting, SquashedRangesNeverAppearInCommitStream)
     // entered the squashed range (committed instructions are
     // architecturally final).
     std::uint64_t totalSquashes = 0;
-    for (const std::string &name : {"twolf", "gcc", "vpr.route"}) {
+    for (const char *name : {"twolf", "gcc", "vpr.route"}) {
         Workload w = buildWorkload(name, kScale);
         FunctionalOptions opt;
         opt.recordTrace = true;
@@ -164,8 +164,9 @@ TEST(Accounting, NarrowMachineKeepsIdentity)
         cfg.pipelineWidth = width;
         StaticSpawnSource src{
             HintTable(sa, SpawnPolicy::postdoms())};
-        TimingResult r = runTiming(cfg, fr.trace, &src,
-                               "w" + std::to_string(width));
+        std::string label = "w";
+        label += std::to_string(width);
+        TimingResult r = runTiming(cfg, fr.trace, &src, label);
         checkSlotInvariants(r, std::uint64_t(width));
     }
 }

@@ -242,10 +242,12 @@ TEST(Dominators, ChkMatchesIterativeOnFigure1)
     for (int n = 0; n < cfg.numNodes(); ++n) {
         if (!cfg.reachable(n))
             continue;
-        if (n != cfg.entryNode())
+        if (n != cfg.entryNode()) {
             EXPECT_EQ(dt.idom(n), domIdoms[n]) << "idom of " << n;
-        if (n != cfg.exitNode())
+        }
+        if (n != cfg.exitNode()) {
             EXPECT_EQ(pdt.idom(n), pdomIdoms[n]) << "ipdom of " << n;
+        }
     }
 }
 

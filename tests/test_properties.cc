@@ -228,8 +228,9 @@ TEST_P(CfgProperty, LoopInvariants)
     // Innermost membership is consistent.
     for (int v = 0; v < cfg.numNodes(); ++v) {
         int id = loops.innermostLoopOf(v);
-        if (id >= 0)
+        if (id >= 0) {
             EXPECT_TRUE(loops.loops()[id].contains(v));
+        }
     }
 }
 

@@ -111,8 +111,9 @@ TEST(ReconPredictor, LearnsLoopFallThrough)
     Addr backPc = f.block(4).termAddr();
     Addr pred_pc = pred.predict(backPc);
     // Either unpredicted (not enough exits) or the fall-through.
-    if (pred_pc != invalidAddr)
+    if (pred_pc != invalidAddr) {
         EXPECT_EQ(pred_pc, f.block(5).startAddr());
+    }
 }
 
 TEST(ReconPredictor, WarmupNeedsBothOutcomes)
@@ -167,8 +168,7 @@ TEST(ReconPredictor, AgreesWithStaticIpdomsOnWorkloads)
     // Across real workloads, confident predictions should mostly
     // match the compiler's immediate postdominators.
     int match = 0, total = 0;
-    for (const std::string &name :
-         {"crafty", "twolf", "mcf", "bzip2"}) {
+    for (const char *name : {"crafty", "twolf", "mcf", "bzip2"}) {
         Workload w = buildWorkload(name, 0.05);
         FunctionalOptions opt;
         opt.recordTrace = true;

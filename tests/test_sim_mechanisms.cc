@@ -257,7 +257,7 @@ TEST(Mechanisms, IndirectTargetPredictionAccounting)
 
 TEST(Mechanisms, TasksRetiredEqualsSpawnsPlusOne)
 {
-    for (const std::string &name : {"twolf", "mcf", "vortex"}) {
+    for (const char *name : {"twolf", "mcf", "vortex"}) {
         Prepared p = prepare(name, 0.05);
         TimingResult r = p.run(SpawnPolicy::postdoms(), MachineConfig{});
         EXPECT_EQ(r.tasksRetired, r.spawns + 1) << name;

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "isa/functional_sim.hh"
 #include "spawn/spawn_analysis.hh"
+#include "store/artifact_store.hh"
 #include "workloads/workloads.hh"
 
 namespace polyflow {
@@ -101,6 +104,47 @@ TEST(WorkloadRegistry, UnknownNameThrows)
 TEST(WorkloadRegistry, HasTwelveBenchmarks)
 {
     EXPECT_EQ(allWorkloadNames().size(), 12u);
+}
+
+/**
+ * Every linked program, byte for byte: a builder edit that moves an
+ * instruction, a block or a data word fails here naming the workload
+ * and scale, before it shows up as drifted cycles in a golden. The
+ * scales are the goldens' (0.04) and the published figures' (1).
+ */
+TEST(WorkloadRegistry, ProgramsArePinned)
+{
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t atGolden;
+        std::uint64_t atOne;
+    };
+    const Pin pins[] = {
+        {"bzip2", 0xce19aa7b1a14ec4d, 0x23b1b5312b9fe868},
+        {"crafty", 0x6ded1f847ce771bf, 0xb7d10c722a403ec0},
+        {"gap", 0x7d096593da1f96ec, 0xbd5a7e2fdccb18f5},
+        {"gcc", 0x783b8ab136971764, 0x257c137303a56d99},
+        {"gzip", 0x23b764be52148c3e, 0x50d0e1bb7e1a173f},
+        {"mcf", 0xe26b925249002c70, 0x409c2dc17b87e4ce},
+        {"parser", 0xe9ef8cf35dcaaacb, 0xaa3a51b120c30cda},
+        {"perlbmk", 0x73ad5393f940c84c, 0xb0dac6128addc2ee},
+        {"twolf", 0xf2b584f1bd308b3d, 0x148c387ba94dc684},
+        {"vortex", 0xa8d176ad8d6988e4, 0xebe63bcd2de91e0e},
+        {"vpr.place", 0x1f3d2590fa47d24f, 0x82f16e12f7c943d3},
+        {"vpr.route", 0x03aed2cb59e55515, 0xa6e230d8bbfa44ae},
+    };
+    ASSERT_EQ(std::size(pins), allWorkloadNames().size());
+    for (const Pin &p : pins) {
+        EXPECT_EQ(store::programContentHash(
+                      buildWorkload(p.name, 0.04).prog),
+                  p.atGolden)
+            << p.name << " at scale 0.04";
+        EXPECT_EQ(store::programContentHash(
+                      buildWorkload(p.name, 1.0).prog),
+                  p.atOne)
+            << p.name << " at scale 1";
+    }
 }
 
 TEST(WorkloadCharacter, PerlbmkHasIndirectJumps)
