@@ -374,10 +374,10 @@ fig08()
     row("Pipeline Width",
         std::to_string(c.pipelineWidth) + " instrs/cycle");
     row("Branch Predictor",
-        std::to_string(c.gshareCounters * 2 / 1024) + "Kbit gshare, " +
-            std::to_string(c.historyBits) + " bits of global history");
+        std::to_string(gshareCounters * 2 / 1024) + "Kbit gshare, " +
+            std::to_string(historyBits) + " bits of global history");
     row("Misprediction Penalty",
-        "At least " + std::to_string(c.minMispredictPenalty) + " cycles");
+        "At least " + std::to_string(minMispredictPenalty) + " cycles");
     row("Reorder Buffer", std::to_string(c.robEntries) + shared);
     row("Scheduler", std::to_string(c.schedEntries) + shared);
     row("Functional Units",
@@ -397,22 +397,22 @@ fig08()
         k.cell(v);
     };
     krow("fetchTasksPerCycle", c.fetchTasksPerCycle);
-    krow("maxTakenPerTaskCycle", c.maxTakenPerTaskCycle);
+    krow("maxTakenPerTaskCycle", maxTakenPerTaskCycle);
     krow("fetchQueueEntries", c.fetchQueueEntries);
-    krow("frontendDepth", c.frontendDepth);
+    krow("frontendDepth", frontendDepth);
     krow("mulLatency", c.mulLatency);
     krow("divLatency", c.divLatency);
     krow("loadLatency", c.loadLatency);
     krow("maxSpawnDistance", c.maxSpawnDistance);
     krow("minSpawnDistance", c.minSpawnDistance);
-    krow("spawnStartupDelay", c.spawnStartupDelay);
+    krow("spawnStartupDelay", spawnStartupDelay);
     krow("divertReleaseDelay", c.divertReleaseDelay);
-    krow("squashRestartPenalty", c.squashRestartPenalty);
+    krow("squashRestartPenalty", squashRestartPenalty);
     krow("robReservePerOlderTask", c.robReservePerOlderTask);
     krow("returnStackEntries", c.returnStackEntries);
     krow("spawnFeedback", c.spawnFeedback);
     krow("wrongPathGhosts", c.wrongPathGhosts);
-    krow("compilerDepHints", c.compilerDepHints);
+    krow("compilerDepHints", compilerDepHints);
     krow("spawnFromAnyTask", c.spawnFromAnyTask);
     k.print(std::cout);
 }

@@ -3,7 +3,7 @@
  * quickstart: the smallest end-to-end tour of the library.
  *
  * 1. Build a program (the paper's Figure 1 loop) with FunctionBuilder.
- * 2. Compute its postdominator tree and control dependence graph.
+ * 2. Compute its postdominator tree.
  * 3. Identify and classify spawn points.
  * 4. Run it functionally with the low-level golden model, then hand
  *    it to polyflow::Session for the timing comparison: superscalar
@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "analysis/cfg_view.hh"
-#include "analysis/control_dep.hh"
 #include "analysis/dominators.hh"
 #include "ir/builder.hh"
 #include "polyflow.hh"
@@ -76,7 +75,6 @@ main()
     const Function &fn = mod->function(0);
     CfgView cfg(fn);
     PostDominatorTree pdt(cfg);
-    ControlDepGraph cdg(cfg, pdt);
 
     std::cout << "immediate postdominators (paper Figure 2):\n";
     for (size_t b = 0; b < fn.numBlocks(); ++b) {

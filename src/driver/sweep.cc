@@ -381,17 +381,19 @@ parseCount(const char *what, const char *text)
     return static_cast<int>(v);
 }
 
-namespace {
-
-/** A count knob: `flag N` or `flag=N` in argv (the last one wins),
- *  else the environment variable @p env, else @p fallback. Any other
- *  argument exits with status 2, naming it. */
 int
-countKnob(int argc, char **argv, const char *flag, const char *env,
-          int fallback)
+defaultJobs()
 {
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+int
+jobsFromArgs(int argc, char **argv)
+{
+    const char *flag = "--jobs";
     const size_t len = std::strlen(flag);
-    int value = 0;
+    int jobs = defaultJobs();
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, flag) == 0) {
@@ -399,10 +401,10 @@ countKnob(int argc, char **argv, const char *flag, const char *env,
                 std::fprintf(stderr, "%s: missing value\n", flag);
                 std::exit(2);
             }
-            value = parseCount(flag, argv[++i]);
+            jobs = parseCount(flag, argv[++i]);
         } else if (std::strncmp(arg, flag, len) == 0 &&
                    arg[len] == '=') {
-            value = parseCount(flag, arg + len + 1);
+            jobs = parseCount(flag, arg + len + 1);
         } else {
             std::fprintf(stderr,
                          "unknown argument \"%s\" (expected %s N or "
@@ -411,34 +413,7 @@ countKnob(int argc, char **argv, const char *flag, const char *env,
             std::exit(2);
         }
     }
-    if (value > 0)
-        return value;
-    if (const char *text = std::getenv(env))
-        return parseCount(env, text);
-    return fallback;
-}
-
-int
-hardwareJobs()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-} // namespace
-
-int
-defaultJobs()
-{
-    return countKnob(0, nullptr, "--jobs", "PF_BENCH_JOBS",
-                     hardwareJobs());
-}
-
-int
-jobsFromArgs(int argc, char **argv)
-{
-    return countKnob(argc, argv, "--jobs", "PF_BENCH_JOBS",
-                     hardwareJobs());
+    return jobs;
 }
 
 int

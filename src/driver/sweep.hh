@@ -6,7 +6,7 @@
  * machine-config) timing simulations over shared read-only inputs:
  * the committed trace, the compiler spawn analysis and the per-policy
  * hint table. SweepRunner executes the grid on a thread pool
- * (PF_BENCH_JOBS / --jobs, default hardware_concurrency), one cell
+ * (--jobs, default hardware_concurrency), one cell
  * per worker at a time and the most expensive cells first, while
  * SweepCache builds each shared input exactly once per key and hands
  * out immutable shared_ptrs. Results come back in declaration order,
@@ -274,8 +274,9 @@ class SweepRunner
                                 bool report = true);
 
     /**
-     * Generic parallel loop over [0, n) on the runner's pool; used
-     * by analysis-only benches to warm the cache. Exceptions from
+     * Generic parallel loop over [0, n) on the runner's pool; run()
+     * builds each cell's shared inputs with it, and perfbench's
+     * set-up and the driver tests call it directly. Exceptions from
      * @p fn are rethrown (lowest index wins).
      */
     void parallelFor(size_t n,
@@ -307,17 +308,14 @@ costOrder(const std::vector<SweepCell> &cells,
 std::optional<SourceSpec>
 sourceSpecByName(const std::string &policy);
 
-/**
- * Worker count from the environment: PF_BENCH_JOBS if set (must be a
- * positive integer), else std::thread::hardware_concurrency(). Exits
- * with status 2 on malformed values.
- */
+/** Default worker count: std::thread::hardware_concurrency(), at
+ *  least 1. */
 int defaultJobs();
 
 /**
- * Worker count from the command line: `--jobs N` or `--jobs=N`
- * overrides defaultJobs(). Exits with status 2 and a clear error on
- * a malformed value or on any other argument.
+ * Worker count from the command line: `--jobs N` or `--jobs=N` (the
+ * last one wins), else defaultJobs(). Exits with status 2 and a clear
+ * error on a malformed value or on any other argument.
  */
 int jobsFromArgs(int argc, char **argv);
 

@@ -7,6 +7,13 @@
 
 namespace polyflow {
 
+namespace {
+
+/** Initial stack pointer. */
+constexpr Addr stackTop = 0x7fff0000;
+
+} // namespace
+
 FunctionalResult
 runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
 {
@@ -18,7 +25,7 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
         for (size_t i = 0; i < di.bytes.size(); ++i)
             st.writeByte(di.addr + i, di.bytes[i]);
     }
-    st.writeReg(reg::sp, std::int64_t(options.stackTop));
+    st.writeReg(reg::sp, std::int64_t(stackTop));
     if (!prog.dataInits().empty())
         st.writeReg(reg::gp, std::int64_t(prog.dataInits()[0].addr));
 

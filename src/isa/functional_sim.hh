@@ -37,13 +37,11 @@ struct FunctionalOptions
     std::uint64_t maxInstrs = 50'000'000;
     /** Record the dynamic trace with dependence links. */
     bool recordTrace = false;
-    /** Initial stack pointer. */
-    Addr stackTop = 0x7fff0000;
 };
 
 /**
  * Run @p prog functionally. Initializes memory from the program's
- * data inits, sp to options.stackTop and gp to the first data
+ * data inits, sp to the stack top 0x7fff0000 and gp to the first data
  * address, then interprets from the entry point.
  *
  * When recording, each committed instruction gets exact register

@@ -4,9 +4,24 @@
 
 namespace polyflow {
 
-ReconPredictor::ReconPredictor(const ReconConfig &config) : _cfg(config)
+namespace {
+
+/** Max branch instances observed simultaneously. */
+constexpr int maxActive = 8;
+/** Block-start PCs collected per instance. */
+constexpr int suffixLength = 24;
+/** Retired instructions an instance may span before abort. */
+constexpr int windowInstrs = 512;
+/** Candidate slots per static branch. */
+constexpr int numCandidates = 4;
+/** Votes needed before a candidate is predicted. */
+constexpr int confidenceThreshold = 2;
+
+} // namespace
+
+ReconPredictor::ReconPredictor()
 {
-    _active.reserve(_cfg.maxActive);
+    _active.reserve(maxActive);
 }
 
 void
@@ -21,13 +36,12 @@ ReconPredictor::observeCommit(Addr pc, bool isCondBranch, bool taken,
         ActiveInstance &inst = _active[i];
         bool recurrence = isCondBranch && pc == inst.branchPc;
         if (!recurrence && blockStart &&
-            static_cast<int>(inst.collected.size()) <
-                _cfg.suffixLength) {
+            static_cast<int>(inst.collected.size()) < suffixLength) {
             inst.collected.push_back(pc);
         }
         --inst.instrsLeft;
-        bool full = static_cast<int>(inst.collected.size()) >=
-            _cfg.suffixLength;
+        bool full =
+            static_cast<int>(inst.collected.size()) >= suffixLength;
         if (recurrence || full || inst.instrsLeft <= 0) {
             if (!inst.collected.empty()) {
                 finishInstance(inst);
@@ -43,7 +57,7 @@ ReconPredictor::observeCommit(Addr pc, bool isCondBranch, bool taken,
 
     // 2. Open a new instance for this branch.
     if (isCondBranch) {
-        if (static_cast<int>(_active.size()) >= _cfg.maxActive) {
+        if (static_cast<int>(_active.size()) >= maxActive) {
             // Hardware table full: retire the oldest observation
             // with whatever suffix it has collected so far (dense
             // branch streams would otherwise never finish one).
@@ -58,7 +72,7 @@ ReconPredictor::observeCommit(Addr pc, bool isCondBranch, bool taken,
         ActiveInstance inst;
         inst.branchPc = pc;
         inst.taken = taken;
-        inst.instrsLeft = _cfg.windowInstrs;
+        inst.instrsLeft = windowInstrs;
         _active.push_back(std::move(inst));
     }
 }
@@ -99,7 +113,7 @@ ReconPredictor::vote(Entry &e, Addr candidate)
             return;
         }
     }
-    if (static_cast<int>(e.cands.size()) < _cfg.numCandidates) {
+    if (static_cast<int>(e.cands.size()) < numCandidates) {
         e.cands.push_back({candidate, 1});
         return;
     }
@@ -125,7 +139,7 @@ ReconPredictor::predict(Addr branchPc) const
         if (!best || c.votes > best->votes)
             best = &c;
     }
-    if (!best || best->votes < _cfg.confidenceThreshold)
+    if (!best || best->votes < confidenceThreshold)
         return invalidAddr;
     return best->pc;
 }

@@ -21,7 +21,6 @@
 #ifndef POLYFLOW_RECON_RECON_PREDICTOR_HH
 #define POLYFLOW_RECON_RECON_PREDICTOR_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -31,21 +30,6 @@
 
 namespace polyflow {
 
-/** Tuning knobs for the reconvergence predictor. */
-struct ReconConfig
-{
-    /** Max branch instances observed simultaneously. */
-    int maxActive = 8;
-    /** Block-start PCs collected per instance. */
-    int suffixLength = 24;
-    /** Retired instructions an instance may span before abort. */
-    int windowInstrs = 512;
-    /** Candidate slots per static branch. */
-    int numCandidates = 4;
-    /** Votes needed before a candidate is predicted. */
-    int confidenceThreshold = 2;
-};
-
 /**
  * The predictor. Call observeCommit() for every committed
  * instruction in order; call predict() at any time (typically at
@@ -54,7 +38,7 @@ struct ReconConfig
 class ReconPredictor
 {
   public:
-    explicit ReconPredictor(const ReconConfig &config = {});
+    ReconPredictor();
 
     /**
      * Feed one committed instruction.
@@ -110,7 +94,6 @@ class ReconPredictor
     void finishInstance(const ActiveInstance &inst);
     void vote(Entry &e, Addr candidate);
 
-    ReconConfig _cfg;
     std::unordered_map<Addr, Entry> _entries;
     std::vector<ActiveInstance> _active;
     std::uint64_t _instancesCompleted = 0;

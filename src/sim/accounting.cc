@@ -42,8 +42,7 @@ blameBucket(const MachineState &m)
       case InstrStage::Fetched:
         // In the fetch queue, rename stalled. Mirror the rename
         // stage's stall conditions for the head task (position 0).
-        if (std::uint64_t(s.fetchCycle) + m.cfg.frontendDepth >
-            m.now) {
+        if (std::uint64_t(s.fetchCycle) + frontendDepth > m.now) {
             // Frontend refill after a redirect/stall is part of
             // that stall's cost.
             return stallBucket(t);

@@ -1,30 +1,17 @@
 #include "sim/branch_pred.hh"
 
-#include <stdexcept>
-
 namespace polyflow {
 
-GsharePredictor::GsharePredictor(const MachineConfig &config)
-{
-    int n = config.gshareCounters;
-    if (n <= 0 || (n & (n - 1)) != 0)
-        throw std::runtime_error("gshare counters must be power of 2");
-    _counters.assign(n, 2);  // weakly taken
-    _indexMask = std::uint32_t(n - 1);
-    _historyMask = (1u << config.historyBits) - 1;
-}
-
 std::uint32_t
-GsharePredictor::index(Addr pc, std::uint32_t history) const
+GsharePredictor::index(Addr pc, std::uint32_t history)
 {
-    return (std::uint32_t(pc >> 2) ^ (history & _historyMask)) &
-        _indexMask;
+    return (std::uint32_t(pc >> 2) ^ (history & historyMask)) &
+        indexMask;
 }
 
 bool
 GsharePredictor::predict(Addr pc, std::uint32_t history) const
 {
-    ++_lookups;
     return _counters[index(pc, history)] >= 2;
 }
 
@@ -32,9 +19,6 @@ void
 GsharePredictor::update(Addr pc, std::uint32_t history, bool taken)
 {
     std::uint8_t &c = _counters[index(pc, history)];
-    bool predicted = c >= 2;
-    if (predicted != taken)
-        ++_mispredicts;
     if (taken && c < 3)
         ++c;
     else if (!taken && c > 0)

@@ -17,36 +17,32 @@
 namespace polyflow {
 
 /**
- * Gshare direction predictor: 2-bit saturating counters indexed by
- * PC xor global history. History is kept per task (tasks are
- * independent fetch streams); the counter table is shared.
+ * Gshare direction predictor: gshareCounters 2-bit saturating
+ * counters indexed by PC xor historyBits of global history. History
+ * is kept per task (tasks are independent fetch streams); the counter
+ * table is shared.
  */
 class GsharePredictor
 {
   public:
-    explicit GsharePredictor(const MachineConfig &config);
-
     bool predict(Addr pc, std::uint32_t history) const;
     void update(Addr pc, std::uint32_t history, bool taken);
 
     /** Fold @p taken into a task's history register. */
-    std::uint32_t
-    shiftHistory(std::uint32_t history, bool taken) const
+    static std::uint32_t
+    shiftHistory(std::uint32_t history, bool taken)
     {
-        return ((history << 1) | (taken ? 1 : 0)) & _historyMask;
+        return ((history << 1) | (taken ? 1 : 0)) & historyMask;
     }
 
-    std::uint64_t lookups() const { return _lookups; }
-    std::uint64_t mispredicts() const { return _mispredicts; }
-
   private:
-    std::uint32_t index(Addr pc, std::uint32_t history) const;
+    static constexpr std::uint32_t indexMask = gshareCounters - 1;
+    static constexpr std::uint32_t historyMask = (1u << historyBits) - 1;
 
-    std::vector<std::uint8_t> _counters;
-    std::uint32_t _indexMask;
-    std::uint32_t _historyMask;
-    mutable std::uint64_t _lookups = 0;
-    std::uint64_t _mispredicts = 0;
+    static std::uint32_t index(Addr pc, std::uint32_t history);
+
+    std::vector<std::uint8_t> _counters =
+        std::vector<std::uint8_t>(gshareCounters, 2);  // weakly taken
 };
 
 /** Last-target predictor for indirect jumps and indirect calls. */

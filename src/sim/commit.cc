@@ -57,7 +57,7 @@ unblock(MachineState &m)
             continue;
         const InstrState &s = m.istate[b];
         std::uint64_t resume = std::max(
-            std::uint64_t(s.fetchCycle) + m.cfg.minMispredictPenalty,
+            std::uint64_t(s.fetchCycle) + minMispredictPenalty,
             std::max(std::uint64_t(s.completeCycle), m.now) + 1);
         t.fetchReady = std::max(t.fetchReady, resume);
         t.blockedOnBranch = invalidTrace;

@@ -37,9 +37,7 @@ MachineConfig::validate() const
         {"schedEntries", schedEntries},
         {"divertEntries", divertEntries},
         {"numFUs", numFUs},
-        {"gshareCounters", gshareCounters},
         {"fetchTasksPerCycle", fetchTasksPerCycle},
-        {"maxTakenPerTaskCycle", maxTakenPerTaskCycle},
         {"fetchQueueEntries", fetchQueueEntries},
         {"returnStackEntries", returnStackEntries},
     };
@@ -50,14 +48,10 @@ MachineConfig::validate() const
         }
     }
     const std::pair<const char *, int> delays[] = {
-        {"frontendDepth", frontendDepth},
         {"intLatency", intLatency},
         {"mulLatency", mulLatency},
         {"divLatency", divLatency},
         {"loadLatency", loadLatency},
-        {"minMispredictPenalty", minMispredictPenalty},
-        {"squashRestartPenalty", squashRestartPenalty},
-        {"spawnStartupDelay", spawnStartupDelay},
         {"divertReleaseDelay", divertReleaseDelay},
         {"robReservePerOlderTask", robReservePerOlderTask},
         {"l1i.missLatency", l1i.missLatency},
@@ -69,14 +63,6 @@ MachineConfig::validate() const
             reject(std::string(name) + " must not be negative, got " +
                    std::to_string(value));
         }
-    }
-    if ((gshareCounters & (gshareCounters - 1)) != 0) {
-        reject("gshareCounters must be a power of two, got " +
-               std::to_string(gshareCounters));
-    }
-    if (historyBits < 0 || historyBits > 31) {
-        reject("historyBits must be in [0, 31], got " +
-               std::to_string(historyBits));
     }
     const std::pair<const char *, const CacheConfig *> caches[] = {
         {"l1i", &l1i}, {"l1d", &l1d}, {"l2", &l2}};

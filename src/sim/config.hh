@@ -1,7 +1,8 @@
 /**
  * @file
  * Machine configuration (Figure 8 of the paper, plus the model knobs
- * this reproduction exposes for ablation).
+ * this reproduction exposes for ablation) and the fixed parameters
+ * that no experiment varies.
  */
 
 #ifndef POLYFLOW_SIM_CONFIG_HH
@@ -24,6 +25,35 @@ struct CacheConfig
     bool operator==(const CacheConfig &) const = default;
 };
 
+/** @name Fixed machine parameters
+ *  Figure 8 values and model constants that no experiment varies;
+ *  MachineConfig holds the settings the figures, the ablation and the
+ *  tests do vary. @{ */
+constexpr int gshareCounters = 8192;  //!< 16 Kbit = 8192 2-bit counters
+constexpr int historyBits = 8;        //!< global history per task
+constexpr int minMispredictPenalty = 8;
+/** Taken branches a task may fetch past per cycle: fetch ends a
+ *  task's cycle at its first taken branch. */
+constexpr int maxTakenPerTaskCycle = 1;
+constexpr int frontendDepth = 3;      //!< fetch -> earliest rename, cycles
+/** Cycles before a squashed task fetches again. */
+constexpr int squashRestartPenalty = 8;
+/** Cycles between a spawn decision and the new task's first fetch
+ *  (context allocation, rename-map copy). */
+constexpr int spawnStartupDelay = 2;
+/** Use the compiler-provided register dependence masks from the hint
+ *  cache to synchronize consumers up front. A source without compiler
+ *  hints (rec_pred, DMT) supplies zero masks and learns by
+ *  violation. */
+constexpr bool compilerDepHints = true;
+/** @} */
+
+static_assert(gshareCounters > 0 &&
+                  (gshareCounters & (gshareCounters - 1)) == 0,
+              "gshare indexes its table with a mask");
+static_assert(historyBits >= 0 && historyBits <= 31,
+              "the history register is a 32-bit shift register");
+
 /** The PolyFlow machine configuration (defaults = Figure 8). */
 struct MachineConfig
 {
@@ -34,9 +64,6 @@ struct MachineConfig
     int schedEntries = 64;       //!< dynamically shared
     int divertEntries = 128;     //!< dynamically shared
     int numFUs = 8;              //!< identical general-purpose units
-    int minMispredictPenalty = 8;
-    int gshareCounters = 8192;   //!< 16 Kbit = 8192 2-bit counters
-    int historyBits = 8;
     CacheConfig l1i{8 * 1024, 2, 128, 10};
     CacheConfig l1d{16 * 1024, 4, 64, 10};
     CacheConfig l2{512 * 1024, 8, 128, 100};
@@ -44,12 +71,10 @@ struct MachineConfig
 
     /** @name SMT fetch @{ */
     int fetchTasksPerCycle = 2;  //!< superscalar baseline uses 1
-    int maxTakenPerTaskCycle = 1;
     int fetchQueueEntries = 32;  //!< per task, fetched-not-renamed
     /** @} */
 
     /** @name Backend latencies @{ */
-    int frontendDepth = 3;       //!< fetch -> earliest rename, cycles
     int intLatency = 1;
     int mulLatency = 3;
     int divLatency = 12;
@@ -70,20 +95,11 @@ struct MachineConfig
      *  branch (the paper's twolf example); keep the floor low. */
     std::uint32_t minSpawnDistance = 2;
     bool spawnFeedback = true;   //!< disable repeatedly-squashing PCs
-    int squashRestartPenalty = 8;
-    /** Cycles between a spawn decision and the new task's first
-     *  fetch (context allocation, rename-map copy). */
-    int spawnStartupDelay = 2;
     /** Model wrong-path spawns: while a mispredicted branch is
      *  unresolved, fetch beyond it would have spawned bogus tasks;
      *  each unresolved mispredict holds one task context hostage
      *  ("ghost" context) until the branch resolves. */
     bool wrongPathGhosts = true;
-    /** Use the compiler-provided register dependence masks from the
-     *  hint cache to synchronize consumers up front (the dynamic
-     *  rec_pred configuration has no compiler hints and always
-     *  learns by violation). */
-    bool compilerDepHints = true;
     /** Extra cycles a diverted instruction spends between its
      *  wake-up condition holding and re-entering rename (FIFO
      *  re-dispatch cost of the divert queue). */
@@ -121,16 +137,12 @@ struct MachineConfig
     /**
      * Reject a config no machine can run: a non-positive
      * pipelineWidth, numTasks, robEntries, schedEntries,
-     * divertEntries, numFUs, fetchTasksPerCycle, maxTakenPerTaskCycle,
-     * fetchQueueEntries or returnStackEntries; a negative latency,
-     * penalty or delay (frontendDepth, intLatency, mulLatency,
-     * divLatency, loadLatency, minMispredictPenalty,
-     * squashRestartPenalty, spawnStartupDelay, divertReleaseDelay,
-     * robReservePerOlderTask or a cache's missLatency); a
-     * gshareCounters that is not a positive power of two, a
-     * historyBits outside [0, 31], or a cache (l1i, l1d, l2) whose
-     * geometry is not positive or whose set count is not a power of
-     * two.
+     * divertEntries, numFUs, fetchTasksPerCycle, fetchQueueEntries
+     * or returnStackEntries; a negative latency or delay
+     * (intLatency, mulLatency, divLatency, loadLatency,
+     * divertReleaseDelay, robReservePerOlderTask or a cache's
+     * missLatency); or a cache (l1i, l1d, l2) whose geometry is not
+     * positive or whose set count is not a power of two.
      * @throws std::invalid_argument naming the bad field
      */
     void validate() const;

@@ -1,6 +1,7 @@
 #include "sim/core.hh"
 
 #include <chrono>
+#include <sstream>
 #include <stdexcept>
 
 #include "sim/stages.hh"
@@ -43,26 +44,22 @@ class ScopedNs
 [[noreturn]] void
 throwCycleLimit(const MachineState &m)
 {
-    std::string msg =
-        "TimingSim: cycle limit exceeded (deadlock?) in \"" +
-        m.res.policyName + "\" at commitIdx " +
-        std::to_string(m.commitIdx) + " stage=" +
-        std::to_string(int(m.istate[m.commitIdx].stage)) +
-        " sched=" + std::to_string(m.sched.size()) +
-        " divert=" + std::to_string(m.divert.size()) +
-        " rob=" + std::to_string(m.robUsed) + " tasks=[";
+    std::ostringstream msg;
+    msg << "TimingSim: cycle limit exceeded (deadlock?) in \""
+        << m.res.policyName << "\" at commitIdx " << m.commitIdx
+        << " stage=" << int(m.istate[m.commitIdx].stage)
+        << " sched=" << m.sched.size() << " divert=" << m.divert.size()
+        << " rob=" << m.robUsed << " tasks=[";
     for (const sim::Task &t : m.tasks) {
-        msg += "(" + std::to_string(t.begin) + "," +
-            std::to_string(t.end) + ",f" +
-            std::to_string(t.fetchIdx) + ",d" +
-            std::to_string(t.dispIdx) + ",blk" +
-            std::to_string(t.blockedOnBranch == invalidTrace
-                               ? -1
-                               : int(t.blockedOnBranch)) +
-            ",rdy" + std::to_string(t.fetchReady) + ")";
+        msg << "(" << t.begin << "," << t.end << ",f" << t.fetchIdx
+            << ",d" << t.dispIdx << ",blk"
+            << (t.blockedOnBranch == invalidTrace
+                    ? -1
+                    : int(t.blockedOnBranch))
+            << ",rdy" << t.fetchReady << ")";
     }
-    msg += "]";
-    throw std::runtime_error(msg);
+    msg << "]";
+    throw std::runtime_error(msg.str());
 }
 
 /*

@@ -10,6 +10,9 @@ namespace {
  *  tail task still fetches often enough to keep spawning. */
 constexpr long long ageBias = 1;
 
+static_assert(maxTakenPerTaskCycle == 1,
+              "fetch ends a task's cycle at its first taken branch");
+
 /** The Task Spawn Unit's look at fetched instruction @p i, decoded
  *  as @p f, of the task at position @p pos, which may spawn. */
 void
@@ -83,7 +86,7 @@ applySpawn(MachineState &m)
     nt.begin = m.pending.start;
     nt.end = m.pending.end;
     nt.fetchIdx = nt.dispIdx = nt.begin;
-    nt.fetchReady = m.now + m.cfg.spawnStartupDelay;
+    nt.fetchReady = m.now + spawnStartupDelay;
     nt.lastFetchStall = FetchStall::SpawnStartup;
     nt.ghr = m.pending.ghr;
     nt.ras = m.pending.ras;
@@ -145,7 +148,6 @@ fetch(MachineState &m)
         // stays the tail for the whole loop.
         const bool maySpawn = m.source &&
             (m.cfg.spawnFromAnyTask || pos + 1 == m.tasks.size());
-        int taken = 0;
         while (totalBudget > 0 && t.fetchIdx < t.end &&
                t.fetchReady <= m.now &&
                t.blockedOnBranch == invalidTrace &&
@@ -226,15 +228,13 @@ fetch(MachineState &m)
                     static_cast<int>(m.tasks.size() +
                                      m.ghosts.size()) <
                         m.cfg.numTasks) {
-                    m.ghosts.push_back(
-                        m.now + m.cfg.minMispredictPenalty);
+                    m.ghosts.push_back(m.now + minMispredictPenalty);
                 }
                 break;
             }
             if (d.taken()) {
                 t.curFetchLine = invalidAddr;  // fetch redirect
-                if (++taken >= m.cfg.maxTakenPerTaskCycle)
-                    break;
+                break;  // maxTakenPerTaskCycle
             }
         }
     }

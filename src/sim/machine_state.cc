@@ -116,8 +116,7 @@ MachineState::MachineState(const MachineConfig &config,
     : cfg(validated(config)), trace(&trace_), source(source_),
       cycleLimit(cycleLimitFor(config, trace_.size())),
       sched(config.schedEntries), divert(config.divertEntries),
-      hier(config), gshare(config),
-      depPred(trace_.prog ? trace_.prog->size() : 0)
+      hier(config), depPred(trace_.prog ? trace_.prog->size() : 0)
 {
     if (trace_.size() == 0)
         throw std::runtime_error("TimingSim: empty trace");

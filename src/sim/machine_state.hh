@@ -545,7 +545,7 @@ struct MachineState
                   const Task &t) const
     {
         return p >= t.begin ||
-            (cfg.compilerDepHints && ((t.depMask >> src) & 1)) ||
+            (compilerDepHints && ((t.depMask >> src) & 1)) ||
             depPred.predictsRegDep(d.img());
     }
 

@@ -61,7 +61,7 @@ squashFromTask(MachineState &m, size_t taskPos)
                                  m.commitIdx, t.divertedCount});
         }
         t.divertedCount = 0;
-        t.fetchReady = m.now + m.cfg.squashRestartPenalty;
+        t.fetchReady = m.now + squashRestartPenalty;
         t.lastFetchStall = FetchStall::Squash;
         t.blockedOnBranch = invalidTrace;
         t.curFetchLine = invalidAddr;

@@ -12,8 +12,7 @@ dispatch(MachineState &m)
         while (budget > 0 && t.dispIdx < t.fetchIdx) {
             TraceIdx i = t.dispIdx;
             const InstrState &s = m.istate[i];
-            if (std::uint64_t(s.fetchCycle) + m.cfg.frontendDepth >
-                m.now)
+            if (std::uint64_t(s.fetchCycle) + frontendDepth > m.now)
                 break;
             // Its first issue check is next cycle.
             const SyncCheck sync =

@@ -1,8 +1,10 @@
 /**
  * @file
  * Spawn sources: where the Task Spawn Unit gets its spawn targets.
- * Static sources are hint tables produced by compiler analysis;
- * the dynamic source wraps the reconvergence predictor (Section 2.4).
+ * Static sources are hint tables produced by compiler analysis. Of
+ * the two dynamic sources, rec_pred wraps the reconvergence predictor
+ * (Section 2.4) and DMT spawns at backward-branch and call
+ * fall-throughs (Section 5).
  */
 
 #ifndef POLYFLOW_SIM_SPAWN_SOURCE_HH
@@ -92,10 +94,6 @@ class StaticSpawnSource : public SpawnSource
 class ReconSpawnSource : public SpawnSource
 {
   public:
-    explicit ReconSpawnSource(const ReconConfig &config = {})
-        : _predictor(config)
-    {}
-
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
     /** Calls always spawn their fall-through; only a conditional
      *  branch's hint depends on what the predictor has learnt. */

@@ -229,15 +229,4 @@ SpawnAnalysis::analyzeFunction(const Function &fn,
     }
 }
 
-std::vector<SpawnPoint>
-SpawnAnalysis::pointsWithKinds(unsigned kindMask) const
-{
-    std::vector<SpawnPoint> out;
-    for (const SpawnPoint &p : _points) {
-        if (kindMask & kindBit(p.kind))
-            out.push_back(p);
-    }
-    return out;
-}
-
 } // namespace polyflow

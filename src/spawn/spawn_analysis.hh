@@ -68,9 +68,6 @@ class SpawnAnalysis
 
     const std::vector<SpawnPoint> &points() const { return _points; }
 
-    /** Spawn points with any of the kinds in @p kindMask. */
-    std::vector<SpawnPoint> pointsWithKinds(unsigned kindMask) const;
-
     const SpawnCensus &census() const { return _census; }
 
   private:

@@ -1,15 +1,14 @@
 /**
  * @file
  * Unit tests for the analysis module: CFG views, dominators,
- * postdominators (against the paper's Figure 1/2 example), control
- * dependence (Figure 3) and loops. The CHK solver
+ * postdominators (against the paper's Figure 1/2 example) and
+ * loops. The CHK solver
  * is cross-checked against the independent iterative solver.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/cfg_view.hh"
-#include "analysis/control_dep.hh"
 #include "analysis/dominators.hh"
 #include "analysis/iterative_dom.hh"
 #include "analysis/loops.hh"
@@ -120,29 +119,6 @@ TEST(Dominators, PaperFigure1Forward)
     EXPECT_EQ(dt.idom(F), E);
     EXPECT_TRUE(dt.dominates(A, F));
     EXPECT_FALSE(dt.dominates(C, E));
-}
-
-TEST(ControlDep, PaperFigure3)
-{
-    Module m = makePaperFigure1();
-    m.link();
-    CfgView cfg(m.function(0));
-    PostDominatorTree pdt(cfg);
-    ControlDepGraph cdg(cfg, pdt);
-
-    // "blocks A, B, E and F are all control dependent on the loop
-    //  branch in block F, while block E is not control dependent on
-    //  either B, C or D".
-    EXPECT_TRUE(cdg.dependsOn(A, F));
-    EXPECT_TRUE(cdg.dependsOn(B, F));
-    EXPECT_TRUE(cdg.dependsOn(E, F));
-    EXPECT_TRUE(cdg.dependsOn(F, F));
-    EXPECT_FALSE(cdg.dependsOn(E, B));
-    EXPECT_FALSE(cdg.dependsOn(E, C));
-    EXPECT_FALSE(cdg.dependsOn(E, D));
-    // C and D are control dependent on B.
-    EXPECT_TRUE(cdg.dependsOn(C, B));
-    EXPECT_TRUE(cdg.dependsOn(D, B));
 }
 
 TEST(Loops, PaperFigure1Loop)

@@ -302,14 +302,6 @@ TEST(SweepEngine, ParsePositiveDoubleRejectsGarbage)
     ASSERT_EQ(unsetenv("PF_BENCH_SCALE"), 0);
 }
 
-TEST(SweepEngine, DefaultJobsHonorsEnvironment)
-{
-    ASSERT_EQ(setenv("PF_BENCH_JOBS", "3", 1), 0);
-    EXPECT_EQ(driver::defaultJobs(), 3);
-    ASSERT_EQ(unsetenv("PF_BENCH_JOBS"), 0);
-    EXPECT_GE(driver::defaultJobs(), 1);
-}
-
 TEST(SweepEngine, SweepIsWidthInvariant)
 {
     // Workers claim `width` consecutive cells of the cost order at a
@@ -449,6 +441,10 @@ TEST(SweepEngine, KnobsParseFlagsInBothSpellings)
     EXPECT_EQ(driver::jobsFromArgs(a.argc(), a.argv()), 3);
     Argv b({"bench", "--jobs=5"});
     EXPECT_EQ(driver::jobsFromArgs(b.argc(), b.argv()), 5);
+    Argv none({"bench"});
+    EXPECT_EQ(driver::jobsFromArgs(none.argc(), none.argv()),
+              driver::defaultJobs());
+    EXPECT_GE(driver::defaultJobs(), 1);
 }
 
 TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
@@ -479,13 +475,15 @@ TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
             driver::jobsFromArgs(a.argc(), a.argv());
         },
         ::testing::ExitedWithCode(2), "unknown argument \"--jbos\"");
+    // Above the 4096 cap: rejected while parsing, before any worker
+    // starts.
     EXPECT_EXIT(
         {
-            ::setenv("PF_BENCH_JOBS", "x", 1);
-            driver::defaultJobs();
+            Argv a({"bench", "--jobs=5000"});
+            driver::jobsFromArgs(a.argc(), a.argv());
         },
         ::testing::ExitedWithCode(2),
-        "PF_BENCH_JOBS: expected a positive integer, got \"x\"");
+        "--jobs: expected a positive integer, got \"5000\"");
     EXPECT_EXIT(
         {
             ::setenv("PF_BENCH_SCALE", "abc", 1);

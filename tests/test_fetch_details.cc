@@ -104,7 +104,7 @@ TEST(FetchDetails, FrontendDepthBoundsBestCaseLatency)
     b.finish();
     MachineConfig cfg = MachineConfig::superscalar();
     TimingResult r = runTiming(cfg, b.fr->trace, nullptr, "ss");
-    EXPECT_GE(r.cycles, std::uint64_t(cfg.frontendDepth + 1));
+    EXPECT_GE(r.cycles, std::uint64_t(frontendDepth + 1));
     EXPECT_LE(r.cycles, 200u);  // and not absurdly slow
 }
 
@@ -178,7 +178,7 @@ TEST(FetchDetails, MispredictPenaltyHasFloor)
     // Lower bound: mispredicts * minimum penalty.
     EXPECT_GE(r.cycles,
               r.branchMispredicts *
-                  std::uint64_t(cfg.minMispredictPenalty) / 2);
+                  std::uint64_t(minMispredictPenalty) / 2);
 }
 
 TEST(FetchDetails, PolyFlowFetchesFromTwoTasks)

@@ -20,8 +20,7 @@ namespace {
 
 TEST(Gshare, LearnsBiasedBranch)
 {
-    MachineConfig cfg;
-    GsharePredictor g(cfg);
+    GsharePredictor g;
     std::uint32_t h = 0;
     for (int i = 0; i < 50; ++i) {
         g.update(0x4000, h, true);
@@ -32,8 +31,7 @@ TEST(Gshare, LearnsBiasedBranch)
 
 TEST(Gshare, LearnsAlternatingWithHistory)
 {
-    MachineConfig cfg;
-    GsharePredictor g(cfg);
+    GsharePredictor g;
     std::uint32_t h = 0;
     int correct = 0, total = 0;
     for (int i = 0; i < 400; ++i) {
@@ -48,15 +46,6 @@ TEST(Gshare, LearnsAlternatingWithHistory)
     }
     // With 8 bits of history an alternating pattern is learnable.
     EXPECT_GT(correct * 100, total * 95);
-}
-
-TEST(Gshare, CountsMispredicts)
-{
-    MachineConfig cfg;
-    GsharePredictor g(cfg);
-    for (int i = 0; i < 10; ++i)
-        g.update(0x4000, 0, false);  // initial counters predict taken
-    EXPECT_GT(g.mispredicts(), 0u);
 }
 
 TEST(IndirectPredictor, LastTargetBehaviour)

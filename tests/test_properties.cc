@@ -2,9 +2,7 @@
  * @file
  * Property tests over randomly generated CFGs: the CHK dominator /
  * postdominator implementation against the independent iterative
- * solver, structural invariants of dominance, the
- * Ferrante-Ottenstein-Warren control dependence construction
- * against a brute-force of its definition, loop invariants, and
+ * solver, structural invariants of dominance, loop invariants, and
  * liveness dataflow invariants.
  */
 
@@ -13,7 +11,6 @@
 #include <memory>
 
 #include "analysis/cfg_view.hh"
-#include "analysis/control_dep.hh"
 #include "analysis/dominators.hh"
 #include "analysis/iterative_dom.hh"
 #include "analysis/liveness.hh"
@@ -161,32 +158,6 @@ TEST_P(CfgProperty, DominanceStructuralInvariants)
         if (v != cfg.exitNode() && pdt.idom(v) >= 0) {
             EXPECT_TRUE(pdt.postDominates(pdt.idom(v), v));
             EXPECT_NE(pdt.idom(v), v);
-        }
-    }
-}
-
-TEST_P(CfgProperty, ControlDepsMatchDefinition)
-{
-    auto mod = randomCfg(GetParam() * 999331 + 1);
-    CfgView cfg(mod->function(0));
-    PostDominatorTree pdt(cfg);
-    ControlDepGraph cdg(cfg, pdt);
-
-    // Definition: Y is control dependent on X iff Y postdominates
-    // some successor of X but does not strictly postdominate X.
-    for (int x = 0; x < cfg.numNodes(); ++x) {
-        if (!cfg.reachable(x))
-            continue;
-        for (int y = 0; y < cfg.numNodes(); ++y) {
-            if (!cfg.reachable(y))
-                continue;
-            bool someSucc = false;
-            for (int s : cfg.succs(x))
-                someSucc = someSucc || pdt.postDominates(y, s);
-            bool expected = someSucc &&
-                !(y != x && pdt.postDominates(y, x));
-            EXPECT_EQ(cdg.dependsOn(y, x), expected)
-                << y << " cd " << x;
         }
     }
 }

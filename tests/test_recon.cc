@@ -208,9 +208,7 @@ TEST(ReconPredictor, AgreesWithStaticIpdomsOnWorkloads)
 TEST(ReconPredictor, BoundedState)
 {
     // Feed many distinct branches; active-table stays bounded.
-    ReconConfig cfg;
-    cfg.maxActive = 4;
-    ReconPredictor pred(cfg);
+    ReconPredictor pred;
     for (int i = 0; i < 1000; ++i)
         pred.observeCommit(0x1000 + 8 * (i % 100), true, i % 2, true);
     EXPECT_LE(pred.numTrackedBranches(), 100u);

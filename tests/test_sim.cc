@@ -428,22 +428,12 @@ INSTANTIATE_TEST_SUITE_P(
                  [](MachineConfig &c) { c.fetchTasksPerCycle = 0; }},
         BadField{"returnStackEntries",
                  [](MachineConfig &c) { c.returnStackEntries = 0; }},
-        BadField{"gshareCounters",
-                 [](MachineConfig &c) { c.gshareCounters = 0; }},
-        // 1u << 32 is undefined.
-        BadField{"historyBits",
-                 [](MachineConfig &c) { c.historyBits = 32; }},
         // 768 B / (128 B x 2 ways) = 3 sets.
         BadField{"l1i", [](MachineConfig &c) { c.l1i.sizeBytes = 768; }},
         // 16 KB / (64 B x 3 ways) = 85 sets.
         BadField{"l1d", [](MachineConfig &c) { c.l1d.assoc = 3; }},
         BadField{"l2", [](MachineConfig &c) { c.l2.lineBytes = 0; }},
-        // 0 would silently behave as 1.
-        BadField{"maxTakenPerTaskCycle",
-                 [](MachineConfig &c) { c.maxTakenPerTaskCycle = 0; }},
         // A negative latency or delay gives nonsense cycle counts.
-        BadField{"frontendDepth",
-                 [](MachineConfig &c) { c.frontendDepth = -1; }},
         BadField{"intLatency",
                  [](MachineConfig &c) { c.intLatency = -1; }},
         BadField{"mulLatency",
@@ -452,12 +442,6 @@ INSTANTIATE_TEST_SUITE_P(
                  [](MachineConfig &c) { c.divLatency = -1; }},
         BadField{"loadLatency",
                  [](MachineConfig &c) { c.loadLatency = -1; }},
-        BadField{"minMispredictPenalty",
-                 [](MachineConfig &c) { c.minMispredictPenalty = -1; }},
-        BadField{"squashRestartPenalty",
-                 [](MachineConfig &c) { c.squashRestartPenalty = -1; }},
-        BadField{"spawnStartupDelay",
-                 [](MachineConfig &c) { c.spawnStartupDelay = -1; }},
         BadField{"divertReleaseDelay",
                  [](MachineConfig &c) { c.divertReleaseDelay = -1; }},
         BadField{"robReservePerOlderTask",

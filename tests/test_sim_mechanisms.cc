@@ -58,13 +58,21 @@ TEST(Mechanisms, GhostContextsThrottleSpawnsUnderMispredicts)
 TEST(Mechanisms, CompilerHintsPreventViolations)
 {
     // Without hints, cross-task register consumers speculate and
-    // squash once per consumer PC before the predictor learns.
+    // squash once per consumer PC before the predictor learns. The
+    // same spawn points with every dependence mask zeroed stand for
+    // a compiler that provides none.
     Prepared p = prepare("twolf", 0.1);
-    MachineConfig hints;
-    MachineConfig noHints;
-    noHints.compilerDepHints = false;
-    TimingResult rH = p.run(SpawnPolicy::postdoms(), hints);
-    TimingResult rN = p.run(SpawnPolicy::postdoms(), noHints);
+    const HintTable hints(*p.sa, SpawnPolicy::postdoms());
+    std::vector<SpawnPoint> noMasks = hints.points();
+    for (SpawnPoint &sp : noMasks)
+        sp.depMask = 0;
+    StaticSpawnSource withHints{hints};
+    StaticSpawnSource withoutHints{HintTable(noMasks)};
+    const MachineConfig cfg;
+    TimingResult rH =
+        runTiming(cfg, p.fr->trace, &withHints, "postdoms");
+    TimingResult rN =
+        runTiming(cfg, p.fr->trace, &withoutHints, "postdoms");
     EXPECT_LT(rH.violations, rN.violations);
 }
 

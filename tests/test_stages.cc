@@ -168,7 +168,7 @@ TEST(Stages, FrontendSpawnTruncatesParentThenAllocates)
     EXPECT_EQ(m.tasks[1].end, rootEnd);
     EXPECT_EQ(m.tasks[1].lastFetchStall,
               sim::FetchStall::SpawnStartup);
-    EXPECT_EQ(m.tasks[1].fetchReady, m.now + cfg.spawnStartupDelay);
+    EXPECT_EQ(m.tasks[1].fetchReady, m.now + spawnStartupDelay);
     EXPECT_EQ(m.res.spawns, 1u);
     EXPECT_EQ(m.feedback[m.tasks[1].triggerImg].spawns, 1);
 }
@@ -194,7 +194,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
     m.istate[4].stage = sim::InstrStage::Fetched;
     m.istate[4].fetchCycle = 0;
     m.tasks[1].fetchIdx = 5;
-    m.now = std::uint64_t(cfg.frontendDepth);
+    m.now = std::uint64_t(frontendDepth);
 
     sim::dispatch(m);
     // Backpressure: still in the fetch queue, nothing allocated,
@@ -260,7 +260,7 @@ TEST(Stages, RecoverySquashesYoungTasksAndTrainsPredictor)
     EXPECT_EQ(m.robUsed, 1);  // task 0's entry survives
     EXPECT_TRUE(m.sched.empty());
     EXPECT_EQ(m.tasks[1].fetchReady,
-              m.now + std::uint64_t(cfg.squashRestartPenalty));
+              m.now + std::uint64_t(squashRestartPenalty));
     EXPECT_EQ(m.tasks[1].lastFetchStall, sim::FetchStall::Squash);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, TaskEvent::Kind::Squash);
@@ -344,7 +344,7 @@ TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
     m.robUsed = 2;
     m.istate[4].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = 5;
-    m.now = std::uint64_t(cfg.frontendDepth);
+    m.now = std::uint64_t(frontendDepth);
 
     // The predictor marks the consumer, so the shared rule
     // synchronizes it on its cross-task producer.
@@ -400,7 +400,7 @@ TEST(Stages, DivertedConsumerWakesDelayCyclesAfterItsProducerIssues)
     m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 4;
     m.istate[4].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = 5;
-    m.now = std::uint64_t(cfg.frontendDepth);
+    m.now = std::uint64_t(frontendDepth);
     m.depPred.recordRegViolation(tr.instrs[4].img());
 
     // Rename diverts the consumer and records the cross-task
@@ -543,7 +543,7 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
         m.istate[2].stage = sim::InstrStage::Fetched;
         m.istate[2].fetchCycle = std::uint32_t(m.now);
         m.tasks[1].fetchIdx = 3;
-        m.now += std::uint64_t(cfg.frontendDepth);
+        m.now += std::uint64_t(frontendDepth);
     };
 
     fetchConsumer();
@@ -607,7 +607,7 @@ TEST(Stages, ConsumerWokenByAnEarlierReleaseIsExaminedInTheSameScan)
     m.istate[1].stage = sim::InstrStage::Fetched;
     m.istate[2].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = 3;
-    m.now = std::uint64_t(cfg.frontendDepth);
+    m.now = std::uint64_t(frontendDepth);
     sim::dispatch(m);
     const auto queued = divertEntries(m);
     ASSERT_EQ(queued.size(), 2u);
@@ -720,7 +720,7 @@ TEST(Stages, ConsumerParkedAtRenameIssuesWhenItsProducerCompletes)
         m.tasks[0].dispIdx = 1;
         m.tasks[0].fetchIdx = 2;
         m.istate[1].stage = sim::InstrStage::Fetched;
-        m.now = std::uint64_t(cfg.frontendDepth);
+        m.now = std::uint64_t(frontendDepth);
         sim::dispatch(m);
         ASSERT_EQ(m.istate[1].stage, sim::InstrStage::InSched);
         EXPECT_EQ(schedEntries(m)[1].waitOn, TraceIdx(0));
@@ -799,7 +799,7 @@ TEST(Stages, SquashedEntryParkedOnASurvivingProducerIsReParkedOnce)
         m.istate[1].stage = sim::InstrStage::Fetched;
         m.istate[1].fetchCycle = std::uint32_t(m.now);
         m.tasks[1].fetchIdx = 2;
-        m.now += std::uint64_t(cfg.frontendDepth);
+        m.now += std::uint64_t(frontendDepth);
     };
     const sim::Blocker onProducer{0, sim::Await::Issue};
 
@@ -881,7 +881,7 @@ TEST(Stages, LetGoDivertEntryReParksWhenRecoveryTrainsItsPredictor)
     m.istate[q].stage = sim::InstrStage::Fetched;
     m.istate[e].stage = sim::InstrStage::Fetched;
     m.tasks[1].fetchIdx = e + 1;
-    m.now = std::uint64_t(cfg.frontendDepth);
+    m.now = std::uint64_t(frontendDepth);
 
     // q synchronizes on the older li that writes t0, and e follows
     // q, its same-task producer, into the divert queue.
