@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "store/bytes.hh"
+
 namespace polyflow {
 
 namespace {
@@ -12,17 +14,51 @@ blockKey(FuncId f, BlockId b)
     return (std::uint64_t(std::uint32_t(f)) << 32) | std::uint32_t(b);
 }
 
+/** LinkedProgram::contentHash() of a fully linked @p prog. */
+std::uint64_t
+contentHashOf(const LinkedProgram &prog)
+{
+    using store::fnv1aU64;
+    std::uint64_t h = store::fnvOffsetBasis;
+    h = fnv1aU64(prog.size(), h);
+    h = fnv1aU64(prog.entryAddr(), h);
+    h = fnv1aU64(prog.codeBegin(), h);
+    h = fnv1aU64(prog.codeEnd(), h);
+    for (const LinkedInstr &li : prog.image()) {
+        const Instruction &in = li.instr;
+        h = fnv1aU64(static_cast<std::uint64_t>(in.op), h);
+        h = fnv1aU64(in.rd, h);
+        h = fnv1aU64(in.rs1, h);
+        h = fnv1aU64(in.rs2, h);
+        h = fnv1aU64(static_cast<std::uint64_t>(in.imm), h);
+        h = fnv1aU64(li.addr, h);
+        h = fnv1aU64(li.targetAddr, h);
+        h = fnv1aU64(static_cast<std::uint64_t>(li.func), h);
+        h = fnv1aU64(static_cast<std::uint64_t>(li.block), h);
+        h = fnv1aU64(li.blockStart ? 1 : 0, h);
+    }
+    for (const DataInit &d : prog.dataInits()) {
+        h = fnv1aU64(d.addr, h);
+        h = fnv1aU64(d.bytes.size(), h);
+        h = store::fnv1a(
+            std::string_view(reinterpret_cast<const char *>(d.bytes.data()),
+                             d.bytes.size()),
+            h);
+    }
+    return h;
+}
+
 } // namespace
 
 ImageIdx
 LinkedProgram::idxOf(Addr addr) const
 {
-    auto it = _addrToIdx.find(addr);
-    if (it == _addrToIdx.end()) {
+    const ImageIdx idx = findIdx(addr);
+    if (idx == maxImageSize) {
         throw std::runtime_error(
             "no instruction at address " + std::to_string(addr));
     }
-    return it->second;
+    return idx;
 }
 
 Addr
@@ -190,6 +226,7 @@ Module::link()
         prog._dataInits.push_back(di);
 
     prog._entryAddr = _funcs.at(_entryFunc)->startAddr();
+    prog._contentHash = contentHashOf(prog);
     return prog;
 }
 

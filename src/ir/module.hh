@@ -67,9 +67,12 @@ class LinkedProgram
 
     /** Image index of the instruction at @p addr, or fail. */
     ImageIdx idxOf(Addr addr) const;
-    bool hasAddr(Addr addr) const
+    /** Image index of the instruction at @p addr, or maxImageSize
+     *  when there is none. */
+    ImageIdx findIdx(Addr addr) const
     {
-        return _addrToIdx.find(addr) != _addrToIdx.end();
+        auto it = _addrToIdx.find(addr);
+        return it == _addrToIdx.end() ? maxImageSize : it->second;
     }
 
     const std::vector<DataInit> &dataInits() const { return _dataInits; }
@@ -81,6 +84,15 @@ class LinkedProgram
     Addr codeBegin() const { return _codeBegin; }
     Addr codeEnd() const { return _codeEnd; }
 
+    /**
+     * FNV-1a content hash of the instruction image (operations,
+     * registers, immediates, resolved targets, layout), entry point
+     * and initialized data, computed once by Module::link(). Two
+     * programs with equal hashes execute identically under one build
+     * of the functional simulator; the artifact store keys on it.
+     */
+    std::uint64_t contentHash() const { return _contentHash; }
+
     friend class Module;
 
   private:
@@ -91,6 +103,7 @@ class LinkedProgram
     Addr _entryAddr = invalidAddr;
     Addr _codeBegin = 0;
     Addr _codeEnd = 0;
+    std::uint64_t _contentHash = 0;
 };
 
 /**

@@ -43,9 +43,8 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
             std::min<std::uint64_t>(options.maxInstrs, 1u << 22));
     }
 
-    Addr pc = prog.entryAddr();
+    ImageIdx img = prog.idxOf(prog.entryAddr());
     while (res.instrCount < options.maxInstrs) {
-        const ImageIdx img = prog.idxOf(pc);
         const LinkedInstr &li = prog.at(img);
         const Instruction &in = li.instr;
 
@@ -91,11 +90,11 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
             res.halted = true;
             break;
         }
-        pc = out.nextPc;
-        if (!prog.hasAddr(pc)) {
+        img = prog.findIdx(out.nextPc);
+        if (img == maxImageSize) {
             throw std::runtime_error(
                 "functional sim: fetch from non-code address " +
-                std::to_string(pc));
+                std::to_string(out.nextPc));
         }
     }
     res.trace.shrinkToFit();

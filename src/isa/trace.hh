@@ -96,6 +96,16 @@ class Trace
         instrs.push_back(d);
     }
 
+    /** Make room for @p records records, @p side of them with a
+     *  side-table entry. */
+    void
+    reserve(size_t records, size_t side)
+    {
+        instrs.reserve(records);
+        _effAddr.reserve(side);
+        _memProd.reserve(side);
+    }
+
     /** Release spare capacity of the records and the side table. */
     void
     shrinkToFit()
@@ -122,6 +132,8 @@ class Trace
     }
     /** Side-table entries: slots 0 .. sideSize() - 1. */
     size_t sideSize() const { return _effAddr.size(); }
+    /** Side-table entries allocated room for. */
+    size_t sideCapacity() const { return _effAddr.capacity(); }
 
   private:
     std::vector<Addr> _effAddr;      //!< by side slot

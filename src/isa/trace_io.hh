@@ -6,17 +6,21 @@
  * Layout: a u64 record count followed by one fixed-stride 28-byte
  * record per DynInstr — u32 img, u32 flags (bit 0 = taken), u64
  * effAddr, u32 prod[0], u32 prod[1], u32 memProd — all little-
- * endian. Fixed-stride records keep the format mmap-friendly: record
- * i lives at byte 8 + 28*i of the payload. Container-level headers,
- * versioning and checksums are the artifact store's job
- * (store/artifact_store.hh); this codec is payload-only.
+ * endian, so record i lives at byte 8 + 28*i of the payload. The
+ * encoder sizes its output once and stores each field in place; the
+ * decoder checks the payload length once up front, then every
+ * record. Container-level headers, versioning and checksums are the
+ * artifact store's job (store/artifact_store.hh); this codec is
+ * payload-only.
  *
  * In memory the record is split: img, taken and prod[] are the
  * 16-byte DynInstr, and effAddr and memProd are its entry in the
  * Trace's side table. A record without one writes invalidAddr and
  * invalidTrace (all ones) there, and decoding gives a side-table
  * entry to exactly the records whose effAddr or memProd is not all
- * ones, so the file bytes do not depend on the in-memory split.
+ * ones, so the file bytes do not depend on the in-memory split. A
+ * decoded trace's records and side table are allocated to their
+ * exact sizes.
  */
 
 #ifndef POLYFLOW_ISA_TRACE_IO_HH

@@ -54,9 +54,10 @@ TraceIndex::TraceIndex(const Trace &trace)
 TraceIdx
 TraceIndex::nextOccurrence(Addr pc, TraceIdx after) const
 {
-    if (!_prog->hasAddr(pc))
+    const ImageIdx img = _prog->findIdx(pc);
+    if (img == maxImageSize)
         return invalidTrace;
-    const Span occ = _occurrences.of(_prog->idxOf(pc));
+    const Span occ = _occurrences.of(img);
     const TraceIdx *pos = std::upper_bound(occ.begin(), occ.end(), after);
     return pos == occ.end() ? invalidTrace : *pos;
 }

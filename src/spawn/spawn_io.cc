@@ -5,21 +5,30 @@
 namespace polyflow {
 
 namespace {
+
 constexpr size_t recordBytes = 8 + 8 + 4 + 4 + 4;
+
+/** Field offsets within one record. */
+enum : size_t { atTrigger = 0, atTarget = 8, atKind = 16, atFunc = 20,
+                atDepMask = 24 };
+
 } // namespace
 
 void
 encodeSpawnPoints(const std::vector<SpawnPoint> &points,
                   std::string &out)
 {
-    out.reserve(out.size() + 8 + recordBytes * points.size());
-    store::putU64(out, points.size());
-    for (const SpawnPoint &p : points) {
-        store::putU64(out, p.triggerPc);
-        store::putU64(out, p.targetPc);
-        store::putU32(out, static_cast<std::uint32_t>(p.kind));
-        store::putI32(out, p.func);
-        store::putU32(out, p.depMask);
+    const size_t base = out.size();
+    out.resize(base + 8 + recordBytes * points.size());
+    char *p = out.data() + base;
+    store::storeLE<std::uint64_t>(p, points.size());
+    for (p += 8; const SpawnPoint &sp : points) {
+        store::storeLE<Addr>(p + atTrigger, sp.triggerPc);
+        store::storeLE<Addr>(p + atTarget, sp.targetPc);
+        store::storeLE(p + atKind, static_cast<std::uint32_t>(sp.kind));
+        store::storeLE(p + atFunc, static_cast<std::uint32_t>(sp.func));
+        store::storeLE<std::uint32_t>(p + atDepMask, sp.depMask);
+        p += recordBytes;
     }
 }
 
@@ -27,27 +36,28 @@ bool
 decodeSpawnPoints(std::string_view payload,
                   std::vector<SpawnPoint> &out)
 {
-    store::ByteReader r(payload);
-    std::uint64_t count = 0;
-    if (!r.u64(count))
+    if (payload.size() < 8)
         return false;
-    if (r.remaining() != count * recordBytes)
+    const std::uint64_t count = store::loadLE<std::uint64_t>(payload.data());
+    const std::string_view records = payload.substr(8);
+    if (records.size() % recordBytes != 0 ||
+        records.size() / recordBytes != count)
         return false;
 
     std::vector<SpawnPoint> points(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-        SpawnPoint &p = points[i];
-        std::uint32_t kind = 0;
-        if (!r.u64(p.triggerPc) || !r.u64(p.targetPc) ||
-            !r.u32(kind) || !r.i32(p.func) || !r.u32(p.depMask)) {
-            return false;
-        }
+        const char *p = records.data() + i * recordBytes;
+        SpawnPoint &sp = points[i];
+        const auto kind = store::loadLE<std::uint32_t>(p + atKind);
         if (kind >= static_cast<std::uint32_t>(SpawnKind::NumKinds))
             return false;
-        p.kind = static_cast<SpawnKind>(kind);
+        sp.triggerPc = store::loadLE<Addr>(p + atTrigger);
+        sp.targetPc = store::loadLE<Addr>(p + atTarget);
+        sp.kind = static_cast<SpawnKind>(kind);
+        sp.func = static_cast<FuncId>(
+            store::loadLE<std::uint32_t>(p + atFunc));
+        sp.depMask = store::loadLE<std::uint32_t>(p + atDepMask);
     }
-    if (!r.atEnd())
-        return false;
     out = std::move(points);
     return true;
 }

@@ -1,5 +1,7 @@
 #include "store/artifact_store.hh"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -37,50 +39,54 @@ hexU64(std::uint64_t v)
     return buf;
 }
 
-/** Whole file as bytes, or nullopt on any I/O error. */
-std::optional<std::string>
-readFile(const fs::path &path)
+/** Header field offsets; the key follows the header, the payload
+ *  follows the key. */
+enum : size_t { atVersion = 8, atKind = 12, atKeyHash = 16,
+                atPayloadBytes = 24, atPayloadHash = 32, atKeyLen = 40,
+                headerBytes = 42 };
+
+/** Whole file into @p out with one sized read; false on any I/O
+ *  error or short read. */
+bool
+readFile(const fs::path &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        return std::nullopt;
-    return data;
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok) {
+        out.resize(static_cast<size_t>(st.st_size));
+        ok = ::read(fd, out.data(), out.size()) ==
+            static_cast<ssize_t>(out.size());
+    }
+    ::close(fd);
+    return ok;
 }
 
-/** Parse + fully validate one container file: magic, version,
- *  kind, key hash, payload length and checksum. On success @p key,
- *  @p kind and @p payload are set. */
-bool
-parseContainer(const std::string &data, ArtifactKind &kind,
-               std::string &key, std::string &payload)
+/** The payload of container @p file, in place, once the magic,
+ *  version, kind, key, payload length and checksum all match; else
+ *  nullopt. */
+std::optional<std::string_view>
+parseContainer(std::string_view file, ArtifactKind kind,
+               std::string_view key)
 {
-    ByteReader r(data);
-    std::string m;
-    if (!r.bytes(m, sizeof(magic)) ||
-        std::memcmp(m.data(), magic, sizeof(magic)) != 0)
-        return false;
-    std::uint32_t version = 0, rawKind = 0;
-    std::uint64_t keyHash = 0, payloadBytes = 0, payloadHash = 0;
-    std::uint16_t keyLen = 0;
-    if (!r.u32(version) || !r.u32(rawKind) || !r.u64(keyHash) ||
-        !r.u64(payloadBytes) || !r.u64(payloadHash) || !r.u16(keyLen))
-        return false;
-    if (version != formatVersion ||
-        rawKind < std::uint32_t(ArtifactKind::Trace) ||
-        rawKind > std::uint32_t(ArtifactKind::Hints))
-        return false;
-    if (!r.bytes(key, keyLen) || fnv1a(key) != keyHash)
-        return false;
-    if (r.remaining() != payloadBytes ||
-        !r.bytes(payload, static_cast<size_t>(payloadBytes)) ||
-        fnv1a(payload) != payloadHash)
-        return false;
-    kind = static_cast<ArtifactKind>(rawKind);
-    return true;
+    if (file.size() < headerBytes ||
+        file.substr(0, sizeof(magic)) !=
+            std::string_view(magic, sizeof(magic)))
+        return std::nullopt;
+    const char *h = file.data();
+    const auto keyLen = loadLE<std::uint16_t>(h + atKeyLen);
+    if (keyLen != key.size() || file.substr(headerBytes, keyLen) != key)
+        return std::nullopt;
+    const std::string_view payload = file.substr(headerBytes + keyLen);
+    if (loadLE<std::uint32_t>(h + atVersion) != formatVersion ||
+        loadLE<std::uint32_t>(h + atKind) != std::uint32_t(kind) ||
+        loadLE<std::uint64_t>(h + atKeyHash) != fnv1a(key) ||
+        loadLE<std::uint64_t>(h + atPayloadBytes) != payload.size() ||
+        loadLE<std::uint64_t>(h + atPayloadHash) != wordHash(payload))
+        return std::nullopt;
+    return payload;
 }
 
 const char *
@@ -95,38 +101,6 @@ artifactKindName(ArtifactKind k)
 }
 
 } // namespace
-
-std::uint64_t
-programContentHash(const LinkedProgram &prog)
-{
-    std::uint64_t h = fnvOffsetBasis;
-    h = fnv1aU64(prog.size(), h);
-    h = fnv1aU64(prog.entryAddr(), h);
-    h = fnv1aU64(prog.codeBegin(), h);
-    h = fnv1aU64(prog.codeEnd(), h);
-    for (const LinkedInstr &li : prog.image()) {
-        const Instruction &in = li.instr;
-        h = fnv1aU64(static_cast<std::uint64_t>(in.op), h);
-        h = fnv1aU64(in.rd, h);
-        h = fnv1aU64(in.rs1, h);
-        h = fnv1aU64(in.rs2, h);
-        h = fnv1aU64(static_cast<std::uint64_t>(in.imm), h);
-        h = fnv1aU64(li.addr, h);
-        h = fnv1aU64(li.targetAddr, h);
-        h = fnv1aU64(static_cast<std::uint64_t>(li.func), h);
-        h = fnv1aU64(static_cast<std::uint64_t>(li.block), h);
-        h = fnv1aU64(li.blockStart ? 1 : 0, h);
-    }
-    for (const DataInit &d : prog.dataInits()) {
-        h = fnv1aU64(d.addr, h);
-        h = fnv1aU64(d.bytes.size(), h);
-        h = fnv1a(std::string_view(
-                      reinterpret_cast<const char *>(d.bytes.data()),
-                      d.bytes.size()),
-                  h);
-    }
-    return h;
-}
 
 ArtifactStore::ArtifactStore(fs::path root) : _root(std::move(root))
 {
@@ -156,7 +130,7 @@ ArtifactStore::keyString(ArtifactKind kind, const std::string &name,
     key += '@';
     key += scaleText(scale);
     key += '|';
-    key += hexU64(programContentHash(prog));
+    key += hexU64(prog.contentHash());
     key += "|v";
     key += std::to_string(formatVersion);
     if (kind == ArtifactKind::Hints) {
@@ -174,41 +148,35 @@ ArtifactStore::pathFor(ArtifactKind kind,
                     hexU64(fnv1a(key)) + ".pfa");
 }
 
-std::optional<std::string>
-ArtifactStore::loadPayload(ArtifactKind kind,
-                           const std::string &key) const
+std::optional<std::string_view>
+ArtifactStore::loadPayload(ArtifactKind kind, const std::string &key,
+                           std::string &file) const
 {
-    auto data = readFile(pathFor(kind, key));
-    if (!data) {
-        ++_misses;
+    if (!readFile(pathFor(kind, key), file))
         return std::nullopt;
-    }
-    ArtifactKind gotKind;
-    std::string gotKey, payload;
-    if (!parseContainer(*data, gotKind, gotKey, payload) ||
-        gotKind != kind || gotKey != key) {
-        ++_misses;
-        return std::nullopt;
-    }
-    ++_hits;
-    return payload;
+    return parseContainer(file, kind, key);
+}
+
+bool
+ArtifactStore::tally(bool hit) const
+{
+    ++(hit ? _hits : _misses);
+    return hit;
 }
 
 bool
 ArtifactStore::savePayload(ArtifactKind kind, const std::string &key,
-                           const std::string &payload)
+                           std::string_view payload)
 {
-    std::string file;
-    file.reserve(64 + key.size() + payload.size());
-    file.append(magic, sizeof(magic));
-    putU32(file, formatVersion);
-    putU32(file, static_cast<std::uint32_t>(kind));
-    putU64(file, fnv1a(key));
-    putU64(file, payload.size());
-    putU64(file, fnv1a(payload));
-    putU16(file, static_cast<std::uint16_t>(key.size()));
-    file += key;
-    file += payload;
+    std::string head(magic, sizeof(magic));
+    head.resize(headerBytes);
+    storeLE<std::uint32_t>(head.data() + atVersion, formatVersion);
+    storeLE(head.data() + atKind, static_cast<std::uint32_t>(kind));
+    storeLE<std::uint64_t>(head.data() + atKeyHash, fnv1a(key));
+    storeLE<std::uint64_t>(head.data() + atPayloadBytes, payload.size());
+    storeLE<std::uint64_t>(head.data() + atPayloadHash, wordHash(payload));
+    storeLE(head.data() + atKeyLen, static_cast<std::uint16_t>(key.size()));
+    head += key;
 
     static std::atomic<unsigned> tmpCounter{0};
     fs::path dest = pathFor(kind, key);
@@ -220,9 +188,11 @@ ArtifactStore::savePayload(ArtifactKind kind, const std::string &key,
     fs::create_directories(_root, ec);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out || !out.write(file.data(),
-                               static_cast<std::streamsize>(
-                                   file.size()))) {
+        if (!out ||
+            !out.write(head.data(),
+                       static_cast<std::streamsize>(head.size())) ||
+            !out.write(payload.data(),
+                       static_cast<std::streamsize>(payload.size()))) {
             ++_saveFailures;
             fs::remove(tmp, ec);
             return false;
@@ -241,13 +211,12 @@ std::optional<Trace>
 ArtifactStore::loadTrace(const std::string &name, double scale,
                          const LinkedProgram &prog) const
 {
-    auto payload = loadPayload(
+    std::string file;
+    const auto payload = loadPayload(
         ArtifactKind::Trace,
-        keyString(ArtifactKind::Trace, name, scale, prog, 0));
-    if (!payload)
-        return std::nullopt;
+        keyString(ArtifactKind::Trace, name, scale, prog, 0), file);
     Trace t;
-    if (!decodeTrace(*payload, prog, t))
+    if (!tally(payload && decodeTrace(*payload, prog, t)))
         return std::nullopt;
     return t;
 }
@@ -266,62 +235,29 @@ ArtifactStore::saveTrace(const std::string &name, double scale,
 }
 
 std::optional<std::vector<SpawnPoint>>
-ArtifactStore::loadAnalysisPoints(const std::string &name,
-                                  double scale,
-                                  const LinkedProgram &prog) const
+ArtifactStore::loadPoints(ArtifactKind kind, const std::string &name,
+                          double scale, const LinkedProgram &prog,
+                          unsigned kindMask) const
 {
-    auto payload = loadPayload(
-        ArtifactKind::Analysis,
-        keyString(ArtifactKind::Analysis, name, scale, prog, 0));
-    if (!payload)
-        return std::nullopt;
+    std::string file;
+    const auto payload = loadPayload(
+        kind, keyString(kind, name, scale, prog, kindMask), file);
     std::vector<SpawnPoint> points;
-    if (!decodeSpawnPoints(*payload, points))
+    if (!tally(payload && decodeSpawnPoints(*payload, points)))
         return std::nullopt;
     return points;
 }
 
 bool
-ArtifactStore::saveAnalysisPoints(
-    const std::string &name, double scale, const LinkedProgram &prog,
-    const std::vector<SpawnPoint> &points)
+ArtifactStore::savePoints(ArtifactKind kind, const std::string &name,
+                          double scale, const LinkedProgram &prog,
+                          unsigned kindMask,
+                          const std::vector<SpawnPoint> &points)
 {
     std::string payload;
     encodeSpawnPoints(points, payload);
     return savePayload(
-        ArtifactKind::Analysis,
-        keyString(ArtifactKind::Analysis, name, scale, prog, 0),
-        payload);
-}
-
-std::optional<std::vector<SpawnPoint>>
-ArtifactStore::loadHintPoints(const std::string &name, double scale,
-                              const LinkedProgram &prog,
-                              unsigned kindMask) const
-{
-    auto payload = loadPayload(
-        ArtifactKind::Hints,
-        keyString(ArtifactKind::Hints, name, scale, prog, kindMask));
-    if (!payload)
-        return std::nullopt;
-    std::vector<SpawnPoint> points;
-    if (!decodeSpawnPoints(*payload, points))
-        return std::nullopt;
-    return points;
-}
-
-bool
-ArtifactStore::saveHintPoints(const std::string &name, double scale,
-                              const LinkedProgram &prog,
-                              unsigned kindMask,
-                              const std::vector<SpawnPoint> &points)
-{
-    std::string payload;
-    encodeSpawnPoints(points, payload);
-    return savePayload(
-        ArtifactKind::Hints,
-        keyString(ArtifactKind::Hints, name, scale, prog, kindMask),
-        payload);
+        kind, keyString(kind, name, scale, prog, kindMask), payload);
 }
 
 std::vector<EntryInfo>

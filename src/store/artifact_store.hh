@@ -18,20 +18,24 @@
  * code. Use a fresh directory per build (perfbench does, per run).
  * With PF_CACHE_DIR unset, empty or "off" nothing touches disk.
  *
- * Container layout (little-endian):
+ * Container layout (little-endian, formatVersion 2):
  *
  *     magic "PFARTFCT" | u32 formatVersion | u32 kind
- *     u64 keyHash | u64 payloadBytes | u64 payloadHash (FNV-1a)
+ *     u64 keyHash (FNV-1a) | u64 payloadBytes
+ *     u64 payloadHash (four-lane wordHash, store/bytes.hh)
  *     u16 keyLen | key string | payload
  *
- * Loads validate all of it — magic, version, kind, full key string,
- * payload length and checksum — and report any mismatch as a plain
- * miss, so corrupt, truncated or version-skewed files fall back to a
- * rebuild, never a crash or a wrong result. Saves are atomic
- * (unique temp file + rename), so concurrent writers of the same key
- * race benignly: readers see either nothing or one complete entry.
- * Every save is best-effort (I/O failures are swallowed and
- * counted), and deleting the directory is always safe.
+ * A load reads the file with one sized read and decodes the payload
+ * in place. It validates all of it — magic, version, kind, full key
+ * string, payload length, checksum and every payload record — and
+ * reports any mismatch as a plain miss, so corrupt, truncated or
+ * version-skewed files fall back to a rebuild, never a crash or a
+ * wrong result; the checksum catches every single-byte change. Saves
+ * are atomic (unique temp file + rename), so concurrent writers of
+ * the same key race benignly: readers see either nothing or one
+ * complete entry. Every save is best-effort (I/O failures are
+ * swallowed and counted), and deleting the directory is always
+ * safe.
  */
 
 #ifndef POLYFLOW_STORE_ARTIFACT_STORE_HH
@@ -43,6 +47,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/module.hh"
@@ -52,7 +57,7 @@
 namespace polyflow::store {
 
 /** Bumped whenever any container or payload layout changes. */
-constexpr std::uint32_t formatVersion = 1;
+constexpr std::uint32_t formatVersion = 2;
 
 /** What a store entry holds. */
 enum class ArtifactKind : std::uint32_t {
@@ -68,15 +73,12 @@ struct EntryInfo
     std::uintmax_t fileBytes = 0;
 };
 
-/**
- * Content hash of a linked program: instruction image (operations,
- * registers, immediates, resolved targets, layout), entry point and
- * initialized data. Two programs with equal hashes execute
- * identically under one build of the functional simulator, so
- * artifacts keyed on it are never served to a workload whose
- * definition changed (but see the file comment on code edits).
- */
-std::uint64_t programContentHash(const LinkedProgram &prog);
+/** The store's key for @p prog: LinkedProgram::contentHash(). */
+inline std::uint64_t
+programContentHash(const LinkedProgram &prog)
+{
+    return prog.contentHash();
+}
 
 class ArtifactStore
 {
@@ -107,19 +109,35 @@ class ArtifactStore
     /** SpawnAnalysis points, in original analysis order. */
     std::optional<std::vector<SpawnPoint>>
     loadAnalysisPoints(const std::string &name, double scale,
-                       const LinkedProgram &prog) const;
-    bool saveAnalysisPoints(const std::string &name, double scale,
-                            const LinkedProgram &prog,
-                            const std::vector<SpawnPoint> &points);
+                       const LinkedProgram &prog) const
+    {
+        return loadPoints(ArtifactKind::Analysis, name, scale, prog, 0);
+    }
+    bool
+    saveAnalysisPoints(const std::string &name, double scale,
+                       const LinkedProgram &prog,
+                       const std::vector<SpawnPoint> &points)
+    {
+        return savePoints(ArtifactKind::Analysis, name, scale, prog, 0,
+                          points);
+    }
 
     /** HintTable points for one policy kind mask. */
     std::optional<std::vector<SpawnPoint>>
     loadHintPoints(const std::string &name, double scale,
-                   const LinkedProgram &prog,
-                   unsigned kindMask) const;
-    bool saveHintPoints(const std::string &name, double scale,
-                        const LinkedProgram &prog, unsigned kindMask,
-                        const std::vector<SpawnPoint> &points);
+                   const LinkedProgram &prog, unsigned kindMask) const
+    {
+        return loadPoints(ArtifactKind::Hints, name, scale, prog,
+                          kindMask);
+    }
+    bool
+    saveHintPoints(const std::string &name, double scale,
+                   const LinkedProgram &prog, unsigned kindMask,
+                   const std::vector<SpawnPoint> &points)
+    {
+        return savePoints(ArtifactKind::Hints, name, scale, prog,
+                          kindMask, points);
+    }
     /** @} */
 
     /** Every *.pfa file under the root, in directory order. The
@@ -139,11 +157,23 @@ class ArtifactStore
     std::filesystem::path pathFor(ArtifactKind kind,
                                   const std::string &key) const;
 
-    /** Validated payload of the entry for @p key, or nullopt. */
-    std::optional<std::string> loadPayload(ArtifactKind kind,
-                                           const std::string &key) const;
+    /** Validated payload of the entry for @p key, read into @p file
+     *  and viewed in place; nullopt on a miss. */
+    std::optional<std::string_view>
+    loadPayload(ArtifactKind kind, const std::string &key,
+                std::string &file) const;
     bool savePayload(ArtifactKind kind, const std::string &key,
-                     const std::string &payload);
+                     std::string_view payload);
+    /** Count a load as a hit or a miss; returns @p hit. */
+    bool tally(bool hit) const;
+
+    std::optional<std::vector<SpawnPoint>>
+    loadPoints(ArtifactKind kind, const std::string &name, double scale,
+               const LinkedProgram &prog, unsigned kindMask) const;
+    bool savePoints(ArtifactKind kind, const std::string &name,
+                    double scale, const LinkedProgram &prog,
+                    unsigned kindMask,
+                    const std::vector<SpawnPoint> &points);
 
     std::filesystem::path _root;
     mutable std::atomic<int> _hits{0};

@@ -1,10 +1,13 @@
 /**
  * @file
- * Little-endian byte-stream helpers and the FNV-1a hash used by the
- * persistent artifact store. Header-only so the serialization code
- * in src/isa and src/spawn can use it without linking pf_store.
+ * Little-endian loads and stores and the two hashes of the
+ * persistent artifact store: FNV-1a (store keys and the linked
+ * program's content hash, ir/module.hh) and the four-lane word hash
+ * (container payload checksums). Header-only so the payload codecs
+ * in src/isa and src/spawn and the linker in src/ir can use it
+ * without linking pf_store.
  *
- * Every multi-byte value is written least-significant byte first,
+ * Every multi-byte value is stored least-significant byte first,
  * regardless of host endianness, so cache files are portable and the
  * checksums are stable across machines.
  */
@@ -12,163 +15,43 @@
 #ifndef POLYFLOW_STORE_BYTES_HH
 #define POLYFLOW_STORE_BYTES_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <string_view>
 
 namespace polyflow::store {
 
-/** @name Append little-endian scalars to a byte buffer @{ */
-inline void
-putU8(std::string &out, std::uint8_t v)
+/** @p v with its bytes in reverse order. */
+template <class T>
+constexpr T
+byteSwapped(T v)
 {
-    out.push_back(static_cast<char>(v));
+    T r = 0;
+    for (size_t i = 0; i < sizeof(T); ++i)
+        r = static_cast<T>((r << 8) | ((v >> (8 * i)) & 0xff));
+    return r;
 }
 
-inline void
-putU16(std::string &out, std::uint16_t v)
+/** @name Fixed-width little-endian access to unaligned bytes @{ */
+template <class T>
+inline T
+loadLE(const char *p)
 {
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return std::endian::native == std::endian::little ? v : byteSwapped(v);
 }
 
+template <class T>
 inline void
-putU32(std::string &out, std::uint32_t v)
+storeLE(char *p, T v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-inline void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-inline void
-putI64(std::string &out, std::int64_t v)
-{
-    putU64(out, static_cast<std::uint64_t>(v));
-}
-
-inline void
-putI32(std::string &out, std::int32_t v)
-{
-    putU32(out, static_cast<std::uint32_t>(v));
+    if (std::endian::native != std::endian::little)
+        v = byteSwapped(v);
+    std::memcpy(p, &v, sizeof(v));
 }
 /** @} */
-
-/**
- * Bounds-checked little-endian reader over a byte buffer. Every
- * accessor returns false once the buffer is exhausted; ok() stays
- * false from the first failed read, so a decode loop can check once
- * at the end.
- */
-class ByteReader
-{
-  public:
-    explicit ByteReader(std::string_view data) : _data(data) {}
-
-    bool
-    u8(std::uint8_t &v)
-    {
-        if (!need(1))
-            return false;
-        v = static_cast<std::uint8_t>(_data[_pos++]);
-        return true;
-    }
-
-    bool
-    u16(std::uint16_t &v)
-    {
-        if (!need(2))
-            return false;
-        v = static_cast<std::uint16_t>(
-            static_cast<std::uint8_t>(_data[_pos]) |
-            (static_cast<std::uint8_t>(_data[_pos + 1]) << 8));
-        _pos += 2;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        if (!need(4))
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t(
-                     static_cast<std::uint8_t>(_data[_pos + i]))
-                << (8 * i);
-        _pos += 4;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        if (!need(8))
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(
-                     static_cast<std::uint8_t>(_data[_pos + i]))
-                << (8 * i);
-        _pos += 8;
-        return true;
-    }
-
-    bool
-    i64(std::int64_t &v)
-    {
-        std::uint64_t u;
-        if (!u64(u))
-            return false;
-        std::memcpy(&v, &u, sizeof(v));
-        return true;
-    }
-
-    bool
-    i32(std::int32_t &v)
-    {
-        std::uint32_t u;
-        if (!u32(u))
-            return false;
-        std::memcpy(&v, &u, sizeof(v));
-        return true;
-    }
-
-    bool
-    bytes(std::string &out, size_t n)
-    {
-        if (!need(n))
-            return false;
-        out.assign(_data.substr(_pos, n));
-        _pos += n;
-        return true;
-    }
-
-    size_t remaining() const { return _data.size() - _pos; }
-    bool atEnd() const { return ok() && _pos == _data.size(); }
-    bool ok() const { return !_failed; }
-
-  private:
-    bool
-    need(size_t n)
-    {
-        if (_failed || _data.size() - _pos < n) {
-            _failed = true;
-            return false;
-        }
-        return true;
-    }
-
-    std::string_view _data;
-    size_t _pos = 0;
-    bool _failed = false;
-};
 
 /** FNV-1a 64-bit over a byte range, chainable via @p seed. */
 constexpr std::uint64_t fnvOffsetBasis = 0xcbf29ce484222325ull;
@@ -194,6 +77,45 @@ fnv1aU64(std::uint64_t v, std::uint64_t seed)
         h ^= (v >> (8 * i)) & 0xff;
         h *= fnvPrime;
     }
+    return h;
+}
+
+/** One lane step of wordHash: a bijection of @p lane for a fixed
+ *  @p word, and injective in @p word for a fixed @p lane. */
+constexpr std::uint64_t
+laneStep(std::uint64_t lane, std::uint64_t word)
+{
+    return std::rotl(lane + word * 0xc2b2ae3d27d4eb4full, 31) *
+        0x9e3779b185ebca87ull;
+}
+
+/**
+ * Four-lane word hash. The data's 8-byte little-endian words go
+ * round-robin into four independent lanes, the last 32-byte block
+ * zero-padded; then the length and the four lanes fold into one
+ * value through the same step. Each step is a bijection of its state
+ * for a fixed word and injective in the word, so two inputs of one
+ * length that differ only within one word, any single-byte change
+ * included, always hash differently.
+ */
+inline std::uint64_t
+wordHash(std::string_view data)
+{
+    std::uint64_t lanes[4] = {1, 2, 3, 4};
+    const auto block = [&lanes](const char *p) {
+        for (int i = 0; i < 4; ++i)
+            lanes[i] = laneStep(lanes[i], loadLE<std::uint64_t>(p + 8 * i));
+    };
+    size_t pos = 0;
+    for (; data.size() - pos >= 32; pos += 32)
+        block(data.data() + pos);
+    char tail[32] = {};
+    data.copy(tail, sizeof(tail), pos);
+    block(tail);
+
+    std::uint64_t h = data.size();
+    for (std::uint64_t lane : lanes)
+        h = laneStep(h, lane);
     return h;
 }
 

@@ -21,6 +21,7 @@
 #include "isa/trace_io.hh"
 #include "spawn/spawn_io.hh"
 #include "store/artifact_store.hh"
+#include "store/bytes.hh"
 #include "store/sha256.hh"
 #include "workloads/workloads.hh"
 
@@ -70,6 +71,20 @@ traceOf(const Workload &w)
     FunctionalResult r = runFunctional(w.prog, opt);
     EXPECT_TRUE(r.halted);
     return std::move(r.trace);
+}
+
+std::string
+readBytes(const fs::path &file)
+{
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const fs::path &file, const std::string &bytes)
+{
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 void
@@ -178,6 +193,20 @@ TEST(TraceCodec, RejectsAProducerNotOlderThanItsConsumer)
         Trace back;
         EXPECT_FALSE(decodeTrace(payload, w.prog, back)) << field;
     }
+}
+
+TEST(TraceCodec, DecodedSideTableIsExactSized)
+{
+    Workload w = smallWorkload();
+    Trace t = traceOf(w);
+    std::string payload;
+    encodeTrace(t, payload);
+    Trace back;
+    ASSERT_TRUE(decodeTrace(payload, w.prog, back));
+    ASSERT_GT(back.sideSize(), 0u);
+    EXPECT_EQ(back.sideSize(), t.sideSize());
+    EXPECT_EQ(back.sideCapacity(), back.sideSize());
+    EXPECT_EQ(back.instrs.capacity(), back.size());
 }
 
 TEST(SpawnCodec, RoundTripsExactly)
@@ -310,6 +339,71 @@ TEST_F(StoreTest, CorruptTruncatedAndVersionSkewAreMisses)
 
     // Restored pristine bytes hit again.
     rewrite(pristine);
+    EXPECT_TRUE(store.loadTrace("twolf", 0.02, w.prog));
+}
+
+TEST_F(StoreTest, EveryByteFlipIsAMiss)
+{
+    // A small entry: the first records of a real trace, so every
+    // producer stays inside it.
+    Workload w = smallWorkload();
+    const Trace full = traceOf(w);
+    Trace t;
+    t.prog = &w.prog;
+    for (TraceIdx i = 0; i < 16; ++i) {
+        const DynInstr &d = full.instrs[i];
+        t.append(d.img(), d.taken(), d.prod[0], d.prod[1],
+                 full.effAddr(d), full.memProd(d));
+    }
+    ArtifactStore store(_root);
+    ASSERT_TRUE(store.saveTrace("twolf", 0.02, w.prog, t));
+    const fs::path file = store.entries().at(0).path;
+    const std::string pristine = readBytes(file);
+
+    // Header, key and payload: each flipped byte is a miss, and the
+    // rebuild that follows writes the pristine entry back.
+    for (size_t at = 0; at < pristine.size(); ++at) {
+        for (char flip : {'\x01', '\x80'}) {
+            std::string bad = pristine;
+            bad[at] ^= flip;
+            writeBytes(file, bad);
+            ASSERT_FALSE(store.loadTrace("twolf", 0.02, w.prog))
+                << "byte " << at << " ^ " << int(std::uint8_t(flip));
+            ASSERT_TRUE(store.saveTrace("twolf", 0.02, w.prog, t));
+            ASSERT_EQ(readBytes(file), pristine) << "byte " << at;
+        }
+    }
+    auto back = store.loadTrace("twolf", 0.02, w.prog);
+    ASSERT_TRUE(back);
+    expectSameTrace(t, *back);
+    EXPECT_EQ(store.misses(), 2 * int(pristine.size()));
+    EXPECT_EQ(store.hits(), 1);
+}
+
+TEST_F(StoreTest, VersionOneEntryIsAMiss)
+{
+    Workload w = smallWorkload();
+    Trace t = traceOf(w);
+    ArtifactStore store(_root);
+    ASSERT_TRUE(store.saveTrace("twolf", 0.02, w.prog, t));
+    const fs::path file = store.entries().at(0).path;
+    const std::string pristine = readBytes(file);
+
+    // The same key and payload under a version 1 header, whose
+    // checksum was FNV-1a over the payload.
+    constexpr size_t headerBytes = 42;
+    const size_t keyLen =
+        store::loadLE<std::uint16_t>(pristine.data() + 40);
+    const std::string key = pristine.substr(headerBytes, keyLen);
+    const std::string payload = pristine.substr(headerBytes + keyLen);
+    std::string v1 = pristine.substr(0, headerBytes);
+    store::storeLE<std::uint32_t>(v1.data() + 8, 1);
+    store::storeLE<std::uint64_t>(v1.data() + 32,
+                                  store::fnv1a(payload));
+    writeBytes(file, v1 + key + payload);
+    EXPECT_FALSE(store.loadTrace("twolf", 0.02, w.prog));
+
+    writeBytes(file, pristine);
     EXPECT_TRUE(store.loadTrace("twolf", 0.02, w.prog));
 }
 
