@@ -492,9 +492,9 @@ TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
         ::testing::ExitedWithCode(2),
         "PF_BENCH_SCALE: expected a finite positive number, "
         "got \"abc\"");
-    EXPECT_EXIT(driver::parseCount("--width", "8x"),
+    EXPECT_EXIT(driver::parseCount("--jobs", "8x"),
                 ::testing::ExitedWithCode(2),
-                "--width: expected a positive integer, got \"8x\"");
+                "--jobs: expected a positive integer, got \"8x\"");
 }
 
 } // namespace

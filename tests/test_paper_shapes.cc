@@ -31,31 +31,34 @@ class PaperShapes : public ::testing::Test
     all()
     {
         static const std::map<std::string, Bench> data = [] {
-            std::map<std::string, Bench> out;
             const std::vector<SpawnPolicy> policies = {
                 SpawnPolicy::loop(),      SpawnPolicy::loopFT(),
                 SpawnPolicy::procFT(),    SpawnPolicy::hammock(),
                 SpawnPolicy::other(),     SpawnPolicy::postdoms(),
                 SpawnPolicy::loopProcFTLoopFT(),
             };
+            std::vector<driver::SweepCell> cells;
             for (const std::string &name : allWorkloadNames()) {
-                Workload w = buildWorkload(name, shapeScale);
-                FunctionalOptions opt;
-                opt.recordTrace = true;
-                auto fr = runFunctional(w.prog, opt);
-                SpawnAnalysis sa(*w.module, w.prog);
-                TimingResult base =
-                    runTiming(MachineConfig::superscalar(), fr.trace,
-                             nullptr, "ss");
-                Bench b;
-                b.ssIpc = base.ipc();
-                for (const SpawnPolicy &pol : policies) {
-                    StaticSpawnSource src{HintTable(sa, pol)};
-                    TimingResult r = runTiming(MachineConfig{}, fr.trace,
-                                           &src, pol.name);
-                    b.speedup[pol.name] = r.speedupOver(base);
+                cells.push_back({name, shapeScale,
+                                 driver::SourceSpec::baseline(),
+                                 MachineConfig::superscalar(), "ss"});
+                for (const SpawnPolicy &pol : policies)
+                    cells.push_back({name, shapeScale,
+                                     driver::SourceSpec::statics(pol),
+                                     MachineConfig{}, pol.name});
+            }
+            const auto results = driver::SweepRunner().run(cells, false);
+            std::map<std::string, Bench> out;
+            const TimingResult *base = nullptr;
+            for (size_t i = 0; i < cells.size(); ++i) {
+                const TimingResult &r = results[i].sim;
+                Bench &b = out[cells[i].workload];
+                if (cells[i].label == "ss") {
+                    base = &r;
+                    b.ssIpc = r.ipc();
+                } else {
+                    b.speedup[cells[i].label] = r.speedupOver(*base);
                 }
-                out[name] = std::move(b);
             }
             return out;
         }();

@@ -2,25 +2,19 @@
  * @file
  * Stage-isolation tests: drive individual pipeline-stage functions
  * (sim/stages.hh) on hand-built MachineState instances — no full-run
- * harness required — the sha256 goldens
- * pinning whole sweep grids' stats exports whatever the job count,
- * claim width and declaration order, and the tests that
- * TimingSim::runBatch equals single runs.
+ * harness required — and the tests that TimingSim::runBatch equals
+ * single runs.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <iterator>
 #include <memory>
-#include <tuple>
 #include <utility>
 
 #include "ir/builder.hh"
 #include "polyflow.hh"
 #include "queue_check.hh"
 #include "sim/stages.hh"
-#include "stats/export.hh"
 #include "store/sha256.hh"
 
 namespace polyflow {
@@ -952,265 +946,11 @@ TEST(Stages, TraceTooLongForThirtyTwoBitCyclesIsRejected)
 
 TEST(Stages, Sha256MatchesKnownVector)
 {
-    // FIPS 180-4 test vector; guards the hash the golden test below
-    // is pinned with.
+    // FIPS 180-4 test vector; guards the hash the cycle pin
+    // (test_golden.cc) is pinned with.
     EXPECT_EQ(store::sha256Hex("abc"),
               "ba7816bf8f01cfea414140de5dae2223"
               "b00361a396177a9cb410ff61f20015ad");
-}
-
-/** How a golden grid is run: sweep workers, cells a worker claims
- *  at a time, and whether the grid is declared back to front. */
-struct Schedule
-{
-    int jobs = 4;
-    int width = 1;
-    bool reversed = false;
-};
-
-/** Stats export of @p cells run under @p schedule, hashed in
- *  declaration order (a reversed grid's results are mapped back).
- *  Any cycle, slot-bucket or task-event drift changes it. */
-std::string
-gridHash(std::vector<driver::SweepCell> cells, Schedule schedule = {})
-{
-    if (schedule.reversed)
-        std::reverse(cells.begin(), cells.end());
-    driver::SweepRunner runner(schedule.jobs, schedule.width);
-    auto results = runner.run(cells, false);
-    if (schedule.reversed) {
-        std::reverse(cells.begin(), cells.end());
-        std::reverse(results.begin(), results.end());
-    }
-    std::vector<stats::RunRecord> recs;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        recs.push_back({cells[i].workload, cells[i].scale,
-                        cells[i].label, results[i].sim});
-    }
-    return store::sha256Hex(stats::toJson(recs));
-}
-
-constexpr double kGoldenScale = 0.04;
-
-/** The full fig09 grid: every workload, superscalar + all six
- *  static policies. */
-std::vector<driver::SweepCell>
-fig09Grid()
-{
-    const std::vector<SpawnPolicy> policies = {
-        SpawnPolicy::loop(),   SpawnPolicy::loopFT(),
-        SpawnPolicy::procFT(), SpawnPolicy::hammock(),
-        SpawnPolicy::other(),  SpawnPolicy::postdoms(),
-    };
-    std::vector<driver::SweepCell> cells;
-    for (const std::string &name : allWorkloadNames()) {
-        cells.push_back({name, kGoldenScale,
-                         driver::SourceSpec::baseline(),
-                         MachineConfig::superscalar(),
-                         "superscalar"});
-        for (const auto &p : policies) {
-            cells.push_back({name, kGoldenScale,
-                             driver::SourceSpec::statics(p),
-                             MachineConfig{}, p.name});
-        }
-    }
-    return cells;
-}
-
-/** Every workload under each (label, source, config) column. */
-std::vector<driver::SweepCell>
-columnsGrid(
-    const std::vector<std::tuple<std::string, driver::SourceSpec,
-                                 MachineConfig>> &columns)
-{
-    std::vector<driver::SweepCell> cells;
-    for (const std::string &name : allWorkloadNames()) {
-        for (const auto &[label, spec, cfg] : columns)
-            cells.push_back({name, kGoldenScale, spec, cfg, label});
-    }
-    return cells;
-}
-
-/** The dynamic spawn sources (fig12's reconvergence predictor and
- *  the DMT heuristics), which train while they run. */
-std::vector<driver::SweepCell>
-dynamicSourcesGrid()
-{
-    return columnsGrid({{"rec_pred", driver::SourceSpec::recon(),
-                         MachineConfig{}},
-                        {"dmt", driver::SourceSpec::dmt(),
-                         MachineConfig{}}});
-}
-
-/** Postdoms under the ablation's spawn-unit mechanism knobs (the
- *  ablation report in bench/figures.cc). */
-std::vector<driver::SweepCell>
-spawnUnitAblationGrid()
-{
-    const auto postdoms =
-        driver::SourceSpec::statics(SpawnPolicy::postdoms());
-    MachineConfig noFb;
-    noFb.spawnFeedback = false;
-    MachineConfig noGhost;
-    noGhost.wrongPathGhosts = false;
-    MachineConfig neither;
-    neither.spawnFeedback = false;
-    neither.wrongPathGhosts = false;
-    return columnsGrid({{"no feedback", postdoms, noFb},
-                        {"no wrong-path ghosts", postdoms, noGhost},
-                        {"neither", postdoms, neither}});
-}
-
-/** Postdoms with spawning allowed from any task, not only the
- *  tail (the paper's Section 6 extension). */
-std::vector<driver::SweepCell>
-spawnFromAnyTaskGrid()
-{
-    MachineConfig any;
-    any.spawnFromAnyTask = true;
-    return columnsGrid(
-        {{"spawn-from-any-task",
-          driver::SourceSpec::statics(SpawnPolicy::postdoms()),
-          any}});
-}
-
-/** Postdoms under the ablation's narrow resource configs (the
- *  ablation report in bench/figures.cc: one and two task contexts,
- *  16- and 32-entry divert queues, a 128-entry ROB) plus one
- *  latency-skew column (slow divides, slow loads, slow divert
- *  release). They saturate the divert queue and stretch producer
- *  latencies, which no other grid does. */
-std::vector<driver::SweepCell>
-resourceLatencyGrid()
-{
-    const auto postdoms =
-        driver::SourceSpec::statics(SpawnPolicy::postdoms());
-    MachineConfig tasks1;
-    tasks1.numTasks = 1;
-    MachineConfig tasks2;
-    tasks2.numTasks = 2;
-    MachineConfig divert16;
-    divert16.divertEntries = 16;
-    MachineConfig divert32;
-    divert32.divertEntries = 32;
-    MachineConfig rob128;
-    rob128.robEntries = 128;
-    MachineConfig skew;
-    skew.divLatency = 20;
-    skew.loadLatency = 4;
-    skew.divertReleaseDelay = 4;
-    return columnsGrid({{"tasks=1", postdoms, tasks1},
-                        {"tasks=2", postdoms, tasks2},
-                        {"divert=16", postdoms, divert16},
-                        {"divert=32", postdoms, divert32},
-                        {"rob=128", postdoms, rob128},
-                        {"latency skew", postdoms, skew}});
-}
-
-/** Produced by the simulator BEFORE the stage decomposition: any
- *  cycle, slot-bucket or task-event drift anywhere in the pipeline
- *  changes it. */
-const char *const kFig09GoldenSha =
-    "6e0f8abd7a59adc605ac66c775f2c4b9c159e4842c9f3018d2ab931e"
-    "1d781e77";
-
-/** The three pins below were produced by the simulator that still
- *  carried a scalar twin of every hot stage, and by its stage-major
- *  batches of 8 alike; they hold the one-machine loop to those
- *  cycles in the source kinds and config families fig09 does not
- *  reach. */
-const char *const kDynamicSourcesGoldenSha =
-    "554dc7701d6dc84a1a57caf4c77f24af67ab5ceaef20751f5c9d0be9"
-    "095c231c";
-const char *const kSpawnUnitAblationGoldenSha =
-    "801d93fa8557dd2c468438b64cc4643285efd379e891d7ee32c7402f"
-    "7d1baab4";
-const char *const kSpawnFromAnyTaskGoldenSha =
-    "1f3f30a7fa6202ef7b38f629a99c523b338c424b7878ab11881dbd41"
-    "490970d7";
-
-/** Pinned on the simulator that re-ran the full dependence rule
- *  for every divert-queue and scheduler entry every cycle, before
- *  held entries learned to wait on their blocking producer. */
-const char *const kResourceLatencyGoldenSha =
-    "4832eafb5c5558423c3f9d72bbc327a453acf06f1fc34ec1e6c64d16"
-    "1b0c911f";
-
-/** The schedules every golden must hold under: one worker and
- *  four, declared in order and back to front. The cost order makes
- *  each of them run the cells in a different sequence. */
-const Schedule kSchedules[] = {
-    {1, 1, false},
-    {4, 1, false},
-    {1, 1, true},
-    {4, 1, true},
-};
-
-std::string
-describe(const Schedule &s)
-{
-    return "jobs " + std::to_string(s.jobs) + ", width " +
-        std::to_string(s.width) +
-        (s.reversed ? ", reversed" : ", declared");
-}
-
-/** Every schedule of kSchedules plus @p extra hashes to @p sha. */
-void
-expectScheduleInvariant(const std::vector<driver::SweepCell> &cells,
-                        const char *sha,
-                        std::vector<Schedule> extra = {})
-{
-    extra.insert(extra.begin(), std::begin(kSchedules),
-                 std::end(kSchedules));
-    for (const Schedule &s : extra)
-        EXPECT_EQ(gridHash(cells, s), sha) << describe(s);
-}
-
-TEST(Stages, GoldenFig09StatsAreCycleIdenticalToSeed)
-{
-    EXPECT_EQ(gridHash(fig09Grid()), kFig09GoldenSha);
-}
-
-TEST(Stages, GoldenFig09StatsAreCycleIdenticalWhenBatched)
-{
-    // Workers claim the cost order in batches of cells, at any job
-    // count and declaration order; width 3 leaves a remainder
-    // claim. None may move a single cycle, slot or task event.
-    expectScheduleInvariant(fig09Grid(), kFig09GoldenSha,
-                            {{4, 3, false}, {4, 3, true}});
-}
-
-TEST(Stages, GoldenDynamicSourcesAreWidthInvariant)
-{
-    expectScheduleInvariant(dynamicSourcesGrid(),
-                            kDynamicSourcesGoldenSha, {{4, 3, true}});
-}
-
-TEST(Stages, GoldenSpawnUnitAblationIsWidthInvariant)
-{
-    expectScheduleInvariant(spawnUnitAblationGrid(),
-                            kSpawnUnitAblationGoldenSha,
-                            {{4, 3, true}});
-}
-
-TEST(Stages, GoldenSpawnFromAnyTaskIsWidthInvariant)
-{
-    expectScheduleInvariant(spawnFromAnyTaskGrid(),
-                            kSpawnFromAnyTaskGoldenSha,
-                            {{4, 3, true}});
-}
-
-TEST(Stages, GoldenResourcesAndLatenciesAreScheduleInvariant)
-{
-    const std::vector<driver::SweepCell> cells = resourceLatencyGrid();
-    // The grid must fill the divert queue somewhere, or the pin says
-    // nothing about entries held while it is full.
-    const auto results = driver::SweepRunner(4).run(cells, false);
-    EXPECT_TRUE(std::any_of(
-        results.begin(), results.end(), [](const auto &r) {
-            return r.sim.divertQueueFullStalls > 0;
-        }));
-    expectScheduleInvariant(cells, kResourceLatencyGoldenSha);
 }
 
 // ---------------------------------------------------------------

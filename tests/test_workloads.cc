@@ -109,8 +109,8 @@ TEST(WorkloadRegistry, HasTwelveBenchmarks)
 /**
  * Every linked program, byte for byte: a builder edit that moves an
  * instruction, a block or a data word fails here naming the workload
- * and scale, before it shows up as drifted cycles in a golden. The
- * scales are the goldens' (0.04) and the published figures' (1).
+ * and scale, before it shows up as drifted cycles in the cycle pin.
+ * The scales are the pin's (0.04) and the published figures' (1).
  */
 TEST(WorkloadRegistry, ProgramsArePinned)
 {

@@ -10,7 +10,7 @@
  *
  * Usage:
  *   pf_report [--workload NAME]... [--policy NAME]...
- *             [--scale S] [--jobs N] [--width W]
+ *             [--scale S] [--jobs N]
  *             [--json PATH] [--csv PATH]
  *
  * Policies: superscalar, loop, loopFT, procFT, hammock, other,
@@ -40,7 +40,6 @@ struct Options
     std::vector<std::string> policies;
     double scale = 0.1;
     int jobs = 0;
-    int width = 0;  //!< 0 = config default
     std::string jsonPath;
     std::string csvPath;
 };
@@ -53,7 +52,7 @@ usage(const char *msg)
     std::fprintf(
         stderr,
         "usage: pf_report [--workload NAME]... [--policy NAME]...\n"
-        "                 [--scale S] [--jobs N] [--width W]\n"
+        "                 [--scale S] [--jobs N]\n"
         "                 [--json PATH] [--csv PATH]\n"
         "policies: superscalar loop loopFT procFT hammock other\n"
         "          postdoms rec_pred dmt\n");
@@ -80,8 +79,6 @@ parseArgs(int argc, char **argv)
             opt.scale = driver::parseScale("--scale", value(i));
         } else if (!std::strcmp(a, "--jobs")) {
             opt.jobs = driver::parseCount("--jobs", value(i));
-        } else if (!std::strcmp(a, "--width")) {
-            opt.width = driver::parseCount("--width", value(i));
         } else if (!std::strcmp(a, "--json")) {
             opt.jsonPath = value(i);
         } else if (!std::strcmp(a, "--csv")) {
@@ -116,8 +113,6 @@ main(int argc, char **argv)
             MachineConfig cfg = p == "superscalar"
                 ? MachineConfig::superscalar()
                 : MachineConfig{};
-            if (opt.width > 0)
-                cfg.pipelineWidth = opt.width;
             cells.push_back({w, opt.scale, *spec, cfg, p});
         }
     }
