@@ -93,7 +93,8 @@ struct Schedule
 
 /** Every schedule the pin must hold under. The cost order makes each
  *  run the cells in a different sequence; width 3 leaves a remainder
- *  claim. The grid test runs the first, the schedule test the rest. */
+ *  claim. The grid test runs the first, the label groups' schedule
+ *  tests the rest. */
 const Schedule kSchedules[] = {
     {4, 1, false}, {4, 1, true},  {1, 1, false},
     {1, 1, true},  {4, 3, false}, {4, 3, true},
@@ -214,10 +215,36 @@ TEST(Golden, CellsMatchThePinFile)
     EXPECT_TRUE(divertFilled);
 }
 
-TEST(Golden, EveryScheduleMatchesThePinFile)
+/** The grid's labels in the groups the benches sweep together. Each
+ *  group's schedule test below keeps the `Stages.Golden*` name the
+ *  group's own golden had, so its test history carries over. */
+const std::vector<std::string> kFig09Labels = {
+    "superscalar", "loop", "loopFT", "procFT",
+    "hammock",     "other", "postdoms"};
+const std::vector<std::string> kDynamicSourceLabels = {"rec_pred", "dmt"};
+const std::vector<std::string> kSpawnUnitLabels = {
+    "no feedback", "no wrong-path ghosts", "neither"};
+const std::vector<std::string> kSpawnFromAnyTaskLabels = {
+    "spawn-from-any-task"};
+const std::vector<std::string> kResourceLatencyLabels = {
+    "tasks=1", "tasks=2", "divert=16", "divert=32", "rob=128",
+    "latency skew"};
+
+/** The cells of @p labels match their pinned rows under every
+ *  schedule but the grid test's. */
+void
+expectEveryScheduleMatches(const std::vector<std::string> &labels)
 {
-    const auto cells = pinnedGrid();
-    const Pins pinned = readPins(PF_GOLDEN_PINS);
+    const auto inGroup = [&](const std::string &label) {
+        return std::find(labels.begin(), labels.end(), label) !=
+            labels.end();
+    };
+    std::vector<driver::SweepCell> cells = pinnedGrid();
+    std::erase_if(cells, [&](const auto &c) { return !inGroup(c.label); });
+    Pins pinned = readPins(PF_GOLDEN_PINS);
+    std::erase_if(pinned,
+                  [&](const auto &row) { return !inGroup(row.first.second); });
+    ASSERT_EQ(cells.size(), labels.size() * allWorkloadNames().size());
     for (size_t i = 1; i < std::size(kSchedules); ++i) {
         const Schedule &s = kSchedules[i];
         const std::string moved =
@@ -227,6 +254,49 @@ TEST(Golden, EveryScheduleMatchesThePinFile)
             << (s.reversed ? ", reversed" : ", declared") << ":\n"
             << moved;
     }
+}
+
+TEST(Golden, LabelGroupsCoverTheGridOnce)
+{
+    std::vector<std::string> grouped;
+    for (const auto *group :
+         {&kFig09Labels, &kDynamicSourceLabels, &kSpawnUnitLabels,
+          &kSpawnFromAnyTaskLabels, &kResourceLatencyLabels})
+        grouped.insert(grouped.end(), group->begin(), group->end());
+    std::vector<std::string> labels;
+    for (const driver::SweepCell &c : pinnedGrid()) {
+        if (std::find(labels.begin(), labels.end(), c.label) ==
+            labels.end())
+            labels.push_back(c.label);
+    }
+    std::sort(grouped.begin(), grouped.end());
+    std::sort(labels.begin(), labels.end());
+    EXPECT_EQ(grouped, labels);
+}
+
+TEST(Stages, GoldenFig09StatsAreCycleIdenticalWhenBatched)
+{
+    expectEveryScheduleMatches(kFig09Labels);
+}
+
+TEST(Stages, GoldenDynamicSourcesAreWidthInvariant)
+{
+    expectEveryScheduleMatches(kDynamicSourceLabels);
+}
+
+TEST(Stages, GoldenSpawnUnitAblationIsWidthInvariant)
+{
+    expectEveryScheduleMatches(kSpawnUnitLabels);
+}
+
+TEST(Stages, GoldenSpawnFromAnyTaskIsWidthInvariant)
+{
+    expectEveryScheduleMatches(kSpawnFromAnyTaskLabels);
+}
+
+TEST(Stages, GoldenResourcesAndLatenciesAreScheduleInvariant)
+{
+    expectEveryScheduleMatches(kResourceLatencyLabels);
 }
 
 TEST(Golden, ComparerNamesMissingExtraAndMovedCells)
