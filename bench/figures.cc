@@ -14,22 +14,20 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "driver/sweep.hh"
+#include "driver/grid.hh"
 #include "sim/config.hh"
 #include "stats/export.hh"
 #include "stats/table.hh"
 #include "workloads/workloads.hh"
 
 using namespace polyflow;
+using driver::Grid;
 
 namespace {
 
@@ -68,12 +66,8 @@ reportRuns(const std::string &stem,
     };
     std::vector<Agg> aggs;
     for (const stats::RunRecord &r : records) {
+        stats::checkSlotIdentity(r);
         const TimingResult &s = r.sim;
-        if (s.slotTotal() != s.cycles * s.issueWidth) {
-            std::cerr << "cycle-accounting identity violated for "
-                      << r.workload << "/" << r.label << "\n";
-            std::exit(1);
-        }
         auto a = std::find_if(aggs.begin(), aggs.end(), [&](auto &c) {
             return c.label == r.label;
         });
@@ -100,136 +94,7 @@ reportRuns(const std::string &stem,
 }
 
 /** Run label of the baseline every speedup is measured over. */
-const std::string superscalar = "superscalar";
-
-/** The single heuristic policies and postdoms (Figure 9). */
-const std::vector<SpawnPolicy> singles = {
-    SpawnPolicy::loop(),    SpawnPolicy::loopFT(), SpawnPolicy::procFT(),
-    SpawnPolicy::hammock(), SpawnPolicy::other(),  SpawnPolicy::postdoms()};
-
-/** The widely used heuristic combinations (Figure 10). */
-const std::vector<SpawnPolicy> combinations = {
-    SpawnPolicy::loopPlusLoopFT(), SpawnPolicy::loopFTPlusProcFT(),
-    SpawnPolicy::loopProcFTLoopFT()};
-
-/** The four postdominator categories (Figures 5 and 11). */
-const std::vector<SpawnKind> categories = {
-    SpawnKind::LoopFT, SpawnKind::ProcFT, SpawnKind::Hammock,
-    SpawnKind::Other};
-
-std::vector<std::string>
-labelsOf(const std::vector<SpawnPolicy> &policies)
-{
-    std::vector<std::string> out;
-    for (const SpawnPolicy &p : policies)
-        out.push_back(p.name);
-    return out;
-}
-
-/** Every distinct run the reports read, declared once and run in
- *  one sweep. */
-struct Grid
-{
-    std::vector<driver::SweepCell> cells;
-    std::vector<driver::CellResult> results;
-    /** The figures' runs by (workload, run label). */
-    std::map<std::pair<std::string, std::string>, size_t> index;
-
-    /** Declare the figures' runs at @p scale: per workload the
-     *  baseline, the single policies, the combinations, postdoms
-     *  minus each category, rec_pred and dmt. */
-    explicit Grid(double scale)
-    {
-        std::vector<std::pair<std::string, driver::SourceSpec>> runs;
-        std::vector<SpawnPolicy> statics = singles;
-        statics.insert(statics.end(), combinations.begin(),
-                       combinations.end());
-        for (SpawnKind k : categories)
-            statics.push_back(SpawnPolicy::postdomsMinus(k));
-        for (const SpawnPolicy &p : statics)
-            runs.emplace_back(p.name, driver::SourceSpec::statics(p));
-        runs.emplace_back("rec_pred", driver::SourceSpec::recon());
-        runs.emplace_back("dmt", driver::SourceSpec::dmt());
-
-        for (const std::string &name : allWorkloadNames()) {
-            index[{name, superscalar}] =
-                add({name, scale, driver::SourceSpec::baseline(),
-                     MachineConfig::superscalar(), superscalar});
-            for (const auto &[label, source] : runs) {
-                index[{name, label}] =
-                    add({name, scale, source, MachineConfig{}, label});
-            }
-        }
-    }
-
-    /** Index of the cell that runs @p cell: the one declared earlier
-     *  with the same workload, scale, source and config, else
-     *  @p cell itself, newly declared. */
-    size_t
-    add(driver::SweepCell cell)
-    {
-        auto same = [&](const driver::SweepCell &c) {
-            return c.workload == cell.workload &&
-                c.scale == cell.scale &&
-                c.source.kind == cell.source.kind &&
-                c.source.policy.name == cell.source.policy.name &&
-                c.config == cell.config;
-        };
-        auto it = std::find_if(cells.begin(), cells.end(), same);
-        if (it != cells.end())
-            return it - cells.begin();
-        cells.push_back(std::move(cell));
-        return cells.size() - 1;
-    }
-
-    void run(driver::SweepRunner &runner) { results = runner.run(cells); }
-
-    /** Cell @p i's run as the table row @p label: the row's own label
-     *  in both the record and its result, even where rows share a
-     *  run. */
-    stats::RunRecord
-    record(size_t i, const std::string &label) const
-    {
-        stats::RunRecord r{cells[i].workload, cells[i].scale, label,
-                           results[i].sim};
-        r.sim.policyName = label;
-        return r;
-    }
-
-    const driver::CellResult &
-    at(const std::string &workload, const std::string &label) const
-    {
-        return results[index.at({workload, label})];
-    }
-
-    /** Speedup % over superscalar of each run in @p labels. */
-    std::vector<double>
-    speedups(const std::string &workload,
-             const std::vector<std::string> &labels) const
-    {
-        const TimingResult &base = at(workload, superscalar).sim;
-        std::vector<double> out;
-        for (const std::string &label : labels)
-            out.push_back(at(workload, label).sim.speedupOver(base));
-        return out;
-    }
-
-    /** <stem>.stats.json and the cycle attribution over a figure's
-     *  runs: per workload, the baseline and then @p labels. */
-    void
-    report(const std::string &stem,
-           const std::vector<std::string> &labels) const
-    {
-        std::vector<std::string> runs = {superscalar};
-        runs.insert(runs.end(), labels.begin(), labels.end());
-        std::vector<stats::RunRecord> records;
-        for (const std::string &name : allWorkloadNames()) {
-            for (const std::string &label : runs)
-                records.push_back(record(index.at({name, label}), label));
-        }
-        reportRuns(stem, records);
-    }
-};
+const std::string &superscalar = driver::runTable().superscalar.label;
 
 /** One column of a figure's table. */
 struct Column
@@ -241,8 +106,9 @@ struct Column
 
 /**
  * A figure's table: one row per workload, @p row giving its values,
- * then an Average row. Prints it, writes <stem>.csv and the figure's
- * report over @p runs, and returns each column's average.
+ * then an Average row. Prints it, writes <stem>.csv, reports the
+ * figure's runs (per workload, the baseline and then @p runs) and
+ * returns each column's average.
  */
 std::vector<double>
 figureTable(
@@ -277,7 +143,13 @@ figureTable(
     }
     table.print(std::cout);
     table.writeCsv(stem + ".csv");
-    g.report(stem, runs);
+    std::vector<stats::RunRecord> records;
+    for (const std::string &name : allWorkloadNames()) {
+        records.push_back(g.record(g.cell(name, superscalar), superscalar));
+        for (const std::string &label : runs)
+            records.push_back(g.record(g.cell(name, label), label));
+    }
+    reportRuns(stem, records);
     return means;
 }
 
@@ -337,7 +209,8 @@ fig05(driver::SweepCache &cache, double scale)
         double total = c.postdomTotal();
         table.startRow();
         table.cell(name);
-        for (SpawnKind k : categories)
+        for (SpawnKind k : {SpawnKind::LoopFT, SpawnKind::ProcFT,
+                            SpawnKind::Hammock, SpawnKind::Other})
             table.cell(total ? 100.0 * c.byKind[int(k)] / total : 0.0,
                        1);
         table.cell((long long)total);
@@ -426,11 +299,13 @@ fig11(const Grid &g, double scale)
     banner("Figure 11: loss in % speedup when one postdominator "
            "category is excluded",
            scale);
+    const std::string postdoms = SpawnPolicy::postdoms().name;
     std::vector<Column> columns;
-    std::vector<std::string> runs = {SpawnPolicy::postdoms().name};
-    for (SpawnKind k : categories) {
-        columns.push_back({std::string("-") + spawnKindName(k)});
-        runs.push_back(SpawnPolicy::postdomsMinus(k).name);
+    std::vector<std::string> runs = {postdoms};
+    for (const driver::RunSpec &r : driver::runTable().exclusions) {
+        // "postdoms-loopFT" heads its column "-loopFT".
+        columns.push_back({r.label.substr(postdoms.size())});
+        runs.push_back(r.label);
     }
     figureTable(g, "fig11", columns, runs, [&](const std::string &name) {
         const std::vector<double> s = g.speedups(name, runs);
@@ -511,137 +386,49 @@ fig12(const Grid &g, driver::SweepCache &cache, double scale)
                  "matter (paper Section 4.4).\n";
 }
 
-/** One ablation section: a knob's settings, each a labelled
- *  config. */
-struct Section
-{
-    std::string title;
-    std::vector<std::pair<std::string, MachineConfig>> cfgs;
-};
-
-/** The default config changed by @p set. */
-MachineConfig
-configWith(const std::function<void(MachineConfig &)> &set)
-{
-    MachineConfig c;
-    set(c);
-    return c;
-}
-
-/** A section that sets @p knob of the default config to each of
- *  @p values, labelled <prefix><value>. */
-template <typename T>
-Section
-knobSection(std::string title, const std::string &prefix,
-            T MachineConfig::*knob, const std::vector<T> &values)
-{
-    Section s{std::move(title), {}};
-    for (T v : values) {
-        s.cfgs.emplace_back(prefix + std::to_string(v),
-                            configWith([&](auto &c) { c.*knob = v; }));
-    }
-    return s;
-}
-
 /**
  * The resource and policy ablation of DESIGN.md Section 6: postdoms
- * on twolf (loop-structured) and mcf (hard hammocks) with one design
- * choice changed at a time — task count, divert-queue size, ROB size,
- * spawn-distance cap, the profitability/ghost-context mechanisms and
- * the paper's Section 6 spawn-from-any-task extension. Rows whose
- * config is the default share one run.
+ * on twolf and mcf with one design choice changed at a time, one
+ * table per section of the run table. Rows whose config is the
+ * default share one run. Writes ablation_resources.stats.json, one
+ * record per table row.
  */
-class Ablation
+void
+ablation(const Grid &g, double scale)
 {
-  public:
-    /** Declare the ablation's runs, at @p scale, in @p g. */
-    Ablation(Grid &g, double scale) : _scale(scale)
-    {
-        const auto postdoms =
-            driver::SourceSpec::statics(SpawnPolicy::postdoms());
-        for (const std::string &wl : _workloads) {
-            _cells.push_back(g.add({wl, scale,
-                                    driver::SourceSpec::baseline(),
-                                    MachineConfig::superscalar(),
-                                    superscalar}));
-            for (const Section &s : _sections) {
-                for (const auto &[label, cfg] : s.cfgs)
-                    _cells.push_back(
-                        g.add({wl, scale, postdoms, cfg, label}));
+    banner("Ablations: resource and policy knobs (postdoms policy)",
+           scale);
+    const driver::RunTable &table = driver::runTable();
+    std::vector<stats::RunRecord> records;
+    for (const std::string &wl : table.ablationWorkloads) {
+        const size_t baseCell =
+            g.find(wl, scale, table.superscalar).value();
+        const TimingResult &base = g.results()[baseCell].sim;
+        records.push_back(g.record(baseCell, superscalar));
+        std::cout << "== workload " << wl << " (superscalar IPC "
+                  << base.ipc() << ") ==\n\n";
+        for (const driver::RunSection &s : table.ablation) {
+            Table t({"config", "cycles", "IPC", "speedup%", "spawns",
+                     "violations"});
+            for (const driver::RunSpec &row : s.runs) {
+                const size_t cell = g.find(wl, scale, row).value();
+                const TimingResult &r = g.results()[cell].sim;
+                records.push_back(g.record(cell, row.label));
+                t.startRow();
+                t.cell(row.label);
+                t.cell((long long)r.cycles);
+                t.cell(r.ipc());
+                t.cell(r.speedupOver(base), 1);
+                t.cell((long long)r.spawns);
+                t.cell((long long)r.violations);
             }
+            std::cout << "--- " << s.title << " ---\n";
+            t.print(std::cout);
+            std::cout << "\n";
         }
     }
-
-    /** Print the report; write ablation_resources.stats.json, one
-     *  record per table row. */
-    void
-    print(const Grid &g) const
-    {
-        banner("Ablations: resource and policy knobs (postdoms "
-               "policy)",
-               _scale);
-        std::vector<stats::RunRecord> records;
-        auto cell = _cells.begin();
-        for (const std::string &wl : _workloads) {
-            const TimingResult &base = g.results[*cell].sim;
-            records.push_back(g.record(*cell++, superscalar));
-            std::cout << "== workload " << wl << " (superscalar IPC "
-                      << base.ipc() << ") ==\n\n";
-            for (const Section &s : _sections) {
-                Table t({"config", "cycles", "IPC", "speedup%",
-                         "spawns", "violations"});
-                for (const auto &[label, cfg] : s.cfgs) {
-                    const TimingResult &r = g.results[*cell].sim;
-                    records.push_back(g.record(*cell++, label));
-                    t.startRow();
-                    t.cell(label);
-                    t.cell((long long)r.cycles);
-                    t.cell(r.ipc());
-                    t.cell(r.speedupOver(base), 1);
-                    t.cell((long long)r.spawns);
-                    t.cell((long long)r.violations);
-                }
-                std::cout << "--- " << s.title << " ---\n";
-                t.print(std::cout);
-                std::cout << "\n";
-            }
-        }
-        reportRuns("ablation_resources", records);
-    }
-
-  private:
-    const std::vector<std::string> _workloads = {"twolf", "mcf"};
-    const std::vector<Section> _sections = {
-        knobSection("task contexts", "tasks=", &MachineConfig::numTasks,
-                    {1, 2, 4, 8, 16}),
-        knobSection("divert queue entries", "divert=",
-                    &MachineConfig::divertEntries,
-                    {16, 32, 64, 128, 256, 512}),
-        knobSection("reorder buffer entries", "rob=",
-                    &MachineConfig::robEntries, {128, 256, 512, 1024}),
-        knobSection("max spawn distance", "maxDist=",
-                    &MachineConfig::maxSpawnDistance,
-                    {64, 128, 256, 512, 2048, 8192}),
-        {"spawn-unit mechanisms",
-         {{"feedback+ghosts", {}},
-          {"no feedback",
-           configWith([](auto &c) { c.spawnFeedback = false; })},
-          {"no wrong-path ghosts",
-           configWith([](auto &c) { c.wrongPathGhosts = false; })},
-          {"neither", configWith([](auto &c) {
-               c.spawnFeedback = c.wrongPathGhosts = false;
-           })}}},
-        // Paper Section 6 future work: spawn from any task, not just
-        // the tail (nested hammocks can then spawn past their inner
-        // branch).
-        {"spawn source task (Section 6 extension)",
-         {{"tail-only (paper)", {}},
-          {"spawn-from-any-task",
-           configWith([](auto &c) { c.spawnFromAnyTask = true; })}}}};
-    double _scale;
-    /** Per workload: the baseline's cell, then each section row's. */
-    std::vector<size_t> _cells;
-};
+    reportRuns("ablation_resources", records);
+}
 
 } // namespace
 
@@ -649,8 +436,7 @@ int
 main(int argc, char **argv)
 {
     const double scale = driver::scaleFromEnv(1.0);
-    Grid g(scale);
-    const Ablation ablation(g, scale / 5);
+    Grid g = driver::figuresGrid(scale);
     driver::SweepRunner runner(driver::jobsFromArgs(argc, argv));
     g.run(runner);
     const std::string postdoms = SpawnPolicy::postdoms().name;
@@ -664,7 +450,8 @@ main(int argc, char **argv)
     banner("Figure 9: individual heuristic spawn policies "
            "(speedup % over superscalar)",
            scale);
-    const std::vector<std::string> single = labelsOf(singles);
+    const std::vector<std::string> single =
+        driver::labelsOf(driver::runTable().individual);
     printPostdomsVsBest(speedupTable(g, "fig09", single, single, true),
                         "individual heuristic");
 
@@ -672,7 +459,8 @@ main(int argc, char **argv)
     banner("Figure 10: heuristic combinations vs postdominators "
            "(speedup % over superscalar)",
            scale);
-    std::vector<std::string> combined = labelsOf(combinations);
+    std::vector<std::string> combined =
+        driver::labelsOf(driver::runTable().combined);
     combined.push_back(postdoms);
     printPostdomsVsBest(
         speedupTable(g, "fig10", combined, combined, false),
@@ -692,6 +480,6 @@ main(int argc, char **argv)
     std::cout << "\nExpected ordering (paper Section 5): "
                  "DMT <= rec_pred <= postdoms on average.\n";
 
-    ablation.print(g);
+    ablation(g, driver::ablationScale(scale));
     return 0;
 }

@@ -1,7 +1,9 @@
 /**
  * @file
- * policy_explorer: run one workload under every spawn policy and
- * print the full machine statistics side by side.
+ * policy_explorer: run one workload under every figure run of the
+ * run table (driver/grid.hh) — the superscalar, every static policy
+ * and the two dynamic sources — and print the full machine
+ * statistics side by side.
  *
  * Usage: policy_explorer [workload] [scale]
  */
@@ -33,29 +35,17 @@ main(int argc, char **argv)
         std::cout << "  " << p.toString() << "\n";
     std::cout << "\n";
 
-    const std::vector<SpawnPolicy> policies = {
-        SpawnPolicy::none(),     SpawnPolicy::loop(),
-        SpawnPolicy::loopFT(),   SpawnPolicy::procFT(),
-        SpawnPolicy::hammock(),  SpawnPolicy::other(),
-        SpawnPolicy::loopPlusLoopFT(),
-        SpawnPolicy::loopFTPlusProcFT(),
-        SpawnPolicy::loopProcFTLoopFT(),
-        SpawnPolicy::postdoms(),
-    };
-
     Table t({"policy", "cycles", "IPC", "speedup%", "spawns",
              "skipCtx", "skipDist", "skipFb", "viol", "squash",
              "divert", "mispred", "I$miss", "disTrig"});
+    const std::vector<driver::RunSpec> runs = driver::figureRuns();
     TimingResult base;
-    for (const SpawnPolicy &pol : policies) {
-        MachineConfig cfg = pol.kindMask == 0
-            ? MachineConfig::superscalar()
-            : MachineConfig{};
-        TimingResult r = s.simulate(cfg, pol);
-        if (pol.kindMask == 0)
+    for (const driver::RunSpec &run : runs) {
+        TimingResult r = s.simulate(run.config, run.source, run.label);
+        if (run.label == runs.front().label)
             base = r;
         t.startRow();
-        t.cell(pol.name);
+        t.cell(run.label);
         t.cell((long long)r.cycles);
         t.cell(r.ipc());
         t.cell(r.speedupOver(base), 1);

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Smoke check: the tier-1 verify flow, every example, and the
-# figures bench at a tenth of the default workload scale. Catches
-# build breaks, test regressions and bench-harness crashes in a
-# couple of minutes.
+# Smoke check: build, then every example, the figures bench at a
+# tenth of the default workload scale and the cycle-accounting
+# report. Catches build breaks and bench-harness crashes in a couple
+# of minutes. It runs no tests: run ctest (the tier-1 verify flow)
+# for those.
 #
 # Nothing here persists artifacts: every run rebuilds its traces,
 # analyses and hint tables from the current code. (Set PF_CACHE_DIR
@@ -13,7 +14,6 @@ cd "$(dirname "$0")/.."
 
 cmake -B build -S .
 cmake --build build -j
-(cd build && ctest --output-on-failure -j)
 
 # Every example, each a short end-to-end run (stdout is discarded:
 # only quickstart's is pinned, and CI compares that separately).

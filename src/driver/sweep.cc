@@ -341,30 +341,6 @@ SweepRunner::run(const std::vector<SweepCell> &cells, bool report)
     return results;
 }
 
-std::optional<SourceSpec>
-sourceSpecByName(const std::string &policy)
-{
-    if (policy == "superscalar")
-        return SourceSpec::baseline();
-    if (policy == "loop")
-        return SourceSpec::statics(SpawnPolicy::loop());
-    if (policy == "loopFT")
-        return SourceSpec::statics(SpawnPolicy::loopFT());
-    if (policy == "procFT")
-        return SourceSpec::statics(SpawnPolicy::procFT());
-    if (policy == "hammock")
-        return SourceSpec::statics(SpawnPolicy::hammock());
-    if (policy == "other")
-        return SourceSpec::statics(SpawnPolicy::other());
-    if (policy == "postdoms")
-        return SourceSpec::statics(SpawnPolicy::postdoms());
-    if (policy == "rec_pred")
-        return SourceSpec::recon();
-    if (policy == "dmt")
-        return SourceSpec::dmt();
-    return std::nullopt;
-}
-
 int
 parseCount(const char *what, const char *text)
 {

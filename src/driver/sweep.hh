@@ -173,6 +173,8 @@ struct SourceSpec
     Kind kind = Kind::Baseline;
     SpawnPolicy policy{};  //!< for Kind::Static only
 
+    bool operator==(const SourceSpec &) const = default;
+
     static SourceSpec
     baseline()
     {
@@ -299,12 +301,8 @@ std::vector<size_t>
 costOrder(const std::vector<SweepCell> &cells,
           const std::vector<size_t> &traceLengths);
 
-/**
- * SourceSpec for a policy name as spelled on tool command lines:
- * "superscalar", the static policy lineup ("loop", "loopFT",
- * "procFT", "hammock", "other", "postdoms"), "rec_pred" or "dmt".
- * nullopt for anything else.
- */
+/** The source of runByLabel(@p policy) (driver/grid.hh), or
+ *  nullopt; kept as an alias of that lookup. */
 std::optional<SourceSpec>
 sourceSpecByName(const std::string &policy);
 

@@ -1,5 +1,6 @@
 #include "ir/module.hh"
 
+#include <initializer_list>
 #include <stdexcept>
 
 #include "store/bytes.hh"
@@ -14,36 +15,44 @@ blockKey(FuncId f, BlockId b)
     return (std::uint64_t(std::uint32_t(f)) << 32) | std::uint32_t(b);
 }
 
-/** LinkedProgram::contentHash() of a fully linked @p prog. */
+/** store::wordHash of @p words, each as one little-endian word. */
+std::uint64_t
+hashWords(std::initializer_list<std::uint64_t> words)
+{
+    char le[8 * 10];
+    size_t n = 0;
+    for (std::uint64_t w : words) {
+        store::storeLE(le + n, w);
+        n += 8;
+    }
+    return store::wordHash({le, n});
+}
+
+/** LinkedProgram::contentHash() of a fully linked @p prog: the
+ *  program's fields, one word each, and each data initializer's
+ *  bytes, hashed with store::wordHash a record at a time (no buffer
+ *  of the whole program) and chained through store::laneStep. */
 std::uint64_t
 contentHashOf(const LinkedProgram &prog)
 {
-    using store::fnv1aU64;
-    std::uint64_t h = store::fnvOffsetBasis;
-    h = fnv1aU64(prog.size(), h);
-    h = fnv1aU64(prog.entryAddr(), h);
-    h = fnv1aU64(prog.codeBegin(), h);
-    h = fnv1aU64(prog.codeEnd(), h);
+    using store::laneStep;
+    std::uint64_t h = hashWords({prog.size(), prog.entryAddr(),
+                                 prog.codeBegin(), prog.codeEnd()});
     for (const LinkedInstr &li : prog.image()) {
         const Instruction &in = li.instr;
-        h = fnv1aU64(static_cast<std::uint64_t>(in.op), h);
-        h = fnv1aU64(in.rd, h);
-        h = fnv1aU64(in.rs1, h);
-        h = fnv1aU64(in.rs2, h);
-        h = fnv1aU64(static_cast<std::uint64_t>(in.imm), h);
-        h = fnv1aU64(li.addr, h);
-        h = fnv1aU64(li.targetAddr, h);
-        h = fnv1aU64(static_cast<std::uint64_t>(li.func), h);
-        h = fnv1aU64(static_cast<std::uint64_t>(li.block), h);
-        h = fnv1aU64(li.blockStart ? 1 : 0, h);
+        h = laneStep(h, hashWords({static_cast<std::uint64_t>(in.op),
+                                   in.rd, in.rs1, in.rs2,
+                                   static_cast<std::uint64_t>(in.imm),
+                                   li.addr, li.targetAddr,
+                                   static_cast<std::uint64_t>(li.func),
+                                   static_cast<std::uint64_t>(li.block),
+                                   li.blockStart ? 1u : 0u}));
     }
     for (const DataInit &d : prog.dataInits()) {
-        h = fnv1aU64(d.addr, h);
-        h = fnv1aU64(d.bytes.size(), h);
-        h = store::fnv1a(
-            std::string_view(reinterpret_cast<const char *>(d.bytes.data()),
-                             d.bytes.size()),
-            h);
+        h = laneStep(h, hashWords({d.addr, d.bytes.size()}));
+        h = laneStep(h, store::wordHash(
+                            {reinterpret_cast<const char *>(d.bytes.data()),
+                             d.bytes.size()}));
     }
     return h;
 }

@@ -85,11 +85,12 @@ class LinkedProgram
     Addr codeEnd() const { return _codeEnd; }
 
     /**
-     * FNV-1a content hash of the instruction image (operations,
-     * registers, immediates, resolved targets, layout), entry point
-     * and initialized data, computed once by Module::link(). Two
-     * programs with equal hashes execute identically under one build
-     * of the functional simulator; the artifact store keys on it.
+     * Content hash (store::wordHash) of the instruction image
+     * (operations, registers, immediates, resolved targets, layout),
+     * entry point and initialized data, computed once by
+     * Module::link(). Two programs with equal hashes execute
+     * identically under one build of the functional simulator; the
+     * artifact store keys on it.
      */
     std::uint64_t contentHash() const { return _contentHash; }
 

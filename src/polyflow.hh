@@ -22,6 +22,7 @@
 #ifndef POLYFLOW_POLYFLOW_HH
 #define POLYFLOW_POLYFLOW_HH
 
+#include "driver/grid.hh"        // the run table, Grid
 #include "driver/session.hh"     // Session, RunOptions
 #include "driver/sweep.hh"       // SweepRunner, SweepCache, SourceSpec
 #include "ir/module.hh"          // Module, LinkedProgram

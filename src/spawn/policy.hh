@@ -24,6 +24,8 @@ struct SpawnPolicy
     std::string name;
     unsigned kindMask = 0;
 
+    bool operator==(const SpawnPolicy &) const = default;
+
     /** @name The paper's policy lineup @{ */
     static SpawnPolicy none();
     static SpawnPolicy loop();

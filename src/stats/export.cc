@@ -1,6 +1,7 @@
 #include "stats/export.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -230,6 +231,22 @@ toCsv(const std::vector<RunRecord> &records)
         out += '\n';
     }
     return out;
+}
+
+void
+checkSlotIdentity(const RunRecord &r)
+{
+    const TimingResult &s = r.sim;
+    if (s.slotTotal() == s.cycles * s.issueWidth)
+        return;
+    std::fprintf(stderr,
+                 "accounting identity violated for %s/%s: %llu slots "
+                 "!= %llu cycles x %llu\n",
+                 r.workload.c_str(), r.label.c_str(),
+                 (unsigned long long)s.slotTotal(),
+                 (unsigned long long)s.cycles,
+                 (unsigned long long)s.issueWidth);
+    std::exit(1);
 }
 
 void

@@ -48,6 +48,13 @@ std::string toJson(const std::vector<RunRecord> &records);
 /** CSV with a fixed header; one row per record. */
 std::string toCsv(const std::vector<RunRecord> &records);
 
+/**
+ * Check the accounting identity of @p r: its slot buckets sum to
+ * cycles x issueWidth. On a violation, print the workload, the label
+ * and the three numbers to stderr and exit with status 1.
+ */
+void checkSlotIdentity(const RunRecord &r);
+
 /** Write @p content to @p path (throws on failure). */
 void writeFile(const std::string &path, const std::string &content);
 

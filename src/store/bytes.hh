@@ -1,9 +1,9 @@
 /**
  * @file
  * Little-endian loads and stores and the two hashes of the
- * persistent artifact store: FNV-1a (store keys and the linked
- * program's content hash, ir/module.hh) and the four-lane word hash
- * (container payload checksums). Header-only so the payload codecs
+ * persistent artifact store: FNV-1a (store keys) and the four-lane
+ * word hash (container payload checksums and the linked program's
+ * content hash, ir/module.hh). Header-only so the payload codecs
  * in src/isa and src/spawn and the linker in src/ir can use it
  * without linking pf_store.
  *
@@ -63,18 +63,6 @@ fnv1a(std::string_view data, std::uint64_t seed = fnvOffsetBasis)
     std::uint64_t h = seed;
     for (char c : data) {
         h ^= static_cast<std::uint8_t>(c);
-        h *= fnvPrime;
-    }
-    return h;
-}
-
-/** Hash one little-endian encoded u64 into a running FNV state. */
-inline std::uint64_t
-fnv1aU64(std::uint64_t v, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
         h *= fnvPrime;
     }
     return h;

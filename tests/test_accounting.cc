@@ -48,18 +48,11 @@ TEST(Accounting, IdentityHoldsOnEveryWorkloadAndPolicy)
 {
     std::vector<driver::SweepCell> cells;
     for (const std::string &name : allWorkloadNames()) {
-        cells.push_back({name, kScale,
-                         driver::SourceSpec::baseline(),
-                         MachineConfig::superscalar(),
-                         "superscalar"});
-        for (const SpawnPolicy &p :
-             {SpawnPolicy::postdoms(), SpawnPolicy::loop()}) {
-            cells.push_back({name, kScale,
-                             driver::SourceSpec::statics(p),
-                             MachineConfig{}, p.name});
+        for (const char *label :
+             {"superscalar", "postdoms", "loop", "rec_pred"}) {
+            const driver::RunSpec run = *driver::runByLabel(label);
+            cells.push_back({name, kScale, run.source, run.config, label});
         }
-        cells.push_back({name, kScale, driver::SourceSpec::recon(),
-                         MachineConfig{}, "rec_pred"});
     }
 
     driver::SweepRunner runner(4);

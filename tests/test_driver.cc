@@ -6,13 +6,19 @@
  * failing grid must report the same cell at any job count, the
  * shared cache must trace/analyze each workload exactly once, shared
  * trace indexes must not change simulation outcomes, and the
- * environment knob parsers must reject garbage.
+ * environment knob parsers must reject garbage. The run table must
+ * give each label one run, and every consumer must resolve it.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -74,16 +80,14 @@ serialReference()
 std::vector<driver::SweepCell>
 grid()
 {
+    std::vector<std::string> labels = {"superscalar"};
+    for (const SpawnPolicy &p : testPolicies())
+        labels.push_back(p.name);
     std::vector<driver::SweepCell> cells;
     for (const std::string &name : testWorkloads()) {
-        cells.push_back({name, kScale,
-                         driver::SourceSpec::baseline(),
-                         MachineConfig::superscalar(),
-                         "superscalar"});
-        for (const SpawnPolicy &p : testPolicies()) {
-            cells.push_back({name, kScale,
-                             driver::SourceSpec::statics(p),
-                             MachineConfig{}, p.name});
+        for (const std::string &label : labels) {
+            const driver::RunSpec run = *driver::runByLabel(label);
+            cells.push_back({name, kScale, run.source, run.config, label});
         }
     }
     return cells;
@@ -495,6 +499,46 @@ TEST(SweepEngineDeathTest, MalformedKnobsExitWithStatusTwo)
     EXPECT_EXIT(driver::parseCount("--jobs", "8x"),
                 ::testing::ExitedWithCode(2),
                 "--jobs: expected a positive integer, got \"8x\"");
+}
+
+TEST(Runs, TableLabelsAreUnique)
+{
+    std::set<std::string> seen;
+    for (const driver::RunSpec &run : driver::allRuns())
+        EXPECT_TRUE(seen.insert(run.label).second) << run.label;
+    EXPECT_EQ(driver::figureRuns().size(), 16u);
+}
+
+TEST(Runs, FiguresGridCellsResolveToTheirTableRuns)
+{
+    const driver::Grid g = driver::figuresGrid(0.1);
+    // 16 figure runs on 12 workloads; on each of two ablation
+    // workloads the superscalar and 27 rows, of which the six with the
+    // default config share one cell.
+    EXPECT_EQ(g.cells().size(), 16 * 12 + 2 * 23u);
+    for (const driver::SweepCell &c : g.cells()) {
+        const auto run = driver::runByLabel(c.label);
+        ASSERT_TRUE(run) << c.label;
+        EXPECT_EQ(run->source, c.source) << c.label;
+        EXPECT_EQ(run->config, c.config) << c.label;
+        EXPECT_EQ(driver::sourceSpecByName(c.label), c.source) << c.label;
+    }
+}
+
+TEST(Runs, UnknownLabelIsRejected)
+{
+    EXPECT_FALSE(driver::runByLabel("bogus"));
+    EXPECT_FALSE(driver::sourceSpecByName("bogus"));
+
+    const std::string err = "pf_report-bogus.stderr";
+    const int status = std::system(
+        ("'" PF_REPORT "' --policy bogus 2> " + err).c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    std::ifstream in(err);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_NE(text.find("unknown policy: bogus"), std::string::npos)
+        << text;
 }
 
 } // namespace

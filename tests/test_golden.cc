@@ -17,7 +17,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -41,44 +40,48 @@ struct Pin
 /** Pins by (workload, label), in perfbench's reference row order. */
 using Pins = std::map<std::pair<std::string, std::string>, Pin>;
 
-/** Every workload under every run label the benches use: Figure 9's
- *  seven, the two dynamic sources (they train while they run), and
- *  postdoms under the spawn-unit knobs, spawning from any task, and
- *  the narrow resource and latency-skew configs. */
+/** The grid's labels in the groups the benches sweep together. Each
+ *  group's schedule test below keeps the `Stages.Golden*` name the
+ *  group's own golden had, so its test history carries over. Every
+ *  label but `latency skew` is a run of the run table. */
+const std::vector<std::string> kFig09Labels = {
+    "superscalar", "loop", "loopFT", "procFT",
+    "hammock",     "other", "postdoms"};
+const std::vector<std::string> kDynamicSourceLabels = {"rec_pred", "dmt"};
+const std::vector<std::string> kSpawnUnitLabels = {
+    "no feedback", "no wrong-path ghosts", "neither"};
+const std::vector<std::string> kSpawnFromAnyTaskLabels = {
+    "spawn-from-any-task"};
+const std::vector<std::string> kResourceLatencyLabels = {
+    "tasks=1", "tasks=2", "divert=16", "divert=32", "rob=128",
+    "latency skew"};
+const std::vector<std::string> *const kLabelGroups[] = {
+    &kFig09Labels, &kDynamicSourceLabels, &kSpawnUnitLabels,
+    &kSpawnFromAnyTaskLabels, &kResourceLatencyLabels};
+
+/** The golden's own run: postdoms under skewed latencies. */
+const driver::RunSpec kLatencySkew = {
+    "latency skew", driver::SourceSpec::statics(SpawnPolicy::postdoms()),
+    {.divLatency = 20, .loadLatency = 4, .divertReleaseDelay = 4}};
+
+/** Every workload under every label of the groups: Figure 9's seven,
+ *  the two dynamic sources (they train while they run), and postdoms
+ *  under the spawn-unit knobs, spawning from any task, and the narrow
+ *  resource and latency-skew configs. */
 std::vector<driver::SweepCell>
 pinnedGrid()
 {
-    using driver::SourceSpec;
-    std::vector<std::tuple<std::string, SourceSpec, MachineConfig>>
-        columns = {{"superscalar", SourceSpec::baseline(),
-                    MachineConfig::superscalar()}};
-    for (const SpawnPolicy &p :
-         {SpawnPolicy::loop(), SpawnPolicy::loopFT(),
-          SpawnPolicy::procFT(), SpawnPolicy::hammock(),
-          SpawnPolicy::other(), SpawnPolicy::postdoms()})
-        columns.emplace_back(p.name, SourceSpec::statics(p),
-                             MachineConfig{});
-    const SourceSpec postdoms = SourceSpec::statics(SpawnPolicy::postdoms());
-    columns.insert(
-        columns.end(),
-        {{"rec_pred", SourceSpec::recon(), {}},
-         {"dmt", SourceSpec::dmt(), {}},
-         {"no feedback", postdoms, {.spawnFeedback = false}},
-         {"no wrong-path ghosts", postdoms, {.wrongPathGhosts = false}},
-         {"neither", postdoms,
-          {.spawnFeedback = false, .wrongPathGhosts = false}},
-         {"spawn-from-any-task", postdoms, {.spawnFromAnyTask = true}},
-         {"tasks=1", postdoms, {.numTasks = 1}},
-         {"tasks=2", postdoms, {.numTasks = 2}},
-         {"divert=16", postdoms, {.divertEntries = 16}},
-         {"divert=32", postdoms, {.divertEntries = 32}},
-         {"rob=128", postdoms, {.robEntries = 128}},
-         {"latency skew", postdoms,
-          {.divLatency = 20, .loadLatency = 4, .divertReleaseDelay = 4}}});
     std::vector<driver::SweepCell> cells;
     for (const std::string &name : allWorkloadNames()) {
-        for (const auto &[label, spec, cfg] : columns)
-            cells.push_back({name, kPinScale, spec, cfg, label});
+        for (const auto *group : kLabelGroups) {
+            for (const std::string &label : *group) {
+                const driver::RunSpec run = label == kLatencySkew.label
+                    ? kLatencySkew
+                    : driver::runByLabel(label).value();
+                cells.push_back(
+                    {name, kPinScale, run.source, run.config, label});
+            }
+        }
     }
     return cells;
 }
@@ -215,21 +218,6 @@ TEST(Golden, CellsMatchThePinFile)
     EXPECT_TRUE(divertFilled);
 }
 
-/** The grid's labels in the groups the benches sweep together. Each
- *  group's schedule test below keeps the `Stages.Golden*` name the
- *  group's own golden had, so its test history carries over. */
-const std::vector<std::string> kFig09Labels = {
-    "superscalar", "loop", "loopFT", "procFT",
-    "hammock",     "other", "postdoms"};
-const std::vector<std::string> kDynamicSourceLabels = {"rec_pred", "dmt"};
-const std::vector<std::string> kSpawnUnitLabels = {
-    "no feedback", "no wrong-path ghosts", "neither"};
-const std::vector<std::string> kSpawnFromAnyTaskLabels = {
-    "spawn-from-any-task"};
-const std::vector<std::string> kResourceLatencyLabels = {
-    "tasks=1", "tasks=2", "divert=16", "divert=32", "rob=128",
-    "latency skew"};
-
 /** The cells of @p labels match their pinned rows under every
  *  schedule but the grid test's. */
 void
@@ -259,9 +247,7 @@ expectEveryScheduleMatches(const std::vector<std::string> &labels)
 TEST(Golden, LabelGroupsCoverTheGridOnce)
 {
     std::vector<std::string> grouped;
-    for (const auto *group :
-         {&kFig09Labels, &kDynamicSourceLabels, &kSpawnUnitLabels,
-          &kSpawnFromAnyTaskLabels, &kResourceLatencyLabels})
+    for (const auto *group : kLabelGroups)
         grouped.insert(grouped.end(), group->begin(), group->end());
     std::vector<std::string> labels;
     for (const driver::SweepCell &c : pinnedGrid()) {
@@ -297,6 +283,17 @@ TEST(Stages, GoldenSpawnFromAnyTaskIsWidthInvariant)
 TEST(Stages, GoldenResourcesAndLatenciesAreScheduleInvariant)
 {
     expectEveryScheduleMatches(kResourceLatencyLabels);
+}
+
+TEST(Runs, GoldenLabelsResolve)
+{
+    for (const auto *group : kLabelGroups) {
+        for (const std::string &label : *group) {
+            EXPECT_EQ(driver::runByLabel(label).has_value(),
+                      label != kLatencySkew.label)
+                << label;
+        }
+    }
 }
 
 TEST(Golden, ComparerNamesMissingExtraAndMovedCells)

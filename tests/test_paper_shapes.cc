@@ -8,7 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
+#include <vector>
 
 #include "polyflow.hh"
 
@@ -17,61 +18,48 @@ namespace {
 
 constexpr double shapeScale = 0.25;
 
-/** Cached per-benchmark speedups for the whole policy lineup. */
+/** The superscalar, the Figure 9 lineup and the widest combination
+ *  on every workload, run once for every test. */
 class PaperShapes : public ::testing::Test
 {
   protected:
-    struct Bench
+    static const driver::Grid &
+    grid()
     {
-        std::map<std::string, double> speedup;
-        double ssIpc = 0;
-    };
-
-    static const std::map<std::string, Bench> &
-    all()
-    {
-        static const std::map<std::string, Bench> data = [] {
-            const std::vector<SpawnPolicy> policies = {
-                SpawnPolicy::loop(),      SpawnPolicy::loopFT(),
-                SpawnPolicy::procFT(),    SpawnPolicy::hammock(),
-                SpawnPolicy::other(),     SpawnPolicy::postdoms(),
-                SpawnPolicy::loopProcFTLoopFT(),
-            };
-            std::vector<driver::SweepCell> cells;
+        static const driver::Grid g = [] {
+            driver::Grid g;
             for (const std::string &name : allWorkloadNames()) {
-                cells.push_back({name, shapeScale,
-                                 driver::SourceSpec::baseline(),
-                                 MachineConfig::superscalar(), "ss"});
-                for (const SpawnPolicy &pol : policies)
-                    cells.push_back({name, shapeScale,
-                                     driver::SourceSpec::statics(pol),
-                                     MachineConfig{}, pol.name});
+                for (const char *label :
+                     {"superscalar", "loop", "loopFT", "procFT", "hammock",
+                      "other", "postdoms", "loop+procFT+loopFT"})
+                    g.add(name, shapeScale, *driver::runByLabel(label));
             }
-            const auto results = driver::SweepRunner().run(cells, false);
-            std::map<std::string, Bench> out;
-            const TimingResult *base = nullptr;
-            for (size_t i = 0; i < cells.size(); ++i) {
-                const TimingResult &r = results[i].sim;
-                Bench &b = out[cells[i].workload];
-                if (cells[i].label == "ss") {
-                    base = &r;
-                    b.ssIpc = r.ipc();
-                } else {
-                    b.speedup[cells[i].label] = r.speedupOver(*base);
-                }
-            }
-            return out;
+            driver::SweepRunner runner;
+            g.run(runner, false);
+            return g;
         }();
-        return data;
+        return g;
+    }
+
+    static double
+    speedup(const std::string &workload, const std::string &policy)
+    {
+        return grid().speedups(workload, {policy}).front();
+    }
+
+    static double
+    ssIpc(const std::string &workload)
+    {
+        return grid().at(workload, "superscalar").sim.ipc();
     }
 
     static double
     avg(const std::string &policy)
     {
         double s = 0;
-        for (const auto &[n, b] : all())
-            s += b.speedup.at(policy);
-        return s / double(all().size());
+        for (const std::string &n : allWorkloadNames())
+            s += speedup(n, policy);
+        return s / double(allWorkloadNames().size());
     }
 };
 
@@ -92,8 +80,8 @@ TEST_F(PaperShapes, PostdomsBeatsTheCombinationOnAverage)
 TEST_F(PaperShapes, PostdomsPositiveAlmostEverywhere)
 {
     int positive = 0;
-    for (const auto &[n, b] : all())
-        positive += b.speedup.at("postdoms") > 0;
+    for (const std::string &n : allWorkloadNames())
+        positive += speedup(n, "postdoms") > 0;
     EXPECT_GE(positive, 11) << "postdoms should pay off broadly";
 }
 
@@ -103,9 +91,9 @@ TEST_F(PaperShapes, ApplicationsVaryWidelyPerHeuristic)
     // strong somewhere else (paper Section 4.1).
     for (const char *pol : {"loop", "loopFT", "procFT", "hammock"}) {
         double lo = 1e9, hi = -1e9;
-        for (const auto &[n, b] : all()) {
-            lo = std::min(lo, b.speedup.at(pol));
-            hi = std::max(hi, b.speedup.at(pol));
+        for (const std::string &n : allWorkloadNames()) {
+            lo = std::min(lo, speedup(n, pol));
+            hi = std::max(hi, speedup(n, pol));
         }
         EXPECT_LT(lo, 5.0) << pol;
         EXPECT_GT(hi, 15.0) << pol;
@@ -114,35 +102,32 @@ TEST_F(PaperShapes, ApplicationsVaryWidelyPerHeuristic)
 
 TEST_F(PaperShapes, ProcFTIsVortexsBestHeuristic)
 {
-    const Bench &v = all().at("vortex");
-    double p = v.speedup.at("procFT");
+    double p = speedup("vortex", "procFT");
     EXPECT_GT(p, 15.0);
     for (const char *pol : {"loop", "loopFT", "hammock", "other"})
-        EXPECT_GT(p, v.speedup.at(pol)) << pol;
+        EXPECT_GT(p, speedup("vortex", pol)) << pol;
 }
 
 TEST_F(PaperShapes, HammocksCarryMcf)
 {
-    const Bench &m = all().at("mcf");
-    EXPECT_GT(m.speedup.at("hammock"), 40.0);
-    EXPECT_GT(m.speedup.at("hammock"), m.speedup.at("procFT"));
+    EXPECT_GT(speedup("mcf", "hammock"), 40.0);
+    EXPECT_GT(speedup("mcf", "hammock"), speedup("mcf", "procFT"));
 }
 
 TEST_F(PaperShapes, OtherMattersOnlyWhereIndirectJumpsLive)
 {
-    EXPECT_GT(all().at("perlbmk").speedup.at("other"), 1.0);
-    EXPECT_GT(all().at("crafty").speedup.at("other"), 1.0);
+    EXPECT_GT(speedup("perlbmk", "other"), 1.0);
+    EXPECT_GT(speedup("crafty", "other"), 1.0);
     // Benchmarks without indirect jumps see nothing from "other".
-    EXPECT_NEAR(all().at("gzip").speedup.at("other"), 0.0, 0.5);
-    EXPECT_NEAR(all().at("twolf").speedup.at("other"), 0.0, 0.5);
+    EXPECT_NEAR(speedup("gzip", "other"), 0.0, 0.5);
+    EXPECT_NEAR(speedup("twolf", "other"), 0.0, 0.5);
 }
 
 TEST_F(PaperShapes, TwolfRespondsToLoopStructure)
 {
-    const Bench &t = all().at("twolf");
-    EXPECT_GT(t.speedup.at("loop"), 30.0);
-    EXPECT_GT(t.speedup.at("loopFT"), 30.0);
-    EXPECT_GT(t.speedup.at("postdoms"), 30.0);
+    EXPECT_GT(speedup("twolf", "loop"), 30.0);
+    EXPECT_GT(speedup("twolf", "loopFT"), 30.0);
+    EXPECT_GT(speedup("twolf", "postdoms"), 30.0);
 }
 
 TEST_F(PaperShapes, PredictableBenchmarksGainLittle)
@@ -150,17 +135,16 @@ TEST_F(PaperShapes, PredictableBenchmarksGainLittle)
     // gzip and bzip2 have high baseline IPCs; every policy's gain
     // stays modest (paper: small bars across the board).
     for (const char *n : {"gzip", "bzip2"}) {
-        const Bench &b = all().at(n);
-        EXPECT_GT(b.ssIpc, 2.0) << n;
-        EXPECT_LT(b.speedup.at("postdoms"), 35.0) << n;
+        EXPECT_GT(ssIpc(n), 2.0) << n;
+        EXPECT_LT(speedup(n, "postdoms"), 35.0) << n;
     }
 }
 
 TEST_F(PaperShapes, SuperscalarIpcsInPlausibleBand)
 {
-    for (const auto &[n, b] : all()) {
-        EXPECT_GT(b.ssIpc, 0.5) << n;
-        EXPECT_LT(b.ssIpc, 6.5) << n;
+    for (const std::string &n : allWorkloadNames()) {
+        EXPECT_GT(ssIpc(n), 0.5) << n;
+        EXPECT_LT(ssIpc(n), 6.5) << n;
     }
 }
 

@@ -121,18 +121,18 @@ TEST(WorkloadRegistry, ProgramsArePinned)
         std::uint64_t atOne;
     };
     const Pin pins[] = {
-        {"bzip2", 0xce19aa7b1a14ec4d, 0x23b1b5312b9fe868},
-        {"crafty", 0x6ded1f847ce771bf, 0xb7d10c722a403ec0},
-        {"gap", 0x7d096593da1f96ec, 0xbd5a7e2fdccb18f5},
-        {"gcc", 0x783b8ab136971764, 0x257c137303a56d99},
-        {"gzip", 0x23b764be52148c3e, 0x50d0e1bb7e1a173f},
-        {"mcf", 0xe26b925249002c70, 0x409c2dc17b87e4ce},
-        {"parser", 0xe9ef8cf35dcaaacb, 0xaa3a51b120c30cda},
-        {"perlbmk", 0x73ad5393f940c84c, 0xb0dac6128addc2ee},
-        {"twolf", 0xf2b584f1bd308b3d, 0x148c387ba94dc684},
-        {"vortex", 0xa8d176ad8d6988e4, 0xebe63bcd2de91e0e},
-        {"vpr.place", 0x1f3d2590fa47d24f, 0x82f16e12f7c943d3},
-        {"vpr.route", 0x03aed2cb59e55515, 0xa6e230d8bbfa44ae},
+        {"bzip2", 0xa5e286b3d657bf9a, 0x929b48f5c1c428ec},
+        {"crafty", 0x4cbaf6188d4e6fea, 0x7e6f73a535c638ab},
+        {"gap", 0xf871f2ff7e5feadd, 0xd74f78ea0432cad0},
+        {"gcc", 0x71ac9732aede9118, 0xb2e73d876136db1e},
+        {"gzip", 0x90ef854aeab00517, 0x8d4085d7c2b96ce2},
+        {"mcf", 0x61e2946123b2daf0, 0xf646eed16b12327a},
+        {"parser", 0x5070e7da39e890b4, 0xf180cb9c76b762da},
+        {"perlbmk", 0xd0a9589847aab013, 0xda098f0b2c8cc43e},
+        {"twolf", 0x1bf68d4396b5d180, 0xf4ecfccd8bb0106c},
+        {"vortex", 0x6d207668c66ef7f4, 0x1d94afbe395d51bf},
+        {"vpr.place", 0xf5bf8a3a7538c4c4, 0x4301dd71407764be},
+        {"vpr.route", 0x43edcc0f94b70184, 0x228ad23c2235a9d3},
     };
     ASSERT_EQ(std::size(pins), allWorkloadNames().size());
     for (const Pin &p : pins) {

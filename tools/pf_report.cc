@@ -2,20 +2,21 @@
  * @file
  * pf_report: the "where did the cycles go" tool.
  *
- * Runs the timing simulator for any (workload, policy, config) cell
- * — or a whole grid of them — and prints the cycle-accounting
- * breakdown: the share of issue slots each SlotBucket absorbed. The
- * accounting identity (buckets sum to cycles * issueWidth) is
- * re-verified on every run; a violation is a hard error.
+ * Runs the timing simulator for any (workload, run) cell — or a
+ * whole grid of them — and prints the cycle-accounting breakdown:
+ * the share of issue slots each SlotBucket absorbed. The accounting
+ * identity (buckets sum to cycles * issueWidth) is re-verified on
+ * every run; a violation is a hard error.
  *
  * Usage:
  *   pf_report [--workload NAME]... [--policy NAME]...
  *             [--scale S] [--jobs N]
  *             [--json PATH] [--csv PATH]
  *
- * Policies: superscalar, loop, loopFT, procFT, hammock, other,
- * postdoms, rec_pred, dmt. Defaults: every workload, superscalar +
- * postdoms, scale from PF_BENCH_SCALE (else 0.1).
+ * A policy is any run label of the run table (driver/grid.hh), which
+ * gives the run its spawn source and machine config. Defaults: every
+ * workload, superscalar + postdoms, scale from PF_BENCH_SCALE (else
+ * 0.1).
  */
 
 #include <cstdio>
@@ -25,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "driver/sweep.hh"
+#include "driver/grid.hh"
 #include "stats/export.hh"
 #include "stats/table.hh"
 #include "workloads/workloads.hh"
@@ -54,8 +55,9 @@ usage(const char *msg)
         "usage: pf_report [--workload NAME]... [--policy NAME]...\n"
         "                 [--scale S] [--jobs N]\n"
         "                 [--json PATH] [--csv PATH]\n"
-        "policies: superscalar loop loopFT procFT hammock other\n"
-        "          postdoms rec_pred dmt\n");
+        "policies (run labels):\n");
+    for (const driver::RunSpec &run : driver::allRuns())
+        std::fprintf(stderr, "  %s\n", run.label.c_str());
     std::exit(2);
 }
 
@@ -107,13 +109,10 @@ main(int argc, char **argv)
     std::vector<driver::SweepCell> cells;
     for (const std::string &w : opt.workloads) {
         for (const std::string &p : opt.policies) {
-            auto spec = driver::sourceSpecByName(p);
-            if (!spec)
+            auto run = driver::runByLabel(p);
+            if (!run)
                 usage(("unknown policy: " + p).c_str());
-            MachineConfig cfg = p == "superscalar"
-                ? MachineConfig::superscalar()
-                : MachineConfig{};
-            cells.push_back({w, opt.scale, *spec, cfg, p});
+            cells.push_back({w, opt.scale, run->source, run->config, p});
         }
     }
 
@@ -134,18 +133,9 @@ main(int argc, char **argv)
     std::vector<stats::RunRecord> records;
     for (size_t i = 0; i < cells.size(); ++i) {
         const TimingResult &s = results[i].sim;
-        if (s.slotTotal() != s.cycles * s.issueWidth) {
-            std::fprintf(stderr,
-                         "pf_report: accounting identity violated "
-                         "for %s/%s: %llu slots != %llu cycles x "
-                         "%llu\n",
-                         cells[i].workload.c_str(),
-                         cells[i].label.c_str(),
-                         (unsigned long long)s.slotTotal(),
-                         (unsigned long long)s.cycles,
-                         (unsigned long long)s.issueWidth);
-            return 1;
-        }
+        records.push_back({cells[i].workload, cells[i].scale,
+                           cells[i].label, s});
+        stats::checkSlotIdentity(records.back());
         table.startRow();
         table.cell(cells[i].workload);
         table.cell(cells[i].label);
@@ -153,8 +143,6 @@ main(int argc, char **argv)
         table.cell(s.ipc());
         for (int b = 0; b < numSlotBuckets; ++b)
             table.cell(s.slotPercent(static_cast<SlotBucket>(b)), 1);
-        records.push_back({cells[i].workload, cells[i].scale,
-                           cells[i].label, s});
     }
     table.print(std::cout);
 
