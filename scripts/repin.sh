@@ -3,8 +3,8 @@
 # print a per-cell cycle-delta table (paste it into CHANGES.md with
 # the change that moved the cells). It takes no options. It rewrites:
 #
-#   tests/golden/cells-scale0.04.tsv   the ctest cycle pin: the cells
-#       test_golden's grid test measured (19 labels x 12 workloads);
+#   tests/golden/cells-scale0.04.tsv   the ctest cycle pin: the rows
+#       test_golden's grid test measured (44 labels x 12 workloads);
 #   results/*.txt, results/*.csv       `figures` at PF_BENCH_SCALE=1,
 #       its stdout split at the eight "=== " report banners, and
 #       quickstart's stdout;

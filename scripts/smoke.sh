@@ -16,7 +16,8 @@ cmake -B build -S .
 cmake --build build -j
 
 # Every example, each a short end-to-end run (stdout is discarded:
-# only quickstart's is pinned, and CI compares that separately).
+# only quickstart's is pinned, and scripts/repin.sh rewrites that
+# pin, so CI's re-pin step checks it).
 ./build/examples/quickstart > /dev/null
 ./build/examples/policy_explorer twolf 0.05 > /dev/null
 ./build/examples/workload_stats 0.05 > /dev/null

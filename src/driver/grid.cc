@@ -117,14 +117,6 @@ runByLabel(const std::string &label)
     return std::nullopt;
 }
 
-std::optional<SourceSpec>
-sourceSpecByName(const std::string &policy)
-{
-    if (auto run = runByLabel(policy))
-        return run->source;
-    return std::nullopt;
-}
-
 std::vector<std::string>
 labelsOf(const std::vector<RunSpec> &runs)
 {

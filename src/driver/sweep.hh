@@ -301,11 +301,6 @@ std::vector<size_t>
 costOrder(const std::vector<SweepCell> &cells,
           const std::vector<size_t> &traceLengths);
 
-/** The source of runByLabel(@p policy) (driver/grid.hh), or
- *  nullopt; kept as an alias of that lookup. */
-std::optional<SourceSpec>
-sourceSpecByName(const std::string &policy);
-
 /** Default worker count: std::thread::hardware_concurrency(), at
  *  least 1. */
 int defaultJobs();

@@ -62,15 +62,60 @@ throwCycleLimit(const MachineState &m)
     throw std::runtime_error(msg.str());
 }
 
+/** sim::step's body, always inlined, so runMachine's loop pays no
+ *  call per cycle. */
+[[gnu::always_inline]] inline bool
+stepCycle(MachineState &m, StageProfile *profile)
+{
+    auto slot = [profile](std::uint64_t StageProfile::*field) {
+        return profile ? &(profile->*field) : nullptr;
+    };
+    {
+        ScopedNs t(slot(&StageProfile::commitNs));
+        sim::unblock(m);
+        sim::commit(m);
+    }
+    // The cycle that commits the last instruction is partial: it
+    // does not advance the clock and is not accounted, keeping
+    // sum(slots) == cycles * issueWidth exact.
+    if (m.commitIdx >= m.trace->size())
+        return false;
+    {
+        ScopedNs t(slot(&StageProfile::accountingNs));
+        sim::accountCycle(m);
+    }
+    {
+        ScopedNs t(slot(&StageProfile::divertNs));
+        sim::releaseDiverted(m);
+    }
+    {
+        ScopedNs t(slot(&StageProfile::issueNs));
+        sim::issue(m);
+    }
+    {
+        ScopedNs t(slot(&StageProfile::renameNs));
+        sim::dispatch(m);
+    }
+    {
+        ScopedNs t(slot(&StageProfile::fetchNs));
+        sim::fetch(m);
+        sim::applySpawn(m);
+    }
+    {
+        ScopedNs t(slot(&StageProfile::recoveryNs));
+        sim::recover(m);
+    }
+    ++m.now;
+    if (profile)
+        ++profile->cycles;
+    return true;
+}
+
 /*
  * The cycle loop of the timing model: one machine, from its first
- * fetch to its last commit. Per cycle the stage sequence is
- *
- *   unblock -> commit -> [finish?] -> accountCycle -> releaseDiverted
- *   -> issue -> dispatch -> fetch -> applySpawn -> recover
- *
- * The MachineState lives only for this call, so a caller running
- * many machines holds one state at a time.
+ * fetch to its last commit, one step per cycle. The MachineState
+ * lives only for this call, so a caller running many machines holds
+ * one state at a time.
  */
 TimingResult
 runMachine(const MachineConfig &cfg, const BatchItem &item,
@@ -81,53 +126,12 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
     m.res.policyName = item.label;
     m.res.instrs = item.trace->size();
     m.res.issueWidth = std::uint64_t(cfg.pipelineWidth);
-
-    auto slot = [profile](std::uint64_t StageProfile::*field) {
-        return profile ? &(profile->*field) : nullptr;
-    };
     if (profile)
         ++profile->machines;
 
-    for (;;) {
-        {
-            ScopedNs t(slot(&StageProfile::commitNs));
-            sim::unblock(m);
-            sim::commit(m);
-        }
-        // The cycle that commits the last instruction is partial: it
-        // does not advance the clock and is not accounted, keeping
-        // sum(slots) == cycles * issueWidth exact.
-        if (m.commitIdx >= m.trace->size())
-            break;
-        {
-            ScopedNs t(slot(&StageProfile::accountingNs));
-            sim::accountCycle(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::divertNs));
-            sim::releaseDiverted(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::issueNs));
-            sim::issue(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::renameNs));
-            sim::dispatch(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::fetchNs));
-            sim::fetch(m);
-            sim::applySpawn(m);
-        }
-        {
-            ScopedNs t(slot(&StageProfile::recoveryNs));
-            sim::recover(m);
-        }
-        if (++m.now > m.cycleLimit)
+    while (stepCycle(m, profile)) {
+        if (m.now > m.cycleLimit)
             throwCycleLimit(m);
-        if (profile)
-            ++profile->cycles;
     }
 
     m.res.cycles = m.now;
@@ -137,6 +141,12 @@ runMachine(const MachineConfig &cfg, const BatchItem &item,
 }
 
 } // namespace
+
+bool
+sim::step(MachineState &m, StageProfile *profile)
+{
+    return stepCycle(m, profile);
+}
 
 std::vector<TimingResult>
 TimingSim::runBatch(const MachineConfig &config,

@@ -60,15 +60,14 @@ maybeSpawn(MachineState &m, size_t pos, TraceIdx i, const FetchOp &f)
     // new boundary this cycle); the context allocation is applied
     // after fetch finishes so task positions stay stable during
     // the fetch loop.
-    m.pending.valid = true;
-    m.pending.parentPos = pos;
-    m.pending.start = j;
-    m.pending.end = t.end;
-    m.pending.hint = hint;
-    m.pending.triggerPc = f.pc;
-    m.pending.triggerImg = img;
-    m.pending.ghr = t.ghr;
-    m.pending.ras = t.ras;
+    m.pending = {.valid = true, .parentPos = pos, .kind = hint.kind,
+                 .task = {.begin = j, .end = t.end,
+                          .fetchIdx = j, .dispIdx = j,
+                          .fetchReady = m.now + spawnStartupDelay,
+                          .lastFetchStall = FetchStall::SpawnStartup,
+                          .ghr = t.ghr, .ras = t.ras,
+                          .triggerPc = f.pc, .triggerImg = img,
+                          .depMask = hint.depMask}};
     t.end = j;
 }
 
@@ -80,28 +79,18 @@ applySpawn(MachineState &m)
     if (!m.pending.valid)
         return;
     m.pending.valid = false;
-    // The parent is still at parentPos: nothing inserts or retires
-    // a task between fetch's spawn decision and this call.
-    Task nt;
-    nt.begin = m.pending.start;
-    nt.end = m.pending.end;
-    nt.fetchIdx = nt.dispIdx = nt.begin;
-    nt.fetchReady = m.now + spawnStartupDelay;
-    nt.lastFetchStall = FetchStall::SpawnStartup;
-    nt.ghr = m.pending.ghr;
-    nt.ras = m.pending.ras;
-    nt.triggerPc = m.pending.triggerPc;
-    nt.triggerImg = m.pending.triggerImg;
-    nt.depMask = m.pending.hint.depMask;
+    const Task &nt = m.pending.task;
     if (m.events) {
         m.events->push_back({TaskEvent::Kind::Spawn, m.now, nt.begin,
                              nt.end, nt.triggerPc, m.commitIdx, 0});
     }
-    m.tasks.insert(m.tasks.begin() + m.pending.parentPos + 1,
-                   std::move(nt));
     ++m.res.spawns;
-    ++m.res.spawnsByKind[static_cast<int>(m.pending.hint.kind)];
-    ++m.feedback[m.pending.triggerImg].spawns;
+    ++m.res.spawnsByKind[static_cast<int>(m.pending.kind)];
+    ++m.feedback[nt.triggerImg].spawns;
+    // The parent is still at parentPos: nothing inserts or retires
+    // a task between fetch's spawn decision and this call.
+    m.tasks.insert(m.tasks.begin() + m.pending.parentPos + 1,
+                   std::move(m.pending.task));
 }
 
 void

@@ -374,13 +374,9 @@ struct PendingSpawn
     bool valid = false;
     /** Position of the spawning task in MachineState::tasks. */
     size_t parentPos = 0;
-    TraceIdx start = 0;
-    TraceIdx end = 0;
-    SpawnHint hint{};
-    Addr triggerPc = invalidAddr;
-    ImageIdx triggerImg = 0;
-    std::uint32_t ghr = 0;
-    ReturnAddressStack ras;
+    SpawnKind kind{};
+    /** The child context, complete; applySpawn inserts it as is. */
+    Task task;
 };
 
 /**

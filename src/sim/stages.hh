@@ -1,12 +1,13 @@
 /**
  * @file
  * The pipeline stages of the PolyFlow machine (Figure 7) as plain
- * functions over sim::MachineState, declared in the order the cycle
- * loop in core.cc calls them:
+ * functions over sim::MachineState, declared in the order step()
+ * calls them each cycle:
  *
- *   unblock -> commit -> [accountCycle] -> releaseDiverted -> issue
+ *   unblock -> commit -> accountCycle -> releaseDiverted -> issue
  *   -> dispatch -> fetch -> applySpawn -> recover
  *
+ * The cycle that commits the last instruction stops after commit.
  * A stage reads and writes only the MachineState it is given, so a
  * test can drive one stage on a hand-built state
  * (tests/test_stages.cc). Each stage's body lives in its own .cc
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 
+#include "sim/core.hh"
 #include "sim/machine_state.hh"
 
 namespace polyflow::sim {
@@ -135,6 +137,17 @@ void applySpawn(MachineState &m);
  * (everything younger would be squashed anyway).
  */
 void recover(MachineState &m);
+
+/**
+ * One cycle of @p m: every stage above in order, each timed into its
+ * @p profile slot when @p profile is non-null, then the clock
+ * advance. Returns false, leaving the clock where it was, when the
+ * cycle committed the last instruction (the partial cycle, which is
+ * neither counted nor accounted). runTiming and the queue-checking
+ * test loop both run a machine by calling this until it returns
+ * false.
+ */
+bool step(MachineState &m, StageProfile *profile = nullptr);
 
 /**
  * Squash the task at @p taskPos and every younger task: reset their

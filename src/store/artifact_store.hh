@@ -73,13 +73,6 @@ struct EntryInfo
     std::uintmax_t fileBytes = 0;
 };
 
-/** The store's key for @p prog: LinkedProgram::contentHash(). */
-inline std::uint64_t
-programContentHash(const LinkedProgram &prog)
-{
-    return prog.contentHash();
-}
-
 class ArtifactStore
 {
   public:

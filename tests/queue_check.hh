@@ -280,8 +280,8 @@ fetchWindowViolation(const sim::MachineState &m)
 }
 
 /**
- * Drive @p m's stages in the order of the cycle loop in core.cc until
- * its last commit, checking queueInvariantViolation and
+ * Run @p m cycle by cycle through sim::step, the loop runTiming
+ * runs, until its last commit, checking queueInvariantViolation and
  * fetchWindowViolation after every cycle. Returns the first
  * violation, or a note that the run passed @p maxCycles; empty if it
  * finished clean, with the cycle count in m.now, as runTiming reports
@@ -290,19 +290,7 @@ fetchWindowViolation(const sim::MachineState &m)
 inline std::string
 runCheckingQueues(sim::MachineState &m, std::uint64_t maxCycles)
 {
-    for (;;) {
-        sim::unblock(m);
-        sim::commit(m);
-        if (m.commitIdx >= m.trace->size())
-            return {};
-        sim::accountCycle(m);
-        sim::releaseDiverted(m);
-        sim::issue(m);
-        sim::dispatch(m);
-        sim::fetch(m);
-        sim::applySpawn(m);
-        sim::recover(m);
-        ++m.now;
+    while (sim::step(m)) {
         for (const std::string &bad :
              {queueInvariantViolation(m), fetchWindowViolation(m)}) {
             if (!bad.empty())
@@ -311,6 +299,7 @@ runCheckingQueues(sim::MachineState &m, std::uint64_t maxCycles)
         if (m.now > maxCycles)
             return "no last commit by cycle " + std::to_string(maxCycles);
     }
+    return {};
 }
 
 } // namespace polyflow::qtest

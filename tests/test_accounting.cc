@@ -97,18 +97,11 @@ TEST(Accounting, SquashedRangesNeverAppearInCommitStream)
     // architecturally final).
     std::uint64_t totalSquashes = 0;
     for (const char *name : {"twolf", "gcc", "vpr.route"}) {
-        Workload w = buildWorkload(name, kScale);
-        FunctionalOptions opt;
-        opt.recordTrace = true;
-        auto fr = runFunctional(w.prog, opt);
-        ASSERT_TRUE(fr.halted);
-        SpawnAnalysis sa(*w.module, w.prog);
-        StaticSpawnSource src{
-            HintTable(sa, SpawnPolicy::postdoms())};
-
         std::vector<TaskEvent> events;
-        TimingResult res = runTiming(MachineConfig{}, fr.trace, &src,
-                                     "postdoms", nullptr, &events);
+        TimingResult res = Session::open(name, kScale)
+                               .simulate(MachineConfig{},
+                                         SpawnPolicy::postdoms(),
+                                         {.events = &events});
         checkSlotInvariants(res, 8);
 
         std::uint64_t squashes = 0;
@@ -145,22 +138,15 @@ TEST(Accounting, BucketNamesAreStableAndDistinct)
 TEST(Accounting, NarrowMachineKeepsIdentity)
 {
     // The identity is per-width, not an artifact of width 8.
-    Workload w = buildWorkload("mcf", kScale);
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto fr = runFunctional(w.prog, opt);
-    ASSERT_TRUE(fr.halted);
-    SpawnAnalysis sa(*w.module, w.prog);
-
+    Session s = Session::open("mcf", kScale);
+    const auto postdoms = driver::SourceSpec::statics(SpawnPolicy::postdoms());
     for (int width : {1, 2, 4}) {
         MachineConfig cfg;
         cfg.pipelineWidth = width;
-        StaticSpawnSource src{
-            HintTable(sa, SpawnPolicy::postdoms())};
         std::string label = "w";
         label += std::to_string(width);
-        TimingResult r = runTiming(cfg, fr.trace, &src, label);
-        checkSlotInvariants(r, std::uint64_t(width));
+        checkSlotInvariants(s.simulate(cfg, postdoms, label),
+                            std::uint64_t(width));
     }
 }
 

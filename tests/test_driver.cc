@@ -521,14 +521,12 @@ TEST(Runs, FiguresGridCellsResolveToTheirTableRuns)
         ASSERT_TRUE(run) << c.label;
         EXPECT_EQ(run->source, c.source) << c.label;
         EXPECT_EQ(run->config, c.config) << c.label;
-        EXPECT_EQ(driver::sourceSpecByName(c.label), c.source) << c.label;
     }
 }
 
 TEST(Runs, UnknownLabelIsRejected)
 {
     EXPECT_FALSE(driver::runByLabel("bogus"));
-    EXPECT_FALSE(driver::sourceSpecByName("bogus"));
 
     const std::string err = "pf_report-bogus.stderr";
     const int status = std::system(

@@ -1,10 +1,12 @@
 /**
  * @file
- * The cycle pin: 19 run labels x 12 workloads at scale 0.04 against
- * tests/golden/cells-scale0.04.tsv, one row per cell with its cycles
- * and the SHA-256 of its stats::runToJson export, under every sweep
- * schedule. A mismatch names each moved cell; the grid test writes
- * what it measured to its working directory for scripts/repin.sh.
+ * The cycle pin: every run of the run table (driver::allRuns()) and
+ * the golden's own `latency skew`, on all 12 workloads at scale 0.04,
+ * against tests/golden/cells-scale0.04.tsv: one row per (workload,
+ * label) with its cycles and the SHA-256 of its stats::runToJson
+ * export, under every sweep schedule. A mismatch names each moved
+ * row; the grid test writes what it measured to its working
+ * directory for scripts/repin.sh.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <sstream>
@@ -27,10 +30,12 @@
 namespace polyflow {
 namespace {
 
+using driver::RunSpec;
+
 constexpr double kPinScale = 0.04;
 constexpr const char *kMeasuredPins = "cells-scale0.04.tsv";
 
-/** A cell's pin: its cycles and the SHA-256 of its exported record. */
+/** A row's pin: its cycles and the SHA-256 of its exported record. */
 struct Pin
 {
     std::uint64_t cycles = 0;
@@ -40,50 +45,71 @@ struct Pin
 /** Pins by (workload, label), in perfbench's reference row order. */
 using Pins = std::map<std::pair<std::string, std::string>, Pin>;
 
-/** The grid's labels in the groups the benches sweep together. Each
- *  group's schedule test below keeps the `Stages.Golden*` name the
- *  group's own golden had, so its test history carries over. Every
- *  label but `latency skew` is a run of the run table. */
-const std::vector<std::string> kFig09Labels = {
-    "superscalar", "loop", "loopFT", "procFT",
-    "hammock",     "other", "postdoms"};
-const std::vector<std::string> kDynamicSourceLabels = {"rec_pred", "dmt"};
-const std::vector<std::string> kSpawnUnitLabels = {
-    "no feedback", "no wrong-path ghosts", "neither"};
-const std::vector<std::string> kSpawnFromAnyTaskLabels = {
-    "spawn-from-any-task"};
-const std::vector<std::string> kResourceLatencyLabels = {
-    "tasks=1", "tasks=2", "divert=16", "divert=32", "rob=128",
-    "latency skew"};
-const std::vector<std::string> *const kLabelGroups[] = {
-    &kFig09Labels, &kDynamicSourceLabels, &kSpawnUnitLabels,
-    &kSpawnFromAnyTaskLabels, &kResourceLatencyLabels};
-
 /** The golden's own run: postdoms under skewed latencies. */
-const driver::RunSpec kLatencySkew = {
+const RunSpec kLatencySkew = {
     "latency skew", driver::SourceSpec::statics(SpawnPolicy::postdoms()),
     {.divLatency = 20, .loadLatency = 4, .divertReleaseDelay = 4}};
 
-/** Every workload under every label of the groups: Figure 9's seven,
- *  the two dynamic sources (they train while they run), and postdoms
- *  under the spawn-unit knobs, spawning from any task, and the narrow
- *  resource and latency-skew configs. */
-std::vector<driver::SweepCell>
-pinnedGrid()
+/** @p families, one after another. */
+std::vector<RunSpec>
+joined(std::initializer_list<std::vector<RunSpec>> families)
 {
-    std::vector<driver::SweepCell> cells;
-    for (const std::string &name : allWorkloadNames()) {
-        for (const auto *group : kLabelGroups) {
-            for (const std::string &label : *group) {
-                const driver::RunSpec run = label == kLatencySkew.label
-                    ? kLatencySkew
-                    : driver::runByLabel(label).value();
-                cells.push_back(
-                    {name, kPinScale, run.source, run.config, label});
-            }
-        }
+    std::vector<RunSpec> runs;
+    for (const std::vector<RunSpec> &f : families)
+        runs.insert(runs.end(), f.begin(), f.end());
+    return runs;
+}
+
+/** Every pinned run: the run table's, then the golden's own. */
+std::vector<RunSpec>
+pinnedRuns()
+{
+    return joined({driver::allRuns(), {kLatencySkew}});
+}
+
+/** The rows of the ablation section titled @p title. */
+const std::vector<RunSpec> &
+section(const std::string &title)
+{
+    for (const driver::RunSection &s : driver::runTable().ablation) {
+        if (s.title == title)
+            return s.runs;
     }
-    return cells;
+    throw std::out_of_range("no ablation section " + title);
+}
+
+/** The schedule tests below, one per group of pinned runs. Each
+ *  keeps the `Stages.Golden*` name its group's own golden had, so
+ *  its test history carries over. */
+enum Group {
+    Fig09,
+    DynamicSources,
+    SpawnUnit,
+    SpawnFromAnyTask,
+    ResourcesAndLatencies,
+    CombinationsAndExclusions,
+};
+
+/** Each group's runs, indexed by Group, taken from the run table's
+ *  families and sections. */
+const std::vector<std::vector<RunSpec>> &
+scheduleGroups()
+{
+    static const std::vector<std::vector<RunSpec>> groups = [] {
+        const driver::RunTable &t = driver::runTable();
+        return std::vector<std::vector<RunSpec>>{
+            joined({{t.superscalar}, t.individual}),
+            t.dynamics,
+            joined({section("spawn-unit mechanisms"),
+                    section("max spawn distance")}),
+            section("spawn source task (Section 6 extension)"),
+            joined({section("task contexts"),
+                    section("divert queue entries"),
+                    section("reorder buffer entries"), {kLatencySkew}}),
+            joined({t.combined, t.exclusions}),
+        };
+    }();
+    return groups;
 }
 
 /** How the grid is run: sweep workers, cells a worker claims at a
@@ -96,37 +122,44 @@ struct Schedule
 
 /** Every schedule the pin must hold under. The cost order makes each
  *  run the cells in a different sequence; width 3 leaves a remainder
- *  claim. The grid test runs the first, the label groups' schedule
- *  tests the rest. */
+ *  claim. The grid test runs the first, the schedule tests the
+ *  rest. */
 const Schedule kSchedules[] = {
     {4, 1, false}, {4, 1, true},  {1, 1, false},
     {1, 1, true},  {4, 3, false}, {4, 3, true},
 };
 
-/** Results of @p cells under @p schedule, in declaration order (a
- *  reversed grid's results are mapped back). */
-std::vector<driver::CellResult>
-runGrid(std::vector<driver::SweepCell> cells, const Schedule &s)
+/** @p runs on every workload at the pin scale, run under @p s:
+ *  declared workload by workload in run order, or all back to front.
+ *  The Grid gives rows that share a source and config one cell. */
+driver::Grid
+runGrid(const std::vector<RunSpec> &runs, const Schedule &s)
 {
-    if (s.reversed)
-        std::reverse(cells.begin(), cells.end());
-    auto results = driver::SweepRunner(s.jobs, s.width).run(cells, false);
-    if (s.reversed)
-        std::reverse(results.begin(), results.end());
-    return results;
+    const std::vector<std::string> names = allWorkloadNames();
+    const size_t n = names.size() * runs.size();
+    driver::Grid g;
+    for (size_t k = 0; k < n; ++k) {
+        const size_t i = s.reversed ? n - 1 - k : k;
+        g.add(names[i / runs.size()], kPinScale, runs[i % runs.size()]);
+    }
+    driver::SweepRunner runner(s.jobs, s.width);
+    g.run(runner, false);
+    return g;
 }
 
+/** The pin of each of @p runs on each workload, from the run grid
+ *  @p g, each row's record labelled with its own run. */
 Pins
-pinsOf(const std::vector<driver::SweepCell> &cells,
-       const std::vector<driver::CellResult> &results)
+pinsOf(const driver::Grid &g, const std::vector<RunSpec> &runs)
 {
     Pins pins;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const TimingResult &r = results[i].sim;
-        pins[{cells[i].workload, cells[i].label}] = {
-            r.cycles, store::sha256Hex(stats::runToJson(
-                          {cells[i].workload, cells[i].scale,
-                           cells[i].label, r}))};
+    for (const std::string &name : allWorkloadNames()) {
+        for (const RunSpec &run : runs) {
+            const stats::RunRecord r =
+                g.record(g.cell(name, run.label), run.label);
+            pins[{name, run.label}] = {
+                r.sim.cycles, store::sha256Hex(stats::runToJson(r))};
+        }
     }
     return pins;
 }
@@ -199,9 +232,12 @@ diffPins(const Pins &pinned, const Pins &measured)
 
 TEST(Golden, CellsMatchThePinFile)
 {
-    const auto cells = pinnedGrid();
-    const auto results = runGrid(cells, kSchedules[0]);
-    const Pins measured = pinsOf(cells, results);
+    const std::vector<RunSpec> runs = pinnedRuns();
+    const driver::Grid g = runGrid(runs, kSchedules[0]);
+    // Six ablation rows run postdoms's own config and share its cell.
+    EXPECT_EQ(g.cells().size(),
+              (runs.size() - 6) * allWorkloadNames().size());
+    const Pins measured = pinsOf(g, runs);
     writePins(measured, kMeasuredPins);
     const std::string moved = diffPins(readPins(PF_GOLDEN_PINS), measured);
     EXPECT_TRUE(moved.empty())
@@ -211,32 +247,30 @@ TEST(Golden, CellsMatchThePinFile)
     // The narrow divert queues must fill somewhere, or the pin says
     // nothing about entries held while the queue is full.
     bool divertFilled = false;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        divertFilled |= cells[i].label.rfind("divert=", 0) == 0 &&
-            results[i].sim.divertQueueFullStalls > 0;
+    for (size_t i = 0; i < g.cells().size(); ++i) {
+        divertFilled |= g.cells()[i].label.rfind("divert=", 0) == 0 &&
+            g.results()[i].sim.divertQueueFullStalls > 0;
     }
     EXPECT_TRUE(divertFilled);
 }
 
-/** The cells of @p labels match their pinned rows under every
+/** The rows of @p group match their pinned rows under every
  *  schedule but the grid test's. */
 void
-expectEveryScheduleMatches(const std::vector<std::string> &labels)
+expectEveryScheduleMatches(Group group)
 {
-    const auto inGroup = [&](const std::string &label) {
-        return std::find(labels.begin(), labels.end(), label) !=
-            labels.end();
-    };
-    std::vector<driver::SweepCell> cells = pinnedGrid();
-    std::erase_if(cells, [&](const auto &c) { return !inGroup(c.label); });
+    const std::vector<RunSpec> &runs = scheduleGroups().at(group);
     Pins pinned = readPins(PF_GOLDEN_PINS);
-    std::erase_if(pinned,
-                  [&](const auto &row) { return !inGroup(row.first.second); });
-    ASSERT_EQ(cells.size(), labels.size() * allWorkloadNames().size());
+    std::erase_if(pinned, [&](const auto &row) {
+        return std::none_of(runs.begin(), runs.end(), [&](const RunSpec &r) {
+            return r.label == row.first.second;
+        });
+    });
+    ASSERT_EQ(pinned.size(), runs.size() * allWorkloadNames().size());
     for (size_t i = 1; i < std::size(kSchedules); ++i) {
         const Schedule &s = kSchedules[i];
         const std::string moved =
-            diffPins(pinned, pinsOf(cells, runGrid(cells, s)));
+            diffPins(pinned, pinsOf(runGrid(runs, s), runs));
         EXPECT_TRUE(moved.empty())
             << "jobs " << s.jobs << ", width " << s.width
             << (s.reversed ? ", reversed" : ", declared") << ":\n"
@@ -246,54 +280,46 @@ expectEveryScheduleMatches(const std::vector<std::string> &labels)
 
 TEST(Golden, LabelGroupsCoverTheGridOnce)
 {
-    std::vector<std::string> grouped;
-    for (const auto *group : kLabelGroups)
-        grouped.insert(grouped.end(), group->begin(), group->end());
-    std::vector<std::string> labels;
-    for (const driver::SweepCell &c : pinnedGrid()) {
-        if (std::find(labels.begin(), labels.end(), c.label) ==
-            labels.end())
-            labels.push_back(c.label);
+    // Each pinned run is in exactly one schedule test, and no
+    // schedule test checks a run the grid does not pin.
+    std::map<std::string, int> grouped, once;
+    for (const std::vector<RunSpec> &group : scheduleGroups()) {
+        for (const RunSpec &run : group)
+            ++grouped[run.label];
     }
-    std::sort(grouped.begin(), grouped.end());
-    std::sort(labels.begin(), labels.end());
-    EXPECT_EQ(grouped, labels);
+    for (const RunSpec &run : pinnedRuns())
+        once[run.label] = 1;
+    EXPECT_EQ(grouped, once);
 }
 
 TEST(Stages, GoldenFig09StatsAreCycleIdenticalWhenBatched)
 {
-    expectEveryScheduleMatches(kFig09Labels);
+    expectEveryScheduleMatches(Fig09);
 }
 
 TEST(Stages, GoldenDynamicSourcesAreWidthInvariant)
 {
-    expectEveryScheduleMatches(kDynamicSourceLabels);
+    expectEveryScheduleMatches(DynamicSources);
 }
 
 TEST(Stages, GoldenSpawnUnitAblationIsWidthInvariant)
 {
-    expectEveryScheduleMatches(kSpawnUnitLabels);
+    expectEveryScheduleMatches(SpawnUnit);
 }
 
 TEST(Stages, GoldenSpawnFromAnyTaskIsWidthInvariant)
 {
-    expectEveryScheduleMatches(kSpawnFromAnyTaskLabels);
+    expectEveryScheduleMatches(SpawnFromAnyTask);
 }
 
 TEST(Stages, GoldenResourcesAndLatenciesAreScheduleInvariant)
 {
-    expectEveryScheduleMatches(kResourceLatencyLabels);
+    expectEveryScheduleMatches(ResourcesAndLatencies);
 }
 
-TEST(Runs, GoldenLabelsResolve)
+TEST(Stages, GoldenCombinationsAndExclusionsAreScheduleInvariant)
 {
-    for (const auto *group : kLabelGroups) {
-        for (const std::string &label : *group) {
-            EXPECT_EQ(driver::runByLabel(label).has_value(),
-                      label != kLatencySkew.label)
-                << label;
-        }
-    }
+    expectEveryScheduleMatches(CombinationsAndExclusions);
 }
 
 TEST(Golden, ComparerNamesMissingExtraAndMovedCells)

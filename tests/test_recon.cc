@@ -9,11 +9,11 @@
 
 #include "analysis/cfg_view.hh"
 #include "analysis/dominators.hh"
+#include "driver/session.hh"
 #include "ir/builder.hh"
 #include "isa/functional_sim.hh"
 #include "recon/recon_predictor.hh"
 #include "workloads/wl_common.hh"
-#include "workloads/workloads.hh"
 
 namespace polyflow {
 namespace {
@@ -169,17 +169,14 @@ TEST(ReconPredictor, AgreesWithStaticIpdomsOnWorkloads)
     // match the compiler's immediate postdominators.
     int match = 0, total = 0;
     for (const char *name : {"crafty", "twolf", "mcf", "bzip2"}) {
-        Workload w = buildWorkload(name, 0.05);
-        FunctionalOptions opt;
-        opt.recordTrace = true;
-        auto r = runFunctional(w.prog, opt);
+        Session s = Session::open(name, 0.05);
         ReconPredictor pred;
-        train(pred, r.trace);
+        train(pred, s.trace());
 
         // Static map branch PC -> ipdom start PC.
         std::unordered_map<Addr, Addr> ipdoms;
-        for (size_t fi = 0; fi < w.module->numFunctions(); ++fi) {
-            const Function &fn = w.module->function(FuncId(fi));
+        for (size_t fi = 0; fi < s.module().numFunctions(); ++fi) {
+            const Function &fn = s.module().function(FuncId(fi));
             CfgView cfg(fn);
             PostDominatorTree pdt(cfg);
             for (size_t bi = 0; bi < fn.numBlocks(); ++bi) {

@@ -18,47 +18,25 @@
 namespace polyflow {
 namespace {
 
-/** Run a program functionally, recording the trace. */
-FunctionalResult
-traceOf(const LinkedProgram &prog)
-{
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto r = runFunctional(prog, opt);
-    EXPECT_TRUE(r.halted);
-    return r;
-}
-
-/** Superscalar run of a trace. */
+/** The superscalar run of a session's workload. */
 TimingResult
-superscalar(const Trace &t)
+superscalar(Session &s)
 {
-    return runTiming(MachineConfig::superscalar(), t, nullptr, "ss");
-}
-
-/** PolyFlow run under a given static policy. */
-TimingResult
-polyflow(const Workload &w, const Trace &t, const SpawnPolicy &pol,
-         MachineConfig cfg = MachineConfig{})
-{
-    SpawnAnalysis sa(*w.module, w.prog);
-    StaticSpawnSource src(HintTable(sa, pol));
-    return runTiming(cfg, t, &src, pol.name);
+    return s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
 }
 
 TEST(TimingSim, StraightLineBasics)
 {
-    Module m("t");
-    Function &f = m.createFunction("main");
+    auto m = std::make_unique<Module>("t");
+    Function &f = m->createFunction("main");
     {
         FunctionBuilder b(f);
         for (int i = 0; i < 64; ++i)
             b.addi(reg::t0, reg::t0, 1);
         b.halt();
     }
-    LinkedProgram p = m.link();
-    auto r = traceOf(p);
-    TimingResult res = superscalar(r.trace);
+    Session s = Session::adopt(finishWorkload(std::move(m)));
+    TimingResult res = superscalar(s);
     EXPECT_EQ(res.instrs, 65u);
     EXPECT_GT(res.cycles, 8u);           // at least width-limited
     EXPECT_LE(res.ipc(), 8.0);
@@ -91,15 +69,10 @@ TEST(TimingSim, DependentChainIsSlowerThanIndependent)
         b.halt();
         return m;
     };
-    auto dep = makeProg(true);
-    auto ind = makeProg(false);
-    // The trace references the program: keep both alive.
-    LinkedProgram pd = dep->link();
-    LinkedProgram pi = ind->link();
-    auto rd = traceOf(pd);
-    auto ri = traceOf(pi);
-    TimingResult sd = superscalar(rd.trace);
-    TimingResult si = superscalar(ri.trace);
+    Session dep = Session::adopt(finishWorkload(makeProg(true)));
+    Session ind = Session::adopt(finishWorkload(makeProg(false)));
+    TimingResult sd = superscalar(dep);
+    TimingResult si = superscalar(ind);
     EXPECT_GT(sd.cycles, si.cycles * 2);
 }
 
@@ -134,16 +107,10 @@ TEST(TimingSim, MispredictsCostCycles)
         b.halt();
         return m;
     };
-    auto hard = makeProg(true);
-    auto easy = makeProg(false);
-    // The trace keeps a pointer to its program: bind the linked
-    // images so they outlive the timing runs below.
-    LinkedProgram ph = hard->link();
-    LinkedProgram pe = easy->link();
-    auto rh = traceOf(ph);
-    auto re = traceOf(pe);
-    TimingResult sh = superscalar(rh.trace);
-    TimingResult se = superscalar(re.trace);
+    Session hard = Session::adopt(finishWorkload(makeProg(true)));
+    Session easy = Session::adopt(finishWorkload(makeProg(false)));
+    TimingResult sh = superscalar(hard);
+    TimingResult se = superscalar(easy);
     EXPECT_GT(sh.branchMispredicts, 50u);
     EXPECT_LT(se.branchMispredicts, 20u);
     EXPECT_GT(sh.cycles, se.cycles + 8 * 40);
@@ -151,18 +118,15 @@ TEST(TimingSim, MispredictsCostCycles)
 
 TEST(TimingSim, ICacheMissesAppearWithLargeFootprint)
 {
-    Workload w = buildWorkload("vortex", 0.05);
-    auto r = traceOf(w.prog);
-    TimingResult res = superscalar(r.trace);
-    EXPECT_GT(res.icacheMisses, 100u);
+    Session s = Session::open("vortex", 0.05);
+    EXPECT_GT(superscalar(s).icacheMisses, 100u);
 }
 
 TEST(TimingSim, PostdomSpawningBeatsSuperscalarOnTwolf)
 {
-    Workload w = buildWorkload("twolf", 0.1);
-    auto r = traceOf(w.prog);
-    TimingResult ss = superscalar(r.trace);
-    TimingResult pf = polyflow(w, r.trace, SpawnPolicy::postdoms());
+    Session s = Session::open("twolf", 0.1);
+    TimingResult ss = superscalar(s);
+    TimingResult pf = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
     EXPECT_GT(pf.spawns, 0u);
     EXPECT_GT(pf.tasksRetired, 0u);
     EXPECT_LT(pf.cycles, ss.cycles);
@@ -170,9 +134,8 @@ TEST(TimingSim, PostdomSpawningBeatsSuperscalarOnTwolf)
 
 TEST(TimingSim, SpawningProducesAllKindsOnTwolf)
 {
-    Workload w = buildWorkload("twolf", 0.1);
-    auto r = traceOf(w.prog);
-    TimingResult pf = polyflow(w, r.trace, SpawnPolicy::postdoms());
+    TimingResult pf = Session::open("twolf", 0.1)
+                          .simulate(MachineConfig{}, SpawnPolicy::postdoms());
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::Hammock)], 0u);
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::LoopFT)], 0u);
     // twolf's call sites span more dynamic instructions than the
@@ -182,17 +145,15 @@ TEST(TimingSim, SpawningProducesAllKindsOnTwolf)
 
 TEST(TimingSim, ProcFTSpawnsFireOnCallHeavyWorkload)
 {
-    Workload w = buildWorkload("vortex", 0.1);
-    auto r = traceOf(w.prog);
-    TimingResult pf = polyflow(w, r.trace, SpawnPolicy::procFT());
+    TimingResult pf = Session::open("vortex", 0.1)
+                          .simulate(MachineConfig{}, SpawnPolicy::procFT());
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::ProcFT)], 0u);
 }
 
 TEST(TimingSim, LoopPolicySpawnsOnlyLoopIters)
 {
-    Workload w = buildWorkload("twolf", 0.1);
-    auto r = traceOf(w.prog);
-    TimingResult pf = polyflow(w, r.trace, SpawnPolicy::loop());
+    TimingResult pf = Session::open("twolf", 0.1)
+                          .simulate(MachineConfig{}, SpawnPolicy::loop());
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::LoopIter)], 0u);
     EXPECT_EQ(pf.spawnsByKind[int(SpawnKind::Hammock)], 0u);
     EXPECT_EQ(pf.spawnsByKind[int(SpawnKind::ProcFT)], 0u);
@@ -209,42 +170,38 @@ TEST(TimingSim, SingleTaskConfigNeverSpawns)
         r.spawnsSkippedDistance = 0;
         return r;
     };
+    // An empty static source, not the baseline's null one.
+    const auto none = driver::SourceSpec::statics(SpawnPolicy::none());
     for (const std::string &name : allWorkloadNames()) {
         SCOPED_TRACE(name);
-        Workload w = buildWorkload(name, 0.1);
-        auto r = traceOf(w.prog);
+        Session s = Session::open(name, 0.1);
         TimingResult ss = unlabelled(
-            polyflow(w, r.trace, SpawnPolicy::none(),
-                     MachineConfig::superscalar()));
+            s.simulate(MachineConfig::superscalar(), none, "none"));
 
         MachineConfig oneTask;
         oneTask.numTasks = 1;
-        TimingResult pf =
-            polyflow(w, r.trace, SpawnPolicy::postdoms(), oneTask);
+        TimingResult pf = s.simulate(oneTask, SpawnPolicy::postdoms());
         EXPECT_EQ(pf.spawns, 0u);
         EXPECT_EQ(unlabelled(pf), ss) << "postdoms, one task";
 
         MachineConfig noDistance;
         noDistance.minSpawnDistance = UINT32_MAX;
-        EXPECT_EQ(unlabelled(polyflow(w, r.trace, SpawnPolicy::postdoms(),
-                                      noDistance)),
+        EXPECT_EQ(unlabelled(s.simulate(noDistance, SpawnPolicy::postdoms())),
                   ss)
             << "postdoms, minSpawnDistance past the trace";
 
-        EXPECT_EQ(unlabelled(polyflow(w, r.trace, SpawnPolicy::none())),
-                  ss)
+        EXPECT_EQ(unlabelled(s.simulate(MachineConfig{}, none, "none")), ss)
             << "no spawn policy, 8 contexts";
     }
 }
 
 TEST(TimingSim, TaskCountBoundsSpawning)
 {
-    Workload w = buildWorkload("twolf", 0.1);
-    auto r = traceOf(w.prog);
+    Session s = Session::open("twolf", 0.1);
     MachineConfig two;
     two.numTasks = 2;
-    TimingResult pf2 = polyflow(w, r.trace, SpawnPolicy::postdoms(), two);
-    TimingResult pf8 = polyflow(w, r.trace, SpawnPolicy::postdoms());
+    TimingResult pf2 = s.simulate(two, SpawnPolicy::postdoms());
+    TimingResult pf8 = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
     EXPECT_GT(pf8.spawns, pf2.spawns);
     // More contexts should not hurt on this loop-parallel workload.
     EXPECT_LE(pf8.cycles, pf2.cycles * 11 / 10);
@@ -252,10 +209,9 @@ TEST(TimingSim, TaskCountBoundsSpawning)
 
 TEST(TimingSim, DeterministicResults)
 {
-    Workload w = buildWorkload("mcf", 0.05);
-    auto r = traceOf(w.prog);
-    TimingResult a = polyflow(w, r.trace, SpawnPolicy::postdoms());
-    TimingResult b = polyflow(w, r.trace, SpawnPolicy::postdoms());
+    Session s = Session::open("mcf", 0.05);
+    TimingResult a = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+    TimingResult b = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.spawns, b.spawns);
     EXPECT_EQ(a.violations, b.violations);
@@ -303,24 +259,18 @@ TEST(TimingSim, CrossTaskMemoryDependenceIsHonoured)
         b.setBlock(done);
         b.halt();
     }
-    LinkedProgram p = m.link();
-    auto r = traceOf(p);
-
-    Workload w;
-    w.name = "t";
-    w.prog = p;
-    w.module = std::make_unique<Module>(std::move(m));
-    TimingResult pf = polyflow(w, r.trace, SpawnPolicy::loopFT());
+    Session s = Session::adopt(
+        finishWorkload(std::make_unique<Module>(std::move(m))));
+    TimingResult pf = s.simulate(MachineConfig{}, SpawnPolicy::loopFT());
     // Either the machine spawned and synchronized/squashed, or it
     // found no profitable spawn; in all cases it must finish.
-    EXPECT_EQ(pf.instrs, r.trace.size());
+    EXPECT_EQ(pf.instrs, s.trace().size());
 }
 
 TEST(TimingSim, ViolationSquashLearnsStoreSet)
 {
-    Workload w = buildWorkload("twolf", 0.1);
-    auto r = traceOf(w.prog);
-    TimingResult pf = polyflow(w, r.trace, SpawnPolicy::postdoms());
+    TimingResult pf = Session::open("twolf", 0.1)
+                          .simulate(MachineConfig{}, SpawnPolicy::postdoms());
     // twolf's *costptr accumulation conflicts across tasks: the
     // first conflict squashes, then the store set synchronizes.
     if (pf.violations > 0) {
@@ -342,20 +292,19 @@ TEST(TimingSim, CycleLimitNamesTheRun)
     // An integer latency longer than the cycle limit keeps the first
     // result from ever arriving, so commit never advances: the run
     // must stop at the cycle limit and say which run hung.
-    Module m("t");
-    Function &f = m.createFunction("main");
+    auto m = std::make_unique<Module>("t");
+    Function &f = m->createFunction("main");
     {
         FunctionBuilder b(f);
         for (int i = 0; i < 8; ++i)
             b.addi(reg::t0, reg::t0, 1);
         b.halt();
     }
-    LinkedProgram p = m.link();
-    auto r = traceOf(p);
+    Session s = Session::adopt(finishWorkload(std::move(m)));
     MachineConfig cfg = MachineConfig::superscalar();
     cfg.intLatency = 1'000'000'000;
     try {
-        runTiming(cfg, r.trace, nullptr, "stuck");
+        s.simulate(cfg, driver::SourceSpec::baseline(), "stuck");
         FAIL() << "expected a cycle-limit error";
     } catch (const std::runtime_error &e) {
         const std::string msg = e.what();
@@ -387,20 +336,19 @@ TEST_P(BadConfig, IsRejectedNamingTheField)
 {
     // A config no machine can run fails before the first cycle, with
     // the field's name, instead of spinning to the cycle limit.
-    Module m("t");
-    Function &f = m.createFunction("main");
+    auto m = std::make_unique<Module>("t");
+    Function &f = m->createFunction("main");
     {
         FunctionBuilder b(f);
         b.addi(reg::t0, reg::t0, 1);
         b.halt();
     }
-    LinkedProgram p = m.link();
-    auto r = traceOf(p);
+    Session s = Session::adopt(finishWorkload(std::move(m)));
     MachineConfig cfg;
     GetParam().spoil(cfg);
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
     try {
-        runTiming(cfg, r.trace, nullptr, "bad");
+        s.simulate(cfg, driver::SourceSpec::baseline(), "bad");
         FAIL() << "expected a config error";
     } catch (const std::invalid_argument &e) {
         const std::string msg = e.what();
@@ -462,12 +410,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TimingSim, AllWorkloadsFinishUnderAllBasePolicies)
 {
     for (const std::string &name : allWorkloadNames()) {
-        Workload w = buildWorkload(name, 0.03);
-        auto r = traceOf(w.prog);
-        TimingResult ss = superscalar(r.trace);
-        EXPECT_EQ(ss.instrs, r.trace.size()) << name;
-        TimingResult pf = polyflow(w, r.trace, SpawnPolicy::postdoms());
-        EXPECT_EQ(pf.instrs, r.trace.size()) << name;
+        Session s = Session::open(name, 0.03);
+        EXPECT_EQ(superscalar(s).instrs, s.trace().size()) << name;
+        TimingResult pf = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+        EXPECT_EQ(pf.instrs, s.trace().size()) << name;
     }
 }
 

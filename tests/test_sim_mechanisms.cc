@@ -15,43 +15,16 @@
 namespace polyflow {
 namespace {
 
-struct Prepared
-{
-    Workload w;
-    std::unique_ptr<FunctionalResult> fr;
-    std::unique_ptr<SpawnAnalysis> sa;
-
-    TimingResult
-    run(const SpawnPolicy &pol, const MachineConfig &cfg)
-    {
-        StaticSpawnSource src{HintTable(*sa, pol)};
-        return runTiming(cfg, fr->trace, &src, pol.name);
-    }
-};
-
-Prepared
-prepare(const std::string &name, double scale)
-{
-    Prepared p;
-    p.w = buildWorkload(name, scale);
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    p.fr = std::make_unique<FunctionalResult>(
-        runFunctional(p.w.prog, opt));
-    p.sa = std::make_unique<SpawnAnalysis>(*p.w.module, p.w.prog);
-    return p;
-}
-
 TEST(Mechanisms, GhostContextsThrottleSpawnsUnderMispredicts)
 {
     // twolf is mispredict-dense: holding a context per unresolved
     // mispredict must reduce spawn throughput.
-    Prepared p = prepare("twolf", 0.1);
+    Session s = Session::open("twolf", 0.1);
     MachineConfig on;
     MachineConfig off;
     off.wrongPathGhosts = false;
-    TimingResult rOn = p.run(SpawnPolicy::loop(), on);
-    TimingResult rOff = p.run(SpawnPolicy::loop(), off);
+    TimingResult rOn = s.simulate(on, SpawnPolicy::loop());
+    TimingResult rOff = s.simulate(off, SpawnPolicy::loop());
     EXPECT_LT(rOn.spawns, rOff.spawns);
 }
 
@@ -60,19 +33,18 @@ TEST(Mechanisms, CompilerHintsPreventViolations)
     // Without hints, cross-task register consumers speculate and
     // squash once per consumer PC before the predictor learns. The
     // same spawn points with every dependence mask zeroed stand for
-    // a compiler that provides none.
-    Prepared p = prepare("twolf", 0.1);
-    const HintTable hints(*p.sa, SpawnPolicy::postdoms());
-    std::vector<SpawnPoint> noMasks = hints.points();
+    // a compiler that provides none: a table no policy yields, so
+    // it is the one source here built by hand.
+    Session s = Session::open("twolf", 0.1);
+    const SpawnPolicy postdoms = SpawnPolicy::postdoms();
+    std::vector<SpawnPoint> noMasks = s.hints(postdoms)->points();
     for (SpawnPoint &sp : noMasks)
         sp.depMask = 0;
-    StaticSpawnSource withHints{hints};
     StaticSpawnSource withoutHints{HintTable(noMasks)};
     const MachineConfig cfg;
-    TimingResult rH =
-        runTiming(cfg, p.fr->trace, &withHints, "postdoms");
+    TimingResult rH = s.simulate(cfg, postdoms);
     TimingResult rN =
-        runTiming(cfg, p.fr->trace, &withoutHints, "postdoms");
+        runTiming(cfg, s.trace(), &withoutHints, "postdoms");
     EXPECT_LT(rH.violations, rN.violations);
 }
 
@@ -81,9 +53,9 @@ TEST(Mechanisms, DependenceMasksComputed)
     // twolf's loopFT spawn out of the inner loop must carry a
     // nonempty dependence mask (the accumulator registers and the
     // list cursor are written in the region and live at the join).
-    Prepared p = prepare("twolf", 0.05);
+    Session s = Session::open("twolf", 0.05);
     bool sawMask = false;
-    for (const SpawnPoint &sp : p.sa->points()) {
+    for (const SpawnPoint &sp : s.analysis().points()) {
         if (sp.kind == SpawnKind::LoopFT && sp.depMask != 0)
             sawMask = true;
         // r0 never appears in a mask.
@@ -117,45 +89,39 @@ TEST(Mechanisms, FeedbackDisablesUnprofitableTriggers)
         b.setBlock(done);
         b.halt();
     }
-    LinkedProgram prog = m.link();
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto fr = runFunctional(prog, opt);
-    ASSERT_TRUE(fr.halted);
-    SpawnAnalysis sa(m, prog);
+    Session s = Session::adopt(
+        finishWorkload(std::make_unique<Module>(std::move(m))));
 
     MachineConfig fb;
-    StaticSpawnSource s1{HintTable(sa, SpawnPolicy::loop())};
-    TimingResult r = runTiming(fb, fr.trace, &s1, "loop");
+    TimingResult r = s.simulate(fb, SpawnPolicy::loop());
     EXPECT_GT(r.spawnsSkippedFeedback, 0u);
     EXPECT_GT(r.triggersDisabled, 0u);
 
     MachineConfig noFb;
     noFb.spawnFeedback = false;
-    StaticSpawnSource s2{HintTable(sa, SpawnPolicy::loop())};
-    TimingResult r2 = runTiming(noFb, fr.trace, &s2, "loop");
+    TimingResult r2 = s.simulate(noFb, SpawnPolicy::loop());
     EXPECT_EQ(r2.spawnsSkippedFeedback, 0u);
     EXPECT_GT(r2.spawns, r.spawns);
 }
 
 TEST(Mechanisms, DivertReleaseDelaySlowsSynchronizedChains)
 {
-    Prepared p = prepare("twolf", 0.1);
+    Session s = Session::open("twolf", 0.1);
     MachineConfig fast;
     fast.divertReleaseDelay = 0;
     MachineConfig slow;
     slow.divertReleaseDelay = 12;
-    TimingResult rF = p.run(SpawnPolicy::postdoms(), fast);
-    TimingResult rS = p.run(SpawnPolicy::postdoms(), slow);
+    TimingResult rF = s.simulate(fast, SpawnPolicy::postdoms());
+    TimingResult rS = s.simulate(slow, SpawnPolicy::postdoms());
     EXPECT_LT(rF.cycles, rS.cycles);
 }
 
 TEST(Mechanisms, SpawnDistanceCapFiltersFarTargets)
 {
-    Prepared p = prepare("twolf", 0.1);
     MachineConfig tight;
     tight.maxSpawnDistance = 16;
-    TimingResult r = p.run(SpawnPolicy::postdoms(), tight);
+    TimingResult r = Session::open("twolf", 0.1)
+                         .simulate(tight, SpawnPolicy::postdoms());
     EXPECT_GT(r.spawnsSkippedDistance, 0u);
 }
 
@@ -163,8 +129,8 @@ TEST(Mechanisms, ReturnMispredictsOnDeepRecursion)
 {
     // Recursion deeper than the 16-entry RAS must overflow it and
     // mispredict some returns.
-    Module m("t");
-    Function &f = m.createFunction("rec");
+    auto m = std::make_unique<Module>("t");
+    Function &f = m->createFunction("rec");
     {
         FunctionBuilder b(f);
         BlockId recurse = b.newBlock();
@@ -180,28 +146,21 @@ TEST(Mechanisms, ReturnMispredictsOnDeepRecursion)
         b.setBlock(out);
         b.ret();
     }
-    Function &main = m.createFunction("main");
+    Function &main = m->createFunction("main");
     {
         FunctionBuilder b(main);
         b.li(reg::a0, 40);  // depth 40 >> 16 RAS entries
         b.call(f.id());
         b.halt();
     }
-    m.entryFunction(main.id());
-    LinkedProgram prog = m.link();
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto r = runFunctional(prog, opt);
-    ASSERT_TRUE(r.halted);
-    TimingResult s = runTiming(MachineConfig::superscalar(), r.trace,
-                           nullptr, "ss");
-    EXPECT_GT(s.returnMispredicts, 10u);
+    m->entryFunction(main.id());
+    Session s = Session::adopt(finishWorkload(std::move(m)));
+    MachineConfig cfg = MachineConfig::superscalar();
+    EXPECT_GT(s.simulate(cfg, SpawnPolicy::none()).returnMispredicts, 10u);
 
     // A generous RAS removes them.
-    MachineConfig big = MachineConfig::superscalar();
-    big.returnStackEntries = 64;
-    TimingResult s2 = runTiming(big, r.trace, nullptr, "ss");
-    EXPECT_EQ(s2.returnMispredicts, 0u);
+    cfg.returnStackEntries = 64;
+    EXPECT_EQ(s.simulate(cfg, SpawnPolicy::none()).returnMispredicts, 0u);
 }
 
 TEST(Mechanisms, IndirectTargetPredictionAccounting)
@@ -253,21 +212,18 @@ TEST(Mechanisms, IndirectTargetPredictionAccounting)
             i.imm = std::int64_t(jt);
             return i;
         }());
-    LinkedProgram prog = m.link();
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto r = runFunctional(prog, opt);
-    ASSERT_TRUE(r.halted);
-    TimingResult s = runTiming(MachineConfig::superscalar(), r.trace,
-                           nullptr, "ss");
-    EXPECT_GT(s.indirectMispredicts, 150u);
+    Session s = Session::adopt(
+        finishWorkload(std::make_unique<Module>(std::move(m))));
+    TimingResult r =
+        s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
+    EXPECT_GT(r.indirectMispredicts, 150u);
 }
 
 TEST(Mechanisms, TasksRetiredEqualsSpawnsPlusOne)
 {
     for (const char *name : {"twolf", "mcf", "vortex"}) {
-        Prepared p = prepare(name, 0.05);
-        TimingResult r = p.run(SpawnPolicy::postdoms(), MachineConfig{});
+        TimingResult r = Session::open(name, 0.05).simulate(
+            MachineConfig{}, SpawnPolicy::postdoms());
         EXPECT_EQ(r.tasksRetired, r.spawns + 1) << name;
     }
 }
@@ -276,12 +232,12 @@ TEST(Mechanisms, AnyTaskSpawningLiftsTailRestriction)
 {
     // Section 6 extension: with spawn-from-any-task, non-tail tasks
     // keep spawning, so total spawns must not drop and usually rise.
-    Prepared p = prepare("twolf", 0.1);
+    Session s = Session::open("twolf", 0.1);
     MachineConfig tail;
     MachineConfig any;
     any.spawnFromAnyTask = true;
-    TimingResult rT = p.run(SpawnPolicy::postdoms(), tail);
-    TimingResult rA = p.run(SpawnPolicy::postdoms(), any);
+    TimingResult rT = s.simulate(tail, SpawnPolicy::postdoms());
+    TimingResult rA = s.simulate(any, SpawnPolicy::postdoms());
     EXPECT_EQ(rA.instrs, rT.instrs);
     EXPECT_GE(rA.spawns + 8, rT.spawns);
     EXPECT_EQ(rA.tasksRetired, rA.spawns + 1);
@@ -289,10 +245,10 @@ TEST(Mechanisms, AnyTaskSpawningLiftsTailRestriction)
 
 TEST(Mechanisms, DmtSourceSpawnsLoopAndProcFallThroughs)
 {
-    Prepared p = prepare("twolf", 0.1);
-    DmtSpawnSource dmt;
-    TimingResult r = runTiming(MachineConfig{}, p.fr->trace, &dmt, "dmt");
-    EXPECT_EQ(r.instrs, p.fr->trace.size());
+    Session s = Session::open("twolf", 0.1);
+    TimingResult r =
+        s.simulate(MachineConfig{}, driver::SourceSpec::dmt(), "dmt");
+    EXPECT_EQ(r.instrs, s.trace().size());
     EXPECT_GT(r.spawnsByKind[int(SpawnKind::LoopFT)], 0u);
     EXPECT_EQ(r.spawnsByKind[int(SpawnKind::Hammock)], 0u);
     EXPECT_EQ(r.spawnsByKind[int(SpawnKind::Other)], 0u);
@@ -300,12 +256,10 @@ TEST(Mechanisms, DmtSourceSpawnsLoopAndProcFallThroughs)
 
 TEST(Mechanisms, TaskEventsAreConsistent)
 {
-    Prepared p = prepare("mcf", 0.05);
-    StaticSpawnSource src{
-        HintTable(*p.sa, SpawnPolicy::postdoms())};
     std::vector<TaskEvent> events;
-    TimingResult r = runTiming(MachineConfig{}, p.fr->trace, &src,
-                               "postdoms", nullptr, &events);
+    TimingResult r = Session::open("mcf", 0.05)
+                         .simulate(MachineConfig{}, SpawnPolicy::postdoms(),
+                                   {.events = &events});
 
     std::uint64_t spawns = 0, retires = 0, squashes = 0;
     std::uint64_t last = 0;

@@ -148,10 +148,10 @@ TEST(Stages, FrontendSpawnTruncatesParentThenAllocates)
     // Parent truncated immediately at the spawn start, before the
     // context is allocated: its fetch must stop at the boundary.
     EXPECT_EQ(m.tasks.size(), 1u);
-    EXPECT_EQ(m.tasks[0].end, m.pending.start);
-    EXPECT_GT(m.pending.start, TraceIdx(3));
-    EXPECT_EQ(m.pending.end, rootEnd);
-    EXPECT_EQ(m.pending.triggerPc, src.triggerPc);
+    EXPECT_EQ(m.tasks[0].end, m.pending.task.begin);
+    EXPECT_GT(m.pending.task.begin, TraceIdx(3));
+    EXPECT_EQ(m.pending.task.end, rootEnd);
+    EXPECT_EQ(m.pending.task.triggerPc, src.triggerPc);
 
     // End of cycle: the new context appears right after its parent,
     // owning exactly the truncated-off tail.

@@ -253,8 +253,7 @@ TEST_F(StoreTest, ProgramContentChangesTheKey)
     // under the exact same (name, scale) key — the content hash is
     // what protects renamed or edited workloads.
     Workload w2 = buildWorkload("twolf", 0.1);
-    ASSERT_NE(store::programContentHash(w.prog),
-              store::programContentHash(w2.prog));
+    ASSERT_NE(w.prog.contentHash(), w2.prog.contentHash());
     EXPECT_FALSE(store.loadTrace("twolf", 0.02, w2.prog));
 }
 

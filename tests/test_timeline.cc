@@ -33,25 +33,14 @@ struct TimelineRun
 TimelineRun
 runWithTimeline(const std::string &name, bool dynamicSource)
 {
-    Workload w = buildWorkload(name, kScale);
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto fr = runFunctional(w.prog, opt);
-    EXPECT_TRUE(fr.halted);
-
+    Session s = Session::open(name, kScale);
     TimelineRun out;
-    out.traceSize = fr.trace.size();
-    if (dynamicSource) {
-        ReconSpawnSource src;
-        out.res = runTiming(MachineConfig{}, fr.trace, &src, "rec_pred",
-                            nullptr, &out.events);
-    } else {
-        SpawnAnalysis sa(*w.module, w.prog);
-        StaticSpawnSource src{
-            HintTable(sa, SpawnPolicy::postdoms())};
-        out.res = runTiming(MachineConfig{}, fr.trace, &src, "postdoms",
-                            nullptr, &out.events);
-    }
+    out.traceSize = s.trace().size();
+    out.res = dynamicSource
+        ? s.simulate(MachineConfig{}, driver::SourceSpec::recon(),
+                     "rec_pred", {.events = &out.events})
+        : s.simulate(MachineConfig{}, SpawnPolicy::postdoms(),
+                     {.events = &out.events});
     return out;
 }
 
@@ -164,21 +153,15 @@ TEST(Timeline, SuperscalarHasBareTimeline)
 {
     // The baseline never spawns: its timeline is exactly one Retire
     // of the whole trace.
-    Workload w = buildWorkload("mcf", kScale);
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto fr = runFunctional(w.prog, opt);
-    ASSERT_TRUE(fr.halted);
-
+    Session s = Session::open("mcf", kScale);
     std::vector<TaskEvent> events;
-    TimingResult res = runTiming(MachineConfig::superscalar(), fr.trace,
-                                 nullptr, "superscalar", nullptr,
-                                 &events);
+    TimingResult res = s.simulate(MachineConfig::superscalar(),
+                                  SpawnPolicy::none(), {.events = &events});
 
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, TaskEvent::Kind::Retire);
     EXPECT_EQ(events[0].begin, 0u);
-    EXPECT_EQ(events[0].end, fr.trace.size());
+    EXPECT_EQ(events[0].end, s.trace().size());
     EXPECT_EQ(res.tasksRetired, 1u);
 }
 

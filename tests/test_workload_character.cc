@@ -24,7 +24,6 @@ struct Character
     double loadFrac = 0;
     double ssIpc = 0;
     std::uint64_t icacheMisses = 0;
-    std::uint64_t instrs = 0;
 };
 
 const Character &
@@ -35,22 +34,19 @@ characterOf(const std::string &name)
     if (it != cache.end())
         return it->second;
 
-    Workload w = buildWorkload(name, 0.2);
-    FunctionalOptions opt;
-    opt.recordTrace = true;
-    auto r = runFunctional(w.prog, opt);
+    Session s = Session::open(name, 0.2);
+    const Trace &t = s.trace();
     Character c;
-    c.instrs = r.instrCount;
     std::uint64_t branches = 0, calls = 0, loads = 0;
-    for (TraceIdx i = 0; i < r.trace.size(); ++i) {
-        const Instruction &in = r.trace.staticOf(i).instr;
+    for (TraceIdx i = 0; i < t.size(); ++i) {
+        const Instruction &in = t.staticOf(i).instr;
         branches += in.isCondBranch();
         calls += in.isCall();
         loads += in.isLoad();
     }
-    TimingResult ss = runTiming(MachineConfig::superscalar(), r.trace,
-                            nullptr, "ss");
-    double n = double(r.trace.size());
+    TimingResult ss =
+        s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
+    double n = double(t.size());
     c.branchFrac = 100.0 * branches / n;
     c.callFrac = 100.0 * calls / n;
     c.loadFrac = 100.0 * loads / n;

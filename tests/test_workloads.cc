@@ -9,9 +9,9 @@
 
 #include <iterator>
 
+#include "driver/session.hh"
 #include "isa/functional_sim.hh"
 #include "spawn/spawn_analysis.hh"
-#include "store/artifact_store.hh"
 #include "workloads/workloads.hh"
 
 namespace polyflow {
@@ -62,8 +62,8 @@ TEST_P(WorkloadTest, ScaleControlsDynamicLength)
 
 TEST_P(WorkloadTest, SpawnAnalysisFindsPoints)
 {
-    Workload w = buildWorkload(GetParam(), testScale);
-    SpawnAnalysis sa(*w.module, w.prog);
+    Session s = Session::open(GetParam(), testScale);
+    const SpawnAnalysis &sa = s.analysis();
     EXPECT_GT(sa.points().size(), 0u);
     // Every workload has procedure calls and at least one loop.
     EXPECT_GT(sa.census().byKind[int(SpawnKind::ProcFT)], 0);
@@ -136,12 +136,10 @@ TEST(WorkloadRegistry, ProgramsArePinned)
     };
     ASSERT_EQ(std::size(pins), allWorkloadNames().size());
     for (const Pin &p : pins) {
-        EXPECT_EQ(store::programContentHash(
-                      buildWorkload(p.name, 0.04).prog),
+        EXPECT_EQ(buildWorkload(p.name, 0.04).prog.contentHash(),
                   p.atGolden)
             << p.name << " at scale 0.04";
-        EXPECT_EQ(store::programContentHash(
-                      buildWorkload(p.name, 1.0).prog),
+        EXPECT_EQ(buildWorkload(p.name, 1.0).prog.contentHash(),
                   p.atOne)
             << p.name << " at scale 1";
     }
@@ -149,15 +147,14 @@ TEST(WorkloadRegistry, ProgramsArePinned)
 
 TEST(WorkloadCharacter, PerlbmkHasIndirectJumps)
 {
-    Workload w = buildWorkload("perlbmk", testScale);
-    SpawnAnalysis sa(*w.module, w.prog);
-    EXPECT_GT(sa.census().byKind[int(SpawnKind::Other)], 0);
+    Session s = Session::open("perlbmk", testScale);
+    EXPECT_GT(s.analysis().census().byKind[int(SpawnKind::Other)], 0);
 }
 
 TEST(WorkloadCharacter, TwolfHasNestedLoopSpawns)
 {
-    Workload w = buildWorkload("twolf", testScale);
-    SpawnAnalysis sa(*w.module, w.prog);
+    Session s = Session::open("twolf", testScale);
+    const SpawnAnalysis &sa = s.analysis();
     // new_dbox_a alone carries two loops (inner and outer).
     EXPECT_GE(sa.census().byKind[int(SpawnKind::LoopIter)], 2);
     EXPECT_GE(sa.census().byKind[int(SpawnKind::LoopFT)], 2);
@@ -166,9 +163,8 @@ TEST(WorkloadCharacter, TwolfHasNestedLoopSpawns)
 
 TEST(WorkloadCharacter, VortexIsCallHeavy)
 {
-    Workload w = buildWorkload("vortex", testScale);
-    SpawnAnalysis sa(*w.module, w.prog);
-    EXPECT_GE(sa.census().byKind[int(SpawnKind::ProcFT)], 6);
+    Session s = Session::open("vortex", testScale);
+    EXPECT_GE(s.analysis().census().byKind[int(SpawnKind::ProcFT)], 6);
 }
 
 } // namespace
