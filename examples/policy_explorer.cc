@@ -18,7 +18,8 @@ using namespace polyflow;
 int
 main(int argc, char **argv)
 {
-    std::string name = argc > 1 ? argv[1] : "twolf";
+    std::string name =
+        argc > 1 ? driver::parseWorkload(argv[1]) : "twolf";
     double scale =
         argc > 2 ? driver::parseScale("scale", argv[2]) : 0.25;
 
@@ -41,7 +42,7 @@ main(int argc, char **argv)
     const std::vector<driver::RunSpec> runs = driver::figureRuns();
     TimingResult base;
     for (const driver::RunSpec &run : runs) {
-        TimingResult r = s.simulate(run.config, run.source, run.label);
+        TimingResult r = s.simulate(run);
         if (run.label == runs.front().label)
             base = r;
         t.startRow();

@@ -105,10 +105,8 @@ main()
     for (const SpawnPoint &p : s.analysis().points())
         std::cout << "  " << p.toString() << "\n";
 
-    TimingResult ss = s.simulate(MachineConfig::superscalar(),
-                                 SpawnPolicy::none());
-    TimingResult pf =
-        s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+    TimingResult ss = s.simulate(driver::runTable().superscalar);
+    TimingResult pf = s.simulate(*driver::runByLabel("postdoms"));
 
     std::cout << "\nsuperscalar: " << ss.cycles << " cycles (IPC "
               << ss.ipc() << ", " << ss.branchMispredicts

@@ -19,7 +19,8 @@ using namespace polyflow;
 int
 main(int argc, char **argv)
 {
-    std::string name = argc > 1 ? argv[1] : "twolf";
+    std::string name =
+        argc > 1 ? driver::parseWorkload(argv[1]) : "twolf";
     double scale =
         argc > 2 ? driver::parseScale("scale", argv[2]) : 0.05;
     size_t maxTasks =
@@ -30,8 +31,7 @@ main(int argc, char **argv)
     std::vector<TaskEvent> events;
     RunOptions opts;
     opts.events = &events;
-    TimingResult res =
-        s.simulate(MachineConfig{}, SpawnPolicy::postdoms(), opts);
+    TimingResult res = s.simulate(*driver::runByLabel("postdoms"), opts);
 
     std::cout << name << " under postdoms: " << res.cycles
               << " cycles, " << res.spawns << " spawns, "

@@ -31,15 +31,12 @@ main()
                  "spawns, and the outer-loop iteration spawn by the "
                  "inner loop's\nfall-through spawn.\n\n";
 
-    TimingResult base =
-        s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
+    TimingResult base = s.simulate(driver::runTable().superscalar);
     std::cout << "superscalar: IPC " << base.ipc() << "\n\n";
 
-    for (const SpawnPolicy &pol :
-         {SpawnPolicy::loop(), SpawnPolicy::loopFT(),
-          SpawnPolicy::hammock(), SpawnPolicy::postdoms()}) {
-        TimingResult r = s.simulate(MachineConfig{}, pol);
-        std::cout << pol.name << ": speedup "
+    for (const char *label : {"loop", "loopFT", "hammock", "postdoms"}) {
+        TimingResult r = s.simulate(*driver::runByLabel(label));
+        std::cout << label << ": speedup "
                   << r.speedupOver(base) << "%, spawns " << r.spawns
                   << " (";
         for (int k = 0; k < numSpawnKinds; ++k) {

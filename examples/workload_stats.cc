@@ -36,8 +36,7 @@ main(int argc, char **argv)
             branches += in.isCondBranch();
             calls += in.isCall();
         }
-        TimingResult ss = s.simulate(MachineConfig::superscalar(),
-                                     SpawnPolicy::none());
+        TimingResult ss = s.simulate(driver::runTable().superscalar);
 
         double n = double(trace.size());
         t.startRow();

@@ -6,8 +6,8 @@
 #   tests/golden/cells-scale0.04.tsv   the ctest cycle pin: the rows
 #       test_golden's grid test measured (44 labels x 12 workloads);
 #   results/*.txt, results/*.csv       `figures` at PF_BENCH_SCALE=1,
-#       its stdout split at the eight "=== " report banners, and
-#       quickstart's stdout;
+#       its stdout split at the eight "=== " report banners, and the
+#       stdout of each example, run with scripts/smoke.sh's arguments;
 #   perfbench/reference/cells-scale{0.02,0.1}.tsv
 #       `pf_perfbench --write-reference` at both pinned scales.
 #
@@ -73,6 +73,10 @@ echo $reports | awk -v out=build/bench/figures.out '
 for r in $reports; do cat "results/$r.txt"; done | cmp - build/bench/figures.out
 for csv in $csvs; do cp "build/bench/$csv.csv" results/; done
 ./build/examples/quickstart > results/quickstart.txt
+./build/examples/policy_explorer twolf 0.05 > results/policy_explorer.txt
+./build/examples/workload_stats 0.05 > results/workload_stats.txt
+./build/examples/twolf_kernel > results/twolf_kernel.txt
+./build/examples/task_timeline twolf 0.05 > results/task_timeline.txt
 
 # perfbench's references, from its own Release build (the tree
 # perfbench/run.py builds).

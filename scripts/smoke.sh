@@ -15,9 +15,9 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j
 
-# Every example, each a short end-to-end run (stdout is discarded:
-# only quickstart's is pinned, and scripts/repin.sh rewrites that
-# pin, so CI's re-pin step checks it).
+# Every example, each a short end-to-end run. Their stdout is
+# discarded here: scripts/repin.sh runs them with these arguments and
+# rewrites results/<example>.txt, so CI's re-pin step checks it.
 ./build/examples/quickstart > /dev/null
 ./build/examples/policy_explorer twolf 0.05 > /dev/null
 ./build/examples/workload_stats 0.05 > /dev/null

@@ -66,32 +66,18 @@ Session::hints(const SpawnPolicy &policy) const
 }
 
 TimingResult
-Session::simulate(const MachineConfig &config,
-                  const SpawnPolicy &policy,
-                  const RunOptions &options)
-{
-    driver::SourceSpec spec = policy.kindMask == 0
-        ? driver::SourceSpec::baseline()
-        : driver::SourceSpec::statics(policy);
-    return simulate(config, spec, policy.name, options);
-}
-
-TimingResult
-Session::simulate(const MachineConfig &config,
-                  const driver::SourceSpec &source,
-                  const std::string &label,
-                  const RunOptions &options)
+Session::simulate(const driver::RunSpec &run, const RunOptions &options)
 {
     // Holds the trace (and the program it points into) for the run.
     const auto traced = _cache->traced(_name, _scale);
     // A fresh source per run: the dynamic sources train.
     std::shared_ptr<SpawnSource> src;
-    switch (source.kind) {
+    switch (run.source.kind) {
       case driver::SourceSpec::Kind::Baseline:
         break;
       case driver::SourceSpec::Kind::Static:
         src = std::make_shared<StaticSpawnSource>(
-            _cache->hints(_name, _scale, source.policy));
+            _cache->hints(_name, _scale, run.source.policy));
         break;
       case driver::SourceSpec::Kind::Recon:
         src = std::make_shared<ReconSpawnSource>();
@@ -102,11 +88,33 @@ Session::simulate(const MachineConfig &config,
     }
     const std::shared_ptr<const TraceIndex> index =
         src ? _cache->traceIndex(_name, _scale) : nullptr;
-    TimingResult res = runTiming(config, traced->trace, src.get(), label,
-                                 index.get(), options.events);
+    TimingResult res = runTiming(run.config, traced->trace, src.get(),
+                                 run.label, index.get(), options.events);
     if (options.sourceOut)
         *options.sourceOut = std::move(src);
     return res;
+}
+
+TimingResult
+Session::simulate(const MachineConfig &config,
+                  const SpawnPolicy &policy,
+                  const RunOptions &options)
+{
+    return simulate(driver::RunSpec{policy.name,
+                                    policy.kindMask == 0
+                                        ? driver::SourceSpec::baseline()
+                                        : driver::SourceSpec::statics(policy),
+                                    config},
+                    options);
+}
+
+TimingResult
+Session::simulate(const MachineConfig &config,
+                  const driver::SourceSpec &source,
+                  const std::string &label,
+                  const RunOptions &options)
+{
+    return simulate(driver::RunSpec{label, source, config}, options);
 }
 
 } // namespace polyflow

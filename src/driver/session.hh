@@ -9,10 +9,8 @@
  *
  *     Session s = Session::open("twolf", 0.25);
  *     const Trace &t = s.trace();                  // traced once
- *     TimingResult base = s.simulate(
- *         MachineConfig::superscalar(), SpawnPolicy::none());
- *     TimingResult pf = s.simulate(
- *         MachineConfig{}, SpawnPolicy::postdoms());
+ *     TimingResult base = s.simulate(driver::runTable().superscalar);
+ *     TimingResult pf = s.simulate(*driver::runByLabel("postdoms"));
  *
  * Every artifact a Session hands out comes from a SweepCache — built
  * at most once per cache and shared read-only. Sessions are cheap
@@ -29,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/grid.hh"
 #include "driver/sweep.hh"
 
 namespace polyflow {
@@ -91,23 +90,28 @@ class Session
     /** @} */
 
     /**
-     * One timing simulation under a static spawn policy. A policy
-     * with an empty kind mask (SpawnPolicy::none()) runs the
-     * spawning-free superscalar baseline. The run's label defaults
-     * to the policy name.
+     * One timing simulation of @p run: its spawn source on its
+     * machine, reported as TimingResult::policyName = run.label.
+     * Take the run from the run table (driver::runByLabel,
+     * driver::runTable()) or spell a RunSpec for a config of your
+     * own.
      */
+    TimingResult simulate(const driver::RunSpec &run,
+                          const RunOptions &options = {});
+
+    /** @name Old spellings, kept for one release
+     *  Each forwards to simulate(const driver::RunSpec &). @{ */
+    /** Runs @p policy under its own name; an empty kind mask
+     *  (SpawnPolicy::none()) runs the baseline, with no spawn
+     *  source at all. */
     TimingResult simulate(const MachineConfig &config,
                           const SpawnPolicy &policy,
                           const RunOptions &options = {});
-
-    /**
-     * One timing simulation from a SourceSpec, which also covers
-     * the dynamic sources (reconvergence predictor, DMT).
-     */
     TimingResult simulate(const MachineConfig &config,
                           const driver::SourceSpec &source,
                           const std::string &label,
                           const RunOptions &options = {});
+    /** @} */
 
     /** The cache backing this session (shareable across sessions). */
     const std::shared_ptr<driver::SweepCache> &cache() const

@@ -287,7 +287,7 @@ SweepRunner::run(const std::vector<SweepCell> &cells, bool report)
                 RunOptions opt;
                 opt.sourceOut = &r.source;
                 r.sim = Session::open(c.workload, c.scale, _cache)
-                            .simulate(c.config, c.source, c.label,
+                            .simulate(RunSpec{c.label, c.source, c.config},
                                       opt);
             } catch (...) {
                 errors[i] = std::current_exception();
@@ -421,6 +421,16 @@ parseScale(const char *what, const char *text)
     std::fprintf(stderr,
                  "%s: expected a finite positive number, got \"%s\"\n",
                  what, text);
+    std::exit(2);
+}
+
+std::string
+parseWorkload(const char *text)
+{
+    const std::vector<std::string> &names = allWorkloadNames();
+    if (std::find(names.begin(), names.end(), text) != names.end())
+        return text;
+    std::fprintf(stderr, "unknown workload: %s\n", text);
     std::exit(2);
 }
 

@@ -335,6 +335,10 @@ int parseCount(const char *what, const char *text);
  */
 double parseScale(const char *what, const char *text);
 
+/** Workload knob @p text: a name allWorkloadNames() lists, else
+ *  exit with status 2 and "unknown workload: <text>". */
+std::string parseWorkload(const char *text);
+
 /** Workload scale: PF_BENCH_SCALE if set (parseScale), else
  *  @p fallback. */
 double scaleFromEnv(double fallback);

@@ -6,16 +6,15 @@
  *
  *     int main() {
  *         polyflow::Session s = polyflow::Session::open("twolf");
- *         polyflow::TimingResult base = s.simulate(
- *             polyflow::MachineConfig{}, polyflow::SpawnPolicy::none());
- *         polyflow::TimingResult pf = s.simulate(
- *             polyflow::MachineConfig{},
- *             polyflow::SpawnPolicy::postdoms());
+ *         polyflow::TimingResult base =
+ *             s.simulate(polyflow::driver::runTable().superscalar);
+ *         polyflow::TimingResult pf =
+ *             s.simulate(*polyflow::driver::runByLabel("postdoms"));
  *     }
  *
  * Session (driver/session.hh) is the front door; the rest of the
- * includes expose the types its accessors return and the knobs
- * simulate() takes. docs/API.md documents which of these names are
+ * includes expose the types its accessors return and the run
+ * (driver::RunSpec) simulate() takes. docs/API.md documents which of these names are
  * stable and which are internal.
  */
 

@@ -46,22 +46,21 @@ checkSlotInvariants(const TimingResult &r, std::uint64_t expectWidth)
 
 TEST(Accounting, IdentityHoldsOnEveryWorkloadAndPolicy)
 {
-    std::vector<driver::SweepCell> cells;
+    driver::Grid grid;
     for (const std::string &name : allWorkloadNames()) {
         for (const char *label :
-             {"superscalar", "postdoms", "loop", "rec_pred"}) {
-            const driver::RunSpec run = *driver::runByLabel(label);
-            cells.push_back({name, kScale, run.source, run.config, label});
-        }
+             {"superscalar", "postdoms", "loop", "rec_pred"})
+            grid.add(name, kScale, *driver::runByLabel(label));
     }
 
     driver::SweepRunner runner(4);
-    const auto results = runner.run(cells, /*report=*/false);
-    ASSERT_EQ(results.size(), cells.size());
+    grid.run(runner, /*report=*/false);
+    const std::vector<driver::SweepCell> &cells = grid.cells();
+    ASSERT_EQ(grid.results().size(), cells.size());
 
     for (size_t i = 0; i < cells.size(); ++i) {
         SCOPED_TRACE(cells[i].workload + "/" + cells[i].label);
-        const TimingResult &r = results[i].sim;
+        const TimingResult &r = grid.results()[i].sim;
         checkSlotInvariants(
             r,
             std::uint64_t(cells[i].config.pipelineWidth));
@@ -98,10 +97,10 @@ TEST(Accounting, SquashedRangesNeverAppearInCommitStream)
     std::uint64_t totalSquashes = 0;
     for (const char *name : {"twolf", "gcc", "vpr.route"}) {
         std::vector<TaskEvent> events;
-        TimingResult res = Session::open(name, kScale)
-                               .simulate(MachineConfig{},
-                                         SpawnPolicy::postdoms(),
-                                         {.events = &events});
+        TimingResult res =
+            Session::open(name, kScale)
+                .simulate(*driver::runByLabel("postdoms"),
+                          {.events = &events});
         checkSlotInvariants(res, 8);
 
         std::uint64_t squashes = 0;
@@ -145,7 +144,7 @@ TEST(Accounting, NarrowMachineKeepsIdentity)
         cfg.pipelineWidth = width;
         std::string label = "w";
         label += std::to_string(width);
-        checkSlotInvariants(s.simulate(cfg, postdoms, label),
+        checkSlotInvariants(s.simulate({label, postdoms, cfg}),
                             std::uint64_t(width));
     }
 }

@@ -10,10 +10,10 @@
 
 #include "analysis/cfg_view.hh"
 #include "analysis/dominators.hh"
-#include "analysis/iterative_dom.hh"
 #include "analysis/loops.hh"
 #include "ir/builder.hh"
 #include "ir/module.hh"
+#include "iterative_dom.hh"
 
 namespace polyflow {
 namespace {

@@ -8,6 +8,8 @@
  * trace indexes must not change simulation outcomes, and the
  * environment knob parsers must reject garbage. The run table must
  * give each label one run, and every consumer must resolve it.
+ * Session::simulate must hand the machine the source its run's
+ * SourceSpec names.
  */
 
 #include <gtest/gtest.h>
@@ -83,14 +85,12 @@ grid()
     std::vector<std::string> labels = {"superscalar"};
     for (const SpawnPolicy &p : testPolicies())
         labels.push_back(p.name);
-    std::vector<driver::SweepCell> cells;
+    driver::Grid g;
     for (const std::string &name : testWorkloads()) {
-        for (const std::string &label : labels) {
-            const driver::RunSpec run = *driver::runByLabel(label);
-            cells.push_back({name, kScale, run.source, run.config, label});
-        }
+        for (const std::string &label : labels)
+            g.add(name, kScale, *driver::runByLabel(label));
     }
-    return cells;
+    return g.cells();
 }
 
 void
@@ -185,7 +185,7 @@ TEST(SweepEngine, SharedTraceIndexMatchesPrivateIndex)
     Session::RunOptions runOpt;
     runOpt.events = &sessionEvents;
     TimingResult viaSession =
-        s.simulate(MachineConfig{}, SpawnPolicy::postdoms(), runOpt);
+        s.simulate(*driver::runByLabel("postdoms"), runOpt);
 
     expectSameResult(priv, shrd);
     expectSameResult(priv, viaSession);
@@ -195,6 +195,49 @@ TEST(SweepEngine, SharedTraceIndexMatchesPrivateIndex)
     EXPECT_EQ(privEvents, sessionEvents);
     EXPECT_GT(priv.spawns, 0u);
     EXPECT_FALSE(privEvents.empty());
+}
+
+TEST(Session, RunSourceKindReachesTheMachine)
+{
+    // The run's source kind alone decides what spawns: no source for
+    // the baseline, else a fresh one of that kind, even for a static
+    // policy that spawns nothing.
+    Session s = Session::open("mcf", kScale);
+    auto sourceOf = [&](const driver::RunSpec &run) {
+        std::shared_ptr<SpawnSource> src;
+        s.simulate(run, {.sourceOut = &src});
+        return src;
+    };
+    using std::dynamic_pointer_cast;
+    EXPECT_EQ(sourceOf(driver::runTable().superscalar), nullptr);
+    const driver::RunSpec emptyStatic{
+        "none", driver::SourceSpec::statics(SpawnPolicy::none())};
+    EXPECT_NE(dynamic_pointer_cast<StaticSpawnSource>(
+                  sourceOf(emptyStatic)),
+              nullptr);
+    EXPECT_NE(dynamic_pointer_cast<StaticSpawnSource>(
+                  sourceOf(*driver::runByLabel("postdoms"))),
+              nullptr);
+    EXPECT_NE(dynamic_pointer_cast<ReconSpawnSource>(
+                  sourceOf(*driver::runByLabel("rec_pred"))),
+              nullptr);
+    EXPECT_NE(dynamic_pointer_cast<DmtSpawnSource>(
+                  sourceOf(*driver::runByLabel("dmt"))),
+              nullptr);
+
+    // The old spellings, kept for one release, forward to the same
+    // run. (config, SpawnPolicy) runs an empty kind mask as the
+    // baseline: no source, under the policy's name.
+    const MachineConfig cfg;
+    std::shared_ptr<SpawnSource> src = std::make_shared<DmtSpawnSource>();
+    const TimingResult alias =
+        s.simulate(cfg, SpawnPolicy::none(), {.sourceOut = &src});
+    EXPECT_EQ(src, nullptr);
+    EXPECT_EQ(alias.policyName, "superscalar");
+    EXPECT_EQ(alias, s.simulate({"superscalar",
+                                 driver::SourceSpec::baseline(), cfg}));
+    EXPECT_EQ(s.simulate(cfg, driver::SourceSpec::dmt(), "dmt"),
+              s.simulate(*driver::runByLabel("dmt")));
 }
 
 TEST(SweepEngine, ParallelForCoversAllIndicesAndRethrows)
@@ -528,15 +571,21 @@ TEST(Runs, UnknownLabelIsRejected)
 {
     EXPECT_FALSE(driver::runByLabel("bogus"));
 
+    // pf_report names the bad input and exits 2, before any run.
     const std::string err = "pf_report-bogus.stderr";
-    const int status = std::system(
-        ("'" PF_REPORT "' --policy bogus 2> " + err).c_str());
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 2);
-    std::ifstream in(err);
-    const std::string text{std::istreambuf_iterator<char>(in), {}};
-    EXPECT_NE(text.find("unknown policy: bogus"), std::string::npos)
-        << text;
+    for (const char *what : {"policy", "workload"}) {
+        SCOPED_TRACE(what);
+        const std::string flag = std::string("--") + what;
+        const int status = std::system(
+            ("'" PF_REPORT "' " + flag + " bogus 2> " + err).c_str());
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 2);
+        std::ifstream in(err);
+        const std::string text{std::istreambuf_iterator<char>(in), {}};
+        EXPECT_NE(text.find("unknown " + std::string(what) + ": bogus"),
+                  std::string::npos)
+            << text;
+    }
 }
 
 } // namespace

@@ -12,10 +12,10 @@
 
 #include "analysis/cfg_view.hh"
 #include "analysis/dominators.hh"
-#include "analysis/iterative_dom.hh"
 #include "analysis/liveness.hh"
 #include "analysis/loops.hh"
 #include "ir/builder.hh"
+#include "iterative_dom.hh"
 #include "workloads/wl_common.hh"
 
 namespace polyflow {

@@ -22,7 +22,7 @@ namespace {
 TimingResult
 superscalar(Session &s)
 {
-    return s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
+    return s.simulate(driver::runTable().superscalar);
 }
 
 TEST(TimingSim, StraightLineBasics)
@@ -126,7 +126,7 @@ TEST(TimingSim, PostdomSpawningBeatsSuperscalarOnTwolf)
 {
     Session s = Session::open("twolf", 0.1);
     TimingResult ss = superscalar(s);
-    TimingResult pf = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+    TimingResult pf = s.simulate(*driver::runByLabel("postdoms"));
     EXPECT_GT(pf.spawns, 0u);
     EXPECT_GT(pf.tasksRetired, 0u);
     EXPECT_LT(pf.cycles, ss.cycles);
@@ -135,7 +135,7 @@ TEST(TimingSim, PostdomSpawningBeatsSuperscalarOnTwolf)
 TEST(TimingSim, SpawningProducesAllKindsOnTwolf)
 {
     TimingResult pf = Session::open("twolf", 0.1)
-                          .simulate(MachineConfig{}, SpawnPolicy::postdoms());
+                          .simulate(*driver::runByLabel("postdoms"));
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::Hammock)], 0u);
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::LoopFT)], 0u);
     // twolf's call sites span more dynamic instructions than the
@@ -146,14 +146,14 @@ TEST(TimingSim, SpawningProducesAllKindsOnTwolf)
 TEST(TimingSim, ProcFTSpawnsFireOnCallHeavyWorkload)
 {
     TimingResult pf = Session::open("vortex", 0.1)
-                          .simulate(MachineConfig{}, SpawnPolicy::procFT());
+                          .simulate(*driver::runByLabel("procFT"));
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::ProcFT)], 0u);
 }
 
 TEST(TimingSim, LoopPolicySpawnsOnlyLoopIters)
 {
     TimingResult pf = Session::open("twolf", 0.1)
-                          .simulate(MachineConfig{}, SpawnPolicy::loop());
+                          .simulate(*driver::runByLabel("loop"));
     EXPECT_GT(pf.spawnsByKind[int(SpawnKind::LoopIter)], 0u);
     EXPECT_EQ(pf.spawnsByKind[int(SpawnKind::Hammock)], 0u);
     EXPECT_EQ(pf.spawnsByKind[int(SpawnKind::ProcFT)], 0u);
@@ -172,25 +172,27 @@ TEST(TimingSim, SingleTaskConfigNeverSpawns)
     };
     // An empty static source, not the baseline's null one.
     const auto none = driver::SourceSpec::statics(SpawnPolicy::none());
+    const auto postdoms =
+        driver::SourceSpec::statics(SpawnPolicy::postdoms());
     for (const std::string &name : allWorkloadNames()) {
         SCOPED_TRACE(name);
         Session s = Session::open(name, 0.1);
         TimingResult ss = unlabelled(
-            s.simulate(MachineConfig::superscalar(), none, "none"));
+            s.simulate({"none", none, MachineConfig::superscalar()}));
 
         MachineConfig oneTask;
         oneTask.numTasks = 1;
-        TimingResult pf = s.simulate(oneTask, SpawnPolicy::postdoms());
+        TimingResult pf = s.simulate({"postdoms", postdoms, oneTask});
         EXPECT_EQ(pf.spawns, 0u);
         EXPECT_EQ(unlabelled(pf), ss) << "postdoms, one task";
 
         MachineConfig noDistance;
         noDistance.minSpawnDistance = UINT32_MAX;
-        EXPECT_EQ(unlabelled(s.simulate(noDistance, SpawnPolicy::postdoms())),
+        EXPECT_EQ(unlabelled(s.simulate({"postdoms", postdoms, noDistance})),
                   ss)
             << "postdoms, minSpawnDistance past the trace";
 
-        EXPECT_EQ(unlabelled(s.simulate(MachineConfig{}, none, "none")), ss)
+        EXPECT_EQ(unlabelled(s.simulate({"none", none, MachineConfig{}})), ss)
             << "no spawn policy, 8 contexts";
     }
 }
@@ -198,10 +200,10 @@ TEST(TimingSim, SingleTaskConfigNeverSpawns)
 TEST(TimingSim, TaskCountBoundsSpawning)
 {
     Session s = Session::open("twolf", 0.1);
-    MachineConfig two;
-    two.numTasks = 2;
-    TimingResult pf2 = s.simulate(two, SpawnPolicy::postdoms());
-    TimingResult pf8 = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+    driver::RunSpec two = *driver::runByLabel("postdoms");
+    two.config.numTasks = 2;
+    TimingResult pf2 = s.simulate(two);
+    TimingResult pf8 = s.simulate(*driver::runByLabel("postdoms"));
     EXPECT_GT(pf8.spawns, pf2.spawns);
     // More contexts should not hurt on this loop-parallel workload.
     EXPECT_LE(pf8.cycles, pf2.cycles * 11 / 10);
@@ -210,8 +212,8 @@ TEST(TimingSim, TaskCountBoundsSpawning)
 TEST(TimingSim, DeterministicResults)
 {
     Session s = Session::open("mcf", 0.05);
-    TimingResult a = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
-    TimingResult b = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+    TimingResult a = s.simulate(*driver::runByLabel("postdoms"));
+    TimingResult b = s.simulate(*driver::runByLabel("postdoms"));
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.spawns, b.spawns);
     EXPECT_EQ(a.violations, b.violations);
@@ -261,7 +263,7 @@ TEST(TimingSim, CrossTaskMemoryDependenceIsHonoured)
     }
     Session s = Session::adopt(
         finishWorkload(std::make_unique<Module>(std::move(m))));
-    TimingResult pf = s.simulate(MachineConfig{}, SpawnPolicy::loopFT());
+    TimingResult pf = s.simulate(*driver::runByLabel("loopFT"));
     // Either the machine spawned and synchronized/squashed, or it
     // found no profitable spawn; in all cases it must finish.
     EXPECT_EQ(pf.instrs, s.trace().size());
@@ -270,7 +272,7 @@ TEST(TimingSim, CrossTaskMemoryDependenceIsHonoured)
 TEST(TimingSim, ViolationSquashLearnsStoreSet)
 {
     TimingResult pf = Session::open("twolf", 0.1)
-                          .simulate(MachineConfig{}, SpawnPolicy::postdoms());
+                          .simulate(*driver::runByLabel("postdoms"));
     // twolf's *costptr accumulation conflicts across tasks: the
     // first conflict squashes, then the store set synchronizes.
     if (pf.violations > 0) {
@@ -304,7 +306,7 @@ TEST(TimingSim, CycleLimitNamesTheRun)
     MachineConfig cfg = MachineConfig::superscalar();
     cfg.intLatency = 1'000'000'000;
     try {
-        s.simulate(cfg, driver::SourceSpec::baseline(), "stuck");
+        s.simulate({"stuck", driver::SourceSpec::baseline(), cfg});
         FAIL() << "expected a cycle-limit error";
     } catch (const std::runtime_error &e) {
         const std::string msg = e.what();
@@ -348,7 +350,7 @@ TEST_P(BadConfig, IsRejectedNamingTheField)
     GetParam().spoil(cfg);
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
     try {
-        s.simulate(cfg, driver::SourceSpec::baseline(), "bad");
+        s.simulate({"bad", driver::SourceSpec::baseline(), cfg});
         FAIL() << "expected a config error";
     } catch (const std::invalid_argument &e) {
         const std::string msg = e.what();
@@ -412,7 +414,7 @@ TEST(TimingSim, AllWorkloadsFinishUnderAllBasePolicies)
     for (const std::string &name : allWorkloadNames()) {
         Session s = Session::open(name, 0.03);
         EXPECT_EQ(superscalar(s).instrs, s.trace().size()) << name;
-        TimingResult pf = s.simulate(MachineConfig{}, SpawnPolicy::postdoms());
+        TimingResult pf = s.simulate(*driver::runByLabel("postdoms"));
         EXPECT_EQ(pf.instrs, s.trace().size()) << name;
     }
 }

@@ -20,11 +20,11 @@ TEST(Mechanisms, GhostContextsThrottleSpawnsUnderMispredicts)
     // twolf is mispredict-dense: holding a context per unresolved
     // mispredict must reduce spawn throughput.
     Session s = Session::open("twolf", 0.1);
-    MachineConfig on;
-    MachineConfig off;
-    off.wrongPathGhosts = false;
-    TimingResult rOn = s.simulate(on, SpawnPolicy::loop());
-    TimingResult rOff = s.simulate(off, SpawnPolicy::loop());
+    const driver::RunSpec on = *driver::runByLabel("loop");
+    driver::RunSpec off = on;
+    off.config.wrongPathGhosts = false;
+    TimingResult rOn = s.simulate(on);
+    TimingResult rOff = s.simulate(off);
     EXPECT_LT(rOn.spawns, rOff.spawns);
 }
 
@@ -41,10 +41,10 @@ TEST(Mechanisms, CompilerHintsPreventViolations)
     for (SpawnPoint &sp : noMasks)
         sp.depMask = 0;
     StaticSpawnSource withoutHints{HintTable(noMasks)};
-    const MachineConfig cfg;
-    TimingResult rH = s.simulate(cfg, postdoms);
-    TimingResult rN =
-        runTiming(cfg, s.trace(), &withoutHints, "postdoms");
+    const driver::RunSpec withHints = *driver::runByLabel("postdoms");
+    TimingResult rH = s.simulate(withHints);
+    TimingResult rN = runTiming(withHints.config, s.trace(),
+                                &withoutHints, "postdoms");
     EXPECT_LT(rH.violations, rN.violations);
 }
 
@@ -92,14 +92,14 @@ TEST(Mechanisms, FeedbackDisablesUnprofitableTriggers)
     Session s = Session::adopt(
         finishWorkload(std::make_unique<Module>(std::move(m))));
 
-    MachineConfig fb;
-    TimingResult r = s.simulate(fb, SpawnPolicy::loop());
+    const driver::RunSpec fb = *driver::runByLabel("loop");
+    TimingResult r = s.simulate(fb);
     EXPECT_GT(r.spawnsSkippedFeedback, 0u);
     EXPECT_GT(r.triggersDisabled, 0u);
 
-    MachineConfig noFb;
-    noFb.spawnFeedback = false;
-    TimingResult r2 = s.simulate(noFb, SpawnPolicy::loop());
+    driver::RunSpec noFb = fb;
+    noFb.config.spawnFeedback = false;
+    TimingResult r2 = s.simulate(noFb);
     EXPECT_EQ(r2.spawnsSkippedFeedback, 0u);
     EXPECT_GT(r2.spawns, r.spawns);
 }
@@ -107,21 +107,20 @@ TEST(Mechanisms, FeedbackDisablesUnprofitableTriggers)
 TEST(Mechanisms, DivertReleaseDelaySlowsSynchronizedChains)
 {
     Session s = Session::open("twolf", 0.1);
-    MachineConfig fast;
-    fast.divertReleaseDelay = 0;
-    MachineConfig slow;
-    slow.divertReleaseDelay = 12;
-    TimingResult rF = s.simulate(fast, SpawnPolicy::postdoms());
-    TimingResult rS = s.simulate(slow, SpawnPolicy::postdoms());
+    driver::RunSpec fast = *driver::runByLabel("postdoms");
+    fast.config.divertReleaseDelay = 0;
+    driver::RunSpec slow = fast;
+    slow.config.divertReleaseDelay = 12;
+    TimingResult rF = s.simulate(fast);
+    TimingResult rS = s.simulate(slow);
     EXPECT_LT(rF.cycles, rS.cycles);
 }
 
 TEST(Mechanisms, SpawnDistanceCapFiltersFarTargets)
 {
-    MachineConfig tight;
-    tight.maxSpawnDistance = 16;
-    TimingResult r = Session::open("twolf", 0.1)
-                         .simulate(tight, SpawnPolicy::postdoms());
+    driver::RunSpec tight = *driver::runByLabel("postdoms");
+    tight.config.maxSpawnDistance = 16;
+    TimingResult r = Session::open("twolf", 0.1).simulate(tight);
     EXPECT_GT(r.spawnsSkippedDistance, 0u);
 }
 
@@ -155,12 +154,12 @@ TEST(Mechanisms, ReturnMispredictsOnDeepRecursion)
     }
     m->entryFunction(main.id());
     Session s = Session::adopt(finishWorkload(std::move(m)));
-    MachineConfig cfg = MachineConfig::superscalar();
-    EXPECT_GT(s.simulate(cfg, SpawnPolicy::none()).returnMispredicts, 10u);
+    driver::RunSpec run = driver::runTable().superscalar;
+    EXPECT_GT(s.simulate(run).returnMispredicts, 10u);
 
     // A generous RAS removes them.
-    cfg.returnStackEntries = 64;
-    EXPECT_EQ(s.simulate(cfg, SpawnPolicy::none()).returnMispredicts, 0u);
+    run.config.returnStackEntries = 64;
+    EXPECT_EQ(s.simulate(run).returnMispredicts, 0u);
 }
 
 TEST(Mechanisms, IndirectTargetPredictionAccounting)
@@ -214,16 +213,15 @@ TEST(Mechanisms, IndirectTargetPredictionAccounting)
         }());
     Session s = Session::adopt(
         finishWorkload(std::make_unique<Module>(std::move(m))));
-    TimingResult r =
-        s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
+    TimingResult r = s.simulate(driver::runTable().superscalar);
     EXPECT_GT(r.indirectMispredicts, 150u);
 }
 
 TEST(Mechanisms, TasksRetiredEqualsSpawnsPlusOne)
 {
     for (const char *name : {"twolf", "mcf", "vortex"}) {
-        TimingResult r = Session::open(name, 0.05).simulate(
-            MachineConfig{}, SpawnPolicy::postdoms());
+        TimingResult r = Session::open(name, 0.05)
+                             .simulate(*driver::runByLabel("postdoms"));
         EXPECT_EQ(r.tasksRetired, r.spawns + 1) << name;
     }
 }
@@ -233,11 +231,11 @@ TEST(Mechanisms, AnyTaskSpawningLiftsTailRestriction)
     // Section 6 extension: with spawn-from-any-task, non-tail tasks
     // keep spawning, so total spawns must not drop and usually rise.
     Session s = Session::open("twolf", 0.1);
-    MachineConfig tail;
-    MachineConfig any;
-    any.spawnFromAnyTask = true;
-    TimingResult rT = s.simulate(tail, SpawnPolicy::postdoms());
-    TimingResult rA = s.simulate(any, SpawnPolicy::postdoms());
+    const driver::RunSpec tail = *driver::runByLabel("postdoms");
+    driver::RunSpec any = tail;
+    any.config.spawnFromAnyTask = true;
+    TimingResult rT = s.simulate(tail);
+    TimingResult rA = s.simulate(any);
     EXPECT_EQ(rA.instrs, rT.instrs);
     EXPECT_GE(rA.spawns + 8, rT.spawns);
     EXPECT_EQ(rA.tasksRetired, rA.spawns + 1);
@@ -246,8 +244,7 @@ TEST(Mechanisms, AnyTaskSpawningLiftsTailRestriction)
 TEST(Mechanisms, DmtSourceSpawnsLoopAndProcFallThroughs)
 {
     Session s = Session::open("twolf", 0.1);
-    TimingResult r =
-        s.simulate(MachineConfig{}, driver::SourceSpec::dmt(), "dmt");
+    TimingResult r = s.simulate(*driver::runByLabel("dmt"));
     EXPECT_EQ(r.instrs, s.trace().size());
     EXPECT_GT(r.spawnsByKind[int(SpawnKind::LoopFT)], 0u);
     EXPECT_EQ(r.spawnsByKind[int(SpawnKind::Hammock)], 0u);
@@ -258,7 +255,7 @@ TEST(Mechanisms, TaskEventsAreConsistent)
 {
     std::vector<TaskEvent> events;
     TimingResult r = Session::open("mcf", 0.05)
-                         .simulate(MachineConfig{}, SpawnPolicy::postdoms(),
+                         .simulate(*driver::runByLabel("postdoms"),
                                    {.events = &events});
 
     std::uint64_t spawns = 0, retires = 0, squashes = 0;

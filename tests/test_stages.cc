@@ -1019,7 +1019,7 @@ runCases(const std::vector<BatchCase> &cases,
             RunOptions opt;
             opt.events = &events[i];
             out.push_back(cases[i].session->simulate(
-                cfg, cases[i].spec, cases[i].label, opt));
+                {cases[i].label, cases[i].spec, cfg}, opt));
         }
     }
     return {std::move(out), std::move(events)};

@@ -462,8 +462,7 @@ TEST_F(StoreTest, ConcurrentSameKeyWritersLeaveOneValidEntry)
 TEST_F(StoreTest, WarmPipelineBuildsNothingAndMatchesCold)
 {
     const std::vector<std::string> names = {"twolf", "mcf"};
-    const std::vector<SpawnPolicy> policies = {
-        SpawnPolicy::loop(), SpawnPolicy::postdoms()};
+    const std::vector<std::string> labels = {"loop", "postdoms"};
 
     auto runAll = [&](driver::SweepCache &cache) {
         std::vector<TimingResult> out;
@@ -472,8 +471,8 @@ TEST_F(StoreTest, WarmPipelineBuildsNothingAndMatchesCold)
                 n, 0.02,
                 std::shared_ptr<driver::SweepCache>(
                     &cache, [](driver::SweepCache *) {}));
-            for (const auto &p : policies)
-                out.push_back(s.simulate(MachineConfig{}, p));
+            for (const auto &label : labels)
+                out.push_back(s.simulate(*driver::runByLabel(label)));
         }
         return out;
     };

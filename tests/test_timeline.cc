@@ -36,11 +36,9 @@ runWithTimeline(const std::string &name, bool dynamicSource)
     Session s = Session::open(name, kScale);
     TimelineRun out;
     out.traceSize = s.trace().size();
-    out.res = dynamicSource
-        ? s.simulate(MachineConfig{}, driver::SourceSpec::recon(),
-                     "rec_pred", {.events = &out.events})
-        : s.simulate(MachineConfig{}, SpawnPolicy::postdoms(),
-                     {.events = &out.events});
+    out.res = s.simulate(
+        *driver::runByLabel(dynamicSource ? "rec_pred" : "postdoms"),
+        {.events = &out.events});
     return out;
 }
 
@@ -155,8 +153,8 @@ TEST(Timeline, SuperscalarHasBareTimeline)
     // of the whole trace.
     Session s = Session::open("mcf", kScale);
     std::vector<TaskEvent> events;
-    TimingResult res = s.simulate(MachineConfig::superscalar(),
-                                  SpawnPolicy::none(), {.events = &events});
+    TimingResult res =
+        s.simulate(driver::runTable().superscalar, {.events = &events});
 
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, TaskEvent::Kind::Retire);

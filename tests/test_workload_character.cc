@@ -44,8 +44,7 @@ characterOf(const std::string &name)
         calls += in.isCall();
         loads += in.isLoad();
     }
-    TimingResult ss =
-        s.simulate(MachineConfig::superscalar(), SpawnPolicy::none());
+    TimingResult ss = s.simulate(driver::runTable().superscalar);
     double n = double(t.size());
     c.branchFrac = 100.0 * branches / n;
     c.callFrac = 100.0 * calls / n;

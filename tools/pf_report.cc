@@ -19,11 +19,13 @@
  * 0.1).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/grid.hh"
@@ -55,7 +57,10 @@ usage(const char *msg)
         "usage: pf_report [--workload NAME]... [--policy NAME]...\n"
         "                 [--scale S] [--jobs N]\n"
         "                 [--json PATH] [--csv PATH]\n"
-        "policies (run labels):\n");
+        "workloads:\n");
+    for (const std::string &w : allWorkloadNames())
+        std::fprintf(stderr, "  %s\n", w.c_str());
+    std::fprintf(stderr, "policies (run labels):\n");
     for (const driver::RunSpec &run : driver::allRuns())
         std::fprintf(stderr, "  %s\n", run.label.c_str());
     std::exit(2);
@@ -92,8 +97,17 @@ parseArgs(int argc, char **argv)
             usage(("unknown argument: " + std::string(a)).c_str());
         }
     }
+    const std::vector<std::string> &names = allWorkloadNames();
+    for (const std::string &w : opt.workloads) {
+        if (std::find(names.begin(), names.end(), w) == names.end())
+            usage(("unknown workload: " + w).c_str());
+    }
+    for (const std::string &p : opt.policies) {
+        if (!driver::runByLabel(p))
+            usage(("unknown policy: " + p).c_str());
+    }
     if (opt.workloads.empty())
-        opt.workloads = allWorkloadNames();
+        opt.workloads = names;
     if (opt.policies.empty())
         opt.policies = {"superscalar", "postdoms"};
     return opt;
@@ -106,23 +120,23 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
 
-    std::vector<driver::SweepCell> cells;
+    // One row per (workload, label); rows whose runs share a source
+    // and config share a cell.
+    driver::Grid grid;
+    std::vector<std::pair<size_t, std::string>> rows;
     for (const std::string &w : opt.workloads) {
-        for (const std::string &p : opt.policies) {
-            auto run = driver::runByLabel(p);
-            if (!run)
-                usage(("unknown policy: " + p).c_str());
-            cells.push_back({w, opt.scale, run->source, run->config, p});
-        }
+        for (const std::string &p : opt.policies)
+            rows.push_back(
+                {grid.add(w, opt.scale, *driver::runByLabel(p)), p});
     }
 
     driver::SweepRunner runner(opt.jobs);
-    const auto results = runner.run(cells, /*report=*/false);
+    grid.run(runner, /*report=*/false);
 
     std::cout << "=== pf_report: cycle accounting (share of "
               << "cycles x issueWidth slots, %) ===\n"
               << "scale " << opt.scale << ", "
-              << cells.size() << " runs\n\n";
+              << rows.size() << " runs\n\n";
 
     std::vector<std::string> header = {"benchmark", "run", "cycles",
                                        "IPC"};
@@ -131,14 +145,14 @@ main(int argc, char **argv)
     Table table(header);
 
     std::vector<stats::RunRecord> records;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const TimingResult &s = results[i].sim;
-        records.push_back({cells[i].workload, cells[i].scale,
-                           cells[i].label, s});
-        stats::checkSlotIdentity(records.back());
+    for (const auto &[cell, label] : rows) {
+        records.push_back(grid.record(cell, label));
+        const stats::RunRecord &r = records.back();
+        const TimingResult &s = r.sim;
+        stats::checkSlotIdentity(r);
         table.startRow();
-        table.cell(cells[i].workload);
-        table.cell(cells[i].label);
+        table.cell(r.workload);
+        table.cell(r.label);
         table.cell(static_cast<unsigned long long>(s.cycles));
         table.cell(s.ipc());
         for (int b = 0; b < numSlotBuckets; ++b)
