@@ -1,0 +1,59 @@
+#!/usr/bin/env bash
+# A/B benchmark pairs of a parent revision against the working tree:
+#
+#   scripts/pairs.sh <parent-rev> <workload> <pairs> [seconds]
+#
+# Exports <parent-rev> (git archive) and the working tree (tracked
+# and untracked files git does not ignore) into build/pairs/parent
+# and build/pairs/change. The two paths have the same length, since
+# perfbench's peak_rss_mb moves with the length of the checkout's
+# path. Each side builds its own harness on its first run. Pair k
+# runs the unmodified `perfbench/run.py --record` of both sides, the
+# parent first when k is odd and second when k is even, for
+# [seconds] each (default: perfbench's), and appends each record to
+# build/pairs/<side>.jsonl. Then prints perfbench/compare.py over the
+# two record files.
+set -euo pipefail
+
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 <parent-rev> <workload> <pairs> [seconds]" >&2
+    exit 2
+fi
+rev=$1 workload=$2 pairs=$3
+seconds=()
+if [ $# -eq 4 ]; then
+    seconds=(--seconds "$4")
+fi
+case $pairs in
+  '' | *[!0-9]* | 0) echo "pairs: not a positive count: $pairs" >&2
+                     exit 2 ;;
+esac
+
+cd "$(dirname "$0")/.."
+sha=$(git rev-parse --verify "$rev^{commit}")
+out=build/pairs
+rm -rf "$out"
+mkdir -p "$out/parent" "$out/change"
+git archive "$sha" | tar -x -C "$out/parent"
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do
+        [ -e "$f" ] && printf '%s\0' "$f"
+    done |
+    tar -c --null -T - | tar -x -C "$out/change"
+
+run() {
+    echo "pairs: pair $1 of $pairs: $2" >&2
+    python3 "$out/$2/perfbench/run.py" --workload "$workload" \
+        "${seconds[@]}" --record "$out/$2.jsonl" > /dev/null
+}
+for k in $(seq 1 "$pairs"); do
+    if [ $((k % 2)) -eq 1 ]; then
+        run "$k" parent
+        run "$k" change
+    else
+        run "$k" change
+        run "$k" parent
+    fi
+done
+echo "parent: $rev ($sha); change: the working tree; workload: $workload"
+python3 perfbench/compare.py "$out/parent.jsonl" "$out/change.jsonl"

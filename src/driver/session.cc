@@ -95,26 +95,4 @@ Session::simulate(const driver::RunSpec &run, const RunOptions &options)
     return res;
 }
 
-TimingResult
-Session::simulate(const MachineConfig &config,
-                  const SpawnPolicy &policy,
-                  const RunOptions &options)
-{
-    return simulate(driver::RunSpec{policy.name,
-                                    policy.kindMask == 0
-                                        ? driver::SourceSpec::baseline()
-                                        : driver::SourceSpec::statics(policy),
-                                    config},
-                    options);
-}
-
-TimingResult
-Session::simulate(const MachineConfig &config,
-                  const driver::SourceSpec &source,
-                  const std::string &label,
-                  const RunOptions &options)
-{
-    return simulate(driver::RunSpec{label, source, config}, options);
-}
-
 } // namespace polyflow

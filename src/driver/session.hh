@@ -99,20 +99,6 @@ class Session
     TimingResult simulate(const driver::RunSpec &run,
                           const RunOptions &options = {});
 
-    /** @name Old spellings, kept for one release
-     *  Each forwards to simulate(const driver::RunSpec &). @{ */
-    /** Runs @p policy under its own name; an empty kind mask
-     *  (SpawnPolicy::none()) runs the baseline, with no spawn
-     *  source at all. */
-    TimingResult simulate(const MachineConfig &config,
-                          const SpawnPolicy &policy,
-                          const RunOptions &options = {});
-    TimingResult simulate(const MachineConfig &config,
-                          const driver::SourceSpec &source,
-                          const std::string &label,
-                          const RunOptions &options = {});
-    /** @} */
-
     /** The cache backing this session (shareable across sessions). */
     const std::shared_ptr<driver::SweepCache> &cache() const
     {

@@ -39,31 +39,31 @@ blameBucket(const MachineState &m)
         return SlotBucket::Drain;
       case InstrStage::Diverted:
         return SlotBucket::DivertWait;
-      case InstrStage::Fetched:
-        // In the fetch queue, rename stalled. Mirror the rename
-        // stage's stall conditions for the head task (position 0).
-        if (std::uint64_t(s.fetchCycle) + frontendDepth > m.now) {
+      case InstrStage::Fetched: {
+        // In the fetch queue, rename stalled: ask what the rename
+        // stage asks of the head task (position 0).
+        if (m.inFrontend(i)) {
             // Frontend refill after a redirect/stall is part of
             // that stall's cost.
             return stallBucket(t);
         }
         if (!m.robAllowed(0))
             return SlotBucket::RobFull;
-        if (m.syncCheck(m.trace->instrs[i], t, m.now).blocker) {
-            if (m.divert.size() >= m.cfg.divertEntries)
-                return SlotBucket::DivertWait;
-            // Rename ran before the wake-up condition flipped;
-            // transient, uncommon.
+        const Readiness r = m.readiness(m.trace->instrs[i], t, m.now);
+        if (m.roomFor(r)) {
+            // Rename can take it now: what stalled it last cycle
+            // has cleared. Transient, uncommon.
             return SlotBucket::NoTask;
         }
-        if (m.sched.size() >= m.cfg.schedEntries)
-            return SlotBucket::SchedulerFull;
-        return SlotBucket::NoTask;
+        return r.blocker ? SlotBucket::DivertWait
+                         : SlotBucket::SchedulerFull;
+      }
       case InstrStage::None:
-        // Not even fetched yet.
+        // Not even fetched yet, so the head task's fetch queue is
+        // empty and only a stall keeps fetch from serving it.
         if (t.blockedOnBranch != invalidTrace)
             return SlotBucket::FetchMispredict;
-        if (t.fetchReady > m.now)
+        if (!m.canFetch(t))
             return stallBucket(t);
         // Fetch bandwidth went to other tasks, or cold start.
         return SlotBucket::NoTask;

@@ -5,53 +5,30 @@ namespace polyflow::sim {
 namespace {
 
 /**
- * Wakeup/select/execute for one scheduler entry: check operand and
- * memory-ordering readiness, then execute on a FU, recording any
- * dependence violations for the recovery stage. @p t is the task
- * owning the entry. Returns true if the entry issued — the caller
- * frees its scheduler slot and spends one FU. Otherwise the entry's
- * waitOn names the first synchronized producer whose result it
- * lacks.
+ * Select/execute for one scheduler entry owned by task @p t: issue
+ * it to a FU unless it lacks a synchronized result
+ * (MachineState::readiness), recording any dependence violations
+ * for the recovery stage. Returns true if the entry issued — the
+ * caller frees its scheduler slot and spends one FU. Otherwise the
+ * entry's waitOn names the first synchronized producer whose result
+ * it lacks.
  */
 bool
 tryIssue(MachineState &m, SchedEntry &e, const Task &t)
 {
     const TraceIdx i = e.idx;
-    InstrState &s = m.istate[i];
     const DynInstr &d = m.trace->instrs[i];
-    const DecodedOp &op = m.ops[d.img()];
-
-    // One pass over the incomplete producers. A synchronized one
-    // keeps the entry waiting; an unsynchronized (unpredicted) one
-    // lets a register consumer issue with a stale value, and a
-    // cross-task load issue before the conflicting store has
-    // produced its data.
-    bool staleRead = false;
-    for (int k = 0; k < op.nsrc; ++k) {
-        const TraceIdx p = d.prod[k];
-        if (p == invalidTrace || m.doneAt(p, m.now))
-            continue;
-        if (m.regSyncNeeded(p, op.src[k], d, t)) {
-            e.waitOn = p;
-            return false;
-        }
-        staleRead = true;
-    }
-    const bool load = op.mem == DecodedOp::Mem::Load;
-    const TraceIdx store = load ? m.trace->memProd(d) : invalidTrace;
-    const bool speculativeLoad =
-        store != invalidTrace && !m.doneAt(store, m.now);
-    if (speculativeLoad && m.memSyncNeeded(store, d, t)) {
-        e.waitOn = store;
+    const Readiness r = m.readiness(d, t, m.now);
+    e.waitOn = r.wait;
+    if (r.wait != invalidTrace)
         return false;
-    }
-    e.waitOn = invalidTrace;
-    if (staleRead)
+    if (r.staleRead)
         m.pendingViolations.push_back({i, invalidTrace});
 
-    // Issue.
+    InstrState &s = m.istate[i];
+    const DecodedOp &op = m.ops[d.img()];
     s.stage = InstrStage::Issued;
-    if (load) {
+    if (op.mem == DecodedOp::Mem::Load) {
         int lat = m.hier.accessData(m.trace->effAddr(d));
         s.completeCycle = static_cast<std::uint32_t>(
             m.now + m.cfg.loadLatency + (lat - 1));
@@ -73,11 +50,8 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
             static_cast<std::uint32_t>(m.now + op.latency);
     }
     m.onIssued(i);
-    if (speculativeLoad && m.istate[store].stage == InstrStage::Issued &&
-        m.istate[store].completeCycle > m.now) {
-        // Load read stale data while the store is in flight.
-        m.pendingViolations.push_back({i, store});
-    }
+    if (r.inFlightStore != invalidTrace)
+        m.pendingViolations.push_back({i, r.inFlightStore});
     return true;
 }
 
@@ -113,10 +87,10 @@ releaseDiverted(MachineState &m)
         // squash, which also squashes and purges this entry. The
         // same argument lets a parked entry wait on one producer.
         const Task *t = nullptr;
-        SyncCheck sync;
+        Readiness sync;
         auto check = [&] {
             t = &m.tasks[m.taskPosOf(i)];
-            sync = m.syncCheck(d, *t, m.now);
+            sync = m.readiness(d, *t, m.now);
         };
         if (e.heldBy || e.trainings != m.depTrainings) {
             check();
@@ -132,7 +106,7 @@ releaseDiverted(MachineState &m)
             }
             e.trainings = m.depTrainings;
         }
-        if (m.now >= e.readyAt && m.sched.size() < m.cfg.schedEntries) {
+        if (m.now >= e.readyAt && m.roomFor(sync)) {
             // Its first issue check is later this cycle.
             if (!t)
                 check();

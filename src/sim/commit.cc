@@ -1,7 +1,5 @@
 #include "sim/stages.hh"
 
-#include <algorithm>
-
 namespace polyflow::sim {
 
 namespace {
@@ -49,35 +47,14 @@ retireHead(MachineState &m)
 } // namespace
 
 void
-unblock(MachineState &m)
-{
-    for (Task &t : m.tasks) {
-        TraceIdx b = t.blockedOnBranch;
-        if (b == invalidTrace || !m.doneAt(b, m.now))
-            continue;
-        const InstrState &s = m.istate[b];
-        std::uint64_t resume = std::max(
-            std::uint64_t(s.fetchCycle) + minMispredictPenalty,
-            std::max(std::uint64_t(s.completeCycle), m.now) + 1);
-        t.fetchReady = std::max(t.fetchReady, resume);
-        t.blockedOnBranch = invalidTrace;
-        t.lastFetchStall = FetchStall::Mispredict;
-        t.curFetchLine = invalidAddr;  // redirected fetch
-    }
-}
-
-void
 commit(MachineState &m)
 {
     int n = 0;
     while (n < m.cfg.pipelineWidth &&
            m.commitIdx < m.trace->size()) {
-        InstrState &s = m.istate[m.commitIdx];
-        if (s.stage != InstrStage::Issued ||
-            s.completeCycle > m.now) {
+        if (!m.doneAt(m.commitIdx, m.now))
             break;
-        }
-        s.stage = InstrStage::Committed;
+        m.istate[m.commitIdx].stage = InstrStage::Committed;
         if (m.sourceTrains) {
             m.source->onCommit(m.staticOf(m.commitIdx),
                                m.trace->instrs[m.commitIdx].taken());

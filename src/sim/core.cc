@@ -72,7 +72,6 @@ stepCycle(MachineState &m, StageProfile *profile)
     };
     {
         ScopedNs t(slot(&StageProfile::commitNs));
-        sim::unblock(m);
         sim::commit(m);
     }
     // The cycle that commits the last instruction is partial: it

@@ -19,8 +19,8 @@
  * before a run and freed after it, and each pipeline stage is a
  * plain function over it (stages.hh). Per cycle:
  *
- *   unblock -> commit -> [accountCycle] -> releaseDiverted -> issue
- *   -> dispatch -> fetch -> applySpawn -> recover
+ *   commit -> [accountCycle] -> releaseDiverted -> issue -> dispatch
+ *   -> fetch -> applySpawn -> recover
  */
 
 #ifndef POLYFLOW_SIM_CORE_HH
@@ -49,12 +49,12 @@ namespace polyflow {
  */
 struct StageProfile
 {
-    std::uint64_t commitNs = 0;      //!< unblock + commit
+    std::uint64_t commitNs = 0;      //!< commit
     std::uint64_t accountingNs = 0;  //!< slot-bucket attribution
     std::uint64_t divertNs = 0;      //!< divert-queue release
     std::uint64_t issueNs = 0;       //!< wakeup/select + FUs
     std::uint64_t renameNs = 0;      //!< rename/dispatch
-    std::uint64_t fetchNs = 0;       //!< fetch + spawn unit
+    std::uint64_t fetchNs = 0;       //!< stall release + fetch + spawn
     std::uint64_t recoveryNs = 0;    //!< violations + squash
     /** Machine-cycles profiled (summed over machines). */
     std::uint64_t cycles = 0;

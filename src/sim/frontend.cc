@@ -104,11 +104,21 @@ fetch(MachineState &m)
     eligible.clear();
     for (size_t pos = 0; pos < m.tasks.size(); ++pos) {
         Task &t = m.tasks[pos];
-        if (t.fetchIdx >= t.end || t.fetchReady > m.now ||
-            t.blockedOnBranch != invalidTrace)
-            continue;
-        if (static_cast<int>(t.fetchIdx - t.dispIdx) >=
-            m.cfg.fetchQueueEntries)
+        if (const TraceIdx b = t.blockedOnBranch;
+            b != invalidTrace && m.doneAt(b, m.now)) {
+            // The mispredicted branch resolved this cycle (the walk
+            // visits every task every cycle). Fetch resumes after
+            // the mispredict penalty, charged to that stall.
+            const InstrState &s = m.istate[b];
+            t.fetchReady = std::max(
+                {t.fetchReady,
+                 std::uint64_t(s.fetchCycle) + minMispredictPenalty,
+                 std::uint64_t(s.completeCycle) + 1});
+            t.blockedOnBranch = invalidTrace;
+            t.lastFetchStall = FetchStall::Mispredict;
+            t.curFetchLine = invalidAddr;  // redirected fetch
+        }
+        if (!m.canFetch(t))
             continue;
         // ICount over front-end occupancy (fetched but not yet
         // renamed), biased toward older tasks.
@@ -137,11 +147,7 @@ fetch(MachineState &m)
         // stays the tail for the whole loop.
         const bool maySpawn = m.source &&
             (m.cfg.spawnFromAnyTask || pos + 1 == m.tasks.size());
-        while (totalBudget > 0 && t.fetchIdx < t.end &&
-               t.fetchReady <= m.now &&
-               t.blockedOnBranch == invalidTrace &&
-               static_cast<int>(t.fetchIdx - t.dispIdx) <
-                   m.cfg.fetchQueueEntries) {
+        while (totalBudget > 0 && m.canFetch(t)) {
             TraceIdx i = t.fetchIdx;
             const DynInstr &d = m.trace->instrs[i];
             const FetchOp &f = m.fetchOps[d.img()];

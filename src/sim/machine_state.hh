@@ -136,7 +136,7 @@ struct DivertEntry
 {
     TraceIdx idx = invalidTrace;  //!< invalidTrace in a free slot
     /** The producer that held the entry when the divert rule
-     *  (MachineState::syncCheck) last ran on it. While it holds
+     *  (MachineState::readiness) last ran on it. While it holds
      *  (MachineState::holds), the entry is parked on its waiter list
      *  or wheel bucket and no stage looks at it. Cleared once the
      *  rule lets the entry go. */
@@ -347,17 +347,30 @@ struct FetchOp
     SpawnAt spawn = SpawnAt::None;
 };
 
-/** What the synchronization rule decides for one instruction
- *  (MachineState::syncCheck). */
-struct SyncCheck
+/**
+ * What the synchronization rule finds for one instruction at one
+ * cycle (MachineState::readiness). A consumer either synchronizes on
+ * a producer, waiting for it, or speculates past it (paper Section
+ * 3.1).
+ */
+struct Readiness
 {
-    /** What keeps it in (or sends it to) the divert queue now, if
-     *  anything. */
+    /** What keeps it in (or sends it to) the divert queue now: the
+     *  first synchronized register producer not yet renamed (same
+     *  task) or issued (older task), else a load's synchronized
+     *  store that has not produced its data. */
     Blocker blocker{};
-    /** Only when blocker is clear: the first synchronized producer
-     *  whose result it lacks at the issue cycle asked about, or
+    /** The first synchronized producer whose result it lacks at the
+     *  cycle asked about, register producers before the store, or
      *  invalidTrace if it may issue then. */
     TraceIdx wait = invalidTrace;
+    /** An unsynchronized register producer is not done: issuing now
+     *  reads a stale value. Complete only when blocker is clear. */
+    bool staleRead = false;
+    /** A load's unsynchronized store that has issued but is not
+     *  done, so issuing now reads stale data; else invalidTrace.
+     *  Complete only when blocker is clear. */
+    TraceIdx inFlightStore = invalidTrace;
 };
 
 /** A task fetch may serve this cycle, with its biased-ICount key. */
@@ -532,6 +545,35 @@ struct MachineState
      *  DESIGN.md). */
     bool robAllowed(size_t taskPos) const;
 
+    /** Fetched instruction @p i has not yet come through the
+     *  frontend (frontendDepth cycles), so rename cannot take it. */
+    bool
+    inFrontend(TraceIdx i) const
+    {
+        return std::uint64_t(istate[i].fetchCycle) + frontendDepth > now;
+    }
+
+    /** The queue @p r sends its instruction to has room: the divert
+     *  queue when something blocks it, else the scheduler. */
+    bool
+    roomFor(const Readiness &r) const
+    {
+        return r.blocker ? divert.size() < cfg.divertEntries
+                         : sched.size() < cfg.schedEntries;
+    }
+
+    /** Fetch may serve task @p t this cycle: it has instructions
+     *  left, no stall or unresolved mispredict holds it, and its
+     *  fetch queue has room. */
+    bool
+    canFetch(const Task &t) const
+    {
+        return t.fetchIdx < t.end && t.fetchReady <= now &&
+            t.blockedOnBranch == invalidTrace &&
+            static_cast<int>(t.fetchIdx - t.dispIdx) <
+                cfg.fetchQueueEntries;
+    }
+
     /** True if the consumer @p d, owned by @p t, synchronizes on
      *  its register producer @p p of source register @p src instead
      *  of speculating past it: a same-task producer, a compiler
@@ -555,16 +597,13 @@ struct MachineState
     }
 
     /** The synchronization rule for instruction @p d, owned by @p t,
-     *  in one pass over its sources. The blocker is the first
-     *  producer that keeps @p d in the divert queue: a register
-     *  producer it synchronizes on that has not been renamed (same
-     *  task) or issued (older task) yet, or a load's synchronized
-     *  store that has not produced its data. Without one, wait is
-     *  the first synchronized producer whose result @p d lacks at
-     *  @p issueCycle, which must not be before now. */
-    [[gnu::always_inline]] SyncCheck
-    syncCheck(const DynInstr &d, const Task &t,
-              std::uint64_t issueCycle) const;
+     *  in one pass over its producers not done by now, asked about
+     *  its issue at @p cycle (not before now). Rename asks about
+     *  now + 1; divert release, issue and the slot accounting ask
+     *  about now. */
+    [[gnu::always_inline]] Readiness
+    readiness(const DynInstr &d, const Task &t,
+              std::uint64_t cycle) const;
     /** True while @p b's producer has not yet done what the entry
      *  waits for. A producer's stage only moves forward, so once
      *  this is false it stays false. The one exception is a squash,
@@ -606,7 +645,7 @@ struct MachineState
     /** Put @p i in the scheduler, and wake the divert entries that
      *  wait for @p i to be renamed. The entry parks on @p waitOn if
      *  that is a producer, else it arrives ready. Rename and divert
-     *  release pass syncCheck's wait at the entry's first issue
+     *  release pass readiness's wait at the entry's first issue
      *  cycle: issue would park it there anyway, since a sync
      *  decision never reverts, and the producer's issue or
      *  completion wakes it in time (in the same issue scan, for a
@@ -742,9 +781,9 @@ MachineState::holds(const Blocker &b) const
     return false;
 }
 
-inline SyncCheck
-MachineState::syncCheck(const DynInstr &d, const Task &t,
-                        std::uint64_t issueCycle) const
+inline Readiness
+MachineState::readiness(const DynInstr &d, const Task &t,
+                        std::uint64_t cycle) const
 {
     // An instruction synchronizes (stays diverted) while a producer
     // it is predicted to depend on has not been renamed yet.
@@ -756,15 +795,20 @@ MachineState::syncCheck(const DynInstr &d, const Task &t,
     // dependence predictor says so; otherwise the consumer
     // speculates and may trigger a violation at issue.
     //
-    // A producer done by now is done at issueCycle too and holds
+    // A producer done by now is done at cycle too and holds
     // nothing, so the rule looks only at the incomplete ones.
-    SyncCheck out;
+    Readiness r;
     const DecodedOp &op = ops[d.img()];
     for (int k = 0; k < op.nsrc; ++k) {
         const TraceIdx p = d.prod[k];
-        if (p == invalidTrace || doneAt(p, now) ||
-            !regSyncNeeded(p, op.src[k], d, t))
+        if (p == invalidTrace || doneAt(p, now))
             continue;
+        if (!regSyncNeeded(p, op.src[k], d, t)) {
+            r.staleRead = true;
+            continue;
+        }
+        if (r.wait == invalidTrace && !doneAt(p, cycle))
+            r.wait = p;
         // Same-task values flow through the scheduler normally:
         // divert only while the producer is not yet renamed (it may
         // itself sit in the divert queue). Synchronized cross-task
@@ -773,20 +817,25 @@ MachineState::syncCheck(const DynInstr &d, const Task &t,
         // paper Section 3.1); the scheduler's wakeup covers the
         // rest.
         const Blocker b{p, p >= t.begin ? Await::Rename : Await::Issue};
-        if (holds(b))
-            return {b, invalidTrace};
-        if (out.wait == invalidTrace && !doneAt(p, issueCycle))
-            out.wait = p;
+        if (holds(b)) {
+            r.blocker = b;
+            return r;
+        }
     }
-    // A load's store holds it until the data is there, so a store
-    // that does not hold it is done by now and never sets wait.
+    // A load's store holds it until the data is there.
     if (op.mem == DecodedOp::Mem::Load) {
         const TraceIdx store = trace->memProd(d);
-        if (store != invalidTrace && !doneAt(store, now) &&
-            memSyncNeeded(store, d, t))
-            return {{store, Await::Result}, invalidTrace};
+        if (store != invalidTrace && !doneAt(store, now)) {
+            if (memSyncNeeded(store, d, t)) {
+                if (r.wait == invalidTrace && !doneAt(store, cycle))
+                    r.wait = store;
+                r.blocker = {store, Await::Result};
+            } else if (istate[store].stage == InstrStage::Issued) {
+                r.inFlightStore = store;
+            }
+        }
     }
-    return out;
+    return r;
 }
 
 } // namespace polyflow::sim

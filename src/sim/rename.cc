@@ -11,38 +11,29 @@ dispatch(MachineState &m)
         Task &t = m.tasks[pos];
         while (budget > 0 && t.dispIdx < t.fetchIdx) {
             TraceIdx i = t.dispIdx;
-            const InstrState &s = m.istate[i];
-            if (std::uint64_t(s.fetchCycle) + frontendDepth > m.now)
+            if (m.inFrontend(i))
                 break;
             // Its first issue check is next cycle.
-            const SyncCheck sync =
-                m.syncCheck(m.trace->instrs[i], t, m.now + 1);
-
-            if (const Blocker b = sync.blocker) {
-                if (m.divert.size() >= m.cfg.divertEntries ||
-                    !m.robAllowed(pos)) {
-                    if (m.divert.size() >= m.cfg.divertEntries)
-                        ++m.res.divertQueueFullStalls;
-                    break;
-                }
-                m.enterDivert(i, b);
-                ++m.robUsed;
-                ++t.robHeld;
-                ++t.dispIdx;
+            const Readiness r =
+                m.readiness(m.trace->instrs[i], t, m.now + 1);
+            if (!m.roomFor(r)) {
+                if (r.blocker)
+                    ++m.res.divertQueueFullStalls;
+                break;
+            }
+            if (!m.robAllowed(pos))
+                break;
+            if (r.blocker) {
+                m.enterDivert(i, r.blocker);
                 ++t.divertedCount;
-                --budget;
                 ++m.res.instrsDiverted;
             } else {
-                if (m.sched.size() >= m.cfg.schedEntries ||
-                    !m.robAllowed(pos)) {
-                    break;
-                }
-                m.enterSched(i, sync.wait);
-                ++m.robUsed;
-                ++t.robHeld;
-                ++t.dispIdx;
-                --budget;
+                m.enterSched(i, r.wait);
             }
+            ++m.robUsed;
+            ++t.robHeld;
+            ++t.dispIdx;
+            --budget;
         }
     }
 }

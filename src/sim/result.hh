@@ -131,6 +131,11 @@ struct TimingResult
     /** @name Task spawning @{ */
     std::uint64_t spawns = 0;
     std::array<std::uint64_t, numSpawnKinds> spawnsByKind{};
+    /** Instructions fetched by a task that may spawn, with no spawn
+     *  decided yet that cycle, while every context (tasks plus
+     *  wrong-path ghosts) was taken. The spawn unit counts them
+     *  before it looks for a hint, so most are fetches at no spawn
+     *  point, not refused spawns. */
     std::uint64_t spawnsSkippedNoContext = 0;
     std::uint64_t spawnsSkippedDistance = 0;
     std::uint64_t spawnsSkippedFeedback = 0;

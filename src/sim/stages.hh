@@ -4,8 +4,8 @@
  * functions over sim::MachineState, declared in the order step()
  * calls them each cycle:
  *
- *   unblock -> commit -> accountCycle -> releaseDiverted -> issue
- *   -> dispatch -> fetch -> applySpawn -> recover
+ *   commit -> accountCycle -> releaseDiverted -> issue -> dispatch
+ *   -> fetch -> applySpawn -> recover
  *
  * The cycle that commits the last instruction stops after commit.
  * A stage reads and writes only the MachineState it is given, so a
@@ -24,13 +24,6 @@
 #include "sim/machine_state.hh"
 
 namespace polyflow::sim {
-
-/**
- * Release tasks whose blocking branch resolved: fetch resumes after
- * the mispredict penalty, charged to the Mispredict stall cause.
- * Runs first each cycle so commit sees fresh state.
- */
-void unblock(MachineState &m);
 
 /**
  * Commit up to pipelineWidth instructions of the head task in trace
@@ -63,7 +56,7 @@ void accountCycle(MachineState &m);
  * scheduled. The producer reaching the scheduler (dispatch or this
  * stage), issuing (issue) or completing (the wheel) wakes it. The
  * scan visits only ready entries, in FIFO order: the woken ones,
- * and those the rule (MachineState::syncCheck) has let go that wait
+ * and those the rule (MachineState::readiness) has let go that wait
  * out the latency or scheduler room. The rule runs again on each
  * woken entry and may park it on a newer blocker. On a let-go entry
  * it runs again only after recover() has trained the dependence
@@ -81,14 +74,14 @@ void releaseDiverted(MachineState &m);
  * already issued, queue dependence violations for recover().
  *
  * Only ready entries are visited: new ones and those woken since
- * the last scan. One pass over an entry's incomplete producers
- * decides it: a synchronized one it lacks makes it record that
- * producer (SchedEntry::waitOn) and park on it, on the producer's
- * waiter list until it issues, then in the completion wheel until
- * its result is ready; an unsynchronized one is a stale read.
- * Rename and divert release park an entry that way as it enters,
- * when that producer will not be done by its first issue check
- * (SyncCheck::wait), so it is not visited just to park. Issue puts
+ * the last scan. The rule (MachineState::readiness) decides each
+ * one: a synchronized result it lacks (Readiness::wait) makes it
+ * record that producer (SchedEntry::waitOn) and park on it, on the
+ * producer's waiter list until it issues, then in the completion
+ * wheel until its result is ready; an unsynchronized producer not
+ * done is a stale read. Rename and divert release park an entry
+ * that way as it enters, when that producer will not be done by its
+ * first issue check, so it is not visited just to park. Issue puts
  * the entries that entered since its last scan behind the ones
  * woken since, repairs the ready list's oldest-first order with an
  * adaptive insertion pass over only what joined (instead of
@@ -103,14 +96,18 @@ void issue(MachineState &m);
  * as synchronized enters the divert queue holding its ROB entry;
  * everything else dispatches to the scheduler, parked on the first
  * synchronized result it will lack next cycle, if any. Stalls on
- * frontend depth, ROB admission (robAllowed) and full
- * divert/scheduler queues.
+ * frontend depth (inFrontend), a full queue (roomFor) and ROB
+ * admission (robAllowed), the queries accountCycle blames a stalled
+ * head with.
  */
 void dispatch(MachineState &m);
 
 /**
- * One SMT fetch cycle: pick eligible tasks by biased ICount, fetch up
- * to pipelineWidth instructions across at most fetchTasksPerCycle of
+ * One SMT fetch cycle: release each task whose mispredicted branch
+ * has resolved (fetch resumes after the mispredict penalty, charged
+ * to the Mispredict stall cause), pick the tasks fetch may serve
+ * (MachineState::canFetch) by biased ICount, fetch up to
+ * pipelineWidth instructions across at most fetchTasksPerCycle of
  * them, and consult the branch predictors (a mispredict blocks that
  * task's fetch until resolution). The Task Spawn Unit observes every
  * instruction fetched by a task that may spawn; a spawn decision

@@ -219,7 +219,7 @@ queueInvariantViolation(const sim::MachineState &m)
         // Release skips the rule on a let-go entry until the
         // predictors are trained again; the rule must agree.
         if (!e.heldBy && e.trainings == m.depTrainings &&
-            m.syncCheck(m.trace->instrs[e.idx],
+            m.readiness(m.trace->instrs[e.idx],
                         m.tasks[m.taskPosOf(e.idx)], m.now)
                 .blocker)
             return "let-go divert node " + std::to_string(d) +

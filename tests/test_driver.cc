@@ -225,18 +225,19 @@ TEST(Session, RunSourceKindReachesTheMachine)
                   sourceOf(*driver::runByLabel("dmt"))),
               nullptr);
 
-    // The old spellings, kept for one release, forward to the same
-    // run. (config, SpawnPolicy) runs an empty kind mask as the
-    // baseline: no source, under the policy's name.
+    // A run spelled with its own config reaches the machine the same
+    // way: the baseline clears a source the caller passed in and
+    // reports the run's label, and a spelled dmt run equals the
+    // table's.
     const MachineConfig cfg;
     std::shared_ptr<SpawnSource> src = std::make_shared<DmtSpawnSource>();
-    const TimingResult alias =
-        s.simulate(cfg, SpawnPolicy::none(), {.sourceOut = &src});
+    const driver::RunSpec baseline{"superscalar",
+                                   driver::SourceSpec::baseline(), cfg};
+    const TimingResult base = s.simulate(baseline, {.sourceOut = &src});
     EXPECT_EQ(src, nullptr);
-    EXPECT_EQ(alias.policyName, "superscalar");
-    EXPECT_EQ(alias, s.simulate({"superscalar",
-                                 driver::SourceSpec::baseline(), cfg}));
-    EXPECT_EQ(s.simulate(cfg, driver::SourceSpec::dmt(), "dmt"),
+    EXPECT_EQ(base.policyName, "superscalar");
+    EXPECT_EQ(base, s.simulate(driver::runTable().superscalar));
+    EXPECT_EQ(s.simulate({"dmt", driver::SourceSpec::dmt(), cfg}),
               s.simulate(*driver::runByLabel("dmt")));
 }
 

@@ -343,9 +343,8 @@ TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
     // The predictor marks the consumer, so the shared rule
     // synchronizes it on its cross-task producer.
     m.depPred.recordRegViolation(tr.instrs[4].img());
-    RegId srcs[2];
-    ASSERT_EQ(tr.staticOf(4).instr.srcRegs(srcs), 1);
-    EXPECT_TRUE(m.regSyncNeeded(2, srcs[0], tr.instrs[4], m.tasks[1]));
+    EXPECT_EQ(m.readiness(tr.instrs[4], m.tasks[1], m.now).blocker,
+              (sim::Blocker{2, sim::Await::Issue}));
 
     sim::dispatch(m);
     EXPECT_EQ(m.istate[4].stage, sim::InstrStage::Diverted);
@@ -921,6 +920,109 @@ TEST(Stages, LetGoDivertEntryReParksWhenRecoveryTrainsItsPredictor)
         ASSERT_EQ(queueInvariantViolation(m), "") << "cycle " << m.now;
     }
     EXPECT_EQ(m.waiterHead[p], m.divertNode(slot));
+}
+
+TEST(Stages, UnpredictedCrossTaskConsumerIssuesStaleUntilTrained)
+{
+    // mul(0) in the older task feeds addi(1) in the younger one.
+    Built b = straightLine([](FunctionBuilder &fb) {
+        fb.mul(reg::t0, reg::t1, reg::t2);
+        fb.addi(reg::t3, reg::t0, 1);
+    });
+    const Trace &tr = b.fr->trace;
+    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+
+    // The mul issued last cycle and completes at cycle 13; the
+    // consumer waits in the scheduler.
+    const MachineConfig cfg;
+    const std::uint32_t done = 13;
+    auto setUp = [&](sim::MachineState &m) {
+        splitTasksAt(m, 1);
+        m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 1;
+        m.tasks[1].fetchIdx = m.tasks[1].dispIdx = 2;
+        m.istate[0] = {sim::InstrStage::Issued, 0, done};
+        m.now = 11;
+        seedSched(m, {1});
+    };
+
+    // Nothing predicts the dependence, so the consumer speculates
+    // past its producer: it issues with a stale value and queues one
+    // register violation.
+    sim::MachineState m(cfg, tr, nullptr);
+    setUp(m);
+    sim::issue(m);
+    EXPECT_EQ(m.istate[1].stage, sim::InstrStage::Issued);
+    ASSERT_EQ(m.pendingViolations.size(), 1u);
+    EXPECT_EQ(m.pendingViolations[0].consumer, TraceIdx(1));
+    EXPECT_EQ(m.pendingViolations[0].store, invalidTrace);
+
+    // Once the predictor has trained that instruction, the same state
+    // parks the consumer on its producer's result and queues none.
+    sim::MachineState trained(cfg, tr, nullptr);
+    trained.depPred.recordRegViolation(tr.instrs[1].img());
+    setUp(trained);
+    sim::issue(trained);
+    EXPECT_EQ(trained.istate[1].stage, sim::InstrStage::InSched);
+    EXPECT_TRUE(trained.pendingViolations.empty());
+    ASSERT_EQ(trained.sched.size(), 1);
+    EXPECT_EQ(schedEntries(trained)[0].waitOn, TraceIdx(0));
+    EXPECT_NE(trained.wheel[done & (trained.wheel.size() - 1)], sim::noSlot);
+    EXPECT_EQ(queueInvariantViolation(trained), "");
+}
+
+TEST(Stages, MispredictedBranchResumesFetchAfterPenaltyAndResolution)
+{
+    // Trace: li(0), jump(1), addi(2), bne(3), addi(4), ... The bne
+    // was fetched at cycle 100 and mispredicted; its task waits.
+    Built b = countdownLoop(3);
+    const Trace &tr = b.fr->trace;
+    const TraceIdx branch = 3, next = 4;
+    const std::uint32_t fetched = 100;
+
+    // Resolution before the penalty is over, and after it.
+    for (std::uint32_t done : {104u, 120u}) {
+        MachineConfig cfg;
+        sim::MachineState m(cfg, tr, nullptr);
+        for (TraceIdx i = 0; i < branch; ++i)
+            m.istate[i].stage = sim::InstrStage::Committed;
+        m.commitIdx = branch;
+        m.istate[branch] = {sim::InstrStage::Issued, fetched, done};
+        sim::Task &t = m.tasks[0];
+        t.fetchIdx = t.dispIdx = next;
+        t.robHeld = m.robUsed = 1;
+        t.blockedOnBranch = branch;
+        t.lastFetchStall = sim::FetchStall::ICache;
+        // The redirected fetch hits in the I-cache.
+        m.hier.accessInstr(tr.staticOf(next).addr);
+        m.now = fetched + 4;
+
+        // From the cycle the branch commits until the cycle fetch
+        // takes the next instruction, that instruction is the ROB
+        // head and every empty slot is a mispredict fetch stall.
+        const auto bucket = std::size_t(SlotBucket::FetchMispredict);
+        std::uint64_t fetchedAt = 0, charged = 0;
+        for (int c = 0; c < 64 && fetchedAt == 0; ++c) {
+            const std::uint64_t cycle = m.now;
+            const std::uint64_t before = m.res.slots[bucket];
+            ASSERT_TRUE(sim::step(m));
+            if (m.istate[next].stage != sim::InstrStage::None) {
+                fetchedAt = cycle;
+            } else if (m.commitIdx == next) {
+                EXPECT_EQ(m.res.slots[bucket] - before,
+                          std::uint64_t(cfg.pipelineWidth -
+                                        m.cycleCommits))
+                    << "cycle " << cycle;
+                ++charged;
+            }
+        }
+        const std::uint64_t resume =
+            std::max(std::uint64_t(fetched) + minMispredictPenalty,
+                     std::uint64_t(done) + 1);
+        EXPECT_EQ(fetchedAt, resume) << "branch done at " << done;
+        EXPECT_EQ(m.istate[next].fetchCycle, resume);
+        EXPECT_EQ(charged, resume - done) << "branch done at " << done;
+        EXPECT_EQ(t.lastFetchStall, sim::FetchStall::Mispredict);
+    }
 }
 
 TEST(Stages, TraceTooLongForThirtyTwoBitCyclesIsRejected)
