@@ -47,7 +47,7 @@ Liveness::Liveness(const Function &fn,
     _liveOut.assign(n, 0);
 
     auto callClobbers = [&](const Instruction &in) -> RegMask {
-        if (in.op == Opcode::JAL &&
+        if (in.isDirectCall() &&
             in.targetFunc >= 0 &&
             size_t(in.targetFunc) < calleeWrites.size()) {
             return calleeWrites[in.targetFunc] | bit(reg::ra);
@@ -114,7 +114,7 @@ moduleWriteSummaries(const Module &mod)
             for (const Instruction &in :
                  fn.block(BlockId(b)).instrs()) {
                 m |= regDefs(in);
-                if (in.op == Opcode::JALR)
+                if (in.isIndirectCall())
                     indirectCall = true;
             }
         }
@@ -131,7 +131,7 @@ moduleWriteSummaries(const Module &mod)
             for (size_t b = 0; b < fn.numBlocks(); ++b) {
                 for (const Instruction &in :
                      fn.block(BlockId(b)).instrs()) {
-                    if (in.op == Opcode::JAL &&
+                    if (in.isDirectCall() &&
                         in.targetFunc >= 0 &&
                         size_t(in.targetFunc) < nf) {
                         m |= writes[in.targetFunc];

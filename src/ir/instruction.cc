@@ -4,235 +4,48 @@
 
 namespace polyflow {
 
-const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::ADD: return "add";
-      case Opcode::SUB: return "sub";
-      case Opcode::MUL: return "mul";
-      case Opcode::DIVU: return "divu";
-      case Opcode::REMU: return "remu";
-      case Opcode::AND: return "and";
-      case Opcode::OR: return "or";
-      case Opcode::XOR: return "xor";
-      case Opcode::SLL: return "sll";
-      case Opcode::SRL: return "srl";
-      case Opcode::SRA: return "sra";
-      case Opcode::SLT: return "slt";
-      case Opcode::SLTU: return "sltu";
-      case Opcode::ADDI: return "addi";
-      case Opcode::ANDI: return "andi";
-      case Opcode::ORI: return "ori";
-      case Opcode::XORI: return "xori";
-      case Opcode::SLLI: return "slli";
-      case Opcode::SRLI: return "srli";
-      case Opcode::SRAI: return "srai";
-      case Opcode::SLTI: return "slti";
-      case Opcode::LUI: return "lui";
-      case Opcode::LB: return "lb";
-      case Opcode::LBU: return "lbu";
-      case Opcode::LH: return "lh";
-      case Opcode::LHU: return "lhu";
-      case Opcode::LW: return "lw";
-      case Opcode::LWU: return "lwu";
-      case Opcode::LD: return "ld";
-      case Opcode::SB: return "sb";
-      case Opcode::SH: return "sh";
-      case Opcode::SW: return "sw";
-      case Opcode::SD: return "sd";
-      case Opcode::BEQ: return "beq";
-      case Opcode::BNE: return "bne";
-      case Opcode::BLT: return "blt";
-      case Opcode::BGE: return "bge";
-      case Opcode::BLTZ: return "bltz";
-      case Opcode::BGEZ: return "bgez";
-      case Opcode::J: return "j";
-      case Opcode::JAL: return "jal";
-      case Opcode::JR: return "jr";
-      case Opcode::JALR: return "jalr";
-      case Opcode::RET: return "ret";
-      case Opcode::NOP: return "nop";
-      case Opcode::HALT: return "halt";
-      default: return "???";
-    }
-}
-
-bool
-Instruction::isCondBranch() const
-{
-    switch (op) {
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTZ:
-      case Opcode::BGEZ:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instruction::isLoad() const
-{
-    switch (op) {
-      case Opcode::LB:
-      case Opcode::LBU:
-      case Opcode::LH:
-      case Opcode::LHU:
-      case Opcode::LW:
-      case Opcode::LWU:
-      case Opcode::LD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instruction::isStore() const
-{
-    switch (op) {
-      case Opcode::SB:
-      case Opcode::SH:
-      case Opcode::SW:
-      case Opcode::SD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instruction::isTerminator() const
-{
-    // Calls do not terminate basic blocks (standard intraprocedural
-    // CFG convention); everything else that redirects fetch does.
-    return isCondBranch() || isDirectJump() || isIndirectJump() ||
-        isReturn() || isHalt();
-}
-
-int
-Instruction::memBytes() const
-{
-    switch (op) {
-      case Opcode::LB: case Opcode::LBU: case Opcode::SB: return 1;
-      case Opcode::LH: case Opcode::LHU: case Opcode::SH: return 2;
-      case Opcode::LW: case Opcode::LWU: case Opcode::SW: return 4;
-      case Opcode::LD: case Opcode::SD: return 8;
-      default: return 0;
-    }
-}
-
-bool
-Instruction::loadSigned() const
-{
-    switch (op) {
-      case Opcode::LB: case Opcode::LH: case Opcode::LW:
-        return true;
-      default:
-        return false;
-    }
-}
-
-int
-Instruction::destReg() const
-{
-    switch (op) {
-      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
-      case Opcode::BGE: case Opcode::BLTZ: case Opcode::BGEZ:
-      case Opcode::J: case Opcode::JR: case Opcode::RET:
-      case Opcode::NOP: case Opcode::HALT:
-        return -1;
-      case Opcode::JAL: case Opcode::JALR:
-        return reg::ra;
-      default:
-        return rd == reg::zero ? -1 : rd;
-    }
-}
-
-int
-Instruction::srcRegs(RegId out[2]) const
-{
-    int n = 0;
-    auto add = [&](RegId r) {
-        if (r != reg::zero)
-            out[n++] = r;
-    };
-    switch (op) {
-      // Two-source register ALU ops and reg-reg branches.
-      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
-      case Opcode::DIVU: case Opcode::REMU: case Opcode::AND:
-      case Opcode::OR: case Opcode::XOR: case Opcode::SLL:
-      case Opcode::SRL: case Opcode::SRA: case Opcode::SLT:
-      case Opcode::SLTU:
-      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
-      case Opcode::BGE:
-        add(rs1);
-        add(rs2);
-        break;
-      // One-source ops.
-      case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
-      case Opcode::XORI: case Opcode::SLLI: case Opcode::SRLI:
-      case Opcode::SRAI: case Opcode::SLTI:
-      case Opcode::LB: case Opcode::LBU: case Opcode::LH:
-      case Opcode::LHU: case Opcode::LW: case Opcode::LWU:
-      case Opcode::LD:
-      case Opcode::BLTZ: case Opcode::BGEZ:
-      case Opcode::JR: case Opcode::JALR:
-        add(rs1);
-        break;
-      // Stores read both the base and the data register.
-      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-        add(rs1);
-        add(rs2);
-        break;
-      case Opcode::RET:
-        add(reg::ra);
-        break;
-      default:
-        break;
-    }
-    return n;
-}
-
 std::string
 Instruction::toString() const
 {
     std::ostringstream os;
-    os << opcodeName(op);
-    if (isCondBranch()) {
+    const OpInfo &info = opInfo(op);
+    os << info.mnemonic;
+    switch (info.cls) {
+      case OpClass::CondBranch:
         os << " r" << int(rs1);
-        if (op != Opcode::BLTZ && op != Opcode::BGEZ)
+        if (info.reads == Reads::Rs1Rs2)
             os << ", r" << int(rs2);
         os << ", bb" << targetBlock;
-    } else if (op == Opcode::J) {
+        break;
+      case OpClass::Jump:
         os << " bb" << targetBlock;
-    } else if (op == Opcode::JAL) {
+        break;
+      case OpClass::Call:
         os << " fn" << targetFunc;
-    } else if (op == Opcode::JR || op == Opcode::JALR) {
+        break;
+      case OpClass::IndirectJump:
+      case OpClass::IndirectCall:
         os << " r" << int(rs1);
-    } else if (isLoad()) {
+        break;
+      case OpClass::Load:
         os << " r" << int(rd) << ", " << imm << "(r" << int(rs1) << ")";
-    } else if (isStore()) {
+        break;
+      case OpClass::Store:
         os << " r" << int(rs2) << ", " << imm << "(r" << int(rs1) << ")";
-    } else if (op == Opcode::LUI) {
-        os << " r" << int(rd) << ", " << imm;
-    } else if (destReg() >= 0) {
-        os << " r" << int(rd) << ", r" << int(rs1);
-        switch (op) {
-          case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
-          case Opcode::XORI: case Opcode::SLLI: case Opcode::SRLI:
-          case Opcode::SRAI: case Opcode::SLTI:
-            os << ", " << imm;
-            break;
-          default:
-            os << ", r" << int(rs2);
-            break;
+        break;
+      case OpClass::Alu:
+        if (info.reads == Reads::None) {
+            os << " r" << int(rd) << ", " << imm;
+        } else if (destReg() >= 0) {
+            os << " r" << int(rd) << ", r" << int(rs1);
+            if (info.reads == Reads::Rs1)
+                os << ", " << imm;
+            else
+                os << ", r" << int(rs2);
         }
+        break;
+      default:
+        break;
     }
     return os.str();
 }

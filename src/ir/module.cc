@@ -9,12 +9,6 @@ namespace polyflow {
 
 namespace {
 
-std::uint64_t
-blockKey(FuncId f, BlockId b)
-{
-    return (std::uint64_t(std::uint32_t(f)) << 32) | std::uint32_t(b);
-}
-
 /** store::wordHash of @p words, each as one little-endian word. */
 std::uint64_t
 hashWords(std::initializer_list<std::uint64_t> words)
@@ -68,15 +62,6 @@ LinkedProgram::idxOf(Addr addr) const
             "no instruction at address " + std::to_string(addr));
     }
     return idx;
-}
-
-Addr
-LinkedProgram::blockAddr(FuncId f, BlockId b) const
-{
-    auto it = _blockAddrs.find(blockKey(f, b));
-    if (it == _blockAddrs.end())
-        throw std::runtime_error("unknown block in blockAddr");
-    return it->second;
 }
 
 Function &
@@ -175,8 +160,6 @@ Module::link()
         for (size_t b = 0; b < fn.numBlocks(); ++b) {
             BasicBlock &bb = fn.block(static_cast<BlockId>(b));
             bb.startAddr(pc);
-            prog._blockAddrs[blockKey(fn.id(),
-                                      static_cast<BlockId>(b))] = pc;
             pc += bb.size() * instrBytes;
             instrs += bb.size();
         }
@@ -203,7 +186,7 @@ Module::link()
                 if (ins.isCondBranch() || ins.isDirectJump()) {
                     li.targetAddr =
                         fn.block(ins.targetBlock).startAddr();
-                } else if (ins.op == Opcode::JAL) {
+                } else if (ins.isDirectCall()) {
                     if (ins.targetFunc == invalidFunc ||
                         ins.targetFunc >=
                             static_cast<FuncId>(_funcs.size())) {

@@ -77,9 +77,6 @@ class LinkedProgram
 
     const std::vector<DataInit> &dataInits() const { return _dataInits; }
 
-    /** Flat address of a block's first instruction. */
-    Addr blockAddr(FuncId f, BlockId b) const;
-
     /** Lowest / one-past-highest code addresses. */
     Addr codeBegin() const { return _codeBegin; }
     Addr codeEnd() const { return _codeEnd; }
@@ -99,7 +96,6 @@ class LinkedProgram
   private:
     std::vector<LinkedInstr> _image;
     std::unordered_map<Addr, ImageIdx> _addrToIdx;
-    std::unordered_map<std::uint64_t, Addr> _blockAddrs;
     std::vector<DataInit> _dataInits;
     Addr _entryAddr = invalidAddr;
     Addr _codeBegin = 0;

@@ -37,6 +37,16 @@ step(const LinkedInstr &li, ArchState &st)
     auto mulW = [](std::int64_t a, std::int64_t b) {
         return std::int64_t(std::uint64_t(a) * std::uint64_t(b));
     };
+    // Memory at rs1 + imm; the widths and extensions are this
+    // switch's own, so the opcode table is checked against them.
+    auto load = [&](int bytes) {
+        out.effAddr = Addr(addW(rs1(), in.imm));
+        return st.readMem(out.effAddr, bytes);
+    };
+    auto store = [&](int bytes) {
+        out.effAddr = Addr(addW(rs1(), in.imm));
+        st.writeMem(out.effAddr, std::uint64_t(rs2()), bytes);
+    };
 
     switch (in.op) {
       case Opcode::ADD: wr(addW(rs1(), rs2())); break;
@@ -67,24 +77,18 @@ step(const LinkedInstr &li, ArchState &st)
       case Opcode::SLTI: wr(rs1() < in.imm ? 1 : 0); break;
       case Opcode::LUI: wr(in.imm); break;
 
-      case Opcode::LB: case Opcode::LBU: case Opcode::LH:
-      case Opcode::LHU: case Opcode::LW: case Opcode::LWU:
-      case Opcode::LD: {
-        Addr a = Addr(addW(rs1(), in.imm));
-        out.effAddr = a;
-        std::uint64_t v = st.readMem(a, in.memBytes());
-        wr(in.loadSigned() ? signExtend(v, in.memBytes())
-                           : std::int64_t(v));
-        break;
-      }
+      case Opcode::LB: wr(signExtend(load(1), 1)); break;
+      case Opcode::LBU: wr(std::int64_t(load(1))); break;
+      case Opcode::LH: wr(signExtend(load(2), 2)); break;
+      case Opcode::LHU: wr(std::int64_t(load(2))); break;
+      case Opcode::LW: wr(signExtend(load(4), 4)); break;
+      case Opcode::LWU: wr(std::int64_t(load(4))); break;
+      case Opcode::LD: wr(std::int64_t(load(8))); break;
 
-      case Opcode::SB: case Opcode::SH: case Opcode::SW:
-      case Opcode::SD: {
-        Addr a = Addr(addW(rs1(), in.imm));
-        out.effAddr = a;
-        st.writeMem(a, std::uint64_t(rs2()), in.memBytes());
-        break;
-      }
+      case Opcode::SB: store(1); break;
+      case Opcode::SH: store(2); break;
+      case Opcode::SW: store(4); break;
+      case Opcode::SD: store(8); break;
 
       case Opcode::BEQ: branch(rs1() == rs2()); break;
       case Opcode::BNE: branch(rs1() != rs2()); break;

@@ -28,11 +28,11 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     InstrState &s = m.istate[i];
     const DecodedOp &op = m.ops[d.img()];
     s.stage = InstrStage::Issued;
-    if (op.mem == DecodedOp::Mem::Load) {
+    if (op.cls == OpClass::Load) {
         int lat = m.hier.accessData(m.trace->effAddr(d));
         s.completeCycle = static_cast<std::uint32_t>(
             m.now + m.cfg.loadLatency + (lat - 1));
-    } else if (op.mem == DecodedOp::Mem::Store) {
+    } else if (op.cls == OpClass::Store) {
         m.hier.accessData(m.trace->effAddr(d));
         s.completeCycle = static_cast<std::uint32_t>(m.now + 1);
         // A store executing after dependent cross-task loads

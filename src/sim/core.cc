@@ -12,33 +12,6 @@ namespace {
 
 using sim::MachineState;
 
-/** Accumulates the scope's wall time into *slot when non-null (the
- *  opt-in stage profile). */
-class ScopedNs
-{
-  public:
-    explicit ScopedNs(std::uint64_t *slot) : _slot(slot)
-    {
-        if (_slot)
-            _t0 = std::chrono::steady_clock::now();
-    }
-    ~ScopedNs()
-    {
-        if (_slot) {
-            *_slot += std::uint64_t(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - _t0)
-                    .count());
-        }
-    }
-    ScopedNs(const ScopedNs &) = delete;
-    ScopedNs &operator=(const ScopedNs &) = delete;
-
-  private:
-    std::uint64_t *_slot;
-    std::chrono::steady_clock::time_point _t0;
-};
-
 /** The deadlock diagnostic: which run hung, and the state of its
  *  pipeline and task table. */
 [[noreturn]] void
@@ -63,47 +36,46 @@ throwCycleLimit(const MachineState &m)
 }
 
 /** sim::step's body, always inlined, so runMachine's loop pays no
- *  call per cycle. */
+ *  call per cycle. With a @p profile it reads the clock once per
+ *  stage boundary and charges each stage the time since the last
+ *  read; without one it reads no clock. */
 [[gnu::always_inline]] inline bool
 stepCycle(MachineState &m, StageProfile *profile)
 {
-    auto slot = [profile](std::uint64_t StageProfile::*field) {
-        return profile ? &(profile->*field) : nullptr;
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point last;
+    if (profile)
+        last = Clock::now();
+    auto lap = [&](std::uint64_t StageProfile::*field) {
+        if (profile) {
+            const Clock::time_point t = Clock::now();
+            profile->*field += std::uint64_t(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t - last)
+                    .count());
+            last = t;
+        }
     };
-    {
-        ScopedNs t(slot(&StageProfile::commitNs));
-        sim::commit(m);
-    }
+    sim::commit(m);
+    lap(&StageProfile::commitNs);
     // The cycle that commits the last instruction is partial: it
     // does not advance the clock and is not accounted, keeping
     // sum(slots) == cycles * issueWidth exact.
     if (m.commitIdx >= m.trace->size())
         return false;
-    {
-        ScopedNs t(slot(&StageProfile::accountingNs));
-        sim::accountCycle(m);
-    }
-    {
-        ScopedNs t(slot(&StageProfile::divertNs));
-        sim::releaseDiverted(m);
-    }
-    {
-        ScopedNs t(slot(&StageProfile::issueNs));
-        sim::issue(m);
-    }
-    {
-        ScopedNs t(slot(&StageProfile::renameNs));
-        sim::dispatch(m);
-    }
-    {
-        ScopedNs t(slot(&StageProfile::fetchNs));
-        sim::fetch(m);
-        sim::applySpawn(m);
-    }
-    {
-        ScopedNs t(slot(&StageProfile::recoveryNs));
-        sim::recover(m);
-    }
+    sim::accountCycle(m);
+    lap(&StageProfile::accountingNs);
+    sim::releaseDiverted(m);
+    lap(&StageProfile::divertNs);
+    sim::issue(m);
+    lap(&StageProfile::issueNs);
+    sim::dispatch(m);
+    lap(&StageProfile::renameNs);
+    sim::fetch(m);
+    sim::applySpawn(m);
+    lap(&StageProfile::fetchNs);
+    sim::recover(m);
+    lap(&StageProfile::recoveryNs);
     ++m.now;
     if (profile)
         ++profile->cycles;

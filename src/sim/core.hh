@@ -43,9 +43,10 @@ namespace polyflow {
  * Wall-clock time spent inside each pipeline stage, accumulated only
  * when the @p profile argument of TimingSim::runBatch is non-null.
  *
- * Every machine run adds its stage times and its cycles, so
- * stageNs / cycles is the per-cycle average over all machines
- * profiled into one sink.
+ * The cycle loop reads the clock once at each stage boundary and
+ * charges each stage the time since the previous read. Every machine
+ * run adds its stage times and its cycles, so stageNs / cycles is
+ * the per-cycle average over all machines profiled into one sink.
  */
 struct StageProfile
 {

@@ -179,10 +179,8 @@ fetch(MachineState &m)
                     mispredict = true;
                 }
             };
-            switch (f.control) {
-              case Control::None:
-                break;
-              case Control::CondBranch: {
+            switch (f.cls) {
+              case OpClass::CondBranch: {
                 ++m.res.condBranches;
                 bool pred = m.gshare.predict(f.pc, t.ghr);
                 m.gshare.update(f.pc, t.ghr, d.taken());
@@ -193,21 +191,23 @@ fetch(MachineState &m)
                 }
                 break;
               }
-              case Control::Call:
+              case OpClass::Call:
                 t.ras.push(f.pc + instrBytes);
                 break;
-              case Control::IndirectCall:
+              case OpClass::IndirectCall:
                 t.ras.push(f.pc + instrBytes);
                 predictIndirect();
                 break;
-              case Control::Return:
+              case OpClass::Return:
                 if (t.ras.pop() != m.trace->effAddr(d)) {
                     ++m.res.returnMispredicts;
                     mispredict = true;
                 }
                 break;
-              case Control::IndirectJump:
+              case OpClass::IndirectJump:
                 predictIndirect();
+                break;
+              default:
                 break;
             }
 

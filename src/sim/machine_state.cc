@@ -38,37 +38,13 @@ decode(const Instruction &in, const MachineConfig &cfg)
 {
     DecodedOp op;
     op.nsrc = static_cast<std::uint8_t>(in.srcRegs(op.src));
-    if (in.isLoad())
-        op.mem = DecodedOp::Mem::Load;
-    else if (in.isStore())
-        op.mem = DecodedOp::Mem::Store;
-    switch (in.op) {
-      case Opcode::MUL:
-        op.latency = cfg.mulLatency;
-        break;
-      case Opcode::DIVU:
-      case Opcode::REMU:
-        op.latency = cfg.divLatency;
-        break;
-      default:
-        op.latency = cfg.intLatency;
-        break;
+    op.cls = in.cls();
+    switch (opInfo(in.op).fu) {
+      case FuClass::Int: op.latency = cfg.intLatency; break;
+      case FuClass::Mul: op.latency = cfg.mulLatency; break;
+      case FuClass::Div: op.latency = cfg.divLatency; break;
     }
     return op;
-}
-
-Control
-controlOf(const Instruction &in)
-{
-    if (in.isCondBranch())
-        return Control::CondBranch;
-    if (in.isCall())
-        return in.op == Opcode::JALR ? Control::IndirectCall : Control::Call;
-    if (in.isReturn())
-        return Control::Return;
-    if (in.isIndirectJump())
-        return Control::IndirectJump;
-    return Control::None;
 }
 
 FetchOp
@@ -78,7 +54,7 @@ decodeFetch(const LinkedInstr &li, const MachineConfig &cfg,
     FetchOp f;
     f.pc = li.addr;
     f.line = li.addr / Addr(cfg.l1i.lineBytes);
-    f.control = controlOf(li.instr);
+    f.cls = li.instr.cls();
     if (!source)
         return f;
     if (!source->fixedAt(li)) {

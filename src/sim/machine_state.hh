@@ -303,28 +303,19 @@ struct EntryQueue
 };
 
 /** Operands of one static instruction, decoded once per machine so
- *  rename, divert release and issue read a table entry instead of
- *  running Instruction's opcode switches per dynamic instruction. */
+ *  rename, divert release and issue read one entry per dynamic
+ *  instruction: its sources without r0, its opcode class and its
+ *  latency under this machine's config. */
 struct DecodedOp
 {
     /** Execution latency of a non-memory op: the config's int, mul
-     *  or div latency. */
+     *  or div latency, by the opcode's functional-unit class. */
     std::int32_t latency = 0;
     RegId src[2] = {};
     std::uint8_t nsrc = 0;
-    enum class Mem : std::uint8_t { None, Load, Store } mem = Mem::None;
+    OpClass cls = OpClass::Nop;
 };
 static_assert(sizeof(DecodedOp) == 8);
-
-/** The control transfer fetch predicts for a static instruction. */
-enum class Control : std::uint8_t {
-    None,          //!< falls through (or a direct jump: no prediction)
-    CondBranch,    //!< gshare
-    Call,          //!< direct call: pushes the return address
-    IndirectCall,  //!< JALR: pushes, and the indirect predictor
-    Return,        //!< pops the return address stack
-    IndirectJump,  //!< the indirect predictor
-};
 
 /** How the Task Spawn Unit gets the hint of a static instruction. */
 enum class SpawnAt : std::uint8_t {
@@ -343,7 +334,8 @@ struct FetchOp
     Addr line = invalidAddr;
     /** The spawn hint when spawn is Fixed. */
     SpawnHint hint{invalidAddr, SpawnKind::Other, 0};
-    Control control = Control::None;
+    /** The opcode's class: the control transfer fetch predicts. */
+    OpClass cls = OpClass::Nop;
     SpawnAt spawn = SpawnAt::None;
 };
 
@@ -823,7 +815,7 @@ MachineState::readiness(const DynInstr &d, const Task &t,
         }
     }
     // A load's store holds it until the data is there.
-    if (op.mem == DecodedOp::Mem::Load) {
+    if (op.cls == OpClass::Load) {
         const TraceIdx store = trace->memProd(d);
         if (store != invalidTrace && !doneAt(store, now)) {
             if (memSyncNeeded(store, d, t)) {

@@ -71,12 +71,11 @@ isSimpleHammock(const CfgView &cfg, const DominatorTree &dt,
 
 } // namespace
 
-SpawnAnalysis::SpawnAnalysis(const Module &mod,
-                             const LinkedProgram &prog)
+SpawnAnalysis::SpawnAnalysis(const Module &mod, const LinkedProgram &)
 {
     _writeSummaries = moduleWriteSummaries(mod);
     for (size_t f = 0; f < mod.numFunctions(); ++f)
-        analyzeFunction(mod.function(static_cast<FuncId>(f)), prog);
+        analyzeFunction(mod.function(static_cast<FuncId>(f)));
     for (const SpawnPoint &p : _points)
         ++_census.byKind[static_cast<int>(p.kind)];
 }
@@ -121,18 +120,13 @@ regionDefs(const CfgView &cfg, const Liveness &lv, int from,
 } // namespace
 
 void
-SpawnAnalysis::analyzeFunction(const Function &fn,
-                               const LinkedProgram &prog)
+SpawnAnalysis::analyzeFunction(const Function &fn)
 {
     CfgView cfg(fn);
     DominatorTree dt(cfg);
     PostDominatorTree pdt(cfg);
     LoopForest loops(cfg, dt);
     Liveness lv(fn, _writeSummaries);
-
-    auto blockAddr = [&](BlockId b) {
-        return prog.blockAddr(fn.id(), b);
-    };
 
     int nblocks = static_cast<int>(fn.numBlocks());
     for (int b = 0; b < nblocks; ++b) {
@@ -152,7 +146,7 @@ SpawnAnalysis::analyzeFunction(const Function &fn,
                 p.func = fn.id();
                 // The spawned continuation may depend on anything
                 // the callee writes.
-                p.depMask = (in.op == Opcode::JAL &&
+                p.depMask = (in.isDirectCall() &&
                              in.targetFunc != invalidFunc)
                     ? _writeSummaries[in.targetFunc] |
                         (RegMask(1) << reg::ra)
@@ -176,7 +170,7 @@ SpawnAnalysis::analyzeFunction(const Function &fn,
 
         SpawnPoint p;
         p.triggerPc = bb.termAddr();
-        p.targetPc = blockAddr(join);
+        p.targetPc = fn.block(join).startAddr();
         p.func = fn.id();
 
         if (indirect) {
@@ -219,8 +213,8 @@ SpawnAnalysis::analyzeFunction(const Function &fn,
         if (latch >= nblocks)
             continue;
         SpawnPoint p;
-        p.triggerPc = blockAddr(L.header);
-        p.targetPc = blockAddr(latch);
+        p.triggerPc = fn.block(L.header).startAddr();
+        p.targetPc = fn.block(latch).startAddr();
         p.kind = SpawnKind::LoopIter;
         p.func = fn.id();
         p.depMask =

@@ -55,6 +55,9 @@ struct SpawnCensus
 class SpawnAnalysis
 {
   public:
+    /** Analyse every function of @p mod, which @p prog must be the
+     *  link of: the spawn addresses are the block addresses that
+     *  Module::link() stored in @p mod's blocks. */
     SpawnAnalysis(const Module &mod, const LinkedProgram &prog);
 
     /**
@@ -71,7 +74,7 @@ class SpawnAnalysis
     const SpawnCensus &census() const { return _census; }
 
   private:
-    void analyzeFunction(const Function &fn, const LinkedProgram &prog);
+    void analyzeFunction(const Function &fn);
 
     std::vector<SpawnPoint> _points;
     SpawnCensus _census;

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
+#include <random>
 
 #include "ir/builder.hh"
 #include "isa/exec.hh"
@@ -288,6 +291,201 @@ TEST(ExecProps, JalRecordsReturnAddress)
     auto r = runFunctional(p);
     EXPECT_EQ(Addr(r.finalState->readReg(reg::a1)),
               f.startAddr() + instrBytes);
+}
+
+
+/** One step() trial's input: a register file and the memory bytes
+ *  around the address a load or store would use. */
+struct StepInput
+{
+    std::array<I64, numArchRegs> regs{};
+    Addr window = 0;  //!< address of bytes[0]
+    std::array<std::uint8_t, 48> bytes{};
+};
+
+/** Everything step() returns or writes, for one input. */
+struct StepOutcome
+{
+    Addr nextPc, effAddr, indirectTarget;
+    bool taken, halted;
+    std::array<I64, numArchRegs> regs;
+    std::array<std::uint8_t, 48> bytes;
+    U64 memSum;
+    bool operator==(const StepOutcome &) const = default;
+};
+
+ArchState
+stateOf(const StepInput &in)
+{
+    ArchState st;
+    for (RegId r = 1; r < numArchRegs; ++r)
+        st.writeReg(r, in.regs[r]);
+    for (size_t k = 0; k < in.bytes.size(); ++k)
+        st.writeByte(in.window + k, in.bytes[k]);
+    return st;
+}
+
+StepOutcome
+runStep(const LinkedInstr &li, const StepInput &in)
+{
+    ArchState st = stateOf(in);
+    const ExecOut o = step(li, st);
+    StepOutcome out{o.nextPc, o.effAddr, o.indirectTarget, o.taken,
+                    o.halted, {}, {}, st.memChecksum()};
+    for (RegId r = 0; r < numArchRegs; ++r)
+        out.regs[r] = st.readReg(r);
+    for (size_t k = 0; k < in.bytes.size(); ++k)
+        out.bytes[k] = st.readByte(in.window + k);
+    return out;
+}
+
+TEST(ExecProps, OpcodeTableMatchesStep)
+{
+    // Each opTable row against the semantics in step(): the
+    // registers it reads and writes, the bytes it moves and how it
+    // extends them, and what its class does to the next PC.
+    std::mt19937_64 rng(0x7ab1e);
+    // Half the values are small, so compares and branches see ties.
+    auto value = [&] {
+        return rng() % 2 ? I64(rng() % 5) - 2 : I64(rng());
+    };
+    constexpr int trials = 200;
+    constexpr int before = 16;  // window bytes below the address
+    for (std::size_t k = 0; k < std::size_t(Opcode::NumOpcodes); ++k) {
+        const Opcode op = Opcode(k);
+        SCOPED_TRACE(opcodeName(op));
+        LinkedInstr li;
+        li.instr.op = op;
+        li.addr = 0x1000;
+        li.targetAddr = 0x2000;
+        const OpClass cls = li.instr.cls();
+        const int bytes = li.instr.memBytes();
+        EXPECT_EQ(bytes != 0, li.instr.isMem());
+        if (!li.instr.isLoad()) {
+            EXPECT_FALSE(li.instr.loadSigned());
+        }
+        // Whether perturbing srcRegs()' first and second register
+        // changed anything in some trial.
+        std::array<bool, 2> srcMattered{};
+        int nsrc = 0;
+        bool writes = false, written = false;
+        bool takenSeen = false, fallSeen = false;
+        for (int trial = 0; trial < trials; ++trial) {
+            // Distinct rd, rs1 and rs2, none of them r0 or ra.
+            std::array<RegId, numArchRegs - 2> pool;
+            for (size_t r = 0; r < pool.size(); ++r)
+                pool[r] = RegId(r + 2);
+            std::shuffle(pool.begin(), pool.end(), rng);
+            Instruction &in = li.instr;
+            in.rd = pool[0];
+            in.rs1 = pool[1];
+            in.rs2 = pool[2];
+            in.imm = I64(rng() % 129) - 64;
+            RegId src[2];
+            nsrc = in.srcRegs(src);
+            const int dest = in.destReg();
+
+            StepInput input;
+            for (RegId r = 1; r < numArchRegs; ++r)
+                input.regs[r] = value();
+            const Addr addr = Addr(input.regs[in.rs1]) + Addr(in.imm);
+            input.window = addr - before;
+            for (auto &b : input.bytes)
+                b = std::uint8_t(rng());
+            const StepOutcome base = runStep(li, input);
+
+            // Only the destination register changes, and it does.
+            writes = dest >= 0;
+            written |= writes && base.regs[dest] != input.regs[dest];
+            for (RegId r = 1; r < numArchRegs; ++r) {
+                if (r != dest) {
+                    ASSERT_EQ(base.regs[r], input.regs[r]) << "r" << int(r);
+                }
+            }
+            // Memory: a store writes its bytes of rs2 at the address,
+            // and nothing else changes.
+            ArchState expectMem = stateOf(input);
+            if (li.instr.isStore()) {
+                for (int b = 0; b < bytes; ++b) {
+                    expectMem.writeByte(
+                        addr + b, std::uint8_t(U64(input.regs[in.rs2]) >>
+                                               (8 * b)));
+                }
+            }
+            ASSERT_EQ(base.memSum, expectMem.memChecksum());
+            for (size_t b = 0; b < input.bytes.size(); ++b) {
+                ASSERT_EQ(base.bytes[b],
+                          expectMem.readByte(input.window + b))
+                    << "byte " << b;
+            }
+            ASSERT_EQ(base.effAddr, li.instr.isMem() ? addr : invalidAddr);
+            // A load reads its bytes at the address and extends them.
+            if (li.instr.isLoad()) {
+                U64 raw = 0;
+                for (int b = bytes - 1; b >= 0; --b)
+                    raw = (raw << 8) | input.bytes[before + b];
+                const int shift = 64 - 8 * bytes;
+                const I64 expect = li.instr.loadSigned()
+                    ? I64(raw << shift) >> shift
+                    : I64(raw);
+                ASSERT_EQ(base.regs[in.rd], expect);
+            }
+
+            // The class against the next PC.
+            const Addr fall = li.addr + instrBytes;
+            ASSERT_EQ(base.halted, cls == OpClass::Halt);
+            const bool indirect = cls == OpClass::IndirectJump ||
+                cls == OpClass::IndirectCall || cls == OpClass::Return;
+            const bool calls = li.instr.isCall();
+            if (cls == OpClass::CondBranch) {
+                ASSERT_EQ(base.nextPc, base.taken ? li.targetAddr : fall);
+                (base.taken ? takenSeen : fallSeen) = true;
+            } else if (cls == OpClass::Jump || cls == OpClass::Call) {
+                ASSERT_TRUE(base.taken);
+                ASSERT_EQ(base.nextPc, li.targetAddr);
+            } else if (indirect) {
+                const RegId through =
+                    cls == OpClass::Return ? reg::ra : in.rs1;
+                ASSERT_TRUE(base.taken);
+                ASSERT_EQ(base.nextPc, Addr(input.regs[through]));
+            } else if (cls != OpClass::Halt) {
+                ASSERT_FALSE(base.taken);
+                ASSERT_EQ(base.nextPc, fall);
+            }
+            ASSERT_EQ(base.indirectTarget,
+                      indirect ? base.nextPc : invalidAddr);
+            ASSERT_EQ(dest == reg::ra, calls);
+            if (calls) {
+                ASSERT_EQ(base.regs[reg::ra], I64(fall));
+            }
+
+            // A register outside srcRegs changes nothing step returns
+            // or writes; a listed one changes something.
+            for (RegId r = 1; r < numArchRegs; ++r) {
+                StepInput p = input;
+                do {
+                    p.regs[r] = value();
+                } while (p.regs[r] == input.regs[r]);
+                StepOutcome expect = base;
+                if (r != dest)
+                    expect.regs[r] = p.regs[r];
+                const StepOutcome got = runStep(li, p);
+                const int listed = int(std::find(src, src + nsrc, r) - src);
+                if (listed < nsrc) {
+                    srcMattered[listed] |= got != expect;
+                } else {
+                    ASSERT_EQ(got, expect) << "r" << int(r) << " is read";
+                }
+            }
+        }
+        for (int s = 0; s < nsrc; ++s)
+            EXPECT_TRUE(srcMattered[s]) << "source " << s << " is not read";
+        EXPECT_EQ(written, writes) << "destReg() is not what it writes";
+        if (cls == OpClass::CondBranch) {
+            EXPECT_TRUE(takenSeen);
+            EXPECT_TRUE(fallSeen);
+        }
+    }
 }
 
 } // namespace

@@ -184,8 +184,7 @@ TEST(Module, LinkResolvesBranchAndCallTargets)
     ImageIdx callIdx = p.idxOf(f.startAddr());
     EXPECT_EQ(p.at(callIdx).targetAddr, g.startAddr());
     ImageIdx branchIdx = callIdx + 1;
-    EXPECT_EQ(p.at(branchIdx).targetAddr,
-              p.blockAddr(f.id(), target));
+    EXPECT_EQ(p.at(branchIdx).targetAddr, f.block(target).startAddr());
 }
 
 TEST(Module, FunctionPaddingSeparatesCode)
@@ -237,7 +236,7 @@ TEST(Module, DataAllocationAndJumpTables)
             std::uint64_t v = 0;
             for (int i = 0; i < 8; ++i)
                 v |= std::uint64_t(di.bytes[i]) << (8 * i);
-            EXPECT_EQ(v, p.blockAddr(f.id(), t1));
+            EXPECT_EQ(v, f.block(t1).startAddr());
             found = true;
         }
     }

@@ -219,6 +219,26 @@ TEST(TimingSim, DeterministicResults)
     EXPECT_EQ(a.violations, b.violations);
 }
 
+TEST(TimingSim, StageProfileLeavesTheRunUnchanged)
+{
+    // The stage profile only reads the clock: a profiled run is the
+    // unprofiled run, and the profile counts that run's cycles.
+    Session s = Session::open("twolf", 0.04);
+    StaticSpawnSource src{s.hints(SpawnPolicy::postdoms())};
+    const auto index = s.cache()->traceIndex(s.name(), s.scale());
+    const BatchItem item{&s.trace(), &src, index.get(), "postdoms",
+                         nullptr};
+    const MachineConfig cfg;
+    const auto plain = TimingSim::runBatch(cfg, {&item, 1});
+    StageProfile profile;
+    const auto profiled = TimingSim::runBatch(cfg, {&item, 1}, &profile);
+    ASSERT_EQ(plain.size(), 1u);
+    EXPECT_GT(plain[0].spawns, 0u);
+    EXPECT_EQ(profiled, plain);
+    EXPECT_EQ(profile.cycles, plain[0].cycles);
+    EXPECT_EQ(profile.machines, 1u);
+}
+
 TEST(TimingSim, CrossTaskMemoryDependenceIsHonoured)
 {
     // Producer loop writes a cell; a consumer loop after it reads
