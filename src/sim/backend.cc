@@ -61,20 +61,7 @@ void
 releaseDiverted(MachineState &m)
 {
     m.wakeDue();
-    auto &q = m.divert.ready;
-    if (q.empty())
-        return;
-    // FIFO order: the survivors of the last scan are sorted, and the
-    // entries woken since were appended behind them.
-    m.divert.beginScan();
-
-    int budget = m.cfg.pipelineWidth;
-    // Compact in place: entries that stay ready move down to the
-    // write index w, in FIFO order.
-    size_t w = 0;
-    size_t j = 0;
-    for (; j < q.size() && budget > 0; ++j) {
-        const Slot slot = q[j].slot;
+    m.divert.scan(m.cfg.pipelineWidth, [&](Slot slot) {
         DivertEntry &e = m.divert.slots[slot];
         const TraceIdx i = e.idx;
         const DynInstr &d = m.trace->instrs[i];
@@ -97,7 +84,7 @@ releaseDiverted(MachineState &m)
             if (sync.blocker) {
                 e.heldBy = sync.blocker;
                 m.park(m.divertNode(slot));
-                continue;
+                return Step::Leave;
             }
             if (e.heldBy) {
                 // Let go this cycle: the re-dispatch latency starts.
@@ -106,63 +93,42 @@ releaseDiverted(MachineState &m)
             }
             e.trainings = m.depTrainings;
         }
-        if (m.now >= e.readyAt && m.roomFor(sync)) {
-            // Its first issue check is later this cycle.
-            if (!t)
-                check();
-            m.divert.release(slot);
-            // Entering the scheduler wakes the same-task consumers
-            // waiting for i to be renamed. They were diverted after
-            // i, so they sort behind it and this scan reaches them.
-            const size_t woken = q.size();
-            m.enterSched(i, sync.wait);
-            m.divert.mergeWoken(j + 1, woken);
-            --budget;
-        } else {
-            q[w++] = q[j];
-        }
-    }
-    // Budget exhausted: the unexamined tail stays, in FIFO order,
-    // behind the entries that stayed ready.
-    q.erase(q.begin() + w, q.begin() + j);
-    m.divert.endScan();
+        if (m.now < e.readyAt || !m.roomFor(sync))
+            return Step::Stay;
+        // Its first issue check is later this cycle.
+        if (!t)
+            check();
+        m.divert.release(slot);
+        // Entering the scheduler wakes the same-task consumers
+        // waiting for i to be renamed. They were diverted after i,
+        // so they sort behind it and this scan reaches them.
+        m.enterSched(i, sync.wait);
+        return Step::Spend;
+    });
 }
 
 void
 issue(MachineState &m)
 {
     m.wakeDue();
-    m.sched.beginScan();
-    auto &q = m.sched.ready;
-    if (q.empty())
-        return;
-
-    int fu = m.cfg.numFUs;
     // Ascending age keys let the owning task be resolved by walking
     // the (begin-sorted) task table in lockstep instead of a binary
     // search per entry. The tasks tile [commitIdx, N), so the walk
     // always stops at the owner.
     size_t cursor = 0;
-    size_t j = 0;
-    for (; j < q.size() && fu > 0; ++j) {
-        const Slot slot = q[j].slot;
+    m.sched.scan(m.cfg.numFUs, [&](Slot slot) {
         SchedEntry &e = m.sched.slots[slot];
         while (m.tasks[cursor].end <= e.idx)
             ++cursor;
-        const size_t woken = q.size();
-        if (tryIssue(m, e, m.tasks[cursor])) {
-            --fu;
-            m.sched.release(slot);
-            // A result ready in the cycle it issues wakes its
-            // consumers into this scan; they are younger.
-            m.sched.mergeWoken(j + 1, woken);
-        } else {
+        if (!tryIssue(m, e, m.tasks[cursor])) {
             m.park(slot);  // on e.waitOn
+            return Step::Leave;
         }
-    }
-    // Every examined entry issued or parked.
-    q.erase(q.begin(), q.begin() + j);
-    m.sched.endScan();
+        // A result ready in the cycle it issues woke its consumers
+        // into this scan; they are younger, so it reaches them.
+        m.sched.release(slot);
+        return Step::Spend;
+    });
 }
 
 } // namespace polyflow::sim

@@ -41,7 +41,8 @@ namespace polyflow {
 
 /**
  * Wall-clock time spent inside each pipeline stage, accumulated only
- * when the @p profile argument of TimingSim::runBatch is non-null.
+ * when the @p profile argument of TimingSim::runBatch or sim::step
+ * is non-null.
  *
  * The cycle loop reads the clock once at each stage boundary and
  * charges each stage the time since the previous read. Every machine
@@ -118,8 +119,9 @@ struct TimingSim
  * @param events optional task-lifecycle event sink
  * @throws std::invalid_argument if MachineConfig::validate()
  *         rejects the config
- * @throws std::runtime_error on an empty trace, on a trace too long
- *         for 32-bit cycles, or at the cycle limit
+ * @throws std::runtime_error on an empty trace, on a trace with no
+ *         program (Trace::prog), on a trace too long for 32-bit
+ *         cycles, or at the cycle limit
  *
  * Most callers should not need this directly: polyflow::Session
  * wires the whole trace → analyze → simulate pipeline

@@ -66,6 +66,19 @@ decodeFetch(const LinkedInstr &li, const MachineConfig &cfg,
     return f;
 }
 
+/** @p trace, once it has records and the program they index. Like
+ *  validated(), the check runs before any member is built from the
+ *  trace. */
+const Trace &
+checkedTrace(const Trace &trace)
+{
+    if (trace.size() == 0)
+        throw std::runtime_error("TimingSim: empty trace");
+    if (!trace.prog)
+        throw std::runtime_error("TimingSim: the trace has no program");
+    return trace;
+}
+
 } // namespace
 
 std::uint64_t
@@ -89,13 +102,11 @@ MachineState::cycleLimitFor(const MachineConfig &cfg,
 MachineState::MachineState(const MachineConfig &config,
                            const Trace &trace_, SpawnSource *source_,
                            const TraceIndex *sharedIndex)
-    : cfg(validated(config)), trace(&trace_), source(source_),
-      cycleLimit(cycleLimitFor(config, trace_.size())),
+    : cfg(validated(config)), trace(&checkedTrace(trace_)),
+      source(source_), cycleLimit(cycleLimitFor(config, trace_.size())),
       sched(config.schedEntries), divert(config.divertEntries),
-      hier(config), depPred(trace_.prog ? trace_.prog->size() : 0)
+      hier(config), depPred(trace_.prog->size())
 {
-    if (trace_.size() == 0)
-        throw std::runtime_error("TimingSim: empty trace");
     istate.resize(trace_.size());
     waiterHead.assign(trace_.size(), noSlot);
     waiterNext.assign(sched.slots.size() + divert.slots.size(), noSlot);
@@ -108,13 +119,11 @@ MachineState::MachineState(const MachineConfig &config,
                               longestLatency(cfg)) + 1),
                           maxBuckets),
                  noSlot);
-    if (trace_.prog) {
-        ops.reserve(trace_.prog->size());
-        fetchOps.reserve(trace_.prog->size());
-        for (const LinkedInstr &li : trace_.prog->image()) {
-            ops.push_back(decode(li.instr, cfg));
-            fetchOps.push_back(decodeFetch(li, cfg, source));
-        }
+    ops.reserve(trace_.prog->size());
+    fetchOps.reserve(trace_.prog->size());
+    for (const LinkedInstr &li : trace_.prog->image()) {
+        ops.push_back(decode(li.instr, cfg));
+        fetchOps.push_back(decodeFetch(li, cfg, source));
     }
     sourceTrains = source && source->trains();
 
@@ -240,16 +249,8 @@ MachineState::purgeSquashed()
     }
     for (Slot &head : wheel)
         filter(head);
-    sched.dropFromLists(live);
-    divert.dropFromLists([&](Slot d) { return live(divertNode(d)); });
-    for (Slot s = 0; s < schedSlots; ++s) {
-        if (sched.slots[s].idx != invalidTrace && !live(s))
-            sched.release(s);
-    }
-    for (Slot d = 0; d < divert.slots.size(); ++d) {
-        if (divert.slots[d].idx != invalidTrace && !live(divertNode(d)))
-            divert.release(d);
-    }
+    sched.purge(live);
+    divert.purge([&](Slot d) { return live(divertNode(d)); });
 }
 
 } // namespace polyflow::sim

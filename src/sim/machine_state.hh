@@ -14,9 +14,11 @@
  *    park them, fetch's reusable eligible-task
  *    buffer, predictors, caches, spawn feedback and the accumulating
  *    TimingResult.
- *  - The committed trace, the spawn source and the shared TraceIndex
- *    are borrowed read-only (the sweep engine shares them across
- *    concurrent simulations).
+ *  - The committed trace and a TraceIndex the caller passes are
+ *    borrowed read-only (the sweep engine shares them across
+ *    concurrent simulations); without one, a spawning machine builds
+ *    and owns its own (ownedIndex). The spawn source is borrowed,
+ *    and commit trains it if it trains (SpawnSource::trains).
  *
  * Methods on MachineState are *queries* used by more than one stage
  * (task lookup, the one-pass synchronization rule, resource
@@ -176,13 +178,19 @@ struct SchedEntry
 using Slot = std::uint32_t;
 constexpr Slot noSlot = ~Slot(0);
 
+/** What a scan step (EntryQueue::scan) did with its entry. */
+enum class Step : std::uint8_t {
+    Stay,   //!< still ready: the next scan visits it again
+    Leave,  //!< parked on a producer: off the ready list
+    Spend,  //!< left the queue, using one unit of the scan's budget
+};
+
 /**
  * Fixed-slot storage of the scheduler or the divert queue, one slot
  * per entry the config allows. An entry keeps its slot from entering
  * the queue until it leaves it or a squash purges it. Every entry is
- * either ready (listed in `ready`, which its stage scans, or in
- * `arrived` until that scan starts) or parked on exactly one waiter
- * list or wheel bucket of MachineState.
+ * either ready (listed in `ready`, which its stage scans) or parked
+ * on exactly one waiter list or wheel bucket of MachineState.
  */
 template <class Entry>
 struct EntryQueue
@@ -222,42 +230,51 @@ struct EntryQueue
         Slot slot;
     };
 
-    /** A woken entry joins the next scan. */
+    /** Entry @p s joins the next scan: one that is ready as it
+     *  enters the queue, or one a wakeup unparked. */
     void makeReady(Slot s) { ready.push_back({slots[s].order(), s}); }
-    /** An entry that is ready as it enters the queue joins the next
-     *  scan behind the entries woken before that scan. */
-    void arrive(Slot s) { arrived.push_back({slots[s].order(), s}); }
 
-    /** Start a scan: move the arrivals behind the woken entries and
-     *  put whatever joined since the last scan in scan order. Call
-     *  endScan() when the scan is done. */
+    /**
+     * Call @p step(slot) on each ready entry in scan order
+     * (Entry::order, unique per entry) until @p budget entries have
+     * Spent, first sorting in the entries appended since the last
+     * scan. The step returns Stay (the entry stays ready, ahead of
+     * the unexamined tail), Leave (it parked) or Spend (it left the
+     * queue; the step freed its slot). Entries a step makes ready are
+     * merged into the unexamined ones, so this scan reaches those
+     * keyed behind the current entry. A step must not touch `ready`
+     * otherwise.
+     */
+    template <class StepFn>
     void
-    beginScan()
+    scan(int budget, StepFn step)
     {
-        if (!arrived.empty()) {
-            ready.insert(ready.end(), arrived.begin(), arrived.end());
-            arrived.clear();
-        }
         if (ready.size() > sorted)
-            insertSorted(ready, 0, std::max<size_t>(sorted, 1));
+            insertSorted(0, std::max<size_t>(sorted, 1));
+        // Entries that Stay move down to the write index w; the scan
+        // holds no reference into `ready`, which a step may grow.
+        size_t w = 0, j = 0;
+        for (; j < ready.size() && budget > 0; ++j) {
+            const size_t woken = ready.size();
+            switch (step(ready[j].slot)) {
+              case Step::Stay: ready[w++] = ready[j]; break;
+              case Step::Leave: break;
+              case Step::Spend: --budget; break;
+            }
+            if (ready.size() > woken)
+                insertSorted(j + 1, woken);
+        }
+        // The unexamined tail stays, in order, behind the entries
+        // that stayed.
+        ready.erase(ready.begin() + w, ready.begin() + j);
+        sorted = ready.size();
     }
-    /** A scan step at ready[lo - 1] appended the entries from
-     *  @p woken on: merge them into the unexamined ready[lo, woken),
-     *  which is in scan order. */
-    void
-    mergeWoken(size_t lo, size_t woken)
-    {
-        if (ready.size() > woken)
-            insertSorted(ready, lo, woken);
-    }
-    /** The scan left `ready` in scan order. */
-    void endScan() { sorted = ready.size(); }
 
-    /** Drop the entries whose slot fails @p live from `ready` and
-     *  `arrived`, keeping both lists' order. */
+    /** Free every used slot whose entry fails @p live(slot), and drop
+     *  it from `ready`, keeping the list's order. */
     template <class Live>
     void
-    dropFromLists(Live live)
+    purge(Live live)
     {
         size_t w = 0, kept = 0;
         for (size_t j = 0; j < ready.size(); ++j) {
@@ -268,36 +285,33 @@ struct EntryQueue
         }
         ready.resize(w);
         sorted = kept;
-        std::erase_if(arrived, [&](const Ready &r) { return !live(r.slot); });
+        for (Slot s = 0; s < slots.size(); ++s) {
+            if (slots[s].idx != invalidTrace && !live(s))
+                release(s);
+        }
     }
 
     std::vector<Entry> slots;
     std::vector<Slot> freeSlots;  //!< taken from the back
-    /** The entries the stage's next scan examines: woken entries,
-     *  the arrivals of earlier scans' budgets left unexamined, and
-     *  divert entries the rule has let go that wait for readyAt or
-     *  for scheduler room. */
+    /** The entries the next scan examines, ready and unparked. */
     std::vector<Ready> ready;
     /** ready[0, sorted) is in scan order: what the last scan left.
      *  Later entries were appended since. */
     size_t sorted = 0;
-    /** Entries ready on entry since the last scan began (only the
-     *  scheduler has them: a diverted entry is always held). */
-    std::vector<Ready> arrived;
 
   private:
-    /** Insertion-sort q[from, end) by key into q[lo, from), which is
-     *  sorted. Adaptive: entries that arrive in order cost one
-     *  compare. */
-    static void
-    insertSorted(std::vector<Ready> &q, size_t lo, size_t from)
+    /** Insertion-sort ready[from, end) by key into ready[lo, from),
+     *  which is sorted. Adaptive: entries that join in order cost
+     *  one compare. */
+    void
+    insertSorted(size_t lo, size_t from)
     {
-        for (size_t j = from; j < q.size(); ++j) {
-            const Ready v = q[j];
+        for (size_t j = from; j < ready.size(); ++j) {
+            const Ready v = ready[j];
             size_t k = j;
-            for (; k > lo && q[k - 1].key > v.key; --k)
-                q[k] = q[k - 1];
-            q[k] = v;
+            for (; k > lo && ready[k - 1].key > v.key; --k)
+                ready[k] = ready[k - 1];
+            ready[k] = v;
         }
     }
 };
@@ -411,8 +425,9 @@ struct MachineState
      *               private ones when spawning is enabled
      * @throws std::invalid_argument on a bad @p config
      *         (MachineConfig::validate)
-     * @throws std::runtime_error on an empty trace, or one too long
-     *         for 32-bit cycles (cycleLimitFor)
+     * @throws std::runtime_error on an empty trace, a trace with no
+     *         program (Trace::prog), or one too long for 32-bit
+     *         cycles (cycleLimitFor)
      */
     MachineState(const MachineConfig &config, const Trace &trace,
                  SpawnSource *source,
@@ -629,14 +644,13 @@ struct MachineState
 
     /** @name Queue entry and wakeup
      * The bookkeeping that rename, divert release, issue and
-     * recovery share. A wakeup appends the entry to its queue's
-     * ready list; the scanning stage restores the list's order
-     * (EntryQueue::beginScan).
+     * recovery share. A wakeup, like an entry that enters ready,
+     * joins its queue's next scan (EntryQueue::scan).
      * @{ */
 
     /** Put @p i in the scheduler, and wake the divert entries that
      *  wait for @p i to be renamed. The entry parks on @p waitOn if
-     *  that is a producer, else it arrives ready. Rename and divert
+     *  that is a producer, else it is ready. Rename and divert
      *  release pass readiness's wait at the entry's first issue
      *  cycle: issue would park it there anyway, since a sync
      *  decision never reverts, and the producer's issue or
@@ -743,7 +757,7 @@ MachineState::enterSched(TraceIdx i, TraceIdx waitOn)
     istate[i].stage = InstrStage::InSched;
     const Slot s = sched.take({i, waitOn});
     if (waitOn == invalidTrace)
-        sched.arrive(s);
+        sched.makeReady(s);
     else
         park(s);
     if (waiterHead[i] != noSlot)

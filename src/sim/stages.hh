@@ -55,15 +55,14 @@ void accountCycle(MachineState &m);
  * completion wheel's bucket when it waits for a result already
  * scheduled. The producer reaching the scheduler (dispatch or this
  * stage), issuing (issue) or completing (the wheel) wakes it. The
- * scan visits only ready entries, in FIFO order: the woken ones,
- * and those the rule (MachineState::readiness) has let go that wait
- * out the latency or scheduler room. The rule runs again on each
- * woken entry and may park it on a newer blocker. On a let-go entry
- * it runs again only after recover() has trained the dependence
- * predictors (MachineState::depTrainings), and otherwise once, for
- * the entry's first issue wait, when the entry leaves; the task
- * lookup goes with it. An entry woken by a release earlier in the
- * same scan is reached later in it.
+ * queue's scan (EntryQueue::scan, in FIFO order) visits the woken
+ * entries and those the rule (MachineState::readiness) has let go
+ * that wait out the latency or scheduler room (Step::Stay). The
+ * rule runs again on each woken entry and may park it on a newer
+ * blocker. On a let-go entry it runs again only after recover() has
+ * trained the dependence predictors (MachineState::depTrainings),
+ * and otherwise once, for the entry's first issue wait, when the
+ * entry leaves; the task lookup goes with it.
  */
 void releaseDiverted(MachineState &m);
 
@@ -73,20 +72,17 @@ void releaseDiverted(MachineState &m);
  * those, and stores that execute after dependent cross-task loads
  * already issued, queue dependence violations for recover().
  *
- * Only ready entries are visited: new ones and those woken since
- * the last scan. The rule (MachineState::readiness) decides each
+ * The scheduler's scan (EntryQueue::scan, oldest first) visits only
+ * ready entries. The rule (MachineState::readiness) decides each
  * one: a synchronized result it lacks (Readiness::wait) makes it
  * record that producer (SchedEntry::waitOn) and park on it, on the
  * producer's waiter list until it issues, then in the completion
  * wheel until its result is ready; an unsynchronized producer not
  * done is a stale read. Rename and divert release park an entry
  * that way as it enters, when that producer will not be done by its
- * first issue check, so it is not visited just to park. Issue puts
- * the entries that entered since its last scan behind the ones
- * woken since, repairs the ready list's oldest-first order with an
- * adaptive insertion pass over only what joined (instead of
- * sorting), and resolves each entry's owning task by walking the
- * task table in lockstep with the ascending keys.
+ * first issue check, so it is not visited just to park. Issue
+ * resolves each entry's owning task by walking the task table in
+ * lockstep with the ascending keys.
  */
 void issue(MachineState &m);
 

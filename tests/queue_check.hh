@@ -69,11 +69,10 @@ nodeInstr(const sim::MachineState &m, sim::Slot n)
 }
 
 /** Where queue node @p n sits: how many times it is on a ready list,
- *  an arrival list, a producer's waiter list or a wheel bucket. */
+ *  a producer's waiter list or a wheel bucket. */
 struct NodePlaces
 {
     int ready = 0;
-    int arrived = 0;
     int waiterLists = 0;
     int wheel = 0;
 };
@@ -85,14 +84,12 @@ struct NodePlaces
  *    stage (InSched, Diverted), and no two slots hold one
  *    instruction;
  *  - each entry is on exactly one of its queue's ready list, its
- *    queue's arrival list, its blocker's waiter list, or the wheel
- *    bucket of its blocker's completion cycle, and no free slot is
- *    on any;
+ *    blocker's waiter list, or the wheel bucket of its blocker's
+ *    completion cycle, and no free slot is on any;
  *  - a parked entry's blocker still holds it (a wheel entry's
  *    result is due after the last drained cycle), a ready entry is
- *    not held, a let-go divert entry whose training stamp is
- *    current is not held by the rule either, and an arrived one is
- *    a scheduler entry that entered waiting on nothing;
+ *    not held, and a let-go divert entry whose training stamp is
+ *    current is not held by the rule either;
  *  - each ready list's prefix that its last scan left is in scan
  *    order.
  */
@@ -196,16 +193,6 @@ queueInvariantViolation(const sim::MachineState &m)
             return "ready scheduler node " + std::to_string(s) +
                 " lacks its result";
     }
-    for (const auto &r : m.sched.arrived) {
-        const sim::Slot s = r.slot;
-        ++places[s].arrived;
-        if (r.key != m.sched.slots[s].order())
-            return "arrived scheduler node " + std::to_string(s) +
-                " has a stale key";
-        if (m.sched.slots[s].waitOn != invalidTrace)
-            return "arrived scheduler node " + std::to_string(s) +
-                " waits on a producer";
-    }
     for (const auto &r : m.divert.ready) {
         const sim::Slot d = r.slot;
         ++places[m.divertNode(d)].ready;
@@ -225,8 +212,6 @@ queueInvariantViolation(const sim::MachineState &m)
             return "let-go divert node " + std::to_string(d) +
                 " is held by the rule it skips";
     }
-    if (!m.divert.arrived.empty())
-        return "a divert entry arrived ready";
     auto scanOrdered = [](const auto &q, const char *name) -> std::string {
         if (q.sorted > q.ready.size())
             return std::string(name) + " ready list is shorter than " +
@@ -245,12 +230,11 @@ queueInvariantViolation(const sim::MachineState &m)
     }
     for (sim::Slot n = 0; n < nodes; ++n) {
         const NodePlaces &p = places[n];
-        const int total = p.ready + p.arrived + p.waiterLists + p.wheel;
+        const int total = p.ready + p.waiterLists + p.wheel;
         if (nodeInstr(m, n) == invalidTrace ? total != 0 : total != 1) {
             return "node " + std::to_string(n) + " (instr " +
                 std::to_string(nodeInstr(m, n)) + ") is on " +
                 std::to_string(p.ready) + " ready, " +
-                std::to_string(p.arrived) + " arrival, " +
                 std::to_string(p.waiterLists) + " waiter and " +
                 std::to_string(p.wheel) + " wheel lists";
         }

@@ -307,6 +307,15 @@ TEST(TimingSim, EmptyTraceRejected)
     Trace t;
     MachineConfig cfg;
     EXPECT_THROW(runTiming(cfg, t, nullptr, "empty"), std::runtime_error);
+    // Records without the program they index are rejected too, with
+    // or without a spawn source.
+    for (TraceIdx i = 0; i < 4; ++i)
+        t.append(0, false, invalidTrace, invalidTrace, invalidAddr,
+                 invalidTrace);
+    EXPECT_THROW(runTiming(MachineConfig::superscalar(), t, nullptr, "np"),
+                 std::runtime_error);
+    DmtSpawnSource dmt;
+    EXPECT_THROW(runTiming(cfg, t, &dmt, "np"), std::runtime_error);
 }
 
 TEST(TimingSim, CycleLimitNamesTheRun)

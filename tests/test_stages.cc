@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "ir/builder.hh"
 #include "polyflow.hh"
@@ -717,7 +719,7 @@ TEST(Stages, ConsumerParkedAtRenameIssuesWhenItsProducerCompletes)
         sim::dispatch(m);
         ASSERT_EQ(m.istate[1].stage, sim::InstrStage::InSched);
         EXPECT_EQ(schedEntries(m)[1].waitOn, TraceIdx(0));
-        EXPECT_EQ(m.sched.ready.size() + m.sched.arrived.size(), 1u)
+        EXPECT_EQ(m.sched.ready.size(), 1u)
             << "only the producer";
         EXPECT_EQ(queueInvariantViolation(m), "");
 
@@ -1053,6 +1055,156 @@ TEST(Stages, Sha256MatchesKnownVector)
     EXPECT_EQ(store::sha256Hex("abc"),
               "ba7816bf8f01cfea414140de5dae2223"
               "b00361a396177a9cb410ff61f20015ad");
+}
+
+// ---------------------------------------------------------------
+// EntryQueue::scan and purge on a bare queue: no machine, slots set
+// by hand, the trace index as the scan key.
+// ---------------------------------------------------------------
+
+using Queue = sim::EntryQueue<sim::SchedEntry>;
+using sim::Step;
+
+/** Take one slot per key of @p keys, in that order; each entry is on
+ *  no list until the test makes it ready. Returns the slots, keyed
+ *  like @p keys. */
+std::map<TraceIdx, sim::Slot>
+takeAll(Queue &q, std::initializer_list<TraceIdx> keys)
+{
+    std::map<TraceIdx, sim::Slot> slots;
+    for (TraceIdx k : keys)
+        slots[k] = q.take({k, invalidTrace});
+    return slots;
+}
+
+/** The keys on @p q's ready list, in list order. */
+std::vector<TraceIdx>
+readyKeys(const Queue &q)
+{
+    std::vector<TraceIdx> keys;
+    for (const auto &r : q.ready)
+        keys.push_back(TraceIdx(r.key));
+    return keys;
+}
+
+/** Scan @p q with @p budget. Each visited entry does what @p steps
+ *  says for its key (Leave if it says nothing); a Spent entry frees
+ *  its slot, as the stages do. Returns the keys visited, in order. */
+std::vector<TraceIdx>
+scanKeys(Queue &q, int budget, const std::map<TraceIdx, Step> &steps = {})
+{
+    std::vector<TraceIdx> visited;
+    q.scan(budget, [&](sim::Slot s) {
+        const TraceIdx k = q.slots[s].idx;
+        visited.push_back(k);
+        const auto it = steps.find(k);
+        const Step st = it == steps.end() ? Step::Leave : it->second;
+        if (st == Step::Spend)
+            q.release(s);
+        return st;
+    });
+    return visited;
+}
+
+TEST(EntryQueue, EntriesMadeReadyOutOfKeyOrderAreVisitedInKeyOrder)
+{
+    Queue q(8);
+    auto slot = takeAll(q, {5, 2, 9, 1});
+    for (TraceIdx k : {5, 2, 9, 1})
+        q.makeReady(slot[k]);
+    EXPECT_EQ(scanKeys(q, 8), (std::vector<TraceIdx>{1, 2, 5, 9}));
+    EXPECT_TRUE(q.ready.empty());
+    EXPECT_EQ(q.sorted, 0u);
+}
+
+TEST(EntryQueue, StayingEntriesKeepTheirOrderAheadOfTheUnexaminedTail)
+{
+    Queue q(8);
+    auto slot = takeAll(q, {6, 5, 4, 3, 2, 1});
+    for (TraceIdx k : {6, 5, 4, 3, 2, 1})
+        q.makeReady(slot[k]);
+    // The budget runs out at 4: 5 and 6 stay unexamined.
+    EXPECT_EQ(scanKeys(q, 2, {{1, Step::Stay}, {2, Step::Spend},
+                              {3, Step::Stay}, {4, Step::Spend}}),
+              (std::vector<TraceIdx>{1, 2, 3, 4}));
+    EXPECT_EQ(readyKeys(q), (std::vector<TraceIdx>{1, 3, 5, 6}));
+    EXPECT_EQ(q.sorted, 4u);
+    // An entry that joins later is keyed between them; the next scan
+    // visits the stayers and the tail in key order around it.
+    auto late = takeAll(q, {2});
+    q.makeReady(late[2]);
+    EXPECT_EQ(scanKeys(q, 8), (std::vector<TraceIdx>{1, 2, 3, 5, 6}));
+    EXPECT_TRUE(q.ready.empty());
+}
+
+TEST(EntryQueue, OnlySpendCountsAgainstTheBudget)
+{
+    Queue q(8);
+    auto slot = takeAll(q, {1, 2, 3, 4, 5, 6, 7});
+    for (TraceIdx k = 1; k <= 7; ++k)
+        q.makeReady(slot[k]);
+    // Two Spends end the scan at 6, whatever the Stays and Leaves
+    // before them: 7 is not visited.
+    EXPECT_EQ(scanKeys(q, 2, {{1, Step::Stay}, {3, Step::Stay},
+                              {4, Step::Spend}, {6, Step::Spend}}),
+              (std::vector<TraceIdx>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(readyKeys(q), (std::vector<TraceIdx>{1, 3, 7}));
+    EXPECT_EQ(q.size(), 5);  // 4 and 6 left; 2 and 5 are parked
+    // A zero budget visits nothing and keeps the list.
+    EXPECT_TRUE(scanKeys(q, 0).empty());
+    EXPECT_EQ(readyKeys(q), (std::vector<TraceIdx>{1, 3, 7}));
+}
+
+TEST(EntryQueue, EntryWokenByAStepIsVisitedLaterInTheSameScanInKeyOrder)
+{
+    Queue q(8);
+    auto slot = takeAll(q, {2, 4, 8, 5, 3});
+    for (TraceIdx k : {2, 4, 8})
+        q.makeReady(slot[k]);
+    // 2 leaves the queue and wakes 5 and 3, which were parked; the
+    // scan merges them among 4 and 8, the entries not yet examined.
+    std::vector<TraceIdx> visited;
+    q.scan(8, [&](sim::Slot s) {
+        const TraceIdx k = q.slots[s].idx;
+        visited.push_back(k);
+        if (k != 2)
+            return Step::Leave;
+        q.release(s);
+        q.makeReady(slot[5]);
+        q.makeReady(slot[3]);
+        return Step::Spend;
+    });
+    EXPECT_EQ(visited, (std::vector<TraceIdx>{2, 3, 4, 5, 8}));
+    EXPECT_TRUE(q.ready.empty());
+}
+
+TEST(EntryQueue, PurgeFreesExactlyTheFailingSlotsAndKeepsReadyInOrder)
+{
+    Queue q(8);
+    auto slot = takeAll(q, {1, 2, 3, 4, 5, 6, 7, 8});
+    for (TraceIdx k : {1, 2, 3, 4, 5})
+        q.makeReady(slot[k]);
+    // All five stay: the list is sorted. Then 8 and 6 join behind
+    // it, out of order; 7 stays parked.
+    scanKeys(q, 8, {{1, Step::Stay}, {2, Step::Stay}, {3, Step::Stay},
+                    {4, Step::Stay}, {5, Step::Stay}});
+    q.makeReady(slot[8]);
+    q.makeReady(slot[6]);
+    ASSERT_EQ(q.sorted, 5u);
+
+    q.purge([&](sim::Slot s) { return q.slots[s].idx % 3 != 0; });
+    for (const auto &[k, s] : slot) {
+        EXPECT_EQ(q.slots[s].idx, k % 3 != 0 ? k : invalidTrace)
+            << "key " << k;
+    }
+    EXPECT_EQ(q.size(), 6);
+    EXPECT_EQ(readyKeys(q), (std::vector<TraceIdx>{1, 2, 4, 5, 8}));
+    EXPECT_EQ(q.sorted, 4u);
+    // The freed slots are taken again, and the next scan visits the
+    // survivors in key order.
+    const sim::Slot again = q.take({9, invalidTrace});
+    EXPECT_TRUE(again == slot[3] || again == slot[6]);
+    EXPECT_EQ(scanKeys(q, 8), (std::vector<TraceIdx>{1, 2, 4, 5, 8}));
 }
 
 // ---------------------------------------------------------------
