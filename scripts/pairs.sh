@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # A/B benchmark pairs of a parent revision against the working tree:
 #
-#   scripts/pairs.sh <parent-rev> <workload> <pairs> [seconds]
+#   scripts/pairs.sh [--trace] <parent-rev> <workload> <pairs> [seconds]
 #
 # Exports <parent-rev> (git archive) and the working tree (tracked
 # and untracked files git does not ignore) into build/pairs/parent
@@ -12,11 +12,19 @@
 # parent first when k is odd and second when k is even, for
 # [seconds] each (default: perfbench's), and appends each record to
 # build/pairs/<side>.jsonl. Then prints perfbench/compare.py over the
-# two record files.
+# two record files. With --trace, every run is a traced one
+# (`run.py --trace 1`), so compare.py prints the per-layer deltas
+# (isa.trace_s, sim.trace_index_s, ...) of paired runs instead of the
+# end-to-end verdicts.
 set -euo pipefail
 
+trace=0
+if [ "${1-}" = --trace ]; then
+    trace=1
+    shift
+fi
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <parent-rev> <workload> <pairs> [seconds]" >&2
+    echo "usage: $0 [--trace] <parent-rev> <workload> <pairs> [seconds]" >&2
     exit 2
 fi
 rev=$1 workload=$2 pairs=$3
@@ -44,7 +52,8 @@ git ls-files -z --cached --others --exclude-standard |
 run() {
     echo "pairs: pair $1 of $pairs: $2" >&2
     python3 "$out/$2/perfbench/run.py" --workload "$workload" \
-        "${seconds[@]}" --record "$out/$2.jsonl" > /dev/null
+        "${seconds[@]}" --trace "$trace" --record "$out/$2.jsonl" \
+        > /dev/null
 }
 for k in $(seq 1 "$pairs"); do
     if [ $((k % 2)) -eq 1 ]; then
@@ -55,5 +64,6 @@ for k in $(seq 1 "$pairs"); do
         run "$k" parent
     fi
 done
-echo "parent: $rev ($sha); change: the working tree; workload: $workload"
+echo "parent: $rev ($sha); change: the working tree; workload: $workload;" \
+    "traced: $trace"
 python3 perfbench/compare.py "$out/parent.jsonl" "$out/change.jsonl"

@@ -56,7 +56,8 @@ class Function
     Addr startAddr() const { return _startAddr; }
     void startAddr(Addr a) { _startAddr = a; }
 
-    /** Padding inserted after the function at link time (bytes). */
+    /** Padding inserted after the function at link time (bytes, a
+     *  multiple of instrBytes). */
     Addr padding() const { return _padding; }
     void padding(Addr p) { _padding = p; }
 

@@ -163,11 +163,17 @@ Module::link()
             pc += bb.size() * instrBytes;
             instrs += bb.size();
         }
+        if (fn.padding() % instrBytes != 0) {
+            throw std::runtime_error(
+                "padding of " + fn.name() +
+                " is not a whole number of instructions");
+        }
         pc += fn.padding();
     }
     checkImageSize(instrs);
     prog._codeBegin = _codeBase;
     prog._codeEnd = pc;
+    prog._slotToIdx.assign((pc - _codeBase) / instrBytes, maxImageSize);
 
     // Pass 2: emit linked instructions with resolved targets.
     for (auto &fp : _funcs) {
@@ -195,7 +201,7 @@ Module::link()
                     }
                     li.targetAddr = _funcs[ins.targetFunc]->startAddr();
                 }
-                prog._addrToIdx[iaddr] =
+                prog._slotToIdx[(iaddr - _codeBase) / instrBytes] =
                     static_cast<ImageIdx>(prog._image.size());
                 prog._image.push_back(li);
                 iaddr += instrBytes;

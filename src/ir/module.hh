@@ -67,12 +67,21 @@ class LinkedProgram
 
     /** Image index of the instruction at @p addr, or fail. */
     ImageIdx idxOf(Addr addr) const;
-    /** Image index of the instruction at @p addr, or maxImageSize
-     *  when there is none. */
-    ImageIdx findIdx(Addr addr) const
+    /**
+     * Image index of the instruction at @p addr, or maxImageSize
+     * when there is none: outside [codeBegin, codeEnd), off the
+     * instruction grid, or on a padding word between functions. One
+     * load from a dense table of the code's instruction slots.
+     */
+    ImageIdx
+    findIdx(Addr addr) const
     {
-        auto it = _addrToIdx.find(addr);
-        return it == _addrToIdx.end() ? maxImageSize : it->second;
+        // Below codeBegin the offset wraps past every slot.
+        const Addr off = addr - _codeBegin;
+        const Addr slot = off / instrBytes;
+        return off % instrBytes == 0 && slot < _slotToIdx.size()
+            ? _slotToIdx[slot]
+            : maxImageSize;
     }
 
     const std::vector<DataInit> &dataInits() const { return _dataInits; }
@@ -95,7 +104,9 @@ class LinkedProgram
 
   private:
     std::vector<LinkedInstr> _image;
-    std::unordered_map<Addr, ImageIdx> _addrToIdx;
+    /** Image index of each instrBytes slot of [codeBegin, codeEnd);
+     *  maxImageSize on padding. */
+    std::vector<ImageIdx> _slotToIdx;
     std::vector<DataInit> _dataInits;
     Addr _entryAddr = invalidAddr;
     Addr _codeBegin = 0;
@@ -151,6 +162,8 @@ class Module
      * produce the executable image. Validates every function.
      * @throws ProgramTooLarge if the image would not fit below
      *         maxImageSize
+     * @throws std::runtime_error if a function's padding is not a
+     *         multiple of instrBytes
      */
     LinkedProgram link();
 

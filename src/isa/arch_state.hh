@@ -9,10 +9,9 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
 #include "ir/types.hh"
+#include "isa/page_map.hh"
 
 namespace polyflow {
 
@@ -20,6 +19,12 @@ namespace polyflow {
  * Registers and memory of the simulated machine. Memory is allocated
  * lazily in 4 KiB pages; unwritten bytes read as zero. Register 0 is
  * hardwired to zero.
+ *
+ * readMem and writeMem find the page once per access through the
+ * PageMap's last-page cache, and go byte by byte only for an access
+ * that straddles two pages. Reading never allocates a page. The
+ * cache makes readMem a writer of the object: the const readers
+ * (readByte, memChecksum) bypass it.
  */
 class ArchState
 {
@@ -39,7 +44,9 @@ class ArchState
     /** @} */
 
     /** @name Memory (little-endian) @{ */
-    std::uint64_t readMem(Addr addr, int bytes) const;
+    /** @p bytes (1 to 8) bytes at @p addr. */
+    std::uint64_t readMem(Addr addr, int bytes);
+    /** Store the low @p bytes (1 to 8) bytes of @p value at @p addr. */
     void writeMem(Addr addr, std::uint64_t value, int bytes);
     std::uint8_t readByte(Addr addr) const;
     void writeByte(Addr addr, std::uint8_t value);
@@ -49,13 +56,8 @@ class ArchState
     std::uint64_t memChecksum() const;
 
   private:
-    using Page = std::array<std::uint8_t, pageBytes>;
-
-    Page &pageFor(Addr addr);
-    const Page *pageForConst(Addr addr) const;
-
     std::array<std::int64_t, numArchRegs> _regs;
-    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
+    PageMap<std::uint8_t, pageBytes> _pages{0};
 };
 
 } // namespace polyflow

@@ -1,9 +1,10 @@
 #include "isa/functional_sim.hh"
 
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 #include "isa/exec.hh"
+#include "isa/page_map.hh"
 
 namespace polyflow {
 
@@ -11,6 +12,48 @@ namespace {
 
 /** Initial stack pointer. */
 constexpr Addr stackTop = 0x7fff0000;
+
+/** Bytes in one chunk of the memory-producer rule. */
+constexpr Addr chunkBytes = 8;
+/** Chunks in one page of the last-store table. */
+constexpr Addr pageChunks = ArchState::pageBytes / chunkBytes;
+
+/** The lastWriter slot an instruction that writes no register
+ *  writes: one past the architectural registers. */
+constexpr RegId noDest = numArchRegs;
+
+/**
+ * What recording reads of one static instruction, resolved from its
+ * opTable row once per run, so that recording a step is a few loads
+ * with no switch on the row.
+ */
+struct Links
+{
+    /** Source registers in Instruction::srcRegs() order; r0 for an
+     *  absent one, since r0's last writer stays invalidTrace. */
+    RegId src[2] = {reg::zero, reg::zero};
+    /** Destination register, or noDest. */
+    RegId dst = noDest;
+    /** Bytes a load or store moves; 0 for every other op. */
+    std::uint8_t memBytes = 0;
+    bool load = false;
+};
+
+std::vector<Links>
+linksOf(const LinkedProgram &prog)
+{
+    std::vector<Links> links(prog.size());
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+        const Instruction &in = prog.image()[i].instr;
+        Links &l = links[i];
+        in.srcRegs(l.src);
+        if (const int d = in.destReg(); d >= 0)
+            l.dst = static_cast<RegId>(d);
+        l.memBytes = static_cast<std::uint8_t>(in.memBytes());
+        l.load = in.isLoad();
+    }
+    return links;
+}
 
 } // namespace
 
@@ -29,61 +72,58 @@ runFunctional(const LinkedProgram &prog, const FunctionalOptions &options)
     if (!prog.dataInits().empty())
         st.writeReg(reg::gp, std::int64_t(prog.dataInits()[0].addr));
 
-    // Last dynamic writer of each architectural register.
-    TraceIdx lastWriter[numArchRegs];
+    // Last dynamic writer of each architectural register, and the
+    // noDest sink.
+    TraceIdx lastWriter[numArchRegs + 1];
     for (auto &w : lastWriter)
         w = invalidTrace;
-    // Last dynamic store touching each aligned 8-byte chunk.
-    std::unordered_map<Addr, TraceIdx> lastStore;
+    // Last dynamic store touching each aligned 8-byte chunk, by
+    // chunk number, a page of chunks at a time.
+    PageMap<TraceIdx, pageChunks> lastStore(invalidTrace);
+    std::vector<Links> links;
 
     if (options.recordTrace) {
         checkImageSize(prog.size());
         res.trace.prog = &prog;
-        res.trace.instrs.reserve(
-            std::min<std::uint64_t>(options.maxInstrs, 1u << 22));
+        links = linksOf(prog);
     }
 
     ImageIdx img = prog.idxOf(prog.entryAddr());
     while (res.instrCount < options.maxInstrs) {
-        const LinkedInstr &li = prog.at(img);
-        const Instruction &in = li.instr;
+        const LinkedInstr &li = prog.image()[img];
 
         ExecOut out = step(li, st);
         ++res.instrCount;
 
         if (options.recordTrace) {
-            TraceIdx prod[2] = {invalidTrace, invalidTrace};
-            RegId srcs[2];
-            int nsrc = in.srcRegs(srcs);
-            for (int s = 0; s < nsrc; ++s)
-                prod[s] = lastWriter[srcs[s]];
-
-            TraceIdx self = static_cast<TraceIdx>(res.trace.size());
+            const Links &l = links[img];
+            const TraceIdx self = static_cast<TraceIdx>(res.trace.size());
+            const TraceIdx prod0 = lastWriter[l.src[0]];
+            const TraceIdx prod1 = lastWriter[l.src[1]];
             TraceIdx memProd = invalidTrace;
-            if (in.isMem()) {
-                Addr lo = out.effAddr & ~Addr(7);
-                Addr hi = (out.effAddr + in.memBytes() - 1) & ~Addr(7);
-                if (in.isLoad()) {
-                    for (Addr c = lo; c <= hi; c += 8) {
-                        auto it = lastStore.find(c);
-                        if (it != lastStore.end() &&
-                            (memProd == invalidTrace ||
-                             it->second > memProd)) {
-                            memProd = it->second;
-                        }
+            if (l.memBytes != 0) {
+                const Addr lo = out.effAddr / chunkBytes;
+                const Addr hi = (out.effAddr + l.memBytes - 1) / chunkBytes;
+                for (Addr c = lo; c <= hi; ++c) {
+                    if (!l.load) {
+                        lastStore.get(c / pageChunks)[c % pageChunks] =
+                            self;
+                        continue;
                     }
-                } else {
-                    for (Addr c = lo; c <= hi; c += 8)
-                        lastStore[c] = self;
+                    const auto *page = lastStore.find(c / pageChunks);
+                    const TraceIdx last =
+                        page ? (*page)[c % pageChunks] : invalidTrace;
+                    if (last != invalidTrace &&
+                        (memProd == invalidTrace || last > memProd))
+                        memProd = last;
                 }
             }
-            int dst = in.destReg();
-            if (dst >= 0)
-                lastWriter[dst] = self;
+            lastWriter[l.dst] = self;
 
             res.trace.append(
-                img, out.taken, prod[0], prod[1],
-                in.isMem() ? out.effAddr : out.indirectTarget, memProd);
+                img, out.taken, prod0, prod1,
+                l.memBytes != 0 ? out.effAddr : out.indirectTarget,
+                memProd);
         }
 
         if (out.halted) {

@@ -72,6 +72,9 @@ decodeTrace(std::string_view payload, const LinkedProgram &prog,
         if (img >= imgLimit || flags > 1 || !older(prod0) ||
             !older(prod1) || !older(memProd))
             return false;
+        // Only a load has a memory producer (TraceIndex keys on it).
+        if (memProd != invalidTrace && !prog.image()[img].instr.isLoad())
+            return false;
         t.append(img, flags != 0, prod0, prod1,
                  store::loadLE<Addr>(p + atEffAddr), memProd);
     }

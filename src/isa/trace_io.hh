@@ -43,7 +43,8 @@ void encodeTrace(const Trace &trace, std::string &out);
  * entries on the program content hash). Returns false, leaving
  * @p out untouched, on any structural problem: short or oversized
  * payload, a record whose static-instruction index is out of range
- * for @p prog, or one naming a producer that is not older than it.
+ * for @p prog, one naming a producer that is not older than it, or
+ * one that is not a load naming a memory producer.
  */
 bool decodeTrace(std::string_view payload, const LinkedProgram &prog,
                  Trace &out);

@@ -43,11 +43,11 @@ TraceIndex::TraceIndex(const Trace &trace)
           trace, _prog ? _prog->size() : 0,
           [&](TraceIdx i) { return TraceIdx(trace.instrs[i].img()); })),
       _consumers(groupByKey(trace, trace.sideSize(), [&](TraceIdx i) {
-          // A store always has a side slot: its effective address.
+          // Only a load has a memory producer, and a store always has
+          // a side slot: its effective address.
           const TraceIdx store = trace.memProd(trace.instrs[i]);
-          return store != invalidTrace && trace.staticOf(i).instr.isLoad()
-              ? trace.instrs[store].side
-              : invalidTrace;
+          return store != invalidTrace ? trace.instrs[store].side
+                                       : invalidTrace;
       }))
 {}
 

@@ -205,6 +205,47 @@ TEST(Module, FunctionPaddingSeparatesCode)
     EXPECT_EQ(g.startAddr(), f.startAddr() + instrBytes + 256);
 }
 
+TEST(Module, FindIdxNamesOnlyInstructionAddresses)
+{
+    Module m("t");
+    Function &f = m.createFunction("f");
+    {
+        FunctionBuilder b(f);
+        b.nop();
+        b.halt();
+    }
+    f.padding(3 * instrBytes);
+    Function &g = m.createFunction("g");
+    {
+        FunctionBuilder b(g);
+        b.halt();
+    }
+    const LinkedProgram p = m.link();
+    for (ImageIdx i = 0; i < p.size(); ++i)
+        EXPECT_EQ(p.findIdx(p.at(i).addr), i);
+    EXPECT_EQ(p.findIdx(p.codeBegin() - instrBytes), maxImageSize);
+    EXPECT_EQ(p.findIdx(0), maxImageSize);
+    EXPECT_EQ(p.findIdx(p.codeEnd()), maxImageSize);
+    EXPECT_EQ(p.findIdx(p.codeBegin() + 1), maxImageSize);
+    EXPECT_EQ(p.findIdx(p.codeBegin() + 2), maxImageSize);
+    for (Addr a = p.at(1).addr + instrBytes; a < g.startAddr();
+         a += instrBytes)
+        EXPECT_EQ(p.findIdx(a), maxImageSize) << "padding at " << a;
+    EXPECT_THROW(p.idxOf(p.codeEnd()), std::runtime_error);
+}
+
+TEST(Module, PaddingMustBeWholeInstructions)
+{
+    Module m("t");
+    Function &f = m.createFunction("f");
+    {
+        FunctionBuilder b(f);
+        b.halt();
+    }
+    f.padding(instrBytes + 2);
+    EXPECT_THROW(m.link(), std::runtime_error);
+}
+
 TEST(Module, DataAllocationAndJumpTables)
 {
     Module m("t");

@@ -13,6 +13,7 @@
 #include "isa/exec.hh"
 #include "isa/functional_sim.hh"
 #include "isa/trace_io.hh"
+#include "store/bytes.hh"
 #include "workloads/workloads.hh"
 
 namespace polyflow {
@@ -48,6 +49,53 @@ TEST(ArchState, ChecksumChangesWithContent)
     a.writeMem(0x100, 1, 8);
     b.writeMem(0x100, 2, 8);
     EXPECT_NE(a.memChecksum(), b.memChecksum());
+}
+
+TEST(ArchState, PageEdgeAccessesMatchTheByteView)
+{
+    // Every width at each of a page's last seven offsets, the wider
+    // ones straddling into the next page: readMem is the
+    // little-endian assembly of readByte, and writeMem changes
+    // exactly its own bytes.
+    constexpr Addr page = 5 * ArchState::pageBytes;
+    for (const int width : {1, 2, 4, 8}) {
+        for (Addr back = 1; back <= 7; ++back) {
+            SCOPED_TRACE(testing::Message()
+                         << width << " bytes at page end - " << back);
+            const Addr addr = page - back;
+            ArchState st;
+            for (Addr a = addr - 8; a < addr + 16; ++a)
+                st.writeByte(a, static_cast<std::uint8_t>(a * 37 + 11));
+            std::uint64_t expect = 0;
+            for (int i = 0; i < width; ++i)
+                expect |= std::uint64_t(st.readByte(addr + i)) << (8 * i);
+            EXPECT_EQ(st.readMem(addr, width), expect);
+
+            const std::uint64_t value = 0xf1e2d3c4b5a69788ull;
+            st.writeMem(addr, value, width);
+            for (Addr a = addr - 8; a < addr + 16; ++a) {
+                const Addr i = a - addr;
+                const std::uint8_t want =
+                    a >= addr && i < Addr(width)
+                    ? static_cast<std::uint8_t>(value >> (8 * i))
+                    : static_cast<std::uint8_t>(a * 37 + 11);
+                EXPECT_EQ(st.readByte(a), want) << "byte " << a;
+            }
+        }
+    }
+}
+
+TEST(ArchState, ReadingAnUnwrittenPageAllocatesNothing)
+{
+    ArchState st;
+    st.writeMem(0x5000, 0x1234, 8);
+    const std::uint64_t sum = st.memChecksum();
+    EXPECT_EQ(st.readMem(0x9000, 8), 0u);
+    EXPECT_EQ(st.readByte(0x9008), 0u);
+    // Straddles from the written page into an unwritten one.
+    EXPECT_EQ(st.readMem(0x6000 - 2, 4), 0u);
+    EXPECT_EQ(st.readMem(0x5000, 8), 0x1234u);
+    EXPECT_EQ(st.memChecksum(), sum);
 }
 
 /** Build, link and functionally run a single-function program. */
@@ -292,6 +340,35 @@ TEST(FunctionalSim, TraceRecordsOutcomesAndProducers)
     EXPECT_FALSE(t.instrs[0].taken());
 }
 
+TEST(FunctionalSim, LoadAcrossALastStorePageNamesTheYoungerStore)
+{
+    // The load reads the last chunk of one 4 KiB page and the first
+    // of the next; each chunk's last store lives in its own page of
+    // the last-store table. Whichever side was stored last is the
+    // producer.
+    for (const bool lowLast : {false, true}) {
+        SCOPED_TRACE(lowLast ? "low chunk stored last"
+                             : "high chunk stored last");
+        auto r = runProgram(
+            [lowLast](FunctionBuilder &b, Module &m) {
+                const Addr d = m.allocData("d", 2 * ArchState::pageBytes);
+                ASSERT_EQ(d % ArchState::pageBytes, 0u);
+                const Addr end = d + ArchState::pageBytes;
+                b.li(reg::t0, std::int64_t(end - 8));  // 0
+                b.li(reg::t1, 7);                      // 1
+                b.sd(reg::t1, reg::t0, lowLast ? 8 : 0);  // 2
+                b.sd(reg::t1, reg::t0, lowLast ? 0 : 8);  // 3
+                b.ld(reg::t2, reg::t0, 4);             // 4: spans both
+                b.halt();
+            },
+            true);
+        const Trace &t = r.trace;
+        ASSERT_EQ(t.size(), 6u);
+        EXPECT_EQ(t.memProd(t.instrs[4]), 3u);
+        EXPECT_EQ(r.finalState->readReg(reg::t2), 7ll << 32);
+    }
+}
+
 TEST(FunctionalSim, TraceTakenFlagsOnBranches)
 {
     auto r = runProgram(
@@ -406,6 +483,69 @@ TEST(TraceRecords, SideTableAndRoundTripHoldOnEveryWorkload)
             ASSERT_EQ(t.effAddr(x), back.effAddr(y)) << "at " << i;
             ASSERT_EQ(t.memProd(x), back.memProd(y)) << "at " << i;
         }
+    }
+}
+
+
+/** store::laneStep chain over every record of @p t: its four
+ *  fields, then its side-table entry (effective address, memory
+ *  producer), so a changed link, flag or side slot moves it. */
+std::uint64_t
+traceHash(const Trace &t)
+{
+    std::uint64_t h = t.size();
+    for (const DynInstr &d : t.instrs) {
+        for (std::uint64_t w : {std::uint64_t(d.imgTaken),
+                                std::uint64_t(d.prod[0]),
+                                std::uint64_t(d.prod[1]),
+                                std::uint64_t(d.side), t.effAddr(d),
+                                std::uint64_t(t.memProd(d))})
+            h = store::laneStep(h, w);
+    }
+    return h;
+}
+
+/**
+ * Every workload's trace at scale 0.04 (the golden's): its length,
+ * traceHash() and the final memChecksum(). A change to the
+ * functional simulator or to the recorder that moves any record,
+ * link or stored byte fails here, whether or not a cycle moves.
+ */
+TEST(TraceRecords, FingerprintsArePinned)
+{
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t instrs;
+        std::uint64_t records;
+        std::uint64_t memory;
+    };
+    const Pin pins[] = {
+        {"bzip2", 9399, 0x215ecf6aba0a8ad6, 0x2faf5679fbe27a93},
+        {"crafty", 9463, 0x3d33a43a011a86c9, 0x8159a5b4065b4610},
+        {"gap", 9727, 0x6fd4a2e4d5ec6531, 0xd1c5b70e94bdbd61},
+        {"gcc", 6397, 0xa9de1d83a620f9af, 0xad7eafb6af9a9f5e},
+        {"gzip", 20251, 0x46ec7c9deae90041, 0xd75b8c16482954f3},
+        {"mcf", 8589, 0x31f3845a3f229cee, 0x6835a70dbb0cd139},
+        {"parser", 7705, 0x775054efce79f861, 0xeba871462698dbb2},
+        {"perlbmk", 12765, 0x7706f90c7e71b3fd, 0x52228daef7221961},
+        {"twolf", 5495, 0x72e38a5b98df5eb6, 0x7f3958cf3c637fbb},
+        {"vortex", 101902, 0x5fd8af499ed8fe86, 0x51be1810cb033df3},
+        {"vpr.place", 8246, 0xf659cd3c97d9aab8, 0x3403058b4dbefa21},
+        {"vpr.route", 7117, 0x90227d63aa13e90d, 0xa0558b861a72ffc8},
+    };
+    ASSERT_EQ(std::size(pins), allWorkloadNames().size());
+    for (const Pin &p : pins) {
+        SCOPED_TRACE(p.name);
+        const Workload w = buildWorkload(p.name, 0.04);
+        FunctionalOptions opt;
+        opt.recordTrace = true;
+        const FunctionalResult r = runFunctional(w.prog, opt);
+        ASSERT_TRUE(r.halted);
+        EXPECT_EQ(r.instrCount, p.instrs);
+        EXPECT_EQ(r.trace.size(), p.instrs);
+        EXPECT_EQ(traceHash(r.trace), p.records);
+        EXPECT_EQ(r.finalState->memChecksum(), p.memory);
     }
 }
 

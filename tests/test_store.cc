@@ -195,6 +195,26 @@ TEST(TraceCodec, RejectsAProducerNotOlderThanItsConsumer)
     }
 }
 
+TEST(TraceCodec, RejectsAMemoryProducerOnANonLoad)
+{
+    Workload w = smallWorkload();
+    const Trace t = traceOf(w);
+    TraceIdx i = 1;
+    while (t.staticOf(i).instr.isLoad())
+        ++i;
+    Trace evil;
+    evil.prog = &w.prog;
+    for (TraceIdx k = 0; k <= i; ++k) {
+        const DynInstr &d = t.instrs[k];
+        evil.append(d.img(), d.taken(), d.prod[0], d.prod[1],
+                    t.effAddr(d), k == i ? 0 : t.memProd(d));
+    }
+    std::string payload;
+    encodeTrace(evil, payload);
+    Trace back;
+    EXPECT_FALSE(decodeTrace(payload, w.prog, back));
+}
+
 TEST(TraceCodec, DecodedSideTableIsExactSized)
 {
     Workload w = smallWorkload();
