@@ -5,6 +5,12 @@
 # of minutes. It runs no tests: run ctest (the tier-1 verify flow)
 # for those.
 #
+#   scripts/smoke.sh [BUILD_DIR]     (default: build)
+#
+# BUILD_DIR is configured if it is not already, so a tree configured
+# with other flags (scripts/coverage.sh's) keeps them. These are the
+# shipped invocations: coverage.sh counts what they reach.
+#
 # Nothing here persists artifacts: every run rebuilds its traces,
 # analyses and hint tables from the current code. (Set PF_CACHE_DIR
 # to try the opt-in store; the warm-cache CI job covers it.)
@@ -12,27 +18,28 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -S .
-cmake --build build -j
+build=${1:-build}
+cmake -B "$build" -S .
+cmake --build "$build" -j
 
 # Every example, each a short end-to-end run. Their stdout is
 # discarded here: scripts/repin.sh runs them with these arguments and
 # rewrites results/<example>.txt, so CI's re-pin step checks it.
-./build/examples/quickstart > /dev/null
-./build/examples/policy_explorer twolf 0.05 > /dev/null
-./build/examples/workload_stats 0.05 > /dev/null
-./build/examples/twolf_kernel > /dev/null
-./build/examples/task_timeline twolf 0.05 > /dev/null
+"$build"/examples/quickstart > /dev/null
+"$build"/examples/policy_explorer twolf 0.05 > /dev/null
+"$build"/examples/workload_stats 0.05 > /dev/null
+"$build"/examples/twolf_kernel > /dev/null
+"$build"/examples/task_timeline twolf 0.05 > /dev/null
 
 # Every paper figure through one sweep; the reports go to stdout,
 # timing and cache accounting to stderr, CSVs and stats JSON into
 # the build tree.
-(cd build/bench && PF_BENCH_SCALE=0.1 ./figures)
+(cd "$build"/bench && PF_BENCH_SCALE=0.1 ./figures)
 
 # Cycle-accounting report: re-verifies the slot-accounting identity
 # (buckets sum to cycles x issueWidth) on a live grid and exercises
 # the JSON/CSV stats export.
-(cd build/tools && ./pf_report --scale 0.05 \
+(cd "$build"/tools && ./pf_report --scale 0.05 \
     --json pf_report.smoke.json --csv pf_report.smoke.csv)
 
 echo "smoke: OK"

@@ -51,28 +51,24 @@ void
 DomTreeBase::build(std::vector<int> idoms, int root)
 {
     _idom = std::move(idoms);
-    _root = root;
     int n = static_cast<int>(_idom.size());
-    _children.assign(n, {});
+    std::vector<std::vector<int>> children(n);
     for (int i = 0; i < n; ++i) {
         if (i != root && _idom[i] >= 0)
-            _children[_idom[i]].push_back(i);
+            children[_idom[i]].push_back(i);
     }
 
     _dfsIn.assign(n, -1);
     _dfsOut.assign(n, -1);
-    _depth.assign(n, -1);
     int clock = 0;
     std::vector<std::pair<int, size_t>> stack;
     stack.emplace_back(root, 0);
     _dfsIn[root] = clock++;
-    _depth[root] = 0;
     while (!stack.empty()) {
         auto &[node, ci] = stack.back();
-        if (ci < _children[node].size()) {
-            int c = _children[node][ci++];
+        if (ci < children[node].size()) {
+            int c = children[node][ci++];
             _dfsIn[c] = clock++;
-            _depth[c] = _depth[node] + 1;
             stack.emplace_back(c, 0);
         } else {
             _dfsOut[node] = clock++;

@@ -40,7 +40,6 @@ class DomTreeBase
     /** Immediate dominator of @p n (root maps to itself; -1 if the
      *  node is not covered by the analysis). */
     int idom(int n) const { return _idom[n]; }
-    int root() const { return _root; }
     bool covered(int n) const { return _idom[n] >= 0; }
 
     /** True if @p a dominates @p b (reflexive). */
@@ -51,21 +50,11 @@ class DomTreeBase
         return _dfsIn[a] <= _dfsIn[b] && _dfsOut[b] <= _dfsOut[a];
     }
 
-    /** Tree depth of @p n (root = 0, -1 if uncovered). */
-    int depth(int n) const { return _depth[n]; }
-
-    const std::vector<int> &children(int n) const
-    {
-        return _children[n];
-    }
-
   protected:
     void build(std::vector<int> idoms, int root);
 
     std::vector<int> _idom;
-    std::vector<std::vector<int>> _children;
-    std::vector<int> _dfsIn, _dfsOut, _depth;
-    int _root = -1;
+    std::vector<int> _dfsIn, _dfsOut;
 };
 
 /** Forward dominator tree of a function's CFG. */

@@ -16,21 +16,14 @@ LoopForest::LoopForest(const CfgView &cfg, const DominatorTree &dt)
     int n = cfg.numNodes();
     _innermost.assign(n, -1);
 
-    // 1. Find back edges: (u, h) where h dominates u.
-    //    Retreating edges to non-dominators mark irreducible flow.
-    std::vector<int> rpoNum(n, -1);
-    for (size_t i = 0; i < cfg.rpo().size(); ++i)
-        rpoNum[cfg.rpo()[i]] = static_cast<int>(i);
+    // 1. Find back edges: (u, h) where h dominates u. A retreating
+    //    edge to a non-dominator (irreducible flow) is no back edge.
     for (int u = 0; u < n; ++u) {
         if (!cfg.reachable(u))
             continue;
         for (int h : cfg.succs(u)) {
-            if (dt.dominates(h, u)) {
+            if (dt.dominates(h, u))
                 _backEdges.emplace_back(u, h);
-            } else if (rpoNum[h] >= 0 && rpoNum[h] <= rpoNum[u] &&
-                       h != u) {
-                _sawIrreducible = true;
-            }
         }
     }
 

@@ -35,7 +35,7 @@ struct Loop
 /**
  * All natural loops of a function, built from dominator-identified
  * back edges. Irreducible flow (a back-ish edge whose target does
- * not dominate its source) is ignored with a flag set.
+ * not dominate its source) is ignored.
  */
 class LoopForest
 {
@@ -43,7 +43,6 @@ class LoopForest
     LoopForest(const CfgView &cfg, const DominatorTree &dt);
 
     const std::vector<Loop> &loops() const { return _loops; }
-    size_t numLoops() const { return _loops.size(); }
 
     /** Innermost loop containing @p node, or -1. */
     int innermostLoopOf(int node) const { return _innermost[node]; }
@@ -57,14 +56,10 @@ class LoopForest
      */
     bool loopContains(int loopId, int node) const;
 
-    /** True if irreducible control flow was detected. */
-    bool sawIrreducible() const { return _sawIrreducible; }
-
   private:
     std::vector<Loop> _loops;
     std::vector<int> _innermost;
     std::vector<std::pair<int, int>> _backEdges;
-    bool _sawIrreducible = false;
 };
 
 } // namespace polyflow

@@ -252,7 +252,6 @@ class SweepRunner
      */
     explicit SweepRunner(int jobs = 0, int batchWidth = 0);
 
-    int jobs() const { return _jobs; }
     int batchWidth() const { return _batchWidth; }
     SweepCache &cache() { return *_cache; }
     /** Shareable handle, e.g. for Session::open over this cache. */

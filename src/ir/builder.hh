@@ -30,8 +30,6 @@ class FunctionBuilder
         _cur = _fn.numBlocks() ? 0 : _fn.createBlock();
     }
 
-    Function &fn() { return _fn; }
-
     /** Create a block without switching to it. */
     BlockId newBlock(const std::string &name = "")
     {

@@ -38,8 +38,6 @@ class Function
 
     size_t numBlocks() const { return _blocks.size(); }
 
-    BlockId entry() const { return 0; }
-
     /** Total instruction count across all blocks. */
     size_t numInstrs() const;
 

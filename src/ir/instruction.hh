@@ -14,7 +14,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "ir/types.hh"
 
@@ -86,7 +85,7 @@ struct OpInfo
 /** Every opcode's facts, one row per Opcode in declaration order.
  *  The Instruction predicates read it; exec.cc's step() is the
  *  semantics it must agree with (ExecProps.OpcodeTableMatchesStep). */
-inline constexpr auto opTable = [] {
+inline constexpr auto opTable = []() consteval {
     using enum OpClass;
     using enum FuClass;
     using O = Opcode;
@@ -142,7 +141,7 @@ inline constexpr auto opTable = [] {
     });
 }();
 static_assert(opTable.size() == std::size_t(Opcode::NumOpcodes));
-static_assert([] {
+static_assert([]() consteval {
     for (std::size_t k = 0; k < opTable.size(); ++k) {
         if (opTable[k].op != Opcode(k))
             return false;
@@ -207,8 +206,6 @@ struct Instruction
             c == OpClass::IndirectJump || c == OpClass::Return ||
             c == OpClass::Halt;
     }
-    /** True for any instruction that redirects fetch when taken. */
-    bool isControl() const { return isTerminator() || isCall(); }
     /** @} */
 
     /** Bytes moved by a load/store (0 for non-memory ops). */
@@ -252,10 +249,6 @@ struct Instruction
         }
         return n;
     }
-
-    /** Mnemonic text, e.g. "add r1, r2, r3"; targets print as
-     *  block / function ids ("bb7", "fn2"). */
-    std::string toString() const;
 };
 
 } // namespace polyflow

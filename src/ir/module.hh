@@ -134,7 +134,6 @@ class Module
     size_t numFunctions() const { return _funcs.size(); }
     /** Entry function (default: function 0). */
     void entryFunction(FuncId f) { _entryFunc = f; }
-    FuncId entryFunction() const { return _entryFunc; }
     /** @} */
 
     /** @name Data segment @{ */
@@ -155,7 +154,6 @@ class Module
     /** @} */
 
     Addr codeBase() const { return _codeBase; }
-    void codeBase(Addr a) { _codeBase = a; }
 
     /**
      * Lay out code, resolve symbolic targets and jump tables, and

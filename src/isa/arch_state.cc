@@ -41,9 +41,9 @@ ArchState::readMem(Addr addr, int bytes)
     // The bytes fill v from its lowest address; on a big-endian host
     // the swap moves them, in reverse, to the low end.
     std::memcpy(&v, page->data() + off, bytes);
-    return std::endian::native == std::endian::little
-        ? v
-        : store::byteSwapped(v);
+    if constexpr (std::endian::native != std::endian::little)
+        v = store::byteSwapped(v);
+    return v;
 }
 
 void
@@ -55,7 +55,7 @@ ArchState::writeMem(Addr addr, std::uint64_t value, int bytes)
             writeByte(addr + i, (value >> (8 * i)) & 0xff);
         return;
     }
-    if (std::endian::native != std::endian::little)
+    if constexpr (std::endian::native != std::endian::little)
         value = store::byteSwapped(value);
     std::memcpy(_pages.get(addr / pageBytes).data() + off, &value, bytes);
 }

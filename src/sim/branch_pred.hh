@@ -68,8 +68,6 @@ class ReturnAddressStack
     void push(Addr returnAddr);
     /** Pop the predicted return target (invalidAddr when empty). */
     Addr pop();
-    void clear() { _stack.clear(); }
-    size_t depth() const { return _stack.size(); }
 
   private:
     int _capacity;

@@ -28,7 +28,6 @@ Cache::access(Addr addr)
         Way &way = base[w];
         if (way.valid && way.tag == line) {
             way.lastUse = _clock;
-            ++_hits;
             return true;
         }
     }
@@ -48,27 +47,6 @@ Cache::access(Addr addr)
     lru->lastUse = _clock;
     ++_misses;
     return false;
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    Addr line = addr / _cfg.lineBytes;
-    int set = int(line & Addr(_numSets - 1));
-    const Way *base = &_ways[size_t(set) * _cfg.assoc];
-    for (int w = 0; w < _cfg.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            return true;
-    }
-    return false;
-}
-
-void
-Cache::reset()
-{
-    for (Way &w : _ways)
-        w = Way{};
-    _clock = _hits = _misses = 0;
 }
 
 MemHierarchy::MemHierarchy(const MachineConfig &config)
@@ -95,14 +73,6 @@ MemHierarchy::accessData(Addr addr)
     if (!_l2.access(addr))
         lat += _l2.config().missLatency;
     return lat;
-}
-
-void
-MemHierarchy::reset()
-{
-    _l1i.reset();
-    _l1d.reset();
-    _l2.reset();
 }
 
 } // namespace polyflow

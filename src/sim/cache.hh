@@ -27,12 +27,6 @@ class Cache
      */
     bool access(Addr addr);
 
-    /** Non-allocating lookup (for tests). */
-    bool probe(Addr addr) const;
-
-    void reset();
-
-    std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     const CacheConfig &config() const { return _cfg; }
 
@@ -48,7 +42,6 @@ class Cache
     int _numSets;
     std::vector<Way> _ways;  // numSets * assoc
     std::uint64_t _clock = 0;
-    std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
 };
 
@@ -66,11 +59,8 @@ class MemHierarchy
     int accessInstr(Addr addr);
     int accessData(Addr addr);
 
-    void reset();
-
     const Cache &l1i() const { return _l1i; }
     const Cache &l1d() const { return _l1d; }
-    const Cache &l2() const { return _l2; }
 
   private:
     Cache _l1i, _l1d, _l2;

@@ -3,8 +3,13 @@
  * The PolyFlow cycle-level timing simulator.
  *
  * The machine (Figure 7 of the paper) is an SMT core running up to
- * numTasks control-equivalent tasks carved out of one sequential
- * stream. The model is execution-driven in two phases: the
+ * numTasks tasks carved out of one sequential stream. The Task Spawn
+ * Unit resolves a hint to the next occurrence of its target PC
+ * anywhere in the trace (TraceIndex::nextOccurrence). That may lie
+ * in a deeper recursive frame, or after the trigger's frame has
+ * returned, so a task need not be control-equivalent to its parent
+ * (ROADMAP.md item 1, "Make spawn resolution control-equivalent").
+ * The model is execution-driven in two phases: the
  * functional golden model produces the committed dynamic trace
  * (isa/functional_sim.hh), and this engine replays it cycle by
  * cycle with real predictors, caches and resource contention.

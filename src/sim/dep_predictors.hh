@@ -20,6 +20,7 @@
 #ifndef POLYFLOW_SIM_DEP_PREDICTORS_HH
 #define POLYFLOW_SIM_DEP_PREDICTORS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -56,7 +57,6 @@ class DepPredictors
     recordRegViolation(ImageIdx i)
     {
         _bits[i] |= RegDep;
-        ++_violationsRecorded;
     }
 
     /** Learn from a memory-order violation by the load at @p i. */
@@ -64,29 +64,11 @@ class DepPredictors
     recordMemViolation(ImageIdx i)
     {
         _bits[i] |= MemDep;
-        ++_violationsRecorded;
-    }
-
-    std::uint64_t violationsRecorded() const
-    {
-        return _violationsRecorded;
-    }
-
-    /** Static instructions currently predicted dependent (either
-     *  kind). */
-    size_t
-    numDependent() const
-    {
-        size_t n = 0;
-        for (std::uint8_t b : _bits)
-            n += b != 0;
-        return n;
     }
 
   private:
     enum : std::uint8_t { RegDep = 1, MemDep = 2 };
     std::vector<std::uint8_t> _bits;
-    std::uint64_t _violationsRecorded = 0;
 };
 
 } // namespace polyflow

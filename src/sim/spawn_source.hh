@@ -55,7 +55,7 @@ class SpawnSource
     virtual bool trains() const { return true; }
 
     /** Observe one committed instruction (dynamic sources train). */
-    virtual void onCommit(const LinkedInstr &li, bool taken) = 0;
+    virtual void onCommit(const LinkedInstr &, bool) {}
 };
 
 /**
@@ -79,7 +79,6 @@ class StaticSpawnSource : public SpawnSource
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
     bool fixedAt(const LinkedInstr &) const override { return true; }
     bool trains() const override { return false; }
-    void onCommit(const LinkedInstr &, bool) override {}
 
   private:
     std::shared_ptr<const HintTable> _table;
@@ -120,7 +119,6 @@ class DmtSpawnSource : public SpawnSource
     std::optional<SpawnHint> query(const LinkedInstr &li) override;
     bool fixedAt(const LinkedInstr &) const override { return true; }
     bool trains() const override { return false; }
-    void onCommit(const LinkedInstr &, bool) override {}
 };
 
 } // namespace polyflow

@@ -51,7 +51,6 @@ class TraceIndex
         const TraceIdx *last;
         const TraceIdx *begin() const { return first; }
         const TraceIdx *end() const { return last; }
-        bool empty() const { return first == last; }
     };
 
     /** Loads naming as memory producer the store whose side-table

@@ -24,16 +24,9 @@ class Table
     void cell(const std::string &s);
     void cell(double v, int precision = 2);
     void cell(long long v);
-    void cell(int v) { cell(static_cast<long long>(v)); }
     void cell(unsigned long long v)
     {
         cell(static_cast<long long>(v));
-    }
-
-    size_t numRows() const { return _rows.size(); }
-    const std::vector<std::string> &row(size_t i) const
-    {
-        return _rows[i];
     }
 
     /** Print with aligned columns. */

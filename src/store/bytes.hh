@@ -40,14 +40,16 @@ loadLE(const char *p)
 {
     T v;
     std::memcpy(&v, p, sizeof(v));
-    return std::endian::native == std::endian::little ? v : byteSwapped(v);
+    if constexpr (std::endian::native != std::endian::little)
+        v = byteSwapped(v);
+    return v;
 }
 
 template <class T>
 inline void
 storeLE(char *p, T v)
 {
-    if (std::endian::native != std::endian::little)
+    if constexpr (std::endian::native != std::endian::little)
         v = byteSwapped(v);
     std::memcpy(p, &v, sizeof(v));
 }

@@ -129,7 +129,7 @@ TEST(Loops, PaperFigure1Loop)
     DominatorTree dt(cfg);
     LoopForest loops(cfg, dt);
 
-    ASSERT_EQ(loops.numLoops(), 1u);
+    ASSERT_EQ(loops.loops().size(), 1u);
     const Loop &L = loops.loops()[0];
     EXPECT_EQ(L.header, A);
     ASSERT_EQ(L.latches.size(), 1u);
@@ -143,7 +143,6 @@ TEST(Loops, PaperFigure1Loop)
     EXPECT_EQ(L.exitEdges[0].first, F);
     EXPECT_EQ(L.exitEdges[0].second, X);
     EXPECT_EQ(loops.innermostLoopOf(C), L.id);
-    EXPECT_FALSE(loops.sawIrreducible());
 }
 
 /** A nested loop for nesting-forest checks. */
@@ -182,7 +181,7 @@ TEST(Loops, NestingForest)
     DominatorTree dt(cfg);
     LoopForest loops(cfg, dt);
 
-    ASSERT_EQ(loops.numLoops(), 2u);
+    ASSERT_EQ(loops.loops().size(), 2u);
     const Loop *inner = nullptr, *outer = nullptr;
     for (const Loop &L : loops.loops()) {
         if (L.header == 2)

@@ -305,7 +305,6 @@ TEST(FetchDetails, PerImageRecordAgreesWithTheDecodersOnEveryWorkload)
                 {
                     return std::nullopt;
                 }
-                void onCommit(const LinkedInstr &, bool) override {}
             } plain;
             sim::MachineState m(cfg, r.trace, &plain);
             checkCommon(m);

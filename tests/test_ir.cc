@@ -18,13 +18,11 @@ TEST(Instruction, Classification)
     i.op = Opcode::BEQ;
     EXPECT_TRUE(i.isCondBranch());
     EXPECT_TRUE(i.isTerminator());
-    EXPECT_TRUE(i.isControl());
     EXPECT_FALSE(i.isCall());
 
     i.op = Opcode::JAL;
     EXPECT_TRUE(i.isCall());
     EXPECT_FALSE(i.isTerminator());  // calls do not end blocks
-    EXPECT_TRUE(i.isControl());
 
     i.op = Opcode::LD;
     EXPECT_TRUE(i.isLoad());
@@ -325,19 +323,6 @@ TEST(Builder, EmitsExpectedShapes)
     EXPECT_EQ(ins[2].op, Opcode::SD);
     EXPECT_EQ(ins[2].rs2, reg::t1);  // stored value
     EXPECT_EQ(ins[2].rs1, reg::t0);  // base
-}
-
-TEST(Instruction, ToStringSmoke)
-{
-    Instruction i;
-    i.op = Opcode::ADD;
-    i.rd = 1;
-    i.rs1 = 2;
-    i.rs2 = 3;
-    EXPECT_EQ(i.toString(), "add r1, r2, r3");
-    i.op = Opcode::BEQ;
-    i.targetBlock = 7;
-    EXPECT_NE(i.toString().find("bb7"), std::string::npos);
 }
 
 } // namespace

@@ -124,6 +124,8 @@ TEST(Exec, AluBasics)
         b.divu(reg::t5, reg::t0, reg::t1);  // 3
         b.remu(reg::t6, reg::t0, reg::t1);  // 1
         b.slt(reg::t7, reg::t1, reg::t0);   // 1
+        b.and_(reg::s0, reg::t0, reg::t1);  // 2
+        b.ori(reg::s1, reg::t0, 5);         // 15
         b.halt();
     });
     EXPECT_TRUE(r.halted);
@@ -134,6 +136,8 @@ TEST(Exec, AluBasics)
     EXPECT_EQ(st.readReg(reg::t5), 3);
     EXPECT_EQ(st.readReg(reg::t6), 1);
     EXPECT_EQ(st.readReg(reg::t7), 1);
+    EXPECT_EQ(st.readReg(reg::s0), 2);
+    EXPECT_EQ(st.readReg(reg::s1), 15);
 }
 
 TEST(Exec, ShiftsAndNegativeArithmetic)
@@ -145,6 +149,9 @@ TEST(Exec, ShiftsAndNegativeArithmetic)
         b.slli(reg::t3, reg::t0, 1);        // -32
         b.li(reg::t4, -1);
         b.sltu(reg::t5, reg::zero, reg::t4);  // 0 < huge unsigned
+        b.li(reg::t6, 2);
+        b.sra(reg::s0, reg::t0, reg::t6);   // -4
+        b.srl(reg::s1, reg::t0, reg::t6);   // 2^62 - 4
         b.halt();
     });
     const ArchState &st = *r.finalState;
@@ -152,6 +159,8 @@ TEST(Exec, ShiftsAndNegativeArithmetic)
     EXPECT_EQ(st.readReg(reg::t2), 15);
     EXPECT_EQ(st.readReg(reg::t3), -32);
     EXPECT_EQ(st.readReg(reg::t5), 1);
+    EXPECT_EQ(st.readReg(reg::s0), -4);
+    EXPECT_EQ(st.readReg(reg::s1), (std::int64_t(1) << 62) - 4);
 }
 
 TEST(Exec, DivideByZeroIsDefined)
@@ -180,6 +189,9 @@ TEST(Exec, LoadStoreWidthsAndSignExtension)
         b.sb(reg::t4, reg::t0, 8);
         b.lb(reg::t5, reg::t0, 8);     // -128
         b.lbu(reg::t6, reg::t0, 8);    // 128
+        b.sw(reg::t1, reg::t0, 12);
+        b.lw(reg::s4, reg::t0, 12);    // sign-extended
+        b.lwu(reg::s5, reg::t0, 12);   // zero-extended
         // Words initialised in the data segment load as written.
         m.setData64(d + 16, 1234);
         m.setData64(d + 24, 4321);
@@ -196,6 +208,8 @@ TEST(Exec, LoadStoreWidthsAndSignExtension)
     EXPECT_EQ(st.readReg(reg::t5), -128);
     EXPECT_EQ(st.readReg(reg::t6), 128);
     EXPECT_EQ(st.readReg(reg::s3), 5555);
+    EXPECT_EQ(st.readReg(reg::s4), -2);
+    EXPECT_EQ(st.readReg(reg::s5), std::int64_t(0xfffffffe));
 }
 
 TEST(Exec, BranchesAndLoop)

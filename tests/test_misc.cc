@@ -107,7 +107,7 @@ TEST(Table, AlignmentAndCsv)
     std::string out = os.str();
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_NE(out.find("3.14"), std::string::npos);
-    EXPECT_EQ(t.numRows(), 2u);
+    EXPECT_NE(out.find("42"), std::string::npos);
     EXPECT_THROW(Table({"x"}).cell(1LL), std::runtime_error);
 }
 

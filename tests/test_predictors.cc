@@ -64,7 +64,6 @@ TEST(ReturnAddressStack, LifoAndOverflow)
     for (Addr a = 1; a <= 6; ++a)
         ras.push(a * 0x10);
     // Capacity 4: oldest two dropped.
-    EXPECT_EQ(ras.depth(), 4u);
     EXPECT_EQ(ras.pop(), 0x60u);
     EXPECT_EQ(ras.pop(), 0x50u);
     EXPECT_EQ(ras.pop(), 0x40u);
@@ -80,7 +79,6 @@ TEST(Cache, HitsAfterFill)
     EXPECT_TRUE(c.access(0x1038));  // same 64B line
     EXPECT_FALSE(c.access(0x1040)); // next line
     EXPECT_EQ(c.misses(), 2u);
-    EXPECT_EQ(c.hits(), 2u);
 }
 
 TEST(Cache, LruEvictionWithinSet)
@@ -89,18 +87,15 @@ TEST(Cache, LruEvictionWithinSet)
     // map to the same set.
     Cache c({1024, 2, 64, 10});
     Addr a = 0x0, b = 0x200, d = 0x400;
-    c.access(a);
-    c.access(b);
-    EXPECT_TRUE(c.probe(a));
-    EXPECT_TRUE(c.probe(b));
-    c.access(d);  // evicts LRU = a
-    EXPECT_FALSE(c.probe(a));
-    EXPECT_TRUE(c.probe(b));
-    EXPECT_TRUE(c.probe(d));
-    // Touch b, then a: now d is LRU.
-    c.access(b);
-    c.access(a);
-    EXPECT_FALSE(c.probe(d));
+    EXPECT_FALSE(c.access(a));
+    EXPECT_FALSE(c.access(b));
+    EXPECT_FALSE(c.access(d));  // evicts LRU = a
+    // b and d stayed; touching b then d leaves b the LRU way.
+    EXPECT_TRUE(c.access(b));
+    EXPECT_TRUE(c.access(d));
+    EXPECT_FALSE(c.access(a));  // a was evicted; refilling evicts b
+    EXPECT_TRUE(c.access(d));
+    EXPECT_FALSE(c.access(b));
 }
 
 TEST(Cache, RejectsBadGeometry)
@@ -138,7 +133,6 @@ TEST(DepPredictors, MemLearnsAndPredicts)
     p.recordMemViolation(16);
     EXPECT_TRUE(p.predictsMemDep(16));
     EXPECT_FALSE(p.predictsRegDep(16));  // kinds are independent
-    EXPECT_EQ(p.violationsRecorded(), 1u);
     EXPECT_FALSE(p.predictsMemDep(17));
 }
 
@@ -149,7 +143,6 @@ TEST(DepPredictors, RegLearnsConsumers)
     p.recordRegViolation(32);
     EXPECT_TRUE(p.predictsRegDep(32));
     EXPECT_FALSE(p.predictsMemDep(32));
-    EXPECT_EQ(p.numDependent(), 1u);
 }
 
 TEST(TraceIndex, NextOccurrence)

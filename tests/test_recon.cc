@@ -213,5 +213,53 @@ TEST(ReconPredictor, BoundedState)
               500u);
 }
 
+TEST(ReconPredictor, FifthCandidateReplacesTheWeakest)
+{
+    // Each round runs the branch at 0x100 taken (via 0x200), then
+    // not taken (via 0x180), both reaching join(k). The next round's
+    // first commit closes the not-taken instance, which votes once
+    // for join(k). Joins 0..3 take the four candidate slots with one
+    // vote each. Join 4's first vote decays the weakest to zero and
+    // takes its slot, and its second makes it the one candidate
+    // with two votes.
+    ReconPredictor pred;
+    auto join = [](int k) { return Addr(0x400 + 0x40 * k); };
+    auto round = [&](int k) {
+        pred.observeCommit(0x100, true, true, true);
+        pred.observeCommit(0x200, false, false, true);
+        pred.observeCommit(join(k), false, false, true);
+        pred.observeCommit(0x100, true, false, true);
+        pred.observeCommit(0x180, false, false, true);
+        pred.observeCommit(join(k), false, false, true);
+    };
+    for (int k : {0, 1, 2, 3, 4})
+        round(k);
+    EXPECT_EQ(pred.predict(0x100), invalidAddr);  // four at one vote
+    round(4);
+    EXPECT_EQ(pred.predict(0x100), join(4));
+    EXPECT_EQ(pred.instancesAborted(), 0u);
+}
+
+TEST(ReconPredictor, InstanceWithoutBlockStartsIsAborted)
+{
+    // A branch that recurs before any block start closes with an
+    // empty suffix.
+    ReconPredictor pred;
+    pred.observeCommit(0x100, true, true, false);
+    pred.observeCommit(0x100, true, true, false);
+    EXPECT_EQ(pred.instancesAborted(), 1u);
+    EXPECT_EQ(pred.instancesCompleted(), 0u);
+
+    // Nine distinct branches, none a block start: the ninth finds
+    // the eight-instance table full, and the oldest has collected
+    // nothing.
+    ReconPredictor full;
+    for (Addr pc = 0x1000; pc < 0x1000 + 9 * 8; pc += 8)
+        full.observeCommit(pc, true, false, false);
+    EXPECT_EQ(full.instancesAborted(), 1u);
+    EXPECT_EQ(full.instancesCompleted(), 0u);
+    EXPECT_EQ(full.numTrackedBranches(), 0u);
+}
+
 } // namespace
 } // namespace polyflow

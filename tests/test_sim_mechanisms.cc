@@ -217,6 +217,57 @@ TEST(Mechanisms, IndirectTargetPredictionAccounting)
     EXPECT_GT(r.indirectMispredicts, 150u);
 }
 
+TEST(Mechanisms, IndirectCallsPushTheReturnStack)
+{
+    // 50 JALR calls through one register to one callee. Fetch pushes
+    // the return address at each, so every return predicts; the
+    // target predictor misses only the first, cold call.
+    constexpr int calls = 50;
+    auto m = std::make_unique<Module>("t");
+    Function &callee = m->createFunction("callee");
+    {
+        FunctionBuilder b(callee);
+        b.addi(reg::a0, reg::a0, 1);
+        b.ret();
+    }
+    Function &main = m->createFunction("main");
+    {
+        FunctionBuilder b(main);
+        BlockId loop = b.newBlock("loop");
+        BlockId done = b.newBlock("done");
+        b.li(reg::t0, 0);  // the callee's address, patched below
+        b.li(reg::s0, calls);
+        b.jump(loop);
+        b.setBlock(loop);
+        b.callIndirect(reg::t0);
+        b.addi(reg::s0, reg::s0, -1);
+        b.bne(reg::s0, reg::zero, loop);
+        b.setBlock(done);
+        b.halt();
+    }
+    m->entryFunction(main.id());
+    // Addresses exist only after a link; the patch keeps every
+    // instruction's size, so finishWorkload's link keeps them.
+    m->link();
+    main.block(0).instrs().front().imm = std::int64_t(callee.startAddr());
+    const FuncId caller = main.id(), target = callee.id();
+    Session s = Session::adopt(finishWorkload(std::move(m)));
+
+    std::uint64_t jalrs = 0;
+    for (TraceIdx i = 0; i < s.trace().size(); ++i)
+        jalrs += s.trace().staticOf(i).instr.op == Opcode::JALR;
+    ASSERT_EQ(jalrs, std::uint64_t(calls));
+    TimingResult r = s.simulate(driver::runTable().superscalar);
+    EXPECT_EQ(r.returnMispredicts, 0u);
+    EXPECT_EQ(r.indirectMispredicts, 1u);
+
+    // The caller's callee is unknown to the analysis, so a call to
+    // main may clobber every register but r0.
+    const std::vector<RegMask> writes = moduleWriteSummaries(s.module());
+    EXPECT_EQ(writes[caller], ~RegMask(1));
+    EXPECT_NE(writes[target], ~RegMask(1));
+}
+
 TEST(Mechanisms, TasksRetiredEqualsSpawnsPlusOne)
 {
     for (const char *name : {"twolf", "mcf", "vortex"}) {

@@ -309,6 +309,53 @@ TEST(HintTable, FiltersByPolicyAndResolvesConflicts)
     EXPECT_EQ(none.size(), 0u);
 }
 
+TEST(HintTable, LoopFTWinsALoopHeaderItSharesWithLoopIter)
+{
+    // while (t0 != 0) t0--; : the header is one conditional branch,
+    // so the loop-iteration trigger (the header's start) and the
+    // loopFT trigger (its terminator) are one PC.
+    Module m("t");
+    Function &f = m.createFunction("f");
+    BlockId header, body, exit;
+    {
+        FunctionBuilder b(f);
+        header = b.newBlock("header");
+        body = b.newBlock("body");
+        exit = b.newBlock("exit");
+        b.li(reg::t0, 5);
+        b.jump(header);
+        b.setBlock(header);
+        b.beq(reg::t0, reg::zero, exit);
+        b.setBlock(body);
+        b.addi(reg::t0, reg::t0, -1);
+        b.jump(header);
+        b.setBlock(exit);
+        b.halt();
+    }
+    LinkedProgram p = m.link();
+    SpawnAnalysis sa(m, p);
+
+    const Addr pc = f.block(header).startAddr();
+    ASSERT_EQ(f.block(header).termAddr(), pc);
+    bool loopFT = false, loopIter = false;
+    for (const SpawnPoint &sp : sa.points()) {
+        if (sp.triggerPc != pc)
+            continue;
+        loopFT |= sp.kind == SpawnKind::LoopFT;
+        loopIter |= sp.kind == SpawnKind::LoopIter;
+    }
+    EXPECT_TRUE(loopFT);
+    EXPECT_TRUE(loopIter);
+
+    // loop+loopFT (a Fig 10 run) keeps both kinds; the table holds
+    // one point per PC, and the postdominator spawn wins.
+    HintTable t(sa, SpawnPolicy::loopPlusLoopFT());
+    const SpawnPoint *hint = t.lookup(pc);
+    ASSERT_NE(hint, nullptr);
+    EXPECT_EQ(hint->kind, SpawnKind::LoopFT);
+    EXPECT_EQ(hint->targetPc, f.block(exit).startAddr());
+}
+
 TEST(SpawnCensus, CountsAddUp)
 {
     Module m("t");

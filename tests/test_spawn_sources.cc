@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.hh"
+#include "polyflow.hh"
 #include "sim/spawn_source.hh"
 
 namespace polyflow {
@@ -149,6 +150,29 @@ TEST(SpawnSources, StaticHintsCarryDependenceMasks)
     // The then-block writes t0, which is dead at the join in this
     // fixture; masks never contain r0 regardless.
     EXPECT_EQ(h->depMask & 1u, 0u);
+}
+
+TEST(SpawnSources, ASourceThatNeverHintsChangesNoCycle)
+{
+    // It declares only query(), so it trains by default: commit hands
+    // every instruction to the interface's onCommit, which ignores
+    // it. With no hint nothing spawns, and the machine runs the
+    // superscalar's cycles on the same contexts.
+    struct Silent : SpawnSource
+    {
+        std::optional<SpawnHint>
+        query(const LinkedInstr &) override
+        {
+            return std::nullopt;
+        }
+    } silent;
+    Session s = Session::open("twolf", 0.05);
+    const MachineConfig cfg;
+    const TimingResult with = runTiming(cfg, s.trace(), &silent, "x");
+    const TimingResult without = runTiming(cfg, s.trace(), nullptr, "x");
+    EXPECT_EQ(with.spawns, 0u);
+    EXPECT_EQ(with.instrs, without.instrs);
+    EXPECT_EQ(with.cycles, without.cycles);
 }
 
 } // namespace

@@ -113,7 +113,6 @@ struct OneShotSource : SpawnSource
             return SpawnHint{targetPc, SpawnKind::LoopIter, 0};
         return std::nullopt;
     }
-    void onCommit(const LinkedInstr &, bool) override {}
 };
 
 TEST(Stages, FrontendSpawnTruncatesParentThenAllocates)
