@@ -7,7 +7,7 @@
 #       test_golden's grid test measured (44 labels x 12 workloads);
 #   results/*.txt, results/*.csv       `figures` at PF_BENCH_SCALE=1,
 #       its stdout split at the eight "=== " report banners, and the
-#       stdout of each example, run with scripts/smoke.sh's arguments;
+#       stdout of each example as scripts/smoke.sh runs it;
 #   perfbench/reference/cells-scale{0.02,0.1}.tsv
 #       `pf_perfbench --write-reference` at both pinned scales.
 #
@@ -30,6 +30,10 @@ csvs="fig05 fig09 fig10 fig11 fig12 related_dynamic"
 
 cmake -B build -S . > /dev/null
 cmake --build build -j 4 > /dev/null
+# Each example's stdout, into build/examples/<example>.txt. Its
+# figures run writes CSVs into build/bench; the run below replaces
+# them.
+scripts/smoke.sh > /dev/null
 rm -rf "$old"
 mkdir -p "$old/tests/golden" "$old/perfbench/reference" "$old/results"
 for f in $pins; do cp "$f" "$old/$f"; done
@@ -72,11 +76,7 @@ echo $reports | awk -v out=build/bench/figures.out '
     }'
 for r in $reports; do cat "results/$r.txt"; done | cmp - build/bench/figures.out
 for csv in $csvs; do cp "build/bench/$csv.csv" results/; done
-./build/examples/quickstart > results/quickstart.txt
-./build/examples/policy_explorer twolf 0.05 > results/policy_explorer.txt
-./build/examples/workload_stats 0.05 > results/workload_stats.txt
-./build/examples/twolf_kernel > results/twolf_kernel.txt
-./build/examples/task_timeline twolf 0.05 > results/task_timeline.txt
+cp build/examples/*.txt results/
 
 # perfbench's references, from its own Release build (the tree
 # perfbench/run.py builds).

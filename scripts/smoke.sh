@@ -22,14 +22,15 @@ build=${1:-build}
 cmake -B "$build" -S .
 cmake --build "$build" -j
 
-# Every example, each a short end-to-end run. Their stdout is
-# discarded here: scripts/repin.sh runs them with these arguments and
-# rewrites results/<example>.txt, so CI's re-pin step checks it.
-"$build"/examples/quickstart > /dev/null
-"$build"/examples/policy_explorer twolf 0.05 > /dev/null
-"$build"/examples/workload_stats 0.05 > /dev/null
-"$build"/examples/twolf_kernel > /dev/null
-"$build"/examples/task_timeline twolf 0.05 > /dev/null
+# Every example, each a short end-to-end run. Each one's stdout goes
+# to BUILD_DIR/examples/<example>.txt; scripts/repin.sh copies those
+# files to results/, so CI's re-pin step checks them.
+ex="$build"/examples
+"$ex"/quickstart > "$ex"/quickstart.txt
+"$ex"/policy_explorer twolf 0.05 > "$ex"/policy_explorer.txt
+"$ex"/workload_stats 0.05 > "$ex"/workload_stats.txt
+"$ex"/twolf_kernel > "$ex"/twolf_kernel.txt
+"$ex"/task_timeline twolf 0.05 > "$ex"/task_timeline.txt
 
 # Every paper figure through one sweep; the reports go to stdout,
 # timing and cache accounting to stderr, CSVs and stats JSON into

@@ -4,13 +4,24 @@
 
 namespace polyflow {
 
+namespace {
+
+/**
+ * Immediate dominators by the Cooper–Harvey–Kennedy "engineered"
+ * algorithm, over @p cfg's edges in the direction @p edgesInto reads
+ * them: CfgView::preds for dominators, CfgView::succs (the reversed
+ * graph's predecessors) for postdominators.
+ *
+ * @param rpo reverse postorder of the nodes reachable from @p root
+ *            in that direction
+ * @return idom per node; idom[root] == root; -1 for unreachable nodes
+ */
 std::vector<int>
-computeIdoms(const std::vector<int> &rpo,
-             const std::vector<std::vector<int>> &preds, int root,
-             int numNodes)
+computeIdoms(const CfgView &cfg, const std::vector<int> &rpo, int root,
+             const std::vector<int> &(CfgView::*edgesInto)(int) const)
 {
-    std::vector<int> idom(numNodes, -1);
-    std::vector<int> rpoNum(numNodes, -1);
+    std::vector<int> idom(cfg.numNodes(), -1);
+    std::vector<int> rpoNum(cfg.numNodes(), -1);
     for (size_t i = 0; i < rpo.size(); ++i)
         rpoNum[rpo[i]] = static_cast<int>(i);
 
@@ -33,7 +44,7 @@ computeIdoms(const std::vector<int> &rpo,
             if (n == root)
                 continue;
             int newIdom = -1;
-            for (int p : preds[n]) {
+            for (int p : (cfg.*edgesInto)(n)) {
                 if (rpoNum[p] < 0 || idom[p] < 0)
                     continue;  // unreachable or unprocessed
                 newIdom = (newIdom < 0) ? p : intersect(p, newIdom);
@@ -46,6 +57,8 @@ computeIdoms(const std::vector<int> &rpo,
     }
     return idom;
 }
+
+} // namespace
 
 void
 DomTreeBase::build(std::vector<int> idoms, int root)
@@ -79,14 +92,7 @@ DomTreeBase::build(std::vector<int> idoms, int root)
 
 DominatorTree::DominatorTree(const CfgView &cfg)
 {
-    auto preds = [&] {
-        std::vector<std::vector<int>> p(cfg.numNodes());
-        for (int n = 0; n < cfg.numNodes(); ++n)
-            p[n] = cfg.preds(n);
-        return p;
-    }();
-    build(computeIdoms(cfg.rpo(), preds, cfg.entryNode(),
-                       cfg.numNodes()),
+    build(computeIdoms(cfg, cfg.rpo(), cfg.entryNode(), &CfgView::preds),
           cfg.entryNode());
 }
 
@@ -100,14 +106,8 @@ PostDominatorTree::PostDominatorTree(const CfgView &cfg) : _cfg(&cfg)
     }
     // Postdominators are dominators of the reversed graph: preds of
     // the reversed graph are the forward successors.
-    auto succs = [&] {
-        std::vector<std::vector<int>> s(cfg.numNodes());
-        for (int n = 0; n < cfg.numNodes(); ++n)
-            s[n] = cfg.succs(n);
-        return s;
-    }();
-    build(computeIdoms(cfg.reverseRpo(), succs, cfg.exitNode(),
-                       cfg.numNodes()),
+    build(computeIdoms(cfg, cfg.reverseRpo(), cfg.exitNode(),
+                       &CfgView::succs),
           cfg.exitNode());
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
- * Generic dominator computation (Cooper–Harvey–Kennedy) plus the
- * DominatorTree / PostDominatorTree wrappers used by the rest of the
- * system.
+ * Dominator and postdominator trees over a CfgView, computed with
+ * the Cooper–Harvey–Kennedy algorithm.
  */
 
 #ifndef POLYFLOW_ANALYSIS_DOMINATORS_HH
@@ -13,22 +12,6 @@
 #include "analysis/cfg_view.hh"
 
 namespace polyflow {
-
-/**
- * Compute immediate dominators with the Cooper–Harvey–Kennedy
- * "engineered" algorithm.
- *
- * @param rpo reverse postorder of nodes reachable from @p root over
- *            the edge relation implied by @p preds
- * @param preds predecessor lists (reversed successors when computing
- *              postdominators)
- * @param root the start node (entry for dominators, exit for
- *             postdominators)
- * @return idom per node; idom[root] == root; -1 for unreachable nodes
- */
-std::vector<int> computeIdoms(const std::vector<int> &rpo,
-                              const std::vector<std::vector<int>> &preds,
-                              int root, int numNodes);
 
 /**
  * A dominator (or postdominator) tree over the nodes of a CfgView,

@@ -65,39 +65,29 @@ releaseDiverted(MachineState &m)
         DivertEntry &e = m.divert.slots[slot];
         const TraceIdx i = e.idx;
         const DynInstr &d = m.trace->instrs[i];
-        // The rule runs on a woken entry, whose last blocker has let
-        // go; it may find a newer one. On an entry it has let go, it
-        // runs again only if recover() has trained the predictors
-        // since: a sync decision reverts only then. Task::begin and
-        // Task::depMask are fixed for a task's life, and a
-        // producer's stage only moves forward except under a
-        // squash, which also squashes and purges this entry. The
-        // same argument lets a parked entry wait on one producer.
-        const Task *t = nullptr;
-        Readiness sync;
-        auto check = [&] {
-            t = &m.tasks[m.taskPosOf(i)];
-            sync = m.readiness(d, *t, m.now);
-        };
-        if (e.heldBy || e.trainings != m.depTrainings) {
-            check();
-            if (sync.blocker) {
-                e.heldBy = sync.blocker;
-                m.park(m.divertNode(slot));
-                return Step::Leave;
-            }
-            if (e.heldBy) {
-                // Let go this cycle: the re-dispatch latency starts.
-                e.heldBy = {};
-                e.readyAt = m.now + m.cfg.divertReleaseDelay;
-            }
-            e.trainings = m.depTrainings;
+        // The rule runs on every visit: a woken entry, whose last
+        // blocker has let go, may meet a newer one, and a let-go
+        // entry may meet one after recover() trains the predictors.
+        // Task::begin and Task::depMask are fixed for a task's life,
+        // and a producer's stage only moves forward except under a
+        // squash, which also squashes and purges this entry. So a
+        // parked entry waits on one producer. The rule asks about
+        // now: an entry that leaves has its first issue check later
+        // this cycle.
+        const Readiness sync =
+            m.readiness(d, m.tasks[m.taskPosOf(i)], m.now);
+        if (sync.blocker) {
+            e.heldBy = sync.blocker;
+            m.park(m.divertNode(slot));
+            return Step::Leave;
+        }
+        if (e.heldBy) {
+            // Let go this cycle: the re-dispatch latency starts.
+            e.heldBy = {};
+            e.readyAt = m.now + m.cfg.divertReleaseDelay;
         }
         if (m.now < e.readyAt || !m.roomFor(sync))
             return Step::Stay;
-        // Its first issue check is later this cycle.
-        if (!t)
-            check();
         m.divert.release(slot);
         // Entering the scheduler wakes the same-task consumers
         // waiting for i to be renamed. They were diverted after i,

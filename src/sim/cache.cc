@@ -54,25 +54,26 @@ MemHierarchy::MemHierarchy(const MachineConfig &config)
 {}
 
 int
-MemHierarchy::accessInstr(Addr addr)
+MemHierarchy::access(Cache &l1, Addr addr)
 {
-    if (_l1i.access(addr))
+    if (l1.access(addr))
         return 1;
-    int lat = 1 + _l1i.config().missLatency;
+    int lat = 1 + l1.config().missLatency;
     if (!_l2.access(addr))
         lat += _l2.config().missLatency;
     return lat;
 }
 
 int
+MemHierarchy::accessInstr(Addr addr)
+{
+    return access(_l1i, addr);
+}
+
+int
 MemHierarchy::accessData(Addr addr)
 {
-    if (_l1d.access(addr))
-        return 1;
-    int lat = 1 + _l1d.config().missLatency;
-    if (!_l2.access(addr))
-        lat += _l2.config().missLatency;
-    return lat;
+    return access(_l1d, addr);
 }
 
 } // namespace polyflow

@@ -63,6 +63,9 @@ class MemHierarchy
     const Cache &l1d() const { return _l1d; }
 
   private:
+    /** An access that misses @p l1 goes on to the L2. */
+    int access(Cache &l1, Addr addr);
+
     Cache _l1i, _l1d, _l2;
 };
 

@@ -143,10 +143,6 @@ struct DivertEntry
      *  or wheel bucket and no stage looks at it. Cleared once the
      *  rule lets the entry go. */
     Blocker heldBy{};
-    /** MachineState::depTrainings when the rule last let the entry
-     *  go; meaningful only while heldBy is clear. The rule runs
-     *  again on a let-go entry only once this falls behind. */
-    std::uint32_t trainings = 0;
     /** Cycle the entry may re-enter rename; set when the rule first
      *  lets it go, meaningful only while heldBy is clear. */
     std::uint64_t readyAt = 0;
@@ -521,11 +517,6 @@ struct MachineState
     /** Rename-stage register/memory dependence predictors (flat,
      *  image-indexed; see dep_predictors.hh). */
     DepPredictors depPred;
-    /** How many times recover() has trained depPred. Training is the
-     *  only thing that can make the divert rule hold an entry it has
-     *  let go (DivertEntry::trainings), so whatever trains depPred
-     *  must bump this. */
-    std::uint32_t depTrainings = 0;
     /** @} */
 
     /** Spawn-profitability feedback, image-indexed (empty for the
@@ -768,7 +759,7 @@ inline void
 MachineState::enterDivert(TraceIdx i, Blocker b)
 {
     istate[i].stage = InstrStage::Diverted;
-    park(divertNode(divert.take({i, b, 0, 0, divertSeq++})));
+    park(divertNode(divert.take({i, b, 0, divertSeq++})));
 }
 
 inline bool

@@ -37,8 +37,6 @@ recover(MachineState &m)
         m.depPred.recordMemViolation(
             m.trace->instrs[v.consumer].img());
     }
-    // Divert entries the rule has let go must face it again.
-    ++m.depTrainings;
     squashFromTask(m, m.taskPosOf(v.consumer));
 }
 

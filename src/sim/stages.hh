@@ -58,11 +58,10 @@ void accountCycle(MachineState &m);
  * queue's scan (EntryQueue::scan, in FIFO order) visits the woken
  * entries and those the rule (MachineState::readiness) has let go
  * that wait out the latency or scheduler room (Step::Stay). The
- * rule runs again on each woken entry and may park it on a newer
- * blocker. On a let-go entry it runs again only after recover() has
- * trained the dependence predictors (MachineState::depTrainings),
- * and otherwise once, for the entry's first issue wait, when the
- * entry leaves; the task lookup goes with it.
+ * rule runs on every entry the scan visits: a blocker parks it, a
+ * held entry it lets go starts the latency, and a let-go entry past
+ * the latency with scheduler room enters the scheduler with its
+ * first issue wait (Readiness::wait).
  */
 void releaseDiverted(MachineState &m);
 
@@ -124,10 +123,8 @@ void applySpawn(MachineState &m);
 
 /**
  * Handle the cycle's pending violations: train the dependence
- * predictor of the oldest violating consumer, bump
- * MachineState::depTrainings so divert release re-checks the entries
- * its rule has let go, and squash from the consumer's task
- * (everything younger would be squashed anyway).
+ * predictor of the oldest violating consumer and squash from the
+ * consumer's task (everything younger would be squashed anyway).
  */
 void recover(MachineState &m);
 

@@ -72,35 +72,17 @@ SpawnPolicy::postdomsMinus(SpawnKind k)
             kinds::postdoms & ~kindBit(k)};
 }
 
-namespace {
-
-/** Priority when several spawns share a trigger PC (higher wins). */
-int
-kindPriority(SpawnKind k)
-{
-    switch (k) {
-      case SpawnKind::LoopFT: return 5;
-      case SpawnKind::ProcFT: return 4;
-      case SpawnKind::Hammock: return 3;
-      case SpawnKind::Other: return 2;
-      case SpawnKind::LoopIter: return 1;
-      default: return 0;
-    }
-}
-
-} // namespace
-
 HintTable::HintTable(const SpawnAnalysis &analysis,
                      const SpawnPolicy &policy)
 {
     for (const SpawnPoint &p : analysis.points()) {
         if (!(policy.kindMask & kindBit(p.kind)))
             continue;
-        auto it = _byTrigger.find(p.triggerPc);
-        if (it == _byTrigger.end() ||
-            kindPriority(p.kind) > kindPriority(it->second.kind)) {
-            _byTrigger[p.triggerPc] = p;
-        }
+        // Only a loop header's start carries two points (one
+        // LoopIter per header): the postdominator point wins.
+        auto [it, fresh] = _byTrigger.try_emplace(p.triggerPc, p);
+        if (!fresh && it->second.kind == SpawnKind::LoopIter)
+            it->second = p;
     }
 }
 

@@ -62,10 +62,12 @@ class SpawnAnalysis
 
     /**
      * Rehydrate an analysis from previously computed spawn points
-     * (the artifact store's deserialization path). Point order must
-     * be the original analysis order — HintTable construction
-     * resolves equal-priority trigger collisions by first
-     * occurrence. The census is recomputed from the points.
+     * (the artifact store's deserialization path), in the original
+     * analysis order, which the store's round trip keeps. HintTable
+     * construction does not depend on it: the only trigger
+     * collision it resolves, a postdominator point against a
+     * LoopIter point, goes the same way in either order. The census
+     * is recomputed from the points.
      */
     explicit SpawnAnalysis(std::vector<SpawnPoint> points);
 

@@ -7,10 +7,8 @@
  * Layout: a u64 record count followed by one fixed-stride 28-byte
  * record per SpawnPoint — u64 triggerPc, u64 targetPc, u32 kind,
  * i32 func, u32 depMask — all little-endian. Record order is
- * preserved exactly: SpawnAnalysis point order is semantically
- * meaningful (HintTable construction resolves equal-priority
- * trigger collisions by first occurrence), so a decoded analysis
- * must replay the original order bit for bit.
+ * preserved exactly, so a decoded analysis replays the original
+ * point order bit for bit.
  */
 
 #ifndef POLYFLOW_SPAWN_SPAWN_IO_HH

@@ -87,9 +87,8 @@ struct NodePlaces
  *    blocker's waiter list, or the wheel bucket of its blocker's
  *    completion cycle, and no free slot is on any;
  *  - a parked entry's blocker still holds it (a wheel entry's
- *    result is due after the last drained cycle), a ready entry is
- *    not held, and a let-go divert entry whose training stamp is
- *    current is not held by the rule either;
+ *    result is due after the last drained cycle), and a ready entry
+ *    is not held;
  *  - each ready list's prefix that its last scan left is in scan
  *    order.
  */
@@ -199,18 +198,9 @@ queueInvariantViolation(const sim::MachineState &m)
         if (r.key != m.divert.slots[d].order())
             return "ready divert node " + std::to_string(d) +
                 " has a stale key";
-        const sim::DivertEntry &e = m.divert.slots[d];
-        if (m.holds(e.heldBy))
+        if (m.holds(m.divert.slots[d].heldBy))
             return "ready divert node " + std::to_string(d) +
                 " is still held";
-        // Release skips the rule on a let-go entry until the
-        // predictors are trained again; the rule must agree.
-        if (!e.heldBy && e.trainings == m.depTrainings &&
-            m.readiness(m.trace->instrs[e.idx],
-                        m.tasks[m.taskPosOf(e.idx)], m.now)
-                .blocker)
-            return "let-go divert node " + std::to_string(d) +
-                " is held by the rule it skips";
     }
     auto scanOrdered = [](const auto &q, const char *name) -> std::string {
         if (q.sorted > q.ready.size())

@@ -354,6 +354,58 @@ TEST(HintTable, LoopFTWinsALoopHeaderItSharesWithLoopIter)
     ASSERT_NE(hint, nullptr);
     EXPECT_EQ(hint->kind, SpawnKind::LoopFT);
     EXPECT_EQ(hint->targetPc, f.block(exit).startAddr());
+
+    // The same loop with a call heading the header: its start is the
+    // call's PC, so the LoopIter point meets a ProcFT one, and
+    // loop+procFT+loopFT keeps the ProcFT.
+    Module cm("t");
+    Function &g = cm.createFunction("g");
+    {
+        FunctionBuilder b(g);
+        b.ret();
+    }
+    Function &cf = cm.createFunction("f");
+    {
+        FunctionBuilder b(cf);
+        header = b.newBlock("header");
+        body = b.newBlock("body");
+        exit = b.newBlock("exit");
+        b.li(reg::t0, 5);
+        b.jump(header);
+        b.setBlock(header);
+        b.call(g.id());
+        b.beq(reg::t0, reg::zero, exit);
+        b.setBlock(body);
+        b.addi(reg::t0, reg::t0, -1);
+        b.jump(header);
+        b.setBlock(exit);
+        b.halt();
+    }
+    cm.entryFunction(cf.id());
+    LinkedProgram cp = cm.link();
+    SpawnAnalysis csa(cm, cp);
+    const Addr callPc = cf.block(header).startAddr();
+    bool procFT = false;
+    loopIter = false;
+    for (const SpawnPoint &sp : csa.points()) {
+        if (sp.triggerPc != callPc)
+            continue;
+        procFT |= sp.kind == SpawnKind::ProcFT;
+        loopIter |= sp.kind == SpawnKind::LoopIter;
+    }
+    EXPECT_TRUE(procFT);
+    EXPECT_TRUE(loopIter);
+    // The analysis lists LoopIter points last; the rule must not
+    // depend on that, so check the reversed order too.
+    std::vector<SpawnPoint> reversed = csa.points();
+    std::reverse(reversed.begin(), reversed.end());
+    for (const SpawnAnalysis &a : {csa, SpawnAnalysis(reversed)}) {
+        HintTable ct(a, SpawnPolicy::loopProcFTLoopFT());
+        hint = ct.lookup(callPc);
+        ASSERT_NE(hint, nullptr);
+        EXPECT_EQ(hint->kind, SpawnKind::ProcFT);
+        EXPECT_EQ(hint->targetPc, callPc + instrBytes);
+    }
 }
 
 TEST(SpawnCensus, CountsAddUp)
