@@ -9,6 +9,8 @@
 #define POLYFLOW_ISA_TRACE_HH
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/module.hh"
@@ -55,8 +57,8 @@ static_assert(maxImageSize == ImageIdx(1) << 31);
  * A full committed trace plus its program: one DynInstr per
  * committed instruction, and a side table holding the effective
  * address (or resolved indirect-jump target) and the memory producer
- * of exactly the records that have either. Records are added only
- * through append(), which keeps the two in step.
+ * of exactly the records that have either. append() keeps the two
+ * in step, and decodeTrace (isa/trace_io.hh) checks that they are.
  */
 class Trace
 {
@@ -96,16 +98,6 @@ class Trace
         instrs.push_back(d);
     }
 
-    /** Make room for @p records records, @p side of them with a
-     *  side-table entry. */
-    void
-    reserve(size_t records, size_t side)
-    {
-        instrs.reserve(records);
-        _effAddr.reserve(side);
-        _memProd.reserve(side);
-    }
-
     /** Release spare capacity of the records and the side table. */
     void
     shrinkToFit()
@@ -136,6 +128,8 @@ class Trace
     size_t sideCapacity() const { return _effAddr.capacity(); }
 
   private:
+    friend void encodeTrace(const Trace &, std::string &);
+    friend bool decodeTrace(std::string_view, const LinkedProgram &, Trace &);
     std::vector<Addr> _effAddr;      //!< by side slot
     std::vector<TraceIdx> _memProd;  //!< by side slot
 };

@@ -1,85 +1,90 @@
 #include "isa/trace_io.hh"
 
+#include <bit>
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
+
 #include "store/bytes.hh"
 
 namespace polyflow {
 
-namespace {
+// The payload holds the arrays' own bytes in the documented layout.
+static_assert(std::endian::native == std::endian::little);
+static_assert(std::is_trivially_copyable_v<DynInstr> &&
+              offsetof(DynInstr, imgTaken) == 0 &&
+              offsetof(DynInstr, prod) == 4 && offsetof(DynInstr, side) == 12);
 
-constexpr size_t recordBytes = 4 + 4 + 8 + 4 + 4 + 4;
-
-/** Field offsets within one record. */
-enum : size_t { atImg = 0, atFlags = 4, atEffAddr = 8, atProd0 = 16,
-                atProd1 = 20, atMemProd = 24 };
-
-} // namespace
+constexpr size_t slotBytes = sizeof(Addr) + sizeof(TraceIdx);
 
 void
 encodeTrace(const Trace &trace, std::string &out)
 {
-    const size_t base = out.size();
-    out.resize(base + 8 + recordBytes * trace.instrs.size());
-    char *p = out.data() + base;
-    store::storeLE<std::uint64_t>(p, trace.instrs.size());
-    for (p += 8; const DynInstr &d : trace.instrs) {
-        store::storeLE<std::uint32_t>(p + atImg, d.img());
-        store::storeLE<std::uint32_t>(p + atFlags, d.taken() ? 1 : 0);
-        store::storeLE<Addr>(p + atEffAddr, trace.effAddr(d));
-        store::storeLE<TraceIdx>(p + atProd0, d.prod[0]);
-        store::storeLE<TraceIdx>(p + atProd1, d.prod[1]);
-        store::storeLE<TraceIdx>(p + atMemProd, trace.memProd(d));
-        p += recordBytes;
-    }
+    const auto put = [&out](const auto &v) {
+        out.append(reinterpret_cast<const char *>(v.data()),
+                   v.size() * sizeof(v[0]));
+    };
+    const std::uint64_t head[2] = {trace.size(), trace.sideSize()};
+    out.reserve(out.size() + sizeof(head) + sizeof(DynInstr) * head[0] +
+                slotBytes * head[1]);
+    out.append(reinterpret_cast<const char *>(head), sizeof(head));
+    put(trace.instrs);
+    put(trace._effAddr);
+    put(trace._memProd);
 }
 
 bool
 decodeTrace(std::string_view payload, const LinkedProgram &prog,
             Trace &out)
 {
-    if (payload.size() < 8)
+    if (payload.size() < 16)
         return false;
-    const std::uint64_t count = store::loadLE<std::uint64_t>(payload.data());
-    const std::string_view records = payload.substr(8);
-    if (records.size() % recordBytes != 0 ||
-        records.size() / recordBytes != count)
+    const auto records = store::loadLE<std::uint64_t>(payload.data());
+    const auto side = store::loadLE<std::uint64_t>(payload.data() + 8);
+    // Bound both counts before sizing anything.
+    const size_t body = payload.size() - 16;
+    if (records > body / sizeof(DynInstr) || side > body / slotBytes ||
+        records * sizeof(DynInstr) + side * slotBytes != body)
         return false;
-
-    // Size the side table exactly: one slot per record with either
-    // field set.
-    size_t side = 0;
-    for (size_t at = 0; at < records.size(); at += recordBytes) {
-        const char *p = records.data() + at;
-        side += store::loadLE<Addr>(p + atEffAddr) != invalidAddr ||
-            store::loadLE<TraceIdx>(p + atMemProd) != invalidTrace;
-    }
 
     Trace t;
     t.prog = &prog;
-    t.reserve(count, side);
-    const std::uint32_t imgLimit =
-        static_cast<std::uint32_t>(prog.size());
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const char *p = records.data() + i * recordBytes;
-        const auto img = store::loadLE<std::uint32_t>(p + atImg);
-        const auto flags = store::loadLE<std::uint32_t>(p + atFlags);
-        const auto prod0 = store::loadLE<TraceIdx>(p + atProd0);
-        const auto prod1 = store::loadLE<TraceIdx>(p + atProd1);
-        const auto memProd = store::loadLE<TraceIdx>(p + atMemProd);
+    const char *p = payload.data() + 16;
+    const auto copy = [&p](auto &v, size_t n) {
+        v.resize(n);
+        std::memcpy(v.data(), p, n * sizeof(v[0]));
+        p += n * sizeof(v[0]);
+    };
+    copy(t.instrs, records);
+    copy(t._effAddr, side);
+    copy(t._memProd, side);
+
+    std::uint64_t slots = 0;
+    for (std::uint64_t i = 0; i < records; ++i) {
+        const DynInstr &d = t.instrs[i];
         // Producers precede their consumer.
         const auto older = [i](TraceIdx prod) {
             return prod == invalidTrace || prod < i;
         };
-        if (img >= imgLimit || flags > 1 || !older(prod0) ||
-            !older(prod1) || !older(memProd))
+        if (d.img() >= prog.size() || !older(d.prod[0]) || !older(d.prod[1]))
+            return false;
+        if (d.side == DynInstr::noSide)
+            continue;
+        // Slots are named in order, every one (below), and each
+        // carries an address or a memory producer.
+        if (d.side != slots || slots++ == side)
+            return false;
+        const TraceIdx memProd = t._memProd[d.side];
+        if (t._effAddr[d.side] == invalidAddr && memProd == invalidTrace)
             return false;
         // Only a load has a memory producer (TraceIndex keys on it).
-        if (memProd != invalidTrace && !prog.image()[img].instr.isLoad())
+        if (memProd != invalidTrace &&
+            (!older(memProd) || !prog.image()[d.img()].instr.isLoad()))
             return false;
-        t.append(img, flags != 0, prod0, prod1,
-                 store::loadLE<Addr>(p + atEffAddr), memProd);
     }
-    out = std::move(t);
-    return true;
+    if (slots == side)
+        out = std::move(t);
+    return slots == side;
 }
 
 } // namespace polyflow

@@ -3,24 +3,15 @@
  * Binary serialization of committed dynamic traces (the payload of
  * the persistent artifact store's trace entries).
  *
- * Layout: a u64 record count followed by one fixed-stride 28-byte
- * record per DynInstr — u32 img, u32 flags (bit 0 = taken), u64
- * effAddr, u32 prod[0], u32 prod[1], u32 memProd — all little-
- * endian, so record i lives at byte 8 + 28*i of the payload. The
- * encoder sizes its output once and stores each field in place; the
- * decoder checks the payload length once up front, then every
- * record. Container-level headers, versioning and checksums are the
- * artifact store's job (store/artifact_store.hh); this codec is
- * payload-only.
- *
- * In memory the record is split: img, taken and prod[] are the
- * 16-byte DynInstr, and effAddr and memProd are its entry in the
- * Trace's side table. A record without one writes invalidAddr and
- * invalidTrace (all ones) there, and decoding gives a side-table
- * entry to exactly the records whose effAddr or memProd is not all
- * ones, so the file bytes do not depend on the in-memory split. A
- * decoded trace's records and side table are allocated to their
- * exact sizes.
+ * Layout, all little-endian: u64 record count | u64 side-table
+ * slot count | the records, 16 bytes each (the DynInstr: imgTaken,
+ * prod[0], prod[1], side) | the side table's effective addresses,
+ * 8 bytes each | its memory producers, 4 bytes each. These are the
+ * Trace's own arrays, so encoding appends them and decoding copies
+ * them in, sized once from the header and allocated to their exact
+ * sizes; a decoded trace equals the encoded one bit for bit.
+ * Container-level headers, versioning and checksums are the artifact
+ * store's job (store/artifact_store.hh); this codec is payload-only.
  */
 
 #ifndef POLYFLOW_ISA_TRACE_IO_HH
@@ -41,10 +32,13 @@ void encodeTrace(const Trace &trace, std::string &out);
  * trace is bound to @p prog (which must be the program the trace was
  * recorded from — the artifact store guarantees this by keying
  * entries on the program content hash). Returns false, leaving
- * @p out untouched, on any structural problem: short or oversized
- * payload, a record whose static-instruction index is out of range
- * for @p prog, one naming a producer that is not older than it, or
- * one that is not a load naming a memory producer.
+ * @p out untouched, on any structural problem: a payload length
+ * that does not match the header's counts, a record whose
+ * static-instruction index is out of range for @p prog, one naming a
+ * producer that is not older than it, one that is not a load naming
+ * a memory producer, or a side table that is not exactly the slots
+ * the records name in order, each with an effective address or a
+ * memory producer.
  */
 bool decodeTrace(std::string_view payload, const LinkedProgram &prog,
                  Trace &out);

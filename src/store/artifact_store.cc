@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "isa/trace_io.hh"
 #include "spawn/spawn_io.hh"
@@ -62,6 +61,23 @@ readFile(const fs::path &path, std::string &out)
     }
     ::close(fd);
     return ok;
+}
+
+/** @p head then @p body into a new file at @p path; false on any
+ *  I/O error or short write, and on a failed close. */
+bool
+writeFile(const fs::path &path, std::string_view head,
+          std::string_view body)
+{
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0)
+        return false;
+    bool ok = true;
+    for (std::string_view part : {head, body})
+        ok = ok && ::write(fd, part.data(), part.size()) ==
+            static_cast<ssize_t>(part.size());
+    return ::close(fd) == 0 && ok;
 }
 
 /** The payload of container @p file, in place, once the magic,
@@ -186,25 +202,16 @@ ArtifactStore::savePayload(ArtifactKind kind, const std::string &key,
 
     std::error_code ec;
     fs::create_directories(_root, ec);
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out ||
-            !out.write(head.data(),
-                       static_cast<std::streamsize>(head.size())) ||
-            !out.write(payload.data(),
-                       static_cast<std::streamsize>(payload.size()))) {
-            ++_saveFailures;
-            fs::remove(tmp, ec);
-            return false;
-        }
+    bool ok = writeFile(tmp, head, payload);
+    if (ok) {
+        fs::rename(tmp, dest, ec);
+        ok = !ec;
     }
-    fs::rename(tmp, dest, ec);
-    if (ec) {
+    if (!ok) {
         ++_saveFailures;
         fs::remove(tmp, ec);
-        return false;
     }
-    return true;
+    return ok;
 }
 
 std::optional<Trace>

@@ -18,7 +18,7 @@
  * code. Use a fresh directory per build (perfbench does, per run).
  * With PF_CACHE_DIR unset, empty or "off" nothing touches disk.
  *
- * Container layout (little-endian, formatVersion 2):
+ * Container layout (little-endian, formatVersion 3):
  *
  *     magic "PFARTFCT" | u32 formatVersion | u32 kind
  *     u64 keyHash (FNV-1a) | u64 payloadBytes
@@ -33,9 +33,9 @@
  * wrong result; the checksum catches every single-byte change. Saves
  * are atomic (unique temp file + rename), so concurrent writers of
  * the same key race benignly: readers see either nothing or one
- * complete entry. Every save is best-effort (I/O failures are
- * swallowed and counted), and deleting the directory is always
- * safe.
+ * complete entry. Every save is best-effort: a failed or short write
+ * or close, or a failed rename, removes the temp file and is
+ * counted, not raised. Deleting the directory is always safe.
  */
 
 #ifndef POLYFLOW_STORE_ARTIFACT_STORE_HH
@@ -56,8 +56,9 @@
 
 namespace polyflow::store {
 
-/** Bumped whenever any container or payload layout changes. */
-constexpr std::uint32_t formatVersion = 2;
+/** Bumped whenever any container or payload layout changes (3:
+ *  trace payloads became the Trace's own arrays). */
+constexpr std::uint32_t formatVersion = 3;
 
 /** What a store entry holds. */
 enum class ArtifactKind : std::uint32_t {

@@ -2,7 +2,8 @@
  * @file
  * Tests for the persistent artifact store: exact round-trips of
  * every artifact kind, rejection (as a miss, never a crash) of
- * corrupt / truncated / version-skewed containers, rebuild fallback
+ * corrupt / truncated / version-skewed containers and of malformed
+ * trace payloads, a failed save's cleanup, rebuild fallback
  * through SweepCache, concurrent same-key writers, cold-vs-warm
  * equality of whole pipeline outputs, and which callers the
  * environment opts into a store.
@@ -10,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -134,15 +138,15 @@ TEST(TraceCodec, RoundTripsExactly)
 
 TEST(TraceCodec, PayloadBytesArePinned)
 {
-    // The on-disk record layout is fixed: a change here orphans every
+    // The on-disk layout is fixed: a change here orphans every
     // existing store. perlbmk at scale 0.02 has loads with memory
     // producers, stores, taken branches, returns and indirect jumps.
     Workload w = buildWorkload("perlbmk", 0.02);
     std::string payload;
     encodeTrace(traceOf(w), payload);
     EXPECT_EQ(store::sha256Hex(payload),
-              "fb9f683ca49f5756a9e5c8c6897fee3c"
-              "be21fc7d480f9dfd339129d1e074f471");
+              "2b31f93330089299eca5fa63f785b059"
+              "75c358fc9caf98f4dac4bbb581805f12");
 }
 
 TEST(TraceCodec, RejectsTruncatedAndTrailingPayloads)
@@ -227,6 +231,114 @@ TEST(TraceCodec, DecodedSideTableIsExactSized)
     EXPECT_EQ(back.sideSize(), t.sideSize());
     EXPECT_EQ(back.sideCapacity(), back.sideSize());
     EXPECT_EQ(back.instrs.capacity(), back.size());
+}
+
+/** The first @p n records of @p full, so every producer stays
+ *  inside them. */
+Trace
+prefixOf(const Trace &full, TraceIdx n)
+{
+    Trace t;
+    t.prog = full.prog;
+    for (TraceIdx i = 0; i < n; ++i) {
+        const DynInstr &d = full.instrs[i];
+        t.append(d.img(), d.taken(), d.prod[0], d.prod[1],
+                 full.effAddr(d), full.memProd(d));
+    }
+    return t;
+}
+
+/** @name Byte offsets into a trace payload (isa/trace_io.hh) @{ */
+size_t sideAt(TraceIdx i) { return 16 + 16 * size_t(i) + 12; }
+size_t
+effAddrAt(const Trace &t, size_t slot)
+{
+    return 16 + 16 * t.size() + 8 * slot;
+}
+size_t
+memProdAt(const Trace &t, size_t slot)
+{
+    return 16 + 16 * t.size() + 8 * t.sideSize() + 4 * slot;
+}
+/** @} */
+
+/** Records of @p t with a side slot, in order. */
+std::vector<TraceIdx>
+sideRecords(const Trace &t)
+{
+    std::vector<TraceIdx> out;
+    for (TraceIdx i = 0; i < t.size(); ++i) {
+        if (t.instrs[i].side != DynInstr::noSide)
+            out.push_back(i);
+    }
+    return out;
+}
+
+TEST(TraceCodec, RejectsAnOverClaimingHeader)
+{
+    Workload w = smallWorkload();
+    const Trace t = prefixOf(traceOf(w), 64);
+    std::string payload;
+    encodeTrace(t, payload);
+    Trace back;
+    ASSERT_TRUE(decodeTrace(payload, w.prog, back));
+    // Counts whose byte sizes wrap around to the true ones: 2^60
+    // more records, or 2^62 more slots, claim 0 more bytes mod 2^64.
+    for (auto [at, extra] : {std::pair{0, std::uint64_t(1) << 60},
+                             std::pair{8, std::uint64_t(1) << 62}}) {
+        std::string evil = payload;
+        store::storeLE<std::uint64_t>(
+            evil.data() + at,
+            store::loadLE<std::uint64_t>(evil.data() + at) + extra);
+        EXPECT_FALSE(decodeTrace(evil, w.prog, back)) << at;
+    }
+}
+
+TEST(TraceCodec, RejectsASideSlotOutOfOrder)
+{
+    Workload w = smallWorkload();
+    const Trace t = prefixOf(traceOf(w), 64);
+    // Two records without a memory producer swap their slots.
+    std::vector<TraceIdx> pick;
+    for (TraceIdx i : sideRecords(t)) {
+        if (t.memProd(t.instrs[i]) == invalidTrace && pick.size() < 2)
+            pick.push_back(i);
+    }
+    ASSERT_EQ(pick.size(), 2u);
+    std::string payload;
+    encodeTrace(t, payload);
+    store::storeLE(payload.data() + sideAt(pick[0]),
+                   t.instrs[pick[1]].side);
+    store::storeLE(payload.data() + sideAt(pick[1]),
+                   t.instrs[pick[0]].side);
+    Trace back;
+    EXPECT_FALSE(decodeTrace(payload, w.prog, back));
+}
+
+TEST(TraceCodec, RejectsASideSlotNoRecordNames)
+{
+    Workload w = smallWorkload();
+    const Trace t = prefixOf(traceOf(w), 64);
+    // The last record with a slot gives it up.
+    const TraceIdx last = sideRecords(t).back();
+    std::string payload;
+    encodeTrace(t, payload);
+    store::storeLE(payload.data() + sideAt(last), DynInstr::noSide);
+    Trace back;
+    EXPECT_FALSE(decodeTrace(payload, w.prog, back));
+}
+
+TEST(TraceCodec, RejectsASideSlotWithNeitherField)
+{
+    Workload w = smallWorkload();
+    const Trace t = prefixOf(traceOf(w), 64);
+    ASSERT_GT(t.sideSize(), 0u);
+    std::string payload;
+    encodeTrace(t, payload);
+    store::storeLE(payload.data() + effAddrAt(t, 0), invalidAddr);
+    store::storeLE(payload.data() + memProdAt(t, 0), invalidTrace);
+    Trace back;
+    EXPECT_FALSE(decodeTrace(payload, w.prog, back));
 }
 
 TEST(SpawnCodec, RoundTripsExactly)
@@ -366,14 +478,7 @@ TEST_F(StoreTest, EveryByteFlipIsAMiss)
     // A small entry: the first records of a real trace, so every
     // producer stays inside it.
     Workload w = smallWorkload();
-    const Trace full = traceOf(w);
-    Trace t;
-    t.prog = &w.prog;
-    for (TraceIdx i = 0; i < 16; ++i) {
-        const DynInstr &d = full.instrs[i];
-        t.append(d.img(), d.taken(), d.prod[0], d.prod[1],
-                 full.effAddr(d), full.memProd(d));
-    }
+    const Trace t = prefixOf(traceOf(w), 16);
     ArtifactStore store(_root);
     ASSERT_TRUE(store.saveTrace("twolf", 0.02, w.prog, t));
     const fs::path file = store.entries().at(0).path;
@@ -409,21 +514,65 @@ TEST_F(StoreTest, VersionOneEntryIsAMiss)
     const std::string pristine = readBytes(file);
 
     // The same key and payload under a version 1 header, whose
-    // checksum was FNV-1a over the payload.
+    // checksum was FNV-1a over the payload, and under a version 2
+    // header, whose checksum was the word hash.
     constexpr size_t headerBytes = 42;
     const size_t keyLen =
         store::loadLE<std::uint16_t>(pristine.data() + 40);
     const std::string key = pristine.substr(headerBytes, keyLen);
     const std::string payload = pristine.substr(headerBytes + keyLen);
-    std::string v1 = pristine.substr(0, headerBytes);
-    store::storeLE<std::uint32_t>(v1.data() + 8, 1);
-    store::storeLE<std::uint64_t>(v1.data() + 32,
-                                  store::fnv1a(payload));
-    writeBytes(file, v1 + key + payload);
-    EXPECT_FALSE(store.loadTrace("twolf", 0.02, w.prog));
+    for (auto [version, checksum] :
+         {std::pair{1u, store::fnv1a(payload)},
+          std::pair{2u, store::wordHash(payload)}}) {
+        std::string old = pristine.substr(0, headerBytes);
+        store::storeLE<std::uint32_t>(old.data() + 8, version);
+        store::storeLE<std::uint64_t>(old.data() + 32, checksum);
+        writeBytes(file, old + key + payload);
+        EXPECT_FALSE(store.loadTrace("twolf", 0.02, w.prog)) << version;
+    }
 
     writeBytes(file, pristine);
     EXPECT_TRUE(store.loadTrace("twolf", 0.02, w.prog));
+}
+
+/** A death-test suite, which gtest runs before the suites that start
+ *  threads. */
+using StoreDeathTest = StoreTest;
+
+TEST_F(StoreDeathTest, AShortFinalWriteFailsTheSave)
+{
+    // A hint table is small: a buffered stream would write all of it
+    // at close, where a failed flush goes unreported.
+    Workload w = smallWorkload();
+    SpawnAnalysis sa(*w.module, w.prog);
+    const SpawnPolicy pol = SpawnPolicy::postdoms();
+    const HintTable ht(sa, pol);
+    const auto save = [&](ArtifactStore &store) {
+        return store.saveHintPoints("twolf", 0.02, w.prog, pol.kindMask,
+                                    ht.points());
+    };
+    rlim_t entryBytes = 0;
+    {
+        ArtifactStore store(_root);
+        ASSERT_TRUE(save(store));
+        entryBytes = store.entries().at(0).fileBytes;
+    }
+    fs::remove_all(_root);
+
+    // In the child only: files end one byte short of the entry, and
+    // a write past the limit fails instead of raising SIGXFSZ.
+    const auto child = [&] {
+        const rlimit limit{entryBytes - 1, entryBytes - 1};
+        if (::signal(SIGXFSZ, SIG_IGN) == SIG_ERR ||
+            ::setrlimit(RLIMIT_FSIZE, &limit) != 0)
+            return 2;
+        ArtifactStore store(_root);
+        const bool saved = save(store);
+        return !saved && store.saveFailures() == 1 && fs::is_empty(_root)
+            ? 0
+            : 1;
+    };
+    EXPECT_EXIT(std::exit(child()), ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(StoreTest, SweepCacheRebuildsOverACorruptStore)
