@@ -8,8 +8,6 @@ namespace {
 
 /** Max branch instances observed simultaneously. */
 constexpr int maxActive = 8;
-/** Block-start PCs collected per instance. */
-constexpr int suffixLength = 24;
 /** Retired instructions an instance may span before abort. */
 constexpr int windowInstrs = 512;
 /** Candidate slots per static branch. */
@@ -35,15 +33,12 @@ ReconPredictor::observeCommit(Addr pc, bool isCondBranch, bool taken,
     for (size_t i = 0; i < _active.size();) {
         ActiveInstance &inst = _active[i];
         bool recurrence = isCondBranch && pc == inst.branchPc;
-        if (!recurrence && blockStart &&
-            static_cast<int>(inst.collected.size()) < suffixLength) {
-            inst.collected.push_back(pc);
-        }
+        if (!recurrence && blockStart && inst.count < suffixLength)
+            inst.collected[inst.count++] = pc;
         --inst.instrsLeft;
-        bool full =
-            static_cast<int>(inst.collected.size()) >= suffixLength;
+        bool full = inst.count >= suffixLength;
         if (recurrence || full || inst.instrsLeft <= 0) {
-            if (!inst.collected.empty()) {
+            if (inst.count > 0) {
                 finishInstance(inst);
                 ++_instancesCompleted;
             } else {
@@ -61,7 +56,7 @@ ReconPredictor::observeCommit(Addr pc, bool isCondBranch, bool taken,
             // Hardware table full: retire the oldest observation
             // with whatever suffix it has collected so far (dense
             // branch streams would otherwise never finish one).
-            if (!_active.front().collected.empty()) {
+            if (_active.front().count > 0) {
                 finishInstance(_active.front());
                 ++_instancesCompleted;
             } else {
@@ -69,11 +64,7 @@ ReconPredictor::observeCommit(Addr pc, bool isCondBranch, bool taken,
             }
             _active.erase(_active.begin());
         }
-        ActiveInstance inst;
-        inst.branchPc = pc;
-        inst.taken = taken;
-        inst.instrsLeft = windowInstrs;
-        _active.push_back(std::move(inst));
+        _active.push_back({pc, taken, windowInstrs});
     }
 }
 
@@ -82,7 +73,8 @@ ReconPredictor::finishInstance(const ActiveInstance &inst)
 {
     Entry &e = _entries[inst.branchPc];
     int dir = inst.taken ? 1 : 0;
-    e.suffix[dir] = inst.collected;
+    e.suffix[dir].assign(inst.collected.begin(),
+                         inst.collected.begin() + inst.count);
     e.haveSuffix[dir] = true;
 
     if (!e.haveSuffix[0] || !e.haveSuffix[1])

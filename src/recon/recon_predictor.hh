@@ -21,6 +21,7 @@
 #ifndef POLYFLOW_RECON_RECON_PREDICTOR_HH
 #define POLYFLOW_RECON_RECON_PREDICTOR_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -69,6 +70,9 @@ class ReconPredictor
     /** @} */
 
   private:
+    /** Block-start PCs collected per instance. */
+    static constexpr int suffixLength = 24;
+
     struct Candidate
     {
         Addr pc = invalidAddr;
@@ -83,12 +87,15 @@ class ReconPredictor
         bool haveSuffix[2] = {false, false};
     };
 
+    /** One branch instance under observation. Its suffix is a fixed
+     *  array, so opening an instance allocates nothing. */
     struct ActiveInstance
     {
         Addr branchPc;
         bool taken;
-        std::vector<Addr> collected;
         int instrsLeft;
+        int count = 0;  //!< collected[0 .. count) are filled
+        std::array<Addr, suffixLength> collected{};
     };
 
     void finishInstance(const ActiveInstance &inst);

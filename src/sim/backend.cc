@@ -30,11 +30,11 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
     s.stage = InstrStage::Issued;
     if (op.cls == OpClass::Load) {
         int lat = m.hier.accessData(m.trace->effAddr(d));
-        s.completeCycle = static_cast<std::uint32_t>(
+        s.cycle = static_cast<std::uint32_t>(
             m.now + m.cfg.loadLatency + (lat - 1));
     } else if (op.cls == OpClass::Store) {
         m.hier.accessData(m.trace->effAddr(d));
-        s.completeCycle = static_cast<std::uint32_t>(m.now + 1);
+        s.cycle = static_cast<std::uint32_t>(m.now + 1);
         // A store executing after dependent cross-task loads
         // have already issued is a dependence violation.
         if (m.index) {
@@ -46,8 +46,7 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
             }
         }
     } else {
-        s.completeCycle =
-            static_cast<std::uint32_t>(m.now + op.latency);
+        s.cycle = static_cast<std::uint32_t>(m.now + op.latency);
     }
     m.onIssued(i);
     if (r.inFlightStore != invalidTrace)

@@ -1,13 +1,17 @@
 #include "sim/cache.hh"
 
+#include <bit>
 #include <stdexcept>
 
 namespace polyflow {
 
 Cache::Cache(const CacheConfig &config) : _cfg(config)
 {
-    if (_cfg.lineBytes <= 0 || _cfg.assoc <= 0 || _cfg.sizeBytes <= 0)
+    if (_cfg.lineBytes <= 0 || _cfg.assoc <= 0 || _cfg.sizeBytes <= 0 ||
+        std::popcount(unsigned(_cfg.lineBytes)) != 1) {
         throw std::runtime_error("bad cache config");
+    }
+    _lineShift = std::countr_zero(unsigned(_cfg.lineBytes));
     _numSets = _cfg.sizeBytes / (_cfg.lineBytes * _cfg.assoc);
     if (_numSets <= 0 ||
         (_numSets & (_numSets - 1)) != 0) {
@@ -20,29 +24,23 @@ bool
 Cache::access(Addr addr)
 {
     ++_clock;
-    Addr line = addr / _cfg.lineBytes;
+    Addr line = addr >> _lineShift;
     int set = int(line & Addr(_numSets - 1));
     Way *base = &_ways[size_t(set) * _cfg.assoc];
 
     for (int w = 0; w < _cfg.assoc; ++w) {
         Way &way = base[w];
-        if (way.valid && way.tag == line) {
+        if (way.tag == line) {
             way.lastUse = _clock;
             return true;
         }
     }
-    // Miss: fill an invalid way if any, else the true-LRU way.
+    // Miss: fill the first empty way if any, else the true-LRU way.
     Way *lru = base;
-    for (int w = 0; w < _cfg.assoc; ++w) {
-        Way &way = base[w];
-        if (!way.valid) {
-            lru = &way;
-            break;
-        }
-        if (way.lastUse < lru->lastUse)
-            lru = &way;
+    for (int w = 1; w < _cfg.assoc; ++w) {
+        if (base[w].lastUse < lru->lastUse)
+            lru = &base[w];
     }
-    lru->valid = true;
     lru->tag = line;
     lru->lastUse = _clock;
     ++_misses;

@@ -31,14 +31,17 @@ class Cache
     const CacheConfig &config() const { return _cfg; }
 
   private:
+    /** An empty way has tag ~0, which no line number reaches, and
+     *  lastUse 0, below every filled way's. */
     struct Way
     {
-        Addr tag = 0;
-        bool valid = false;
+        Addr tag = ~Addr(0);
         std::uint64_t lastUse = 0;
     };
+    static_assert(sizeof(Way) == 16);
 
     CacheConfig _cfg;
+    int _lineShift;  //!< log2 of lineBytes
     int _numSets;
     std::vector<Way> _ways;  // numSets * assoc
     std::uint64_t _clock = 0;

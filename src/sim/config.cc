@@ -1,5 +1,6 @@
 #include "sim/config.hh"
 
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -71,6 +72,10 @@ MachineConfig::validate() const
             reject(std::string(name) +
                    ": sizeBytes, assoc and lineBytes must be "
                    "positive");
+        }
+        if (std::popcount(unsigned(c->lineBytes)) != 1) {
+            reject(std::string(name) + ".lineBytes must be a power of "
+                   "two, got " + std::to_string(c->lineBytes));
         }
         const long long sets =
             c->sizeBytes / (static_cast<long long>(c->lineBytes) *

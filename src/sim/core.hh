@@ -4,18 +4,19 @@
  *
  * The machine (Figure 7 of the paper) is an SMT core running up to
  * numTasks tasks carved out of one sequential stream. The Task Spawn
- * Unit resolves a hint to the next occurrence of its target PC
- * anywhere in the trace (TraceIndex::nextOccurrence). That may lie
- * in a deeper recursive frame, or after the trigger's frame has
- * returned, so a task need not be control-equivalent to its parent
- * (ROADMAP.md item 1, "Make spawn resolution control-equivalent").
- * The model is execution-driven in two phases: the
- * functional golden model produces the committed dynamic trace
- * (isa/functional_sim.hh), and this engine replays it cycle by
- * cycle with real predictors, caches and resource contention.
- * Wrong-path fetch is modelled as a per-task fetch stall from the
- * mispredicted fetch until branch resolution (see DESIGN.md for why
- * this preserves the paper's first-order effects).
+ * Unit resolves a hint to the next occurrence of its target, a block
+ * start or a call's return address, anywhere later in the trace
+ * (TraceIndex::nextOccurrence). That may lie in a deeper recursive
+ * frame, or after the trigger's frame has returned, so a task need
+ * not be control-equivalent to its parent (ROADMAP.md item 1, "Make
+ * spawn resolution control-equivalent"). The model is
+ * execution-driven in two phases: the functional golden model
+ * produces the committed dynamic trace (isa/functional_sim.hh), and
+ * this engine replays it cycle by cycle with real predictors, caches
+ * and resource contention. Wrong-path fetch is modelled as a
+ * per-task fetch stall from the mispredicted fetch until branch
+ * resolution (see DESIGN.md for why this preserves the paper's
+ * first-order effects).
  *
  * runTiming() runs one machine from start to finish;
  * TimingSim::runBatch() runs several, one after another. Both go

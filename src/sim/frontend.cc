@@ -109,11 +109,9 @@ fetch(MachineState &m)
             // The mispredicted branch resolved this cycle (the walk
             // visits every task every cycle). Fetch resumes after
             // the mispredict penalty, charged to that stall.
-            const InstrState &s = m.istate[b];
-            t.fetchReady = std::max(
-                {t.fetchReady,
-                 std::uint64_t(s.fetchCycle) + minMispredictPenalty,
-                 std::uint64_t(s.completeCycle) + 1});
+            t.fetchReady =
+                std::max({t.fetchReady, t.redirectFloor,
+                          std::uint64_t(m.istate[b].cycle) + 1});
             t.blockedOnBranch = invalidTrace;
             t.lastFetchStall = FetchStall::Mispredict;
             t.curFetchLine = invalidAddr;  // redirected fetch
@@ -163,9 +161,8 @@ fetch(MachineState &m)
                 }
             }
 
-            m.istate[i].stage = InstrStage::Fetched;
-            m.istate[i].fetchCycle =
-                static_cast<std::uint32_t>(m.now);
+            m.istate[i] = {InstrStage::Fetched,
+                           static_cast<std::uint32_t>(m.now)};
             ++t.fetchIdx;
             --totalBudget;
 
@@ -216,6 +213,7 @@ fetch(MachineState &m)
 
             if (mispredict) {
                 t.blockedOnBranch = i;
+                t.redirectFloor = m.now + minMispredictPenalty;
                 // Wrong-path fetch past this branch would have
                 // spawned bogus tasks; hold a context hostage until
                 // the branch resolves (squash of the ghost task).

@@ -53,7 +53,7 @@ decodeFetch(const LinkedInstr &li, const MachineConfig &cfg,
 {
     FetchOp f;
     f.pc = li.addr;
-    f.line = li.addr / Addr(cfg.l1i.lineBytes);
+    f.line = li.addr >> std::countr_zero(unsigned(cfg.l1i.lineBytes));
     f.cls = li.instr.cls();
     if (!source)
         return f;
@@ -168,7 +168,7 @@ MachineState::wakeRenamed(TraceIdx p)
 void
 MachineState::wakeIssued(TraceIdx p)
 {
-    const bool resultReady = istate[p].completeCycle <= now;
+    const bool resultReady = istate[p].cycle <= now;
     for (Slot n = std::exchange(waiterHead[p], noSlot); n != noSlot;) {
         const Slot next = waiterNext[n];
         if (blockerOf(n).until != Await::Result || resultReady)
@@ -201,7 +201,7 @@ MachineState::drainWheel()
         }
         for (Slot n = parked; n != noSlot;) {
             const Slot next = waiterNext[n];
-            if (istate[blockerOf(n).producer].completeCycle <= now) {
+            if (istate[blockerOf(n).producer].cycle <= now) {
                 wake(n);
             } else {
                 waiterNext[n] = head;

@@ -59,15 +59,16 @@ enum class InstrStage : std::uint8_t {
 };
 
 /** Per-instruction pipeline bookkeeping, indexed by trace position.
+ *  cycle is the fetch cycle while the instruction is Fetched and its
+ *  completion cycle once it has Issued; only one is live at a time.
  *  Cycles are 32-bit: the MachineState constructor rejects a trace
  *  whose cycle limit (plus the longest latency) does not fit. */
 struct InstrState
 {
     InstrStage stage = InstrStage::None;
-    std::uint32_t fetchCycle = 0;
-    std::uint32_t completeCycle = 0;
+    std::uint32_t cycle = 0;
 };
-static_assert(sizeof(InstrState) == 12);
+static_assert(sizeof(InstrState) == 8);
 
 /** Why a task's fetch last stalled; refines the cycle-accounting
  *  blame while the stall (and the frontend refill behind it)
@@ -92,6 +93,8 @@ struct Task
     std::uint64_t fetchReady = 0;
     FetchStall lastFetchStall = FetchStall::None;
     TraceIdx blockedOnBranch = invalidTrace;
+    /** blockedOnBranch's fetch cycle + minMispredictPenalty. */
+    std::uint64_t redirectFloor = 0;
     std::uint32_t ghr = 0;
     ReturnAddressStack ras;
     Addr curFetchLine = invalidAddr;
@@ -340,7 +343,7 @@ enum class SpawnAt : std::uint8_t {
 struct FetchOp
 {
     Addr pc = invalidAddr;
-    /** L1 instruction-cache line number: pc / l1i.lineBytes. */
+    /** L1 instruction-cache line number: pc >> log2(l1i.lineBytes). */
     Addr line = invalidAddr;
     /** The spawn hint when spawn is Fixed. */
     SpawnHint hint{invalidAddr, SpawnKind::Other, 0};
@@ -548,7 +551,7 @@ struct MachineState
     bool
     inFrontend(TraceIdx i) const
     {
-        return std::uint64_t(istate[i].fetchCycle) + frontendDepth > now;
+        return std::uint64_t(istate[i].cycle) + frontendDepth > now;
     }
 
     /** The queue @p r sends its instruction to has room: the divert
@@ -615,7 +618,7 @@ struct MachineState
         const InstrState &s = istate[p];
         return s.stage == InstrStage::Committed ||
             (s.stage == InstrStage::Issued &&
-             s.completeCycle <= cycle);
+             s.cycle <= cycle);
     }
 
     const LinkedInstr &
@@ -736,7 +739,7 @@ MachineState::park(Slot node)
     const Blocker b = blockerOf(node);
     const InstrState &s = istate[b.producer];
     Slot &head = b.until == Await::Result && s.stage == InstrStage::Issued
-        ? wheel[s.completeCycle & (wheel.size() - 1)]
+        ? wheel[s.cycle & (wheel.size() - 1)]
         : waiterHead[b.producer];
     waiterNext[node] = head;
     head = node;

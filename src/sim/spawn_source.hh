@@ -23,7 +23,7 @@ namespace polyflow {
 /** A candidate spawn returned by a source at fetch time. */
 struct SpawnHint
 {
-    Addr targetPc;
+    Addr targetPc;  //!< a block start or a call's return address
     SpawnKind kind;
     /** Compiler dependence mask (0 for dynamic sources). */
     std::uint32_t depMask = 0;

@@ -1,55 +1,60 @@
 #include "sim/trace_index.hh"
 
 #include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace polyflow {
 
-namespace {
+constexpr std::uint32_t noKey = ~std::uint32_t(0);  //!< a CSR leaves it out
 
-/**
- * Counting sort of the positions of @p trace into @p keys keys:
- * count, prefix-sum, fill. @p keyOf maps a position to its key, or
- * to invalidTrace to leave it out. Filling in ascending position
- * order keeps each key's list sorted by trace index.
- */
-template <class KeyOf>
-TraceIndex::Csr
-groupByKey(const Trace &trace, std::size_t keys, KeyOf keyOf)
+TraceIndex::TraceIndex(const Trace &trace) : _prog(trace.prog)
 {
+    // Number the spawn targets (see the class comment) densely.
+    const std::vector<LinkedInstr> &image = _prog->image();
+    std::uint32_t targets = 0;
+    _slotOf.resize(image.size());
+    for (size_t k = 0; k < image.size(); ++k) {
+        const bool target = image[k].blockStart ||
+            (k > 0 && image[k - 1].instr.isCall());
+        _slotOf[k] = target ? targets++ : noKey;
+    }
+    _occurrences.offsets.assign(size_t(targets) + 1, 0);
+    _consumers.offsets.assign(trace.sideSize() + 1, 0);
+
+    // Both CSRs in one counting pass and one fill pass. The count of
+    // key k goes to offsets[k]; summed up, offsets[k] is the end of
+    // k's list. Filling from the last position down leaves each list
+    // ascending and moves offsets[k] back to its start.
     const TraceIdx n = static_cast<TraceIdx>(trace.size());
-    TraceIndex::Csr csr;
-    csr.offsets.assign(keys + 1, 0);
+    auto forEachKey = [&](TraceIdx i, auto add) {
+        const DynInstr &d = trace.instrs[i];
+        add(_occurrences, _slotOf[d.img()]);
+        // Only a load has a memory producer, and a store always has
+        // a side slot: its effective address.
+        const TraceIdx store = trace.memProd(d);
+        add(_consumers,
+            store != invalidTrace ? trace.instrs[store].side : noKey);
+    };
     for (TraceIdx i = 0; i < n; ++i) {
-        if (TraceIdx k = keyOf(i); k != invalidTrace)
-            ++csr.offsets[k + 1];
+        forEachKey(i, [](Csr &csr, std::uint32_t k) {
+            if (k != noKey)
+                ++csr.offsets[k];
+        });
     }
-    for (std::size_t k = 0; k < keys; ++k)
-        csr.offsets[k + 1] += csr.offsets[k];
-    csr.items.resize(csr.offsets[keys]);
-    std::vector<std::uint32_t> fill(csr.offsets.begin(),
-                                    csr.offsets.end() - 1);
-    for (TraceIdx i = 0; i < n; ++i) {
-        if (TraceIdx k = keyOf(i); k != invalidTrace)
-            csr.items[fill[k]++] = i;
+    for (Csr *csr : {&_occurrences, &_consumers}) {
+        std::partial_sum(csr->offsets.begin(), csr->offsets.end(),
+                         csr->offsets.begin());
+        csr->items.resize(csr->offsets.back());
     }
-    return csr;
+    for (TraceIdx i = n; i-- > 0;) {
+        forEachKey(i, [i](Csr &csr, std::uint32_t k) {
+            if (k != noKey)
+                csr.items[--csr.offsets[k]] = i;
+        });
+    }
 }
-
-} // namespace
-
-TraceIndex::TraceIndex(const Trace &trace)
-    : _prog(trace.prog),
-      _occurrences(groupByKey(
-          trace, _prog ? _prog->size() : 0,
-          [&](TraceIdx i) { return TraceIdx(trace.instrs[i].img()); })),
-      _consumers(groupByKey(trace, trace.sideSize(), [&](TraceIdx i) {
-          // Only a load has a memory producer, and a store always has
-          // a side slot: its effective address.
-          const TraceIdx store = trace.memProd(trace.instrs[i]);
-          return store != invalidTrace ? trace.instrs[store].side
-                                       : invalidTrace;
-      }))
-{}
 
 TraceIdx
 TraceIndex::nextOccurrence(Addr pc, TraceIdx after) const
@@ -57,7 +62,12 @@ TraceIndex::nextOccurrence(Addr pc, TraceIdx after) const
     const ImageIdx img = _prog->findIdx(pc);
     if (img == maxImageSize)
         return invalidTrace;
-    const Span occ = _occurrences.of(img);
+    if (_slotOf[img] == noKey) {
+        throw std::invalid_argument(
+            "TraceIndex: address " + std::to_string(pc) +
+            " is neither a block start nor a call's return address");
+    }
+    const Span occ = _occurrences.of(_slotOf[img]);
     const TraceIdx *pos = std::upper_bound(occ.begin(), occ.end(), after);
     return pos == occ.end() ? invalidTrace : *pos;
 }

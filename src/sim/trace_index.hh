@@ -21,11 +21,11 @@ namespace polyflow {
  * Read-only indexes over one committed trace, each a flat CSR of
  * trace positions grouped by a key:
  *
- *  - the occurrences of each static instruction (keyed by image
- *    index), which the Task Spawn Unit queries to locate the next
- *    dynamic occurrence of a spawn target (the paper's spawn unit
- *    "uses a trace to ensure that tasks are not spawned too far
- *    into the future"), and
+ *  - the occurrences of each spawn target, a block start or a call's
+ *    return address (keyed by target slot), which the Task Spawn
+ *    Unit queries to locate the next dynamic occurrence of a spawn
+ *    target (the paper's spawn unit "uses a trace to ensure that
+ *    tasks are not spawned too far into the future"), and
  *  - the loads that name each store as memory producer (keyed by
  *    the store's side-table slot, DynInstr::side, so the offsets
  *    scale with the side table rather than the trace).
@@ -41,6 +41,8 @@ class TraceIndex
     /**
      * First trace index strictly after @p after whose PC is @p pc,
      * or invalidTrace (also for a PC outside the program).
+     * @throws std::invalid_argument naming @p pc if it is in the
+     *         program but is no spawn target
      */
     TraceIdx nextOccurrence(Addr pc, TraceIdx after) const;
 
@@ -77,7 +79,8 @@ class TraceIndex
 
   private:
     const LinkedProgram *_prog;
-    Csr _occurrences;  //!< image index -> its trace positions
+    std::vector<std::uint32_t> _slotOf;  //!< image -> target slot, or ~0
+    Csr _occurrences;  //!< target slot -> its trace positions
     Csr _consumers;    //!< store's side slot -> its consumer loads
 };
 

@@ -172,8 +172,7 @@ queueInvariantViolation(const sim::MachineState &m)
             const sim::InstrState &s = m.istate[b.producer];
             if (b.until != sim::Await::Result ||
                 s.stage != InstrStage::Issued ||
-                (s.completeCycle & mask) != k ||
-                s.completeCycle <= m.wheelDrained)
+                (s.cycle & mask) != k || s.cycle <= m.wheelDrained)
                 return "node " + std::to_string(n) +
                     " is in the wrong wheel bucket";
             return std::string();
@@ -244,8 +243,7 @@ fetchWindowViolation(const sim::MachineState &m)
     for (const sim::Task &t : m.tasks) {
         for (TraceIdx i = t.fetchIdx; i < t.end; ++i) {
             const sim::InstrState &s = m.istate[i];
-            if (s.stage != sim::InstrStage::None || s.fetchCycle != 0 ||
-                s.completeCycle != 0)
+            if (s.stage != sim::InstrStage::None || s.cycle != 0)
                 return "position " + std::to_string(i) +
                     " past its task's fetch index was touched";
         }

@@ -3,13 +3,18 @@
  * Unit tests for the machine-side predictors and memories: gshare,
  * indirect target prediction, the return address stack, the cache
  * hierarchy, the store-set and register dependence predictors, and
- * the trace index's next-occurrence lookup.
+ * the trace index, which is checked against full scans of every
+ * workload's trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ir/builder.hh"
 #include "isa/functional_sim.hh"
+#include "polyflow.hh"
 #include "sim/branch_pred.hh"
 #include "sim/cache.hh"
 #include "sim/dep_predictors.hh"
@@ -192,6 +197,118 @@ TEST(TraceIndex, NextOccurrence)
     const Addr haltPc = r.trace.staticOf(last).addr;
     EXPECT_EQ(idx.nextOccurrence(haltPc, last - 1), last);
     EXPECT_EQ(idx.nextOccurrence(haltPc, last), invalidTrace);
+}
+
+/** The scale the index checks run every workload at. */
+constexpr double kIndexScale = 0.1;
+
+/** Is image @p k a spawn target: a block start or a call's return
+ *  address? */
+bool
+isTarget(const LinkedProgram &p, size_t k)
+{
+    return p.image()[k].blockStart ||
+        (k > 0 && p.image()[k - 1].instr.isCall());
+}
+
+TEST(TraceIndex, OccurrencesMatchAFullScan)
+{
+    constexpr TraceIdx stride = 97;
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        const Session s = Session::open(name, kIndexScale);
+        const Trace &tr = s.trace();
+        const LinkedProgram &p = s.program();
+        const TraceIndex idx(tr);
+        const TraceIdx n = TraceIdx(tr.size());
+
+        // Walking down the trace, next[k] is the first position of
+        // image k past the current one.
+        std::vector<TraceIdx> next(p.size(), invalidTrace);
+        size_t checked = 0;
+        for (TraceIdx i = n; i-- > 0;) {
+            if (i % stride == 0) {
+                for (size_t k = 0; k < p.size(); ++k) {
+                    if (!isTarget(p, k))
+                        continue;
+                    ASSERT_EQ(idx.nextOccurrence(p.image()[k].addr, i),
+                              next[k])
+                        << "image " << k << " after " << i;
+                    ++checked;
+                }
+            }
+            next[tr.instrs[i].img()] = i;
+        }
+        EXPECT_GT(checked, 0u);
+
+        // Each store's consumers are the loads naming it, ascending.
+        std::vector<std::vector<TraceIdx>> consumers(tr.sideSize());
+        for (TraceIdx i = 0; i < n; ++i) {
+            if (const TraceIdx st = tr.memProd(tr.instrs[i]);
+                st != invalidTrace)
+                consumers[tr.instrs[st].side].push_back(i);
+        }
+        for (std::uint32_t side = 0; side < tr.sideSize(); ++side) {
+            const TraceIndex::Span got = idx.consumersOf(side);
+            ASSERT_EQ(std::vector<TraceIdx>(got.begin(), got.end()),
+                      consumers[side])
+                << "side slot " << side;
+        }
+    }
+}
+
+TEST(TraceIndex, EverySourceTargetIsIndexed)
+{
+    // Each source's targets are outside the program (invalidTrace)
+    // or indexed; a target the index left out would throw.
+    size_t learntTargets = 0;
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        const Session s = Session::open(name, kIndexScale);
+        const TraceIndex idx(s.trace());
+        auto expectIndexed = [&](Addr pc, const char *source) {
+            EXPECT_NO_THROW(idx.nextOccurrence(pc, 0))
+                << source << " target " << pc;
+        };
+        for (const SpawnPoint &sp : s.analysis().points())
+            expectIndexed(sp.targetPc, "SpawnAnalysis");
+        DmtSpawnSource dmt;
+        for (const LinkedInstr &li : s.program().image()) {
+            if (const auto hint = dmt.query(li))
+                expectIndexed(hint->targetPc, "DMT");
+        }
+        ReconSpawnSource recon;
+        runTiming(MachineConfig{}, s.trace(), &recon, "rec_pred", &idx);
+        const auto learnt = recon.predictor().confidentPredictions();
+        learntTargets += learnt.size();
+        for (const auto &[branch, target] : learnt)
+            expectIndexed(target, "rec_pred");
+    }
+    EXPECT_GT(learntTargets, 0u);
+}
+
+TEST(TraceIndex, RejectsANonTargetPc)
+{
+    const Session s = Session::open("twolf", kIndexScale);
+    const LinkedProgram &p = s.program();
+    const TraceIndex idx(s.trace());
+    size_t mid = 0;
+    while (mid < p.size() && isTarget(p, mid))
+        ++mid;
+    ASSERT_LT(mid, p.size());
+    const Addr pc = p.image()[mid].addr;
+    try {
+        idx.nextOccurrence(pc, 0);
+        FAIL() << "expected a non-target error";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(std::to_string(pc)),
+                  std::string::npos)
+            << e.what();
+    }
+    // PCs outside the program are no error.
+    EXPECT_EQ(idx.nextOccurrence(0xdead, 0), invalidTrace);
+    EXPECT_EQ(idx.nextOccurrence(p.codeEnd(), 0), invalidTrace);
+    EXPECT_EQ(idx.nextOccurrence(p.image()[0].addr + 1, 0), invalidTrace);
 }
 
 } // namespace

@@ -412,6 +412,9 @@ INSTANTIATE_TEST_SUITE_P(
         // 16 KB / (64 B x 3 ways) = 85 sets.
         BadField{"l1d", [](MachineConfig &c) { c.l1d.assoc = 3; }},
         BadField{"l2", [](MachineConfig &c) { c.l2.lineBytes = 0; }},
+        // Line numbers are taken by shift.
+        BadField{"l1d.lineBytes",
+                 [](MachineConfig &c) { c.l1d.lineBytes = 48; }},
         // A negative latency or delay gives nonsense cycle counts.
         BadField{"intLatency",
                  [](MachineConfig &c) { c.intLatency = -1; }},

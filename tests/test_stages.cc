@@ -187,7 +187,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
     // predictor synchronizes it; its producer has not issued.
     m.depPred.recordRegViolation(tr.instrs[4].img());
     m.istate[4].stage = sim::InstrStage::Fetched;
-    m.istate[4].fetchCycle = 0;
+    m.istate[4].cycle = 0;
     m.tasks[1].fetchIdx = 5;
     m.now = std::uint64_t(frontendDepth);
 
@@ -276,9 +276,7 @@ TEST(Stages, SquashResetsEveryPositionOfTheSquashedTasks)
     m.tasks.push_back(tail);
     auto fetchUpTo = [&](sim::Task &t, TraceIdx upTo) {
         for (TraceIdx i = t.fetchIdx; i < upTo; ++i) {
-            m.istate[i].stage = sim::InstrStage::Issued;
-            m.istate[i].fetchCycle = 3;
-            m.istate[i].completeCycle = 5;
+            m.istate[i] = {sim::InstrStage::Issued, 5};
         }
         t.fetchIdx = upTo;
     };
@@ -535,7 +533,7 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
     m.depPred.recordRegViolation(tr.instrs[2].img());
     auto fetchConsumer = [&] {
         m.istate[2].stage = sim::InstrStage::Fetched;
-        m.istate[2].fetchCycle = std::uint32_t(m.now);
+        m.istate[2].cycle = std::uint32_t(m.now);
         m.tasks[1].fetchIdx = 3;
         m.now += std::uint64_t(frontendDepth);
     };
@@ -671,7 +669,7 @@ TEST(Stages, LoadHeldOnItsStoreWakesAtTheStoresCompleteCycle)
     // store's completion cycle.
     sim::issue(m);
     ASSERT_EQ(m.istate[2].stage, sim::InstrStage::Issued);
-    const std::uint64_t done = m.istate[2].completeCycle;
+    const std::uint64_t done = m.istate[2].cycle;
     ASSERT_GT(done, m.now);
     EXPECT_EQ(m.wheel[done & (m.wheel.size() - 1)], m.divertNode(load));
     EXPECT_EQ(queueInvariantViolation(m), "");
@@ -791,7 +789,7 @@ TEST(Stages, SquashedEntryParkedOnASurvivingProducerIsReParkedOnce)
     m.depPred.recordRegViolation(tr.instrs[1].img());
     auto fetchConsumer = [&] {
         m.istate[1].stage = sim::InstrStage::Fetched;
-        m.istate[1].fetchCycle = std::uint32_t(m.now);
+        m.istate[1].cycle = std::uint32_t(m.now);
         m.tasks[1].fetchIdx = 2;
         m.now += std::uint64_t(frontendDepth);
     };
@@ -941,7 +939,7 @@ TEST(Stages, UnpredictedCrossTaskConsumerIssuesStaleUntilTrained)
         splitTasksAt(m, 1);
         m.tasks[0].fetchIdx = m.tasks[0].dispIdx = 1;
         m.tasks[1].fetchIdx = m.tasks[1].dispIdx = 2;
-        m.istate[0] = {sim::InstrStage::Issued, 0, done};
+        m.istate[0] = {sim::InstrStage::Issued, done};
         m.now = 11;
         seedSched(m, {1});
     };
@@ -987,11 +985,13 @@ TEST(Stages, MispredictedBranchResumesFetchAfterPenaltyAndResolution)
         for (TraceIdx i = 0; i < branch; ++i)
             m.istate[i].stage = sim::InstrStage::Committed;
         m.commitIdx = branch;
-        m.istate[branch] = {sim::InstrStage::Issued, fetched, done};
+        m.istate[branch] = {sim::InstrStage::Issued, done};
         sim::Task &t = m.tasks[0];
         t.fetchIdx = t.dispIdx = next;
         t.robHeld = m.robUsed = 1;
+        // Fetch marks the mispredict and its redirect floor together.
         t.blockedOnBranch = branch;
+        t.redirectFloor = std::uint64_t(fetched) + minMispredictPenalty;
         t.lastFetchStall = sim::FetchStall::ICache;
         // The redirected fetch hits in the I-cache.
         m.hier.accessInstr(tr.staticOf(next).addr);
@@ -1020,7 +1020,7 @@ TEST(Stages, MispredictedBranchResumesFetchAfterPenaltyAndResolution)
             std::max(std::uint64_t(fetched) + minMispredictPenalty,
                      std::uint64_t(done) + 1);
         EXPECT_EQ(fetchedAt, resume) << "branch done at " << done;
-        EXPECT_EQ(m.istate[next].fetchCycle, resume);
+        EXPECT_EQ(m.istate[next].cycle, resume);
         EXPECT_EQ(charged, resume - done) << "branch done at " << done;
         EXPECT_EQ(t.lastFetchStall, sim::FetchStall::Mispredict);
     }
