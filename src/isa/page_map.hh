@@ -1,9 +1,9 @@
 /**
  * @file
  * PageMap: a sparse map from page number to a fixed-size page of
- * values, with a one-entry cache of the last page asked for. ArchState
- * keeps memory in one; the functional simulator keeps the last
- * store to each 8-byte chunk in another.
+ * values, with a two-entry cache of the last two pages asked for.
+ * ArchState keeps memory in one; the functional simulator keeps the
+ * last store to each 8-byte chunk in another.
  */
 
 #ifndef POLYFLOW_ISA_PAGE_MAP_HH
@@ -22,9 +22,11 @@ namespace polyflow {
 /**
  * Pages of @p N values of @p T, keyed by page number and made on
  * first get(). A page never moves or goes away while the map lives,
- * so the cache holds a plain pointer to the last page asked for (or
- * null, if find() found none): an access that stays on one page
- * costs one compare instead of a hash lookup.
+ * so the cache holds plain pointers to the last two pages asked for
+ * (or null, if find() found none), the most recent first: an access
+ * that stays on two pages, such as loads and stores alternating
+ * between the stack and one data page, costs a compare or two
+ * instead of a hash lookup.
  */
 template <class T, std::size_t N>
 class PageMap
@@ -39,8 +41,7 @@ class PageMap
     // longer owns.
     PageMap(PageMap &&other) noexcept
         : _pages(std::move(other._pages)), _fill(other._fill),
-          _lastPn(std::exchange(other._lastPn, noPage)),
-          _last(std::exchange(other._last, nullptr))
+          _cache(std::exchange(other._cache, {}))
     {}
 
     PageMap &
@@ -48,8 +49,7 @@ class PageMap
     {
         _pages = std::move(other._pages);
         _fill = other._fill;
-        _lastPn = std::exchange(other._lastPn, noPage);
-        _last = std::exchange(other._last, nullptr);
+        _cache = std::exchange(other._cache, {});
         return *this;
     }
 
@@ -57,18 +57,18 @@ class PageMap
     Page *
     find(Addr pn)
     {
-        if (pn != _lastPn) {
+        if (!cached(pn)) {
             const auto it = _pages.find(pn);
             remember(pn, it == _pages.end() ? nullptr : it->second.get());
         }
-        return _last;
+        return _cache[0].page;
     }
 
     /** Page @p pn, made (filled) on first use. */
     Page &
     get(Addr pn)
     {
-        if (pn != _lastPn || !_last) {
+        if (!cached(pn) || !_cache[0].page) {
             std::unique_ptr<Page> &page = _pages[pn];
             if (!page) {
                 page = std::make_unique<Page>();
@@ -76,7 +76,7 @@ class PageMap
             }
             remember(pn, page.get());
         }
-        return *_last;
+        return *_cache[0].page;
     }
 
     /** Page @p pn, or nullptr if it was never made; leaves the cache
@@ -101,17 +101,39 @@ class PageMap
      *  divided by a page size above one. */
     static constexpr Addr noPage = ~Addr(0);
 
+    struct Entry
+    {
+        Addr pn = noPage;
+        Page *page = nullptr;
+    };
+
+    /** True if page @p pn is cached; it is then entry 0. */
+    bool
+    cached(Addr pn)
+    {
+        if (pn == _cache[0].pn)
+            return true;
+        if (pn != _cache[1].pn)
+            return false;
+        std::swap(_cache[0], _cache[1]);
+        return true;
+    }
+
+    /** Cache @p page as page @p pn in entry 0, the older entry
+     *  making way unless it is @p pn's. */
     void
     remember(Addr pn, Page *page)
     {
-        _lastPn = pn;
-        _last = page;
+        if (pn != _cache[0].pn) {
+            _cache[1] = _cache[0];
+            _cache[0].pn = pn;
+        }
+        _cache[0].page = page;
     }
 
     std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
     T _fill;
-    Addr _lastPn = noPage;
-    Page *_last = nullptr;
+    std::array<Entry, 2> _cache{};
 };
 
 } // namespace polyflow

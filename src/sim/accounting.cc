@@ -49,7 +49,7 @@ blameBucket(const MachineState &m)
         }
         if (!m.robAllowed(0))
             return SlotBucket::RobFull;
-        const Readiness r = m.readiness(m.trace->instrs[i], t, m.now);
+        const Readiness r = m.readiness(i, t, m.now);
         if (m.roomFor(r)) {
             // Rename can take it now: what stalled it last cycle
             // has cleared. Transient, uncommon.

@@ -17,8 +17,7 @@ bool
 tryIssue(MachineState &m, SchedEntry &e, const Task &t)
 {
     const TraceIdx i = e.idx;
-    const DynInstr &d = m.trace->instrs[i];
-    const Readiness r = m.readiness(d, t, m.now);
+    const Readiness r = m.readiness(i, t, m.now);
     e.waitOn = r.wait;
     if (r.wait != invalidTrace)
         return false;
@@ -26,19 +25,19 @@ tryIssue(MachineState &m, SchedEntry &e, const Task &t)
         m.pendingViolations.push_back({i, invalidTrace});
 
     InstrState &s = m.istate[i];
-    const DecodedOp &op = m.ops[d.img()];
+    const DecodedOp &op = m.ops[m.trace->instrs[i].img()];
     s.stage = InstrStage::Issued;
     if (op.cls == OpClass::Load) {
-        int lat = m.hier.accessData(m.trace->effAddr(d));
+        int lat = m.hier.accessData(m.trace->effAddr(i));
         s.cycle = static_cast<std::uint32_t>(
             m.now + m.cfg.loadLatency + (lat - 1));
     } else if (op.cls == OpClass::Store) {
-        m.hier.accessData(m.trace->effAddr(d));
+        m.hier.accessData(m.trace->effAddr(i));
         s.cycle = static_cast<std::uint32_t>(m.now + 1);
         // A store executing after dependent cross-task loads
         // have already issued is a dependence violation.
         if (m.index) {
-            for (TraceIdx l : m.index->consumersOf(d.side)) {
+            for (TraceIdx l : m.index->consumersOf(m.trace->side(i))) {
                 if (m.istate[l].stage == InstrStage::Issued &&
                     l >= t.end) {
                     m.pendingViolations.push_back({l, i});
@@ -63,7 +62,6 @@ releaseDiverted(MachineState &m)
     m.divert.scan(m.cfg.pipelineWidth, [&](Slot slot) {
         DivertEntry &e = m.divert.slots[slot];
         const TraceIdx i = e.idx;
-        const DynInstr &d = m.trace->instrs[i];
         // The rule runs on every visit: a woken entry, whose last
         // blocker has let go, may meet a newer one, and a let-go
         // entry may meet one after recover() trains the predictors.
@@ -74,7 +72,7 @@ releaseDiverted(MachineState &m)
         // now: an entry that leaves has its first issue check later
         // this cycle.
         const Readiness sync =
-            m.readiness(d, m.tasks[m.taskPosOf(i)], m.now);
+            m.readiness(i, m.tasks[m.taskPosOf(i)], m.now);
         if (sync.blocker) {
             e.heldBy = sync.blocker;
             m.park(m.divertNode(slot));

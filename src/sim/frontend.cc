@@ -169,7 +169,7 @@ fetch(MachineState &m)
             bool mispredict = false;
             auto predictIndirect = [&] {
                 Addr p = m.indirect.predict(f.pc);
-                Addr target = m.trace->effAddr(d);
+                Addr target = m.trace->effAddr(i);
                 m.indirect.update(f.pc, target);
                 if (p != target) {
                     ++m.res.indirectMispredicts;
@@ -196,7 +196,7 @@ fetch(MachineState &m)
                 predictIndirect();
                 break;
               case OpClass::Return:
-                if (t.ras.pop() != m.trace->effAddr(d)) {
+                if (t.ras.pop() != m.trace->effAddr(i)) {
                     ++m.res.returnMispredicts;
                     mispredict = true;
                 }

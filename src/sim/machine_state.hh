@@ -575,36 +575,36 @@ struct MachineState
                 cfg.fetchQueueEntries;
     }
 
-    /** True if the consumer @p d, owned by @p t, synchronizes on
-     *  its register producer @p p of source register @p src instead
-     *  of speculating past it: a same-task producer, a compiler
-     *  dep-mask hint, or a predicted dependence. */
+    /** True if the consumer with static instruction @p img, owned
+     *  by @p t, synchronizes on its register producer @p p of source
+     *  register @p src instead of speculating past it: a same-task
+     *  producer, a compiler dep-mask hint, or a predicted
+     *  dependence. */
     bool
-    regSyncNeeded(TraceIdx p, RegId src, const DynInstr &d,
-                  const Task &t) const
+    regSyncNeeded(TraceIdx p, RegId src, ImageIdx img, const Task &t) const
     {
         return p >= t.begin ||
             (compilerDepHints && ((t.depMask >> src) & 1)) ||
-            depPred.predictsRegDep(d.img());
+            depPred.predictsRegDep(img);
     }
 
-    /** True if the load @p d, owned by @p t, synchronizes on its
-     *  producing store @p store instead of speculating past it: a
-     *  same-task store, or a predicted dependence. */
+    /** True if the load with static instruction @p img, owned by
+     *  @p t, synchronizes on its producing store @p store instead of
+     *  speculating past it: a same-task store, or a predicted
+     *  dependence. */
     bool
-    memSyncNeeded(TraceIdx store, const DynInstr &d, const Task &t) const
+    memSyncNeeded(TraceIdx store, ImageIdx img, const Task &t) const
     {
-        return store >= t.begin || depPred.predictsMemDep(d.img());
+        return store >= t.begin || depPred.predictsMemDep(img);
     }
 
-    /** The synchronization rule for instruction @p d, owned by @p t,
+    /** The synchronization rule for trace position @p i, owned by @p t,
      *  in one pass over its producers not done by now, asked about
      *  its issue at @p cycle (not before now). Rename asks about
      *  now + 1; divert release, issue and the slot accounting ask
      *  about now. */
     [[gnu::always_inline]] Readiness
-    readiness(const DynInstr &d, const Task &t,
-              std::uint64_t cycle) const;
+    readiness(TraceIdx i, const Task &t, std::uint64_t cycle) const;
     /** True while @p b's producer has not yet done what the entry
      *  waits for. A producer's stage only moves forward, so once
      *  this is false it stays false. The one exception is a squash,
@@ -782,7 +782,7 @@ MachineState::holds(const Blocker &b) const
 }
 
 inline Readiness
-MachineState::readiness(const DynInstr &d, const Task &t,
+MachineState::readiness(TraceIdx i, const Task &t,
                         std::uint64_t cycle) const
 {
     // An instruction synchronizes (stays diverted) while a producer
@@ -798,12 +798,13 @@ MachineState::readiness(const DynInstr &d, const Task &t,
     // A producer done by now is done at cycle too and holds
     // nothing, so the rule looks only at the incomplete ones.
     Readiness r;
-    const DecodedOp &op = ops[d.img()];
+    const ImageIdx img = trace->instrs[i].img();
+    const DecodedOp &op = ops[img];
     for (int k = 0; k < op.nsrc; ++k) {
-        const TraceIdx p = d.prod[k];
+        const TraceIdx p = trace->prod(i, k);
         if (p == invalidTrace || doneAt(p, now))
             continue;
-        if (!regSyncNeeded(p, op.src[k], d, t)) {
+        if (!regSyncNeeded(p, op.src[k], img, t)) {
             r.staleRead = true;
             continue;
         }
@@ -824,9 +825,9 @@ MachineState::readiness(const DynInstr &d, const Task &t,
     }
     // A load's store holds it until the data is there.
     if (op.cls == OpClass::Load) {
-        const TraceIdx store = trace->memProd(d);
+        const TraceIdx store = trace->memProd(i);
         if (store != invalidTrace && !doneAt(store, now)) {
-            if (memSyncNeeded(store, d, t)) {
+            if (memSyncNeeded(store, img, t)) {
                 if (r.wait == invalidTrace && !doneAt(store, cycle))
                     r.wait = store;
                 r.blocker = {store, Await::Result};

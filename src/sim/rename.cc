@@ -15,7 +15,7 @@ dispatch(MachineState &m)
                 break;
             // Its first issue check is next cycle.
             const Readiness r =
-                m.readiness(m.trace->instrs[i], t, m.now + 1);
+                m.readiness(i, t, m.now + 1);
             if (!m.roomFor(r)) {
                 if (r.blocker)
                     ++m.res.divertQueueFullStalls;

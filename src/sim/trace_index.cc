@@ -29,13 +29,11 @@ TraceIndex::TraceIndex(const Trace &trace) : _prog(trace.prog)
     // ascending and moves offsets[k] back to its start.
     const TraceIdx n = static_cast<TraceIdx>(trace.size());
     auto forEachKey = [&](TraceIdx i, auto add) {
-        const DynInstr &d = trace.instrs[i];
-        add(_occurrences, _slotOf[d.img()]);
+        add(_occurrences, _slotOf[trace.instrs[i].img()]);
         // Only a load has a memory producer, and a store always has
         // a side slot: its effective address.
-        const TraceIdx store = trace.memProd(d);
-        add(_consumers,
-            store != invalidTrace ? trace.instrs[store].side : noKey);
+        const TraceIdx store = trace.memProd(i);
+        add(_consumers, store != invalidTrace ? trace.side(store) : noKey);
     };
     for (TraceIdx i = 0; i < n; ++i) {
         forEachKey(i, [](Csr &csr, std::uint32_t k) {

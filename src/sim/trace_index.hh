@@ -27,7 +27,7 @@ namespace polyflow {
  *    target (the paper's spawn unit "uses a trace to ensure that
  *    tasks are not spawned too far into the future"), and
  *  - the loads that name each store as memory producer (keyed by
- *    the store's side-table slot, DynInstr::side, so the offsets
+ *    the store's side-table slot, Trace::side, so the offsets
  *    scale with the side table rather than the trace).
  *
  * Key k's positions live in items[offsets[k] .. offsets[k + 1]), in

@@ -18,7 +18,7 @@
  * code. Use a fresh directory per build (perfbench does, per run).
  * With PF_CACHE_DIR unset, empty or "off" nothing touches disk.
  *
- * Container layout (little-endian, formatVersion 3):
+ * Container layout (little-endian, formatVersion 4):
  *
  *     magic "PFARTFCT" | u32 formatVersion | u32 kind
  *     u64 keyHash (FNV-1a) | u64 payloadBytes
@@ -57,8 +57,10 @@
 namespace polyflow::store {
 
 /** Bumped whenever any container or payload layout changes (3:
- *  trace payloads became the Trace's own arrays). */
-constexpr std::uint32_t formatVersion = 3;
+ *  trace payloads became the Trace's own arrays; 4: 8-byte records
+ *  with back-distance producers, a far-producer table and a side
+ *  bitmap). */
+constexpr std::uint32_t formatVersion = 4;
 
 /** What a store entry holds. */
 enum class ArtifactKind : std::uint32_t {

@@ -12,6 +12,7 @@
 #include "ir/builder.hh"
 #include "isa/exec.hh"
 #include "isa/functional_sim.hh"
+#include "isa/page_map.hh"
 #include "isa/trace_io.hh"
 #include "store/bytes.hh"
 #include "workloads/workloads.hh"
@@ -342,14 +343,14 @@ TEST(FunctionalSim, TraceRecordsOutcomesAndProducers)
     ASSERT_EQ(t.size(), 6u);
 
     // Store reads base (prod 0) and value (prod 1).
-    EXPECT_EQ(t.instrs[2].prod[0], 0u);
-    EXPECT_EQ(t.instrs[2].prod[1], 1u);
+    EXPECT_EQ(t.prod(2, 0), 0u);
+    EXPECT_EQ(t.prod(2, 1), 1u);
     // Load's memory producer is the store.
-    EXPECT_EQ(t.memProd(t.instrs[3]), 2u);
-    EXPECT_EQ(t.effAddr(t.instrs[3]), t.effAddr(t.instrs[2]));
+    EXPECT_EQ(t.memProd(3), 2u);
+    EXPECT_EQ(t.effAddr(3), t.effAddr(2));
     // Add depends on the load and the li.
-    EXPECT_EQ(t.instrs[4].prod[0], 3u);
-    EXPECT_EQ(t.instrs[4].prod[1], 1u);
+    EXPECT_EQ(t.prod(4, 0), 3u);
+    EXPECT_EQ(t.prod(4, 1), 1u);
     // Nothing marked taken in straight-line code.
     EXPECT_FALSE(t.instrs[0].taken());
 }
@@ -378,7 +379,7 @@ TEST(FunctionalSim, LoadAcrossALastStorePageNamesTheYoungerStore)
             true);
         const Trace &t = r.trace;
         ASSERT_EQ(t.size(), 6u);
-        EXPECT_EQ(t.memProd(t.instrs[4]), 3u);
+        EXPECT_EQ(t.memProd(4), 3u);
         EXPECT_EQ(r.finalState->readReg(reg::t2), 7ll << 32);
     }
 }
@@ -428,6 +429,31 @@ TEST(FunctionalSim, DeterministicAcrossRuns)
               r2.finalState->memChecksum());
 }
 
+TEST(PageMap, TwoCachedPagesAgreeWithTheMap)
+{
+    PageMap<int, 4> m(-1);
+    // Both pages are cached as absent, then made.
+    EXPECT_EQ(m.find(1), nullptr);
+    EXPECT_EQ(m.find(2), nullptr);
+    m.get(1)[0] = 10;
+    EXPECT_EQ(m.find(2), nullptr);
+    m.get(2)[1] = 20;
+    for (int round = 0; round < 3; ++round) {
+        ASSERT_NE(m.find(1), nullptr);
+        EXPECT_EQ((*m.find(1))[0], 10);
+        EXPECT_EQ(m.get(2)[1], 20);
+        EXPECT_EQ(m.get(1)[1], -1);
+    }
+    // A third page evicts one; both old ones still read back.
+    m.get(3)[2] = 30;
+    EXPECT_EQ((*m.find(2))[1], 20);
+    EXPECT_EQ((*m.find(1))[0], 10);
+    EXPECT_EQ(m.pages().size(), 3u);
+    PageMap<int, 4> moved(std::move(m));
+    EXPECT_EQ((*moved.find(3))[2], 30);
+    EXPECT_EQ(moved.find(4), nullptr);
+}
+
 TEST(FunctionalSim, ImageIndexLimitIsNamed)
 {
     EXPECT_NO_THROW(checkImageSize(maxImageSize - 1));
@@ -456,22 +482,21 @@ TEST(TraceRecords, SideTableAndRoundTripHoldOnEveryWorkload)
 
         size_t sides = 0;
         for (TraceIdx i = 0; i < t.size(); ++i) {
-            const DynInstr &d = t.instrs[i];
             const Instruction &in = t.staticOf(i).instr;
             // An entry exactly for memory ops and indirect transfers.
             const bool carries = in.isMem() || isIndirect(in);
-            ASSERT_EQ(d.side != DynInstr::noSide, carries) << "at " << i;
-            ASSERT_EQ(t.effAddr(d) != invalidAddr, carries) << "at " << i;
+            ASSERT_EQ(t.side(i) != Trace::noSide, carries) << "at " << i;
+            ASSERT_EQ(t.effAddr(i) != invalidAddr, carries) << "at " << i;
             if (carries) {
-                ASSERT_EQ(d.side, sides) << "at " << i;
+                ASSERT_EQ(t.side(i), sides) << "at " << i;
                 ++sides;
             }
             // The target is where the trace goes next.
             if (isIndirect(in) && i + 1 < t.size()) {
-                ASSERT_EQ(t.effAddr(d), t.staticOf(i + 1).addr) << i;
+                ASSERT_EQ(t.effAddr(i), t.staticOf(i + 1).addr) << i;
             }
             // A memory producer only on loads, and an older store.
-            const TraceIdx p = t.memProd(d);
+            const TraceIdx p = t.memProd(i);
             if (p != invalidTrace) {
                 ASSERT_TRUE(in.isLoad()) << "at " << i;
                 ASSERT_LT(p, i);
@@ -487,33 +512,34 @@ TEST(TraceRecords, SideTableAndRoundTripHoldOnEveryWorkload)
         ASSERT_EQ(back.size(), t.size());
         EXPECT_EQ(back.instrs.capacity(), back.size());
         EXPECT_EQ(back.sideSize(), t.sideSize());
+        EXPECT_EQ(back.farSize(), t.farSize());
         for (TraceIdx i = 0; i < t.size(); ++i) {
-            const DynInstr &x = t.instrs[i];
-            const DynInstr &y = back.instrs[i];
-            ASSERT_EQ(x.imgTaken, y.imgTaken) << "at " << i;
-            ASSERT_EQ(x.prod[0], y.prod[0]) << "at " << i;
-            ASSERT_EQ(x.prod[1], y.prod[1]) << "at " << i;
-            ASSERT_EQ(x.side, y.side) << "at " << i;
-            ASSERT_EQ(t.effAddr(x), back.effAddr(y)) << "at " << i;
-            ASSERT_EQ(t.memProd(x), back.memProd(y)) << "at " << i;
+            ASSERT_EQ(t.instrs[i].imgTaken, back.instrs[i].imgTaken)
+                << "at " << i;
+            ASSERT_EQ(t.prod(i, 0), back.prod(i, 0)) << "at " << i;
+            ASSERT_EQ(t.prod(i, 1), back.prod(i, 1)) << "at " << i;
+            ASSERT_EQ(t.side(i), back.side(i)) << "at " << i;
+            ASSERT_EQ(t.effAddr(i), back.effAddr(i)) << "at " << i;
+            ASSERT_EQ(t.memProd(i), back.memProd(i)) << "at " << i;
         }
     }
 }
 
 
-/** store::laneStep chain over every record of @p t: its four
- *  fields, then its side-table entry (effective address, memory
- *  producer), so a changed link, flag or side slot moves it. */
+/** store::laneStep chain over every record of @p t: its image and
+ *  taken flag, its two register producers and its side slot, then
+ *  its side-table entry (effective address, memory producer), so a
+ *  changed link, flag or side slot moves it. */
 std::uint64_t
 traceHash(const Trace &t)
 {
     std::uint64_t h = t.size();
-    for (const DynInstr &d : t.instrs) {
-        for (std::uint64_t w : {std::uint64_t(d.imgTaken),
-                                std::uint64_t(d.prod[0]),
-                                std::uint64_t(d.prod[1]),
-                                std::uint64_t(d.side), t.effAddr(d),
-                                std::uint64_t(t.memProd(d))})
+    for (TraceIdx i = 0; i < t.size(); ++i) {
+        for (std::uint64_t w : {std::uint64_t(t.instrs[i].imgTaken),
+                                std::uint64_t(t.prod(i, 0)),
+                                std::uint64_t(t.prod(i, 1)),
+                                std::uint64_t(t.side(i)), t.effAddr(i),
+                                std::uint64_t(t.memProd(i))})
             h = store::laneStep(h, w);
     }
     return h;

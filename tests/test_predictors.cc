@@ -244,9 +244,9 @@ TEST(TraceIndex, OccurrencesMatchAFullScan)
         // Each store's consumers are the loads naming it, ascending.
         std::vector<std::vector<TraceIdx>> consumers(tr.sideSize());
         for (TraceIdx i = 0; i < n; ++i) {
-            if (const TraceIdx st = tr.memProd(tr.instrs[i]);
+            if (const TraceIdx st = tr.memProd(i);
                 st != invalidTrace)
-                consumers[tr.instrs[st].side].push_back(i);
+                consumers[tr.side(st)].push_back(i);
         }
         for (std::uint32_t side = 0; side < tr.sideSize(); ++side) {
             const TraceIndex::Span got = idx.consumersOf(side);

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "ir/builder.hh"
+#include "isa/functional_sim.hh"
 #include "spawn/policy.hh"
 #include "spawn/spawn_analysis.hh"
+#include "workloads/workloads.hh"
 
 namespace polyflow {
 namespace {
@@ -443,6 +447,77 @@ TEST(SpawnCensus, CountsAddUp)
     };
     EXPECT_EQ(countKinds(kinds::postdoms), 2);
     EXPECT_EQ(countKinds(kinds::procFT), 1);
+}
+
+/**
+ * The dynamic postdominance fact the spawn unit relies on: every
+ * dynamic instance of a loopFT, procFT, hammock or other trigger
+ * reaches its target later in its own call frame, before that frame
+ * returns (or the program halts). Frame ids come from one
+ * call/return pass over the trace: the instruction after a call
+ * opens a new frame, and the one after a return is back in the
+ * caller's.
+ */
+TEST(SpawnAnalysis, TriggersReachTheirTargetInTheirOwnFrame)
+{
+    for (const std::string &name : allWorkloadNames()) {
+        SCOPED_TRACE(name);
+        const Workload w = buildWorkload(name, 0.1);
+        const SpawnAnalysis sa(*w.module, w.prog);
+        FunctionalOptions opt;
+        opt.recordTrace = true;
+        const FunctionalResult r = runFunctional(w.prog, opt);
+        ASSERT_TRUE(r.halted);
+        const Trace &t = r.trace;
+
+        std::vector<std::uint32_t> frame(t.size());
+        std::vector<std::uint32_t> callers;
+        std::uint32_t current = 0, frames = 1;
+        for (TraceIdx i = 0; i < t.size(); ++i) {
+            frame[i] = current;
+            const Instruction &in = t.staticOf(i).instr;
+            if (in.isCall()) {
+                callers.push_back(current);
+                current = frames++;
+            } else if (in.isReturn()) {
+                ASSERT_FALSE(callers.empty()) << "return at " << i;
+                current = callers.back();
+                callers.pop_back();
+            }
+        }
+
+        // Targets of the postdominator points, by trigger image.
+        std::vector<std::vector<Addr>> targets(w.prog.size());
+        for (const SpawnPoint &p : sa.points()) {
+            if (kindBit(p.kind) & kinds::postdoms)
+                targets[w.prog.idxOf(p.triggerPc)].push_back(p.targetPc);
+        }
+
+        // Instances still owed their target, by (frame, target PC).
+        std::map<std::pair<std::uint32_t, Addr>, std::uint64_t> owed;
+        std::uint64_t instances = 0, failures = 0;
+        for (TraceIdx i = 0; i < t.size(); ++i) {
+            const LinkedInstr &li = t.staticOf(i);
+            owed.erase({frame[i], li.addr});
+            for (Addr target : targets[t.instrs[i].img()]) {
+                ++owed[{frame[i], target}];
+                ++instances;
+            }
+            if (li.instr.isReturn()) {
+                // Frame frame[i] ends: what it still owes fails.
+                const auto first = owed.lower_bound({frame[i], 0});
+                auto last = first;
+                for (; last != owed.end() && last->first.first == frame[i];
+                     ++last)
+                    failures += last->second;
+                owed.erase(first, last);
+            }
+        }
+        for (const auto &[key, n] : owed)
+            failures += n;
+        EXPECT_GT(instances, 0u);
+        EXPECT_EQ(failures, 0u) << "of " << instances << " instances";
+    }
 }
 
 } // namespace

@@ -174,7 +174,7 @@ TEST(Stages, RenameBackpressureWhenDivertQueueFull)
     const Trace &tr = b.fr->trace;
     // Trace: li(0), jump(1), addi(2), bne(3), addi(4), ... The addi
     // at index 4 reads t0 produced by the addi at index 2.
-    ASSERT_EQ(tr.instrs[4].prod[0], TraceIdx(2));
+    ASSERT_EQ(tr.prod(4, 0), TraceIdx(2));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -318,7 +318,7 @@ TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
     const Trace &tr = b.fr->trace;
     // The addi at index 4 reads t0 from the addi at index 2, which
     // the split leaves in the older task.
-    ASSERT_EQ(tr.instrs[4].prod[0], TraceIdx(2));
+    ASSERT_EQ(tr.prod(4, 0), TraceIdx(2));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -342,7 +342,7 @@ TEST(Stages, SynchronizedCrossTaskConsumerWaitsDivertedThenIssues)
     // The predictor marks the consumer, so the shared rule
     // synchronizes it on its cross-task producer.
     m.depPred.recordRegViolation(tr.instrs[4].img());
-    EXPECT_EQ(m.readiness(tr.instrs[4], m.tasks[1], m.now).blocker,
+    EXPECT_EQ(m.readiness(4, m.tasks[1], m.now).blocker,
               (sim::Blocker{2, sim::Await::Issue}));
 
     sim::dispatch(m);
@@ -377,7 +377,7 @@ TEST(Stages, DivertedConsumerWakesDelayCyclesAfterItsProducerIssues)
 {
     Built b = countdownLoop(3);
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[4].prod[0], TraceIdx(2));
+    ASSERT_EQ(tr.prod(4, 0), TraceIdx(2));
 
     MachineConfig cfg;
     cfg.divertReleaseDelay = 5;
@@ -437,7 +437,7 @@ TEST(Stages, SchedulerEntryIssuesTheCycleItsDivideProducerCompletes)
     });
     const Trace &tr = b.fr->trace;
     ASSERT_EQ(tr.staticOf(2).instr.op, Opcode::DIVU);
-    ASSERT_EQ(tr.instrs[3].prod[0], TraceIdx(2));
+    ASSERT_EQ(tr.prod(3, 0), TraceIdx(2));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -478,8 +478,8 @@ TEST(Stages, ConsumerWaitsOnItsSecondSourceOnceTheFirstCompletes)
         fb.add(reg::t5, reg::t3, reg::t4);
     });
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[4].prod[0], TraceIdx(2));
-    ASSERT_EQ(tr.instrs[4].prod[1], TraceIdx(3));
+    ASSERT_EQ(tr.prod(4, 0), TraceIdx(2));
+    ASSERT_EQ(tr.prod(4, 1), TraceIdx(3));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -519,8 +519,8 @@ TEST(Stages, SquashedConsumerIsReDivertedOnItsCurrentBlocker)
         fb.add(reg::t3, reg::t1, reg::t2);
     });
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[2].prod[0], TraceIdx(0));
-    ASSERT_EQ(tr.instrs[2].prod[1], TraceIdx(1));
+    ASSERT_EQ(tr.prod(2, 0), TraceIdx(0));
+    ASSERT_EQ(tr.prod(2, 1), TraceIdx(1));
 
     MachineConfig cfg;
     cfg.numFUs = 1;  // the producers issue one per cycle
@@ -585,8 +585,8 @@ TEST(Stages, ConsumerWokenByAnEarlierReleaseIsExaminedInTheSameScan)
         fb.addi(reg::t2, reg::t1, 1);
     });
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
-    ASSERT_EQ(tr.instrs[2].prod[0], TraceIdx(1));
+    ASSERT_EQ(tr.prod(1, 0), TraceIdx(0));
+    ASSERT_EQ(tr.prod(2, 0), TraceIdx(1));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -645,7 +645,7 @@ TEST(Stages, LoadHeldOnItsStoreWakesAtTheStoresCompleteCycle)
     }
     b.finish();
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.memProd(tr.instrs[3]), TraceIdx(2));
+    ASSERT_EQ(tr.memProd(3), TraceIdx(2));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -698,7 +698,7 @@ TEST(Stages, ConsumerParkedAtRenameIssuesWhenItsProducerCompletes)
         fb.addi(reg::t3, reg::t0, 1);
     });
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+    ASSERT_EQ(tr.prod(1, 0), TraceIdx(0));
 
     // Rename parks the consumer on its producer, which has not
     // issued. The producer issues the next cycle, and the consumer
@@ -777,7 +777,7 @@ TEST(Stages, SquashedEntryParkedOnASurvivingProducerIsReParkedOnce)
         fb.add(reg::t3, reg::t1, reg::t1);
     });
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+    ASSERT_EQ(tr.prod(1, 0), TraceIdx(0));
 
     MachineConfig cfg;
     sim::MachineState m(cfg, tr, nullptr);
@@ -851,9 +851,9 @@ TEST(Stages, LetGoDivertEntryReParksWhenRecoveryTrainsItsPredictor)
     // first iteration (4) reads q (3) and the second li (1); the
     // second iteration's e (8) is the same static instruction.
     const TraceIdx q = 3, e = 4, p = 1, later = 8;
-    ASSERT_EQ(tr.instrs[e].prod[0], q);
-    ASSERT_EQ(tr.instrs[e].prod[1], p);
-    ASSERT_EQ(tr.instrs[q].prod[0], TraceIdx(0));
+    ASSERT_EQ(tr.prod(e, 0), q);
+    ASSERT_EQ(tr.prod(e, 1), p);
+    ASSERT_EQ(tr.prod(q, 0), TraceIdx(0));
     ASSERT_EQ(tr.instrs[later].img(), tr.instrs[e].img());
 
     // Tasks [0, 3), [3, 7) and [7, end). One FU, so the older task's
@@ -929,7 +929,7 @@ TEST(Stages, UnpredictedCrossTaskConsumerIssuesStaleUntilTrained)
         fb.addi(reg::t3, reg::t0, 1);
     });
     const Trace &tr = b.fr->trace;
-    ASSERT_EQ(tr.instrs[1].prod[0], TraceIdx(0));
+    ASSERT_EQ(tr.prod(1, 0), TraceIdx(0));
 
     // The mul issued last cycle and completes at cycle 13; the
     // consumer waits in the scheduler.

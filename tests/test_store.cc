@@ -13,6 +13,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -96,14 +97,12 @@ expectSameTrace(const Trace &a, const Trace &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (TraceIdx i = 0; i < a.size(); ++i) {
-        const DynInstr &x = a.instrs[i];
-        const DynInstr &y = b.instrs[i];
-        ASSERT_EQ(x.img(), y.img()) << "at " << i;
-        ASSERT_EQ(x.taken(), y.taken()) << "at " << i;
-        ASSERT_EQ(a.effAddr(x), b.effAddr(y)) << "at " << i;
-        ASSERT_EQ(x.prod[0], y.prod[0]) << "at " << i;
-        ASSERT_EQ(x.prod[1], y.prod[1]) << "at " << i;
-        ASSERT_EQ(a.memProd(x), b.memProd(y)) << "at " << i;
+        ASSERT_EQ(a.instrs[i].img(), b.instrs[i].img()) << "at " << i;
+        ASSERT_EQ(a.instrs[i].taken(), b.instrs[i].taken()) << "at " << i;
+        ASSERT_EQ(a.effAddr(i), b.effAddr(i)) << "at " << i;
+        ASSERT_EQ(a.prod(i, 0), b.prod(i, 0)) << "at " << i;
+        ASSERT_EQ(a.prod(i, 1), b.prod(i, 1)) << "at " << i;
+        ASSERT_EQ(a.memProd(i), b.memProd(i)) << "at " << i;
     }
 }
 
@@ -145,8 +144,8 @@ TEST(TraceCodec, PayloadBytesArePinned)
     std::string payload;
     encodeTrace(traceOf(w), payload);
     EXPECT_EQ(store::sha256Hex(payload),
-              "2b31f93330089299eca5fa63f785b059"
-              "75c358fc9caf98f4dac4bbb581805f12");
+              "eaf6c125c0fb5dab6e47f38a2356b088"
+              "906c7bab23e7ebd494d109126ec88a70");
 }
 
 TEST(TraceCodec, RejectsTruncatedAndTrailingPayloads)
@@ -169,11 +168,11 @@ TEST(TraceCodec, RejectsOutOfRangeStaticIndex)
     Workload w = smallWorkload();
     Trace t = traceOf(w);
     // One record whose static-image index is past program end.
-    const DynInstr &d = t.instrs.front();
     Trace evil;
     evil.prog = &w.prog;
-    evil.append(static_cast<ImageIdx>(w.prog.size()), d.taken(),
-                d.prod[0], d.prod[1], t.effAddr(d), t.memProd(d));
+    evil.append(static_cast<ImageIdx>(w.prog.size()),
+                t.instrs.front().taken(), t.prod(0, 0), t.prod(0, 1),
+                t.effAddr(0), t.memProd(0));
     std::string payload;
     encodeTrace(evil, payload);
     Trace back;
@@ -187,11 +186,11 @@ TEST(TraceCodec, RejectsAProducerNotOlderThanItsConsumer)
     const DynInstr &d = t.instrs.front();
     for (int field = 0; field < 3; ++field) {
         // Record 0 names itself as a register or memory producer.
-        TraceIdx p[3] = {d.prod[0], d.prod[1], t.memProd(d)};
+        TraceIdx p[3] = {t.prod(0, 0), t.prod(0, 1), t.memProd(0)};
         p[field] = 0;
         Trace evil;
         evil.prog = &w.prog;
-        evil.append(d.img(), d.taken(), p[0], p[1], t.effAddr(d), p[2]);
+        evil.append(d.img(), d.taken(), p[0], p[1], t.effAddr(0), p[2]);
         std::string payload;
         encodeTrace(evil, payload);
         Trace back;
@@ -210,8 +209,8 @@ TEST(TraceCodec, RejectsAMemoryProducerOnANonLoad)
     evil.prog = &w.prog;
     for (TraceIdx k = 0; k <= i; ++k) {
         const DynInstr &d = t.instrs[k];
-        evil.append(d.img(), d.taken(), d.prod[0], d.prod[1],
-                    t.effAddr(d), k == i ? 0 : t.memProd(d));
+        evil.append(d.img(), d.taken(), t.prod(k, 0), t.prod(k, 1),
+                    t.effAddr(k), k == i ? 0 : t.memProd(k));
     }
     std::string payload;
     encodeTrace(evil, payload);
@@ -242,23 +241,38 @@ prefixOf(const Trace &full, TraceIdx n)
     t.prog = full.prog;
     for (TraceIdx i = 0; i < n; ++i) {
         const DynInstr &d = full.instrs[i];
-        t.append(d.img(), d.taken(), d.prod[0], d.prod[1],
-                 full.effAddr(d), full.memProd(d));
+        t.append(d.img(), d.taken(), full.prod(i, 0), full.prod(i, 1),
+                 full.effAddr(i), full.memProd(i));
     }
     return t;
 }
 
 /** @name Byte offsets into a trace payload (isa/trace_io.hh) @{ */
-size_t sideAt(TraceIdx i) { return 16 + 16 * size_t(i) + 12; }
+constexpr size_t headBytes = 24;
+size_t
+backAt(TraceIdx i, int k)
+{
+    return headBytes + 8 * size_t(i) + 4 + 2 * size_t(k);
+}
+size_t
+farAt(const Trace &t, size_t j)
+{
+    return headBytes + 8 * t.size() + 12 * j;
+}
+size_t
+bitsAt(const Trace &t, size_t word)
+{
+    return farAt(t, t.farSize()) + 8 * word;
+}
 size_t
 effAddrAt(const Trace &t, size_t slot)
 {
-    return 16 + 16 * t.size() + 8 * slot;
+    return bitsAt(t, (t.size() + 63) / 64) + 8 * slot;
 }
 size_t
 memProdAt(const Trace &t, size_t slot)
 {
-    return 16 + 16 * t.size() + 8 * t.sideSize() + 4 * slot;
+    return effAddrAt(t, t.sideSize()) + 4 * slot;
 }
 /** @} */
 
@@ -268,10 +282,217 @@ sideRecords(const Trace &t)
 {
     std::vector<TraceIdx> out;
     for (TraceIdx i = 0; i < t.size(); ++i) {
-        if (t.instrs[i].side != DynInstr::noSide)
+        if (t.side(i) != Trace::noSide)
             out.push_back(i);
     }
     return out;
+}
+
+/** Flip bit @p i of the side bitmap in @p payload of @p t. */
+void
+flipSideBit(std::string &payload, const Trace &t, TraceIdx i)
+{
+    char *word = payload.data() + bitsAt(t, i / 64);
+    store::storeLE(word, store::loadLE<std::uint64_t>(word) ^
+                       (std::uint64_t(1) << (i % 64)));
+}
+
+/** What one append() was passed. */
+struct Appended
+{
+    bool taken = false;
+    TraceIdx prod[2] = {invalidTrace, invalidTrace};
+    Addr effAddr = invalidAddr;
+    TraceIdx memProd = invalidTrace;
+};
+
+/** First image of @p prog that is a load. */
+ImageIdx
+loadImage(const LinkedProgram &prog)
+{
+    ImageIdx img = 0;
+    while (!prog.image()[img].instr.isLoad())
+        ++img;
+    return img;
+}
+
+/**
+ * 70,010 loads of one static load, with producers 1, 65,534 (the
+ * farthest a back-distance holds), 65,535 and 70,000 back, two far
+ * links on one record, and side slots at positions 0, 63, 64, 127,
+ * 128 (a memory producer only) and the last. The far table holds
+ * (65535, 0), (70000, 0), (70000, 1) and (70001, 1).
+ */
+std::vector<Appended>
+farAndSideRecords()
+{
+    std::vector<Appended> recs(70010);
+    for (TraceIdx i = 0; i < recs.size(); ++i)
+        recs[i].taken = i % 3 == 0;
+    recs[1].prod[0] = 0;
+    recs[65534].prod[0] = 0;
+    recs[65535].prod[0] = 0;
+    recs[65535].prod[1] = 1;
+    recs[70000].prod[0] = 0;
+    recs[70000].prod[1] = 70000 - 65535;
+    recs[70001].prod[0] = 70000;
+    recs[70001].prod[1] = 70001 - 65535;
+    for (TraceIdx i : {0u, 63u, 64u, 127u, 128u, 70009u}) {
+        recs[i].effAddr = 0x1000 + 8 * Addr(i);
+        if (i != 0)
+            recs[i].memProd = 0;
+    }
+    recs[128].effAddr = invalidAddr;
+    return recs;
+}
+
+Trace
+traceOf(const LinkedProgram &prog, ImageIdx img,
+        const std::vector<Appended> &recs)
+{
+    Trace t;
+    t.prog = &prog;
+    for (const Appended &a : recs)
+        t.append(img, a.taken, a.prod[0], a.prod[1], a.effAddr, a.memProd);
+    return t;
+}
+
+/** @p t reads back exactly @p recs, each of static image @p img. */
+void
+expectReadsBack(const Trace &t, ImageIdx img,
+                const std::vector<Appended> &recs)
+{
+    ASSERT_EQ(t.size(), recs.size());
+    std::uint32_t slots = 0;
+    for (TraceIdx i = 0; i < t.size(); ++i) {
+        const Appended &a = recs[i];
+        ASSERT_EQ(t.instrs[i].img(), img) << "at " << i;
+        ASSERT_EQ(t.instrs[i].taken(), a.taken) << "at " << i;
+        ASSERT_EQ(t.prod(i, 0), a.prod[0]) << "at " << i;
+        ASSERT_EQ(t.prod(i, 1), a.prod[1]) << "at " << i;
+        ASSERT_EQ(t.effAddr(i), a.effAddr) << "at " << i;
+        ASSERT_EQ(t.memProd(i), a.memProd) << "at " << i;
+        const bool carries =
+            a.effAddr != invalidAddr || a.memProd != invalidTrace;
+        ASSERT_EQ(t.side(i), carries ? slots++ : Trace::noSide) << i;
+    }
+    EXPECT_EQ(t.sideSize(), slots);
+}
+
+TEST(TraceCodec, FarProducersAndSideRanksRoundTrip)
+{
+    const Workload w = smallWorkload();
+    const ImageIdx img = loadImage(w.prog);
+    const std::vector<Appended> recs = farAndSideRecords();
+    const Trace t = traceOf(w.prog, img, recs);
+    EXPECT_EQ(t.farSize(), 4u);
+    EXPECT_EQ(t.sideSize(), 6u);
+    expectReadsBack(t, img, recs);
+
+    std::string payload;
+    encodeTrace(t, payload);
+    Trace back;
+    ASSERT_TRUE(decodeTrace(payload, w.prog, back));
+    EXPECT_EQ(back.farSize(), 4u);
+    expectReadsBack(back, img, recs);
+}
+
+TEST(TraceCodec, EmptyArraysRoundTrip)
+{
+    // No records at all; then records with neither a side slot nor
+    // a far producer.
+    const Workload w = smallWorkload();
+    const ImageIdx img = loadImage(w.prog);
+    for (size_t n : {0, 3}) {
+        std::vector<Appended> recs(n);
+        if (n > 1)
+            recs[1].prod[0] = 0;
+        const Trace t = traceOf(w.prog, img, recs);
+        ASSERT_EQ(t.sideSize(), 0u);
+        ASSERT_EQ(t.farSize(), 0u);
+        std::string payload;
+        encodeTrace(t, payload);
+        EXPECT_EQ(payload.size(), headBytes + 8 * n + (n ? 8 : 0)) << n;
+        Trace back;
+        ASSERT_TRUE(decodeTrace(payload, w.prog, back)) << n;
+        expectReadsBack(back, img, recs);
+    }
+}
+
+/** farAndSideRecords()' payload, changed by @p patch, decodes to
+ *  nothing. */
+template <class Patch>
+void
+expectPatchRejected(Patch patch)
+{
+    const Workload w = smallWorkload();
+    const Trace t = traceOf(w.prog, loadImage(w.prog), farAndSideRecords());
+    std::string payload;
+    encodeTrace(t, payload);
+    Trace back;
+    ASSERT_TRUE(decodeTrace(payload, w.prog, back));
+    patch(t, payload);
+    EXPECT_FALSE(decodeTrace(payload, w.prog, back));
+}
+
+TEST(TraceCodec, RejectsAFarEntryOutOfOrder)
+{
+    // (70000, 0) and (70000, 1) trade places.
+    expectPatchRejected([](const Trace &t, std::string &payload) {
+        std::swap_ranges(payload.begin() + farAt(t, 1),
+                         payload.begin() + farAt(t, 2),
+                         payload.begin() + farAt(t, 2));
+    });
+}
+
+TEST(TraceCodec, RejectsAFarProducerNotOlder)
+{
+    // (65535, 0) names its own record.
+    expectPatchRejected([](const Trace &t, std::string &payload) {
+        store::storeLE(payload.data() + farAt(t, 0) + 8, TraceIdx(65535));
+    });
+}
+
+TEST(TraceCodec, RejectsABackDistanceBeforePositionZero)
+{
+    expectPatchRejected([](const Trace &, std::string &payload) {
+        store::storeLE(payload.data() + backAt(1, 0), std::uint16_t(2));
+    });
+}
+
+TEST(TraceCodec, RejectsAFarLinkNoEntryAnswers)
+{
+    // The last record, after every far link, asks the far table.
+    expectPatchRejected([](const Trace &t, std::string &payload) {
+        store::storeLE(payload.data() +
+                           backAt(static_cast<TraceIdx>(t.size() - 1), 0),
+                       DynInstr::farBack);
+    });
+}
+
+TEST(TraceCodec, RejectsAFarEntryNoRecordNames)
+{
+    // The last far link, (70001, 1), becomes a near one.
+    expectPatchRejected([](const Trace &, std::string &payload) {
+        store::storeLE(payload.data() + backAt(70001, 1), std::uint16_t(1));
+    });
+}
+
+TEST(TraceCodec, RejectsMoreSideBitsThanSlots)
+{
+    // A record without a slot claims the last one; the last record,
+    // which holds it, then finds none left.
+    expectPatchRejected([](const Trace &t, std::string &payload) {
+        flipSideBit(payload, t, static_cast<TraceIdx>(t.size() - 2));
+    });
+}
+
+TEST(TraceCodec, RejectsASideBitPastTheLastRecord)
+{
+    expectPatchRejected([](const Trace &t, std::string &payload) {
+        ASSERT_NE(t.size() % 64, 0u);
+        flipSideBit(payload, t, static_cast<TraceIdx>(t.size()));
+    });
 }
 
 TEST(TraceCodec, RejectsAnOverClaimingHeader)
@@ -282,37 +503,18 @@ TEST(TraceCodec, RejectsAnOverClaimingHeader)
     encodeTrace(t, payload);
     Trace back;
     ASSERT_TRUE(decodeTrace(payload, w.prog, back));
-    // Counts whose byte sizes wrap around to the true ones: 2^60
-    // more records, or 2^62 more slots, claim 0 more bytes mod 2^64.
-    for (auto [at, extra] : {std::pair{0, std::uint64_t(1) << 60},
-                             std::pair{8, std::uint64_t(1) << 62}}) {
+    // Counts whose own array's byte size wraps around to the true
+    // one: 2^61 more records, or 2^62 more slots or far entries,
+    // claim 0 more bytes mod 2^64 there.
+    for (auto [at, extra] : {std::pair{0, std::uint64_t(1) << 61},
+                             std::pair{8, std::uint64_t(1) << 62},
+                             std::pair{16, std::uint64_t(1) << 62}}) {
         std::string evil = payload;
         store::storeLE<std::uint64_t>(
             evil.data() + at,
             store::loadLE<std::uint64_t>(evil.data() + at) + extra);
         EXPECT_FALSE(decodeTrace(evil, w.prog, back)) << at;
     }
-}
-
-TEST(TraceCodec, RejectsASideSlotOutOfOrder)
-{
-    Workload w = smallWorkload();
-    const Trace t = prefixOf(traceOf(w), 64);
-    // Two records without a memory producer swap their slots.
-    std::vector<TraceIdx> pick;
-    for (TraceIdx i : sideRecords(t)) {
-        if (t.memProd(t.instrs[i]) == invalidTrace && pick.size() < 2)
-            pick.push_back(i);
-    }
-    ASSERT_EQ(pick.size(), 2u);
-    std::string payload;
-    encodeTrace(t, payload);
-    store::storeLE(payload.data() + sideAt(pick[0]),
-                   t.instrs[pick[1]].side);
-    store::storeLE(payload.data() + sideAt(pick[1]),
-                   t.instrs[pick[0]].side);
-    Trace back;
-    EXPECT_FALSE(decodeTrace(payload, w.prog, back));
 }
 
 TEST(TraceCodec, RejectsASideSlotNoRecordNames)
@@ -323,7 +525,7 @@ TEST(TraceCodec, RejectsASideSlotNoRecordNames)
     const TraceIdx last = sideRecords(t).back();
     std::string payload;
     encodeTrace(t, payload);
-    store::storeLE(payload.data() + sideAt(last), DynInstr::noSide);
+    flipSideBit(payload, t, last);
     Trace back;
     EXPECT_FALSE(decodeTrace(payload, w.prog, back));
 }
